@@ -41,6 +41,11 @@ def _load_code(path: str) -> LinearCode:
     return code_from_spec(_load_spec(path))
 
 
+def _no_structure() -> int:
+    print("no structure matrix found", file=sys.stderr)
+    return 1
+
+
 def _rate_str(r: Fraction) -> str:
     return f"{r.numerator}/{r.denominator} = {float(r):.4f}"
 
@@ -110,8 +115,7 @@ def cmd_optimize(args) -> int:
         e_opt, gamma = optimize_rate(code, seed=args.seed, budget=args.budget,
                                      sample_budget=args.sample_budget)
     if e_opt is None:
-        print("no structure matrix found", file=sys.stderr)
-        return 1
+        return _no_structure()
     print(json.dumps(e_opt.to_json_dict()))
     print(f"Gamma = {gamma}, rate = {_rate_str(Fraction(gamma, code.n))}",
           file=sys.stderr)
@@ -132,6 +136,8 @@ def cmd_simulate(args) -> int:
         tx = run(1, dss, {"lam": lam, "m": m, "seed": seed})
     elif args.protocol == "p2":
         e_opt, gamma = optimize_rate(code, seed=seed)
+        if e_opt is None:
+            return _no_structure()
         structure = p2_build_structure(code, e_opt.info_sets(), e_opt.ehat)
         dss = Dss(code, f=f, beta=structure.beta, ell=args.ell, seed=seed)
         tx = run(2, dss, {"structure": structure, "m": m, "seed": seed})
@@ -141,6 +147,8 @@ def cmd_simulate(args) -> int:
             return 2
         query = _load_code(args.query_code)
         e_opt, gamma = optimize_rate_colluding(code, query, seed=seed)
+        if e_opt is None:
+            return _no_structure()
         setup = p3_setup(code, query, e_opt.ehat, e_opt.info_sets())
         dss = Dss(code, f=f, beta=setup.beta, ell=args.ell, seed=seed)
         tx = run(3, dss, {"setup": setup, "m": m, "seed": seed})
@@ -168,6 +176,8 @@ def cmd_audit_privacy(args) -> int:
                                trials=args.trials, seed=seed)
     elif args.protocol == 2:
         e_opt, _ = optimize_rate(code, seed=seed)
+        if e_opt is None:
+            return _no_structure()
         structure = p2_build_structure(code, e_opt.info_sets(), e_opt.ehat)
         dss = Dss(code, f=f, beta=structure.beta, seed=seed)
         report = privacy_audit(2, dss, {"structure": structure},
@@ -179,6 +189,8 @@ def cmd_audit_privacy(args) -> int:
             return 2
         query = _load_code(args.query_code)
         e_opt, _ = optimize_rate_colluding(code, query, seed=seed)
+        if e_opt is None:
+            return _no_structure()
         setup = p3_setup(code, query, e_opt.ehat, e_opt.info_sets())
         dss = Dss(code, f=f, beta=setup.beta, seed=seed)
         report = privacy_audit(3, dss, {"setup": setup},

@@ -3,13 +3,34 @@
 A `LinearCode` is an immutable pair (G, H) with rank(G) = k, rank(H) = n-k and
 G H^T = 0. Coordinates are 0-based everywhere in code; the wire formats and CLI
 render 1-based coordinates to match the usual coding-theory convention.
+
+Two exact kernels carry the code predicates:
+
+- Column independence. Each code builds, once, an elimination step over the
+  columns of H (`_column_reducer`). It reduces one column against a basis kept
+  as a dict from pivot key to a vector whose leading entry sits at that key,
+  and adds the column when it is independent. GF(2) columns are bitmasks keyed
+  by their top bit; GF(p) columns are integer tuples reduced mod p; GF(p^a)
+  columns are scaled through the field's log/exp tables (`mul` for fields
+  above 2^16 elements, which have none), with XOR addition in characteristic
+  2. `erasure_correctable`, `pivot_columns` and the column search of
+  `min_distance` are all built from this step; none allocates a `Matrix`.
+- Codeword enumeration (`_codeword_chunks`). Messages are enumerated in chunks
+  of at most ENUM_CHUNK as numpy int64 rows: `msgs @ G mod p` over a prime
+  field, and over GF(p^a) a sum of per-row multiple tables (row d of the i-th
+  table is d * G[i]) indexed by the message symbols. `min_distance` and
+  `codewords` both read it.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -32,6 +53,10 @@ from .fields import (
 ENUM_BUDGET = 1 << 21          # codeword-enumeration ceiling for q^k
 COLUMN_SEARCH_BUDGET = 5_000_000  # cumulative column-subset ceiling
 SUBSPACE_BUDGET = 2_000_000    # s-dimensional subspace enumeration ceiling
+ENUM_CHUNK = 4096              # messages per enumeration chunk (~1 MB temporaries)
+
+
+_BITS = frozenset((0, 1))
 
 
 @dataclass(frozen=True)
@@ -42,7 +67,7 @@ class ErasurePattern:
     mask: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.mask) != self.n or any(b not in (0, 1) for b in self.mask):
+        if len(self.mask) != self.n or not _BITS.issuperset(self.mask):
             raise DimensionMismatch("mask must be 0/1 of length n")
 
     @property
@@ -51,7 +76,7 @@ class ErasurePattern:
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(j for j, b in enumerate(self.mask) if b)
+        return tuple(itertools.compress(range(self.n), self.mask))
 
     @staticmethod
     def from_support(n: int, support: Iterable[int]) -> "ErasurePattern":
@@ -106,14 +131,7 @@ class LinearCode:
             prod = mat_mul(G, H.transpose())
             if any(any(x for x in row) for row in prod.data):
                 raise DimensionMismatch("G H^T != 0")
-        # column views of H used by the hot correctability test
-        if self.field.order == 2:
-            self._hcols_gf2 = [
-                sum(self.H.data[i][j] << i for i in range(self.H.rows))
-                for j in range(self.n)
-            ]
-        else:
-            self._hcols_gf2 = None
+        self._reduce = _column_reducer(H)
 
     # --- constructors ---------------------------------------------------------
 
@@ -179,24 +197,30 @@ class LinearCode:
         return tuple(sorted(perm[c] for c in pivots))
 
     def erasure_correctable(self, pattern) -> bool:
+        """True iff the erased columns of H are linearly independent."""
         support = _as_support(self.n, pattern)
-        w = len(support)
-        if w == 0:
-            return True
-        if w > self.n - self.k:
+        if len(support) > self.n - self.k:
             return False
-        if self._hcols_gf2 is not None:
-            basis: list[int] = []
-            for j in support:
-                v = self._hcols_gf2[j]
-                for b in basis:
-                    v = min(v, v ^ b)
-                if v == 0:
-                    return False
-                basis.append(v)
-                basis.sort(reverse=True)
-            return True
-        return mat_rank(self.H.restrict_cols(support)) == w
+        basis: dict = {}
+        reduce = self._reduce
+        for j in support:
+            if reduce(basis, j) is None:
+                return False
+        return True
+
+    def pivot_columns(self, order: Sequence[int]) -> list[int]:
+        """Columns of H taken greedily in `order`, each independent of those
+        taken before it: the pivot columns of rref(H[:, order]) mapped back
+        through `order`, in that order."""
+        basis: dict = {}
+        reduce = self._reduce
+        out = []
+        for j in order:
+            if len(out) == self.H.rows:
+                break
+            if reduce(basis, j) is not None:
+                out.append(j)
+        return out
 
     # --- encoding / decoding ------------------------------------------------------
 
@@ -233,28 +257,36 @@ class LinearCode:
 
     def codewords(self, budget: int = ENUM_BUDGET) -> Iterator[tuple[int, ...]]:
         """All codewords; guarded by q^k <= budget."""
-        q = self.field.order
-        if q ** self.k > budget:
-            raise TooLarge(f"q^k = {q}^{self.k} exceeds enumeration budget")
-        f = self.field
-        grows = self.G.data
-        msg = [0] * self.k
-        while True:
-            cw = [0] * self.n
-            for i, m in enumerate(msg):
-                if m:
-                    row = grows[i]
-                    cw = [f.add(c, f.mul(m, g)) for c, g in zip(cw, row)]
-            yield tuple(cw)
-            i = 0
-            while i < self.k:
-                msg[i] += 1
-                if msg[i] < q:
-                    break
-                msg[i] = 0
-                i += 1
-            else:
-                return
+        for chunk in self._codeword_chunks(budget):
+            yield from map(tuple, chunk.tolist())
+
+    def _codeword_chunks(self, budget: int) -> Iterator[np.ndarray]:
+        """All codewords as int64 arrays of at most ENUM_CHUNK rows. Message m
+        has base-q digits m_0, m_1, ... (m_0 varies fastest) and codeword
+        sum_i m_i G[i]."""
+        f, k = self.field, self.k
+        total = f.order ** k
+        if total > budget:
+            raise TooLarge(f"q^k = {f.order}^{k} exceeds enumeration budget")
+        powers = f.order ** np.arange(k, dtype=np.int64)
+        if f.alpha == 1:
+            G = np.array(self.G.data, dtype=np.int64).reshape(k, self.n)
+        else:
+            multiples = [np.array([[f.mul(d, g) for g in row] for d in range(f.order)],
+                                  dtype=np.int64) for row in self.G.data]
+        for start in range(0, total, ENUM_CHUNK):
+            msgs = np.arange(start, min(start + ENUM_CHUNK, total),
+                             dtype=np.int64)[:, None] // powers
+            msgs %= f.order
+            if f.alpha == 1:
+                cw = msgs @ G
+                cw %= f.p
+                yield cw
+                continue
+            cw = np.zeros((len(msgs), self.n), dtype=np.int64)
+            for i, table in enumerate(multiples):
+                cw = _add_arrays(f, cw, table[msgs[:, i]])
+            yield cw
 
     # --- distances ---------------------------------------------------------------
 
@@ -264,42 +296,44 @@ class LinearCode:
             return self.known_dmin
         if self.k == 0:
             raise TooLarge("zero code has no nonzero codeword")
-        q = self.field.order
-        if q == 2 and (1 << self.k) <= budget:
-            d = self._min_distance_gf2()
-        elif q ** self.k <= budget:
-            d = min(sum(1 for x in cw if x) for cw in self.codewords()
-                    if any(cw))
+        if self.field.order ** self.k <= budget:
+            d = self.n
+            for chunk in self._codeword_chunks(budget):
+                weights = np.count_nonzero(chunk, axis=1)
+                nonzero = weights[weights > 0]
+                if nonzero.size:
+                    d = min(d, int(nonzero.min()))
         else:
             d = self._min_distance_column_search(budget=COLUMN_SEARCH_BUDGET)
         self.known_dmin = d
         return d
 
-    def _min_distance_gf2(self) -> int:
-        rows = [sum(bit << j for j, bit in enumerate(row)) for row in self.G.data]
-        best = self.n + 1
-        cw = 0
-        # Gray-code walk over all 2^k messages
-        prev = 0
-        for m in range(1, 1 << self.k):
-            gray = m ^ (m >> 1)
-            cw ^= rows[(prev ^ gray).bit_length() - 1]
-            prev = gray
-            w = bin(cw).count("1")
-            if 0 < w < best:
-                best = w
-        return best
-
     def _min_distance_column_search(self, budget: int) -> int:
-        """Smallest w such that some w parity-check columns are dependent."""
+        """Smallest w such that some w parity-check columns are dependent.
+
+        Subsets of each size are searched depth first in lexicographic order;
+        every subset extends its prefix's basis by one column. The budget
+        counts subsets, as C(n, 1) + ... + C(n, w) after size w.
+        """
+        n, reduce = self.n, self._reduce
+
+        def dependent(basis: dict, start: int, depth: int) -> bool:
+            # all smaller subsets are independent, so only a full-size one
+            # can fail to extend
+            for j in range(start, n - depth + 1):
+                key = reduce(basis, j)
+                if key is None:
+                    return True
+                if depth > 1 and dependent(basis, j + 1, depth - 1):
+                    return True
+                del basis[key]
+            return False
+
         spent = 0
         for w in range(1, self.n - self.k + 2):
-            count = 0
-            for cols in itertools.combinations(range(self.n), w):
-                count += 1
-                if mat_rank(self.H.restrict_cols(cols)) < w:
-                    return w
-            spent += count
+            if dependent({}, 0, w):
+                return w
+            spent += comb(n, w)
             if spent > budget:
                 raise TooLarge("column-dependency search exceeded budget")
         raise AssertionError("Singleton bound violated (unreachable)")
@@ -465,6 +499,89 @@ class LinearCode:
     def to_json_dict(self) -> dict:
         return {"family": "raw", "q": self.field.order,
                 "generator": [list(r) for r in self.G.data]}
+
+
+def _column_reducer(H: Matrix):
+    """The elimination step over the columns of H, specialised to its field.
+
+    reduce(basis, j) reduces column j of H against `basis`, a dict from pivot
+    key to a vector whose leading entry sits at that key. An independent
+    column is added under its pivot key, which is returned; for a dependent
+    one the basis is left unchanged and None is returned.
+    """
+    f, r = H.field, H.rows
+    if f.order == 2:
+        bits = [sum(H.data[i][j] << i for i in range(r)) for j in range(H.cols)]
+
+        def reduce(basis: dict, j: int):
+            v = bits[j]
+            while v:
+                top = v.bit_length()
+                b = basis.get(top)
+                if b is None:
+                    basis[top] = v
+                    return top
+                v ^= b
+            return None
+
+        return reduce
+
+    cols = [tuple(row[j] for row in H.data) for j in range(H.cols)]
+    if f.alpha == 1:
+        p = f.p
+
+        def reduce(basis: dict, j: int):
+            v = cols[j]
+            for i in range(r):
+                c = v[i]
+                if c:
+                    b = basis.get(i)
+                    if b is None:
+                        inv = pow(c, p - 2, p)
+                        basis[i] = [x * inv % p for x in v]
+                        return i
+                    v = [(x - c * y) % p for x, y in zip(v, b)]
+            return None
+
+        return reduce
+
+    # GF(p^a): basis vectors are stored with leading entry 1
+    sub = operator.xor if f.p == 2 else f.sub
+    if f._exp is not None:
+        exp, log = f._exp, f._log
+
+        def scale(c: int, v) -> list[int]:
+            lc = log[c]
+            return [exp[log[x] + lc] if x else 0 for x in v]
+    else:  # no tables above 2^16 elements
+        def scale(c: int, v) -> list[int]:
+            return [f.mul(c, x) for x in v]
+
+    def reduce(basis: dict, j: int):
+        v = cols[j]
+        for i in range(r):
+            c = v[i]
+            if c:
+                b = basis.get(i)
+                if b is None:
+                    basis[i] = scale(f.inv(c), v)
+                    return i
+                v = list(map(sub, v, scale(c, b)))
+        return None
+
+    return reduce
+
+
+def _add_arrays(f: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise a + b over GF(p^a) on canonical integer encodings."""
+    if f.p == 2:
+        return a ^ b
+    out = np.zeros_like(a)
+    mult = 1
+    for _ in range(f.alpha):
+        out += (a % f.p + b % f.p) % f.p * mult
+        a, b, mult = a // f.p, b // f.p, mult * f.p
+    return out
 
 
 def code_from_generator(G: Matrix, meta: dict | None = None,

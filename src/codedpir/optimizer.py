@@ -14,12 +14,11 @@ that structure rows may repeat.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 from .codes import ErasurePattern, LinearCode
 from .errors import RateOneProduct, TooLarge
-from .fields import mat_rref
 from .ratematrix import ErasureMatrix, beta_d_minimal
 from .rng import rng_for
 
@@ -30,16 +29,27 @@ STATE_BUDGET = 5_000_000     # DFS state guard
 
 @dataclass(frozen=True)
 class PatternList:
-    """Deduplicated correctable erasure patterns of one weight."""
+    """Deduplicated correctable erasure patterns of one weight, with the
+    support bitmask of each (bit j set iff position j is erased)."""
 
     weight: int
     patterns: tuple[ErasurePattern, ...]
+    _masks: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
-    def masks(self) -> list[int]:
-        return [sum(1 << j for j in p.support) for p in self.patterns]
+    def __post_init__(self):
+        if self._masks is None:
+            object.__setattr__(self, "_masks", tuple(_bitmask(p.support)
+                                                     for p in self.patterns))
+
+    def masks(self) -> tuple[int, ...]:
+        return self._masks
 
     def __len__(self) -> int:
         return len(self.patterns)
+
+
+def _bitmask(support) -> int:
+    return sum(1 << j for j in support)
 
 
 def compute_erasure_pattern_list(code: LinearCode, w: int,
@@ -49,28 +59,29 @@ def compute_erasure_pattern_list(code: LinearCode, w: int,
     """All weight-w patterns correctable by `code`, or a seeded random sample.
 
     Exhaustive when C(n, w) fits the budget. Otherwise repeatedly permute the
-    parity-check columns, row-reduce, take w of the pivot columns (independent
-    by construction), and also keep correctable cyclic shifts of each find.
+    parity-check columns, take the pivot columns of H in that order, take w of
+    them (independent by construction), and also keep correctable cyclic
+    shifts of each find.
     """
     n = code.n
     if w == 0:
-        return PatternList(0, (ErasurePattern(n, tuple([0] * n)),))
+        return PatternList(0, (ErasurePattern(n, tuple([0] * n)),), (0,))
     if w > n - code.k:
-        return PatternList(w, tuple())
+        return PatternList(w, (), ())
     if comb(n, w) <= budget:
-        pats = []
+        pats, masks = [], []
         for support in itertools.combinations(range(n), w):
             pat = ErasurePattern.from_support(n, support)
             if code.erasure_correctable(pat):
                 pats.append(pat)
-        return PatternList(w, tuple(pats))
+                masks.append(_bitmask(support))
+        return PatternList(w, tuple(pats), tuple(masks))
     rng = rng_for(seed, "patterns", w)
     found: dict[tuple[int, ...], ErasurePattern] = {}
     for _ in range(sample_budget):
         perm = list(range(n))
         rng.shuffle(perm)
-        _, pivots = mat_rref(code.H.restrict_cols(perm))
-        pivot_cols = [perm[c] for c in pivots]
+        pivot_cols = code.pivot_columns(perm)
         if len(pivot_cols) < w:
             continue
         support = tuple(sorted(rng.sample(pivot_cols, w)))
@@ -83,7 +94,7 @@ def compute_erasure_pattern_list(code: LinearCode, w: int,
                 pat = ErasurePattern.from_support(n, shifted)
                 if code.erasure_correctable(pat):
                     found[shifted] = pat
-    return PatternList(w, tuple(found.values()))
+    return PatternList(w, tuple(found.values()), tuple(_bitmask(s) for s in found))
 
 
 def compute_matrix(lgamma: PatternList, lnk: PatternList, d: int, beta: int,

@@ -124,3 +124,20 @@ def test_matrix_find_generic_alias(good_spec, capsys):
     first = capsys.readouterr().out
     assert main(["matrix", "find", good_spec, "--lemma4"]) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "p2", "--files", "2", "--request", "1", "--seed", "1"],
+    ["simulate", "p3", "--files", "2", "--request", "1", "--seed", "1"],
+    ["audit-privacy", "--protocol", "2", "--trials", "10", "--seed", "1"],
+    ["audit-privacy", "--protocol", "3", "--trials", "10", "--seed", "1"],
+])
+def test_rate_one_code_is_an_error_not_a_traceback(tmp_path, capsys, argv):
+    # k = n: no erasure is correctable, so no structure matrix exists
+    spec = {"family": "raw", "q": 2,
+            "generator": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+    path = tmp_path / "k3n3.json"
+    path.write_text(json.dumps(spec))
+    assert main(argv + ["--code", str(path), "--query-code", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() and "Traceback" not in err

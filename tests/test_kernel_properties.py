@@ -1,0 +1,99 @@
+"""Property checks of the code kernels against independent scalar oracles.
+
+Random small codes over GF(2, 3, 4, 5, 7, 8, 9, 13, 16, 17); GF(5^7) has no
+log/exp tables and exercises the kernel's table-less branch.
+"""
+
+import itertools
+import random
+
+from hypothesis import example, given, settings, strategies as st
+
+from codedpir.codes import ErasurePattern, LinearCode, code_from_generator
+from codedpir.fields import Matrix, field_make, mat_rank, mat_rref
+
+FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1),
+          (2, 4), (17, 1)]
+BRUTE_LIMIT = 512  # q^k ceiling for the brute-force distance oracle
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@st.composite
+def codes(draw, fields=FIELDS, max_messages=None):
+    """[n,k] code from a generator [I_k | A] with its columns permuted, so
+    every drawn generator has full rank and every code can be drawn."""
+    field = field_make(*draw(st.sampled_from(fields)))
+    n = draw(st.integers(2, 8))
+    k_max = n
+    if max_messages is not None:
+        while field.order ** k_max > max_messages:
+            k_max -= 1
+    k = draw(st.integers(1, k_max))
+    # small entries are frequent, so dependent columns occur in every field
+    entry = st.one_of(st.integers(0, 2), st.integers(0, field.order - 1))
+    extra = [[draw(entry) for _ in range(n - k)] for _ in range(k)]
+    rows = [[1 if i == j else 0 for j in range(k)] + extra[i] for i in range(k)]
+    perm = draw(st.permutations(range(n)))
+    generator = [[row[perm[j]] for j in range(n)] for row in rows]
+    return code_from_generator(Matrix(field, generator))
+
+
+def check_erasures(code):
+    for w in range(code.n + 1):
+        for support in itertools.combinations(range(code.n), w):
+            want = mat_rank(code.H.restrict_cols(support)) == w
+            pattern = ErasurePattern.from_support(code.n, support)
+            assert code.erasure_correctable(pattern) == want, support
+
+
+@PROPERTY
+@given(codes())
+def test_erasure_correctable_matches_rank(code):
+    check_erasures(code)
+
+
+def test_erasure_correctable_without_field_tables():
+    """GF(5^7) has no log/exp tables; H gets a scaled column and a column
+    that is a combination of two others."""
+    f = field_make(5, 7)
+    rng = random.Random(7)
+    cols = [[rng.randrange(f.order) for _ in range(3)] for _ in range(3)]
+    cols.append([f.mul(2, x) for x in cols[0]])
+    cols.append([f.add(x, f.mul(3, y)) for x, y in zip(cols[1], cols[2])])
+    H = Matrix(f, [list(row) for row in zip(*cols)])
+    check_erasures(LinearCode.from_parity_check(H))
+
+
+@PROPERTY
+@given(codes(fields=FIELDS + [(5, 7)]), st.data())
+def test_pivot_columns_match_rref(code, data):
+    order = data.draw(st.permutations(range(code.n)))
+    _, pivots = mat_rref(code.H.restrict_cols(order))
+    assert code.pivot_columns(order) == [order[c] for c in pivots]
+
+
+def brute_codewords(code):
+    """Every codeword m G with scalar field arithmetic, m_0 varying fastest."""
+    f = code.field
+    out = []
+    for msg in itertools.product(range(f.order), repeat=code.k):
+        cw = [0] * code.n
+        for m, row in zip(reversed(msg), code.G.data):
+            cw = [f.add(c, f.mul(m, g)) for c, g in zip(cw, row)]
+        out.append(tuple(cw))
+    return out
+
+
+@PROPERTY
+@given(codes(max_messages=BRUTE_LIMIT))
+# two message symbols over GF(9): sums of products carry between digits
+@example(code_from_generator(Matrix(field_make(3, 2), [[1, 0, 5, 7], [0, 1, 3, 8]])))
+def test_min_distance_and_codewords_match_brute_force(code):
+    words = brute_codewords(code)
+    want = min(sum(1 for x in cw if x) for cw in words if any(cw))
+    assert list(code.codewords()) == words
+    assert code.min_distance() == want
+    # the same code without enumeration: the column-dependency search
+    searched = LinearCode(code.G, code.H, check=False)
+    assert searched.min_distance(budget=1) == want

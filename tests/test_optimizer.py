@@ -1,10 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from codedpir.codes import ErasurePattern, code_from_generator
 from codedpir.errors import RateOneProduct
-from codedpir.families import grs_code, uuv_code
+from codedpir.families import code_from_spec, grs_code, uuv_code
 from codedpir.fields import Matrix, field_make
 from codedpir.optimizer import (compute_erasure_pattern_list, compute_matrix,
                                 compute_matrix_bruteforce, optimize_rate,
@@ -12,6 +13,7 @@ from codedpir.optimizer import (compute_erasure_pattern_list, compute_matrix,
 from codedpir.protocol2 import p2_build_structure
 from codedpir.protocol3 import p3_setup
 from codedpir.ratematrix import beta_d_minimal
+from codedpir.reports import fixture_code, load_fixture
 
 f2 = field_make(2)
 f13 = field_make(13)
@@ -143,3 +145,29 @@ def test_monotone_gamma_examination(good532, monkeypatch):
     opt.optimize_rate(good532)
     assert seen[0] == good532.n - good532.k  # the info-set list comes first
     assert seen[1:] == [1, 2]  # every Gamma from the floor up, none skipped
+
+
+# sha256 of the supports, in list order, of the pattern lists that the c13
+# Table III row builds at seed 0 (recorded before the elimination kernel
+# replaced the per-draw RREF): a change here is a change of the RNG stream
+C13_GOLDEN = {
+    ("code", 17): "b13a08f976e201e040764d24fcd5e2f300864d9b3e6b8b53253589b527d89130",
+    ("product", 1): "1d5ce60d0c390df4d74151e6e19e25fc5fd7e80015d124abc6022a969c8fa5ee",
+    ("product", 2): "1b2474db75d63569111a3e4249df5ecc17cafe0ed1a0b2b414e4dd82eaa7cda1",
+    ("product", 3): "2c1bedc14d46ffc62d2c9ae18a8235b28a101bc3531a08bd4d2467195e3aaa11",
+    ("product", 4): "a90aecd62c08a6620cd9a5592d969dc23d9b02ec6f3c97d2816aea6a9e2a69cd",
+}
+
+
+def test_c13_pattern_lists_golden():
+    fixture = load_fixture("c13")
+    code = fixture_code(fixture)
+    product = code.hadamard_product(code_from_spec(fixture["colluding"]["query"]))
+    sample_budget = fixture["colluding"]["sample_budget"]
+    for (which, w), want in C13_GOLDEN.items():
+        lst = compute_erasure_pattern_list(code if which == "code" else product, w,
+                                           sample_budget=sample_budget, seed=0)
+        text = ";".join(",".join(map(str, p.support)) for p in lst.patterns)
+        assert hashlib.sha256(text.encode()).hexdigest() == want, (which, w)
+        assert lst.masks() == tuple(sum(1 << j for j in p.support)
+                                    for p in lst.patterns)
