@@ -6,22 +6,22 @@ and compares the per-collusion-set query distributions across requested files
 symbol by symbol. Statistical mode samples protocol runs and chi-squares the
 per-position (joint, for colluding sets) query-symbol histograms across the
 requested file index, passing when every p-value clears a Bonferroni-corrected
-0.01 threshold.
+0.01 threshold. Protocol 2 is audited as protocol 3 with the repetition query
+code (T = 1, single spies).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.stats import chi2 as _chi2_dist
 
 from .dss import Dss
 from .errors import BadParams, TooLarge
 from .protocol1 import p1_plan, p1_symmetry_audit
-from .protocol2 import P2Structure, p2_queries
-from .protocol3 import P3Setup
+from .protocol3 import P3Setup, p3_queries
 from .rng import derive_seed
 
 EXACT_SPACE_LIMIT = 1 << 16
@@ -66,7 +66,27 @@ def _homogeneity_p(counts: np.ndarray) -> float:
     expected = row @ col / counts.sum()
     stat = float(((counts - expected) ** 2 / expected).sum())
     dof = (counts.shape[0] - 1) * (counts.shape[1] - 1)
-    return float(_chi2_dist.sf(stat, dof))
+    return chi2_sf(stat, dof)
+
+
+def chi2_sf(stat: float, dof: int) -> float:
+    """Upper tail P(X >= stat) of the chi-square law with integer dof >= 1.
+
+    Closed form: with h = stat/2, the tail for even dof is the Poisson sum
+    e^-h sum_{j < dof/2} h^j / j!, and for odd dof it is erfc(sqrt(h)) plus
+    e^-h sum_{j < (dof-1)/2} h^(j+1/2) / Gamma(j+3/2). Every term is positive,
+    so nothing cancels, and each is formed in log space, so none overflows.
+    """
+    if stat <= 0:
+        return 1.0
+    h = stat / 2
+    log_h = math.log(h)
+    if dof % 2 == 0:
+        head, powers = 0.0, range(dof // 2)
+    else:
+        head, powers = math.erfc(math.sqrt(h)), [j + 0.5 for j in range(dof // 2)]
+    terms = [math.exp(a * log_h - h - math.lgamma(a + 1)) for a in powers]
+    return min(1.0, math.fsum([head, *terms]))
 
 
 def _default_sets(n: int, t: int) -> list[tuple[int, ...]]:
@@ -89,75 +109,32 @@ def privacy_audit(protocol: int, dss: Dss, config: dict,
         raise BadParams("privacy audit needs at least two files to compare")
     if protocol == 1:
         return _audit_p1(dss, config, collusion_sets, trials, seed)
-    if protocol == 2:
-        if mode == "exact":
-            return _audit_p2_exact(dss, config, collusion_sets)
-        return _audit_p23_statistical(2, dss, config, collusion_sets, trials,
-                                      seed, control_sets)
-    if protocol == 3:
-        if mode == "exact":
-            return _audit_p3_exact(dss, config, collusion_sets, control_sets)
-        return _audit_p23_statistical(3, dss, config, collusion_sets, trials,
-                                      seed, control_sets)
-    raise BadParams(f"unknown protocol {protocol}")
+    if protocol not in (2, 3):
+        raise BadParams(f"unknown protocol {protocol}")
+    setup: P3Setup = config["structure" if protocol == 2 else "setup"]
+    legal = _default_sets(dss.code.n, setup.collusion_threshold)
+    if mode == "exact":
+        # exact mode audits every legal set when given none (even an empty list)
+        return _audit_p23_exact(protocol, setup, dss, collusion_sets or legal,
+                                control_sets)
+    if collusion_sets is None:
+        collusion_sets = legal
+    return _audit_p23_statistical(protocol, setup, dss, collusion_sets, trials,
+                                  seed, control_sets)
 
 
-# --- protocol 2: exact enumeration over the uniform mask -----------------------
+# --- protocols 2 and 3: exact per-subquery enumeration ---------------------------
 
-def _audit_p2_exact(dss: Dss, config: dict, collusion_sets) -> PrivacyReport:
-    structure: P2Structure = config["structure"]
-    code = structure.code
-    q = code.field.order
-    d, bf = structure.d, structure.beta * dss.f
-    space = q ** (d * bf)
-    if space > EXACT_SPACE_LIMIT:
-        raise TooLarge(f"exact mode would enumerate {space} masks")
-    sets = collusion_sets or _default_sets(code.n, 1)
-    report = PrivacyReport(protocol=2, mode="exact", trials=space, threshold=0.0)
-    assigns = [structure.stripe_assignment(l) for l in range(code.n)]
-    for tset in sets:
-        dists = []
-        for m in range(1, dss.f + 1):
-            hist: dict[tuple, int] = {}
-            for idx in range(space):
-                u = []
-                t = idx
-                for _ in range(d * bf):
-                    u.append(t % q)
-                    t //= q
-                key = []
-                for l in tset:
-                    cells = list(u)
-                    for i, stripe in enumerate(assigns[l]):
-                        if stripe is not None:
-                            col = (m - 1) * structure.beta + stripe
-                            cells[i * bf + col] = code.field.add(
-                                cells[i * bf + col], 1)
-                    key.extend(cells)
-                key = tuple(key)
-                hist[key] = hist.get(key, 0) + 1
-            dists.append(hist)
-        identical = all(h == dists[0] for h in dists[1:])
-        report.outcomes.append(AuditOutcome(
-            collusion=tuple(tset), position="joint-query",
-            p_value=None, identical=identical, flagged=not identical))
-    return report
-
-
-# --- protocol 3: exact per-subquery enumeration -------------------------------
-
-def _audit_p3_exact(dss: Dss, config: dict, collusion_sets,
-                    control_sets) -> PrivacyReport:
-    setup: P3Setup = config["setup"]
+def _audit_p23_exact(protocol: int, setup: P3Setup, dss: Dss, collusion_sets,
+                     control_sets) -> PrivacyReport:
     code, qcode = setup.code, setup.query_code
     q = code.field.order
     bf = setup.beta * dss.f
     space = (q ** qcode.k) ** bf
     if space > EXACT_SPACE_LIMIT:
         raise TooLarge(f"exact mode would enumerate {space} codeword batches")
-    sets = collusion_sets or _default_sets(code.n, setup.collusion_threshold)
-    report = PrivacyReport(protocol=3, mode="exact", trials=space, threshold=0.0)
-    assigns = [setup.stripe_assignment(l) for l in range(code.n)]
+    report = PrivacyReport(protocol=protocol, mode="exact", trials=space,
+                           threshold=0.0)
 
     def outcome(tset) -> AuditOutcome:
         per_sub_identical = True
@@ -187,7 +164,7 @@ def _audit_p3_exact(dss: Dss, config: dict, collusion_sets,
                                     val = cw.add(val, cw.mul(
                                         coef, qcode.G.data[r][l]))
                             row.append(val)
-                        stripe = assigns[l][i]
+                        stripe = setup.stripes[l][i]
                         if setup.ehat[i][l]:
                             col = (m - 1) * setup.beta + stripe
                             row[col] = code.field.add(row[col], 1)
@@ -201,7 +178,7 @@ def _audit_p3_exact(dss: Dss, config: dict, collusion_sets,
                             p_value=None, identical=per_sub_identical,
                             flagged=not per_sub_identical)
 
-    for tset in sets:
+    for tset in collusion_sets:
         report.outcomes.append(outcome(tset))
     for tset in control_sets:
         report.controls.append(outcome(tset))
@@ -210,38 +187,23 @@ def _audit_p3_exact(dss: Dss, config: dict, collusion_sets,
 
 # --- protocols 2 and 3: statistical sampling -----------------------------------
 
-def _collect_queries(protocol: int, dss: Dss, config: dict, m: int,
+def _collect_queries(protocol: int, setup: P3Setup, f: int, m: int,
                      trials: int, seed: int) -> np.ndarray:
     """Query tensors: shape (trials, n, d, beta*f), entries in [0, q)."""
-    from .protocol3 import p3_queries
-    n = dss.code.n
-    first = None
-    out = None
+    out = np.empty((trials, setup.code.n, setup.d, setup.beta * f), dtype=np.int64)
     for t in range(trials):
         child = derive_seed(seed, "audit", protocol, m, t)
-        if protocol == 2:
-            qs = [query.Q for query in p2_queries(config["structure"], dss.f, m, child)]
-        else:
-            qs = p3_queries(config["setup"], dss.f, m, child)
-        if first is None:
-            first = (len(qs[0].data), len(qs[0].data[0]))
-            out = np.empty((trials, n, first[0], first[1]), dtype=np.int64)
-        for l, Q in enumerate(qs):
-            out[t, l] = Q.data
+        out[t] = [Q.data for Q in p3_queries(setup, f, m, child)]
     return out
 
 
-def _audit_p23_statistical(protocol: int, dss: Dss, config: dict,
+def _audit_p23_statistical(protocol: int, setup: P3Setup, dss: Dss,
                            collusion_sets, trials: int, seed: int,
                            control_sets) -> PrivacyReport:
     q = dss.code.field.order
-    n = dss.code.n
-    if collusion_sets is None:
-        t_max = 1 if protocol == 2 else config["setup"].collusion_threshold
-        collusion_sets = _default_sets(n, t_max)
-    tensors = [_collect_queries(protocol, dss, config, m, trials, seed)
+    tensors = [_collect_queries(protocol, setup, dss.f, m, trials, seed)
                for m in range(1, dss.f + 1)]
-    d, bf = tensors[0].shape[2], tensors[0].shape[3]
+    d, bf = setup.d, setup.beta * dss.f
     n_tests = (len(collusion_sets)) * d * bf
     threshold = 0.01 / max(n_tests, 1)
     report = PrivacyReport(protocol=protocol, mode="statistical", trials=trials,

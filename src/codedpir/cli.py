@@ -19,8 +19,7 @@ from .codes import LinearCode
 from .dss import Dss, run
 from .errors import CodedPirError
 from .families import code_from_spec
-from .optimizer import (EXHAUSTIVE_LIMIT, SAMPLE_BUDGET, optimize_rate,
-                        optimize_rate_colluding)
+from .optimizer import EXHAUSTIVE_LIMIT, SAMPLE_BUDGET, optimize_rate
 from .protocol2 import p2_build_structure
 from .protocol3 import p3_setup
 from .ratematrix import (E_to_lambda, capacity_asymptotic, capacity_finite,
@@ -44,6 +43,17 @@ def _load_code(path: str) -> LinearCode:
 def _no_structure() -> int:
     print("no structure matrix found", file=sys.stderr)
     return 1
+
+
+def _optimized_setup(code: LinearCode, query: LinearCode | None, seed: int):
+    """The optimizer's best protocol-2 (query None) or protocol-3 setup, or
+    None when it finds no structure matrix."""
+    e_opt, _ = optimize_rate(code, query, seed=seed)
+    if e_opt is None:
+        return None
+    if query is None:
+        return p2_build_structure(code, e_opt.info_sets(), e_opt.ehat)
+    return p3_setup(code, query, e_opt.ehat, e_opt.info_sets())
 
 
 def _rate_str(r: Fraction) -> str:
@@ -103,17 +113,14 @@ def cmd_matrix_find(args) -> int:
 
 def cmd_optimize(args) -> int:
     code = _load_code(args.spec)
+    query = None
     if args.colluding:
         if not args.query_code:
             print("--colluding requires --query-code", file=sys.stderr)
             return 2
         query = _load_code(args.query_code)
-        e_opt, gamma = optimize_rate_colluding(
-            code, query, seed=args.seed, budget=args.budget,
-            sample_budget=args.sample_budget)
-    else:
-        e_opt, gamma = optimize_rate(code, seed=args.seed, budget=args.budget,
-                                     sample_budget=args.sample_budget)
+    e_opt, gamma = optimize_rate(code, query, seed=args.seed, budget=args.budget,
+                                 sample_budget=args.sample_budget)
     if e_opt is None:
         return _no_structure()
     print(json.dumps(e_opt.to_json_dict()))
@@ -134,25 +141,22 @@ def cmd_simulate(args) -> int:
             lam = lambda_generic(code, seed=seed)
         dss = Dss(code, f=f, beta=lam.nu ** f, ell=args.ell, seed=seed)
         tx = run(1, dss, {"lam": lam, "m": m, "seed": seed})
-    elif args.protocol == "p2":
-        e_opt, gamma = optimize_rate(code, seed=seed)
-        if e_opt is None:
-            return _no_structure()
-        structure = p2_build_structure(code, e_opt.info_sets(), e_opt.ehat)
-        dss = Dss(code, f=f, beta=structure.beta, ell=args.ell, seed=seed)
-        tx = run(2, dss, {"structure": structure, "m": m, "seed": seed})
     else:
-        if not args.query_code:
-            print("p3 requires --query-code", file=sys.stderr)
-            return 2
-        query = _load_code(args.query_code)
-        e_opt, gamma = optimize_rate_colluding(code, query, seed=seed)
-        if e_opt is None:
+        protocol = int(args.protocol[1])
+        query = None
+        if protocol == 3:
+            if not args.query_code:
+                print("p3 requires --query-code", file=sys.stderr)
+                return 2
+            query = _load_code(args.query_code)
+        setup = _optimized_setup(code, query, seed)
+        if setup is None:
             return _no_structure()
-        setup = p3_setup(code, query, e_opt.ehat, e_opt.info_sets())
         dss = Dss(code, f=f, beta=setup.beta, ell=args.ell, seed=seed)
-        tx = run(3, dss, {"setup": setup, "m": m, "seed": seed})
-        print(f"collusion threshold T = {setup.collusion_threshold}")
+        key = "structure" if protocol == 2 else "setup"
+        tx = run(protocol, dss, {key: setup, "m": m, "seed": seed})
+        if protocol == 3:
+            print(f"collusion threshold T = {setup.collusion_threshold}")
     print(f"recovered file {m} exactly; downloaded {tx.downloaded} symbols; "
           f"rate {_rate_str(tx.rate)}")
     if args.transcript:
@@ -174,26 +178,19 @@ def cmd_audit_privacy(args) -> int:
         dss = Dss(code, f=f, beta=lam.nu ** f, seed=seed)
         report = privacy_audit(1, dss, {"lam": lam}, collusion_sets=collusion,
                                trials=args.trials, seed=seed)
-    elif args.protocol == 2:
-        e_opt, _ = optimize_rate(code, seed=seed)
-        if e_opt is None:
-            return _no_structure()
-        structure = p2_build_structure(code, e_opt.info_sets(), e_opt.ehat)
-        dss = Dss(code, f=f, beta=structure.beta, seed=seed)
-        report = privacy_audit(2, dss, {"structure": structure},
-                               collusion_sets=collusion, trials=args.trials,
-                               seed=seed, mode="exact" if args.exact else "statistical")
     else:
-        if not args.query_code:
-            print("protocol 3 requires --query-code", file=sys.stderr)
-            return 2
-        query = _load_code(args.query_code)
-        e_opt, _ = optimize_rate_colluding(code, query, seed=seed)
-        if e_opt is None:
+        query = None
+        if args.protocol == 3:
+            if not args.query_code:
+                print("protocol 3 requires --query-code", file=sys.stderr)
+                return 2
+            query = _load_code(args.query_code)
+        setup = _optimized_setup(code, query, seed)
+        if setup is None:
             return _no_structure()
-        setup = p3_setup(code, query, e_opt.ehat, e_opt.info_sets())
         dss = Dss(code, f=f, beta=setup.beta, seed=seed)
-        report = privacy_audit(3, dss, {"setup": setup},
+        key = "structure" if args.protocol == 2 else "setup"
+        report = privacy_audit(args.protocol, dss, {key: setup},
                                collusion_sets=collusion, trials=args.trials,
                                seed=seed, mode="exact" if args.exact else "statistical")
     flagged = [o for o in report.outcomes if o.flagged]

@@ -15,11 +15,13 @@ Two exact kernels carry the code predicates:
   above 2^16 elements, which have none), with XOR addition in characteristic
   2. `erasure_correctable`, `pivot_columns` and the column search of
   `min_distance` are all built from this step; none allocates a `Matrix`.
-- Codeword enumeration (`_codeword_chunks`). Messages are enumerated in chunks
-  of at most ENUM_CHUNK as numpy int64 rows: `msgs @ G mod p` over a prime
-  field, and over GF(p^a) a sum of per-row multiple tables (row d of the i-th
-  table is d * G[i]) indexed by the message symbols. `min_distance` and
-  `codewords` both read it.
+- Encoding over GF(q) (`_encode_array`, built once per code). A batch of
+  messages, as numpy int64 rows, is mapped to its codewords: `msgs @ G mod p`
+  over a prime field, and over GF(p^a) a sum of per-row multiple tables (row d
+  of the i-th table is d * G[i]) indexed by the message symbols. `encode` uses
+  it for messages over small fields GF(q), and the chunked codeword enumeration
+  (`_codeword_chunks`, at most ENUM_CHUNK messages a chunk) that
+  `min_distance` and `codewords` read feeds it every chunk.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ ENUM_BUDGET = 1 << 21          # codeword-enumeration ceiling for q^k
 COLUMN_SEARCH_BUDGET = 5_000_000  # cumulative column-subset ceiling
 SUBSPACE_BUDGET = 2_000_000    # s-dimensional subspace enumeration ceiling
 ENUM_CHUNK = 4096              # messages per enumeration chunk (~1 MB temporaries)
+ARRAY_ENCODE_MAX_Q = 1 << 8    # largest q whose messages `encode` sends through
+                               # the numpy step (GF(p^a) tables: q*n per G row)
 
 
 _BITS = frozenset((0, 1))
@@ -84,18 +88,6 @@ class ErasurePattern:
         for j in support:
             mask[j] = 1
         return ErasurePattern(n, tuple(mask))
-
-
-def _as_support(n: int, pattern) -> tuple[int, ...]:
-    """Accept an ErasurePattern, a 0/1 mask, or an iterable of positions."""
-    if isinstance(pattern, ErasurePattern):
-        if pattern.n != n:
-            raise DimensionMismatch("pattern length differs from code length")
-        return pattern.support
-    seq = list(pattern)
-    if len(seq) == n and all(x in (0, 1) for x in seq):
-        return tuple(j for j, b in enumerate(seq) if b)
-    return tuple(sorted(int(j) for j in seq))
 
 
 def gaussian_binomial(k: int, s: int, q: int) -> int:
@@ -132,6 +124,7 @@ class LinearCode:
             if any(any(x for x in row) for row in prod.data):
                 raise DimensionMismatch("G H^T != 0")
         self._reduce = _column_reducer(H)
+        self._encoder = None
 
     # --- constructors ---------------------------------------------------------
 
@@ -196,9 +189,11 @@ class LinearCode:
         _, pivots = mat_rref(self.G.restrict_cols(perm))
         return tuple(sorted(perm[c] for c in pivots))
 
-    def erasure_correctable(self, pattern) -> bool:
+    def erasure_correctable(self, pattern: ErasurePattern) -> bool:
         """True iff the erased columns of H are linearly independent."""
-        support = _as_support(self.n, pattern)
+        if not isinstance(pattern, ErasurePattern) or pattern.n != self.n:
+            raise DimensionMismatch("expected an ErasurePattern of the code's length")
+        support = pattern.support
         if len(support) > self.n - self.k:
             return False
         basis: dict = {}
@@ -225,8 +220,24 @@ class LinearCode:
     # --- encoding / decoding ------------------------------------------------------
 
     def encode(self, message: Matrix) -> Matrix:
-        """message (rows x k, possibly over an extension field) times G."""
-        return mat_mul(message, self.G)
+        """message (rows x k, possibly over an extension field) times G.
+
+        Messages over GF(q) with q <= ARRAY_ENCODE_MAX_Q go through the numpy
+        step in one batch; the rest through `mat_mul`."""
+        if message.field is not self.field or self.field.order > ARRAY_ENCODE_MAX_Q:
+            return mat_mul(message, self.G)
+        if message.cols != self.k:
+            raise DimensionMismatch("message length differs from k")
+        msgs = np.array(message.data, dtype=np.int64).reshape(message.rows, self.k)
+        return Matrix.wrap(self.field, self._encode_array(msgs).tolist(),
+                           message.rows, self.n)
+
+    def _encode_array(self, msgs: np.ndarray) -> np.ndarray:
+        """Codewords of a batch of messages over GF(q): int64 rows x k in,
+        rows x n out. The step is built on first use and kept."""
+        if self._encoder is None:
+            self._encoder = _array_encoder(self.field, self.G)
+        return self._encoder(msgs)
 
     def message_from_information_set(self, coords: Sequence[int],
                                      values: Sequence[int],
@@ -264,29 +275,16 @@ class LinearCode:
         """All codewords as int64 arrays of at most ENUM_CHUNK rows. Message m
         has base-q digits m_0, m_1, ... (m_0 varies fastest) and codeword
         sum_i m_i G[i]."""
-        f, k = self.field, self.k
-        total = f.order ** k
+        q, k = self.field.order, self.k
+        total = q ** k
         if total > budget:
-            raise TooLarge(f"q^k = {f.order}^{k} exceeds enumeration budget")
-        powers = f.order ** np.arange(k, dtype=np.int64)
-        if f.alpha == 1:
-            G = np.array(self.G.data, dtype=np.int64).reshape(k, self.n)
-        else:
-            multiples = [np.array([[f.mul(d, g) for g in row] for d in range(f.order)],
-                                  dtype=np.int64) for row in self.G.data]
+            raise TooLarge(f"q^k = {q}^{k} exceeds enumeration budget")
+        powers = q ** np.arange(k, dtype=np.int64)
         for start in range(0, total, ENUM_CHUNK):
             msgs = np.arange(start, min(start + ENUM_CHUNK, total),
                              dtype=np.int64)[:, None] // powers
-            msgs %= f.order
-            if f.alpha == 1:
-                cw = msgs @ G
-                cw %= f.p
-                yield cw
-                continue
-            cw = np.zeros((len(msgs), self.n), dtype=np.int64)
-            for i, table in enumerate(multiples):
-                cw = _add_arrays(f, cw, table[msgs[:, i]])
-            yield cw
+            msgs %= q
+            yield self._encode_array(msgs)
 
     # --- distances ---------------------------------------------------------------
 
@@ -572,6 +570,31 @@ def _column_reducer(H: Matrix):
     return reduce
 
 
+def _array_encoder(f: FiniteField, G: Matrix):
+    """msgs -> msgs G over GF(q) on int64 arrays (see the module docstring)."""
+    k, n = G.rows, G.cols
+    if f.alpha == 1:
+        g = np.array(G.data, dtype=np.int64).reshape(k, n)
+
+        def encode(msgs: np.ndarray) -> np.ndarray:
+            cw = msgs @ g
+            cw %= f.p
+            return cw
+
+        return encode
+
+    multiples = [np.array([[f.mul(d, x) for x in row] for d in range(f.order)],
+                          dtype=np.int64) for row in G.data]
+
+    def encode(msgs: np.ndarray) -> np.ndarray:
+        cw = np.zeros((len(msgs), n), dtype=np.int64)
+        for i, table in enumerate(multiples):
+            cw = _add_arrays(f, cw, table[msgs[:, i]])
+        return cw
+
+    return encode
+
+
 def _add_arrays(f: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise a + b over GF(p^a) on canonical integer encodings."""
     if f.p == 2:
@@ -582,6 +605,12 @@ def _add_arrays(f: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out += (a % f.p + b % f.p) % f.p * mult
         a, b, mult = a // f.p, b // f.p, mult * f.p
     return out
+
+
+def repetition_code(field: FiniteField, n: int) -> LinearCode:
+    """The [n,1,n] repetition code. Its Hadamard product with any code of
+    length n is that code, so as a query code it gives noncolluding retrieval."""
+    return LinearCode.from_generator(Matrix(field, [[1] * n]), known_dmin=n)
 
 
 def code_from_generator(G: Matrix, meta: dict | None = None,

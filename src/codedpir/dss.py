@@ -1,9 +1,10 @@
-"""Simulated distributed storage system, protocol runner, privacy auditor, and
-table reproduction reports.
+"""Simulated distributed storage system and the protocol runner.
 
 The Dss holds f files of beta stripes each, encoded row-by-row with the
 storage code; node l stores the l-th coordinate of every encoded stripe
-(f coded chunks of beta symbols). Nodes are read-only after init.
+(f coded chunks of beta symbols). Nodes are read-only after init. `run` makes
+one round trip of protocol 1, or of the protocol-3 engine, which serves
+protocol 2 with the repetition query code.
 """
 
 from __future__ import annotations
@@ -61,11 +62,6 @@ class Dss:
         return hashlib.sha256(payload).hexdigest()
 
 
-def dss_init(code: LinearCode, f: int, beta: int, ell: int = 1,
-             seed: int = 0) -> Dss:
-    return Dss(code, f, beta, ell=ell, seed=seed)
-
-
 @dataclass
 class Transcript:
     """One protocol round trip: node views, responses, and the achieved rate."""
@@ -100,21 +96,16 @@ class Transcript:
         return out
 
 
-def matrices_equal(a: Matrix, b: Matrix) -> bool:
-    return a.field is b.field and a.data == b.data
-
-
 # --- protocol runner -----------------------------------------------------------
 
 def run(protocol: int, dss: Dss, config: dict) -> Transcript:
     """One full round trip; raises DecodeFailure if the file is not recovered.
 
     config keys: "m" (1-based requested file), "seed", and the protocol
-    structure: "lam" (protocol 1), "structure" (protocol 2), "setup"
-    (protocol 3).
+    structure: "lam" (protocol 1), "structure" (protocol 2, a P3Setup with the
+    repetition query code), "setup" (protocol 3).
     """
     from .protocol1 import p1_answer, p1_decode, p1_plan
-    from .protocol2 import p2_decode, p2_queries, p2_respond
     from .protocol3 import p3_decode, p3_queries, p3_respond
 
     m = int(config.get("m", 1))
@@ -131,20 +122,8 @@ def run(protocol: int, dss: Dss, config: dict) -> Transcript:
         user = {"perms": [list(p) for p in plan.perms],
                 "shuffles": [list(s) for s in plan.shuffles]}
         tx_queries = [[[list(term) for term in atom] for atom in q] for q in queries]
-    elif protocol == 2:
-        structure = config["structure"]
-        if structure.beta != dss.beta:
-            raise BadParams("structure and storage disagree on beta")
-        qs = p2_queries(structure, dss.f, m, seed)
-        responses = p2_respond(dss, qs)
-        decoded = p2_decode(structure, responses, dss.f, m, dss.msg_field)
-        downloaded = sum(len(r) for r in responses)
-        user = {"ehat": [list(r) for r in structure.ehat],
-                "info_sets": [list(s) for s in structure.info_sets],
-                "seed": seed}
-        tx_queries = [q.Q.to_json_dict() for q in qs]
-    elif protocol == 3:
-        setup = config["setup"]
+    elif protocol in (2, 3):
+        setup = config["structure" if protocol == 2 else "setup"]
         if setup.beta != dss.beta:
             raise BadParams("setup and storage disagree on beta")
         qs = p3_queries(setup, dss.f, m, seed)
@@ -158,7 +137,7 @@ def run(protocol: int, dss: Dss, config: dict) -> Transcript:
     else:
         raise BadParams(f"unknown protocol {protocol}")
 
-    if not matrices_equal(decoded, dss.files[m - 1]):
+    if decoded != dss.files[m - 1]:
         raise DecodeFailure("decoded file differs from stored file")
     rate = Fraction(dss.beta * dss.code.k, downloaded)
     tx = Transcript(protocol=f"p{protocol}", n=n, f=dss.f, requested=m,

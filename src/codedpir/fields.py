@@ -293,12 +293,6 @@ class FiniteField:
 
     # --- structure ----------------------------------------------------------
 
-    def element(self, rep: int) -> "FieldElement":
-        return FieldElement(self, int(rep) % self.order)
-
-    def elements(self) -> Iterable["FieldElement"]:
-        return (FieldElement(self, r) for r in range(self.order))
-
     def extension(self, ell: int) -> "FiniteField":
         """GF(q^ell) as GF(p^(alpha*ell)), with this field's embedding cached."""
         if ell == 1:
@@ -367,62 +361,6 @@ def field_make(p: int, alpha: int = 1) -> FiniteField:
     return field
 
 
-class FieldElement:
-    """A field element with operator sugar; wraps (field, canonical rep)."""
-
-    __slots__ = ("field", "rep")
-
-    def __init__(self, field: FiniteField, rep: int):
-        self.field = field
-        self.rep = int(rep) % field.order
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise FieldMismatch(f"{self.field} vs {other.field}")
-            return other.rep
-        return int(other) % self.field.order
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.rep, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.rep, self._coerce(other)))
-
-    def __rsub__(self, other):
-        return FieldElement(self.field, self.field.sub(self._coerce(other), self.rep))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.rep, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.rep, self._coerce(other)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.rep))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.rep, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.rep))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field is other.field and self.rep == other.rep
-        return self.rep == int(other) % self.field.order
-
-    def __hash__(self):
-        return hash((id(self.field), self.rep))
-
-    def __repr__(self):
-        return f"{self.field}({self.rep})"
-
-
 class Matrix:
     """Dense matrix over a finite field; entries stored as canonical int reps."""
 
@@ -441,6 +379,16 @@ class Matrix:
     # --- constructors -------------------------------------------------------
 
     @staticmethod
+    def wrap(field: FiniteField, data: list[list[int]], rows: int,
+             cols: int) -> "Matrix":
+        """A matrix over rows of canonical integers that the caller built and
+        hands over: no copy and no checks (for kernels whose output is
+        canonical by construction)."""
+        m = Matrix.__new__(Matrix)
+        m.field, m.data, m.rows, m.cols = field, data, rows, cols
+        return m
+
+    @staticmethod
     def identity(field: FiniteField, n: int) -> "Matrix":
         return Matrix(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -456,9 +404,6 @@ class Matrix:
 
     def at(self, i: int, j: int) -> int:
         return self.data[i][j]
-
-    def element(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.field, self.data[i][j])
 
     def row(self, i: int) -> list[int]:
         return list(self.data[i])

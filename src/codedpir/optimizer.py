@@ -1,9 +1,13 @@
 """Rate optimization: enumerate correctable erasure patterns and solve the
 column-matching selection problem for the best structure matrix.
 
-The search loop starts at the guaranteed floor Gamma = min(k, d_min - 1)
-(Gamma = 1 in the colluding variant, where patterns come from the Hadamard
-product code) and raises Gamma until the selection becomes infeasible. The
+Weight-Gamma structure rows must be correctable by the Hadamard product of
+the storage and query codes; without a query code (the repetition code, the
+noncolluding case) that product is the storage code. The one search loop
+starts at the floor Gamma = min(k, d_min(product) - 1), where every
+weight-Gamma row is correctable, so the window construction below finds a
+structure whenever that pattern list is exhaustive; it raises Gamma until the
+selection becomes infeasible. The
 selection itself (d weight-Gamma rows plus beta information-set complements
 whose stacked column sums all equal beta) is solved exactly by a depth-first
 search branching on the most constrained deficient column, with memoized
@@ -255,75 +259,23 @@ def _window_construction(masks_g: list[int], masks_k: list[int], n: int,
     return None
 
 
-def compute_matrix_bruteforce(lgamma: PatternList, lnk: PatternList, d: int,
-                              beta: int) -> ErasureMatrix | None:
-    """Independent oracle: enumerate all row multisets (tiny instances only)."""
-    if not lgamma.patterns or not lnk.patterns:
-        return None
-    n = lgamma.patterns[0].n
-    masks_g = sorted(set(lgamma.masks()))
-    masks_k = sorted(set(lnk.masks()))
-
-    def colsum(masks):
-        return [sum((m >> j) & 1 for m in masks) for j in range(n)]
-
-    for pick_g in itertools.combinations_with_replacement(masks_g, d):
-        cg = colsum(pick_g)
-        if any(c > beta for c in cg):
-            continue
-        for pick_k in itertools.combinations_with_replacement(masks_k, beta):
-            ck = colsum(pick_k)
-            if all(a + b == beta for a, b in zip(cg, ck)):
-                unmask = lambda msk: tuple(1 if (msk >> j) & 1 else 0 for j in range(n))
-                return ErasureMatrix(d=d, beta=beta,
-                                     ehat=tuple(unmask(m) for m in pick_g),
-                                     ebar=tuple(unmask(m) for m in pick_k))
-    return None
-
-
-def optimize_rate(code: LinearCode, beta_d_rule: str = "minimal",
-                  seed: int = 0, budget: int = EXHAUSTIVE_LIMIT,
-                  sample_budget: int = SAMPLE_BUDGET
+def optimize_rate(code: LinearCode, query_code: LinearCode | None = None,
+                  beta_d_rule: str = "minimal", seed: int = 0,
+                  budget: int = EXHAUSTIVE_LIMIT, sample_budget: int = SAMPLE_BUDGET
                   ) -> tuple[ErasureMatrix | None, int]:
     """Largest Gamma with a feasible structure matrix, and that matrix.
 
-    beta_d_rule: "minimal" takes the LCM-minimal (beta, d); "gamma-k" fixes
-    (beta, d) = (Gamma, k).
+    query_code None stands for the repetition code, whose product with the
+    storage code is the storage code. beta_d_rule: "minimal" takes the
+    LCM-minimal (beta, d); "gamma-k" fixes (beta, d) = (Gamma, k).
     """
-    n, k = code.n, code.k
-    # d_min = 1 degenerates the floor to 0; a single-symbol subquery is still
-    # the smallest meaningful start
-    gamma = max(1, min(k, code.min_distance() - 1))
-    e_opt: ErasureMatrix | None = None
-    gamma_opt = gamma
-    lnk = compute_erasure_pattern_list(code, n - k, budget=budget,
-                                       sample_budget=sample_budget, seed=seed)
-    while gamma <= n - k:
-        lg = compute_erasure_pattern_list(code, gamma, budget=budget,
-                                          sample_budget=sample_budget, seed=seed)
-        if len(lg):
-            beta, d = _beta_d(beta_d_rule, k, gamma)
-            e = compute_matrix(lg, lnk, d, beta)
-            if e is not None:
-                e_opt, gamma_opt = e, gamma
-            else:
-                return e_opt, gamma_opt
-        gamma += 1
-    return e_opt, gamma_opt
-
-
-def optimize_rate_colluding(code: LinearCode, query_code: LinearCode,
-                            beta_d_rule: str = "minimal", seed: int = 0,
-                            budget: int = EXHAUSTIVE_LIMIT,
-                            sample_budget: int = SAMPLE_BUDGET
-                            ) -> tuple[ErasureMatrix | None, int]:
-    """Colluding variant: Gamma starts at 1, runs to n - ktilde, and the
-    weight-Gamma patterns must be correctable by the Hadamard product code."""
-    product = code.hadamard_product(query_code)
+    product = code if query_code is None else code.hadamard_product(query_code)
     n, k = code.n, code.k
     if product.k >= n:
         raise RateOneProduct("Hadamard product has rate 1")
-    gamma = 1
+    # d_min = 1 degenerates the floor to 0; a single-symbol subquery is still
+    # the smallest meaningful start
+    gamma = max(1, min(k, product.min_distance() - 1))
     e_opt: ErasureMatrix | None = None
     gamma_opt = gamma
     lnk = compute_erasure_pattern_list(code, n - k, budget=budget,

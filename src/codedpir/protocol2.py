@@ -1,168 +1,40 @@
 """File-independent retrieval protocol for noncolluding nodes.
 
-Queries are Q^(l) = U + V^(l): U is a fresh uniform d x (beta*f) matrix over
-GF(q), and V^(l) deterministically marks which stored symbol each subquery
-picks up, driven by a d x n structure matrix Ehat and beta information sets.
-Decoding treats each subquery's non-accessed responses as known coordinates of
-an interference codeword, erasure-decodes it, and subtracts.
+Protocol 2 is protocol 3 with the [n,1] repetition code as its query code:
+the Hadamard product of the repetition code and the storage code is the
+storage code itself, and the collusion threshold is T = 1. Every subquery
+sends all nodes the same fresh uniform row plus a unit offset on the nodes
+that leak a desired symbol, and the decoder reads those symbols through the
+storage code's parity check. This module only names that case; validation,
+queries, responses and decoding are the `protocol3` engine's, which the rest
+of the package calls directly (`p2_queries`, `p2_respond` and `p2_decode` are
+plain forwards to it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .codes import ErasurePattern, LinearCode
-from .errors import CodedPirError, DecodeFailure, DimensionMismatch
-from .fields import FiniteField, Matrix, mat_mul
-from .rng import rng_for
-
-Mask = tuple[int, ...]
-
-
-class C1Violation(CodedPirError):
-    """A structure row does not have the uniform weight Gamma."""
-
-
-class C2Violation(CodedPirError):
-    """A structure row is not a correctable erasure pattern."""
-
-
-class C3Violation(CodedPirError):
-    """A column weight disagrees with the information-set incidence count."""
-
-
-@dataclass(frozen=True)
-class P2Structure:
-    """Validated (Ehat, information sets) pair binding a storage code."""
-
-    code: LinearCode
-    info_sets: tuple[tuple[int, ...], ...]
-    ehat: tuple[Mask, ...]
-    gamma: int
-
-    @property
-    def beta(self) -> int:
-        return len(self.info_sets)
-
-    @property
-    def d(self) -> int:
-        return len(self.ehat)
-
-    @property
-    def rate(self) -> Fraction:
-        return Fraction(self.beta * self.code.k, self.code.n * self.d)
-
-    def f_set(self, node: int) -> list[int]:
-        """Indices of the information sets containing the node's coordinate."""
-        return [t for t, iset in enumerate(self.info_sets) if node in iset]
-
-    def stripe_assignment(self, node: int) -> list[int | None]:
-        """Stripe index downloaded by each subquery at `node` (None = masked).
-
-        Ascending first-unused rule over the node's information-set indices;
-        condition C3 guarantees the counts line up exactly.
-        """
-        available = iter(self.f_set(node))
-        out: list[int | None] = []
-        for i in range(self.d):
-            out.append(next(available) if self.ehat[i][node] else None)
-        return out
-
-
-@dataclass(frozen=True)
-class P2Query:
-    node: int
-    Q: Matrix  # d x (beta * f) over GF(q)
+from .codes import LinearCode, repetition_code
+from .fields import FiniteField, Matrix
+from .protocol3 import P3Setup, p3_decode, p3_queries, p3_respond, p3_setup
 
 
 def p2_build_structure(code: LinearCode, info_sets: Sequence[Sequence[int]],
-                       ehat: Sequence[Sequence[int]]) -> P2Structure:
-    """Verify conditions C1 (row regularity), C2 (correctability), C3 (column
-    profile) and bind the structure to the code."""
-    info_sets = tuple(tuple(sorted(int(j) for j in s)) for s in info_sets)
-    ehat = tuple(tuple(int(b) for b in row) for row in ehat)
-    n = code.n
-    if any(len(row) != n for row in ehat):
-        raise DimensionMismatch("Ehat must have n columns")
-    for t, iset in enumerate(info_sets):
-        if not code.is_information_set(iset):
-            raise C3Violation(f"set {t} is not an information set")
-    gamma = sum(ehat[0]) if ehat else 0
-    for i, row in enumerate(ehat):
-        if sum(row) != gamma:
-            raise C1Violation(f"row {i} has weight {sum(row)}, expected {gamma}")
-    for i, row in enumerate(ehat):
-        if not code.erasure_correctable(ErasurePattern(n, row)):
-            raise C2Violation(f"row {i} is not correctable")
-    for l in range(n):
-        expected = sum(1 for iset in info_sets if l in iset)
-        got = sum(row[l] for row in ehat)
-        if got != expected:
-            raise C3Violation(f"column {l} weight {got}, expected {expected}")
-    beta, d = len(info_sets), len(ehat)
-    if beta * code.k != gamma * d:
-        raise C3Violation(f"beta*k = {beta * code.k} != Gamma*d = {gamma * d}")
-    return P2Structure(code=code, info_sets=info_sets, ehat=ehat, gamma=gamma)
+                       ehat: Sequence[Sequence[int]]) -> P3Setup:
+    """The validated protocol-3 setup of (Ehat, information sets) with the
+    repetition query code; raises StructureViolation on a bad structure."""
+    return p3_setup(code, repetition_code(code.field, code.n), ehat, info_sets)
 
 
-def p2_queries(structure: P2Structure, f: int, m: int, seed: int,
-               msg_field: FiniteField | None = None) -> list[P2Query]:
-    """Query matrices for requesting file m (1-based) out of f."""
-    if not 1 <= m <= f:
-        raise DimensionMismatch(f"m={m} outside 1..{f}")
-    code = structure.code
-    q = code.field.order
-    beta, d = structure.beta, structure.d
-    rng = rng_for(seed, "p2", "U")
-    U = [[rng.randrange(q) for _ in range(beta * f)] for _ in range(d)]
-    queries = []
-    for l in range(code.n):
-        rows = [list(r) for r in U]
-        for i, stripe in enumerate(structure.stripe_assignment(l)):
-            if stripe is not None:
-                col = (m - 1) * beta + stripe
-                rows[i][col] = code.field.add(rows[i][col], 1)
-        queries.append(P2Query(node=l, Q=Matrix(code.field, rows)))
-    return queries
+def p2_queries(setup: P3Setup, f: int, m: int, seed: int) -> list[Matrix]:
+    return p3_queries(setup, f, m, seed)
 
 
-def p2_respond(dss, queries: Sequence[P2Query]) -> list[list[int]]:
-    """Each node returns Q^(l) times its stored column."""
-    out = []
-    for query in queries:
-        content = dss.node_content(query.node)
-        col = Matrix.column(dss.msg_field, content)
-        out.append([row[0] for row in mat_mul(query.Q, col).data])
-    return out
+def p2_respond(dss, queries: Sequence[Matrix]) -> list[list[int]]:
+    return p3_respond(dss, queries)
 
 
-def p2_decode(structure: P2Structure, responses: Sequence[Sequence[int]],
+def p2_decode(setup: P3Setup, responses: Sequence[Sequence[int]],
               f: int, m: int, msg_field: FiniteField) -> Matrix:
-    """Recover the beta x k file matrix from the n response vectors."""
-    code = structure.code
-    n, k = code.n, code.k
-    beta, d = structure.beta, structure.d
-    if len(responses) != n or any(len(r) != d for r in responses):
-        raise DecodeFailure("incomplete responses")
-    assignments = [structure.stripe_assignment(l) for l in range(n)]
-    symbols: dict[tuple[int, int], int] = {}
-    for i in range(d):
-        support = [l for l in range(n) if structure.ehat[i][l]]
-        word = [responses[l][i] for l in range(n)]
-        interference = code.decode_erasures(word, support, value_field=msg_field)
-        for l in support:
-            phi = msg_field.sub(responses[l][i], interference[l])
-            stripe = assignments[l][i]
-            if stripe is None or (stripe, l) in symbols:
-                raise DecodeFailure("stripe assignment inconsistent")
-            symbols[(stripe, l)] = phi
-    rows = []
-    for t, iset in enumerate(structure.info_sets):
-        try:
-            values = [symbols[(t, l)] for l in iset]
-        except KeyError as exc:
-            raise DecodeFailure(f"missing symbol for stripe {t}") from exc
-        rows.append(code.message_from_information_set(iset, values, msg_field))
-    return Matrix(msg_field, rows, beta, k)
+    return p3_decode(setup, responses, f, m, msg_field)

@@ -1,4 +1,4 @@
-"""Retrieval protocol private against up to T colluding nodes.
+"""The retrieval engine: a protocol private against up to T colluding nodes.
 
 Each subquery sends every node one coordinate of a fresh batch of beta*f
 random codewords of a query code, plus a deterministic unit offset on the
@@ -7,19 +7,27 @@ is a codeword of the Hadamard product of storage and query codes plus the
 offset symbols, so multiplying by the product code's parity check exposes
 exactly those symbols. T is one less than the minimum distance of the query
 code's dual.
+
+With the [n,1] repetition code as the query code the product is the storage
+code and T = 1: that is protocol 2, the file-independent noncolluding
+protocol (see `protocol2`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .codes import ErasurePattern, LinearCode
 from .errors import (
     DecodeFailure,
     DimensionMismatch,
     OrderOverflow,
+    RankDeficient,
     RateOneProduct,
     StructureViolation,
 )
@@ -64,14 +72,22 @@ class P3Setup:
         return Fraction(self.product.min_distance() - 1, self.code.n)
 
     def f_set(self, node: int) -> list[int]:
+        """Indices of the information sets containing the node's coordinate."""
         return [t for t, iset in enumerate(self.info_sets) if node in iset]
 
-    def stripe_assignment(self, node: int) -> list[int | None]:
-        available = iter(self.f_set(node))
-        out: list[int | None] = []
-        for i in range(self.d):
-            out.append(next(available) if self.ehat[i][node] else None)
-        return out
+    @cached_property
+    def stripes(self) -> tuple[tuple[int | None, ...], ...]:
+        """Per node, the stripe each subquery downloads there (None = masked).
+
+        Ascending first-unused rule over the node's information-set indices;
+        the column-profile check of `p3_setup` makes the counts line up.
+        """
+        out = []
+        for node in range(self.code.n):
+            available = iter(self.f_set(node))
+            out.append(tuple(next(available) if row[node] else None
+                             for row in self.ehat))
+        return tuple(out)
 
     def to_json_dict(self) -> dict:
         from .families import spec_from_code
@@ -132,26 +148,25 @@ def p3_queries(setup: P3Setup, f: int, m: int, seed: int) -> list[Matrix]:
     """d x (beta*f) query matrix per node; fresh codeword batch per subquery."""
     if not 1 <= m <= f:
         raise DimensionMismatch(f"m={m} outside 1..{f}")
-    code, qcode = setup.code, setup.query_code
-    field = code.field
-    q = field.order
-    n, beta, d = code.n, setup.beta, setup.d
-    assignments = [setup.stripe_assignment(l) for l in range(n)]
-    rows_per_node: list[list[list[int]]] = [[] for _ in range(n)]
+    qcode = setup.query_code
+    field = qcode.field
+    q, kq = field.order, qcode.k
+    d, bf = setup.d, setup.beta * f
+    draws: list[int] = []
     for i in range(d):
         rng = rng_for(seed, "p3", "codewords", i)
-        batch = []
-        for _ in range(beta * f):
-            msg = Matrix(field, [[rng.randrange(q) for _ in range(qcode.k)]])
-            batch.append(qcode.encode(msg).data[0])
-        for l in range(n):
-            row = [batch[t][l] for t in range(beta * f)]
-            stripe = assignments[l][i]
-            if setup.ehat[i][l]:
-                col = (m - 1) * beta + stripe
-                row[col] = field.add(row[col], 1)
-            rows_per_node[l].append(row)
-    return [Matrix(field, rows, d, beta * f) for rows in rows_per_node]
+        draws += [rng.randrange(q) for _ in range(bf * kq)]
+    # one encode for every subquery: rows i*bf .. (i+1)*bf - 1 are subquery i's
+    # batch, and node l's query row i is column l of that batch
+    msgs = np.array(draws, dtype=np.int64).reshape(d * bf, kq).tolist()
+    batch = qcode.encode(Matrix.wrap(field, msgs, d * bf, kq))
+    per_node = np.array(batch.data).reshape(d, bf, qcode.n).transpose(2, 0, 1).tolist()
+    shift = (m - 1) * setup.beta
+    for rows, stripes in zip(per_node, setup.stripes):
+        for i, stripe in enumerate(stripes):
+            if stripe is not None:
+                rows[i][shift + stripe] = field.add(rows[i][shift + stripe], 1)
+    return [Matrix.wrap(field, rows, d, bf) for rows in per_node]
 
 
 def p3_respond(dss, queries: Sequence[Matrix]) -> list[list[int]]:
@@ -172,15 +187,18 @@ def p3_decode(setup: P3Setup, responses: Sequence[Sequence[int]],
     if len(responses) != n or any(len(r) != setup.d for r in responses):
         raise DecodeFailure("incomplete responses")
     h_tilde = setup.product.H
-    assignments = [setup.stripe_assignment(l) for l in range(n)]
     symbols: dict[tuple[int, int], int] = {}
     for i in range(setup.d):
         rho = Matrix.column(msg_field, [responses[l][i] for l in range(n)])
         z = mat_mul(h_tilde, rho)
         support = [l for l in range(n) if setup.ehat[i][l]]
-        sol = mat_solve(h_tilde.restrict_cols(support), z)
+        try:
+            sol = mat_solve(h_tilde.restrict_cols(support), z)
+        except RankDeficient as exc:
+            raise DecodeFailure(f"subquery {i}: responses inconsistent with "
+                                "the product code") from exc
         for idx, l in enumerate(support):
-            stripe = assignments[l][i]
+            stripe = setup.stripes[l][i]
             if stripe is None or (stripe, l) in symbols:
                 raise DecodeFailure("stripe assignment inconsistent")
             symbols[(stripe, l)] = sol.data[idx][0]

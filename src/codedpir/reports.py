@@ -18,7 +18,7 @@ from .codes import LinearCode, standard_form_parity
 from .errors import BadParams
 from .families import code_from_spec
 from .fields import Matrix, mat_rank
-from .optimizer import optimize_rate, optimize_rate_colluding
+from .optimizer import optimize_rate
 from .protocol3 import collusion_threshold, p3_rm_max_rate
 
 TOLERANCE = 1e-4
@@ -139,7 +139,7 @@ def colluding_row(fixture: dict, seed: int = 0) -> RowResult:
         kwargs = {"seed": seed}
         if coll.get("sample_budget"):
             kwargs["sample_budget"] = coll["sample_budget"]
-        e_opt, gamma_opt = optimize_rate_colluding(code, query, **kwargs)
+        e_opt, gamma_opt = optimize_rate(code, query, **kwargs)
         if e_opt is None:
             raise BadParams(f"{fixture['name']}: colluding optimizer found "
                             "no structure")

@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 
 from codedpir.codes import LinearCode, code_from_generator
 from codedpir.families import grs_code
 from codedpir.fields import Matrix, field_make
+from codedpir.ratematrix import ErasureMatrix
 
 GOOD_G = [[1, 0, 0, 1, 0], [0, 1, 0, 1, 1], [0, 0, 1, 0, 1]]
 BAD_G = [[1, 0, 0, 1, 0], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1]]
@@ -34,6 +37,34 @@ LAM23 = [(0, 1, 1, 1, 1), (1, 0, 0, 1, 1), (1, 1, 1, 0, 0)]
 EHAT_P3 = [(0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
            (0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0)]
 ISETS_P3 = [(1, 2, 8, 11)]
+
+
+def compute_matrix_bruteforce(lgamma, lnk, d: int, beta: int):
+    """Reference oracle for optimizer.compute_matrix: enumerate all row
+    multisets (tiny instances only)."""
+    if not lgamma.patterns or not lnk.patterns:
+        return None
+    n = lgamma.patterns[0].n
+    masks_g = sorted(set(lgamma.masks()))
+    masks_k = sorted(set(lnk.masks()))
+
+    def colsum(masks):
+        return [sum((m >> j) & 1 for m in masks) for j in range(n)]
+
+    def unmask(msk):
+        return tuple(1 if (msk >> j) & 1 else 0 for j in range(n))
+
+    for pick_g in itertools.combinations_with_replacement(masks_g, d):
+        cg = colsum(pick_g)
+        if any(c > beta for c in cg):
+            continue
+        for pick_k in itertools.combinations_with_replacement(masks_k, beta):
+            ck = colsum(pick_k)
+            if all(a + b == beta for a, b in zip(cg, ck)):
+                return ErasureMatrix(d=d, beta=beta,
+                                     ehat=tuple(unmask(m) for m in pick_g),
+                                     ebar=tuple(unmask(m) for m in pick_k))
+    return None
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,8 @@ import pytest
 
 from codedpir.codes import (ErasurePattern, LinearCode, code_from_generator,
                             gaussian_binomial, standard_form_parity)
-from codedpir.errors import EmptySupport, NotCorrectable, RankDeficientGenerator
+from codedpir.errors import (DimensionMismatch, EmptySupport, NotCorrectable,
+                             RankDeficientGenerator)
 from codedpir.families import cyclic_code, grs_code
 from codedpir.fields import Matrix, field_make, mat_mul, mat_rank
 
@@ -66,6 +67,17 @@ def test_erasure_correctability(code73):
     assert code73.erasure_correctable(ErasurePattern.from_support(7, [2, 3, 4, 5]))
     assert code73.erasure_correctable(ErasurePattern(7, (0,) * 7))
     assert not code73.erasure_correctable(ErasurePattern(7, (1,) * 7))
+
+
+def test_erasure_correctable_takes_patterns_only(f2):
+    # binary [2,1] code with H = [1 1]: erasing both positions is fatal
+    code = LinearCode.from_parity_check(Matrix(f2, [[1, 1]]))
+    assert not code.erasure_correctable(ErasurePattern.from_support(2, (0, 1)))
+    assert code.erasure_correctable(ErasurePattern.from_support(2, (1,)))
+    # positions, masks and patterns of another length are not guessed at
+    for bad in ((0, 1), [1, 1], ErasurePattern(3, (1, 0, 0))):
+        with pytest.raises(DimensionMismatch):
+            code.erasure_correctable(bad)
 
 
 def test_decode_erasures_roundtrip(code73):

@@ -1,20 +1,22 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from codedpir.audit import privacy_audit
-from codedpir.dss import Dss, dss_init, run
+from codedpir.audit import chi2_sf, privacy_audit
+from codedpir.dss import Dss, run
 from codedpir.errors import BadParams
 from codedpir.fields import mat_mul
 from codedpir.protocol2 import p2_build_structure
 from codedpir.protocol3 import p3_setup
 from codedpir.ratematrix import rate_matrix
-from conftest import (EHAT_EX5, EHAT_P3, ISETS_EX5, ISETS_P3, LAM35)
+from conftest import (EHAT_EX5, EHAT_EX6, EHAT_P3, ISETS_EX5, ISETS_EX6,
+                      ISETS_P3, LAM35)
 
 
 def test_dss_init_invariants(good532):
-    dss = dss_init(good532, f=2, beta=2, seed=1)
+    dss = Dss(good532, f=2, beta=2, seed=1)
     h_lift = good532.H.lift(dss.msg_field)
     for arr in dss.arrays:
         prod = mat_mul(arr, h_lift.transpose())
@@ -24,7 +26,7 @@ def test_dss_init_invariants(good532):
     assert content == [dss.arrays[0].data[0][0], dss.arrays[0].data[1][0],
                        dss.arrays[1].data[0][0], dss.arrays[1].data[1][0]]
     with pytest.raises(BadParams):
-        dss_init(good532, f=1, beta=0)
+        Dss(good532, f=1, beta=0)
 
 
 def test_run_all_protocols(good532, code124):
@@ -53,6 +55,39 @@ def test_run_all_protocols(good532, code124):
         assert "user" not in node_view and "requested" not in node_view
 
 
+# sha256 of the sorted-key JSON of whole transcripts (user part included), per
+# (protocol, seed): a change here changes an RNG stream or the transcript
+# format, and must be deliberate
+TRANSCRIPT_GOLDEN = {
+    (1, 0): "a7671a8632c88465ae25dc80fadee1cd70b9068abe0e4f2994b6945ca52266e4",
+    (1, 1): "5d13b37a85de8f4d3dcc69e7d9b7b1972e0245e5241a118c3fd33a20b4d3007d",
+    (2, 0): "abef4e04bceb65ff159f59a58b69f274f06237bede5f5ee8108ccc107f5cb270",
+    (2, 1): "3443c206def7d389a1464357fd70292a634489e085029ee752b3452e86b019bc",
+    (3, 0): "3836ffd1335ffa379501c41071201d872ef214380cead54c58c1be7c6e9bd047",
+    (3, 1): "524e79fa11398f369c3b23ec1768a48ee8a56356cb364930bf571c228d4be6db",
+}
+
+
+@pytest.mark.parametrize("protocol,seed", sorted(TRANSCRIPT_GOLDEN))
+def test_transcripts_golden(good532, code73, code124, protocol, seed):
+    """The 5/8 run on [5,3], the [7,3] structure at 4/7 and the [12,4] setup
+    at 1/6, each requesting one of two files."""
+    if protocol == 1:
+        dss = Dss(good532, f=2, beta=25, seed=seed)
+        config = {"lam": rate_matrix(good532, LAM35), "m": 1}
+    elif protocol == 2:
+        dss = Dss(code73, f=2, beta=4, seed=seed)
+        config = {"structure": p2_build_structure(code73, ISETS_EX6, EHAT_EX6),
+                  "m": 2}
+    else:
+        dss = Dss(code124, f=2, beta=1, seed=seed)
+        config = {"setup": p3_setup(code124, code124, EHAT_P3, ISETS_P3), "m": 1}
+    tx = run(protocol, dss, dict(config, seed=seed))
+    text = json.dumps(tx.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        TRANSCRIPT_GOLDEN[(protocol, seed)]
+
+
 def test_run_replays_bit_exactly(good532):
     s5 = p2_build_structure(good532, ISETS_EX5, EHAT_EX5)
     dss = Dss(good532, f=2, beta=2, seed=11)
@@ -66,6 +101,10 @@ def test_exact_audit_p2(good532):
     dss = Dss(good532, f=2, beta=2, seed=0)
     report = privacy_audit(2, dss, {"structure": s5}, mode="exact")
     assert report.mode == "exact" and report.passed
+    # the protocol-3 enumeration with the repetition code: one uniform symbol
+    # per codeword, beta*f = 4 codewords per subquery, single spies (T = 1)
+    assert report.protocol == 2 and report.trials == 2 ** 4
+    assert [o.collusion for o in report.outcomes] == [(l,) for l in range(5)]
     assert all(o.identical for o in report.outcomes)
 
 
@@ -98,6 +137,19 @@ def test_statistical_audits_quick(good532, code124):
     rep3 = privacy_audit(3, dss3, {"setup": setup},
                          collusion_sets=[(1,), (8, 11)], trials=1500, seed=3)
     assert rep3.passed
+
+
+def test_chi2_sf_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    for dof in range(1, 401):
+        xs = sorted({0.001, 0.5, 1.0, 3.0, 10.0, 100.0, 600.0, 1300.0,
+                     *(dof * r for r in (0.01, 0.2, 0.5, 0.9, 1.0, 1.1, 1.5,
+                                         2.0, 3.0))})
+        for x, want in zip(xs, stats.chi2.sf(xs, dof)):
+            if want < 1e-290:  # near the subnormal range, precision runs out
+                continue
+            assert chi2_sf(x, dof) == pytest.approx(want, rel=1e-9, abs=0), (x, dof)
+    assert chi2_sf(0.0, 3) == 1.0
 
 
 def test_audit_requires_two_files(good532):

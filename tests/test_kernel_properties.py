@@ -10,7 +10,7 @@ import random
 from hypothesis import example, given, settings, strategies as st
 
 from codedpir.codes import ErasurePattern, LinearCode, code_from_generator
-from codedpir.fields import Matrix, field_make, mat_rank, mat_rref
+from codedpir.fields import Matrix, field_make, mat_mul, mat_rank, mat_rref
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1),
           (2, 4), (17, 1)]
@@ -71,6 +71,18 @@ def test_pivot_columns_match_rref(code, data):
     order = data.draw(st.permutations(range(code.n)))
     _, pivots = mat_rref(code.H.restrict_cols(order))
     assert code.pivot_columns(order) == [order[c] for c in pivots]
+
+
+@PROPERTY
+@given(codes(fields=FIELDS + [(5, 7)]), st.data())
+def test_encode_matches_mat_mul(code, data):
+    """encode over GF(q) runs the numpy step on small fields and mat_mul on
+    the others; mat_mul is the scalar reference for both."""
+    rows = data.draw(st.integers(0, 6))
+    symbol = st.integers(0, code.field.order - 1)
+    message = Matrix(code.field, [[data.draw(symbol) for _ in range(code.k)]
+                                  for _ in range(rows)], rows, code.k)
+    assert code.encode(message) == mat_mul(message, code.G)
 
 
 def brute_codewords(code):

@@ -8,12 +8,12 @@ from codedpir.errors import RateOneProduct
 from codedpir.families import code_from_spec, grs_code, uuv_code
 from codedpir.fields import Matrix, field_make
 from codedpir.optimizer import (compute_erasure_pattern_list, compute_matrix,
-                                compute_matrix_bruteforce, optimize_rate,
-                                optimize_rate_colluding)
+                                optimize_rate)
 from codedpir.protocol2 import p2_build_structure
 from codedpir.protocol3 import p3_setup
 from codedpir.ratematrix import beta_d_minimal
 from codedpir.reports import fixture_code, load_fixture
+from conftest import compute_matrix_bruteforce
 
 f2 = field_make(2)
 f13 = field_make(13)
@@ -107,13 +107,13 @@ def test_optimize_rate_gamma_k_rule(good532):
 
 
 def test_optimize_rate_colluding_worked(code124):
-    e, g = optimize_rate_colluding(code124, code124)
+    e, g = optimize_rate(code124, code124)
     assert g == 2 and Fraction(g, 12) == Fraction(1, 6)
     setup = p3_setup(code124, code124, e.ehat, e.info_sets())
     assert setup.rate == Fraction(1, 6)
     whole = code_from_generator(Matrix.identity(f2, 4))
     with pytest.raises(RateOneProduct):
-        optimize_rate_colluding(whole, whole)
+        optimize_rate(whole, whole)
 
 
 def test_optimize_rate_colluding_uuv():
@@ -125,7 +125,7 @@ def test_optimize_rate_colluding_uuv():
     assert (c13.n, c13.k, c13.min_distance()) == (26, 9, 8)
     prod = c13.hadamard_product(c13)
     assert prod.min_distance() == 1  # the unimproved scheme gets rate 0
-    e, g = optimize_rate_colluding(c13, c13, sample_budget=1500)
+    e, g = optimize_rate(c13, c13, sample_budget=1500)
     assert g == 4 and Fraction(g, 26) == Fraction(2, 13)
     setup = p3_setup(c13, c13, e.ehat, e.info_sets())
     assert setup.collusion_threshold == 3

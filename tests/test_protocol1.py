@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from codedpir.dss import Dss, matrices_equal
+from codedpir.dss import Dss
 from codedpir.errors import KappaEqualsNu, OutOfRange
 from codedpir.protocol1 import (d_of, n_of, p1_answer, p1_decode, p1_plan,
                                 p1_symmetry_audit, u_of)
@@ -85,7 +85,7 @@ def test_end_to_end_worked_example(good532, lam35, m, seed):
     plan = p1_plan(good532, lam35, f=2, m=m, seed=seed)
     responses = [p1_answer(dss, j, plan.node_query(j)) for j in range(5)]
     decoded = p1_decode(plan, responses, dss.msg_field)
-    assert matrices_equal(decoded, dss.files[m - 1])
+    assert decoded == dss.files[m - 1]
 
 
 def test_end_to_end_bad_code(bad532):
@@ -94,7 +94,7 @@ def test_end_to_end_bad_code(bad532):
     plan = p1_plan(bad532, lam, f=2, m=2, seed=7)
     assert plan.d == 10 and plan.rate == Fraction(27, 50)
     responses = [p1_answer(dss, j, plan.node_query(j)) for j in range(5)]
-    assert matrices_equal(p1_decode(plan, responses, dss.msg_field), dss.files[1])
+    assert p1_decode(plan, responses, dss.msg_field) == dss.files[1]
 
 
 def test_single_file_degenerate(good532, lam35):
@@ -103,7 +103,7 @@ def test_single_file_degenerate(good532, lam35):
     assert plan.d == 3  # kappa requests per node, no side information
     assert all(a.kind == "desired1" for atoms in plan.node_atoms for a in atoms)
     responses = [p1_answer(dss, j, plan.node_query(j)) for j in range(5)]
-    assert matrices_equal(p1_decode(plan, responses, dss.msg_field), dss.files[0])
+    assert p1_decode(plan, responses, dss.msg_field) == dss.files[0]
 
 
 def test_multiround_extension_field(good532):
@@ -113,7 +113,7 @@ def test_multiround_extension_field(good532):
     plan = p1_plan(good532, lam23g, f=3, m=2, seed=5)
     assert plan.d == 2 * (27 - 8)
     responses = [p1_answer(dss, j, plan.node_query(j)) for j in range(5)]
-    assert matrices_equal(p1_decode(plan, responses, dss.msg_field), dss.files[1])
+    assert p1_decode(plan, responses, dss.msg_field) == dss.files[1]
 
 
 def test_kappa_equals_nu_rejected(good532):
@@ -207,4 +207,4 @@ def test_end_to_end_reed_muller_automorphism_matrix():
     assert plan.rate == capacity_finite(8, 4, 2) == Fraction(2, 3)
     responses = [p1_answer(dss, j, plan.node_query(j)) for j in range(8)]
     decoded = p1_decode(plan, responses, dss.msg_field)
-    assert matrices_equal(decoded, dss.files[0])
+    assert decoded == dss.files[0]

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from codedpir.dss import Dss, matrices_equal
+from codedpir.dss import Dss
+from codedpir.errors import StructureViolation
 from codedpir.fields import Matrix
-from codedpir.protocol2 import (C1Violation, C2Violation, C3Violation, P2Query,
-                                p2_build_structure, p2_decode, p2_queries,
+from codedpir.protocol2 import (p2_build_structure, p2_decode, p2_queries,
                                 p2_respond)
 from conftest import EHAT_EX5, EHAT_EX6, ISETS_EX5, ISETS_EX6
 
@@ -31,47 +31,47 @@ def test_structures_validate(s5, s6):
 
 
 def test_structure_violations(good532, code73):
-    with pytest.raises(C1Violation):
+    with pytest.raises(StructureViolation):  # row weights differ
         p2_build_structure(good532, ISETS_EX5,
                            [[1, 0, 1, 0, 0], [1, 1, 0, 0, 0], [0, 1, 1, 1, 0]])
-    with pytest.raises(C2Violation):
+    with pytest.raises(StructureViolation):
         # full-weight rows are never correctable
         p2_build_structure(code73, [[0, 1, 2]] * 7, [[1] * 7] * 3)
-    with pytest.raises(C3Violation):
+    with pytest.raises(StructureViolation):  # {0, 1, 3} is no information set
         p2_build_structure(good532, [[0, 1, 2], [0, 1, 3]], EHAT_EX5)
 
 
 def test_stripe_assignments_match_worked_deltas(s5, s6):
     # Delta_1 = (omega_1; omega_2; omega_0), nodes 4 and 5 all-zero
-    assert s5.stripe_assignment(0) == [0, 1, None]
-    assert s5.stripe_assignment(1) == [None, 0, 1]
+    assert s5.stripes[0] == (0, 1, None)
+    assert s5.stripes[1] == (None, 0, 1)
     # ascending first-unused rule (the published delta made a different
     # arbitrary pick here; only distinctness is required)
-    assert s5.stripe_assignment(2) == [0, None, 1]
-    assert s5.stripe_assignment(3) == [None, None, None]
-    assert s5.stripe_assignment(4) == [None, None, None]
+    assert s5.stripes[2] == (0, None, 1)
+    assert s5.stripes[3] == (None, None, None)
+    assert s5.stripes[4] == (None, None, None)
     # node 6 of the [7,3,4] run: ones at subqueries 1..3, stripes (1,2,4)
-    assert s6.stripe_assignment(5) == [0, 1, 3]
-    assert s6.stripe_assignment(6) == [None, None, 1]
+    assert s6.stripes[5] == (0, 1, 3)
+    assert s6.stripes[6] == (None, None, 1)
 
 
 def test_query_marginal_is_shifted_uniform(s5, good532):
     # Q = U + V with V deterministic: exact uniformity of each Q given uniform U
     qs0 = p2_queries(s5, f=1, m=1, seed=0)
     qs1 = p2_queries(s5, f=1, m=1, seed=1)
-    assert qs0[0].Q.data != qs1[0].Q.data  # seed actually feeds U
+    assert qs0[0].data != qs1[0].data  # seed actually feeds U
     # with U = 0 (direct construction), responses expose exactly the V picks
     dss = Dss(good532, f=1, beta=2, seed=9)
     queries = []
     for l in range(5):
         rows = [[0] * 2 for _ in range(3)]
-        for i, stripe in enumerate(s5.stripe_assignment(l)):
+        for i, stripe in enumerate(s5.stripes[l]):
             if stripe is not None:
                 rows[i][stripe] = 1
-        queries.append(P2Query(node=l, Q=Matrix(good532.field, rows)))
+        queries.append(Matrix(good532.field, rows))
     responses = p2_respond(dss, queries)
     for l in range(5):
-        for i, stripe in enumerate(s5.stripe_assignment(l)):
+        for i, stripe in enumerate(s5.stripes[l]):
             expected = dss.arrays[0].data[stripe][l] if stripe is not None else 0
             assert responses[l][i] == expected
 
@@ -84,7 +84,7 @@ def test_end_to_end_example5(good532, s5, f, ell):
             qs = p2_queries(s5, f, m, seed)
             responses = p2_respond(dss, qs)
             decoded = p2_decode(s5, responses, f, m, dss.msg_field)
-            assert matrices_equal(decoded, dss.files[m - 1])
+            assert decoded == dss.files[m - 1]
 
 
 @pytest.mark.parametrize("f", [1, 3])
@@ -95,7 +95,7 @@ def test_end_to_end_example6(code73, s6, f):
             qs = p2_queries(s6, f, m, seed)
             responses = p2_respond(dss, qs)
             decoded = p2_decode(s6, responses, f, m, dss.msg_field)
-            assert matrices_equal(decoded, dss.files[m - 1])
+            assert decoded == dss.files[m - 1]
 
 
 def test_rate_floor_structures(good532, bad532, code73):
@@ -136,7 +136,7 @@ def test_interference_symbol_decomposition_example5(good532, s5):
     seed = 31
     dss = Dss(good532, f=1, beta=2, seed=seed)
     qs = p2_queries(s5, f=1, m=1, seed=seed)
-    u = qs[3].Q.data  # node 4 has V = 0, so its query is exactly U
+    u = qs[3].data  # node 4 has V = 0, so its query is exactly U
     x = dss.files[0].data  # 2 x 3 message matrix
     gf = dss.msg_field
 
@@ -166,10 +166,10 @@ def test_interference_solve_example6(code73, s6):
     seed = 17
     dss = Dss(code73, f=1, beta=4, seed=seed)
     qs = p2_queries(s6, f=1, m=1, seed=seed)
-    u = [[qs[0].Q.data[i][j] for j in range(4)] for i in range(3)]
+    u = [[qs[0].data[i][j] for j in range(4)] for i in range(3)]
     # column 0 of Ehat is (0,1,1): node 1 is masked in subquery 1 and serves
     # stripes 3 and 4 (its information sets) in subqueries 2 and 3
-    assert s6.stripe_assignment(0) == [None, 2, 3]
+    assert s6.stripes[0] == (None, 2, 3)
     gf = dss.msg_field
     x = dss.files[0].data  # 4 x 3
 
@@ -187,6 +187,30 @@ def test_interference_solve_example6(code73, s6):
     assert responses[6][0] == i123                       # r_{7,1} = I_1+I_2+I_3
     # and the decoder recovers x_{1,3} from r_{3,1} = I_3 + x_{1,3}
     assert responses[2][0] == gf.add(interf(0, 2), x[0][2])
+
+
+def test_corrupted_response_raises_decode_failure_not_field_error(code73):
+    """On the floor-rate [7,3] structure (Gamma = 3 < n - k) a flipped response
+    symbol can leave a subquery's parity system inconsistent; the decoder
+    reports that as DecodeFailure. The flips it cannot detect decode wrongly."""
+    from codedpir.errors import DecodeFailure
+    from codedpir.ratematrix import lambda_generic, lambda_to_E
+    e = lambda_to_E(lambda_generic(code73))
+    structure = p2_build_structure(code73, e.info_sets(), e.ehat)
+    assert structure.gamma == 3
+    dss = Dss(code73, f=2, beta=structure.beta, seed=3)
+    responses = p2_respond(dss, p2_queries(structure, 2, 1, 11))
+    assert p2_decode(structure, responses, 2, 1, dss.msg_field) == dss.files[0]
+    failures = 0
+    for l in range(7):
+        for i in range(structure.d):
+            flipped = [list(r) for r in responses]
+            flipped[l][i] ^= 1
+            try:
+                p2_decode(structure, flipped, 2, 1, dss.msg_field)
+            except DecodeFailure:
+                failures += 1
+    assert failures > 0
 
 
 def test_p2_roundtrip_on_random_codes():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from codedpir.dss import Dss, matrices_equal
+from codedpir.dss import Dss
 from codedpir.errors import OrderOverflow, RateOneProduct, StructureViolation
 from codedpir.families import grs_code, rm_code
 from codedpir.fields import Matrix, field_make, mat_rank
@@ -55,8 +55,8 @@ def test_query_offsets_match_worked_example(setup_vb, code124, f2):
         expected = cw[l] ^ (1 if l in (8, 11) else 0)
         assert qs[l].data[0][0] == expected
     # beta = 1 forces s = 1 on every accessed node
-    assert setup_vb.stripe_assignment(8) == [0, None]
-    assert setup_vb.stripe_assignment(2) == [None, 0]
+    assert setup_vb.stripes[8] == (0, None)
+    assert setup_vb.stripes[2] == (None, 0)
 
 
 def test_response_decomposition(setup_vb, code124):
@@ -89,7 +89,7 @@ def test_end_to_end_worked_example(code124, setup_vb, f, seed):
         qs = p3_queries(setup_vb, f, m, seed)
         responses = p3_respond(dss, qs)
         decoded = p3_decode(setup_vb, responses, f, m, dss.msg_field)
-        assert matrices_equal(decoded, dss.files[m - 1])
+        assert decoded == dss.files[m - 1]
 
 
 def test_rm_max_rate_small():
@@ -100,7 +100,7 @@ def test_rm_max_rate_small():
     qs = p3_queries(setup, 2, 2, seed=9)
     responses = p3_respond(dss, qs)
     decoded = p3_decode(setup, responses, 2, 2, dss.msg_field)
-    assert matrices_equal(decoded, dss.files[1])
+    assert decoded == dss.files[1]
 
 
 def test_rm_max_rate_16():
@@ -109,8 +109,7 @@ def test_rm_max_rate_16():
     dss = Dss(setup.code, f=1, beta=setup.beta, seed=1)
     qs = p3_queries(setup, 1, 1, seed=1)
     responses = p3_respond(dss, qs)
-    assert matrices_equal(p3_decode(setup, responses, 1, 1, dss.msg_field),
-                          dss.files[0])
+    assert p3_decode(setup, responses, 1, 1, dss.msg_field) == dss.files[0]
 
 
 def test_rm_degenerate_repetition():
@@ -159,7 +158,7 @@ def test_zero_codeword_hook_exposes_offsets(code124, setup_vb):
     queries = []
     for l in range(12):
         rows = [[0] * 1 for _ in range(2)]
-        for i, stripe in enumerate(setup_vb.stripe_assignment(l)):
+        for i, stripe in enumerate(setup_vb.stripes[l]):
             if setup_vb.ehat[i][l]:
                 rows[i][stripe] = 1
         queries.append(Matrix(code124.field, rows, 2, 1))
@@ -178,7 +177,7 @@ def test_end_to_end_extension_field(code124, setup_vb):
     qs = p3_queries(setup_vb, 2, 1, seed=6)
     responses = p3_respond(dss, qs)
     decoded = p3_decode(setup_vb, responses, 2, 1, dss.msg_field)
-    assert matrices_equal(decoded, dss.files[0])
+    assert decoded == dss.files[0]
 
 
 def test_necessary_condition_p3_zero_column_product(f2):
