@@ -135,41 +135,27 @@ def _audit_p23_exact(protocol: int, setup: P3Setup, dss: Dss, collusion_sets,
         raise TooLarge(f"exact mode would enumerate {space} codeword batches")
     report = PrivacyReport(protocol=protocol, mode="exact", trials=space,
                            threshold=0.0)
+    codewords = list(qcode.codewords())
+    add = code.field.add
 
     def outcome(tset) -> AuditOutcome:
         per_sub_identical = True
         for i in range(setup.d):
             dists = []
             for m in range(1, dss.f + 1):
+                # the unit offset each node of the set adds in subquery i
+                offsets = [(m - 1) * setup.beta + setup.stripes[l][i]
+                           if setup.ehat[i][l] else None for l in tset]
                 hist: dict[tuple, int] = {}
-                for idx in range(space):
-                    msgs = []
-                    t = idx
-                    for _ in range(bf):
-                        msgs.append(t % (q ** qcode.k))
-                        t //= q ** qcode.k
+                for batch in itertools.product(codewords, repeat=bf):
                     key = []
-                    for l in tset:
-                        row = []
-                        for b, msg_idx in enumerate(msgs):
-                            msg = []
-                            mm = msg_idx
-                            for _ in range(qcode.k):
-                                msg.append(mm % q)
-                                mm //= q
-                            cw = code.field
-                            val = 0
-                            for r, coef in enumerate(msg):
-                                if coef:
-                                    val = cw.add(val, cw.mul(
-                                        coef, qcode.G.data[r][l]))
-                            row.append(val)
-                        stripe = setup.stripes[l][i]
-                        if setup.ehat[i][l]:
-                            col = (m - 1) * setup.beta + stripe
-                            row[col] = code.field.add(row[col], 1)
+                    for l, col in zip(tset, offsets):
+                        row = [cw[l] for cw in batch]
+                        if col is not None:
+                            row[col] = add(row[col], 1)
                         key.extend(row)
-                    hist[tuple(key)] = hist.get(tuple(key), 0) + 1
+                    key = tuple(key)
+                    hist[key] = hist.get(key, 0) + 1
                 dists.append(hist)
             if not all(h == dists[0] for h in dists[1:]):
                 per_sub_identical = False

@@ -91,14 +91,10 @@ def cmd_matrix_find(args) -> int:
     spec = _load_spec(args.spec)
     code = code_from_spec(spec)
     if args.lrc:
-        from .families import LrcParams
         if spec.get("family") != "lrc":
             print("--lrc requires an lrc code spec", file=sys.stderr)
             return 2
-        params = LrcParams(q=spec["q"], r=spec["r"], delta=spec["delta"],
-                           Lc=spec["Lc"], n=spec["n"], k=spec["k"],
-                           local_parity=spec["P"], global_mix=spec["M"])
-        em = lrc_E_matrix(params, code)
+        em = lrc_E_matrix(code.meta["params"], code)
         lam = rate_matrix(code, E_to_lambda(em))
     elif args.automorphisms:
         perms = json.loads(Path(args.automorphisms).read_text())

@@ -7,14 +7,16 @@ render 1-based coordinates to match the usual coding-theory convention.
 Two exact kernels carry the code predicates:
 
 - Column independence. Each code builds, once, an elimination step over the
-  columns of H (`_column_reducer`). It reduces one column against a basis kept
-  as a dict from pivot key to a vector whose leading entry sits at that key,
-  and adds the column when it is independent. GF(2) columns are bitmasks keyed
-  by their top bit; GF(p) columns are integer tuples reduced mod p; GF(p^a)
-  columns are scaled through the field's log/exp tables (`mul` for fields
-  above 2^16 elements, which have none), with XOR addition in characteristic
-  2. `erasure_correctable`, `pivot_columns` and the column search of
-  `min_distance` are all built from this step; none allocates a `Matrix`.
+  columns of H and another over the columns of G (`_column_reducer`). It
+  reduces one column against a basis kept as a dict from pivot key to a vector
+  whose leading entry sits at that key, and adds the column when it is
+  independent. GF(2) columns are bitmasks keyed by their top bit; GF(p)
+  columns are integer tuples reduced mod p; GF(p^a) columns are scaled through
+  the field's log/exp tables (`mul` for fields above 2^16 elements, which have
+  none), with XOR addition in characteristic 2. Every column-subset question
+  is answered by one of the two: on H, `erasure_correctable`, `pivot_columns`
+  and the column search of `min_distance`; on G, the information-set
+  predicates through `information_columns`. None allocates a `Matrix`.
 - Encoding over GF(q) (`_encode_array`, built once per code). A batch of
   messages, as numpy int64 rows, is mapped to its codewords: `msgs @ G mod p`
   over a prime field, and over GF(p^a) a sum of per-row multiple tables (row d
@@ -120,10 +122,10 @@ class LinearCode:
                 raise DimensionMismatch("parity-check shape mismatch")
             if self.n - self.k > 0 and mat_rank(H) != self.n - self.k:
                 raise RankDeficientGenerator("parity-check rows are dependent")
-            prod = mat_mul(G, H.transpose())
-            if any(any(x for x in row) for row in prod.data):
+            if not self.contains_codewords(G.data):
                 raise DimensionMismatch("G H^T != 0")
         self._reduce = _column_reducer(H)
+        self._reduce_g = _column_reducer(G)
         self._encoder = None
 
     # --- constructors ---------------------------------------------------------
@@ -131,17 +133,17 @@ class LinearCode:
     @staticmethod
     def from_generator(G: Matrix, meta: dict | None = None,
                        known_dmin: int | None = None) -> "LinearCode":
-        if mat_rank(G) != G.rows:
-            raise RankDeficientGenerator("generator rows are dependent")
         H = null_space(G)
+        if H.rows != G.cols - G.rows:  # rank-nullity
+            raise RankDeficientGenerator("generator rows are dependent")
         return LinearCode(G, H, meta=meta, known_dmin=known_dmin, check=False)
 
     @staticmethod
     def from_parity_check(H: Matrix, meta: dict | None = None,
                           known_dmin: int | None = None) -> "LinearCode":
-        if H.rows and mat_rank(H) != H.rows:
-            raise RankDeficientGenerator("parity-check rows are dependent")
         G = null_space(H)
+        if G.rows != H.cols - H.rows:  # rank-nullity
+            raise RankDeficientGenerator("parity-check rows are dependent")
         return LinearCode(G, H, meta=meta, known_dmin=known_dmin, check=False)
 
     def __repr__(self) -> str:
@@ -170,24 +172,32 @@ class LinearCode:
 
     def is_information_set(self, coords: Iterable[int]) -> bool:
         coords = sorted(set(int(j) for j in coords))
-        if len(coords) != self.k:
-            return False
-        return mat_rank(self.G.restrict_cols(coords)) == self.k
+        return len(coords) == self.k and self.contains_information_set(coords)
 
     def contains_information_set(self, coords: Iterable[int]) -> bool:
         coords = sorted(set(int(j) for j in coords))
-        return mat_rank(self.G.restrict_cols(coords)) == self.k
+        return len(self.information_columns(coords)) == self.k
 
     def information_set(self) -> tuple[int, ...]:
-        _, pivots = mat_rref(self.G)
-        return tuple(pivots)
+        return tuple(self.information_columns(range(self.n)))
 
     def random_information_set(self, rng) -> tuple[int, ...]:
         """Pivot columns of G under a random column permutation."""
         perm = list(range(self.n))
         rng.shuffle(perm)
-        _, pivots = mat_rref(self.G.restrict_cols(perm))
-        return tuple(sorted(perm[c] for c in pivots))
+        return tuple(sorted(self.information_columns(perm)))
+
+    def information_columns(self, order: Iterable[int]) -> list[int]:
+        """Columns of G taken greedily in `order`, each independent of those
+        taken before it (at most k; an information set when k are taken)."""
+        return _greedy_pivots(self._reduce_g, order, self.k)
+
+    def contains_codewords(self, words: Sequence[Sequence[int]]) -> bool:
+        """True iff every word (n symbols) has zero syndrome against H. For k
+        independent words this says that they span this code."""
+        words = Matrix(self.field, words, len(words), self.n)
+        syndromes = mat_mul(words, self.H.transpose())
+        return not any(any(row) for row in syndromes.data)
 
     def erasure_correctable(self, pattern: ErasurePattern) -> bool:
         """True iff the erased columns of H are linearly independent."""
@@ -207,15 +217,7 @@ class LinearCode:
         """Columns of H taken greedily in `order`, each independent of those
         taken before it: the pivot columns of rref(H[:, order]) mapped back
         through `order`, in that order."""
-        basis: dict = {}
-        reduce = self._reduce
-        out = []
-        for j in order:
-            if len(out) == self.H.rows:
-                break
-            if reduce(basis, j) is not None:
-                out.append(j)
-        return out
+        return _greedy_pivots(self._reduce, order, self.H.rows)
 
     # --- encoding / decoding ------------------------------------------------------
 
@@ -440,21 +442,13 @@ class LinearCode:
         for a in self.G.data:
             for b in other.G.data:
                 products.append([f.mul(x, y) for x, y in zip(a, b)])
-        stacked = Matrix(f, products, len(products), self.n)
-        red, pivots = mat_rref(stacked)
-        basis = [red.data[i] for i in range(len(pivots))]
-        G = Matrix(f, basis, len(pivots), self.n)
-        return LinearCode(G, null_space(G), check=False)
+        return _spanned_code(Matrix(f, products, len(products), self.n))
 
     def puncture(self, coords: Iterable[int]) -> "LinearCode":
         coords = sorted(set(int(j) for j in coords))
         if not coords:
             raise EmptySupport("puncture onto empty coordinate set")
-        sub = self.G.restrict_cols(coords)
-        red, pivots = mat_rref(sub)
-        basis = [red.data[i] for i in range(len(pivots))]
-        G = Matrix(self.field, basis, len(pivots), len(coords))
-        return LinearCode(G, null_space(G), check=False)
+        return _spanned_code(self.G.restrict_cols(coords))
 
     def shorten(self, coords: Iterable[int]) -> "LinearCode":
         """Codewords vanishing outside `coords`, restricted to `coords`."""
@@ -466,20 +460,13 @@ class LinearCode:
             msgs = null_space(self.G.restrict_cols(outside).transpose())
         else:
             msgs = Matrix.identity(self.field, self.k)
-        if msgs.rows == 0:
-            G = Matrix(self.field, [], 0, len(coords))
-            return LinearCode(G, Matrix.identity(self.field, len(coords)), check=False)
-        cw = mat_mul(msgs, self.G.restrict_cols(coords))
-        red, pivots = mat_rref(cw)
-        basis = [red.data[i] for i in range(len(pivots))]
-        G = Matrix(self.field, basis, len(pivots), len(coords))
-        return LinearCode(G, null_space(G), check=False)
+        return _spanned_code(mat_mul(msgs, self.G.restrict_cols(coords)))
 
     def is_automorphism(self, perm: Sequence[int]) -> bool:
         """True iff permuting coordinates by `perm` preserves the codeword set.
 
-        `perm[j]` is the new position of coordinate j. Equality of codeword
-        sets is tested by the rank of the stacked generators.
+        `perm[j]` is the new position of coordinate j. The permuted generator
+        rows have rank k, so they span this code iff they are codewords.
         """
         perm = list(perm)
         if sorted(perm) != list(range(self.n)):
@@ -489,14 +476,34 @@ class LinearCode:
             row = self.G.data[i]
             for j in range(self.n):
                 permuted[i][perm[j]] = row[j]
-        stacked = Matrix(self.field, self.G.data + permuted, 2 * self.k, self.n)
-        return mat_rank(stacked) == self.k
+        return self.contains_codewords(permuted)
 
     # --- wire format -------------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         return {"family": "raw", "q": self.field.order,
                 "generator": [list(r) for r in self.G.data]}
+
+
+def _spanned_code(M: Matrix) -> LinearCode:
+    """The code spanned by the rows of M: the nonzero rows of rref(M) as G."""
+    red, pivots = mat_rref(M)
+    G = Matrix(M.field, red.data[:len(pivots)], len(pivots), M.cols)
+    return LinearCode(G, null_space(G), check=False)
+
+
+def _greedy_pivots(reduce, order: Iterable[int], limit: int) -> list[int]:
+    """Columns taken greedily in `order` by a `_column_reducer` step, each
+    independent of those taken before it, stopping after `limit`: the pivot
+    columns of rref(M[:, order]) mapped back through `order`, in that order."""
+    basis: dict = {}
+    out = []
+    for j in order:
+        if len(out) == limit:
+            break
+        if reduce(basis, j) is not None:
+            out.append(j)
+    return out
 
 
 def _column_reducer(H: Matrix):

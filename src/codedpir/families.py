@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from .codes import LinearCode, code_from_generator
+from .codes import ErasurePattern, LinearCode, code_from_generator, standard_form_parity
 from .errors import (
     BadDimensions,
     BadOrder,
@@ -22,7 +22,7 @@ from .errors import (
     NotMdsCompliant,
     ZeroMultiplier,
 )
-from .fields import FiniteField, Matrix, field_make, mat_rank
+from .fields import FiniteField, Matrix, _factor_prime_power, _poly_rem, field_make
 
 
 # --- generalized Reed-Solomon -------------------------------------------------
@@ -110,21 +110,6 @@ def rm_translate(coords, sigma) -> tuple[int, ...]:
 
 # --- cyclic codes -----------------------------------------------------------------
 
-def _poly_rem_field(num: list[int], den: list[int], f: FiniteField) -> list[int]:
-    num = list(num)
-    while num and num[-1] == 0:
-        num.pop()
-    inv_lead = f.inv(den[-1])
-    while num and len(num) >= len(den):
-        coef = f.mul(num[-1], inv_lead)
-        shift = len(num) - len(den)
-        for j, dj in enumerate(den):
-            num[shift + j] = f.sub(num[shift + j], f.mul(coef, dj))
-        while num and num[-1] == 0:
-            num.pop()
-    return num
-
-
 def cyclic_code(field: FiniteField, n: int, genpoly: list[int]) -> LinearCode:
     """Cyclic [n, n - deg g] code with generator polynomial g (low-to-high)."""
     g = [x % field.order for x in genpoly]
@@ -133,7 +118,7 @@ def cyclic_code(field: FiniteField, n: int, genpoly: list[int]) -> LinearCode:
     if not g:
         raise NotDivisor("zero generator polynomial")
     xn1 = [field.neg(1)] + [0] * (n - 1) + [1]
-    if _poly_rem_field(xn1, g, field):
+    if _poly_rem(xn1, g, field):
         raise NotDivisor("g(x) does not divide x^n - 1")
     k = n - (len(g) - 1)
     rows = [[0] * i + g + [0] * (n - len(g) - i + 1 - 1) for i in range(k)]
@@ -186,10 +171,10 @@ class LrcParams:
         return sets
 
 
-def lrc_optimal(params: LrcParams, mds_check: bool = True) -> LinearCode:
-    """Code with the block locality parity-check; optionally verify that the
-    assembled MDS-side matrix really is the parity check of an MDS code."""
-    f = field_make(*_prime_power(params.q))
+def lrc_optimal(params: LrcParams) -> LinearCode:
+    """Code with the block locality parity-check, after checking that every
+    local code and the assembled MDS-side matrix are MDS."""
+    f = field_make(*_factor_prime_power(params.q))
     r, delta, Lc = params.r, params.delta, params.Lc
     n_c, n, k, a = params.n_c, params.n, params.k, params.global_count
     if k % r != 0 or Lc != k // r:
@@ -221,16 +206,12 @@ def lrc_optimal(params: LrcParams, mds_check: bool = True) -> LinearCode:
         row[Lc * n_c + i] = 1
         hrows.append(row)
     H = Matrix(f, hrows)
-    if mds_check:
-        # local codes must be [r+delta-1, r] MDS
-        for j in range(Lc):
-            h_loc = Matrix(f, [params.local_parity[j][i] + [1 if t == i else 0 for t in range(dm1)]
-                               for i in range(dm1)])
-            for cols in itertools.combinations(range(n_c), dm1):
-                if mat_rank(h_loc.restrict_cols(cols)) != dm1:
-                    raise NotMdsCompliant(f"local code {j+1} is not MDS")
-        if not mds_compliant(params):
-            raise NotMdsCompliant("assembled MDS-side parity check is not MDS")
+    # local codes must be [r+delta-1, r] MDS
+    for j in range(Lc):
+        if not _is_mds_parity_check(f, params.local_parity[j], r):
+            raise NotMdsCompliant(f"local code {j+1} is not MDS")
+    if not mds_compliant(params):
+        raise NotMdsCompliant("assembled MDS-side parity check is not MDS")
     code = LinearCode.from_parity_check(H, meta={"family": "lrc", "params": params})
     if code.k != k:
         raise BadDimensions(f"parity check yields dimension {code.k}, expected {k}")
@@ -239,28 +220,25 @@ def lrc_optimal(params: LrcParams, mds_check: bool = True) -> LinearCode:
 
 def mds_compliant(params: LrcParams) -> bool:
     """Does the stacked (P | M | I) matrix define an [n', k] MDS code?"""
-    f = field_make(*_prime_power(params.q))
-    dm1 = params.delta - 1
-    a = params.global_count
+    f = field_make(*_factor_prime_power(params.q))
     rows = []
-    for i in range(dm1):
-        row = []
-        for j in range(params.Lc):
-            row.extend(params.local_parity[j][i])
-        rows.append(row)
-    for i in range(a):
-        row = []
-        for j in range(params.Lc):
-            row.extend(params.global_mix[j][i])
-        rows.append(row)
-    m = dm1 + a
-    for i in range(m):
-        rows[i].extend(1 if t == i else 0 for t in range(m))
-    h_mds = Matrix(f, rows)
-    for cols in itertools.combinations(range(h_mds.cols), m):
-        if mat_rank(h_mds.restrict_cols(cols)) != m:
-            return False
-    return True
+    for i in range(params.delta - 1):
+        rows.append([x for j in range(params.Lc) for x in params.local_parity[j][i]])
+    for i in range(params.global_count):
+        rows.append([x for j in range(params.Lc) for x in params.global_mix[j][i]])
+    return _is_mds_parity_check(f, rows, params.Lc * params.r)
+
+
+def _is_mds_parity_check(f: FiniteField, left: list[list[int]], width: int) -> bool:
+    """Is (left | I) the parity check of an MDS code: is every set of
+    len(left) columns an independent, hence correctable, erasure pattern?
+    A parity check with no rows is trivially MDS."""
+    m = len(left)
+    h = Matrix(f, [list(row) + [int(t == i) for t in range(m)]
+                   for i, row in enumerate(left)], m, width + m)
+    code = LinearCode.from_parity_check(h)
+    return all(code.erasure_correctable(ErasurePattern.from_support(h.cols, cols))
+               for cols in itertools.combinations(range(h.cols), m))
 
 
 def pyramid_code(field: FiniteField, r: int, delta: int, Lc: int, a: int,
@@ -274,13 +252,8 @@ def pyramid_code(field: FiniteField, r: int, delta: int, Lc: int, a: int,
     k = Lc * r
     nprime = k + (delta - 1) + a
     rs = grs_code(field, nprime, k, eval_points=eval_points)
-    # systematic parity check: bring H to (P' | I) form on the parity coords
-    from .fields import mat_inverse, mat_mul
-    h = rs.H
-    tail = list(range(k, nprime))
-    transform = mat_inverse(h.restrict_cols(tail))
-    h_sys = mat_mul(transform, h)
-    pprime = h_sys.restrict_cols(list(range(k)))
+    # systematic parity check (P' | I) on the parity coordinates
+    pprime, _ = standard_form_parity(rs, list(range(k)))
     local_parity = [[pprime.data[i][j * r:(j + 1) * r] for i in range(delta - 1)]
                     for j in range(Lc)]
     global_mix = [[pprime.data[delta - 1 + i][j * r:(j + 1) * r] for i in range(a)]
@@ -306,33 +279,28 @@ def uuv_code(U: LinearCode) -> LinearCode:
 
 # --- JSON code specs -------------------------------------------------------------
 
-def _prime_power(q: int) -> tuple[int, int]:
-    from .fields import _factor_prime_power
-    return _factor_prime_power(q)
-
-
 def code_from_spec(spec: dict) -> LinearCode:
     """Build a code from its JSON spec; see each family for its fields."""
     family = spec["family"]
     if family == "raw":
-        f = field_make(*_prime_power(int(spec["q"])))
+        f = field_make(*_factor_prime_power(int(spec["q"])))
         return code_from_generator(Matrix(f, spec["generator"]))
     if family == "grs":
-        f = field_make(*_prime_power(int(spec["q"])))
+        f = field_make(*_factor_prime_power(int(spec["q"])))
         return grs_code(f, int(spec["n"]), int(spec["k"]),
                         eval_points=spec.get("points"),
                         multipliers=spec.get("multipliers"))
     if family == "reed-muller":
         return rm_code(int(spec["v"]), int(spec["m"]))
     if family == "cyclic":
-        f = field_make(*_prime_power(int(spec["q"])))
+        f = field_make(*_factor_prime_power(int(spec["q"])))
         return cyclic_code(f, int(spec["n"]), list(spec["genpoly"]))
     if family == "lrc":
         params = LrcParams(q=int(spec["q"]), r=int(spec["r"]),
                            delta=int(spec["delta"]), Lc=int(spec["Lc"]),
                            n=int(spec["n"]), k=int(spec["k"]),
                            local_parity=spec["P"], global_mix=spec["M"])
-        return lrc_optimal(params, mds_check=bool(spec.get("mds_check", True)))
+        return lrc_optimal(params)
     if family == "uuv":
         return uuv_code(code_from_spec(spec["U"]))
     raise BadDimensions(f"unknown code family {family!r}")

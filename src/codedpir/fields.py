@@ -40,7 +40,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# --- polynomial helpers over GF(p), coefficients low-to-high ----------------
+# --- polynomial helpers, coefficients low-to-high ----------------------------
 
 def _poly_trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
@@ -81,22 +81,24 @@ def _poly_powmod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> lis
     return result
 
 
-def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    a = _poly_trim(list(a))
-    inv_lead = pow(b[-1], p - 2, p)
-    while a and len(a) >= len(b):
-        coef = (a[-1] * inv_lead) % p
-        shift = len(a) - len(b)
-        for j, bj in enumerate(b):
-            a[shift + j] = (a[shift + j] - coef * bj) % p
-        _poly_trim(a)
-    return a
+def _poly_rem(num: list[int], den: list[int], f: "FiniteField") -> list[int]:
+    """Remainder of num by den over the field f (den with a nonzero lead)."""
+    num = _poly_trim(list(num))
+    inv_lead = f.inv(den[-1])
+    while num and len(num) >= len(den):
+        coef = f.mul(num[-1], inv_lead)
+        shift = len(num) - len(den)
+        for j, dj in enumerate(den):
+            num[shift + j] = f.sub(num[shift + j], f.mul(coef, dj))
+        _poly_trim(num)
+    return num
 
 
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    f = field_make(p)
     a, b = _poly_trim(list(a)), _poly_trim(list(b))
     while b:
-        a, b = b, _poly_rem(a, b, p)
+        a, b = b, _poly_rem(a, b, f)
     return a
 
 
@@ -245,9 +247,6 @@ class FiniteField:
             return self._exp[(self.order - 1) - self._log[a]]
         return self.pow(a, self.order - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         e = int(e)
         if e < 0:
@@ -393,45 +392,19 @@ class Matrix:
         return Matrix(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def zero(field: FiniteField, rows: int, cols: int) -> "Matrix":
-        return Matrix(field, [[0] * cols for _ in range(rows)], rows, cols)
-
-    @staticmethod
     def column(field: FiniteField, entries: Sequence[int]) -> "Matrix":
         return Matrix(field, [[int(e)] for e in entries])
 
     # --- accessors ------------------------------------------------------------
-
-    def at(self, i: int, j: int) -> int:
-        return self.data[i][j]
-
-    def row(self, i: int) -> list[int]:
-        return list(self.data[i])
-
-    def col(self, j: int) -> list[int]:
-        return [row[j] for row in self.data]
 
     def restrict_cols(self, cols: Sequence[int]) -> "Matrix":
         cols = list(cols)
         return Matrix(self.field, [[row[j] for j in cols] for row in self.data],
                       self.rows, len(cols))
 
-    def restrict_rows(self, rows: Sequence[int]) -> "Matrix":
-        return Matrix(self.field, [self.data[i] for i in rows])
-
     def transpose(self) -> "Matrix":
         return Matrix(self.field, [list(col) for col in zip(*self.data)] if self.data else [],
                       self.cols, self.rows)
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        if other.cols != self.cols:
-            raise DimensionMismatch("stack: column counts differ")
-        if other.field is not self.field:
-            raise FieldMismatch("stack: fields differ")
-        return Matrix(self.field, self.data + other.data)
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.data, self.rows, self.cols)
 
     def lift(self, ext: FiniteField) -> "Matrix":
         """This matrix with entries embedded into the extension field `ext`."""
@@ -513,41 +486,12 @@ def mat_rref(M: Matrix) -> tuple[Matrix, list[int]]:
         r += 1
         if r == rows:
             break
-    return Matrix(f, a, rows, cols), pivots
+    return Matrix.wrap(f, a, rows, cols), pivots
 
 
 def mat_rank(M: Matrix) -> int:
     """Rank over the matrix's field; 0 for an all-zero or empty matrix."""
-    f = M.field
-    a = [list(row) for row in M.data]
-    rows, cols = M.rows, M.cols
-    rank = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(rank, rows):
-            if a[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        inv = f.inv(a[rank][c])
-        prow = a[rank]
-        if inv != 1:
-            for j in range(c, cols):
-                if prow[j]:
-                    prow[j] = f.mul(inv, prow[j])
-        for i in range(rank + 1, rows):
-            if a[i][c]:
-                coef = a[i][c]
-                irow = a[i]
-                for j in range(c, cols):
-                    if prow[j]:
-                        irow[j] = f.sub(irow[j], f.mul(coef, prow[j]))
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return len(mat_rref(M)[1])
 
 
 def _common_field(a: FiniteField, b: FiniteField) -> FiniteField:

@@ -29,6 +29,8 @@ from .rng import rng_for
 EXHAUSTIVE_LIMIT = 100_000   # enumerate all weight-w patterns up to this count
 SAMPLE_BUDGET = 100_000      # randomized pivot draws otherwise
 STATE_BUDGET = 5_000_000     # DFS state guard
+WINDOW_LAYOUTS = 200         # information-set complements the fast path tries
+WINDOW_SHUFFLES = 60         # seeded window orders per complement
 
 
 @dataclass(frozen=True)
@@ -101,9 +103,8 @@ def compute_erasure_pattern_list(code: LinearCode, w: int,
     return PatternList(w, tuple(found.values()), tuple(_bitmask(s) for s in found))
 
 
-def compute_matrix(lgamma: PatternList, lnk: PatternList, d: int, beta: int,
-                   allow_repeats: bool = True,
-                   state_budget: int = STATE_BUDGET) -> ErasureMatrix | None:
+def compute_matrix(lgamma: PatternList, lnk: PatternList, d: int,
+                   beta: int) -> ErasureMatrix | None:
     """Pick d rows from lgamma and beta rows from lnk whose stacked matrix is
     beta-column regular; None when infeasible. Exact search.
 
@@ -119,16 +120,15 @@ def compute_matrix(lgamma: PatternList, lnk: PatternList, d: int, beta: int,
         return None
     masks_g = sorted(set(lgamma.masks()))
     masks_k = sorted(set(lnk.masks()))
-    if allow_repeats:
-        fast = _window_construction(masks_g, masks_k, n, gamma, d, beta)
-        if fast is not None:
-            return fast
+    fast = _window_construction(masks_g, masks_k, n, gamma, d, beta)
+    if fast is not None:
+        return fast
     cover_g = [[i for i, msk in enumerate(masks_g) if (msk >> j) & 1] for j in range(n)]
     cover_k = [[i for i, msk in enumerate(masks_k) if (msk >> j) & 1] for j in range(n)]
     failed: set[tuple] = set()
     states = 0
 
-    def dfs(counts: list[int], r1: int, r2: int, used: frozenset,
+    def dfs(counts: list[int], r1: int, r2: int,
             chosen_g: list[int], chosen_k: list[int]):
         nonlocal states
         deficits = [beta - c for c in counts]
@@ -140,11 +140,11 @@ def compute_matrix(lgamma: PatternList, lnk: PatternList, d: int, beta: int,
         remaining = r1 + r2
         if any(df > remaining for df in deficits):
             return False
-        key = (bytes(counts), r1, r2) if allow_repeats else (bytes(counts), r1, r2, used)
+        key = (bytes(counts), r1, r2)
         if key in failed:
             return False
         states += 1
-        if states > state_budget:
+        if states > STATE_BUDGET:
             raise TooLarge("selection search exceeded the state budget")
         # branch on the deficient column with the fewest covering rows
         best_j, best_cands = -1, None
@@ -160,8 +160,6 @@ def compute_matrix(lgamma: PatternList, lnk: PatternList, d: int, beta: int,
         if r2:
             options.extend(("k", i) for i in cover_k[best_j])
         for tag, i in options:
-            if not allow_repeats and (tag, i) in used:
-                continue
             msk = masks_g[i] if tag == "g" else masks_k[i]
             ok = True
             mm = msk
@@ -179,15 +177,14 @@ def compute_matrix(lgamma: PatternList, lnk: PatternList, d: int, beta: int,
                 low = mm & -mm
                 counts[low.bit_length() - 1] += 1
                 mm ^= low
-            nxt_used = used if allow_repeats else used | {(tag, i)}
             if tag == "g":
                 chosen_g.append(i)
-                if dfs(counts, r1 - 1, r2, nxt_used, chosen_g, chosen_k):
+                if dfs(counts, r1 - 1, r2, chosen_g, chosen_k):
                     return True
                 chosen_g.pop()
             else:
                 chosen_k.append(i)
-                if dfs(counts, r1, r2 - 1, nxt_used, chosen_g, chosen_k):
+                if dfs(counts, r1, r2 - 1, chosen_g, chosen_k):
                     return True
                 chosen_k.pop()
             mm = msk
@@ -200,7 +197,7 @@ def compute_matrix(lgamma: PatternList, lnk: PatternList, d: int, beta: int,
 
     chosen_g: list[int] = []
     chosen_k: list[int] = []
-    if not dfs([0] * n, d, beta, frozenset(), chosen_g, chosen_k):
+    if not dfs([0] * n, d, beta, chosen_g, chosen_k):
         return None
 
     def unmask(msk: int) -> tuple[int, ...]:
@@ -212,8 +209,7 @@ def compute_matrix(lgamma: PatternList, lnk: PatternList, d: int, beta: int,
 
 
 def _window_construction(masks_g: list[int], masks_k: list[int], n: int,
-                         gamma: int, d: int, beta: int, s_limit: int = 200,
-                         shuffle_tries: int = 60) -> ErasureMatrix | None:
+                         gamma: int, d: int, beta: int) -> ErasureMatrix | None:
     """Repeat one info-set complement beta times; tile its complement with d
     cyclic weight-Gamma windows (offsets i*Gamma cover each coordinate beta
     times). Window layouts are tried over rotations of the sorted coordinate
@@ -241,7 +237,7 @@ def _window_construction(masks_g: list[int], masks_k: list[int], n: int,
                              ehat=tuple(unmask(m) for m in windows),
                              ebar=tuple(unmask(s_mask) for _ in range(beta)))
 
-    for s_mask in masks_k[:s_limit]:
+    for s_mask in masks_k[:WINDOW_LAYOUTS]:
         comp = [j for j in range(n) if not (s_mask >> j) & 1]
         k_eff = len(comp)
         if gamma > k_eff:
@@ -251,7 +247,7 @@ def _window_construction(masks_g: list[int], masks_k: list[int], n: int,
             if result is not None:
                 return result
         order = list(comp)
-        for _ in range(shuffle_tries):
+        for _ in range(WINDOW_SHUFFLES):
             rng.shuffle(order)
             result = try_order(order)
             if result is not None:

@@ -266,12 +266,10 @@ def p1_decode(plan: P1Plan, responses: Sequence[Sequence[int]],
 
 
 def _info_subset(code: LinearCode, coords: list[int]) -> list[int]:
-    from .fields import mat_rref
-    sub = code.G.restrict_cols(coords)
-    _, pivots = mat_rref(sub)
-    if len(pivots) != code.k:
+    info = code.information_columns(coords)
+    if len(info) != code.k:
         raise DecodeFailure(f"coordinates {coords} contain no information set")
-    return [coords[c] for c in pivots]
+    return info
 
 
 def _codeword_from_coords(code: LinearCode, coords: dict[int, int],

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codes import ErasurePattern, LinearCode
+from .codes import ErasurePattern, LinearCode, gaussian_binomial
 from .errors import (
     DecodeFailure,
     DimensionMismatch,
@@ -31,11 +31,13 @@ from .errors import (
     RateOneProduct,
     StructureViolation,
 )
-from .fields import FiniteField, Matrix, mat_mul, mat_rank, mat_solve
+from .fields import FiniteField, Matrix, mat_mul, mat_solve
 from .families import rm_code, rm_information_set, rm_translate
 from .rng import rng_for
 
 Mask = tuple[int, ...]
+
+GHW_EXHAUSTIVE_LIMIT = 50_000  # subspaces enumerated for a product-side d_s
 
 
 @dataclass(frozen=True)
@@ -258,8 +260,7 @@ def p3_rm_max_rate(v: int, vbar: int, m: int) -> P3Setup:
     query_code = rm_code(vbar, m)
     product = code.hadamard_product(query_code)
     expected = rm_code(v + vbar, m)
-    if product.k != expected.k or mat_rank(
-            Matrix(code.field, product.G.data + expected.G.data)) != product.k:
+    if product.k != expected.k or not expected.contains_codewords(product.G.data):
         raise StructureViolation("product is not the expected Reed-Muller code")
     n = code.n
     i_tilde = rm_information_set(v + vbar, m)
@@ -286,15 +287,13 @@ class P3ConditionReport:
     witness_value: int | None = None
 
 
-def necessary_condition_p3(code: LinearCode, query_code: LinearCode,
-                           exhaustive_limit: int = 50_000) -> P3ConditionReport:
+def necessary_condition_p3(code: LinearCode, query_code: LinearCode) -> P3ConditionReport:
     """GHW conditions for a maximum-rate matrix to exist:
     d_s(storage) >= (n - ktilde) s / k and d_s(product) >= s.
 
     The product-side inequality is certified through strict GHW monotonicity
     (d_s >= d_1 + s - 1) whenever full enumeration would exceed the budget.
     """
-    from .codes import gaussian_binomial
     product = code.hadamard_product(query_code)
     n, k, ktilde = code.n, code.k, product.k
     for s in range(1, k + 1):
@@ -305,7 +304,7 @@ def necessary_condition_p3(code: LinearCode, query_code: LinearCode,
     if product.k > 0:
         d1 = product.min_distance()
         for s in range(1, product.k + 1):
-            if gaussian_binomial(product.k, s, product.field.order) <= exhaustive_limit:
+            if gaussian_binomial(product.k, s, product.field.order) <= GHW_EXHAUSTIVE_LIMIT:
                 ds = product.generalized_hamming_weight(s)
             else:
                 ds = d1 + s - 1  # strict monotonicity lower bound

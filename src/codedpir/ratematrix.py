@@ -30,6 +30,8 @@ from .rng import rng_for
 
 Mask = tuple[int, ...]
 
+LRC_BLOCK_ATTEMPTS = 60  # regular block layouts tried by lrc_E_matrix
+
 
 @dataclass(frozen=True)
 class RateMatrix:
@@ -273,8 +275,7 @@ def E_to_lambda(E: ErasureMatrix) -> list[Mask]:
 
 # --- locality-code E-matrix construction ----------------------------------------------
 
-def lrc_E_matrix(params: LrcParams, code: LinearCode | None = None,
-                 attempts: int = 60) -> ErasureMatrix:
+def lrc_E_matrix(params: LrcParams, code: LinearCode | None = None) -> ErasureMatrix:
     """(n-k)-regular n x n erasure matrix for a distance-optimal locality code.
 
     Initializes the rotating block structure (one rho_l-regular square block
@@ -299,7 +300,7 @@ def lrc_E_matrix(params: LrcParams, code: LinearCode | None = None,
     psets = params.parity_sets()
     parity_all = [j for ps in psets for j in ps]
     rng = rng_for(0, "lrc-E-blocks")
-    for attempt in range(attempts):
+    for attempt in range(LRC_BLOCK_ATTEMPTS):
         pis = _regular_blocks(rho, n_c, attempt, rng)
         E = [[0] * n for _ in range(n)]
         for part_i in range(L):
@@ -330,7 +331,7 @@ def lrc_E_matrix(params: LrcParams, code: LinearCode | None = None,
         return ErasureMatrix(d=k, beta=n - k,
                              ehat=tuple(tuple(r) for r in E[:k]),
                              ebar=tuple(tuple(r) for r in E[k:]))
-    raise NoValidSwap(f"no correctable block layout found in {attempts} attempts")
+    raise NoValidSwap(f"no correctable block layout found in {LRC_BLOCK_ATTEMPTS} attempts")
 
 
 def _regular_blocks(rho: list[int], n_c: int, attempt: int, rng) -> list[list[list[int]]]:

@@ -17,7 +17,6 @@ from pathlib import Path
 from .codes import LinearCode, standard_form_parity
 from .errors import BadParams
 from .families import code_from_spec
-from .fields import Matrix, mat_rank
 from .optimizer import optimize_rate
 from .protocol3 import collusion_threshold, p3_rm_max_rate
 
@@ -89,8 +88,7 @@ def _diffs(computed: dict, expected: dict) -> dict:
     return deltas
 
 
-def noncolluding_row(fixture: dict, seed: int = 0,
-                     budget_override: int | None = None) -> RowResult:
+def noncolluding_row(fixture: dict, seed: int = 0) -> RowResult:
     code = fixture_code(fixture)
     table = "I" if "table1" in fixture else "II"
     expected = fixture.get("table1") or fixture.get("table2")
@@ -103,10 +101,7 @@ def noncolluding_row(fixture: dict, seed: int = 0,
         computed["r_nonopt"] = Fraction(dprime - 1, code.n)
     else:
         computed["r_nonopt"] = Fraction(code.min_distance() - 1, code.n)
-    kwargs = {"seed": seed}
-    if budget_override:
-        kwargs["budget"] = budget_override
-    e_opt, gamma_opt = optimize_rate(code, **kwargs)
+    e_opt, gamma_opt = optimize_rate(code, seed=seed)
     if e_opt is None:
         raise BadParams(f"{fixture['name']}: optimizer found no structure")
     computed["r_opt"] = Fraction(gamma_opt, code.n)
@@ -130,8 +125,7 @@ def colluding_row(fixture: dict, seed: int = 0) -> RowResult:
     computed["r_nonopt"] = Fraction(max(computed["product_d_min"] - 1, 0), n)
     if coll["method"] == "analytic":
         setup = p3_rm_max_rate(*coll["rm"])
-        stacked = Matrix(code.field, setup.code.G.data + code.G.data)
-        if mat_rank(stacked) != code.k or setup.code.k != code.k:
+        if setup.code.k != code.k or not setup.code.contains_codewords(code.G.data):
             raise BadParams(f"{fixture['name']}: fixture code is not the "
                             "expected Reed-Muller code")
         computed["r_opt"] = setup.rate
@@ -152,20 +146,15 @@ def colluding_row(fixture: dict, seed: int = 0) -> RowResult:
                      _diffs(computed, expected))
 
 
-def report_tables(directory: Path | str | None = None, seed: int = 0,
-                  tables: tuple[str, ...] = ("table1", "table2", "table3")
-                  ) -> TablesReport:
+def report_tables(directory: Path | str | None = None, seed: int = 0) -> TablesReport:
     directory = Path(directory) if directory else fixtures_dir()
     index = json.loads((directory / "index.json").read_text())
     report = TablesReport()
     for table_key in ("table1", "table2"):
-        if table_key not in tables:
-            continue
         for name in index[table_key]:
             fixture = load_fixture(name, directory)
             report.rows.append(noncolluding_row(fixture, seed=seed))
-    if "table3" in tables:
-        for name in index["table3"]:
-            fixture = load_fixture(name, directory)
-            report.rows.append(colluding_row(fixture, seed=seed))
+    for name in index["table3"]:
+        fixture = load_fixture(name, directory)
+        report.rows.append(colluding_row(fixture, seed=seed))
     return report

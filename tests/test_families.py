@@ -77,6 +77,15 @@ def test_cyclic_codes():
     assert whole.k == 5
     with pytest.raises(NotDivisor):
         cyclic_code(f2, 7, [1, 1, 1])
+    # x^3 - 1 = (x + 1)(x + w)(x + w^2) over GF(4), w = 2: the division runs
+    # in the extension field, not over GF(2)
+    f4 = field_make(2, 2)
+    c32 = cyclic_code(f4, 3, [2, 1])
+    assert (c32.n, c32.k, c32.min_distance()) == (3, 2, 2)
+    rep = cyclic_code(f4, 3, [1, 1, 1])
+    assert (rep.n, rep.k, rep.min_distance()) == (3, 1, 3)
+    with pytest.raises(NotDivisor):
+        cyclic_code(f4, 3, [1, 0, 1])
 
 
 def test_pyramid_worked_example():

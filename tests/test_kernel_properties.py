@@ -1,15 +1,19 @@
 """Property checks of the code kernels against independent scalar oracles.
 
 Random small codes over GF(2, 3, 4, 5, 7, 8, 9, 13, 16, 17); GF(5^7) has no
-log/exp tables and exercises the kernel's table-less branch.
+log/exp tables and exercises the kernel's table-less branch. The scalar
+oracles themselves (`mat_rank`, `mat_rref`) are checked against sympy over
+GF(p).
 """
 
 import itertools
 import random
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from codedpir.codes import ErasurePattern, LinearCode, code_from_generator
+from codedpir.families import _is_mds_parity_check
 from codedpir.fields import Matrix, field_make, mat_mul, mat_rank, mat_rref
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1),
@@ -109,3 +113,81 @@ def test_min_distance_and_codewords_match_brute_force(code):
     # the same code without enumeration: the column-dependency search
     searched = LinearCode(code.G, code.H, check=False)
     assert searched.min_distance(budget=1) == want
+
+
+@PROPERTY
+@given(codes(fields=FIELDS + [(5, 7)]), st.integers(0, 2**32 - 1), st.data())
+def test_information_sets_match_rref(code, seed, data):
+    """The G-kernel predicates against rank and RREF pivots of G's columns."""
+    for w in range(code.n + 1):
+        for coords in itertools.combinations(range(code.n), w):
+            full = mat_rank(code.G.restrict_cols(coords)) == code.k
+            assert code.contains_information_set(coords) == full, coords
+            assert code.is_information_set(coords) == (full and w == code.k), coords
+    assert code.information_set() == tuple(mat_rref(code.G)[1])
+    perm = list(range(code.n))
+    random.Random(seed).shuffle(perm)
+    _, pivots = mat_rref(code.G.restrict_cols(perm))
+    want = tuple(sorted(perm[c] for c in pivots))
+    assert code.random_information_set(random.Random(seed)) == want
+    order = data.draw(st.permutations(range(code.n)))[:data.draw(st.integers(0, code.n))]
+    _, pivots = mat_rref(code.G.restrict_cols(order))
+    assert code.information_columns(order) == [order[c] for c in pivots]
+
+
+@PROPERTY
+@given(codes(), st.data())
+def test_contains_codewords_matches_stacked_rank(code, data):
+    """Words lie in the code iff stacking them under G keeps rank k; a
+    permutation is an automorphism iff the permuted G stacks to rank k."""
+    f = code.field
+    symbol = st.integers(0, f.order - 1)
+    words = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        if data.draw(st.booleans()):
+            message = Matrix(f, [[data.draw(symbol) for _ in range(code.k)]])
+            words.append(mat_mul(message, code.G).data[0])
+        else:
+            words.append([data.draw(symbol) for _ in range(code.n)])
+    stacked = Matrix(f, code.G.data + words, code.k + len(words), code.n)
+    assert code.contains_codewords(words) == (mat_rank(stacked) == code.k)
+    perm = data.draw(st.permutations(range(code.n)))
+    permuted = [[0] * code.n for _ in range(code.k)]
+    for i, row in enumerate(code.G.data):
+        for j, x in enumerate(row):
+            permuted[i][perm[j]] = x
+    stacked = Matrix(f, code.G.data + permuted, 2 * code.k, code.n)
+    assert code.is_automorphism(perm) == (mat_rank(stacked) == code.k)
+
+
+@PROPERTY
+@given(st.sampled_from(FIELDS), st.integers(0, 3), st.integers(1, 5), st.data())
+def test_mds_parity_check_matches_subset_ranks(field, m, width, data):
+    """(left | I) is MDS iff every m of its columns have rank m."""
+    f = field_make(*field)
+    left = [[data.draw(st.integers(0, f.order - 1)) for _ in range(width)]
+            for _ in range(m)]
+    h = Matrix(f, [row + [int(t == i) for t in range(m)] for i, row in enumerate(left)],
+               m, width + m)
+    want = all(mat_rank(h.restrict_cols(cols)) == m
+               for cols in itertools.combinations(range(width + m), m))
+    assert _is_mds_parity_check(f, left, width) == want
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3, 5, 7, 13, 17]), st.integers(0, 6),
+       st.integers(0, 7), st.data())
+def test_rank_and_rref_match_sympy(p, rows, cols, data):
+    """mat_rank and mat_rref over GF(p) against sympy's DomainMatrix."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    entry = st.one_of(st.integers(0, 1), st.integers(0, p - 1))
+    entries = [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
+    K = sympy.GF(p)
+    dm = DomainMatrix([[K(x) for x in row] for row in entries], (rows, cols), K)
+    red_want, pivots_want = dm.rref()
+    M = Matrix(field_make(p), entries, rows, cols)
+    red, pivots = mat_rref(M)
+    assert mat_rank(M) == dm.rank() == len(pivots_want)
+    assert pivots == list(pivots_want)
+    assert red.data == [[int(x) % p for x in row] for row in red_want.to_list()]
