@@ -226,7 +226,6 @@ def _audit_p1(dss: Dss, config: dict, collusion_sets, trials: int,
     n = dss.code.n
     if collusion_sets is None:
         collusion_sets = _default_sets(n, 1)
-    subset_index: dict[tuple, int] = {}
     plans = {}
     for m in range(1, dss.f + 1):
         plans[m] = p1_plan(dss.code, lam, dss.f, m, seed)
@@ -237,17 +236,20 @@ def _audit_p1(dss: Dss, config: dict, collusion_sets, trials: int,
         sym = p1_symmetry_audit(plan)
         if not sym.ok:
             notes.extend(f"m={m}: {v}" for v in sym.violations)
+    # the canonical atoms depend only on m, so label each one's file subset once;
+    # a trial's node-j view is then that label row in the plan's shuffled order
+    subset_index: dict[tuple, int] = {}
+    rows = np.arange(n)[:, None]
     samples = np.empty((dss.f, trials, n, d), dtype=np.int64)
-    for m in range(1, dss.f + 1):
+    for m, plan in plans.items():
+        labels = np.array([[subset_index.setdefault(
+            tuple(sorted(mp for mp, _ in atom.terms)), len(subset_index))
+            for atom in atoms] for atoms in plan.node_atoms], dtype=np.int64)
+        # each trial's shuffle orders first, then replaced by the labels they pick
         for t in range(trials):
             child = derive_seed(seed, "audit-p1", m, t)
-            plan = p1_plan(dss.code, lam, dss.f, m, child)
-            for j in range(n):
-                atoms = plan.node_atoms[j]
-                for pos, idx in enumerate(plan.shuffles[j]):
-                    files = tuple(sorted(mp for mp, _ in atoms[idx].terms))
-                    code_idx = subset_index.setdefault(files, len(subset_index))
-                    samples[m - 1, t, j, pos] = code_idx
+            samples[m - 1, t] = p1_plan(dss.code, lam, dss.f, m, child).shuffles
+        samples[m - 1] = labels[rows, samples[m - 1]]
     vmax = len(subset_index)
     n_tests = len(collusion_sets) * d
     threshold = 0.01 / max(n_tests, 1)

@@ -127,6 +127,7 @@ class LinearCode:
         self._reduce = _column_reducer(H)
         self._reduce_g = _column_reducer(G)
         self._encoder = None
+        self._products: dict[LinearCode, LinearCode] = {}  # hadamard_product memo
 
     # --- constructors ---------------------------------------------------------
 
@@ -432,7 +433,13 @@ class LinearCode:
     # --- derived codes ---------------------------------------------------------------
 
     def hadamard_product(self, other: "LinearCode") -> "LinearCode":
-        """Code spanned by componentwise products of codewords of the two codes."""
+        """Code spanned by componentwise products of codewords of the two codes.
+
+        Built once per `other` instance and kept, so its memoized d_min is too.
+        """
+        product = self._products.get(other)
+        if product is not None:
+            return product
         if other.n != self.n:
             raise DimensionMismatch("lengths differ")
         if other.field is not self.field:
@@ -442,7 +449,9 @@ class LinearCode:
         for a in self.G.data:
             for b in other.G.data:
                 products.append([f.mul(x, y) for x, y in zip(a, b)])
-        return _spanned_code(Matrix(f, products, len(products), self.n))
+        product = _spanned_code(Matrix(f, products, len(products), self.n))
+        self._products[other] = product
+        return product
 
     def puncture(self, coords: Iterable[int]) -> "LinearCode":
         coords = sorted(set(int(j) for j in coords))

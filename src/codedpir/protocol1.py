@@ -7,6 +7,13 @@ aligned values were made decodable by round l's downloads. Stripe indices are
 privately permuted per file and the per-node query order is shuffled, which is
 what the privacy of the scheme rests on.
 
+A plan therefore has two parts. The schedule (kappa, nu, beta, d, the
+interference matrices A and B, and every node's canonical atom list) depends
+only on the code, Lambda, f and m; it is built and checked once per such
+tuple and shared, immutable, by every plan. The private part, the stripe
+permutations `perms` and the query-order `shuffles`, is drawn from the seed
+for each plan.
+
 Row indices inside atoms are 1-based logical rows into the interleaved array;
 nodes only ever see physical rows (the private permutation applied).
 """
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
@@ -89,7 +97,7 @@ class P1Plan:
     A: tuple[tuple[int, ...], ...]
     B: tuple[tuple[int, ...], ...]
     perms: tuple[tuple[int, ...], ...]     # per file: logical row-1 -> physical row (0-based); user-private
-    node_atoms: list[list[P1Atom]]         # canonical order per node
+    node_atoms: tuple[tuple[P1Atom, ...], ...]  # canonical order per node; shared schedule
     shuffles: list[list[int]]              # visible position -> canonical index
 
     @property
@@ -114,7 +122,32 @@ class P1Plan:
 
 
 def p1_plan(code: LinearCode, lam: RateMatrix, f: int, m: int, seed: int) -> P1Plan:
-    """Full request schedule for retrieving file m (1-based) out of f."""
+    """Full request schedule for retrieving file m (1-based) out of f: the
+    shared schedule of (code, lam, f, m) plus this seed's perms and shuffles."""
+    kappa, nu, beta, d, A, B, node_atoms = _schedule(code, lam, f, m)
+    perms = []
+    for mp in range(1, f + 1):
+        rng = rng_for(seed, "p1", "perm", mp)
+        perm = list(range(beta))
+        rng.shuffle(perm)
+        perms.append(tuple(perm))
+    shuffles = []
+    for j in range(code.n):
+        rng = rng_for(seed, "p1", "shuffle", j)
+        order = list(range(d))
+        rng.shuffle(order)
+        shuffles.append(order)
+    return P1Plan(code=code, lam=lam, f=f, m=m, seed=seed, kappa=kappa, nu=nu,
+                  beta=beta, d=d, A=A, B=B, perms=tuple(perms),
+                  node_atoms=node_atoms, shuffles=shuffles)
+
+
+@lru_cache(maxsize=16)
+def _schedule(code: LinearCode, lam: RateMatrix, f: int, m: int) -> tuple:
+    """Seed-independent part of a plan: (kappa, nu, beta, d, A, B, node_atoms).
+
+    Bad input raises on every call (lru_cache stores only returned values).
+    """
     report = validate_rate_matrix(code, lam.rows)
     if not report.ok:
         raise InvalidLambda(f"{report.violation} at {report.witness}")
@@ -182,21 +215,7 @@ def p1_plan(code: LinearCode, lam: RateMatrix, f: int, m: int, seed: int) -> P1P
             raise DecodeFailure(
                 f"schedule for node {j} has {len(node_atoms[j])} requests, expected {d}")
 
-    perms = []
-    for mp in range(1, f + 1):
-        rng = rng_for(seed, "p1", "perm", mp)
-        perm = list(range(beta))
-        rng.shuffle(perm)
-        perms.append(tuple(perm))
-    shuffles = []
-    for j in range(n):
-        rng = rng_for(seed, "p1", "shuffle", j)
-        order = list(range(d))
-        rng.shuffle(order)
-        shuffles.append(order)
-    return P1Plan(code=code, lam=lam, f=f, m=m, seed=seed, kappa=kappa, nu=nu,
-                  beta=beta, d=d, A=A, B=B, perms=tuple(perms),
-                  node_atoms=node_atoms, shuffles=shuffles)
+    return kappa, nu, beta, d, A, B, tuple(tuple(atoms) for atoms in node_atoms)
 
 
 def p1_answer(dss, node: int, visible_query: Sequence[Sequence[tuple[int, int]]]) -> list[int]:

@@ -1,11 +1,14 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from codedpir.codes import LinearCode, code_from_generator
 from codedpir.families import grs_code
 from codedpir.fields import Matrix, field_make
+from codedpir.protocol1 import p1_plan
 from codedpir.ratematrix import ErasureMatrix
+from codedpir.rng import derive_seed
 
 GOOD_G = [[1, 0, 0, 1, 0], [0, 1, 0, 1, 1], [0, 0, 1, 0, 1]]
 BAD_G = [[1, 0, 0, 1, 0], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1]]
@@ -65,6 +68,27 @@ def compute_matrix_bruteforce(lgamma, lnk, d: int, beta: int):
                                      ehat=tuple(unmask(m) for m in pick_g),
                                      ebar=tuple(unmask(m) for m in pick_k))
     return None
+
+
+def p1_audit_samples_reference(dss, lam, trials: int, seed: int):
+    """Reference for the protocol-1 audit's sample collection: rebuild each
+    trial's plan and label the file subset of every visible atom, in the
+    node's shuffled order. Returns the (f, trials, n, d) labels and their count."""
+    n = dss.code.n
+    d = p1_plan(dss.code, lam, dss.f, 1, seed).d
+    subset_index: dict[tuple, int] = {}
+    samples = np.empty((dss.f, trials, n, d), dtype=np.int64)
+    for m in range(1, dss.f + 1):
+        for t in range(trials):
+            child = derive_seed(seed, "audit-p1", m, t)
+            plan = p1_plan(dss.code, lam, dss.f, m, child)
+            for j in range(n):
+                atoms = plan.node_atoms[j]
+                for pos, idx in enumerate(plan.shuffles[j]):
+                    files = tuple(sorted(mp for mp, _ in atoms[idx].terms))
+                    code_idx = subset_index.setdefault(files, len(subset_index))
+                    samples[m - 1, t, j, pos] = code_idx
+    return samples, len(subset_index)
 
 
 @pytest.fixture(scope="session")

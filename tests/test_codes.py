@@ -152,6 +152,19 @@ def test_hadamard_product(good532, code124, f2):
                for row in mat_mul(prod.G, ht.transpose()).data)
 
 
+def test_hadamard_product_memoized(code124, rs53):
+    """Built once per query-code instance: the same object, d_min included."""
+    prod = code124.hadamard_product(code124)
+    assert code124.hadamard_product(code124) is prod
+    prod.min_distance()
+    assert code124.hadamard_product(code124).known_dmin == prod.known_dmin
+    # another instance of the same code gets its own product
+    twin = LinearCode(code124.G, code124.H)
+    assert code124.hadamard_product(twin) is not prod
+    with pytest.raises(DimensionMismatch):
+        code124.hadamard_product(rs53)
+
+
 def test_puncture_and_shorten():
     f8 = field_make(2, 3)
     mds = grs_code(f8, 6, 4)

@@ -2,9 +2,10 @@ import hashlib
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from codedpir.audit import chi2_sf, privacy_audit
+from codedpir.audit import _homogeneity_p, chi2_sf, privacy_audit
 from codedpir.dss import Dss, run
 from codedpir.errors import BadParams
 from codedpir.fields import mat_mul
@@ -12,7 +13,7 @@ from codedpir.protocol2 import p2_build_structure
 from codedpir.protocol3 import p3_setup
 from codedpir.ratematrix import rate_matrix
 from conftest import (EHAT_EX5, EHAT_EX6, EHAT_P3, ISETS_EX5, ISETS_EX6,
-                      ISETS_P3, LAM35)
+                      ISETS_P3, LAM35, p1_audit_samples_reference)
 
 
 def test_dss_init_invariants(good532):
@@ -137,6 +138,31 @@ def test_statistical_audits_quick(good532, code124):
     rep3 = privacy_audit(3, dss3, {"setup": setup},
                          collusion_sets=[(1,), (8, 11)], trials=1500, seed=3)
     assert rep3.passed
+
+
+@pytest.mark.parametrize("seed", [0, 405])
+def test_p1_audit_matches_reference(good532, seed):
+    """The protocol-1 audit, which labels the shared schedule once, gives the
+    positions, flags and p-values of per-trial, per-atom labelling."""
+    lam = rate_matrix(good532, LAM35)
+    dss = Dss(good532, f=2, beta=25, seed=seed)
+    trials = 200
+    report = privacy_audit(1, dss, {"lam": lam}, trials=trials, seed=seed)
+    samples, vmax = p1_audit_samples_reference(dss, lam, trials, seed)
+    _, _, n, d = samples.shape
+    expected = []
+    for j in range(n):
+        for pos in range(d):
+            counts = np.array([np.bincount(samples[g, :, j, pos], minlength=vmax)
+                               for g in range(dss.f)])
+            expected.append(((j,), f"position {pos}", _homogeneity_p(counts)))
+    assert report.threshold == 0.01 / (n * d)
+    assert [(o.collusion, o.position) for o in report.outcomes] == [
+        (tset, pos) for tset, pos, _ in expected]
+    assert [o.flagged for o in report.outcomes] == [
+        p <= report.threshold for _, _, p in expected]
+    assert [o.p_value for o in report.outcomes] == pytest.approx(
+        [p for _, _, p in expected], rel=1e-12)
 
 
 def test_chi2_sf_matches_scipy():

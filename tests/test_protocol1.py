@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -146,8 +147,8 @@ def test_symmetry_audit(good532, lam35):
     table_r2 = report.counts[(0, 1, 2)]
     assert table_r2[frozenset({1, 2})] == 2
     # negative control: dropping one request breaks node symmetry
-    plan.node_atoms[0].pop()
-    broken = p1_symmetry_audit(plan)
+    broken = p1_symmetry_audit(dataclasses.replace(
+        plan, node_atoms=(plan.node_atoms[0][:-1],) + plan.node_atoms[1:]))
     assert not broken.ok
 
 
@@ -158,6 +159,26 @@ def test_invalid_lambda_rejected(good532):
                                 (0, 1, 1, 1, 1)))
     with pytest.raises(InvalidLambda):
         p1_plan(good532, crooked, f=2, m=1, seed=0)
+    # a rejected schedule is not cached: the same call raises again
+    with pytest.raises(InvalidLambda):
+        p1_plan(good532, crooked, f=2, m=1, seed=0)
+
+
+def test_seeds_share_one_schedule(good532, lam35):
+    """Plans of one (code, Lambda, f, m) share the schedule object; the seed
+    draws only the private permutations and shuffles."""
+    a = p1_plan(good532, lam35, f=2, m=1, seed=0)
+    b = p1_plan(good532, lam35, f=2, m=1, seed=1)
+    assert b.node_atoms is a.node_atoms
+    assert isinstance(a.node_atoms, tuple)
+    assert all(isinstance(atoms, tuple) for atoms in a.node_atoms)
+    assert a.perms != b.perms and a.shuffles != b.shuffles
+    private = {"seed", "perms", "shuffles"}
+    for fld in dataclasses.fields(a):
+        if fld.name not in private:
+            assert getattr(a, fld.name) == getattr(b, fld.name), fld.name
+    # the other file index has its own schedule
+    assert p1_plan(good532, lam35, f=2, m=2, seed=0).node_atoms != a.node_atoms
 
 
 def test_symmetry_single_file(good532, lam35):
