@@ -15,8 +15,11 @@ Two exact kernels carry the code predicates:
   the field's log/exp tables (`mul` for fields above 2^16 elements, which have
   none), with XOR addition in characteristic 2. Every column-subset question
   is answered by one of the two: on H, `erasure_correctable`, `pivot_columns`
-  and the column search of `min_distance`; on G, the information-set
-  predicates through `information_columns`. None allocates a `Matrix`.
+  and one depth-first prefix walk (`_column_walk`: each subset extends its
+  prefix's basis, a dependent column prunes its subtree) that lists the
+  correctable patterns (`correctable_masks`) and runs the column search of
+  `min_distance`; on G, the information-set predicates through
+  `information_columns`. None allocates a `Matrix`.
 - Encoding over GF(q) (`_encode_array`, built once per code). A batch of
   messages, as numpy int64 rows, is mapped to its codewords: `msgs @ G mod p`
   over a prime field, and over GF(p^a) a sum of per-row multiple tables (row d
@@ -204,7 +207,11 @@ class LinearCode:
         """True iff the erased columns of H are linearly independent."""
         if not isinstance(pattern, ErasurePattern) or pattern.n != self.n:
             raise DimensionMismatch("expected an ErasurePattern of the code's length")
-        support = pattern.support
+        return self.correctable_support(pattern.support)
+
+    def correctable_support(self, support: Sequence[int]) -> bool:
+        """True iff the columns of H at `support` (distinct positions, in any
+        order) are linearly independent."""
         if len(support) > self.n - self.k:
             return False
         basis: dict = {}
@@ -312,32 +319,46 @@ class LinearCode:
     def _min_distance_column_search(self, budget: int) -> int:
         """Smallest w such that some w parity-check columns are dependent.
 
-        Subsets of each size are searched depth first in lexicographic order;
-        every subset extends its prefix's basis by one column. The budget
-        counts subsets, as C(n, 1) + ... + C(n, w) after size w.
+        Every smaller subset is independent, so the size-w walk can meet a
+        dependent column only at a full-size subset, and it stops at the first.
+        The budget counts subsets, as C(n, 1) + ... + C(n, w) after size w.
         """
-        n, reduce = self.n, self._reduce
-
-        def dependent(basis: dict, start: int, depth: int) -> bool:
-            # all smaller subsets are independent, so only a full-size one
-            # can fail to extend
-            for j in range(start, n - depth + 1):
-                key = reduce(basis, j)
-                if key is None:
-                    return True
-                if depth > 1 and dependent(basis, j + 1, depth - 1):
-                    return True
-                del basis[key]
-            return False
-
         spent = 0
         for w in range(1, self.n - self.k + 2):
-            if dependent({}, 0, w):
+            if any(key is None for _, key in self._column_walk(w)):
                 return w
-            spent += comb(n, w)
+            spent += comb(self.n, w)
             if spent > budget:
                 raise TooLarge("column-dependency search exceeded budget")
         raise AssertionError("Singleton bound violated (unreachable)")
+
+    def correctable_masks(self, w: int) -> list[int]:
+        """Bitmasks (bit j set iff position j is erased) of every correctable
+        weight-w erasure pattern, in the lexicographic order of their supports."""
+        if w == 0:
+            return [0]
+        if w > self.n - self.k:
+            return []
+        return [mask for mask, key in self._column_walk(w) if key is not None]
+
+    def _column_walk(self, w: int) -> Iterator[tuple[int, object]]:
+        """Depth-first walk over the w-subsets (w >= 1) of H's columns in
+        lexicographic order: each extends its prefix's basis by one column, and
+        a dependent column below size w prunes the subsets through it. Yields
+        (mask, key) per w-subset; key is None iff its last column is dependent."""
+        n, reduce = self.n, self._reduce
+
+        def walk(basis: dict, start: int, depth: int, mask: int):
+            for j in range(start, n - depth + 1):
+                key = reduce(basis, j)
+                if depth == 1:
+                    yield mask | 1 << j, key
+                elif key is not None:
+                    yield from walk(basis, j + 1, depth - 1, mask | 1 << j)
+                if key is not None:
+                    del basis[key]
+
+        return walk({}, 0, w, 0)
 
     def generalized_hamming_weight(self, s: int,
                                    budget: int = SUBSPACE_BUDGET) -> int:

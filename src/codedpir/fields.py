@@ -81,6 +81,26 @@ def _poly_powmod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> lis
     return result
 
 
+def _poly_gcdex(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """(g, s) with g the monic gcd of a and b over GF(p) and s a = g modulo b
+    (b nonzero): extended Euclid one leading term at a time, keeping
+    s_i a = r_i modulo b for both pairs."""
+    (r0, s0), (r1, s1) = (_poly_trim(list(b)), []), (_poly_trim(list(a)), [1])
+    while r1:
+        if len(r0) < len(r1):
+            (r0, s0), (r1, s1) = (r1, s1), (r0, s0)
+            continue
+        shift = len(r0) - len(r1)
+        c = r0[-1] * pow(r1[-1], p - 2, p) % p
+        for src, dst in ((r1, r0), (s1, s0)):
+            dst.extend([0] * (len(src) + shift - len(dst)))
+            for i, x in enumerate(src):
+                dst[i + shift] = (dst[i + shift] - c * x) % p
+            _poly_trim(dst)
+    c = pow(r0[-1], p - 2, p)
+    return [x * c % p for x in r0], [x * c % p for x in s0]
+
+
 def _poly_rem(num: list[int], den: list[int], f: "FiniteField") -> list[int]:
     """Remainder of num by den over the field f (den with a nonzero lead)."""
     num = _poly_trim(list(num))
@@ -94,14 +114,6 @@ def _poly_rem(num: list[int], den: list[int], f: "FiniteField") -> list[int]:
     return num
 
 
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    f = field_make(p)
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_rem(a, b, f)
-    return a
-
-
 def _is_irreducible(mod: Sequence[int], p: int) -> bool:
     """Rabin test: x^(p^d) = x mod f, and gcd(x^(p^(d/r)) - x, f) = 1 for prime r | d."""
     d = len(mod) - 1
@@ -111,21 +123,13 @@ def _is_irreducible(mod: Sequence[int], p: int) -> bool:
     xq = _poly_powmod(x, p ** d, mod, p)
     if _poly_trim(list(xq)) != [0, 1]:
         return False
-    primes = []
-    dd = d
-    r = 2
-    while dd > 1:
-        if dd % r == 0:
-            primes.append(r)
-            while dd % r == 0:
-                dd //= r
-        r += 1
-    for r in primes:
+    for r in filter(_is_prime, range(2, d + 1)):
+        if d % r:
+            continue
         xr = _poly_powmod(x, p ** (d // r), mod, p)
         diff = list(xr) + [0] * max(0, 2 - len(xr))
         diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(list(mod), _poly_trim(diff), p)
-        if len(g) - 1 > 0:
+        if len(_poly_gcdex(diff, mod, p)[0]) > 1:
             return False
     return True
 
@@ -235,8 +239,7 @@ class FiniteField:
             if a == 0 or b == 0:
                 return 0
             return self._exp[self._log[a] + self._log[b]]
-        prod = _poly_mulmod(self.to_digits(a), self.to_digits(b), self.modulus, self.p)
-        return self.from_digits(prod + [0] * (self.alpha - len(prod)))
+        return self._mul_poly(a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -245,7 +248,7 @@ class FiniteField:
             return pow(a, self.p - 2, self.p)
         if self._exp is not None:
             return self._exp[(self.order - 1) - self._log[a]]
-        return self.pow(a, self.order - 2)
+        return self.from_digits(_poly_gcdex(self.to_digits(a), self.modulus, self.p)[1])
 
     def pow(self, a: int, e: int) -> int:
         e = int(e)
@@ -264,7 +267,6 @@ class FiniteField:
         q = self.order
         # find a multiplicative generator by direct order check
         for g in range(2, q):
-            seen = 1
             x = g
             count = 1
             while x != 1:

@@ -7,22 +7,22 @@ noncolluding case) that product is the storage code. The one search loop
 starts at the floor Gamma = min(k, d_min(product) - 1), where every
 weight-Gamma row is correctable, so the window construction below finds a
 structure whenever that pattern list is exhaustive; it raises Gamma until the
-selection becomes infeasible. The
-selection itself (d weight-Gamma rows plus beta information-set complements
-whose stacked column sums all equal beta) is solved exactly by a depth-first
-search branching on the most constrained deficient column, with memoized
-infeasible states. Row repetition is allowed by default, matching the fact
-that structure rows may repeat.
+selection becomes infeasible. A `PatternList` holds support bitmasks only: an
+exhaustive list comes from the code's prefix walk over the columns of H
+(`LinearCode.correctable_masks`), a sampled one from seeded pivot draws and
+their bit rotations. The selection (d weight-Gamma rows plus beta
+information-set complements whose stacked column sums all equal beta) is
+solved exactly by a depth-first search branching on the most constrained
+deficient column, with memoized infeasible states; rows may repeat.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from .codes import ErasurePattern, LinearCode
-from .errors import RateOneProduct, TooLarge
+from .errors import BadParams, RateOneProduct, TooLarge
 from .ratematrix import ErasureMatrix, beta_d_minimal
 from .rng import rng_for
 
@@ -35,27 +35,23 @@ WINDOW_SHUFFLES = 60         # seeded window orders per complement
 
 @dataclass(frozen=True)
 class PatternList:
-    """Deduplicated correctable erasure patterns of one weight, with the
-    support bitmask of each (bit j set iff position j is erased)."""
+    """Deduplicated correctable erasure patterns of one weight on n positions,
+    kept as support bitmasks (bit j set iff position j is erased)."""
 
     weight: int
-    patterns: tuple[ErasurePattern, ...]
-    _masks: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self._masks is None:
-            object.__setattr__(self, "_masks", tuple(_bitmask(p.support)
-                                                     for p in self.patterns))
+    n: int
+    _masks: tuple[int, ...]
 
     def masks(self) -> tuple[int, ...]:
         return self._masks
 
+    @property
+    def patterns(self) -> tuple[ErasurePattern, ...]:
+        """The patterns as `ErasurePattern`s, built on each access."""
+        return tuple(ErasurePattern(self.n, _unmask(m, self.n)) for m in self._masks)
+
     def __len__(self) -> int:
-        return len(self.patterns)
-
-
-def _bitmask(support) -> int:
-    return sum(1 << j for j in support)
+        return len(self._masks)
 
 
 def compute_erasure_pattern_list(code: LinearCode, w: int,
@@ -64,43 +60,42 @@ def compute_erasure_pattern_list(code: LinearCode, w: int,
                                  seed: int = 0) -> PatternList:
     """All weight-w patterns correctable by `code`, or a seeded random sample.
 
-    Exhaustive when C(n, w) fits the budget. Otherwise repeatedly permute the
-    parity-check columns, take the pivot columns of H in that order, take w of
-    them (independent by construction), and also keep correctable cyclic
-    shifts of each find.
+    Exhaustive when C(n, w) fits the budget: `LinearCode.correctable_masks`
+    walks the column prefixes of H in lexicographic order. Otherwise
+    repeatedly permute the parity-check columns, take the pivot columns of H
+    in that order, take w of them (independent by construction), and also
+    keep the correctable cyclic shifts (bit rotations) of each find.
     """
+    _check_budgets(budget, sample_budget)
     n = code.n
-    if w == 0:
-        return PatternList(0, (ErasurePattern(n, tuple([0] * n)),), (0,))
+    if w == 0 or comb(n, w) <= budget:
+        return PatternList(w, n, tuple(code.correctable_masks(w)))
     if w > n - code.k:
-        return PatternList(w, (), ())
-    if comb(n, w) <= budget:
-        pats, masks = [], []
-        for support in itertools.combinations(range(n), w):
-            pat = ErasurePattern.from_support(n, support)
-            if code.erasure_correctable(pat):
-                pats.append(pat)
-                masks.append(_bitmask(support))
-        return PatternList(w, tuple(pats), tuple(masks))
+        return PatternList(w, n, ())
     rng = rng_for(seed, "patterns", w)
-    found: dict[tuple[int, ...], ErasurePattern] = {}
+    found: dict[int, None] = {}
     for _ in range(sample_budget):
         perm = list(range(n))
         rng.shuffle(perm)
         pivot_cols = code.pivot_columns(perm)
         if len(pivot_cols) < w:
             continue
-        support = tuple(sorted(rng.sample(pivot_cols, w)))
-        if support not in found:
-            found[support] = ErasurePattern.from_support(n, support)
+        support = rng.sample(pivot_cols, w)
+        mask = sum(1 << j for j in support)
+        if mask not in found:
+            found[mask] = None
             for shift in range(1, n):
-                shifted = tuple(sorted((j + shift) % n for j in support))
-                if shifted in found:
-                    continue
-                pat = ErasurePattern.from_support(n, shifted)
-                if code.erasure_correctable(pat):
-                    found[shifted] = pat
-    return PatternList(w, tuple(found.values()), tuple(_bitmask(s) for s in found))
+                rotated = (mask << shift | mask >> (n - shift)) & ((1 << n) - 1)
+                if rotated not in found and code.correctable_support(
+                        [(j + shift) % n for j in support]):
+                    found[rotated] = None
+    return PatternList(w, n, tuple(found))
+
+
+def _check_budgets(budget: int, sample_budget: int) -> None:
+    if budget < 0 or sample_budget < 0:
+        raise BadParams(f"budgets must be >= 0; got budget {budget}, "
+                        f"sample budget {sample_budget}")
 
 
 def compute_matrix(lgamma: PatternList, lnk: PatternList, d: int,
@@ -112,9 +107,9 @@ def compute_matrix(lgamma: PatternList, lnk: PatternList, d: int,
     repeated beta times, with the weight-Gamma rows laid out as cyclic windows
     over the information set); the exact branch-and-bound runs otherwise.
     """
-    if not lgamma.patterns or not lnk.patterns:
+    if not lgamma or not lnk:
         return None
-    n = lgamma.patterns[0].n
+    n = lgamma.n
     gamma, nk = lgamma.weight, lnk.weight
     if d * gamma + beta * nk != beta * n:
         return None
@@ -125,11 +120,13 @@ def compute_matrix(lgamma: PatternList, lnk: PatternList, d: int,
         return fast
     cover_g = [[i for i, msk in enumerate(masks_g) if (msk >> j) & 1] for j in range(n)]
     cover_k = [[i for i, msk in enumerate(masks_k) if (msk >> j) & 1] for j in range(n)]
+    supports_g = [[j for j in range(n) if msk >> j & 1] for msk in masks_g]
+    supports_k = [[j for j in range(n) if msk >> j & 1] for msk in masks_k]
+    chosen_g, chosen_k = [], []  # indices into masks_g and masks_k
     failed: set[tuple] = set()
     states = 0
 
-    def dfs(counts: list[int], r1: int, r2: int,
-            chosen_g: list[int], chosen_k: list[int]):
+    def dfs(counts: list[int], r1: int, r2: int) -> bool:
         nonlocal states
         deficits = [beta - c for c in counts]
         total = sum(deficits)
@@ -156,56 +153,33 @@ def compute_matrix(lgamma: PatternList, lnk: PatternList, d: int,
                 best_j, best_cands = j, cands
         options = []
         if r1:
-            options.extend(("g", i) for i in cover_g[best_j])
+            options.extend((supports_g[i], i, chosen_g, 1, 0) for i in cover_g[best_j])
         if r2:
-            options.extend(("k", i) for i in cover_k[best_j])
-        for tag, i in options:
-            msk = masks_g[i] if tag == "g" else masks_k[i]
-            ok = True
-            mm = msk
-            while mm:
-                low = mm & -mm
-                j = low.bit_length() - 1
-                if counts[j] + 1 > beta:
-                    ok = False
-                    break
-                mm ^= low
-            if not ok:
+            options.extend((supports_k[i], i, chosen_k, 0, 1) for i in cover_k[best_j])
+        for support, i, chosen, dg, dk in options:
+            if any(counts[j] >= beta for j in support):
                 continue
-            mm = msk
-            while mm:
-                low = mm & -mm
-                counts[low.bit_length() - 1] += 1
-                mm ^= low
-            if tag == "g":
-                chosen_g.append(i)
-                if dfs(counts, r1 - 1, r2, chosen_g, chosen_k):
-                    return True
-                chosen_g.pop()
-            else:
-                chosen_k.append(i)
-                if dfs(counts, r1, r2 - 1, chosen_g, chosen_k):
-                    return True
-                chosen_k.pop()
-            mm = msk
-            while mm:
-                low = mm & -mm
-                counts[low.bit_length() - 1] -= 1
-                mm ^= low
+            for j in support:
+                counts[j] += 1
+            chosen.append(i)
+            if dfs(counts, r1 - dg, r2 - dk):
+                return True
+            chosen.pop()
+            for j in support:
+                counts[j] -= 1
         failed.add(key)
         return False
 
-    chosen_g: list[int] = []
-    chosen_k: list[int] = []
-    if not dfs([0] * n, d, beta, chosen_g, chosen_k):
+    if not dfs([0] * n, d, beta):
         return None
-
-    def unmask(msk: int) -> tuple[int, ...]:
-        return tuple(1 if (msk >> j) & 1 else 0 for j in range(n))
-
     return ErasureMatrix(d=d, beta=beta,
-                         ehat=tuple(unmask(masks_g[i]) for i in chosen_g),
-                         ebar=tuple(unmask(masks_k[i]) for i in chosen_k))
+                         ehat=tuple(_unmask(masks_g[i], n) for i in chosen_g),
+                         ebar=tuple(_unmask(masks_k[i], n) for i in chosen_k))
+
+
+def _unmask(mask: int, n: int) -> tuple[int, ...]:
+    """The 0/1 row of a support bitmask."""
+    return tuple(mask >> j & 1 for j in range(n))
 
 
 def _window_construction(masks_g: list[int], masks_k: list[int], n: int,
@@ -232,10 +206,9 @@ def _window_construction(masks_g: list[int], masks_k: list[int], n: int,
         counts = [sum((m >> j) & 1 for m in windows) for j in order]
         if any(c != beta for c in counts):
             return None
-        unmask = lambda msk: tuple(1 if (msk >> j) & 1 else 0 for j in range(n))
         return ErasureMatrix(d=d, beta=beta,
-                             ehat=tuple(unmask(m) for m in windows),
-                             ebar=tuple(unmask(s_mask) for _ in range(beta)))
+                             ehat=tuple(_unmask(m, n) for m in windows),
+                             ebar=tuple(_unmask(s_mask, n) for _ in range(beta)))
 
     for s_mask in masks_k[:WINDOW_LAYOUTS]:
         comp = [j for j in range(n) if not (s_mask >> j) & 1]
@@ -265,6 +238,7 @@ def optimize_rate(code: LinearCode, query_code: LinearCode | None = None,
     storage code is the storage code. beta_d_rule: "minimal" takes the
     LCM-minimal (beta, d); "gamma-k" fixes (beta, d) = (Gamma, k).
     """
+    _check_budgets(budget, sample_budget)
     product = code if query_code is None else code.hadamard_product(query_code)
     n, k = code.n, code.k
     if product.k >= n:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from codedpir.codes import LinearCode, code_from_generator
+from codedpir.codes import ErasurePattern, LinearCode, code_from_generator
 from codedpir.families import grs_code
 from codedpir.fields import Matrix, field_make
 from codedpir.protocol1 import p1_plan
@@ -42,12 +42,21 @@ EHAT_P3 = [(0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
 ISETS_P3 = [(1, 2, 8, 11)]
 
 
+def pattern_list_reference(code, w: int) -> tuple[int, ...]:
+    """Reference for the exhaustive pattern list: every weight-w support in
+    `itertools.combinations` order, kept when `erasure_correctable` accepts
+    it, as support bitmasks."""
+    return tuple(sum(1 << j for j in support)
+                 for support in itertools.combinations(range(code.n), w)
+                 if code.erasure_correctable(ErasurePattern.from_support(code.n, support)))
+
+
 def compute_matrix_bruteforce(lgamma, lnk, d: int, beta: int):
     """Reference oracle for optimizer.compute_matrix: enumerate all row
     multisets (tiny instances only)."""
-    if not lgamma.patterns or not lnk.patterns:
+    if not lgamma or not lnk:
         return None
-    n = lgamma.patterns[0].n
+    n = lgamma.n
     masks_g = sorted(set(lgamma.masks()))
     masks_k = sorted(set(lnk.masks()))
 

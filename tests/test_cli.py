@@ -58,6 +58,22 @@ def test_optimize(good_spec, capsys):
     assert e["kind"] == "E" and "Gamma = 2" in out.err
 
 
+def test_optimize_rejects_negative_budgets(tmp_path, capsys):
+    # the [7,3] code reaches Gamma = 4 with the default budgets
+    spec = {"family": "raw", "q": 2, "generator": [[1, 0, 0, 0, 1, 1, 1],
+                                                   [0, 1, 0, 1, 0, 1, 1],
+                                                   [0, 0, 1, 1, 1, 0, 1]]}
+    path = tmp_path / "c73.json"
+    path.write_text(json.dumps(spec))
+    assert main(["optimize", str(path)]) == 0
+    assert "Gamma = 4" in capsys.readouterr().err
+    for budgets in (["--sample-budget", "-1", "--budget", "-5"],
+                    ["--budget", "-1"], ["--sample-budget", "-1"]):
+        assert main(["optimize", str(path)] + budgets) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: budgets must be >= 0"), budgets
+
+
 def test_simulate_p2_transcript(good_spec, tmp_path, capsys):
     tx_path = tmp_path / "tx.json"
     assert main(["simulate", "p2", "--code", good_spec, "--files", "2",

@@ -54,6 +54,26 @@ def test_field_axioms_on_random_triples(p, alpha):
             assert f.mul(a, f.inv(a)) == 1
 
 
+@pytest.mark.parametrize("p,alpha", [(5, 7), (7, 6), (17, 4), (2, 8), (3, 5)])
+def test_inverse_matches_sympy_gcdex(p, alpha):
+    """GF(5^7), GF(7^6) and GF(17^4) have no log/exp tables and invert by
+    extended Euclid; GF(2^8) and GF(3^5) invert through their tables."""
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_gcdex, gf_strip
+    f = field_make(p, alpha)
+    assert (f._exp is None) == (f.order > 1 << 16)
+    rng = random.Random(p * alpha)
+    modulus = list(reversed(f.modulus))  # sympy lists coefficients high to low
+    for a in [1, 2, p, f.order - 1] + [rng.randrange(1, f.order) for _ in range(200)]:
+        s, _, g = gf_gcdex(gf_strip(list(reversed(f.to_digits(a)))), modulus, p, ZZ)
+        assert g == [1]
+        assert f.inv(a) == f.from_digits(reversed(s)), a
+        assert f.mul(a, f.inv(a)) == 1
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
+
+
 def test_subfield_embedding_is_a_homomorphism():
     base = field_make(2, 2)
     ext = base.extension(2)

@@ -8,6 +8,7 @@ GF(p).
 
 import itertools
 import random
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,6 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 from codedpir.codes import ErasurePattern, LinearCode, code_from_generator
 from codedpir.families import _is_mds_parity_check
 from codedpir.fields import Matrix, field_make, mat_mul, mat_rank, mat_rref
+from codedpir.optimizer import compute_erasure_pattern_list
+from conftest import pattern_list_reference
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1),
           (2, 4), (17, 1)]
@@ -67,6 +70,28 @@ def test_erasure_correctable_without_field_tables():
     cols.append([f.add(x, f.mul(3, y)) for x, y in zip(cols[1], cols[2])])
     H = Matrix(f, [list(row) for row in zip(*cols)])
     check_erasures(LinearCode.from_parity_check(H))
+
+
+@PROPERTY
+@given(codes(), st.integers(0, 2**32 - 1))
+def test_pattern_lists_match_reference(code, seed):
+    """The exhaustive prefix walk (taken when C(n, w) fits the budget) lists
+    what the per-subset filter lists, in the same order; `patterns` and
+    `masks()` describe the same list; every sampled pattern has independent
+    columns of H."""
+    for w in range(code.n - code.k + 2):
+        full = compute_erasure_pattern_list(code, w, budget=comb(code.n, w),
+                                            sample_budget=0)
+        assert full.masks() == pattern_list_reference(code, w), w
+        assert tuple(sum(1 << j for j in p.support) for p in full.patterns) == full.masks()
+        assert all(p.weight == w and p.n == code.n for p in full.patterns)
+        sampled = compute_erasure_pattern_list(code, w, budget=0, sample_budget=20,
+                                               seed=seed)
+        assert len(set(sampled.masks())) == len(sampled)
+        for mask in sampled.masks():
+            support = [j for j in range(code.n) if mask >> j & 1]
+            assert len(support) == w
+            assert mat_rank(code.H.restrict_cols(support)) == w, support
 
 
 @PROPERTY

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from codedpir.codes import ErasurePattern, code_from_generator
-from codedpir.errors import RateOneProduct
+from codedpir.errors import BadParams, RateOneProduct
 from codedpir.families import code_from_spec, grs_code, uuv_code
 from codedpir.fields import Matrix, field_make
 from codedpir.optimizer import (compute_erasure_pattern_list, compute_matrix,
@@ -26,6 +26,14 @@ def test_pattern_lists(good532, bad532, rs53):
     assert all(bad532.erasure_correctable(p) for p in bad_list.patterns)
     assert len(compute_erasure_pattern_list(good532, 0)) == 1
     assert len(compute_erasure_pattern_list(good532, 3)) == 0  # above n - k
+
+
+def test_negative_budgets_rejected(good532):
+    for budgets in ({"budget": -1}, {"sample_budget": -1}):
+        with pytest.raises(BadParams):
+            compute_erasure_pattern_list(good532, 1, **budgets)
+        with pytest.raises(BadParams):
+            optimize_rate(good532, **budgets)
 
 
 def test_pattern_list_sampled_mode(code124):
