@@ -107,6 +107,13 @@ def privacy_audit(protocol: int, dss: Dss, config: dict,
     """
     if dss.f < 2:
         raise BadParams("privacy audit needs at least two files to compare")
+    n = dss.code.n
+    for tset in [*(collusion_sets or ()), *control_sets]:
+        if not tset or not all(0 <= l < n for l in tset):
+            raise BadParams(f"collusion set {tuple(tset)} must be nonempty "
+                            f"with 0-based nodes in 0..{n - 1}")
+    if trials < 1 and (protocol == 1 or mode != "exact"):
+        raise BadParams(f"statistical audit needs trials >= 1; got {trials}")
     if protocol == 1:
         return _audit_p1(dss, config, collusion_sets, trials, seed)
     if protocol not in (2, 3):

@@ -17,7 +17,7 @@ from pathlib import Path
 from .audit import privacy_audit
 from .codes import LinearCode
 from .dss import Dss, run
-from .errors import CodedPirError
+from .errors import BadParams, CodedPirError
 from .families import code_from_spec
 from .optimizer import EXHAUSTIVE_LIMIT, SAMPLE_BUDGET, optimize_rate
 from .protocol2 import p2_build_structure
@@ -29,8 +29,16 @@ from .reports import report_tables
 from .rng import default_seed
 
 
+def _load_json(path: str):
+    """The JSON value in a file; BadParams when it cannot be read or parsed."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise BadParams(f"cannot read JSON from {path}: {exc}") from exc
+
+
 def _load_spec(path: str) -> dict:
-    obj = json.loads(Path(path).read_text())
+    obj = _load_json(path)
     if "family" not in obj and "code" in obj:
         return obj["code"]  # accept packaged fixture files directly
     return obj
@@ -97,7 +105,7 @@ def cmd_matrix_find(args) -> int:
         em = lrc_E_matrix(code.meta["params"], code)
         lam = rate_matrix(code, E_to_lambda(em))
     elif args.automorphisms:
-        perms = json.loads(Path(args.automorphisms).read_text())
+        perms = _load_json(args.automorphisms)
         lam = lambda_from_automorphisms(code, perms)
     else:
         lam = lambda_generic(code, seed=args.seed)
@@ -167,7 +175,11 @@ def cmd_audit_privacy(args) -> int:
     seed = args.seed if args.seed is not None else default_seed()
     collusion = None
     if args.collude:
-        collusion = [tuple(int(x) - 1 for x in args.collude.split(","))]
+        try:
+            collusion = [tuple(int(x) - 1 for x in args.collude.split(","))]
+        except ValueError:
+            raise BadParams(f"--collude takes 1-based node numbers such as "
+                            f"\"9,12\"; got {args.collude!r}") from None
     f = args.files
     if args.protocol == 1:
         lam = lambda_generic(code, seed=seed)

@@ -4,7 +4,7 @@ A `LinearCode` is an immutable pair (G, H) with rank(G) = k, rank(H) = n-k and
 G H^T = 0. Coordinates are 0-based everywhere in code; the wire formats and CLI
 render 1-based coordinates to match the usual coding-theory convention.
 
-Two exact kernels carry the code predicates:
+Three exact kernels carry the code predicates and the decoding:
 
 - Column independence. Each code builds, once, an elimination step over the
   columns of H and another over the columns of G (`_column_reducer`). It
@@ -27,6 +27,11 @@ Two exact kernels carry the code predicates:
   it for messages over small fields GF(q), and the chunked codeword enumeration
   (`_codeword_chunks`, at most ENUM_CHUNK messages a chunk) that
   `min_distance` and `codewords` read feeds it every chunk.
+- Erasure decoding (`decode_erasures`), shared by the three protocols: the
+  pattern is checked on the H kernel, then one elimination solves
+  H_E x = -H_K y_K over the word's field. Its residual is the one syndrome
+  check: a word that no codeword matches off E (with E empty: a word that is
+  no codeword) raises `DecodeFailure`.
 """
 
 from __future__ import annotations
@@ -40,9 +45,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    DecodeFailure,
     DimensionMismatch,
     EmptySupport,
     NotCorrectable,
+    RankDeficient,
     RankDeficientGenerator,
     TooLarge,
 )
@@ -196,10 +203,11 @@ class LinearCode:
         taken before it (at most k; an information set when k are taken)."""
         return _greedy_pivots(self._reduce_g, order, self.k)
 
-    def contains_codewords(self, words: Sequence[Sequence[int]]) -> bool:
-        """True iff every word (n symbols) has zero syndrome against H. For k
-        independent words this says that they span this code."""
-        words = Matrix(self.field, words, len(words), self.n)
+    def contains_codewords(self, words: Sequence[Sequence[int]],
+                           value_field: FiniteField | None = None) -> bool:
+        """True iff every word (n symbols over GF(q) or an extension `value_field`)
+        has zero syndrome against H; k independent words then span this code."""
+        words = Matrix(value_field or self.field, words, len(words), self.n)
         syndromes = mat_mul(words, self.H.transpose())
         return not any(any(row) for row in syndromes.data)
 
@@ -259,21 +267,23 @@ class LinearCode:
 
     def decode_erasures(self, word: Sequence[int], erased: Iterable[int],
                         value_field: FiniteField | None = None) -> list[int]:
-        """The unique codeword agreeing with `word` off the erased positions."""
-        field = value_field or self.field
+        """The codeword agreeing with `word` (over GF(q) or an extension
+        `value_field`) off the erased positions E: NotCorrectable when H's columns
+        at E are dependent, DecodeFailure when H_E x = -H_K y_K has no solution."""
         erased = sorted(set(int(j) for j in erased))
-        if not self.erasure_correctable(ErasurePattern.from_support(self.n, erased)):
+        if erased and not 0 <= erased[0] <= erased[-1] < self.n:
+            raise DimensionMismatch(f"erased positions {erased} outside 0..{self.n - 1}")
+        if not self.correctable_support(erased):
             raise NotCorrectable(f"pattern {erased} not correctable")
-        if not erased:
-            return list(word)
-        known = [j for j in range(self.n) if j not in erased]
-        h_known = self.H.restrict_cols(known)
-        rhs = mat_mul(h_known, Matrix.column(field, [word[j] for j in known]))
-        neg_rhs = Matrix.column(rhs.field, [rhs.field.neg(row[0]) for row in rhs.data])
-        sol = mat_solve(self.H.restrict_cols(erased), neg_rhs)
-        out = list(word)
-        for idx, j in enumerate(erased):
-            out[j] = sol.data[idx][0]
+        out = [0 if j in erased else x for j, x in enumerate(word)]
+        syndrome = mat_mul(self.H, Matrix.column(value_field or self.field, out))
+        try:  # H_E (-x) = H_K y_K
+            sol = mat_solve(self.H.restrict_cols(erased), syndrome)
+        except RankDeficient as exc:
+            raise DecodeFailure("no codeword agrees with the word off the "
+                                f"erased positions {erased}") from exc
+        for j, (x,) in zip(erased, sol.data):
+            out[j] = syndrome.field.neg(x)
         return out
 
     def codewords(self, budget: int = ENUM_BUDGET) -> Iterator[tuple[int, ...]]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from .codes import LinearCode
 from .errors import BadParams, DecodeFailure
-from .fields import FiniteField, Matrix, mat_mul
+from .fields import FiniteField, Matrix
 from .rng import rng_for
 
 
@@ -45,11 +45,9 @@ class Dss:
                 raise BadParams("files must be f matrices of beta x k")
         self.files = files
         self.arrays = [code.encode(x) for x in files]  # beta x n each
-        h_lift = code.H.lift(self.msg_field)
-        for arr in self.arrays:
-            prod = mat_mul(arr, h_lift.transpose())
-            if any(any(v for v in row) for row in prod.data):
-                raise BadParams("encoded stripe is not a codeword")
+        if not all(code.contains_codewords(arr.data, self.msg_field)
+                   for arr in self.arrays):
+            raise BadParams("encoded stripe is not a codeword")
 
     def node_content(self, node: int) -> list[int]:
         """The f coded chunks stored by a node: file-major, stripe-minor."""

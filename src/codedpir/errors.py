@@ -39,7 +39,11 @@ class RankDeficientGenerator(CodedPirError):
     """Generator matrix rows are linearly dependent."""
 
 
-class NotCorrectable(CodedPirError):
+class DecodeFailure(CodedPirError):
+    """Decoding failed: no codeword fits the symbols, or a plan is invalid."""
+
+
+class NotCorrectable(DecodeFailure):
     """Erasure pattern is not correctable by the code."""
 
 
@@ -105,10 +109,6 @@ class NoValidSwap(CodedPirError):
 
 class InvalidLambda(CodedPirError):
     """Matrix fails the achievable-rate-matrix conditions."""
-
-
-class DecodeFailure(CodedPirError):
-    """Protocol decoding failed; signals an invalid plan or structure."""
 
 
 class RateOneProduct(CodedPirError):

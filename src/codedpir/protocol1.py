@@ -234,7 +234,11 @@ def p1_answer(dss, node: int, visible_query: Sequence[Sequence[tuple[int, int]]]
 
 def p1_decode(plan: P1Plan, responses: Sequence[Sequence[int]],
               msg_field: FiniteField) -> Matrix:
-    """Reconstruct all nu^f stripes of the requested file from the responses."""
+    """Reconstruct all nu^f stripes of the requested file from the responses.
+
+    Detects: an inconsistent aligned side-information sum raises DecodeFailure
+    only where that sum is known at more than k coordinates; phase 3 reads each
+    desired stripe off an information set and catches only missing symbols."""
     code = plan.code
     n, k = code.n, code.k
     if len(responses) != n or any(len(r) != plan.d for r in responses):
@@ -253,9 +257,10 @@ def p1_decode(plan: P1Plan, responses: Sequence[Sequence[int]],
             elif atom.kind == "desired1":
                 desired_coords.setdefault(atom.terms[0][1], {})[j] = value
 
-    aligned_full: dict[tuple, list[int]] = {}
-    for key, coords in aligned_coords.items():
-        aligned_full[key] = _codeword_from_coords(code, coords, msg_field)
+    aligned_full = {key: code.decode_erasures(
+                        [coords.get(j, 0) for j in range(n)],
+                        [j for j in range(n) if j not in coords], msg_field)
+                    for key, coords in aligned_coords.items()}
 
     # phase 2: cancel side information from higher-round desired sums
     for j in range(n):
@@ -289,21 +294,6 @@ def _info_subset(code: LinearCode, coords: list[int]) -> list[int]:
     if len(info) != code.k:
         raise DecodeFailure(f"coordinates {coords} contain no information set")
     return info
-
-
-def _codeword_from_coords(code: LinearCode, coords: dict[int, int],
-                          msg_field: FiniteField) -> list[int]:
-    """Decode a full codeword from coordinate values covering an information set."""
-    known = sorted(coords)
-    info = _info_subset(code, known)
-    message = code.message_from_information_set(
-        info, [coords[j] for j in info], msg_field)
-    cw = code.encode(Matrix(msg_field, [message]))
-    full = cw.data[0]
-    for j, v in coords.items():
-        if full[j] != v:
-            raise DecodeFailure("inconsistent aligned-sum coordinates")
-    return full
 
 
 @dataclass

@@ -4,9 +4,9 @@ Each subquery sends every node one coordinate of a fresh batch of beta*f
 random codewords of a query code, plus a deterministic unit offset on the
 nodes that should leak one desired symbol. The response vector of a subquery
 is a codeword of the Hadamard product of storage and query codes plus the
-offset symbols, so multiplying by the product code's parity check exposes
-exactly those symbols. T is one less than the minimum distance of the query
-code's dual.
+offset symbols, so erasure decoding in the product code, with the offset
+nodes erased, exposes exactly those symbols. T is one less than the minimum
+distance of the query code's dual.
 
 With the [n,1] repetition code as the query code the product is the storage
 code and T = 1: that is protocol 2, the file-independent noncolluding
@@ -27,11 +27,10 @@ from .errors import (
     DecodeFailure,
     DimensionMismatch,
     OrderOverflow,
-    RankDeficient,
     RateOneProduct,
     StructureViolation,
 )
-from .fields import FiniteField, Matrix, mat_mul, mat_solve
+from .fields import FiniteField, Matrix, mat_mul
 from .families import rm_code, rm_information_set, rm_translate
 from .rng import rng_for
 
@@ -182,28 +181,27 @@ def p3_respond(dss, queries: Sequence[Matrix]) -> list[list[int]]:
 
 def p3_decode(setup: P3Setup, responses: Sequence[Sequence[int]],
               f: int, m: int, msg_field: FiniteField) -> Matrix:
-    """Post-process each subquery's response vector through the product code's
-    parity check and solve for the exposed symbols."""
+    """Decode each subquery's response vector rho in the product code with its
+    support erased; the exposed symbols are rho_l - c_l there. An inconsistent
+    response raises DecodeFailure only when Gamma < n - ktilde (the support
+    leaves parity checks unused); otherwise it decodes to a wrong stripe."""
     code = setup.code
     n, k = code.n, code.k
     if len(responses) != n or any(len(r) != setup.d for r in responses):
         raise DecodeFailure("incomplete responses")
-    h_tilde = setup.product.H
     symbols: dict[tuple[int, int], int] = {}
     for i in range(setup.d):
-        rho = Matrix.column(msg_field, [responses[l][i] for l in range(n)])
-        z = mat_mul(h_tilde, rho)
+        rho = [responses[l][i] for l in range(n)]
         support = [l for l in range(n) if setup.ehat[i][l]]
         try:
-            sol = mat_solve(h_tilde.restrict_cols(support), z)
-        except RankDeficient as exc:
-            raise DecodeFailure(f"subquery {i}: responses inconsistent with "
-                                "the product code") from exc
-        for idx, l in enumerate(support):
+            c_hat = setup.product.decode_erasures(rho, support, msg_field)
+        except DecodeFailure as exc:
+            raise DecodeFailure(f"subquery {i}: {exc}") from exc
+        for l in support:
             stripe = setup.stripes[l][i]
             if stripe is None or (stripe, l) in symbols:
                 raise DecodeFailure("stripe assignment inconsistent")
-            symbols[(stripe, l)] = sol.data[idx][0]
+            symbols[(stripe, l)] = msg_field.sub(rho[l], c_hat[l])
     rows = []
     for t, iset in enumerate(setup.info_sets):
         try:

@@ -157,8 +157,8 @@ def s_set(a: int, A: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 def capacity_finite(n: int, k: int, f: int) -> Fraction:
     """MDS-PIR capacity for f files on an [n,k]-coded system."""
-    if f < 1 or k > n:
-        raise DimensionMismatch("need f >= 1 and k <= n")
+    if f < 1 or not 0 <= k <= n or n < 1:
+        raise DimensionMismatch("need f >= 1, n >= 1 and 0 <= k <= n")
     if k == n:
         return Fraction(0)
     return Fraction(n - k, n) / (1 - Fraction(k, n) ** f)
@@ -166,8 +166,8 @@ def capacity_finite(n: int, k: int, f: int) -> Fraction:
 
 def capacity_asymptotic(n: int, k: int) -> Fraction:
     """MDS-PIR capacity in the infinite-file limit: (n-k)/n."""
-    if k > n:
-        raise DimensionMismatch("need k <= n")
+    if not 0 <= k <= n or n < 1:
+        raise DimensionMismatch("need n >= 1 and 0 <= k <= n")
     return Fraction(n - k, n)
 
 

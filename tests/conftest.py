@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from codedpir.codes import ErasurePattern, LinearCode, code_from_generator
 from codedpir.families import grs_code
@@ -40,6 +41,27 @@ LAM23 = [(0, 1, 1, 1, 1), (1, 0, 0, 1, 1), (1, 1, 1, 0, 0)]
 EHAT_P3 = [(0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
            (0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0)]
 ISETS_P3 = [(1, 2, 8, 11)]
+
+
+@st.composite
+def codes(draw, fields, max_messages=None, max_n=8):
+    """[n,k] code over one of `fields` ((p, alpha) pairs) from a generator
+    [I_k | A] with its columns permuted, so every drawn generator has full
+    rank and every code can be drawn."""
+    field = field_make(*draw(st.sampled_from(fields)))
+    n = draw(st.integers(2, max_n))
+    k_max = n
+    if max_messages is not None:
+        while field.order ** k_max > max_messages:
+            k_max -= 1
+    k = draw(st.integers(1, k_max))
+    # small entries are frequent, so dependent columns occur in every field
+    entry = st.one_of(st.integers(0, 2), st.integers(0, field.order - 1))
+    extra = [[draw(entry) for _ in range(n - k)] for _ in range(k)]
+    rows = [[1 if i == j else 0 for j in range(k)] + extra[i] for i in range(k)]
+    perm = draw(st.permutations(range(n)))
+    generator = [[row[perm[j]] for j in range(n)] for row in rows]
+    return code_from_generator(Matrix(field, generator))
 
 
 def pattern_list_reference(code, w: int) -> tuple[int, ...]:

@@ -157,3 +157,43 @@ def test_rate_one_code_is_an_error_not_a_traceback(tmp_path, capsys, argv):
     assert main(argv + ["--code", str(path), "--query-code", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--collude", "0"],      # 1-based: there is no node 0
+    ["--collude", "6,1"],    # the [5,3] code has five nodes
+    ["--collude", "x"],
+    ["--trials", "0"],
+    ["--trials", "-3"],
+])
+def test_audit_privacy_rejects_bad_input(capsys, extra):
+    from codedpir.reports import fixtures_dir
+    argv = ["audit-privacy", "--protocol", "1", "--code",
+            str(fixtures_dir() / "c1.json"), "--seed", "1", "--trials", "50"]
+    assert main(argv + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--n", "0", "--k", "0"],
+    ["capacity", "--n", "0", "--k", "0", "--f", "2"],
+    ["capacity", "--n", "4", "--k", "-1"],
+    ["capacity", "--n", "4", "--k", "-1", "--f", "2"],
+])
+def test_capacity_rejects_bad_sizes(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unreadable_json_is_an_error(good_spec, tmp_path, capsys):
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"family": "raw", "q": 2, "gener')
+    missing = str(tmp_path / "missing.json")
+    for argv in (["code", "info", missing], ["code", "info", str(truncated)],
+                 ["simulate", "p2", "--code", missing, "--files", "2",
+                  "--request", "1"],
+                 ["matrix", "find", good_spec, "--automorphisms", missing],
+                 ["matrix", "find", good_spec, "--automorphisms", str(truncated)]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: cannot read JSON"), argv

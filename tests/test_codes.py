@@ -5,8 +5,8 @@ import pytest
 
 from codedpir.codes import (ErasurePattern, LinearCode, code_from_generator,
                             gaussian_binomial, standard_form_parity)
-from codedpir.errors import (DimensionMismatch, EmptySupport, NotCorrectable,
-                             RankDeficientGenerator)
+from codedpir.errors import (DecodeFailure, DimensionMismatch, EmptySupport,
+                             NotCorrectable, RankDeficientGenerator)
 from codedpir.families import cyclic_code, grs_code
 from codedpir.fields import Matrix, field_make, mat_mul, mat_rank
 
@@ -91,6 +91,17 @@ def test_decode_erasures_roundtrip(code73):
     assert got == list(word)
     with pytest.raises(NotCorrectable):
         code73.decode_erasures(list(word), [0, 1, 2, 3, 4])
+    # a word that no codeword matches off E fails the syndrome check, also
+    # with nothing erased
+    bad = list(word)
+    bad[0] ^= 1
+    with pytest.raises(DecodeFailure):
+        code73.decode_erasures(bad, [], value_field=f4)
+    # d_min = 4: a word off a codeword in one unerased position fits no
+    # codeword off two erasures
+    with pytest.raises(DecodeFailure):
+        code73.decode_erasures(bad, [5, 6], value_field=f4)
+    assert issubclass(NotCorrectable, DecodeFailure)
 
 
 def test_decode_erasures_every_correctable_pattern(good532, code73):

@@ -121,6 +121,29 @@ def test_exact_audit_p3_with_control(code124):
     assert report.controls[0].flagged
 
 
+def test_audit_rejects_bad_sets_and_trials(good532):
+    s5 = p2_build_structure(good532, ISETS_EX5, EHAT_EX5)
+    dss = Dss(good532, f=2, beta=2, seed=0)
+    lam = rate_matrix(good532, LAM35)
+    dss1 = Dss(good532, f=2, beta=25, seed=0)
+    for sets in ([()], [(5,)], [(-1,)], [(0, 7)]):
+        with pytest.raises(BadParams):
+            privacy_audit(2, dss, {"structure": s5}, collusion_sets=sets,
+                          mode="exact")
+        with pytest.raises(BadParams):
+            privacy_audit(1, dss1, {"lam": lam}, collusion_sets=sets, trials=10)
+    with pytest.raises(BadParams):
+        privacy_audit(2, dss, {"structure": s5}, mode="exact",
+                      control_sets=[(5,)])
+    for trials in (0, -3):
+        with pytest.raises(BadParams):
+            privacy_audit(2, dss, {"structure": s5}, trials=trials)
+        with pytest.raises(BadParams):
+            privacy_audit(1, dss1, {"lam": lam}, trials=trials)
+    # exact mode enumerates and reads no trial count
+    assert privacy_audit(2, dss, {"structure": s5}, trials=0, mode="exact").passed
+
+
 def test_statistical_audits_quick(good532, code124):
     s5 = p2_build_structure(good532, ISETS_EX5, EHAT_EX5)
     dss = Dss(good532, f=2, beta=2, seed=0)

@@ -14,36 +14,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from codedpir.codes import ErasurePattern, LinearCode, code_from_generator
+from codedpir.errors import DecodeFailure, NotCorrectable
 from codedpir.families import _is_mds_parity_check
 from codedpir.fields import Matrix, field_make, mat_mul, mat_rank, mat_rref
 from codedpir.optimizer import compute_erasure_pattern_list
-from conftest import pattern_list_reference
+from conftest import codes, pattern_list_reference
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1),
           (2, 4), (17, 1)]
 BRUTE_LIMIT = 512  # q^k ceiling for the brute-force distance oracle
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
-
-
-@st.composite
-def codes(draw, fields=FIELDS, max_messages=None):
-    """[n,k] code from a generator [I_k | A] with its columns permuted, so
-    every drawn generator has full rank and every code can be drawn."""
-    field = field_make(*draw(st.sampled_from(fields)))
-    n = draw(st.integers(2, 8))
-    k_max = n
-    if max_messages is not None:
-        while field.order ** k_max > max_messages:
-            k_max -= 1
-    k = draw(st.integers(1, k_max))
-    # small entries are frequent, so dependent columns occur in every field
-    entry = st.one_of(st.integers(0, 2), st.integers(0, field.order - 1))
-    extra = [[draw(entry) for _ in range(n - k)] for _ in range(k)]
-    rows = [[1 if i == j else 0 for j in range(k)] + extra[i] for i in range(k)]
-    perm = draw(st.permutations(range(n)))
-    generator = [[row[perm[j]] for j in range(n)] for row in rows]
-    return code_from_generator(Matrix(field, generator))
 
 
 def check_erasures(code):
@@ -55,7 +36,7 @@ def check_erasures(code):
 
 
 @PROPERTY
-@given(codes())
+@given(codes(FIELDS))
 def test_erasure_correctable_matches_rank(code):
     check_erasures(code)
 
@@ -73,7 +54,7 @@ def test_erasure_correctable_without_field_tables():
 
 
 @PROPERTY
-@given(codes(), st.integers(0, 2**32 - 1))
+@given(codes(FIELDS), st.integers(0, 2**32 - 1))
 def test_pattern_lists_match_reference(code, seed):
     """The exhaustive prefix walk (taken when C(n, w) fits the budget) lists
     what the per-subset filter lists, in the same order; `patterns` and
@@ -95,7 +76,7 @@ def test_pattern_lists_match_reference(code, seed):
 
 
 @PROPERTY
-@given(codes(fields=FIELDS + [(5, 7)]), st.data())
+@given(codes(FIELDS + [(5, 7)]), st.data())
 def test_pivot_columns_match_rref(code, data):
     order = data.draw(st.permutations(range(code.n)))
     _, pivots = mat_rref(code.H.restrict_cols(order))
@@ -103,7 +84,7 @@ def test_pivot_columns_match_rref(code, data):
 
 
 @PROPERTY
-@given(codes(fields=FIELDS + [(5, 7)]), st.data())
+@given(codes(FIELDS + [(5, 7)]), st.data())
 def test_encode_matches_mat_mul(code, data):
     """encode over GF(q) runs the numpy step on small fields and mat_mul on
     the others; mat_mul is the scalar reference for both."""
@@ -127,7 +108,7 @@ def brute_codewords(code):
 
 
 @PROPERTY
-@given(codes(max_messages=BRUTE_LIMIT))
+@given(codes(FIELDS, max_messages=BRUTE_LIMIT))
 # two message symbols over GF(9): sums of products carry between digits
 @example(code_from_generator(Matrix(field_make(3, 2), [[1, 0, 5, 7], [0, 1, 3, 8]])))
 def test_min_distance_and_codewords_match_brute_force(code):
@@ -141,7 +122,35 @@ def test_min_distance_and_codewords_match_brute_force(code):
 
 
 @PROPERTY
-@given(codes(fields=FIELDS + [(5, 7)]), st.integers(0, 2**32 - 1), st.data())
+@given(codes([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)], max_messages=64),
+       st.data())
+def test_decode_erasures_matches_brute_force(code, data):
+    """For every E of size <= n - k, against the codewords that agree with a
+    drawn word off E: dependent columns of H at E raise NotCorrectable, one
+    agreeing codeword is returned, none raises DecodeFailure."""
+    words = list(code.codewords())
+    symbol = st.integers(0, code.field.order - 1)
+    # a codeword with a few symbols overwritten, so that both outcomes occur
+    word = list(data.draw(st.sampled_from(words)))
+    for j in data.draw(st.lists(st.integers(0, code.n - 1), max_size=2)):
+        word[j] = data.draw(symbol)
+    for w in range(code.n - code.k + 1):
+        for erased in itertools.combinations(range(code.n), w):
+            known = [j for j in range(code.n) if j not in erased]
+            agree = [list(cw) for cw in words
+                     if all(cw[j] == word[j] for j in known)]
+            if mat_rank(code.H.restrict_cols(erased)) < w:
+                with pytest.raises(NotCorrectable):
+                    code.decode_erasures(word, erased)
+            elif agree:
+                assert [code.decode_erasures(word, erased)] == agree, erased
+            else:
+                with pytest.raises(DecodeFailure):
+                    code.decode_erasures(word, erased)
+
+
+@PROPERTY
+@given(codes(FIELDS + [(5, 7)]), st.integers(0, 2**32 - 1), st.data())
 def test_information_sets_match_rref(code, seed, data):
     """The G-kernel predicates against rank and RREF pivots of G's columns."""
     for w in range(code.n + 1):
@@ -161,7 +170,7 @@ def test_information_sets_match_rref(code, seed, data):
 
 
 @PROPERTY
-@given(codes(), st.data())
+@given(codes(FIELDS), st.data())
 def test_contains_codewords_matches_stacked_rank(code, data):
     """Words lie in the code iff stacking them under G keeps rank k; a
     permutation is an automorphism iff the permuted G stacks to rank k."""

@@ -1,13 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from codedpir.dss import Dss
+from codedpir.dss import Dss, run
 from codedpir.errors import StructureViolation
 from codedpir.fields import Matrix
+from codedpir.optimizer import optimize_rate
 from codedpir.protocol2 import (p2_build_structure, p2_decode, p2_queries,
                                 p2_respond)
-from conftest import EHAT_EX5, EHAT_EX6, ISETS_EX5, ISETS_EX6
+from codedpir.ratematrix import lambda_generic
+from conftest import EHAT_EX5, EHAT_EX6, ISETS_EX5, ISETS_EX6, codes
 
 
 @pytest.fixture(scope="module")
@@ -213,30 +216,23 @@ def test_corrupted_response_raises_decode_failure_not_field_error(code73):
     assert failures > 0
 
 
-def test_p2_roundtrip_on_random_codes():
-    """Full pipeline fuzz: random small codes, optimized structure, exact
-    recovery for every file index."""
-    import random
-    from codedpir.dss import run
-    from codedpir.optimizer import optimize_rate
-    from codedpir.fields import field_make, mat_rank
-    f2 = field_make(2)
-    rng = random.Random(77)
-    done = 0
-    while done < 4:
-        n = rng.randrange(4, 8)
-        k = rng.randrange(2, n - 1)
-        g = Matrix(f2, [[rng.randrange(2) for _ in range(n)] for _ in range(k)])
-        if mat_rank(g) != k:
-            continue
-        from codedpir.codes import code_from_generator
-        code = code_from_generator(g)
-        e, gamma = optimize_rate(code)
-        if e is None:
-            continue
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(codes([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)], max_n=6),
+       st.sampled_from([1, 2]), st.integers(0, 2**16))
+def test_p2_roundtrip_on_random_codes(code, ell, seed):
+    """Full pipeline on random small codes with GF(q^ell) payloads: the
+    optimizer's structure decodes through protocol 2 for every file index,
+    and protocol 1 decodes on the generic rate matrix."""
+    assume(code.k < code.n)
+    e, _ = optimize_rate(code, seed=seed)
+    if e is not None:
         structure = p2_build_structure(code, e.info_sets(), e.ehat)
-        dss = Dss(code, f=2, beta=structure.beta, seed=done)
+        dss = Dss(code, f=2, beta=structure.beta, ell=ell, seed=seed)
         for m in (1, 2):
-            tx = run(2, dss, {"structure": structure, "m": m, "seed": done})
+            tx = run(2, dss, {"structure": structure, "m": m, "seed": seed})
             assert tx.decoded_hash == dss.file_hash(m)
-        done += 1
+    if code.min_distance() > 1:  # else the generic matrix has kappa = nu
+        lam = lambda_generic(code, seed=seed)
+        dss = Dss(code, f=2, beta=lam.nu ** 2, ell=ell, seed=seed)
+        tx = run(1, dss, {"lam": lam, "m": 1 + seed % 2, "seed": seed})
+        assert tx.decoded_hash == dss.file_hash(1 + seed % 2)
