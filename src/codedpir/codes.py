@@ -4,7 +4,7 @@ A `LinearCode` is an immutable pair (G, H) with rank(G) = k, rank(H) = n-k and
 G H^T = 0. Coordinates are 0-based everywhere in code; the wire formats and CLI
 render 1-based coordinates to match the usual coding-theory convention.
 
-Three exact kernels carry the code predicates and the decoding:
+Two exact kernels carry the code predicates and the decoding:
 
 - Column independence. Each code builds, once, an elimination step over the
   columns of H and another over the columns of G (`_column_reducer`). It
@@ -20,18 +20,16 @@ Three exact kernels carry the code predicates and the decoding:
   correctable patterns (`correctable_masks`) and runs the column search of
   `min_distance`; on G, the information-set predicates through
   `information_columns`. None allocates a `Matrix`.
-- Encoding over GF(q) (`_encode_array`, built once per code). A batch of
-  messages, as numpy int64 rows, is mapped to its codewords: `msgs @ G mod p`
-  over a prime field, and over GF(p^a) a sum of per-row multiple tables (row d
-  of the i-th table is d * G[i]) indexed by the message symbols. `encode` uses
-  it for messages over small fields GF(q), and the chunked codeword enumeration
-  (`_codeword_chunks`, at most ENUM_CHUNK messages a chunk) that
-  `min_distance` and `codewords` read feeds it every chunk.
 - Erasure decoding (`decode_erasures`), shared by the three protocols: the
   pattern is checked on the H kernel, then one elimination solves
   H_E x = -H_K y_K over the word's field. Its residual is the one syndrome
   check: a word that no codeword matches off E (with E empty: a word that is
   no codeword) raises `DecodeFailure`.
+
+Encoding is `mat_mul(message, G)`, the exact array product of `fields`; the
+chunked codeword enumeration (`_codeword_chunks`, at most ENUM_CHUNK messages
+a chunk) that `min_distance` and `codewords` read calls the same product on
+its message digits.
 """
 
 from __future__ import annotations
@@ -68,8 +66,6 @@ ENUM_BUDGET = 1 << 21          # codeword-enumeration ceiling for q^k
 COLUMN_SEARCH_BUDGET = 5_000_000  # cumulative column-subset ceiling
 SUBSPACE_BUDGET = 2_000_000    # s-dimensional subspace enumeration ceiling
 ENUM_CHUNK = 4096              # messages per enumeration chunk (~1 MB temporaries)
-ARRAY_ENCODE_MAX_Q = 1 << 8    # largest q whose messages `encode` sends through
-                               # the numpy step (GF(p^a) tables: q*n per G row)
 
 
 _BITS = frozenset((0, 1))
@@ -136,7 +132,6 @@ class LinearCode:
                 raise DimensionMismatch("G H^T != 0")
         self._reduce = _column_reducer(H)
         self._reduce_g = _column_reducer(G)
-        self._encoder = None
         self._products: dict[LinearCode, LinearCode] = {}  # hadamard_product memo
 
     # --- constructors ---------------------------------------------------------
@@ -238,24 +233,8 @@ class LinearCode:
     # --- encoding / decoding ------------------------------------------------------
 
     def encode(self, message: Matrix) -> Matrix:
-        """message (rows x k, possibly over an extension field) times G.
-
-        Messages over GF(q) with q <= ARRAY_ENCODE_MAX_Q go through the numpy
-        step in one batch; the rest through `mat_mul`."""
-        if message.field is not self.field or self.field.order > ARRAY_ENCODE_MAX_Q:
-            return mat_mul(message, self.G)
-        if message.cols != self.k:
-            raise DimensionMismatch("message length differs from k")
-        msgs = np.array(message.data, dtype=np.int64).reshape(message.rows, self.k)
-        return Matrix.wrap(self.field, self._encode_array(msgs).tolist(),
-                           message.rows, self.n)
-
-    def _encode_array(self, msgs: np.ndarray) -> np.ndarray:
-        """Codewords of a batch of messages over GF(q): int64 rows x k in,
-        rows x n out. The step is built on first use and kept."""
-        if self._encoder is None:
-            self._encoder = _array_encoder(self.field, self.G)
-        return self._encoder(msgs)
+        """message (rows x k, possibly over an extension field) times G."""
+        return mat_mul(message, self.G)
 
     def message_from_information_set(self, coords: Sequence[int],
                                      values: Sequence[int],
@@ -300,11 +279,12 @@ class LinearCode:
         if total > budget:
             raise TooLarge(f"q^k = {q}^{k} exceeds enumeration budget")
         powers = q ** np.arange(k, dtype=np.int64)
+        g = np.array(self.G.data, dtype=np.int64).reshape(k, self.n)
         for start in range(0, total, ENUM_CHUNK):
             msgs = np.arange(start, min(start + ENUM_CHUNK, total),
                              dtype=np.int64)[:, None] // powers
             msgs %= q
-            yield self._encode_array(msgs)
+            yield self.field.matmul_array(msgs, g)
 
     # --- distances ---------------------------------------------------------------
 
@@ -437,17 +417,8 @@ class LinearCode:
                     rows_u[i][p] = 1
                 for (i, j), val in zip(free_pos, assign):
                     rows_u[i][j] = val
-                support = [False] * self.n
-                for u in rows_u:
-                    cw = [0] * self.n
-                    for idx, coef in enumerate(u):
-                        if coef:
-                            grow = self.G.data[idx]
-                            cw = [f.add(c, f.mul(coef, g)) for c, g in zip(cw, grow)]
-                    for j, x in enumerate(cw):
-                        if x:
-                            support[j] = True
-                w = sum(support)
+                basis = mat_mul(Matrix.wrap(f, rows_u, s, k), self.G).data
+                w = sum(map(any, zip(*basis)))  # support of the subcode
                 if w < best:
                     best = w
                 pos = 0
@@ -615,43 +586,6 @@ def _column_reducer(H: Matrix):
         return None
 
     return reduce
-
-
-def _array_encoder(f: FiniteField, G: Matrix):
-    """msgs -> msgs G over GF(q) on int64 arrays (see the module docstring)."""
-    k, n = G.rows, G.cols
-    if f.alpha == 1:
-        g = np.array(G.data, dtype=np.int64).reshape(k, n)
-
-        def encode(msgs: np.ndarray) -> np.ndarray:
-            cw = msgs @ g
-            cw %= f.p
-            return cw
-
-        return encode
-
-    multiples = [np.array([[f.mul(d, x) for x in row] for d in range(f.order)],
-                          dtype=np.int64) for row in G.data]
-
-    def encode(msgs: np.ndarray) -> np.ndarray:
-        cw = np.zeros((len(msgs), n), dtype=np.int64)
-        for i, table in enumerate(multiples):
-            cw = _add_arrays(f, cw, table[msgs[:, i]])
-        return cw
-
-    return encode
-
-
-def _add_arrays(f: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise a + b over GF(p^a) on canonical integer encodings."""
-    if f.p == 2:
-        return a ^ b
-    out = np.zeros_like(a)
-    mult = 1
-    for _ in range(f.alpha):
-        out += (a % f.p + b % f.p) % f.p * mult
-        a, b, mult = a // f.p, b // f.p, mult * f.p
-    return out
 
 
 def repetition_code(field: FiniteField, n: int) -> LinearCode:

@@ -18,6 +18,8 @@ from .errors import BadParams, DecodeFailure
 from .fields import FiniteField, Matrix
 from .rng import rng_for
 
+MAX_STRIPES = 10 ** 6  # memory guard on the stripes of one file (protocol 1: nu^f)
+
 
 class Dss:
     """n-node storage system holding f encoded files of beta stripes."""
@@ -26,6 +28,9 @@ class Dss:
                  seed: int = 0, files: list[Matrix] | None = None):
         if f < 1 or beta < 1 or ell < 1:
             raise BadParams(f"need f, beta, ell >= 1; got {f}, {beta}, {ell}")
+        if beta > MAX_STRIPES:
+            raise BadParams(f"{beta} stripes per file exceed the memory guard "
+                            f"of {MAX_STRIPES}")
         self.code = code
         self.f = f
         self.beta = beta

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from .codes import ErasurePattern, LinearCode, code_from_generator, standard_form_parity
 from .errors import (
     BadDimensions,
+    BadParams,
     BadOrder,
     DuplicatePoint,
     NonBinary,
@@ -279,29 +280,56 @@ def uuv_code(U: LinearCode) -> LinearCode:
 
 # --- JSON code specs -------------------------------------------------------------
 
+def _ints(value, depth: int):
+    """value as nested lists of integers, `depth` list levels deep."""
+    if depth == 0:
+        return int(value)
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return [_ints(x, depth - 1) for x in value]
+
+
+def _spec_field(spec: dict, name: str, depth: int = 0, optional: bool = False):
+    """spec[name] read by `_ints`; None for an absent optional field.
+    BadParams naming the family and the field when it is missing or bad."""
+    if optional and spec.get(name) is None:
+        return None
+    try:
+        return _ints(spec[name], depth)
+    except KeyError:
+        raise BadParams(f"{spec['family']!r} code spec has no field {name!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise BadParams(f"{spec['family']!r} code spec: bad field {name!r} "
+                        f"({exc})") from None
+
+
 def code_from_spec(spec: dict) -> LinearCode:
     """Build a code from its JSON spec; see each family for its fields."""
+    if not isinstance(spec, dict) or "family" not in spec:
+        raise BadParams("a code spec is a JSON object with a \"family\" field")
     family = spec["family"]
     if family == "raw":
-        f = field_make(*_factor_prime_power(int(spec["q"])))
-        return code_from_generator(Matrix(f, spec["generator"]))
+        f = field_make(*_factor_prime_power(_spec_field(spec, "q")))
+        return code_from_generator(Matrix(f, _spec_field(spec, "generator", 2)))
     if family == "grs":
-        f = field_make(*_factor_prime_power(int(spec["q"])))
-        return grs_code(f, int(spec["n"]), int(spec["k"]),
-                        eval_points=spec.get("points"),
-                        multipliers=spec.get("multipliers"))
+        f = field_make(*_factor_prime_power(_spec_field(spec, "q")))
+        return grs_code(f, _spec_field(spec, "n"), _spec_field(spec, "k"),
+                        eval_points=_spec_field(spec, "points", 1, optional=True),
+                        multipliers=_spec_field(spec, "multipliers", 1, optional=True))
     if family == "reed-muller":
-        return rm_code(int(spec["v"]), int(spec["m"]))
+        return rm_code(_spec_field(spec, "v"), _spec_field(spec, "m"))
     if family == "cyclic":
-        f = field_make(*_factor_prime_power(int(spec["q"])))
-        return cyclic_code(f, int(spec["n"]), list(spec["genpoly"]))
+        f = field_make(*_factor_prime_power(_spec_field(spec, "q")))
+        return cyclic_code(f, _spec_field(spec, "n"), _spec_field(spec, "genpoly", 1))
     if family == "lrc":
-        params = LrcParams(q=int(spec["q"]), r=int(spec["r"]),
-                           delta=int(spec["delta"]), Lc=int(spec["Lc"]),
-                           n=int(spec["n"]), k=int(spec["k"]),
-                           local_parity=spec["P"], global_mix=spec["M"])
+        params = LrcParams(*[_spec_field(spec, name)
+                             for name in ("q", "r", "delta", "Lc", "n", "k")],
+                           local_parity=_spec_field(spec, "P", 3),
+                           global_mix=_spec_field(spec, "M", 3))
         return lrc_optimal(params)
     if family == "uuv":
+        if "U" not in spec:
+            raise BadParams("'uuv' code spec has no field 'U'")
         return uuv_code(code_from_spec(spec["U"]))
     raise BadDimensions(f"unknown code family {family!r}")
 

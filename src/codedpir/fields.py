@@ -8,12 +8,22 @@ across runs. Extension fields GF(q^ell) are ordinary fields GF(p^(alpha*ell))
 carrying a cached embedding of the subfield, which is what lets a query matrix
 over GF(q) act on message symbols in GF(q^ell).
 
+Every matrix product (`mat_mul`, hence encoding, node responses and
+syndromes) is one exact product on int64 arrays of canonical elements,
+`FiniteField.matmul_array`: over GF(p), `a @ b` mod p, on Python integers
+once k (p-1)^2 reaches 2^63; over GF(p^a) with log/exp tables (order up to
+2^16), one table gather per term over row blocks of at most MATMUL_CHUNK
+terms, summed by XOR in characteristic 2 and digit-wise mod p otherwise;
+over larger fields, a scalar loop over `add` and `mul`.
+
 Everything here is immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     DegreeOutOfRange,
@@ -25,6 +35,7 @@ from .errors import (
 
 _TABLE_MAX = 1 << 16  # build log/exp tables up to this field order
 _MAX_DEGREE = 8
+MATMUL_CHUNK = 1 << 16  # terms (rows x k x c) per gather block of matmul_array
 
 
 def _is_prime(n: int) -> bool:
@@ -180,6 +191,7 @@ class FiniteField:
         self.modulus = tuple(modulus)
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._gather: tuple[np.ndarray, np.ndarray] | None = None
         self._embeddings: dict[tuple[int, int], list[int]] = {}
         if 1 < self.order <= _TABLE_MAX and alpha > 1:
             self._build_tables()
@@ -291,6 +303,63 @@ class FiniteField:
     def _mul_poly(self, a: int, b: int) -> int:
         prod = _poly_mulmod(self.to_digits(a), self.to_digits(b), self.modulus, self.p)
         return self.from_digits(prod + [0] * (self.alpha - len(prod)))
+
+    # --- arithmetic on int64 arrays of canonical reps ------------------------
+
+    def matmul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The product a b over this field of an r x k and a k x c int64 array
+        of canonical elements, as an r x c int64 array (see the module
+        docstring)."""
+        (r, k), c = a.shape, b.shape[1]
+        if self.alpha == 1:
+            if k * (self.p - 1) ** 2 >= 1 << 63:  # int64 sums could wrap
+                out = a.astype(object) @ b.astype(object) % self.p
+                return out.astype(np.int64)
+            out = a @ b
+            out %= self.p
+            return out
+        if self._exp is None:
+            bt = b.T.tolist()
+            out = [[0] * c for _ in range(r)]
+            for orow, arow in zip(out, a.tolist()):
+                for j, bcol in enumerate(bt):
+                    acc = 0
+                    for x, y in zip(arow, bcol):
+                        if x and y:
+                            acc = self.add(acc, self.mul(x, y))
+                    orow[j] = acc
+            return np.array(out, dtype=np.int64).reshape(r, c)
+        exp, log = self._gather_tables()
+        log_b = log[b][None]
+        out = np.empty((r, c), dtype=np.int64)
+        step = max(1, MATMUL_CHUNK // max(1, k * c))
+        for start in range(0, r, step):
+            terms = exp[log[a[start:start + step]][:, :, None] + log_b]
+            out[start:start + step] = self.sum_array(terms, axis=1)
+        return out
+
+    def sum_array(self, terms: np.ndarray, axis: int) -> np.ndarray:
+        """Field sum of an int64 array of canonical elements along `axis`."""
+        if self.p == 2:
+            return np.bitwise_xor.reduce(terms, axis=axis)
+        out = 0
+        for i in range(self.alpha):
+            power = self.p ** i
+            out = out + (terms // power % self.p).sum(axis=axis) % self.p * power
+        return out
+
+    def _gather_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """int64 (exp, log) for `matmul_array`, built on first use: log[0]
+        points past the 2(q-1) powers into a zero tail, so a term with a zero
+        factor gathers 0."""
+        if self._gather is None:
+            q = self.order
+            exp = np.zeros(4 * q - 3, dtype=np.int64)
+            exp[:2 * (q - 1)] = self._exp
+            log = np.array(self._log, dtype=np.int64)
+            log[0] = 2 * (q - 1)
+            self._gather = exp, log
+        return self._gather
 
     # --- structure ----------------------------------------------------------
 
@@ -513,19 +582,9 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     field = _common_field(A.field, B.field)
     A = A.lift(field)
     B = B.lift(field)
-    f = field
-    bt = list(zip(*B.data)) if B.data else []
-    out = []
-    for arow in A.data:
-        orow = []
-        for bcol in bt:
-            acc = 0
-            for x, y in zip(arow, bcol):
-                if x and y:
-                    acc = f.add(acc, f.mul(x, y))
-            orow.append(acc)
-        out.append(orow)
-    return Matrix(f, out, A.rows, B.cols)
+    out = field.matmul_array(np.array(A.data, dtype=np.int64).reshape(A.rows, A.cols),
+                             np.array(B.data, dtype=np.int64).reshape(B.rows, B.cols))
+    return Matrix.wrap(field, out.tolist(), A.rows, B.cols)
 
 
 def mat_solve(A: Matrix, b: Matrix) -> Matrix:

@@ -27,12 +27,11 @@ from math import comb
 from typing import Sequence
 
 from .codes import LinearCode
+from .dss import MAX_STRIPES
 from .errors import DecodeFailure, DimensionMismatch, InvalidLambda, KappaEqualsNu, OutOfRange
 from .fields import FiniteField, Matrix
 from .ratematrix import RateMatrix, interference_matrices, validate_rate_matrix
 from .rng import rng_for
-
-MAX_STRIPES = 10 ** 6
 
 
 def u_of(l: int, kappa: int, nu: int, f: int) -> int:

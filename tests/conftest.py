@@ -64,6 +64,22 @@ def codes(draw, fields, max_messages=None, max_n=8):
     return code_from_generator(Matrix(field, generator))
 
 
+def mat_mul_reference(A, B):
+    """Reference for `mat_mul`: the scalar triple loop over the field's `add`
+    and `mul`, in the larger of the two (nested) fields."""
+    f = A.field if A.field.order >= B.field.order else B.field
+    A, B = A.lift(f), B.lift(f)
+    out = [[0] * B.cols for _ in range(A.rows)]
+    for i, arow in enumerate(A.data):
+        for j in range(B.cols):
+            acc = 0
+            for x, brow in zip(arow, B.data):
+                if x and brow[j]:
+                    acc = f.add(acc, f.mul(x, brow[j]))
+            out[i][j] = acc
+    return Matrix(f, out, A.rows, B.cols)
+
+
 def pattern_list_reference(code, w: int) -> tuple[int, ...]:
     """Reference for the exhaustive pattern list: every weight-w support in
     `itertools.combinations` order, kept when `erasure_correctable` accepts

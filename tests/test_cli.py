@@ -197,3 +197,34 @@ def test_unreadable_json_is_an_error(good_spec, tmp_path, capsys):
                  ["matrix", "find", good_spec, "--automorphisms", str(truncated)]):
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error: cannot read JSON"), argv
+
+
+@pytest.mark.parametrize("argv", [
+    # nu = 5 for the optimizer's structure on c1: 5^9 stripes per file
+    ["simulate", "p1", "--files", "9", "--request", "1"],
+    # lambda_generic gives nu = 4 on c1: 4^10 stripes per file
+    ["audit-privacy", "--protocol", "1", "--files", "10"],
+])
+def test_stripe_guard_precedes_storage(capsys, argv):
+    from codedpir.reports import fixtures_dir
+    assert main(argv + ["--code", str(fixtures_dir() / "c1.json"),
+                        "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "memory guard" in err
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"family": "raw"}, "'raw' code spec has no field 'q'"),
+    ([1, 2], "a code spec is a JSON object"),
+    ({"family": "raw", "q": 2, "generator": "ab"},
+     "'raw' code spec: bad field 'generator'"),
+    ({"family": "grs", "q": 7, "n": 5, "k": "x"}, "'grs' code spec: bad field 'k'"),
+    ({"family": "lrc", "q": 8, "r": 2}, "'lrc' code spec has no field 'delta'"),
+    ({"family": "uuv"}, "'uuv' code spec has no field 'U'"),
+])
+def test_malformed_code_spec_is_an_error(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["code", "info", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message) and "Traceback" not in err

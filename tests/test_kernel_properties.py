@@ -1,9 +1,10 @@
 """Property checks of the code kernels against independent scalar oracles.
 
 Random small codes over GF(2, 3, 4, 5, 7, 8, 9, 13, 16, 17); GF(5^7) has no
-log/exp tables and exercises the kernel's table-less branch. The scalar
-oracles themselves (`mat_rank`, `mat_rref`) are checked against sympy over
-GF(p).
+log/exp tables and exercises the kernel's table-less branch. The array
+product behind `mat_mul` is checked against the scalar triple loop
+(`mat_mul_reference`). The scalar oracles themselves (`mat_rank`,
+`mat_rref`, and `mul` on the tabled fields) are checked against sympy.
 """
 
 import itertools
@@ -16,9 +17,9 @@ from hypothesis import example, given, settings, strategies as st
 from codedpir.codes import ErasurePattern, LinearCode, code_from_generator
 from codedpir.errors import DecodeFailure, NotCorrectable
 from codedpir.families import _is_mds_parity_check
-from codedpir.fields import Matrix, field_make, mat_mul, mat_rank, mat_rref
+from codedpir.fields import MATMUL_CHUNK, Matrix, field_make, mat_mul, mat_rank, mat_rref
 from codedpir.optimizer import compute_erasure_pattern_list
-from conftest import codes, pattern_list_reference
+from conftest import codes, mat_mul_reference, pattern_list_reference
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1),
           (2, 4), (17, 1)]
@@ -83,28 +84,71 @@ def test_pivot_columns_match_rref(code, data):
     assert code.pivot_columns(order) == [order[c] for c in pivots]
 
 
+def random_matrix(data, field, rows, cols):
+    # small entries are frequent, so products meet zeros and carries
+    entry = st.one_of(st.integers(0, 2), st.integers(0, field.order - 1))
+    return Matrix(field, [[data.draw(entry) % field.order for _ in range(cols)]
+                          for _ in range(rows)], rows, cols)
+
+
+@PROPERTY
+@given(st.sampled_from(FIELDS + [(5, 7)]), st.data())
+def test_mat_mul_matches_reference(field, data):
+    """mat_mul against the scalar loop, shapes with 0 rows, 0 inner and 0
+    columns included, one operand over GF(q) and the other over GF(q^ell)
+    (ell <= 3, alpha ell <= 8) in either order."""
+    base = field_make(*field)
+    ell = data.draw(st.integers(1, min(3, 8 // base.alpha)))
+    fields = [base, base.extension(ell)]
+    if data.draw(st.booleans()):
+        fields.reverse()
+    r, k, c = (data.draw(st.integers(0, 5)) for _ in range(3))
+    A = random_matrix(data, fields[0], r, k)
+    B = random_matrix(data, fields[1], k, c)
+    assert mat_mul(A, B) == mat_mul_reference(A, B)
+
+
+@pytest.mark.parametrize("field", [(2, 4), (3, 2)])
+def test_mat_mul_over_several_row_blocks(field):
+    """A product of more than MATMUL_CHUNK terms is gathered over row blocks;
+    here two full blocks and a partial one."""
+    f = field_make(*field)
+    rng = random.Random(5)
+    r, k, c = 1500, 8, 12
+    assert 2 * MATMUL_CHUNK < r * k * c < 3 * MATMUL_CHUNK
+    A = Matrix(f, [[rng.randrange(f.order) for _ in range(k)] for _ in range(r)])
+    B = Matrix(f, [[rng.randrange(f.order) for _ in range(c)] for _ in range(k)])
+    assert mat_mul(A, B) == mat_mul_reference(A, B)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_mat_mul_exact_over_a_large_prime(k):
+    """Over GF(2^31 - 1) a sum of k >= 3 products of int64 operands passes
+    2^63; the product switches to Python integers and stays exact."""
+    f = field_make(2**31 - 1)
+    top = f.order - 1
+    A = Matrix(f, [[top] * k, list(range(top, top - k, -1))])
+    B = Matrix(f, [[top, 1, top - 7] for _ in range(k)])
+    assert mat_mul(A, B) == mat_mul_reference(A, B)
+    assert mat_mul(A, B).data[0][0] == k  # k (p-1)^2 = k (-1)^2
+
+
 @PROPERTY
 @given(codes(FIELDS + [(5, 7)]), st.data())
 def test_encode_matches_mat_mul(code, data):
-    """encode over GF(q) runs the numpy step on small fields and mat_mul on
-    the others; mat_mul is the scalar reference for both."""
+    """encode, on messages over GF(q) or GF(q^2), is the scalar product m G."""
     rows = data.draw(st.integers(0, 6))
-    symbol = st.integers(0, code.field.order - 1)
-    message = Matrix(code.field, [[data.draw(symbol) for _ in range(code.k)]
-                                  for _ in range(rows)], rows, code.k)
-    assert code.encode(message) == mat_mul(message, code.G)
+    ell = 2 if code.field.alpha <= 4 and data.draw(st.booleans()) else 1
+    message = random_matrix(data, code.field.extension(ell), rows, code.k)
+    assert code.encode(message) == mat_mul_reference(message, code.G)
 
 
 def brute_codewords(code):
-    """Every codeword m G with scalar field arithmetic, m_0 varying fastest."""
-    f = code.field
-    out = []
-    for msg in itertools.product(range(f.order), repeat=code.k):
-        cw = [0] * code.n
-        for m, row in zip(reversed(msg), code.G.data):
-            cw = [f.add(c, f.mul(m, g)) for c, g in zip(cw, row)]
-        out.append(tuple(cw))
-    return out
+    """Every codeword m G by the scalar product, m_0 varying fastest."""
+    msgs = [list(reversed(m))
+            for m in itertools.product(range(code.field.order), repeat=code.k)]
+    words = mat_mul_reference(Matrix(code.field, msgs, len(msgs), code.k), code.G)
+    return [tuple(cw) for cw in words.data]
 
 
 @PROPERTY
@@ -206,6 +250,29 @@ def test_mds_parity_check_matches_subset_ranks(field, m, width, data):
     want = all(mat_rank(h.restrict_cols(cols)) == m
                for cols in itertools.combinations(range(width + m), m))
     assert _is_mds_parity_check(f, left, width) == want
+
+
+@pytest.mark.parametrize("p,alpha", [f for f in FIELDS if f[1] > 1] + [(2, 8), (3, 5)])
+def test_tabled_mul_matches_sympy(p, alpha):
+    """mul on the log/exp tables against sympy's gf_mul then gf_rem by the
+    canonical modulus, which sympy also finds irreducible."""
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem, gf_strip
+    f = field_make(p, alpha)
+    assert f._exp is not None
+    modulus = list(reversed(f.modulus))  # sympy lists coefficients high to low
+    assert gf_irreducible_p(modulus, p, ZZ)
+    if f.order <= 16:
+        pairs = list(itertools.product(range(f.order), repeat=2))
+    else:
+        rng = random.Random(p * alpha)
+        pairs = [(rng.randrange(f.order), rng.randrange(f.order)) for _ in range(500)]
+        pairs += [(0, f.order - 1), (1, f.order - 1), (f.order - 1, f.order - 1)]
+    for a, b in pairs:
+        prod = gf_mul(gf_strip(list(reversed(f.to_digits(a)))),
+                      gf_strip(list(reversed(f.to_digits(b)))), p, ZZ)
+        assert f.mul(a, b) == f.from_digits(reversed(gf_rem(prod, modulus, p, ZZ))), (a, b)
 
 
 @PROPERTY

@@ -3,9 +3,11 @@
 
 Every fixture is deterministic: searched codes embed their search seed in the
 "source" field, and constructed codes embed their construction parameters.
-Run from the repository root: python tools/make_fixtures.py
+Run from the repository root: python tools/make_fixtures.py [--out DIR]
+(DIR defaults to the packaged fixture directory).
 """
 
+import argparse
 import json
 import random
 import sys
@@ -287,6 +289,10 @@ def index():
 
 
 if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description="Regenerate the table-code fixtures.")
+    ap.add_argument("--out", type=Path, default=OUT,
+                    help="output directory (default: src/codedpir/fixtures)")
+    OUT = ap.parse_args().out
     OUT.mkdir(parents=True, exist_ok=True)
     c1(); c2(); c3_c4(); c5(); c8(); tamo_barg(); c11(); c13(); c14()
     c74_pyramid(); index()
