@@ -3,11 +3,14 @@
 The protocols' privacy is exact by construction; these audits are regression
 tripwires. Exact mode enumerates the query randomness for tiny parameter sets
 and compares the per-collusion-set query distributions across requested files
-symbol by symbol. Statistical mode samples protocol runs and chi-squares the
-per-position (joint, for colluding sets) query-symbol histograms across the
-requested file index, passing when every p-value clears a Bonferroni-corrected
-0.01 threshold. Protocol 2 is audited as protocol 3 with the repetition query
-code (T = 1, single spies).
+symbol by symbol. Statistical mode samples the query symbols every node sees
+and chi-squares the per-position (joint, for colluding sets) histograms across
+the requested file index, passing when every p-value clears a
+Bonferroni-corrected 0.01 threshold. For protocols 2 and 3 one seeded draw of
+query-code messages per file index goes through the protocol's own query step
+(`protocol3.query_batch`) for all trials at once; protocol 1 draws one plan per
+trial. Protocol 2 is audited as protocol 3 with the repetition query code
+(T = 1, single spies).
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import numpy as np
 from .dss import Dss
 from .errors import BadParams, TooLarge
 from .protocol1 import p1_plan, p1_symmetry_audit
-from .protocol3 import P3Setup, p3_queries
-from .rng import derive_seed
+from .protocol3 import P3Setup, query_batch
+from .rng import derive_seed, rng_for
 
 EXACT_SPACE_LIMIT = 1 << 16
 
@@ -180,49 +183,48 @@ def _audit_p23_exact(protocol: int, setup: P3Setup, dss: Dss, collusion_sets,
 
 # --- protocols 2 and 3: statistical sampling -----------------------------------
 
-def _collect_queries(protocol: int, setup: P3Setup, f: int, m: int,
-                     trials: int, seed: int) -> np.ndarray:
-    """Query tensors: shape (trials, n, d, beta*f), entries in [0, q)."""
-    out = np.empty((trials, setup.code.n, setup.d, setup.beta * f), dtype=np.int64)
-    for t in range(trials):
-        child = derive_seed(seed, "audit", protocol, m, t)
-        out[t] = [Q.data for Q in p3_queries(setup, f, m, child)]
-    return out
-
-
 def _audit_p23_statistical(protocol: int, setup: P3Setup, dss: Dss,
                            collusion_sets, trials: int, seed: int,
                            control_sets) -> PrivacyReport:
-    q = dss.code.field.order
-    tensors = [_collect_queries(protocol, setup, dss.f, m, trials, seed)
-               for m in range(1, dss.f + 1)]
-    d, bf = setup.d, setup.beta * dss.f
-    n_tests = (len(collusion_sets)) * d * bf
-    threshold = 0.01 / max(n_tests, 1)
+    q, kq = dss.code.field.order, setup.query_code.k
+    n, d, bf = dss.code.n, setup.d, setup.beta * dss.f
+    samples = np.empty((dss.f, trials, n, d, bf), dtype=np.int64)
+    for m in range(1, dss.f + 1):
+        rng = rng_for(seed, "audit", protocol, m)
+        msgs = np.array([rng.randrange(q) for _ in range(trials * d * bf * kq)],
+                        dtype=np.int64).reshape(trials, d, bf, kq)
+        samples[m - 1] = query_batch(setup, dss.f, m, msgs)
+    samples = samples.reshape(dss.f, trials, n, d * bf)
+    threshold = 0.01 / max(len(collusion_sets) * d * bf, 1)
     report = PrivacyReport(protocol=protocol, mode="statistical", trials=trials,
                            threshold=threshold)
-
-    def outcomes_for(tset, sink):
-        size = len(tset)
-        vmax = q ** size
-        for i in range(d):
-            for j in range(bf):
-                counts = np.zeros((dss.f, vmax), dtype=np.int64)
-                for g, tensor in enumerate(tensors):
-                    joint = np.zeros(trials, dtype=np.int64)
-                    for pos, l in enumerate(tset):
-                        joint = joint * q + tensor[:, l, i, j]
-                    counts[g] = np.bincount(joint, minlength=vmax)
-                p = _homogeneity_p(counts)
-                sink.append(AuditOutcome(
-                    collusion=tuple(tset), position=f"subquery {i} col {j}",
-                    p_value=p, identical=None, flagged=p <= threshold))
-
-    for tset in collusion_sets:
-        outcomes_for(tset, report.outcomes)
-    for tset in control_sets:
-        outcomes_for(tset, report.controls)
+    names = [f"subquery {i} col {j}" for i in range(d) for j in range(bf)]
+    _homogeneity_outcomes(samples, q, collusion_sets, threshold, names,
+                          report.outcomes)
+    _homogeneity_outcomes(samples, q, control_sets, threshold, names,
+                          report.controls)
     return report
+
+
+def _homogeneity_outcomes(samples: np.ndarray, base: int, sets, threshold: float,
+                          names: list[str], sink: list) -> None:
+    """One chi-square homogeneity test across file indices per (set, position):
+    samples[g, t, l, pos] is the symbol (in 0..base-1) node l sees at position
+    names[pos] in trial t for file g + 1; a set is tested on its joint symbol."""
+    f = samples.shape[0]
+    for tset in sets:
+        vmax = base ** len(tset)
+        bins = np.arange(f)[:, None] * vmax
+        for pos, name in enumerate(names):
+            joint = 0
+            for l in tset:
+                joint = joint * base + samples[:, :, l, pos]
+            # file g + 1 counts in bins g*vmax .. (g+1)*vmax - 1
+            counts = np.bincount((joint + bins).ravel(), minlength=f * vmax)
+            p = _homogeneity_p(counts.reshape(f, vmax))
+            sink.append(AuditOutcome(collusion=tuple(tset), position=name,
+                                     p_value=p, identical=None,
+                                     flagged=p <= threshold))
 
 
 # --- protocol 1: positional subset distributions plus exact balance checks -------
@@ -257,28 +259,17 @@ def _audit_p1(dss: Dss, config: dict, collusion_sets, trials: int,
             child = derive_seed(seed, "audit-p1", m, t)
             samples[m - 1, t] = p1_plan(dss.code, lam, dss.f, m, child).shuffles
         samples[m - 1] = labels[rows, samples[m - 1]]
-    vmax = len(subset_index)
-    n_tests = len(collusion_sets) * d
-    threshold = 0.01 / max(n_tests, 1)
+    threshold = 0.01 / max(len(collusion_sets) * d, 1)
+    skipped = [f"skipping non-singleton set {tset}: the noncolluding protocol "
+               "defends single spies" for tset in collusion_sets if len(tset) != 1]
     report = PrivacyReport(protocol=1, mode="statistical", trials=trials,
-                           threshold=threshold, notes=notes)
-    for tset in collusion_sets:
-        if len(tset) != 1:
-            report.notes.append(f"skipping non-singleton set {tset}: the "
-                                "noncolluding protocol defends single spies")
-            continue
-        (j,) = tset
-        for pos in range(d):
-            counts = np.zeros((dss.f, vmax), dtype=np.int64)
-            for g in range(dss.f):
-                counts[g] = np.bincount(samples[g, :, j, pos], minlength=vmax)
-            p = _homogeneity_p(counts)
-            report.outcomes.append(AuditOutcome(
-                collusion=(j,), position=f"position {pos}",
-                p_value=p, identical=None, flagged=p <= threshold))
-    if notes:
-        for note in notes:
-            report.outcomes.append(AuditOutcome(
-                collusion=(), position=f"structural: {note}", p_value=None,
-                identical=False, flagged=True))
+                           threshold=threshold, notes=notes + skipped)
+    _homogeneity_outcomes(samples, len(subset_index),
+                          [tset for tset in collusion_sets if len(tset) == 1],
+                          threshold, [f"position {pos}" for pos in range(d)],
+                          report.outcomes)
+    # only the structural notes are violations; skipped sets are not
+    report.outcomes += [AuditOutcome(collusion=(), position=f"structural: {note}",
+                                     p_value=None, identical=False, flagged=True)
+                        for note in notes]
     return report

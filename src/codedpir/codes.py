@@ -26,10 +26,10 @@ Two exact kernels carry the code predicates and the decoding:
   check: a word that no codeword matches off E (with E empty: a word that is
   no codeword) raises `DecodeFailure`.
 
-Encoding is `mat_mul(message, G)`, the exact array product of `fields`; the
-chunked codeword enumeration (`_codeword_chunks`, at most ENUM_CHUNK messages
-a chunk) that `min_distance` and `codewords` read calls the same product on
-its message digits.
+`encode` is the base-field array encoder (G converted to an array once per
+code); the protocol queries and the codeword enumeration (`_codeword_chunks`,
+ENUM_CHUNK messages a chunk) behind `min_distance` and `codewords` call it.
+Stored files over GF(q^ell) are encoded by `mat_mul`.
 """
 
 from __future__ import annotations
@@ -130,6 +130,7 @@ class LinearCode:
                 raise RankDeficientGenerator("parity-check rows are dependent")
             if not self.contains_codewords(G.data):
                 raise DimensionMismatch("G H^T != 0")
+        self._g = np.array(G.data, dtype=np.int64).reshape(self.k, self.n)
         self._reduce = _column_reducer(H)
         self._reduce_g = _column_reducer(G)
         self._products: dict[LinearCode, LinearCode] = {}  # hadamard_product memo
@@ -232,9 +233,9 @@ class LinearCode:
 
     # --- encoding / decoding ------------------------------------------------------
 
-    def encode(self, message: Matrix) -> Matrix:
-        """message (rows x k, possibly over an extension field) times G."""
-        return mat_mul(message, self.G)
+    def encode(self, messages: np.ndarray) -> np.ndarray:
+        """r x k int64 messages over GF(q) times G, as an r x n int64 array."""
+        return self.field.matmul_array(messages, self._g)
 
     def message_from_information_set(self, coords: Sequence[int],
                                      values: Sequence[int],
@@ -279,12 +280,11 @@ class LinearCode:
         if total > budget:
             raise TooLarge(f"q^k = {q}^{k} exceeds enumeration budget")
         powers = q ** np.arange(k, dtype=np.int64)
-        g = np.array(self.G.data, dtype=np.int64).reshape(k, self.n)
         for start in range(0, total, ENUM_CHUNK):
             msgs = np.arange(start, min(start + ENUM_CHUNK, total),
                              dtype=np.int64)[:, None] // powers
             msgs %= q
-            yield self.field.matmul_array(msgs, g)
+            yield self.encode(msgs)
 
     # --- distances ---------------------------------------------------------------
 

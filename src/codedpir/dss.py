@@ -15,10 +15,10 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from .codes import LinearCode
 from .errors import BadParams, DecodeFailure
-from .fields import FiniteField, Matrix
+from .fields import FiniteField, Matrix, mat_mul
 from .rng import rng_for
 
-MAX_STRIPES = 10 ** 6  # memory guard on the stripes of one file (protocol 1: nu^f)
+MAX_STRIPES = 10 ** 6  # memory guard on the f*beta stripes of a store (protocol 1: nu^f a file)
 
 
 class Dss:
@@ -28,9 +28,9 @@ class Dss:
                  seed: int = 0, files: list[Matrix] | None = None):
         if f < 1 or beta < 1 or ell < 1:
             raise BadParams(f"need f, beta, ell >= 1; got {f}, {beta}, {ell}")
-        if beta > MAX_STRIPES:
-            raise BadParams(f"{beta} stripes per file exceed the memory guard "
-                            f"of {MAX_STRIPES}")
+        if f * beta > MAX_STRIPES:
+            raise BadParams(f"{f} files of {beta} stripes exceed the memory "
+                            f"guard of {MAX_STRIPES} stripes")
         self.code = code
         self.f = f
         self.beta = beta
@@ -49,7 +49,7 @@ class Dss:
                                       for x in files):
                 raise BadParams("files must be f matrices of beta x k")
         self.files = files
-        self.arrays = [code.encode(x) for x in files]  # beta x n each
+        self.arrays = [mat_mul(x, code.G) for x in files]  # beta x n each
         if not all(code.contains_codewords(arr.data, self.msg_field)
                    for arr in self.arrays):
             raise BadParams("encoded stripe is not a codeword")

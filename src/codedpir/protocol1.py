@@ -29,7 +29,7 @@ from typing import Sequence
 from .codes import LinearCode
 from .dss import MAX_STRIPES
 from .errors import DecodeFailure, DimensionMismatch, InvalidLambda, KappaEqualsNu, OutOfRange
-from .fields import FiniteField, Matrix
+from .fields import FiniteField, Matrix, mat_mul
 from .ratematrix import RateMatrix, interference_matrices, validate_rate_matrix
 from .rng import rng_for
 
@@ -235,9 +235,9 @@ def p1_decode(plan: P1Plan, responses: Sequence[Sequence[int]],
               msg_field: FiniteField) -> Matrix:
     """Reconstruct all nu^f stripes of the requested file from the responses.
 
-    Detects: an inconsistent aligned side-information sum raises DecodeFailure
-    only where that sum is known at more than k coordinates; phase 3 reads each
-    desired stripe off an information set and catches only missing symbols."""
+    Detects: an aligned side-information sum or a desired stripe raises
+    DecodeFailure where no codeword matches all its known coordinates (which
+    needs it known at more than k nodes)."""
     code = plan.code
     n, k = code.n, code.k
     if len(responses) != n or any(len(r) != plan.d for r in responses):
@@ -276,23 +276,24 @@ def p1_decode(plan: P1Plan, responses: Sequence[Sequence[int]],
         raise DecodeFailure(
             f"recovered {len(desired_coords)} stripes, expected {plan.beta}")
 
-    # phase 3: solve every stripe on an information set and place it physically
+    # phase 3: solve every stripe on an information set, then check all of them
+    # on every known coordinate in one product with G
     out = [[0] * k for _ in range(plan.beta)]
     perm = plan.perms[plan.m - 1]
     for row, coords in desired_coords.items():
         known = sorted(coords)
-        info = _info_subset(code, known)
-        message = code.message_from_information_set(
+        info = code.information_columns(known)
+        if len(info) != k:
+            raise DecodeFailure(f"coordinates {known} contain no information set")
+        out[perm[row - 1]] = code.message_from_information_set(
             info, [coords[j] for j in info], msg_field)
-        out[perm[row - 1]] = message
-    return Matrix(msg_field, out, plan.beta, k)
-
-
-def _info_subset(code: LinearCode, coords: list[int]) -> list[int]:
-    info = code.information_columns(coords)
-    if len(info) != code.k:
-        raise DecodeFailure(f"coordinates {coords} contain no information set")
-    return info
+    decoded = Matrix(msg_field, out, plan.beta, k)
+    words = mat_mul(decoded, code.G).data
+    for row, coords in desired_coords.items():
+        word = words[perm[row - 1]]
+        if any(word[j] != value for j, value in coords.items()):
+            raise DecodeFailure(f"stripe {row} disagrees with its known coordinates")
+    return decoded
 
 
 @dataclass

@@ -8,6 +8,9 @@ offset symbols, so erasure decoding in the product code, with the offset
 nodes erased, exposes exactly those symbols. T is one less than the minimum
 distance of the query code's dual.
 
+`p3_queries` draws the query-code messages; `query_batch`, the array step that
+encodes them and adds the offsets, also runs the statistical audit's trials.
+
 With the [n,1] repetition code as the query code the product is the storage
 code and T = 1: that is protocol 2, the file-independent noncolluding
 protocol (see `protocol2`).
@@ -72,10 +75,6 @@ class P3Setup:
         """Rate of the unimproved retrieval scheme: (d_min(product) - 1)/n."""
         return Fraction(self.product.min_distance() - 1, self.code.n)
 
-    def f_set(self, node: int) -> list[int]:
-        """Indices of the information sets containing the node's coordinate."""
-        return [t for t, iset in enumerate(self.info_sets) if node in iset]
-
     @cached_property
     def stripes(self) -> tuple[tuple[int | None, ...], ...]:
         """Per node, the stripe each subquery downloads there (None = masked).
@@ -85,7 +84,7 @@ class P3Setup:
         """
         out = []
         for node in range(self.code.n):
-            available = iter(self.f_set(node))
+            available = (t for t, iset in enumerate(self.info_sets) if node in iset)
             out.append(tuple(next(available) if row[node] else None
                              for row in self.ehat))
         return tuple(out)
@@ -149,25 +148,34 @@ def p3_queries(setup: P3Setup, f: int, m: int, seed: int) -> list[Matrix]:
     """d x (beta*f) query matrix per node; fresh codeword batch per subquery."""
     if not 1 <= m <= f:
         raise DimensionMismatch(f"m={m} outside 1..{f}")
-    qcode = setup.query_code
-    field = qcode.field
-    q, kq = field.order, qcode.k
+    field = setup.query_code.field
+    q, kq = field.order, setup.query_code.k
     d, bf = setup.d, setup.beta * f
     draws: list[int] = []
     for i in range(d):
         rng = rng_for(seed, "p3", "codewords", i)
         draws += [rng.randrange(q) for _ in range(bf * kq)]
-    # one encode for every subquery: rows i*bf .. (i+1)*bf - 1 are subquery i's
-    # batch, and node l's query row i is column l of that batch
-    msgs = np.array(draws, dtype=np.int64).reshape(d * bf, kq).tolist()
-    batch = qcode.encode(Matrix.wrap(field, msgs, d * bf, kq))
-    per_node = np.array(batch.data).reshape(d, bf, qcode.n).transpose(2, 0, 1).tolist()
-    shift = (m - 1) * setup.beta
-    for rows, stripes in zip(per_node, setup.stripes):
-        for i, stripe in enumerate(stripes):
-            if stripe is not None:
-                rows[i][shift + stripe] = field.add(rows[i][shift + stripe], 1)
-    return [Matrix.wrap(field, rows, d, bf) for rows in per_node]
+    msgs = np.array(draws, dtype=np.int64).reshape(1, d, bf, kq)
+    return [Matrix.wrap(field, rows, d, bf)
+            for rows in query_batch(setup, f, m, msgs)[0].tolist()]
+
+
+def query_batch(setup: P3Setup, f: int, m: int, msgs: np.ndarray) -> np.ndarray:
+    """Node queries (T, n, d, beta*f) for file m from T draws of messages
+    msgs[t, i] (beta*f x kq, subquery i): node l's row i is coordinate l of the
+    codewords plus the unit offset where Ehat has node l leak a symbol."""
+    qcode = setup.query_code
+    T, d, bf, kq = msgs.shape
+    words = qcode.encode(msgs.reshape(T * d * bf, kq))
+    out = words.reshape(T, d, bf, qcode.n).transpose(0, 3, 1, 2)
+    nodes, subs, cols = zip(*[(l, i, (m - 1) * setup.beta + stripe)
+                              for l, stripes in enumerate(setup.stripes)
+                              for i, stripe in enumerate(stripes)
+                              if stripe is not None])
+    hit = out[:, nodes, subs, cols]
+    out[:, nodes, subs, cols] = qcode.field.sum_array(
+        np.stack([hit, np.ones_like(hit)]), axis=0)
+    return out
 
 
 def p3_respond(dss, queries: Sequence[Matrix]) -> list[list[int]]:

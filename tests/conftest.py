@@ -138,6 +138,51 @@ def p1_audit_samples_reference(dss, lam, trials: int, seed: int):
     return samples, len(subset_index)
 
 
+def query_reference(setup, f: int, m: int, msgs) -> list:
+    """Reference for `query_batch` on one draw: the scalar query construction.
+    msgs[i][j] is the query-code message of codeword j of subquery i; each
+    subquery's batch is encoded by the scalar product and each unit offset is
+    added by the field's `add`. Returns node l's d x beta*f query rows."""
+    qcode = setup.query_code
+    field = qcode.field
+    d, bf = setup.d, setup.beta * f
+    rows = [[[0] * bf for _ in range(d)] for _ in range(qcode.n)]
+    for i in range(d):
+        batch = mat_mul_reference(Matrix(field, msgs[i], bf, qcode.k), qcode.G)
+        for j, word in enumerate(batch.data):
+            for l, x in enumerate(word):
+                rows[l][i][j] = x
+    for l, stripes in enumerate(setup.stripes):
+        for i, stripe in enumerate(stripes):
+            if stripe is not None:
+                col = (m - 1) * setup.beta + stripe
+                rows[l][i][col] = field.add(rows[l][i][col], 1)
+    return rows
+
+
+def p23_audit_outcomes_reference(tensors, q: int, sets, threshold: float):
+    """Reference for the protocol-2/3 statistical outcomes: one chi-square
+    test per (set, subquery i, column j) on the per-file histograms of the
+    set's joint symbol, from tensors[g][t, l, i, j] (file g + 1, trial t).
+    Returns (set, position, p-value, flagged) in report order."""
+    from codedpir.audit import _homogeneity_p
+    trials, _, d, bf = tensors[0].shape
+    out = []
+    for tset in sets:
+        vmax = q ** len(tset)
+        for i in range(d):
+            for j in range(bf):
+                counts = np.zeros((len(tensors), vmax), dtype=np.int64)
+                for g, tensor in enumerate(tensors):
+                    joint = np.zeros(trials, dtype=np.int64)
+                    for l in tset:
+                        joint = joint * q + tensor[:, l, i, j]
+                    counts[g] = np.bincount(joint, minlength=vmax)
+                p = _homogeneity_p(counts)
+                out.append((tuple(tset), f"subquery {i} col {j}", p, p <= threshold))
+    return out
+
+
 @pytest.fixture(scope="session")
 def f2():
     return field_make(2)

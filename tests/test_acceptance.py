@@ -9,6 +9,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
 from codedpir.audit import privacy_audit
 from codedpir.codes import ErasurePattern, code_from_generator
 from codedpir.dss import Dss, run
@@ -284,8 +286,8 @@ def test_criterion_10_property_suites(good532, bad532, code73, rs53, f2):
         # erasure decoding round-trips on every correctable pattern
         rng = random.Random(10)
         for code in (good532, code73):
-            word = code.encode(Matrix(code.field, [[rng.randrange(2)
-                               for _ in range(code.k)]])).data[0]
+            word = code.encode(np.array([[rng.randrange(2)
+                               for _ in range(code.k)]])).tolist()[0]
             for w in range(code.n - code.k + 1):
                 for support in itertools.combinations(range(code.n), w):
                     pat = ErasurePattern.from_support(code.n, support)

@@ -204,6 +204,8 @@ def test_unreadable_json_is_an_error(good_spec, tmp_path, capsys):
     ["simulate", "p1", "--files", "9", "--request", "1"],
     # lambda_generic gives nu = 4 on c1: 4^10 stripes per file
     ["audit-privacy", "--protocol", "1", "--files", "10"],
+    # 4^9 stripes per file are under the guard, 9 files of them are not
+    ["audit-privacy", "--protocol", "1", "--files", "9"],
 ])
 def test_stripe_guard_precedes_storage(capsys, argv):
     from codedpir.reports import fixtures_dir

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -12,8 +13,10 @@ from codedpir.fields import mat_mul
 from codedpir.protocol2 import p2_build_structure
 from codedpir.protocol3 import p3_setup
 from codedpir.ratematrix import rate_matrix
+from codedpir.rng import rng_for
 from conftest import (EHAT_EX5, EHAT_EX6, EHAT_P3, ISETS_EX5, ISETS_EX6,
-                      ISETS_P3, LAM35, p1_audit_samples_reference)
+                      ISETS_P3, LAM35, p1_audit_samples_reference,
+                      p23_audit_outcomes_reference, query_reference)
 
 
 def test_dss_init_invariants(good532):
@@ -186,6 +189,55 @@ def test_p1_audit_matches_reference(good532, seed):
         p <= report.threshold for _, _, p in expected]
     assert [o.p_value for o in report.outcomes] == pytest.approx(
         [p for _, _, p in expected], rel=1e-12)
+
+
+@pytest.mark.parametrize("protocol", [2, 3])
+def test_p23_audit_matches_reference(good532, code124, protocol):
+    """The protocol-2/3 audit gives the positions, p-values and flags of the
+    per-(subquery, column) loop over scalar queries built from its draw."""
+    if protocol == 2:
+        setup = p2_build_structure(good532, ISETS_EX5, EHAT_EX5)
+        dss = Dss(good532, f=2, beta=2, seed=0)
+        config, controls = {"structure": setup}, [(0, 1)]
+    else:
+        setup = p3_setup(code124, code124, EHAT_P3, ISETS_P3)
+        dss = Dss(code124, f=2, beta=1, seed=0)
+        config, controls = {"setup": setup}, [(3, 5, 8)]
+    trials, seed = 150, 5
+    report = privacy_audit(protocol, dss, config, trials=trials, seed=seed,
+                           control_sets=controls)
+    q, kq = dss.code.field.order, setup.query_code.k
+    d, bf = setup.d, setup.beta * dss.f
+    # the audit's draw: one stream per file index, trial-major
+    tensors = []
+    for m in range(1, dss.f + 1):
+        rng = rng_for(seed, "audit", protocol, m)
+        tensors.append(np.array([query_reference(setup, dss.f, m, [
+            [[rng.randrange(q) for _ in range(kq)] for _ in range(bf)]
+            for _ in range(d)]) for _ in range(trials)]))
+    legal = [(l,) for l in range(dss.code.n)]
+    if setup.collusion_threshold == 2:
+        legal += list(itertools.combinations(range(dss.code.n), 2))
+    assert report.threshold == 0.01 / (len(legal) * d * bf)
+    assert [(o.collusion, o.position, o.p_value, o.flagged)
+            for o in report.outcomes] == p23_audit_outcomes_reference(
+                tensors, q, legal, report.threshold)
+    assert [(o.collusion, o.position, o.p_value, o.flagged)
+            for o in report.controls] == p23_audit_outcomes_reference(
+                tensors, q, controls, report.threshold)
+
+
+def test_p1_audit_reports_skipped_sets_as_notes(good532):
+    """A colluding set given to the protocol-1 audit is skipped with a note,
+    not reported as a flagged structural violation."""
+    lam = rate_matrix(good532, LAM35)
+    dss = Dss(good532, f=2, beta=25, seed=0)
+    report = privacy_audit(1, dss, {"lam": lam}, collusion_sets=[(0,), (1, 2)],
+                           trials=50, seed=1)
+    assert report.notes == ["skipping non-singleton set (1, 2): the "
+                            "noncolluding protocol defends single spies"]
+    assert report.outcomes and all(o.collusion == (0,) for o in report.outcomes)
+    assert report.passed
 
 
 def test_chi2_sf_matches_scipy():

@@ -214,6 +214,36 @@ def test_decode_rejects_incomplete_responses(good532, lam35):
         p1_decode(plan, [r[:-1] for r in responses], dss.msg_field)
 
 
+def test_decode_checks_desired_stripes_on_all_known_coordinates(good532):
+    """A flipped desired symbol raises wherever the nodes that know its stripe
+    puncture the code to minimum distance >= 2 (so no codeword matches)."""
+    from codedpir.errors import DecodeFailure
+    from codedpir.ratematrix import lambda_generic
+    lam = lambda_generic(good532, seed=1)
+    dss = Dss(good532, f=2, beta=lam.nu ** 2, seed=1)
+    plan = p1_plan(good532, lam, f=2, m=1, seed=1)
+    responses = [p1_answer(dss, j, plan.node_query(j)) for j in range(5)]
+    known: dict[int, set] = {}
+    for j, atoms in enumerate(plan.node_atoms):
+        for atom in atoms:
+            if atom.kind in ("desired", "desired1"):
+                known.setdefault(atom.terms[0][1], set()).add(j)
+    detectable = 0
+    for j in range(5):
+        for pos, idx in enumerate(plan.shuffles[j]):
+            atom = plan.node_atoms[j][idx]
+            if atom.kind not in ("desired", "desired1") or \
+                    good532.puncture(known[atom.terms[0][1]]).min_distance() < 2:
+                continue
+            detectable += 1
+            flipped = [list(r) for r in responses]
+            flipped[j][pos] = dss.msg_field.add(flipped[j][pos], 1)
+            with pytest.raises(DecodeFailure):
+                p1_decode(plan, flipped, dss.msg_field)
+    assert detectable == 16
+    assert p1_decode(plan, responses, dss.msg_field) == dss.files[0]
+
+
 def test_end_to_end_reed_muller_automorphism_matrix():
     """Capacity run on R(1,3) with the translation-built matrix: f=2 rate
     equals the finite capacity for [8,4]."""

@@ -1,17 +1,20 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from codedpir.dss import Dss
 from codedpir.errors import OrderOverflow, RateOneProduct, StructureViolation
 from codedpir.families import grs_code, rm_code
 from codedpir.fields import Matrix, field_make, mat_rank
+from codedpir.protocol2 import p2_build_structure
 from codedpir.protocol3 import (collusion_threshold, necessary_condition_p3,
                                 p3_decode, p3_queries, p3_respond,
-                                p3_rm_max_rate, p3_setup,
+                                p3_rm_max_rate, p3_setup, query_batch,
                                 validate_max_rate_matrix)
 from codedpir.rng import rng_for
-from conftest import EHAT_P3, ISETS_P3
+from conftest import (EHAT_EX5, EHAT_EX6, EHAT_P3, ISETS_EX5, ISETS_EX6,
+                      ISETS_P3, query_reference)
 
 
 @pytest.fixture(scope="module")
@@ -50,13 +53,61 @@ def test_query_offsets_match_worked_example(setup_vb, code124, f2):
     qs = p3_queries(setup_vb, f=1, m=1, seed=0)
     rng = rng_for(0, "p3", "codewords", 0)
     msg = [[rng.randrange(2) for _ in range(4)]]
-    cw = code124.encode(Matrix(f2, msg)).data[0]
+    cw = code124.encode(np.array(msg)).tolist()[0]
     for l in range(12):
         expected = cw[l] ^ (1 if l in (8, 11) else 0)
         assert qs[l].data[0][0] == expected
     # beta = 1 forces s = 1 on every accessed node
     assert setup_vb.stripes[8] == (0, None)
     assert setup_vb.stripes[2] == (None, 0)
+
+
+@pytest.fixture(scope="module")
+def query_setups(good532, code73, setup_vb):
+    from codedpir.families import pyramid_code
+    from codedpir.ratematrix import lrc_E_matrix
+    code13, params = pyramid_code(field_make(13), r=4, delta=2, Lc=2, a=2)
+    em = lrc_E_matrix(params, code13)
+    return {"s5": p2_build_structure(good532, ISETS_EX5, EHAT_EX5),
+            "s6": p2_build_structure(code73, ISETS_EX6, EHAT_EX6),
+            "[12,4]": setup_vb,
+            "RM(1,1,3)": p3_rm_max_rate(1, 1, 3),
+            "[12,8] GF(13)": p2_build_structure(code13, em.info_sets(), em.ehat)}
+
+
+@pytest.mark.parametrize("name", ["s5", "s6", "[12,4]", "RM(1,1,3)",
+                                  "[12,8] GF(13)"])
+def test_query_batch_matches_reference(query_setups, name):
+    """Every trial of the array query step is the scalar construction on the
+    same messages, at every requested file index."""
+    setup = query_setups[name]
+    q, kq = setup.query_code.field.order, setup.query_code.k
+    f, trials = 3, 4
+    rng = np.random.default_rng(7)
+    for m in range(1, f + 1):
+        msgs = rng.integers(0, q, size=(trials, setup.d, setup.beta * f, kq))
+        got = query_batch(setup, f, m, msgs)
+        assert got.shape == (trials, setup.code.n, setup.d, setup.beta * f)
+        for t in range(trials):
+            assert got[t].tolist() == query_reference(setup, f, m, msgs[t].tolist())
+
+
+@pytest.mark.parametrize("name", ["s5", "[12,4]", "[12,8] GF(13)"])
+def test_p3_queries_is_query_batch_on_its_draw(query_setups, name):
+    setup = query_setups[name]
+    q, kq = setup.query_code.field.order, setup.query_code.k
+    f, seed = 2, 3
+    bf = setup.beta * f
+    draws = []
+    for i in range(setup.d):
+        rng = rng_for(seed, "p3", "codewords", i)
+        draws += [rng.randrange(q) for _ in range(bf * kq)]
+    msgs = np.array(draws).reshape(1, setup.d, bf, kq)
+    for m in range(1, f + 1):
+        qs = p3_queries(setup, f, m, seed)
+        assert all((Q.field, Q.rows, Q.cols) == (setup.code.field, setup.d, bf)
+                   for Q in qs)
+        assert [Q.data for Q in qs] == query_batch(setup, f, m, msgs)[0].tolist()
 
 
 def test_response_decomposition(setup_vb, code124):
