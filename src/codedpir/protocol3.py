@@ -146,8 +146,6 @@ def p3_setup(code: LinearCode, query_code: LinearCode,
 
 def p3_queries(setup: P3Setup, f: int, m: int, seed: int) -> list[Matrix]:
     """d x (beta*f) query matrix per node; fresh codeword batch per subquery."""
-    if not 1 <= m <= f:
-        raise DimensionMismatch(f"m={m} outside 1..{f}")
     field = setup.query_code.field
     q, kq = field.order, setup.query_code.k
     d, bf = setup.d, setup.beta * f
@@ -166,6 +164,8 @@ def query_batch(setup: P3Setup, f: int, m: int, msgs: np.ndarray) -> np.ndarray:
     codewords plus the unit offset where Ehat has node l leak a symbol."""
     qcode = setup.query_code
     T, d, bf, kq = msgs.shape
+    if not 1 <= m <= f or bf != setup.beta * f:
+        raise DimensionMismatch(f"m={m} outside 1..{f}, or {bf} != beta*f columns")
     words = qcode.encode(msgs.reshape(T * d * bf, kq))
     out = words.reshape(T, d, bf, qcode.n).transpose(0, 3, 1, 2)
     nodes, subs, cols = zip(*[(l, i, (m - 1) * setup.beta + stripe)

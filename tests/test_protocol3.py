@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from codedpir.dss import Dss
-from codedpir.errors import OrderOverflow, RateOneProduct, StructureViolation
+from codedpir.errors import (DimensionMismatch, OrderOverflow, RateOneProduct,
+                             StructureViolation)
 from codedpir.families import grs_code, rm_code
 from codedpir.fields import Matrix, field_make, mat_rank
 from codedpir.protocol2 import p2_build_structure
@@ -90,6 +91,17 @@ def test_query_batch_matches_reference(query_setups, name):
         assert got.shape == (trials, setup.code.n, setup.d, setup.beta * f)
         for t in range(trials):
             assert got[t].tolist() == query_reference(setup, f, m, msgs[t].tolist())
+
+
+
+def test_query_batch_checks_file_index_and_columns(query_setups):
+    """A file index outside 1..f, or messages whose column count is not
+    beta*f, would put the offsets in the wrong columns; both raise."""
+    setup = query_setups["s5"]
+    msgs = np.zeros((1, setup.d, setup.beta * 2, setup.query_code.k), dtype=np.int64)
+    for f, m in [(2, 0), (2, 3), (3, 1), (1, 1)]:
+        with pytest.raises(DimensionMismatch):
+            query_batch(setup, f, m, msgs)
 
 
 @pytest.mark.parametrize("name", ["s5", "[12,4]", "[12,8] GF(13)"])

@@ -2,54 +2,27 @@
 """Measure the false-alarm rate of the protocol-2/3 statistical privacy audits.
 
 Runs each of the four statistical p2/p3 audits of the benchmark's `audit`
-workload (p2 on the [5,3] and [7,3] structures, p3 on the [12,4] worked example
-and on RM(1,1,3)) at 1,000 trials for audit seeds 0 .. N-1 and prints, per
-audit, the share of seeds on which it flags, with a 95% Wilson interval. The
-protocols are private by construction, so every flag is a false alarm; each
-audit's designed rate is at most 1%.
+workload (its `p2_stat_*` and `p3_stat_*` cases, with their stores, configs
+and trial counts) for audit seeds 0 .. SEEDS-1 and prints, per audit, the
+share of seeds on which it flags, with a 95% Wilson interval. The protocols
+are private by construction, so every flag is a false alarm; each audit's
+designed rate is at most 1%.
 
-Run from the repository root: python tools/audit_false_alarms.py [--seeds N]
-(N defaults to 2,000).
+Run from the repository root: python tools/audit_false_alarms.py
 """
 
-import argparse
 import math
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from codedpir.audit import privacy_audit  # noqa: E402
-from codedpir.codes import LinearCode, code_from_generator  # noqa: E402
-from codedpir.dss import Dss  # noqa: E402
-from codedpir.fields import Matrix, field_make  # noqa: E402
-from codedpir.protocol2 import p2_build_structure  # noqa: E402
-from codedpir.protocol3 import p3_rm_max_rate, p3_setup  # noqa: E402
-from conftest import (EHAT_EX5, EHAT_EX6, EHAT_P3, G73, GOOD_G, H73, H124,  # noqa: E402
-                      ISETS_EX5, ISETS_EX6, ISETS_P3)
+import codedpir  # noqa: E402
+from workloads import Audit  # noqa: E402
 
-TRIALS = 1000
-
-
-def audits() -> dict:
-    """name -> (protocol, store, config) of the four audits."""
-    f2 = field_make(2)
-    good532 = code_from_generator(Matrix(f2, GOOD_G))
-    code73 = LinearCode(Matrix(f2, G73), Matrix(f2, H73))
-    code124 = LinearCode.from_parity_check(Matrix(f2, H124))
-    setup_rm = p3_rm_max_rate(1, 1, 3)
-    return {
-        "p2 [5,3]": (2, Dss(good532, f=2, beta=2),
-                     {"structure": p2_build_structure(good532, ISETS_EX5, EHAT_EX5)}),
-        "p2 [7,3]": (2, Dss(code73, f=2, beta=4),
-                     {"structure": p2_build_structure(code73, ISETS_EX6, EHAT_EX6)}),
-        "p3 [12,4]": (3, Dss(code124, f=2, beta=1),
-                      {"setup": p3_setup(code124, code124, EHAT_P3, ISETS_P3)}),
-        "p3 RM(1,1,3)": (3, Dss(setup_rm.code, f=2, beta=setup_rm.beta),
-                         {"setup": setup_rm}),
-    }
+SEEDS = 2000
 
 
 def wilson(hits: int, n: int) -> tuple[float, float]:
@@ -61,17 +34,17 @@ def wilson(hits: int, n: int) -> tuple[float, float]:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seeds", type=int, default=2000)
-    args = ap.parse_args()
+    cases = Audit(codedpir, 0, time.perf_counter).cases
     print(f"{'audit':<14} {'flagged':>9} {'rate':>7}  95% interval   seconds")
-    for name, (protocol, dss, config) in audits().items():
+    for name, (protocol, dss, config, kwargs, _) in cases.items():
+        if not name.startswith(("p2_stat_", "p3_stat_")):
+            continue
         t0 = time.perf_counter()
-        flagged = sum(not privacy_audit(protocol, dss, config, trials=TRIALS,
-                                        seed=seed).passed
-                      for seed in range(args.seeds))
-        lo, hi = wilson(flagged, args.seeds)
-        print(f"{name:<14} {flagged:>4}/{args.seeds:<4} {flagged / args.seeds:>7.2%}"
+        flagged = sum(not codedpir.privacy_audit(protocol, dss, config,
+                                                 **dict(kwargs, seed=seed)).passed
+                      for seed in range(SEEDS))
+        lo, hi = wilson(flagged, SEEDS)
+        print(f"{name:<14} {flagged:>4}/{SEEDS:<4} {flagged / SEEDS:>7.2%}"
               f"  [{lo:.2%}, {hi:.2%}]  {time.perf_counter() - t0:7.1f}",
               flush=True)
     return 0
