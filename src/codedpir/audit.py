@@ -6,11 +6,15 @@ and compares the per-collusion-set query distributions across requested files
 symbol by symbol. Statistical mode samples the query symbols every node sees
 and chi-squares the per-position (joint, for colluding sets) histograms across
 the requested file index, passing when every p-value clears a
-Bonferroni-corrected 0.01 threshold. For protocols 2 and 3 one seeded draw of
-query-code messages per file index goes through the protocol's own query step
-(`protocol3.query_batch`) for all trials at once; protocol 1 draws one plan per
-trial. Protocol 2 is audited as protocol 3 with the repetition query code
-(T = 1, single spies).
+Bonferroni-corrected 0.01 threshold. For protocols 2 and 3 the query-code
+messages of all trials of a file index come from one draw of one seeded numpy
+generator and go through the protocol's own query step
+(`protocol3.query_batch`) at once; protocol 1 draws one plan per trial
+(`protocol1.p1_plan`, one generator each). Protocol 2 is audited as protocol 3
+with the repetition query code (T = 1, single spies).
+
+A statistical audit holds every sampled symbol in one int64 array; one larger
+than `SAMPLE_LIMIT` symbols raises `TooLarge` before any trial is drawn.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ from .dss import Dss
 from .errors import BadParams, TooLarge
 from .protocol1 import p1_plan, p1_symmetry_audit
 from .protocol3 import P3Setup, query_batch
-from .rng import derive_seed, rng_for
+from .rng import derive_seed, generator
 
 EXACT_SPACE_LIMIT = 1 << 16
+SAMPLE_LIMIT = 1 << 25  # symbols a statistical audit samples (int64 each)
 
 
 @dataclass
@@ -188,11 +193,12 @@ def _audit_p23_statistical(protocol: int, setup: P3Setup, dss: Dss,
                            control_sets) -> PrivacyReport:
     q, kq = dss.code.field.order, setup.query_code.k
     n, d, bf = dss.code.n, setup.d, setup.beta * dss.f
-    samples = np.empty((dss.f, trials, n, d, bf), dtype=np.int64)
+    shape = (dss.f, trials, n, d, bf)
+    _check_sample_size(shape)
+    samples = np.empty(shape, dtype=np.int64)
     for m in range(1, dss.f + 1):
-        rng = rng_for(seed, "audit", protocol, m)
-        msgs = np.array([rng.randrange(q) for _ in range(trials * d * bf * kq)],
-                        dtype=np.int64).reshape(trials, d, bf, kq)
+        msgs = generator(seed, "audit", protocol, m).integers(
+            0, q, size=(trials, d, bf, kq))
         samples[m - 1] = query_batch(setup, dss.f, m, msgs)
     samples = samples.reshape(dss.f, trials, n, d * bf)
     threshold = 0.01 / max(len(collusion_sets) * d * bf, 1)
@@ -204,6 +210,13 @@ def _audit_p23_statistical(protocol: int, setup: P3Setup, dss: Dss,
     _homogeneity_outcomes(samples, q, control_sets, threshold, names,
                           report.controls)
     return report
+
+
+def _check_sample_size(shape: tuple[int, ...]) -> None:
+    size = math.prod(shape)
+    if size > SAMPLE_LIMIT:
+        raise TooLarge(f"the audit would sample {size} symbols {shape}, over "
+                       f"the limit of {SAMPLE_LIMIT}; use fewer trials")
 
 
 def _homogeneity_outcomes(samples: np.ndarray, base: int, sets, threshold: float,
@@ -239,6 +252,8 @@ def _audit_p1(dss: Dss, config: dict, collusion_sets, trials: int,
     for m in range(1, dss.f + 1):
         plans[m] = p1_plan(dss.code, lam, dss.f, m, seed)
     d = plans[1].d
+    shape = (dss.f, trials, n, d)
+    _check_sample_size(shape)
     # exact structural audits on one plan per file index
     notes = []
     for m, plan in plans.items():
@@ -249,7 +264,7 @@ def _audit_p1(dss: Dss, config: dict, collusion_sets, trials: int,
     # a trial's node-j view is then that label row in the plan's shuffled order
     subset_index: dict[tuple, int] = {}
     rows = np.arange(n)[:, None]
-    samples = np.empty((dss.f, trials, n, d), dtype=np.int64)
+    samples = np.empty(shape, dtype=np.int64)
     for m, plan in plans.items():
         labels = np.array([[subset_index.setdefault(
             tuple(sorted(mp for mp, _ in atom.terms)), len(subset_index))

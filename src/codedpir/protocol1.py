@@ -11,8 +11,10 @@ A plan therefore has two parts. The schedule (kappa, nu, beta, d, the
 interference matrices A and B, and every node's canonical atom list) depends
 only on the code, Lambda, f and m; it is built and checked once per such
 tuple and shared, immutable, by every plan. The private part, the stripe
-permutations `perms` and the query-order `shuffles`, is drawn from the seed
-for each plan.
+permutations `perms` and the query-order `shuffles`, is drawn for each plan
+from one seeded numpy generator (`rng.generator(seed, "p1")`): one
+`Generator.permuted` over the (f, beta) stripe indices, then one over the
+(n, d) query positions, both handed out as lists of plain ints.
 
 Row indices inside atoms are 1-based logical rows into the interleaved array;
 nodes only ever see physical rows (the private permutation applied).
@@ -26,12 +28,14 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence
 
+import numpy as np
+
 from .codes import LinearCode
 from .dss import MAX_STRIPES
 from .errors import DecodeFailure, DimensionMismatch, InvalidLambda, KappaEqualsNu, OutOfRange
 from .fields import FiniteField, Matrix, mat_mul
 from .ratematrix import RateMatrix, interference_matrices, validate_rate_matrix
-from .rng import rng_for
+from .rng import generator
 
 
 def u_of(l: int, kappa: int, nu: int, f: int) -> int:
@@ -95,7 +99,7 @@ class P1Plan:
     d: int
     A: tuple[tuple[int, ...], ...]
     B: tuple[tuple[int, ...], ...]
-    perms: tuple[tuple[int, ...], ...]     # per file: logical row-1 -> physical row (0-based); user-private
+    perms: list[list[int]]                 # per file: logical row-1 -> physical row (0-based); user-private
     node_atoms: tuple[tuple[P1Atom, ...], ...]  # canonical order per node; shared schedule
     shuffles: list[list[int]]              # visible position -> canonical index
 
@@ -124,21 +128,17 @@ def p1_plan(code: LinearCode, lam: RateMatrix, f: int, m: int, seed: int) -> P1P
     """Full request schedule for retrieving file m (1-based) out of f: the
     shared schedule of (code, lam, f, m) plus this seed's perms and shuffles."""
     kappa, nu, beta, d, A, B, node_atoms = _schedule(code, lam, f, m)
-    perms = []
-    for mp in range(1, f + 1):
-        rng = rng_for(seed, "p1", "perm", mp)
-        perm = list(range(beta))
-        rng.shuffle(perm)
-        perms.append(tuple(perm))
-    shuffles = []
-    for j in range(code.n):
-        rng = rng_for(seed, "p1", "shuffle", j)
-        order = list(range(d))
-        rng.shuffle(order)
-        shuffles.append(order)
+    rng = generator(seed, "p1")
+    perms = _row_permutations(rng, f, beta)
+    shuffles = _row_permutations(rng, code.n, d)
     return P1Plan(code=code, lam=lam, f=f, m=m, seed=seed, kappa=kappa, nu=nu,
-                  beta=beta, d=d, A=A, B=B, perms=tuple(perms),
+                  beta=beta, d=d, A=A, B=B, perms=perms,
                   node_atoms=node_atoms, shuffles=shuffles)
+
+
+def _row_permutations(rng: np.random.Generator, rows: int, size: int) -> list[list[int]]:
+    """`rows` independent uniform permutations of range(size), as plain ints."""
+    return rng.permuted(np.arange(size)[None].repeat(rows, axis=0), axis=1).tolist()
 
 
 @lru_cache(maxsize=16)

@@ -8,8 +8,10 @@ offset symbols, so erasure decoding in the product code, with the offset
 nodes erased, exposes exactly those symbols. T is one less than the minimum
 distance of the query code's dual.
 
-`p3_queries` draws the query-code messages; `query_batch`, the array step that
-encodes them and adds the offsets, also runs the statistical audit's trials.
+`p3_queries` draws a query's query-code messages, all d*beta*f*kq symbols in
+one call of one seeded numpy generator (`rng.generator(seed, "p3")`);
+`query_batch`, the array step that encodes them and adds the offsets, also
+runs the statistical audit's trials, drawn the same way.
 
 With the [n,1] repetition code as the query code the product is the storage
 code and T = 1: that is protocol 2, the file-independent noncolluding
@@ -35,7 +37,7 @@ from .errors import (
 )
 from .fields import FiniteField, Matrix, mat_mul
 from .families import rm_code, rm_information_set, rm_translate
-from .rng import rng_for
+from .rng import generator
 
 Mask = tuple[int, ...]
 
@@ -147,13 +149,9 @@ def p3_setup(code: LinearCode, query_code: LinearCode,
 def p3_queries(setup: P3Setup, f: int, m: int, seed: int) -> list[Matrix]:
     """d x (beta*f) query matrix per node; fresh codeword batch per subquery."""
     field = setup.query_code.field
-    q, kq = field.order, setup.query_code.k
     d, bf = setup.d, setup.beta * f
-    draws: list[int] = []
-    for i in range(d):
-        rng = rng_for(seed, "p3", "codewords", i)
-        draws += [rng.randrange(q) for _ in range(bf * kq)]
-    msgs = np.array(draws, dtype=np.int64).reshape(1, d, bf, kq)
+    msgs = generator(seed, "p3").integers(
+        0, field.order, size=(1, d, bf, setup.query_code.k))
     return [Matrix.wrap(field, rows, d, bf)
             for rows in query_batch(setup, f, m, msgs)[0].tolist()]
 

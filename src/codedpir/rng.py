@@ -2,6 +2,22 @@
 
 Every random choice in the package flows from a single 64-bit seed through
 `derive_seed`, so transcripts replay bit-exactly across runs and platforms.
+A (seed, labels) pair names one stream, of one of two kinds:
+
+- `generator`: a numpy `Generator` (PCG64). All query randomness is drawn
+  from one of these per plan or per query: protocol 1's stripe permutations
+  and query shuffles (`protocol1.p1_plan`), the query-code messages of
+  protocols 2 and 3 (`protocol3.p3_queries`), and each file index's trials of
+  the p2/p3 statistical audit (`audit`).
+- `rng_for`: a `random.Random`, for everything else: the optimizer's pattern
+  samples and window layouts, `lambda_generic`'s and `lrc_E_matrix`'s
+  information sets, and the files a `Dss` stores. Their outputs are pinned
+  (pattern-list hashes, packaged fixtures, stored files), so these streams
+  stay as they are.
+
+NumPy keeps PCG64's bit stream fixed but does not promise that `Generator`
+methods map it to the same values in every release, so a numpy upgrade may
+change query transcripts (never what they decode).
 """
 
 from __future__ import annotations
@@ -9,6 +25,8 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+
+import numpy as np
 
 DEFAULT_SEED = 0x5EED_C0DE
 ENV_SEED = "CODEDPIR_SEED"
@@ -27,6 +45,11 @@ def derive_seed(seed: int, *labels) -> int:
 def rng_for(seed: int, *labels) -> random.Random:
     """A `random.Random` seeded from the derived child seed."""
     return random.Random(derive_seed(seed, *labels))
+
+
+def generator(seed: int, *labels) -> np.random.Generator:
+    """A numpy `Generator` seeded from the derived child seed."""
+    return np.random.default_rng(derive_seed(seed, *labels))
 
 
 def default_seed() -> int:

@@ -106,6 +106,23 @@ def test_audit_privacy_cli(good_spec, capsys):
                  "--exact", "--files", "2"]) == 0
 
 
+@pytest.mark.parametrize("protocol", ["1", "2"])
+def test_audit_privacy_sample_bound_exits_1(good_spec, capsys, monkeypatch,
+                                            protocol):
+    """More trials than SAMPLE_LIMIT put every audit over its sample bound
+    (each trial samples at least one symbol): an error, not an allocation."""
+    from codedpir import audit
+
+    def no_draw(*args):
+        raise AssertionError("the audit drew trials past its sample bound")
+    monkeypatch.setattr(audit, "generator", no_draw)
+    monkeypatch.setattr(audit, "derive_seed", no_draw)
+    assert main(["audit-privacy", "--protocol", protocol, "--code", good_spec,
+                 "--trials", str(audit.SAMPLE_LIMIT + 1), "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "limit" in err
+
+
 def test_report_tables_cli_subset(tmp_path, capsys):
     # restrict to a tiny fixture set for speed
     from codedpir.reports import fixtures_dir

@@ -6,14 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from codedpir.audit import _homogeneity_p, chi2_sf, privacy_audit
+from codedpir import audit
+from codedpir.audit import SAMPLE_LIMIT, _homogeneity_p, chi2_sf, privacy_audit
 from codedpir.dss import Dss, run
-from codedpir.errors import BadParams
+from codedpir.errors import BadParams, TooLarge
 from codedpir.fields import mat_mul
 from codedpir.protocol2 import p2_build_structure
-from codedpir.protocol3 import p3_setup
+from codedpir.protocol3 import p3_rm_max_rate, p3_setup
 from codedpir.ratematrix import rate_matrix
-from codedpir.rng import rng_for
+from codedpir.rng import generator
 from conftest import (EHAT_EX5, EHAT_EX6, EHAT_P3, ISETS_EX5, ISETS_EX6,
                       ISETS_P3, LAM35, p1_audit_samples_reference,
                       p23_audit_outcomes_reference, query_reference)
@@ -59,21 +60,7 @@ def test_run_all_protocols(good532, code124):
         assert "user" not in node_view and "requested" not in node_view
 
 
-# sha256 of the sorted-key JSON of whole transcripts (user part included), per
-# (protocol, seed): a change here changes an RNG stream or the transcript
-# format, and must be deliberate
-TRANSCRIPT_GOLDEN = {
-    (1, 0): "a7671a8632c88465ae25dc80fadee1cd70b9068abe0e4f2994b6945ca52266e4",
-    (1, 1): "5d13b37a85de8f4d3dcc69e7d9b7b1972e0245e5241a118c3fd33a20b4d3007d",
-    (2, 0): "abef4e04bceb65ff159f59a58b69f274f06237bede5f5ee8108ccc107f5cb270",
-    (2, 1): "3443c206def7d389a1464357fd70292a634489e085029ee752b3452e86b019bc",
-    (3, 0): "3836ffd1335ffa379501c41071201d872ef214380cead54c58c1be7c6e9bd047",
-    (3, 1): "524e79fa11398f369c3b23ec1768a48ee8a56356cb364930bf571c228d4be6db",
-}
-
-
-@pytest.mark.parametrize("protocol,seed", sorted(TRANSCRIPT_GOLDEN))
-def test_transcripts_golden(good532, code73, code124, protocol, seed):
+def golden_run(good532, code73, code124, protocol: int, seed: int):
     """The 5/8 run on [5,3], the [7,3] structure at 4/7 and the [12,4] setup
     at 1/6, each requesting one of two files."""
     if protocol == 1:
@@ -86,10 +73,54 @@ def test_transcripts_golden(good532, code73, code124, protocol, seed):
     else:
         dss = Dss(code124, f=2, beta=1, seed=seed)
         config = {"setup": p3_setup(code124, code124, EHAT_P3, ISETS_P3), "m": 1}
-    tx = run(protocol, dss, dict(config, seed=seed))
+    return run(protocol, dss, dict(config, seed=seed))
+
+
+# sha256 of the sorted-key JSON of whole transcripts (user part included), per
+# (protocol, seed): a change here changes an RNG stream or the transcript
+# format, and must be deliberate
+TRANSCRIPT_GOLDEN = {
+    (1, 0): "9bfc8a57438eaa7baeafab1d1158cec085de1de696120f5c59d80777a98b0e39",
+    (1, 1): "c44795a904a43b459d8230cdb718eb79fcb86cabe73d2a25b7940ff52394de73",
+    (2, 0): "bd227416c636e1433e5fb0dd2394d36d0793334a0e5fb792b4d6d0def2516061",
+    (2, 1): "c0d1f5ef067c60bbd2a5aa5667ac543244877469083938481206347b9444df99",
+    (3, 0): "35e1ac707c08988eced39cb7ce5c4b669aad3fffd7694a4e9a4e05844fc75e26",
+    (3, 1): "74b4bce2fc863593507e06f88afbafedca1d686daccde29b2dc6408882ee058b",
+}
+
+# what each golden run retrieves: (decoded_hash, rate, downloaded symbols).
+# These depend on the stored files and the protocol, not on the query
+# randomness, so a change of query RNG stream leaves them as they are
+OUTPUT_GOLDEN = {
+    (1, 0): ("78ca4f4037f6e5ae144ddec2d58572bb17fcda1fe539ec0bae9b1a69b36c9f5b",
+             Fraction(5, 8), 120),
+    (1, 1): ("f754a9b7be93c7cac767e9e31326bce5c8136ca5e201c3b99129a82005673371",
+             Fraction(5, 8), 120),
+    (2, 0): ("5d7ea37765e3ad231fe4293a7fb451b7390662e8d19e73cf8ea3b0209efe8ccd",
+             Fraction(4, 7), 21),
+    (2, 1): ("7780d78d6db9b2fbf96440f75d3a4fda0ba632e98c2cb482a77ebb52f5ae4ed1",
+             Fraction(4, 7), 21),
+    (3, 0): ("c0ebf85122c43ab6d523cd32cd6cf6ce9a4707953fe3f66012961c8396821921",
+             Fraction(1, 6), 24),
+    (3, 1): ("dc29d2c5e52132a58df3e67a8dd33cd705124bbe8fa8b72a363e17a237c209a3",
+             Fraction(1, 6), 24),
+}
+
+
+@pytest.mark.parametrize("protocol,seed", sorted(TRANSCRIPT_GOLDEN))
+def test_transcripts_golden(good532, code73, code124, protocol, seed):
+    tx = golden_run(good532, code73, code124, protocol, seed)
     text = json.dumps(tx.to_json_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         TRANSCRIPT_GOLDEN[(protocol, seed)]
+
+
+@pytest.mark.parametrize("protocol,seed", sorted(OUTPUT_GOLDEN))
+def test_golden_runs_retrieve_pinned_outputs(good532, code73, code124,
+                                             protocol, seed):
+    tx = golden_run(good532, code73, code124, protocol, seed)
+    assert (tx.decoded_hash, tx.rate, tx.downloaded) == \
+        OUTPUT_GOLDEN[(protocol, seed)]
 
 
 def test_run_replays_bit_exactly(good532):
@@ -145,6 +176,37 @@ def test_audit_rejects_bad_sets_and_trials(good532):
             privacy_audit(1, dss1, {"lam": lam}, trials=trials)
     # exact mode enumerates and reads no trial count
     assert privacy_audit(2, dss, {"structure": s5}, trials=0, mode="exact").passed
+
+
+def test_audit_bounds_its_sample_array(good532, code73, code124, monkeypatch):
+    """A statistical audit samples f*T*n*d*beta*f symbols (protocols 2 and 3)
+    or f*T*n*d (protocol 1) and raises TooLarge, before it draws a trial,
+    when that exceeds SAMPLE_LIMIT. The criterion-9 audits at 10,000 trials
+    fit."""
+    def no_draw(*args):
+        raise AssertionError("the audit drew trials past its sample bound")
+    monkeypatch.setattr(audit, "generator", no_draw)
+    monkeypatch.setattr(audit, "derive_seed", no_draw)
+
+    f = 2
+    for protocol, key, s in [
+            (2, "structure", p2_build_structure(good532, ISETS_EX5, EHAT_EX5)),
+            (2, "structure", p2_build_structure(code73, ISETS_EX6, EHAT_EX6)),
+            (3, "setup", p3_setup(code124, code124, EHAT_P3, ISETS_P3)),
+            (3, "setup", p3_rm_max_rate(1, 1, 3))]:
+        per_trial = f * s.code.n * s.d * s.beta * f
+        assert 10_000 * per_trial <= SAMPLE_LIMIT
+        dss = Dss(s.code, f=f, beta=s.beta, seed=0)
+        with pytest.raises(TooLarge):
+            privacy_audit(protocol, dss, {key: s},
+                          trials=SAMPLE_LIMIT // per_trial + 1)
+
+    lam = rate_matrix(good532, LAM35)
+    dss1 = Dss(good532, f=f, beta=25, seed=0)
+    per_trial = f * good532.n * 24  # d = 24 requests per node
+    assert 10_000 * per_trial <= SAMPLE_LIMIT
+    with pytest.raises(TooLarge):
+        privacy_audit(1, dss1, {"lam": lam}, trials=SAMPLE_LIMIT // per_trial + 1)
 
 
 def test_statistical_audits_quick(good532, code124):
@@ -208,13 +270,13 @@ def test_p23_audit_matches_reference(good532, code124, protocol):
                            control_sets=controls)
     q, kq = dss.code.field.order, setup.query_code.k
     d, bf = setup.d, setup.beta * dss.f
-    # the audit's draw: one stream per file index, trial-major
+    # the audit's draw: one generator per file index, trial-major
     tensors = []
     for m in range(1, dss.f + 1):
-        rng = rng_for(seed, "audit", protocol, m)
-        tensors.append(np.array([query_reference(setup, dss.f, m, [
-            [[rng.randrange(q) for _ in range(kq)] for _ in range(bf)]
-            for _ in range(d)]) for _ in range(trials)]))
+        msgs = generator(seed, "audit", protocol, m).integers(
+            0, q, size=(trials, d, bf, kq))
+        tensors.append(np.array([query_reference(setup, dss.f, m, msgs[t].tolist())
+                                 for t in range(trials)]))
     legal = [(l,) for l in range(dss.code.n)]
     if setup.collusion_threshold == 2:
         legal += list(itertools.combinations(range(dss.code.n), 2))

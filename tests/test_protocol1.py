@@ -181,6 +181,29 @@ def test_seeds_share_one_schedule(good532, lam35):
     assert p1_plan(good532, lam35, f=2, m=2, seed=0).node_atoms != a.node_atoms
 
 
+def test_plan_draws_plain_int_permutations_that_replay(good532, lam35):
+    """One generator per plan draws every stripe permutation and query
+    shuffle: each is a permutation of range(beta) or range(d) made of plain
+    Python ints, a fixed seed replays them bit for bit, and the transcript
+    that carries them serializes."""
+    import json
+    from codedpir.dss import run
+    plan = p1_plan(good532, lam35, f=2, m=1, seed=21)
+    assert len(plan.perms) == plan.f and len(plan.shuffles) == good532.n
+    for perm in plan.perms:
+        assert sorted(perm) == list(range(plan.beta))
+        assert all(type(x) is int for x in perm)
+    for order in plan.shuffles:
+        assert sorted(order) == list(range(plan.d))
+        assert all(type(x) is int for x in order)
+    again = p1_plan(good532, lam35, f=2, m=1, seed=21)
+    assert (again.perms, again.shuffles) == (plan.perms, plan.shuffles)
+    dss = Dss(good532, f=2, beta=25, seed=21)
+    tx = run(1, dss, {"lam": lam35, "m": 1, "seed": 21})
+    assert tx.user == {"perms": plan.perms, "shuffles": plan.shuffles}
+    assert json.dumps(tx.to_json_dict())
+
+
 def test_symmetry_single_file(good532, lam35):
     plan = p1_plan(good532, lam35, f=1, m=1, seed=0)
     report = p1_symmetry_audit(plan)

@@ -13,7 +13,7 @@ from codedpir.protocol3 import (collusion_threshold, necessary_condition_p3,
                                 p3_decode, p3_queries, p3_respond,
                                 p3_rm_max_rate, p3_setup, query_batch,
                                 validate_max_rate_matrix)
-from codedpir.rng import rng_for
+from codedpir.rng import generator
 from conftest import (EHAT_EX5, EHAT_EX6, EHAT_P3, ISETS_EX5, ISETS_EX6,
                       ISETS_P3, query_reference)
 
@@ -52,9 +52,9 @@ def test_repetition_query_code_degenerates(code124, f2):
 
 def test_query_offsets_match_worked_example(setup_vb, code124, f2):
     qs = p3_queries(setup_vb, f=1, m=1, seed=0)
-    rng = rng_for(0, "p3", "codewords", 0)
-    msg = [[rng.randrange(2) for _ in range(4)]]
-    cw = code124.encode(np.array(msg)).tolist()[0]
+    # the message of subquery 0's one codeword (d = 2, beta*f = 1, kq = 4)
+    msg = generator(0, "p3").integers(0, 2, size=(1, 2, 1, 4))[0, 0]
+    cw = code124.encode(msg).tolist()[0]
     for l in range(12):
         expected = cw[l] ^ (1 if l in (8, 11) else 0)
         assert qs[l].data[0][0] == expected
@@ -110,11 +110,7 @@ def test_p3_queries_is_query_batch_on_its_draw(query_setups, name):
     q, kq = setup.query_code.field.order, setup.query_code.k
     f, seed = 2, 3
     bf = setup.beta * f
-    draws = []
-    for i in range(setup.d):
-        rng = rng_for(seed, "p3", "codewords", i)
-        draws += [rng.randrange(q) for _ in range(bf * kq)]
-    msgs = np.array(draws).reshape(1, setup.d, bf, kq)
+    msgs = generator(seed, "p3").integers(0, q, size=(1, setup.d, bf, kq))
     for m in range(1, f + 1):
         qs = p3_queries(setup, f, m, seed)
         assert all((Q.field, Q.rows, Q.cols) == (setup.code.field, setup.d, bf)
