@@ -1,37 +1,41 @@
-"""Empirical privacy auditing.
+"""Privacy auditing.
 
-The protocols' privacy is exact by construction; these audits are regression
-tripwires. Exact mode enumerates the query randomness for tiny parameter sets
-and compares the per-collusion-set query distributions across requested files
-symbol by symbol. Statistical mode samples the query symbols every node sees
-and chi-squares the per-position (joint, for colluding sets) histograms across
-the requested file index, passing when every p-value clears a
-Bonferroni-corrected 0.01 threshold. For protocols 2 and 3 the query-code
-messages of all trials of a file index come from one draw of one seeded numpy
-generator and go through the protocol's own query step
-(`protocol3.query_batch`) at once; protocol 1 draws one plan per trial
-(`protocol1.p1_plan`, one generator each). Protocol 2 is audited as protocol 3
-with the repetition query code (T = 1, single spies).
+Exact mode (protocols 2 and 3) decides privacy: a set S of nodes sees, in
+every (subquery, column), a uniform point of V_S + offset, V_S the row space
+of the query code's generator restricted to S, so S learns nothing about the
+requested file iff every unit offset it adds lies in V_S, whatever f and the
+files are. Statistical mode, the only audit of protocol 1 and a tripwire on
+all three, samples the query symbols every node sees and chi-squares the
+per-position (joint, for colluding sets) histograms across the requested file
+index, passing when every p-value clears a Bonferroni-corrected 0.01
+threshold. For protocols 2 and 3 the query-code messages of all trials of a
+file index come from one draw of one seeded numpy generator and go through the
+protocol's own query step (`protocol3.query_batch`) at once; protocol 1 draws
+one plan per trial (`protocol1.p1_plan`, one generator each). Protocol 2 is
+audited as protocol 3 with the repetition query code (T = 1, single spies).
 
-A statistical audit holds every sampled symbol in one int64 array; one larger
-than `SAMPLE_LIMIT` symbols raises `TooLarge` before any trial is drawn.
+Auditing every legal set checks at most `SET_LIMIT` sets, counted before any
+is built; a statistical audit holds every sampled symbol in one int64 array,
+and one larger than `SAMPLE_LIMIT` symbols raises `TooLarge` before any trial
+is drawn.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations
 
 import numpy as np
 
 from .dss import Dss
 from .errors import BadParams, TooLarge
+from .fields import Matrix, mat_mul, null_space
 from .protocol1 import p1_plan, p1_symmetry_audit
 from .protocol3 import P3Setup, query_batch
 from .rng import derive_seed, generator
 
-EXACT_SPACE_LIMIT = 1 << 16
+SET_LIMIT = 1 << 12  # collusion sets an audit of every legal set checks
 SAMPLE_LIMIT = 1 << 25  # symbols a statistical audit samples (int64 each)
 
 
@@ -98,21 +102,35 @@ def chi2_sf(stat: float, dof: int) -> float:
 
 
 def _default_sets(n: int, t: int) -> list[tuple[int, ...]]:
-    sets: list[tuple[int, ...]] = []
-    for size in range(1, t + 1):
-        sets.extend(itertools.combinations(range(n), size))
-    return sets
+    """Every set of 1..t of the n nodes; TooLarge, before any set is built,
+    when there are more than SET_LIMIT."""
+    count = sum(math.comb(n, size) for size in range(1, t + 1))
+    if count > SET_LIMIT:
+        raise TooLarge(f"the audit would check {count} collusion sets (every "
+                       f"set of at most {t} of {n} nodes), over the limit of "
+                       f"{SET_LIMIT}; name the sets to audit")
+    return [tset for size in range(1, t + 1)
+            for tset in combinations(range(n), size)]
 
 
 def privacy_audit(protocol: int, dss: Dss, config: dict,
                   collusion_sets=None, trials: int = 10_000, seed: int = 0,
                   mode: str = "statistical",
                   control_sets=()) -> PrivacyReport:
-    """Audit query distributions across all requested-file indices.
+    """Audit the query views of `collusion_sets` across all requested-file
+    indices: None audits every legal set (single nodes for protocols 1 and 2,
+    every set of at most T nodes for protocol 3), [] audits none.
 
-    `control_sets` are audited and reported but never counted toward pass/fail
-    (used for oversized collusion sets that are expected to leak).
+    mode "statistical" samples `trials` queries per file index (protocols 1,
+    2 and 3); mode "exact" decides each set by linear algebra (protocols 2
+    and 3 only), reads no trials and reports trials = 0. `control_sets` are
+    audited and reported but never counted toward pass/fail (used for
+    oversized collusion sets that are expected to leak).
     """
+    if mode not in ("statistical", "exact"):
+        raise BadParams(f"unknown audit mode {mode!r}; use statistical or exact")
+    if mode == "exact" and protocol == 1:
+        raise BadParams("protocol 1 has only the statistical audit")
     if dss.f < 2:
         raise BadParams("privacy audit needs at least two files to compare")
     n = dss.code.n
@@ -120,70 +138,45 @@ def privacy_audit(protocol: int, dss: Dss, config: dict,
         if not tset or not all(0 <= l < n for l in tset):
             raise BadParams(f"collusion set {tuple(tset)} must be nonempty "
                             f"with 0-based nodes in 0..{n - 1}")
-    if trials < 1 and (protocol == 1 or mode != "exact"):
+    if mode == "statistical" and trials < 1:
         raise BadParams(f"statistical audit needs trials >= 1; got {trials}")
     if protocol == 1:
         return _audit_p1(dss, config, collusion_sets, trials, seed)
     if protocol not in (2, 3):
         raise BadParams(f"unknown protocol {protocol}")
     setup: P3Setup = config["structure" if protocol == 2 else "setup"]
-    legal = _default_sets(dss.code.n, setup.collusion_threshold)
-    if mode == "exact":
-        # exact mode audits every legal set when given none (even an empty list)
-        return _audit_p23_exact(protocol, setup, dss, collusion_sets or legal,
-                                control_sets)
     if collusion_sets is None:
-        collusion_sets = legal
+        collusion_sets = _default_sets(n, setup.collusion_threshold)
+    if mode == "exact":
+        return _audit_p23_exact(protocol, setup, collusion_sets, control_sets)
     return _audit_p23_statistical(protocol, setup, dss, collusion_sets, trials,
                                   seed, control_sets)
 
 
-# --- protocols 2 and 3: exact per-subquery enumeration ---------------------------
+# --- protocols 2 and 3: exact decision by linear algebra ---------------------
 
-def _audit_p23_exact(protocol: int, setup: P3Setup, dss: Dss, collusion_sets,
+def _audit_p23_exact(protocol: int, setup: P3Setup, collusion_sets,
                      control_sets) -> PrivacyReport:
-    code, qcode = setup.code, setup.query_code
-    q = code.field.order
-    bf = setup.beta * dss.f
-    space = (q ** qcode.k) ** bf
-    if space > EXACT_SPACE_LIMIT:
-        raise TooLarge(f"exact mode would enumerate {space} codeword batches")
-    report = PrivacyReport(protocol=protocol, mode="exact", trials=space,
-                           threshold=0.0)
-    codewords = list(qcode.codewords())
-    add = code.field.add
+    """S is private iff N_S u = 0 for N_S the null space of G restricted to
+    S and u each leak indicator (nodes of S leaking stripe t in subquery i)."""
+    G, beta = setup.query_code.G, setup.beta
+    # leaks[l][i*beta + t] = 1 iff node l leaks stripe t in subquery i
+    leaks = [[int(s == t) for s in stripes for t in range(beta)]
+             for stripes in setup.stripes]
 
     def outcome(tset) -> AuditOutcome:
-        per_sub_identical = True
-        for i in range(setup.d):
-            dists = []
-            for m in range(1, dss.f + 1):
-                # the unit offset each node of the set adds in subquery i
-                offsets = [(m - 1) * setup.beta + setup.stripes[l][i]
-                           if setup.ehat[i][l] else None for l in tset]
-                hist: dict[tuple, int] = {}
-                for batch in itertools.product(codewords, repeat=bf):
-                    key = []
-                    for l, col in zip(tset, offsets):
-                        row = [cw[l] for cw in batch]
-                        if col is not None:
-                            row[col] = add(row[col], 1)
-                        key.extend(row)
-                    key = tuple(key)
-                    hist[key] = hist.get(key, 0) + 1
-                dists.append(hist)
-            if not all(h == dists[0] for h in dists[1:]):
-                per_sub_identical = False
-                break
-        return AuditOutcome(collusion=tuple(tset), position="joint-subqueries",
-                            p_value=None, identical=per_sub_identical,
-                            flagged=not per_sub_identical)
+        null = null_space(G.restrict_cols(tset))
+        seen = mat_mul(null, Matrix(G.field, [leaks[l] for l in tset]))
+        bad = [c for c in range(seen.cols) if any(row[c] for row in seen.data)]
+        position = ("subquery {} stripe {}".format(*divmod(bad[0], beta))
+                    if bad else "joint-subqueries")
+        return AuditOutcome(collusion=tuple(tset), position=position,
+                            p_value=None, identical=not bad, flagged=bool(bad))
 
-    for tset in collusion_sets:
-        report.outcomes.append(outcome(tset))
-    for tset in control_sets:
-        report.controls.append(outcome(tset))
-    return report
+    return PrivacyReport(protocol=protocol, mode="exact", trials=0,
+                         threshold=0.0,
+                         outcomes=[outcome(tset) for tset in collusion_sets],
+                         controls=[outcome(tset) for tset in control_sets])
 
 
 # --- protocols 2 and 3: statistical sampling -----------------------------------

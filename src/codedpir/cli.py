@@ -181,11 +181,12 @@ def cmd_audit_privacy(args) -> int:
             raise BadParams(f"--collude takes 1-based node numbers such as "
                             f"\"9,12\"; got {args.collude!r}") from None
     f = args.files
+    mode = "exact" if args.exact else "statistical"
     if args.protocol == 1:
         lam = lambda_generic(code, seed=seed)
         dss = Dss(code, f=f, beta=lam.nu ** f, seed=seed)
         report = privacy_audit(1, dss, {"lam": lam}, collusion_sets=collusion,
-                               trials=args.trials, seed=seed)
+                               trials=args.trials, seed=seed, mode=mode)
     else:
         query = None
         if args.protocol == 3:
@@ -200,7 +201,7 @@ def cmd_audit_privacy(args) -> int:
         key = "structure" if args.protocol == 2 else "setup"
         report = privacy_audit(args.protocol, dss, {key: setup},
                                collusion_sets=collusion, trials=args.trials,
-                               seed=seed, mode="exact" if args.exact else "statistical")
+                               seed=seed, mode=mode)
     flagged = [o for o in report.outcomes if o.flagged]
     print(f"mode {report.mode}, {len(report.outcomes)} checks, "
           f"{len(flagged)} flagged")
@@ -291,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     aud.add_argument("--collude", help='1-based nodes, e.g. "9,12"')
     aud.add_argument("--trials", type=int, default=10_000)
     aud.add_argument("--files", type=int, default=2)
-    aud.add_argument("--exact", action="store_true")
+    aud.add_argument("--exact", action="store_true",
+                     help="decide privacy exactly (protocols 2 and 3)")
     aud.add_argument("--seed", type=int)
     aud.set_defaults(func=cmd_audit_privacy)
 

@@ -44,12 +44,13 @@ ISETS_P3 = [(1, 2, 8, 11)]
 
 
 @st.composite
-def codes(draw, fields, max_messages=None, max_n=8):
+def codes(draw, fields, max_messages=None, max_n=8, n=None):
     """[n,k] code over one of `fields` ((p, alpha) pairs) from a generator
     [I_k | A] with its columns permuted, so every drawn generator has full
-    rank and every code can be drawn."""
+    rank and every code can be drawn. n is drawn from 2..max_n unless given."""
     field = field_make(*draw(st.sampled_from(fields)))
-    n = draw(st.integers(2, max_n))
+    if n is None:
+        n = draw(st.integers(2, max_n))
     k_max = n
     if max_messages is not None:
         while field.order ** k_max > max_messages:
@@ -181,6 +182,44 @@ def p23_audit_outcomes_reference(tensors, q: int, sets, threshold: float):
                 p = _homogeneity_p(counts)
                 out.append((tuple(tset), f"subquery {i} col {j}", p, p <= threshold))
     return out
+
+
+def p23_exact_reference(setup, f: int, sets) -> list[bool]:
+    """Reference for the protocol-2/3 exact audit: per set, whether its
+    per-subquery view has the same distribution for every requested file,
+    found by enumerating all (q^kq)^(beta*f) codeword batches of a subquery
+    (at most 2^16) and comparing the per-file histograms of the set's symbols."""
+    qcode = setup.query_code
+    add = qcode.field.add
+    bf = setup.beta * f
+    space = (qcode.field.order ** qcode.k) ** bf
+    if space > 1 << 16:
+        raise ValueError(f"the reference would enumerate {space} codeword batches")
+    codewords = list(qcode.codewords())
+
+    def identical(tset) -> bool:
+        for i in range(setup.d):
+            dists = []
+            for m in range(1, f + 1):
+                # the unit offset each node of the set adds in subquery i
+                offsets = [(m - 1) * setup.beta + setup.stripes[l][i]
+                           if setup.ehat[i][l] else None for l in tset]
+                hist: dict[tuple, int] = {}
+                for batch in itertools.product(codewords, repeat=bf):
+                    key = []
+                    for l, col in zip(tset, offsets):
+                        row = [cw[l] for cw in batch]
+                        if col is not None:
+                            row[col] = add(row[col], 1)
+                        key.extend(row)
+                    key = tuple(key)
+                    hist[key] = hist.get(key, 0) + 1
+                dists.append(hist)
+            if not all(h == dists[0] for h in dists[1:]):
+                return False
+        return True
+
+    return [identical(tset) for tset in sets]
 
 
 @pytest.fixture(scope="session")

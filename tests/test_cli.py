@@ -106,6 +106,39 @@ def test_audit_privacy_cli(good_spec, capsys):
                  "--exact", "--files", "2"]) == 0
 
 
+def test_audit_privacy_rejects_exact_protocol_1(good_spec, capsys):
+    """Protocol 1 has only the statistical audit: --exact is an error, not a
+    statistical run."""
+    assert main(["audit-privacy", "--protocol", "1", "--code", good_spec,
+                 "--exact", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "protocol 1" in captured.err
+    assert "mode statistical" not in captured.out
+
+
+def test_audit_privacy_set_bound_exits_1(tmp_path, capsys, monkeypatch):
+    """The [n,1] repetition storage code with the [n,n-1] single-parity query
+    code has T = n - 1, so 2^n - 2 legal sets: past SET_LIMIT the audit of
+    every legal set is an error, raised before any set is built."""
+    from codedpir import audit
+
+    def no_sets(*args):
+        raise AssertionError("the audit built sets past its set bound")
+    monkeypatch.setattr(audit, "combinations", no_sets)
+    n = next(n for n in range(2, 64) if 2 ** n - 2 > audit.SET_LIMIT)
+    parity = [[int(i == j or j == n - 1) for j in range(n)] for i in range(n - 1)]
+    paths = []
+    for name, generator in (("rep", [[1] * n]), ("parity", parity)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"family": "raw", "q": 2,
+                                         "generator": generator}))
+    for mode in (["--exact"], ["--trials", "10"]):
+        assert main(["audit-privacy", "--protocol", "3", "--code", str(paths[0]),
+                     "--query-code", str(paths[1]), "--seed", "1", *mode]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "collusion sets" in err
+
+
 @pytest.mark.parametrize("protocol", ["1", "2"])
 def test_audit_privacy_sample_bound_exits_1(good_spec, capsys, monkeypatch,
                                             protocol):

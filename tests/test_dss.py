@@ -5,19 +5,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from codedpir import audit
-from codedpir.audit import SAMPLE_LIMIT, _homogeneity_p, chi2_sf, privacy_audit
+from codedpir.audit import (SAMPLE_LIMIT, SET_LIMIT, _homogeneity_p, chi2_sf,
+                            privacy_audit)
+from codedpir.codes import LinearCode, repetition_code
 from codedpir.dss import Dss, run
-from codedpir.errors import BadParams, TooLarge
-from codedpir.fields import mat_mul
+from codedpir.errors import BadParams, RateOneProduct, TooLarge
+from codedpir.fields import Matrix, field_make, mat_mul
+from codedpir.optimizer import optimize_rate
 from codedpir.protocol2 import p2_build_structure
 from codedpir.protocol3 import p3_rm_max_rate, p3_setup
 from codedpir.ratematrix import rate_matrix
 from codedpir.rng import generator
 from conftest import (EHAT_EX5, EHAT_EX6, EHAT_P3, ISETS_EX5, ISETS_EX6,
-                      ISETS_P3, LAM35, p1_audit_samples_reference,
-                      p23_audit_outcomes_reference, query_reference)
+                      ISETS_P3, LAM35, codes, p1_audit_samples_reference,
+                      p23_audit_outcomes_reference, p23_exact_reference,
+                      query_reference)
 
 
 def test_dss_init_invariants(good532):
@@ -136,9 +141,9 @@ def test_exact_audit_p2(good532):
     dss = Dss(good532, f=2, beta=2, seed=0)
     report = privacy_audit(2, dss, {"structure": s5}, mode="exact")
     assert report.mode == "exact" and report.passed
-    # the protocol-3 enumeration with the repetition code: one uniform symbol
-    # per codeword, beta*f = 4 codewords per subquery, single spies (T = 1)
-    assert report.protocol == 2 and report.trials == 2 ** 4
+    # the protocol-3 decision with the repetition code over single spies
+    # (T = 1); it draws nothing, so it reports no trials
+    assert report.protocol == 2 and report.trials == 0
     assert [o.collusion for o in report.outcomes] == [(l,) for l in range(5)]
     assert all(o.identical for o in report.outcomes)
 
@@ -153,6 +158,159 @@ def test_exact_audit_p3_with_control(code124):
     # (3,5,8) supports a weight-3 dual codeword and meets an access set oddly:
     # the oversized collusion set provably leaks
     assert report.controls[0].flagged
+
+
+def test_exact_audit_of_no_sets_checks_only_controls(code124):
+    """[] audits no set (only None means every legal set); the control is
+    still decided, and its position names the first leaking stripe."""
+    setup = p3_setup(code124, code124, EHAT_P3, ISETS_P3)
+    dss = Dss(code124, f=2, beta=1, seed=0)
+    report = privacy_audit(3, dss, {"setup": setup}, collusion_sets=[],
+                           mode="exact", control_sets=[(3, 5, 8)])
+    assert report.outcomes == [] and report.passed
+    [control] = report.controls
+    assert control.collusion == (3, 5, 8) and control.flagged
+    assert control.identical is False and control.p_value is None
+    assert control.position == "subquery 0 stripe 0"
+
+
+def test_exact_audit_names_the_first_leak(good532):
+    """With the repetition query code, V_S is spanned by the all-ones vector
+    on S, so S leaks in (subquery i, stripe t) iff only part of S leaks stripe
+    t there. In the [5,3] structure node 0 leaks stripes 0, 1 in subqueries 0,
+    1, node 1 stripes 0, 1 in subqueries 1, 2 and node 2 stripes 0, 1 in
+    subqueries 0, 2: (0, 1) leaks first at (0, 0) and last at (2, 1), (0, 2)
+    only at (1, 1) and (2, 1), and (3, 4) nowhere."""
+    s5 = p2_build_structure(good532, ISETS_EX5, EHAT_EX5)
+    report = privacy_audit(2, Dss(good532, f=2, beta=2, seed=0),
+                           {"structure": s5}, mode="exact",
+                           collusion_sets=[(0, 1), (0, 2), (3, 4)])
+    assert [(o.position, o.flagged) for o in report.outcomes] == [
+        ("subquery 0 stripe 0", True), ("subquery 1 stripe 1", True),
+        ("joint-subqueries", False)]
+
+
+def _exact_outcomes(protocol, setup, f, sets):
+    dss = Dss(setup.code, f=f, beta=setup.beta, seed=0)
+    key = "structure" if protocol == 2 else "setup"
+    return privacy_audit(protocol, dss, {key: setup}, collusion_sets=sets,
+                         mode="exact").outcomes
+
+
+def test_exact_audit_matches_enumeration(good532, code73, code124):
+    """The linear-algebra decision agrees with enumerating every codeword
+    batch on all 433 sets of at most min(T+1, 3) nodes of the four worked
+    setups; no legal set leaks, and 9 of the 220 size-3 sets of [12,4] do."""
+    cases = {"p2 [5,3]": (2, p2_build_structure(good532, ISETS_EX5, EHAT_EX5)),
+             "p2 [7,3]": (2, p2_build_structure(code73, ISETS_EX6, EHAT_EX6)),
+             "p3 [12,4]": (3, p3_setup(code124, code124, EHAT_P3, ISETS_P3)),
+             "RM(1,1,3)": (3, p3_rm_max_rate(1, 1, 3))}
+    checked = 0
+    for name, (protocol, setup) in cases.items():
+        T, n = setup.collusion_threshold, setup.code.n
+        sets = [tset for size in range(1, min(T + 1, 3) + 1)
+                for tset in itertools.combinations(range(n), size)]
+        outcomes = _exact_outcomes(protocol, setup, 2, sets)
+        assert [o.identical for o in outcomes] == p23_exact_reference(
+            setup, 2, sets), name
+        assert not any(o.flagged for o in outcomes if len(o.collusion) <= T)
+        if name == "p3 [12,4]":
+            leaks = [o.collusion for o in outcomes if o.flagged]
+            assert len(leaks) == 9 and (3, 5, 8) in leaks
+            assert all(len(tset) == 3 for tset in leaks)
+        checked += len(sets)
+    assert checked == 433
+
+
+@st.composite
+def optimized_setups(draw):
+    """A query code and a storage code of one length over GF(2) or GF(3),
+    and the structure `optimize_rate` finds for the pair."""
+    fields = [draw(st.sampled_from([(2, 1), (3, 1)]))]
+    query = draw(codes(fields, max_messages=9, max_n=6))
+    storage = draw(codes(fields, n=query.n))
+    # disjoint supports give the zero product, which the optimizer refuses
+    assume(storage.hadamard_product(query).k > 0)
+    try:
+        e_opt, _ = optimize_rate(storage, query)
+    except RateOneProduct:
+        e_opt = None
+    assume(e_opt is not None)
+    return p3_setup(storage, query, e_opt.ehat, e_opt.info_sets())
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(optimized_setups())
+def test_exact_audit_matches_enumeration_on_random_codes(setup):
+    """On random small query codes and the optimizer's structures, the
+    decision agrees with the enumeration on every set of at most T+1 nodes
+    (so leaking sets are included) and finds no leaking set of at most T."""
+    q, kq = setup.query_code.field.order, setup.query_code.k
+    assume((q ** kq) ** (2 * setup.beta) <= 1 << 10)
+    T, n = setup.collusion_threshold, setup.code.n
+    sets = [tset for size in range(1, min(T + 1, n) + 1)
+            for tset in itertools.combinations(range(n), size)]
+    outcomes = _exact_outcomes(3, setup, 2, sets)
+    assert [o.identical for o in outcomes] == p23_exact_reference(setup, 2, sets)
+    assert not any(o.flagged for o in outcomes if len(o.collusion) <= T)
+
+
+def test_exact_audit_decides_many_files(code73):
+    """The decision does not depend on f: p2 [7,3] at f = 5 (an enumeration
+    of 2^20 codeword batches per subquery) passes on its 7 single spies."""
+    s6 = p2_build_structure(code73, ISETS_EX6, EHAT_EX6)
+    dss = Dss(code73, f=5, beta=4, seed=0)
+    report = privacy_audit(2, dss, {"structure": s6}, mode="exact")
+    assert [o.collusion for o in report.outcomes] == [(l,) for l in range(7)]
+    assert report.passed and all(o.identical for o in report.outcomes)
+
+
+def _repetition_over_single_parity(n):
+    """Protocol-3 setup of the [n,1] repetition storage code with the
+    [n,n-1] single-parity query code: T = n - 1, so 2^n - 2 legal sets."""
+    f2 = field_make(2)
+    storage = repetition_code(f2, n)
+    query = LinearCode.from_parity_check(Matrix(f2, [[1] * n]))
+    e_opt, _ = optimize_rate(storage, query)
+    return p3_setup(storage, query, e_opt.ehat, e_opt.info_sets())
+
+
+def test_audit_bounds_its_set_count(monkeypatch):
+    """Auditing every legal set counts them first and raises TooLarge, before
+    building any, when there are more than SET_LIMIT; below it, the exact
+    audit decides every set."""
+    setup = _repetition_over_single_parity(8)
+    assert setup.collusion_threshold == 7
+    outcomes = _exact_outcomes(3, setup, 2, None)
+    assert len(outcomes) == 2 ** 8 - 2 and not any(o.flagged for o in outcomes)
+
+    def no_sets(*args):
+        raise AssertionError("the audit built sets past its set bound")
+    monkeypatch.setattr(audit, "combinations", no_sets)
+    n = next(n for n in itertools.count(2) if 2 ** n - 2 > SET_LIMIT)
+    setup = _repetition_over_single_parity(n)
+    assert setup.collusion_threshold == n - 1
+    dss = Dss(setup.code, f=2, beta=setup.beta, seed=0)
+    for mode in ("exact", "statistical"):
+        with pytest.raises(TooLarge):
+            privacy_audit(3, dss, {"setup": setup}, mode=mode, trials=10)
+    # named sets are not counted against the bound
+    assert privacy_audit(3, dss, {"setup": setup}, collusion_sets=[(0, 1)],
+                         mode="exact").passed
+
+
+def test_audit_rejects_unknown_mode_and_exact_p1(good532):
+    s5 = p2_build_structure(good532, ISETS_EX5, EHAT_EX5)
+    dss = Dss(good532, f=2, beta=2, seed=0)
+    lam = rate_matrix(good532, LAM35)
+    dss1 = Dss(good532, f=2, beta=25, seed=0)
+    for mode in ("exakt", "Exact", ""):
+        with pytest.raises(BadParams, match="mode"):
+            privacy_audit(2, dss, {"structure": s5}, trials=10, mode=mode)
+        with pytest.raises(BadParams, match="mode"):
+            privacy_audit(1, dss1, {"lam": lam}, trials=10, mode=mode)
+    with pytest.raises(BadParams, match="protocol 1"):
+        privacy_audit(1, dss1, {"lam": lam}, trials=10, mode="exact")
 
 
 def test_audit_rejects_bad_sets_and_trials(good532):
@@ -174,7 +332,7 @@ def test_audit_rejects_bad_sets_and_trials(good532):
             privacy_audit(2, dss, {"structure": s5}, trials=trials)
         with pytest.raises(BadParams):
             privacy_audit(1, dss1, {"lam": lam}, trials=trials)
-    # exact mode enumerates and reads no trial count
+    # exact mode draws nothing and reads no trial count
     assert privacy_audit(2, dss, {"structure": s5}, trials=0, mode="exact").passed
 
 
