@@ -27,9 +27,10 @@ Two exact kernels carry the code predicates and the decoding:
   no codeword) raises `DecodeFailure`.
 
 `encode` is the base-field array encoder (G converted to an array once per
-code); the protocol queries and the codeword enumeration (`_codeword_chunks`,
-ENUM_CHUNK messages a chunk) behind `min_distance` and `codewords` call it.
-Stored files over GF(q^ell) are encoded by `mat_mul`.
+code); the protocol queries call it, and so does the one subcode enumeration
+(`_min_support`, about ENUM_CHUNK message rows a batch) behind `min_distance`
+and `generalized_hamming_weight`. Stored files over GF(q^ell) are encoded by
+`mat_mul`.
 """
 
 from __future__ import annotations
@@ -62,10 +63,9 @@ from .fields import (
     null_space,
 )
 
-ENUM_BUDGET = 1 << 21          # codeword-enumeration ceiling for q^k
+ENUM_BUDGET = 1 << 21          # subcode-enumeration ceiling (q^k for d_1)
 COLUMN_SEARCH_BUDGET = 5_000_000  # cumulative column-subset ceiling
-SUBSPACE_BUDGET = 2_000_000    # s-dimensional subspace enumeration ceiling
-ENUM_CHUNK = 4096              # messages per enumeration chunk (~1 MB temporaries)
+ENUM_CHUNK = 4096              # message rows per enumeration batch (~1 MB temporaries)
 
 
 _BITS = frozenset((0, 1))
@@ -266,41 +266,17 @@ class LinearCode:
             out[j] = syndrome.field.neg(x)
         return out
 
-    def codewords(self, budget: int = ENUM_BUDGET) -> Iterator[tuple[int, ...]]:
-        """All codewords; guarded by q^k <= budget."""
-        for chunk in self._codeword_chunks(budget):
-            yield from map(tuple, chunk.tolist())
-
-    def _codeword_chunks(self, budget: int) -> Iterator[np.ndarray]:
-        """All codewords as int64 arrays of at most ENUM_CHUNK rows. Message m
-        has base-q digits m_0, m_1, ... (m_0 varies fastest) and codeword
-        sum_i m_i G[i]."""
-        q, k = self.field.order, self.k
-        total = q ** k
-        if total > budget:
-            raise TooLarge(f"q^k = {q}^{k} exceeds enumeration budget")
-        powers = q ** np.arange(k, dtype=np.int64)
-        for start in range(0, total, ENUM_CHUNK):
-            msgs = np.arange(start, min(start + ENUM_CHUNK, total),
-                             dtype=np.int64)[:, None] // powers
-            msgs %= q
-            yield self.encode(msgs)
-
     # --- distances ---------------------------------------------------------------
 
-    def min_distance(self, budget: int = ENUM_BUDGET) -> int:
-        """Minimum Hamming weight over nonzero codewords (exact)."""
+    def min_distance(self) -> int:
+        """Minimum Hamming weight over nonzero codewords (exact): d_1 by the
+        subcode enumeration when q^k <= ENUM_BUDGET, else the column search."""
         if self.known_dmin is not None:
             return self.known_dmin
         if self.k == 0:
             raise TooLarge("zero code has no nonzero codeword")
-        if self.field.order ** self.k <= budget:
-            d = self.n
-            for chunk in self._codeword_chunks(budget):
-                weights = np.count_nonzero(chunk, axis=1)
-                nonzero = weights[weights > 0]
-                if nonzero.size:
-                    d = min(d, int(nonzero.min()))
+        if self.field.order ** self.k <= ENUM_BUDGET:
+            d = self._min_support(1)
         else:
             d = self._min_distance_column_search(budget=COLUMN_SEARCH_BUDGET)
         self.known_dmin = d
@@ -350,86 +326,45 @@ class LinearCode:
 
         return walk({}, 0, w, 0)
 
-    def generalized_hamming_weight(self, s: int,
-                                   budget: int = SUBSPACE_BUDGET) -> int:
-        """d_s: smallest support of an s-dimensional subcode (exhaustive)."""
+    def generalized_hamming_weight(self, s: int) -> int:
+        """d_s: smallest support of an s-dimensional subcode (exact). d_1 is
+        `min_distance`; for s >= 2 every subcode is enumerated, so TooLarge
+        when there are more than ENUM_BUDGET of them."""
         if not 1 <= s <= self.k:
             raise DimensionMismatch(f"s={s} outside 1..{self.k}")
-        if s == self.k:
-            # the only k-dimensional subcode is the code itself
-            return len(self._code_support())
-        q = self.field.order
-        count = gaussian_binomial(self.k, s, q)
-        if count > budget:
-            raise TooLarge(f"{count} subspaces exceed budget")
-        if q == 2:
-            return self._ghw_gf2(s)
-        return self._ghw_generic(s)
+        if s == 1:
+            return self.min_distance()
+        count = gaussian_binomial(self.k, s, self.field.order)
+        if count > ENUM_BUDGET:
+            raise TooLarge(f"{count} subcodes of dimension {s} exceed the "
+                           f"enumeration budget {ENUM_BUDGET}")
+        return self._min_support(s)
 
-    def _code_support(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.n)
-                     if any(self.G.data[i][j] for i in range(self.k)))
-
-    def _ghw_gf2(self, s: int) -> int:
-        k = self.k
-        rows = [sum(bit << j for j, bit in enumerate(row)) for row in self.G.data]
-        best = self.n
+    def _min_support(self, s: int) -> int:
+        """Smallest support of an s-dimensional subcode, visiting each exactly
+        once as the row space of U G for its one s x k reduced-echelon U: U's
+        pivot columns come from `combinations(range(k), s)`, and its free
+        entries (right of a row's pivot, off the pivot columns) are the base-q
+        digits of a counter. About ENUM_CHUNK rows of U are encoded at a time;
+        the support is the set of columns where some row of U G is nonzero."""
+        q, k, n = self.field.order, self.k, self.n
+        per_batch = max(1, ENUM_CHUNK // s)
+        best = n
         for pivots in itertools.combinations(range(k), s):
-            pivot_set = set(pivots)
-            free_pos = [[j for j in range(p + 1, k) if j not in pivot_set]
-                        for p in pivots]
-            nfree = sum(len(f) for f in free_pos)
-            for assign in range(1 << nfree):
-                support = 0
-                bitpos = 0
-                for i, p in enumerate(pivots):
-                    u = 1 << p
-                    for j in free_pos[i]:
-                        if (assign >> bitpos) & 1:
-                            u |= 1 << j
-                        bitpos += 1
-                    cw = 0
-                    uu = u
-                    while uu:
-                        low = uu & -uu
-                        cw ^= rows[low.bit_length() - 1]
-                        uu ^= low
-                    support |= cw
-                w = bin(support).count("1")
-                if w < best:
-                    best = w
-        return best
-
-    def _ghw_generic(self, s: int) -> int:
-        f = self.field
-        q = f.order
-        k = self.k
-        best = self.n
-        for pivots in itertools.combinations(range(k), s):
-            pivot_set = set(pivots)
-            free_pos = [(i, j) for i, p in enumerate(pivots)
-                        for j in range(p + 1, k) if j not in pivot_set]
-            nfree = len(free_pos)
-            assign = [0] * nfree
-            while True:
-                rows_u = [[0] * k for _ in range(s)]
-                for i, p in enumerate(pivots):
-                    rows_u[i][p] = 1
-                for (i, j), val in zip(free_pos, assign):
-                    rows_u[i][j] = val
-                basis = mat_mul(Matrix.wrap(f, rows_u, s, k), self.G).data
-                w = sum(map(any, zip(*basis)))  # support of the subcode
-                if w < best:
-                    best = w
-                pos = 0
-                while pos < nfree:
-                    assign[pos] += 1
-                    if assign[pos] < q:
-                        break
-                    assign[pos] = 0
-                    pos += 1
-                else:
-                    break
+            free = np.array([(i, j) for i, p in enumerate(pivots)
+                             for j in range(p + 1, k) if j not in pivots],
+                            dtype=np.intp).reshape(-1, 2)
+            powers = q ** np.arange(len(free), dtype=np.int64)
+            total = q ** len(free)
+            for start in range(0, total, per_batch):
+                counter = np.arange(start, min(start + per_batch, total),
+                                    dtype=np.int64)
+                U = np.zeros((len(counter), s, k), dtype=np.int64)
+                U[:, range(s), pivots] = 1
+                U[:, free[:, 0], free[:, 1]] = counter[:, None] // powers % q
+                words = self.encode(U.reshape(-1, k)).reshape(len(counter), s, n)
+                support = np.count_nonzero(words.any(axis=1), axis=1)
+                best = min(best, int(support.min()))
         return best
 
     # --- derived codes ---------------------------------------------------------------

@@ -23,6 +23,7 @@ from math import comb
 
 from .codes import ErasurePattern, LinearCode
 from .errors import BadParams, RateOneProduct, TooLarge
+from .protocol3 import check_query_code
 from .ratematrix import ErasureMatrix, beta_d_minimal
 from .rng import rng_for
 
@@ -235,11 +236,17 @@ def optimize_rate(code: LinearCode, query_code: LinearCode | None = None,
     """Largest Gamma with a feasible structure matrix, and that matrix.
 
     query_code None stands for the repetition code, whose product with the
-    storage code is the storage code. beta_d_rule: "minimal" takes the
-    LCM-minimal (beta, d); "gamma-k" fixes (beta, d) = (Gamma, k).
+    storage code is the storage code; a query code zero at some position
+    raises StructureViolation (`protocol3.check_query_code`). beta_d_rule:
+    "minimal" takes the LCM-minimal (beta, d); "gamma-k" fixes
+    (beta, d) = (Gamma, k).
     """
     _check_budgets(budget, sample_budget)
-    product = code if query_code is None else code.hadamard_product(query_code)
+    if query_code is None:
+        product = code
+    else:
+        check_query_code(query_code)
+        product = code.hadamard_product(query_code)
     n, k = code.n, code.k
     if product.k >= n:
         raise RateOneProduct("Hadamard product has rate 1")

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codes import ErasurePattern, LinearCode, gaussian_binomial
+from .codes import ErasurePattern, LinearCode
 from .errors import (
     DecodeFailure,
     DimensionMismatch,
@@ -37,11 +37,10 @@ from .errors import (
 )
 from .fields import FiniteField, Matrix, mat_mul
 from .families import rm_code, rm_information_set, rm_translate
+from .ratematrix import ConditionReport
 from .rng import generator
 
 Mask = tuple[int, ...]
-
-GHW_EXHAUSTIVE_LIMIT = 50_000  # subspaces enumerated for a product-side d_s
 
 
 @dataclass(frozen=True)
@@ -105,6 +104,16 @@ def collusion_threshold(query_code: LinearCode) -> int:
     return query_code.dual().min_distance() - 1
 
 
+def check_query_code(query_code: LinearCode) -> None:
+    """StructureViolation when the query code is zero at some position: the
+    node there sees its bare unit offsets, and T = d_min(dual) - 1 = 0."""
+    zero = [j for j, col in enumerate(zip(*query_code.G.data)) if not any(col)]
+    if zero:
+        raise StructureViolation(f"query code is zero at positions {zero} "
+                                 "(0-based), so T = 0: a node there would see "
+                                 "its bare unit offsets")
+
+
 def p3_setup(code: LinearCode, query_code: LinearCode,
              ehat: Sequence[Sequence[int]],
              info_sets: Sequence[Sequence[int]]) -> P3Setup:
@@ -112,6 +121,7 @@ def p3_setup(code: LinearCode, query_code: LinearCode,
     column profile matching the information sets of the storage code."""
     if query_code.n != code.n or query_code.field is not code.field:
         raise DimensionMismatch("storage and query codes must share length and field")
+    check_query_code(query_code)
     product = code.hadamard_product(query_code)
     if product.k >= code.n:
         raise RateOneProduct("Hadamard product has rate 1; no redundancy to exploit")
@@ -283,36 +293,21 @@ def p3_rm_max_rate(v: int, vbar: int, m: int) -> P3Setup:
     return setup
 
 
-@dataclass(frozen=True)
-class P3ConditionReport:
-    ok: bool
-    which: str | None = None
-    witness_s: int | None = None
-    witness_value: int | None = None
+def necessary_condition_p3(code: LinearCode, query_code: LinearCode) -> ConditionReport:
+    """GHW condition for a maximum-rate matrix to exist: d_s(storage) >=
+    (n - ktilde) s / k for every s.
 
-
-def necessary_condition_p3(code: LinearCode, query_code: LinearCode) -> P3ConditionReport:
-    """GHW conditions for a maximum-rate matrix to exist:
-    d_s(storage) >= (n - ktilde) s / k and d_s(product) >= s.
-
-    The product-side inequality is certified through strict GHW monotonicity
-    (d_s >= d_1 + s - 1) whenever full enumeration would exceed the budget.
+    Every column of the matrix sums to k, and each row is an information set
+    of its code (the product for the first k rows, the storage code for the
+    other n - ktilde), so it meets the support of any s-dimensional subcode of
+    that code in at least s positions. Summed over such a support, the storage
+    rows give this inequality and the product rows give k d_s(product) >= k s,
+    which every code meets: only the storage side can fail.
     """
-    product = code.hadamard_product(query_code)
-    n, k, ktilde = code.n, code.k, product.k
+    n, k = code.n, code.k
+    ktilde = code.hadamard_product(query_code).k
     for s in range(1, k + 1):
         ds = code.generalized_hamming_weight(s)
         if ds * k < (n - ktilde) * s:
-            return P3ConditionReport(False, which="storage", witness_s=s,
-                                     witness_value=ds)
-    if product.k > 0:
-        d1 = product.min_distance()
-        for s in range(1, product.k + 1):
-            if gaussian_binomial(product.k, s, product.field.order) <= GHW_EXHAUSTIVE_LIMIT:
-                ds = product.generalized_hamming_weight(s)
-            else:
-                ds = d1 + s - 1  # strict monotonicity lower bound
-            if ds < s:
-                return P3ConditionReport(False, which="product", witness_s=s,
-                                         witness_value=ds)
-    return P3ConditionReport(True)
+            return ConditionReport(False, witness_s=s, witness_value=ds)
+    return ConditionReport(True)

@@ -196,7 +196,9 @@ class ConditionReport:
 
 
 def necessary_condition(code: LinearCode) -> ConditionReport:
-    """Generalized-Hamming-weight test d_s >= (n/k) s for all s."""
+    """Generalized-Hamming-weight test d_s >= (n/k) s for all s, each d_s
+    exact (`LinearCode.generalized_hamming_weight`; TooLarge past its
+    enumeration budget)."""
     for s in range(1, code.k + 1):
         ds = code.generalized_hamming_weight(s)
         if ds * code.k < code.n * s:

@@ -42,6 +42,13 @@ EHAT_P3 = [(0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
            (0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0)]
 ISETS_P3 = [(1, 2, 8, 11)]
 
+# a query code zero at position 4 (so T = 0), with a storage code and a
+# structure that the repetition query code accepts
+STORAGE_T0 = [[1, 0, 0, 1, 1], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1]]
+QUERY_T0 = [[1, 1, 1, 1, 0]]
+EHAT_T0 = [(0, 1, 0, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)]
+ISETS_T0 = [(1, 3, 4)]
+
 
 @st.composite
 def codes(draw, fields, max_messages=None, max_n=8, n=None):
@@ -63,6 +70,14 @@ def codes(draw, fields, max_messages=None, max_n=8, n=None):
     perm = draw(st.permutations(range(n)))
     generator = [[row[perm[j]] for j in range(n)] for row in rows]
     return code_from_generator(Matrix(field, generator))
+
+
+def all_codewords(code) -> list[tuple[int, ...]]:
+    """Every codeword m G, message digit m_0 varying fastest, encoded in one
+    call (tiny codes only: q^k words)."""
+    msgs = [m[::-1] for m in itertools.product(range(code.field.order), repeat=code.k)]
+    words = code.encode(np.array(msgs, dtype=np.int64).reshape(len(msgs), code.k))
+    return [tuple(w) for w in words.tolist()]
 
 
 def mat_mul_reference(A, B):
@@ -195,7 +210,7 @@ def p23_exact_reference(setup, f: int, sets) -> list[bool]:
     space = (qcode.field.order ** qcode.k) ** bf
     if space > 1 << 16:
         raise ValueError(f"the reference would enumerate {space} codeword batches")
-    codewords = list(qcode.codewords())
+    codewords = all_codewords(qcode)
 
     def identical(tset) -> bool:
         for i in range(setup.d):

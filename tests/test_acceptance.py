@@ -28,7 +28,7 @@ from codedpir.ratematrix import (beta_d_minimal, capacity_asymptotic,
                                  rate_matrix)
 from codedpir.reports import report_tables
 from conftest import (EHAT_EX5, EHAT_EX6, EHAT_P3, ISETS_EX5, ISETS_EX6,
-                      ISETS_P3, LAM35, compute_matrix_bruteforce)
+                      ISETS_P3, LAM35, all_codewords, compute_matrix_bruteforce)
 
 TOL = 1e-4
 
@@ -268,7 +268,7 @@ def test_criterion_10_property_suites(good532, bad532, code73, rs53, f2):
         for code in (good532, bad532):
             info_sets = [c for c in itertools.combinations(range(code.n), code.k)
                          if code.is_information_set(c)]
-            cws = [cw for cw in code.codewords() if any(cw)]
+            cws = [cw for cw in all_codewords(code) if any(cw)]
             for s in (1, 2):
                 for subset in itertools.combinations(cws, s):
                     if mat_rank(Matrix(code.field,

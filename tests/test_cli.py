@@ -209,6 +209,26 @@ def test_rate_one_code_is_an_error_not_a_traceback(tmp_path, capsys, argv):
     assert err.strip() and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "p3", "--files", "2", "--request", "1"],
+    ["audit-privacy", "--protocol", "3", "--trials", "10"],
+    ["audit-privacy", "--protocol", "3", "--exact"],
+])
+def test_query_code_zero_at_a_position_exits_1(tmp_path, capsys, argv):
+    """T = 0: node 4 would see its bare offsets, so there is nothing to run
+    or audit."""
+    from conftest import QUERY_T0, STORAGE_T0
+    paths = []
+    for name, generator in (("storage", STORAGE_T0), ("query", QUERY_T0)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"family": "raw", "q": 2,
+                                         "generator": generator}))
+    assert main(argv + ["--code", str(paths[0]), "--query-code", str(paths[1]),
+                        "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "positions [4]" in err
+
+
 @pytest.mark.parametrize("extra", [
     ["--collude", "0"],      # 1-based: there is no node 0
     ["--collude", "6,1"],    # the [5,3] code has five nodes

@@ -3,23 +3,24 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from codedpir.codes import (ErasurePattern, LinearCode, code_from_generator,
-                            gaussian_binomial, standard_form_parity)
+from codedpir.codes import (ENUM_BUDGET, ErasurePattern, LinearCode,
+                            code_from_generator, gaussian_binomial,
+                            standard_form_parity)
 from codedpir.errors import (DecodeFailure, DimensionMismatch, EmptySupport,
                              NotCorrectable, RankDeficientGenerator)
 from codedpir.families import cyclic_code, grs_code
 from codedpir.fields import Matrix, field_make, mat_mul, mat_rank
-
-
-def all_codewords(code):
-    return list(code.codewords())
+from codedpir.reports import fixture_code, load_fixture
+from conftest import all_codewords, codes
 
 
 def ghw_oracle(code, s):
-    """Brute force over all s-subsets of distinct nonzero codewords, keeping
-    those spanning s dimensions; support union minimized."""
-    cws = [cw for cw in all_codewords(code) if any(cw)]
+    """Brute force over all s-subsets of nonzero codewords whose first nonzero
+    symbol is 1 (one per 1-dimensional subcode), keeping those spanning s
+    dimensions; support union minimized."""
+    cws = [cw for cw in all_codewords(code) if next((x for x in cw if x), 0) == 1]
     best = code.n
     for subset in itertools.combinations(cws, s):
         g = Matrix(code.field, [list(c) for c in subset])
@@ -132,7 +133,7 @@ def test_generalized_hamming_weights(good532, bad532, rs53):
     g2 = good532.generalized_hamming_weight(2)
     assert g2 == ghw_oracle(good532, 2)
     assert g2 >= 4  # at least ceil(10/3) when a capacity matrix exists
-    # nonbinary path against the brute-force oracle
+    # over GF(7) against the brute-force oracle
     assert rs53.generalized_hamming_weight(2) == ghw_oracle(rs53, 2) == 4
 
 
@@ -142,6 +143,33 @@ def test_ghw_strict_monotonicity(good532, bad532, code73, rs53):
                    for s in range(1, code.k + 1)]
         assert all(a < b for a, b in zip(weights, weights[1:]))
         assert weights[-1] <= code.n
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.one_of(codes([(2, 1), (3, 1), (2, 2)], max_messages=27),
+                 codes([(3, 2)], max_messages=81)))
+def test_ghw_matches_oracle(code):
+    """d_s from the subcode enumeration equals the brute force for every s."""
+    ks = range(1, code.k + 1)
+    assert [code.generalized_hamming_weight(s) for s in ks] == \
+        [ghw_oracle(code, s) for s in ks]
+
+
+def test_ghw_1_past_the_enumeration_budget():
+    """c4 ([18,12] over GF(17)) has more 1-dimensional subcodes than
+    ENUM_BUDGET: d_1 comes from the column search."""
+    c4 = fixture_code(load_fixture("c4"))
+    code = LinearCode(c4.G, c4.H, check=False)  # no family d_min
+    assert gaussian_binomial(code.k, 1, code.field.order) > ENUM_BUDGET
+    assert code.generalized_hamming_weight(1) == 5
+
+
+def test_ghw_k_is_the_support_size(f2):
+    """The only k-dimensional subcode is the code: d_k counts its nonzero
+    columns, here all but position 2."""
+    for field, g in ((f2, [[1, 0, 0, 1, 1], [0, 1, 0, 1, 0]]),
+                     (field_make(3), [[1, 0, 0, 2, 1], [0, 1, 0, 1, 0]])):
+        assert code_from_generator(Matrix(field, g)).generalized_hamming_weight(2) == 4
 
 
 def test_gaussian_binomial():
@@ -241,7 +269,7 @@ def test_information_set_meets_subcode_support(good532, code73):
     for code in (good532, code73):
         info_sets = [c for c in itertools.combinations(range(code.n), code.k)
                      if code.is_information_set(c)]
-        cws = [cw for cw in code.codewords() if any(cw)]
+        cws = [cw for cw in all_codewords(code) if any(cw)]
         for s in (1, 2):
             for subset in itertools.combinations(cws, s):
                 if mat_rank(Matrix(code.field, [list(c) for c in subset])) != s:

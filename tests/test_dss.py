@@ -12,7 +12,7 @@ from codedpir.audit import (SAMPLE_LIMIT, SET_LIMIT, _homogeneity_p, chi2_sf,
                             privacy_audit)
 from codedpir.codes import LinearCode, repetition_code
 from codedpir.dss import Dss, run
-from codedpir.errors import BadParams, RateOneProduct, TooLarge
+from codedpir.errors import BadParams, RateOneProduct, StructureViolation, TooLarge
 from codedpir.fields import Matrix, field_make, mat_mul
 from codedpir.optimizer import optimize_rate
 from codedpir.protocol2 import p2_build_structure
@@ -229,8 +229,18 @@ def optimized_setups(draw):
     fields = [draw(st.sampled_from([(2, 1), (3, 1)]))]
     query = draw(codes(fields, max_messages=9, max_n=6))
     storage = draw(codes(fields, n=query.n))
-    # disjoint supports give the zero product, which the optimizer refuses
-    assume(storage.hadamard_product(query).k > 0)
+    zero = [j for j, col in enumerate(zip(*query.G.data)) if not any(col)]
+    if zero:
+        # a query code zero at some position (T = 0) is refused; the draw goes
+        # on with those positions set in its first row, since skipping it
+        # would discard most draws. A query code of full support has a
+        # nonzero product with the storage code.
+        with pytest.raises(StructureViolation):
+            optimize_rate(storage, query)
+        rows = [list(row) for row in query.G.data]
+        for j in zero:
+            rows[0][j] = 1
+        query = LinearCode.from_generator(Matrix(query.field, rows))
     try:
         e_opt, _ = optimize_rate(storage, query)
     except RateOneProduct:

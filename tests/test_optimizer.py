@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from codedpir.codes import ErasurePattern, code_from_generator
-from codedpir.errors import BadParams, RateOneProduct
+from codedpir.errors import BadParams, RateOneProduct, StructureViolation
 from codedpir.families import code_from_spec, grs_code, uuv_code
 from codedpir.fields import Matrix, field_make
 from codedpir.optimizer import (compute_erasure_pattern_list, compute_matrix,
@@ -13,7 +13,7 @@ from codedpir.protocol2 import p2_build_structure
 from codedpir.protocol3 import p3_setup
 from codedpir.ratematrix import beta_d_minimal
 from codedpir.reports import fixture_code, load_fixture
-from conftest import compute_matrix_bruteforce
+from conftest import QUERY_T0, STORAGE_T0, compute_matrix_bruteforce
 
 f2 = field_make(2)
 f13 = field_make(13)
@@ -122,6 +122,13 @@ def test_optimize_rate_colluding_worked(code124):
     whole = code_from_generator(Matrix.identity(f2, 4))
     with pytest.raises(RateOneProduct):
         optimize_rate(whole, whole)
+
+
+def test_optimize_rate_rejects_query_code_zero_at_a_position():
+    storage = code_from_generator(Matrix(f2, STORAGE_T0))
+    query = code_from_generator(Matrix(f2, QUERY_T0))
+    with pytest.raises(StructureViolation, match=r"positions \[4\]"):
+        optimize_rate(storage, query)
 
 
 def test_optimize_rate_colluding_uuv():

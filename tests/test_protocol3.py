@@ -14,8 +14,9 @@ from codedpir.protocol3 import (collusion_threshold, necessary_condition_p3,
                                 p3_rm_max_rate, p3_setup, query_batch,
                                 validate_max_rate_matrix)
 from codedpir.rng import generator
-from conftest import (EHAT_EX5, EHAT_EX6, EHAT_P3, ISETS_EX5, ISETS_EX6,
-                      ISETS_P3, query_reference)
+from conftest import (EHAT_EX5, EHAT_EX6, EHAT_P3, EHAT_T0, ISETS_EX5,
+                      ISETS_EX6, ISETS_P3, ISETS_T0, QUERY_T0, STORAGE_T0,
+                      query_reference)
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +41,19 @@ def test_setup_rejections(code124, good532, f2):
         p3_setup(code124, code124, [(1,) * 12, (0,) * 11 + (1,)], ISETS_P3)
     with pytest.raises(StructureViolation):
         p3_setup(code124, code124, EHAT_P3, [(0, 1, 2, 3)])
+
+
+def test_setup_rejects_query_code_zero_at_a_position(f2):
+    """A query code zero at position 4 has T = 0 and is refused; the same
+    structure with the repetition query code is accepted."""
+    from codedpir.codes import code_from_generator, repetition_code
+    storage = code_from_generator(Matrix(f2, STORAGE_T0))
+    query = code_from_generator(Matrix(f2, QUERY_T0))
+    assert collusion_threshold(query) == 0
+    with pytest.raises(StructureViolation, match=r"positions \[4\]"):
+        p3_setup(storage, query, EHAT_T0, ISETS_T0)
+    rep = repetition_code(f2, 5)
+    assert p3_setup(storage, rep, EHAT_T0, ISETS_T0).collusion_threshold == 1
 
 
 def test_repetition_query_code_degenerates(code124, f2):
