@@ -20,17 +20,20 @@ Two exact kernels carry the code predicates and the decoding:
   correctable patterns (`correctable_masks`) and runs the column search of
   `min_distance`; on G, the information-set predicates through
   `information_columns`. None allocates a `Matrix`.
-- Erasure decoding (`decode_erasures`), shared by the three protocols: the
-  pattern is checked on the H kernel, then one elimination solves
-  H_E x = -H_K y_K over the word's field. Its residual is the one syndrome
-  check: a word that no codeword matches off E (with E empty: a word that is
-  no codeword) raises `DecodeFailure`.
+- Erasure decoding (`decode_erasures`), shared by the three protocols,
+  compiled once per erased set E and kept for the code's lifetime: one rref
+  of H's columns ordered E then K (the rest) gives the recovery matrix R_E
+  (x_E = R_E y_K) and the check matrix C_E (a word matches some codeword off
+  E iff C_E y_K = 0; with E empty, iff it is a codeword). A batch of r words
+  over GF(q) or GF(q^ell) then decodes in one `matmul_array` product with
+  both, lifted into the words' field by one gather; a word that fails C_E
+  raises `DecodeFailure`. `message_from_information_set` likewise keeps the
+  inverse of G|_I per information set I and solves a batch in one product.
 
-`encode` is the base-field array encoder (G converted to an array once per
-code); the protocol queries call it, and so does the one subcode enumeration
-(`_min_support`, about ENUM_CHUNK message rows a batch) behind `min_distance`
-and `generalized_hamming_weight`. Stored files over GF(q^ell) are encoded by
-`mat_mul`.
+`encode` is the array encoder (G converted to an array once per code, lifted
+into GF(q^ell) by one gather for stored files); the protocol queries call it,
+and so does the one subcode enumeration (`_min_support`, about ENUM_CHUNK
+message rows a batch) behind `min_distance` and `generalized_hamming_weight`.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ from .fields import (
     mat_mul,
     mat_rank,
     mat_rref,
-    mat_solve,
     null_space,
 )
 
@@ -128,12 +130,15 @@ class LinearCode:
                 raise DimensionMismatch("parity-check shape mismatch")
             if self.n - self.k > 0 and mat_rank(H) != self.n - self.k:
                 raise RankDeficientGenerator("parity-check rows are dependent")
-            if not self.contains_codewords(G.data):
-                raise DimensionMismatch("G H^T != 0")
-        self._g = np.array(G.data, dtype=np.int64).reshape(self.k, self.n)
+        self._g = _array(G)
+        self._ht = _array(H).T
+        if check and not self.contains_codewords(G.data):
+            raise DimensionMismatch("G H^T != 0")
         self._reduce = _column_reducer(H)
         self._reduce_g = _column_reducer(G)
         self._products: dict[LinearCode, LinearCode] = {}  # hadamard_product memo
+        self._decoders: dict[tuple[int, ...], tuple] = {}  # per erased E
+        self._inverses: dict[tuple[int, ...], np.ndarray] = {}  # per information set I
 
     # --- constructors ---------------------------------------------------------
 
@@ -199,13 +204,14 @@ class LinearCode:
         taken before it (at most k; an information set when k are taken)."""
         return _greedy_pivots(self._reduce_g, order, self.k)
 
-    def contains_codewords(self, words: Sequence[Sequence[int]],
-                           value_field: FiniteField | None = None) -> bool:
-        """True iff every word (n symbols over GF(q) or an extension `value_field`)
-        has zero syndrome against H; k independent words then span this code."""
-        words = Matrix(value_field or self.field, words, len(words), self.n)
-        syndromes = mat_mul(words, self.H.transpose())
-        return not any(any(row) for row in syndromes.data)
+    def contains_codewords(self, words, value_field: FiniteField | None = None) -> bool:
+        """True iff every word (an r x n array or nested rows of canonical
+        symbols over GF(q) or an extension `value_field`) has zero syndrome
+        against H; k independent words then span this code."""
+        words = np.asarray(words, dtype=np.int64).reshape(-1, self.n)
+        field = value_field or self.field
+        syndromes = field.matmul_array(words, field.embed_array(self._ht, self.field))
+        return not syndromes.any()
 
     def erasure_correctable(self, pattern: ErasurePattern) -> bool:
         """True iff the erased columns of H are linearly independent."""
@@ -233,38 +239,80 @@ class LinearCode:
 
     # --- encoding / decoding ------------------------------------------------------
 
-    def encode(self, messages: np.ndarray) -> np.ndarray:
-        """r x k int64 messages over GF(q) times G, as an r x n int64 array."""
-        return self.field.matmul_array(messages, self._g)
+    def encode(self, messages: np.ndarray,
+               value_field: FiniteField | None = None) -> np.ndarray:
+        """r x k int64 messages over GF(q), or over an extension `value_field`,
+        times G, as an r x n int64 array over that field."""
+        field = value_field or self.field
+        return field.matmul_array(messages, field.embed_array(self._g, self.field))
 
-    def message_from_information_set(self, coords: Sequence[int],
-                                     values: Sequence[int],
-                                     value_field: FiniteField) -> list[int]:
-        """Solve m G|_I = values for the message row (values over GF(q^ell))."""
-        sub = self.G.restrict_cols(list(coords)).transpose()
-        sol = mat_solve(sub, Matrix.column(value_field, list(values)))
-        return [row[0] for row in sol.data]
+    def message_from_information_set(self, coords: Sequence[int], values,
+                                     value_field: FiniteField) -> np.ndarray:
+        """The messages m with m G|_I = v for each row v of `values` (r x |I|,
+        over GF(q^ell)), as an r x k int64 array: one product with the inverse
+        of G|_I, built once per I. RankDeficient unless I is an information set."""
+        coords = tuple(int(j) for j in coords)
+        inverse = self._inverses.get(coords)
+        if inverse is None:
+            if any(not 0 <= j < self.n for j in coords):
+                raise DimensionMismatch(f"coordinates {coords} outside 0..{self.n - 1}")
+            if len(coords) != self.k:
+                raise RankDeficient(f"{list(coords)} is not an information set")
+            inverse = _array(mat_inverse(self.G.restrict_cols(coords)))  # or RankDeficient
+            self._inverses[coords] = inverse
+        values = np.asarray(values, dtype=np.int64).reshape(-1, self.k)
+        inverse = value_field.embed_array(inverse, self.field)
+        return value_field.matmul_array(values, inverse)
 
-    def decode_erasures(self, word: Sequence[int], erased: Iterable[int],
-                        value_field: FiniteField | None = None) -> list[int]:
-        """The codeword agreeing with `word` (over GF(q) or an extension
-        `value_field`) off the erased positions E: NotCorrectable when H's columns
-        at E are dependent, DecodeFailure when H_E x = -H_K y_K has no solution."""
-        erased = sorted(set(int(j) for j in erased))
+    def decode_erasures(self, words, erased: Iterable[int],
+                        value_field: FiniteField | None = None) -> np.ndarray:
+        """The codewords agreeing with each of r words (an r x n array or nested
+        rows over GF(q) or an extension `value_field`) off the erased
+        positions E, as an r x n int64 array: x_E = R_E y_K, checked by
+        C_E y_K = 0 (`_erasure_decoder`). NotCorrectable when H's columns at E
+        are dependent; DecodeFailure, with `word` the index of the first
+        failing word, when some word matches no codeword off E."""
+        erased = tuple(sorted(set(int(j) for j in erased)))
         if erased and not 0 <= erased[0] <= erased[-1] < self.n:
-            raise DimensionMismatch(f"erased positions {erased} outside 0..{self.n - 1}")
-        if not self.correctable_support(erased):
-            raise NotCorrectable(f"pattern {erased} not correctable")
-        out = [0 if j in erased else x for j, x in enumerate(word)]
-        syndrome = mat_mul(self.H, Matrix.column(value_field or self.field, out))
-        try:  # H_E (-x) = H_K y_K
-            sol = mat_solve(self.H.restrict_cols(erased), syndrome)
-        except RankDeficient as exc:
-            raise DecodeFailure("no codeword agrees with the word off the "
-                                f"erased positions {erased}") from exc
-        for j, (x,) in zip(erased, sol.data):
-            out[j] = syndrome.field.neg(x)
+            raise DimensionMismatch(f"erased positions {list(erased)} outside "
+                                    f"0..{self.n - 1}")
+        known, recover_check = self._erasure_decoder(erased)
+        words = np.asarray(words, dtype=np.int64)
+        if words.ndim != 2 or words.shape[1] != self.n:
+            raise DimensionMismatch(f"expected r x {self.n} words, not {words.shape}")
+        field = value_field or self.field
+        recover_check = field.embed_array(recover_check, self.field)
+        solved = field.matmul_array(words[:, known], recover_check)
+        failing = np.flatnonzero(solved[:, len(erased):].any(axis=1))
+        if failing.size:
+            raise DecodeFailure(f"word {failing[0]}: no codeword agrees with it off "
+                                f"the erased positions {list(erased)}",
+                                word=int(failing[0]))
+        out = words.copy()
+        out[:, erased] = solved[:, :len(erased)]
         return out
+
+    def _erasure_decoder(self, erased: tuple[int, ...]) -> tuple[list[int], np.ndarray]:
+        """(K, [R_E; C_E]^T) for the sorted erased positions E, built once per E.
+
+        One rref of H's columns ordered E then K gives [I M] over [0 C] (H_E
+        has full column rank), so a codeword has x_E = R_E y_K with R_E = -M,
+        and a word matches some codeword off E iff C_E y_K = 0. Both are kept
+        as one |K| x (|E| + rank C) array, so a batch decodes in one product.
+        """
+        memo = self._decoders.get(erased)
+        if memo is not None:
+            return memo
+        if not self.correctable_support(erased):
+            raise NotCorrectable(f"pattern {list(erased)} not correctable")
+        known = [j for j in range(self.n) if j not in erased]
+        red, pivots = mat_rref(self.H.restrict_cols(list(erased) + known))
+        f, e = self.field, len(erased)
+        rows = [[f.neg(x) for x in row[e:]] if i < e else row[e:]
+                for i, row in enumerate(red.data[:len(pivots)])]
+        recover_check = np.array(rows, dtype=np.int64).reshape(len(rows), len(known)).T
+        memo = self._decoders[erased] = (known, np.ascontiguousarray(recover_check))
+        return memo
 
     # --- distances ---------------------------------------------------------------
 
@@ -429,6 +477,10 @@ class LinearCode:
     def to_json_dict(self) -> dict:
         return {"family": "raw", "q": self.field.order,
                 "generator": [list(r) for r in self.G.data]}
+
+
+def _array(M: Matrix) -> np.ndarray:
+    return np.array(M.data, dtype=np.int64).reshape(M.rows, M.cols)
 
 
 def _spanned_code(M: Matrix) -> LinearCode:

@@ -1,10 +1,12 @@
 """Simulated distributed storage system and the protocol runner.
 
-The Dss holds f files of beta stripes each, encoded row-by-row with the
-storage code; node l stores the l-th coordinate of every encoded stripe
-(f coded chunks of beta symbols). Nodes are read-only after init. `run` makes
-one round trip of protocol 1, or of the protocol-3 engine, which serves
-protocol 2 with the repetition query code.
+The Dss holds f files of beta stripes each over GF(q^ell) (files given over
+a subfield are lifted into it), encoded in one array product with the storage
+code into `stored`, an (f*beta) x n int64 array; node l stores its column l,
+the l-th coordinate of every encoded stripe (f coded chunks of beta symbols),
+and `arrays` keeps the same codewords as one beta x n Matrix per file. Nodes
+are read-only after init. `run` makes one round trip of protocol 1, or of the
+protocol-3 engine, which serves protocol 2 with the repetition query code.
 """
 
 from __future__ import annotations
@@ -13,9 +15,12 @@ import hashlib
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+
+import numpy as np
+
 from .codes import LinearCode
 from .errors import BadParams, DecodeFailure
-from .fields import FiniteField, Matrix, mat_mul
+from .fields import FiniteField, Matrix
 from .rng import rng_for
 
 MAX_STRIPES = 10 ** 6  # memory guard on the f*beta stripes of a store (protocol 1: nu^f a file)
@@ -48,16 +53,22 @@ class Dss:
             if len(files) != f or any(x.rows != beta or x.cols != code.k
                                       for x in files):
                 raise BadParams("files must be f matrices of beta x k")
+            if any(not self.msg_field.has_subfield(x.field) for x in files):
+                raise BadParams(f"files must lie over {self.msg_field} or a subfield")
+            files = [x.lift(self.msg_field) for x in files]
         self.files = files
-        self.arrays = [mat_mul(x, code.G) for x in files]  # beta x n each
-        if not all(code.contains_codewords(arr.data, self.msg_field)
-                   for arr in self.arrays):
+        # file-major, stripe-minor: column l is node l's content
+        self.stored = code.encode(
+            np.array([row for x in files for row in x.data], dtype=np.int64)
+            .reshape(f * beta, code.k), self.msg_field)
+        if not code.contains_codewords(self.stored, self.msg_field):
             raise BadParams("encoded stripe is not a codeword")
+        self.arrays = [Matrix.wrap(self.msg_field, rows, beta, code.n)
+                       for rows in self.stored.reshape(f, beta, code.n).tolist()]
 
     def node_content(self, node: int) -> list[int]:
         """The f coded chunks stored by a node: file-major, stripe-minor."""
-        return [self.arrays[m].data[i][node]
-                for m in range(self.f) for i in range(self.beta)]
+        return self.stored[:, node].tolist()
 
     def file_hash(self, m: int) -> str:
         """Canonical digest of file m (1-based) for transcript comparison."""

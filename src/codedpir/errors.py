@@ -40,7 +40,15 @@ class RankDeficientGenerator(CodedPirError):
 
 
 class DecodeFailure(CodedPirError):
-    """Decoding failed: no codeword fits the symbols, or a plan is invalid."""
+    """Decoding failed: no codeword fits the symbols, or a plan is invalid.
+
+    `word` is the index of the first failing word when a batch decode fails
+    on a word (None otherwise).
+    """
+
+    def __init__(self, *args, word: int | None = None):
+        super().__init__(*args)
+        self.word = word
 
 
 class NotCorrectable(DecodeFailure):

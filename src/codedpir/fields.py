@@ -8,9 +8,10 @@ across runs. Extension fields GF(q^ell) are ordinary fields GF(p^(alpha*ell))
 carrying a cached embedding of the subfield, which is what lets a query matrix
 over GF(q) act on message symbols in GF(q^ell).
 
-Every matrix product (`mat_mul`, hence encoding, node responses and
-syndromes) is one exact product on int64 arrays of canonical elements,
-`FiniteField.matmul_array`: over GF(p), `a @ b` mod p, on Python integers
+Every matrix product (`mat_mul`, encoding, node responses, syndromes and
+erasure decoding) is one exact product on int64 arrays of canonical elements,
+`FiniteField.matmul_array`, with subfield operands lifted by one gather
+(`embed_array`): over GF(p), `a @ b` mod p, on Python integers
 once k (p-1)^2 reaches 2^63; over GF(p^a) with log/exp tables (order up to
 2^16), one table gather per term over row blocks of at most MATMUL_CHUNK
 terms, summed by XOR in characteristic 2 and digit-wise mod p otherwise;
@@ -403,6 +404,13 @@ class FiniteField:
             table[rep] = acc
         self._embeddings[key] = table
         return table
+
+    def embed_array(self, a: np.ndarray, sub: "FiniteField") -> np.ndarray:
+        """An int64 array over the subfield `sub` embedded into this field by
+        one gather through the embedding table."""
+        if sub is self:
+            return a
+        return np.asarray(self.embedding_from(sub), dtype=np.int64)[a]
 
     def has_subfield(self, sub: "FiniteField") -> bool:
         return sub is self or (sub.p == self.p and self.alpha % sub.alpha == 0)

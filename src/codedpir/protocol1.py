@@ -33,7 +33,7 @@ import numpy as np
 from .codes import LinearCode
 from .dss import MAX_STRIPES
 from .errors import DecodeFailure, DimensionMismatch, InvalidLambda, KappaEqualsNu, OutOfRange
-from .fields import FiniteField, Matrix, mat_mul
+from .fields import FiniteField, Matrix
 from .ratematrix import RateMatrix, interference_matrices, validate_rate_matrix
 from .rng import generator
 
@@ -244,7 +244,8 @@ def p1_decode(plan: P1Plan, responses: Sequence[Sequence[int]],
         raise DecodeFailure("incomplete responses")
     canonical = [plan.unshuffle(j, responses[j]) for j in range(n)]
 
-    # phase 1: coordinates of aligned side-information sums, then decode each
+    # phase 1: coordinates of aligned side-information sums, then decode them
+    # in one batch per set of missing nodes
     aligned_coords: dict[tuple, dict[int, int]] = {}
     desired_coords: dict[int, dict[int, int]] = {}
     for j in range(n):
@@ -256,10 +257,15 @@ def p1_decode(plan: P1Plan, responses: Sequence[Sequence[int]],
             elif atom.kind == "desired1":
                 desired_coords.setdefault(atom.terms[0][1], {})[j] = value
 
-    aligned_full = {key: code.decode_erasures(
-                        [coords.get(j, 0) for j in range(n)],
-                        [j for j in range(n) if j not in coords], msg_field)
-                    for key, coords in aligned_coords.items()}
+    by_missing: dict[tuple[int, ...], list[tuple]] = {}
+    for key, coords in aligned_coords.items():
+        missing = tuple(j for j in range(n) if j not in coords)
+        by_missing.setdefault(missing, []).append(key)
+    aligned_full: dict[tuple, list[int]] = {}
+    for missing, keys in by_missing.items():
+        words = [[aligned_coords[key].get(j, 0) for j in range(n)] for key in keys]
+        aligned_full.update(zip(keys, code.decode_erasures(
+            words, missing, msg_field).tolist()))
 
     # phase 2: cancel side information from higher-round desired sums
     for j in range(n):
@@ -276,24 +282,32 @@ def p1_decode(plan: P1Plan, responses: Sequence[Sequence[int]],
         raise DecodeFailure(
             f"recovered {len(desired_coords)} stripes, expected {plan.beta}")
 
-    # phase 3: solve every stripe on an information set, then check all of them
-    # on every known coordinate in one product with G
-    out = [[0] * k for _ in range(plan.beta)]
-    perm = plan.perms[plan.m - 1]
+    # phase 3: solve the stripes known at the same nodes in one batch on an
+    # information set among them, then check every stripe on all its known
+    # coordinates in one encode
+    by_known: dict[tuple[int, ...], list[int]] = {}
     for row, coords in desired_coords.items():
-        known = sorted(coords)
+        by_known.setdefault(tuple(sorted(coords)), []).append(row)
+    perm = plan.perms[plan.m - 1]
+    decoded = np.zeros((plan.beta, k), dtype=np.int64)
+    checks = []
+    for known, rows in by_known.items():
         info = code.information_columns(known)
         if len(info) != k:
-            raise DecodeFailure(f"coordinates {known} contain no information set")
-        out[perm[row - 1]] = code.message_from_information_set(
-            info, [coords[j] for j in info], msg_field)
-    decoded = Matrix(msg_field, out, plan.beta, k)
-    words = mat_mul(decoded, code.G).data
-    for row, coords in desired_coords.items():
-        word = words[perm[row - 1]]
-        if any(word[j] != value for j, value in coords.items()):
-            raise DecodeFailure(f"stripe {row} disagrees with its known coordinates")
-    return decoded
+            raise DecodeFailure(f"coordinates {list(known)} contain no information set")
+        values = np.array([[desired_coords[row][j] for j in known] for row in rows],
+                          dtype=np.int64).reshape(len(rows), len(known))
+        at = [perm[row - 1] for row in rows]
+        decoded[at] = code.message_from_information_set(
+            info, values[:, [known.index(j) for j in info]], msg_field)
+        checks.append((known, rows, at, values))
+    words = code.encode(decoded, msg_field)
+    for known, rows, at, values in checks:
+        wrong = np.flatnonzero((words[np.ix_(at, known)] != values).any(axis=1))
+        if wrong.size:
+            raise DecodeFailure(f"stripe {rows[wrong[0]]} disagrees with its "
+                                "known coordinates")
+    return Matrix.wrap(msg_field, decoded.tolist(), plan.beta, k)
 
 
 @dataclass

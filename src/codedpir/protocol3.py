@@ -35,7 +35,7 @@ from .errors import (
     RateOneProduct,
     StructureViolation,
 )
-from .fields import FiniteField, Matrix, mat_mul
+from .fields import FiniteField, Matrix
 from .families import rm_code, rm_information_set, rm_translate
 from .ratematrix import ConditionReport
 from .rng import generator
@@ -187,45 +187,61 @@ def query_batch(setup: P3Setup, f: int, m: int, msgs: np.ndarray) -> np.ndarray:
 
 
 def p3_respond(dss, queries: Sequence[Matrix]) -> list[list[int]]:
-    """Per-node responses: subquery dot products with the stored column."""
+    """Per-node responses: subquery dot products with the stored column, one
+    array product per node over the message field."""
+    field, stored = dss.msg_field, dss.stored
     out = []
     for l, Q in enumerate(queries):
-        content = Matrix.column(dss.msg_field, dss.node_content(l))
-        out.append([row[0] for row in mat_mul(Q, content).data])
+        if Q.cols != len(stored):
+            raise DimensionMismatch(f"query of {Q.cols} columns for "
+                                    f"{len(stored)} stored stripes")
+        rows = np.array(Q.data, dtype=np.int64).reshape(Q.rows, Q.cols)
+        out.append(field.matmul_array(field.embed_array(rows, Q.field),
+                                      stored[:, l:l + 1]).ravel().tolist())
     return out
 
 
 def p3_decode(setup: P3Setup, responses: Sequence[Sequence[int]],
               f: int, m: int, msg_field: FiniteField) -> Matrix:
     """Decode each subquery's response vector rho in the product code with its
-    support erased; the exposed symbols are rho_l - c_l there. An inconsistent
-    response raises DecodeFailure only when Gamma < n - ktilde (the support
-    leaves parity checks unused); otherwise it decodes to a wrong stripe."""
+    support erased, one batch per distinct Ehat row; the exposed symbols are
+    rho_l - c_l there. An inconsistent response raises DecodeFailure only when
+    Gamma < n - ktilde (the support leaves parity checks unused); otherwise it
+    decodes to a wrong stripe."""
     code = setup.code
-    n, k = code.n, code.k
+    n = code.n
     if len(responses) != n or any(len(r) != setup.d for r in responses):
         raise DecodeFailure("incomplete responses")
+    rho = np.array(responses, dtype=np.int64).reshape(n, setup.d).T  # d x n
+    subqueries: dict[Mask, list[int]] = {}
+    for i, row in enumerate(setup.ehat):
+        subqueries.setdefault(row, []).append(i)
     symbols: dict[tuple[int, int], int] = {}
-    for i in range(setup.d):
-        rho = [responses[l][i] for l in range(n)]
-        support = [l for l in range(n) if setup.ehat[i][l]]
+    for row, batch in subqueries.items():
+        support = [l for l in range(n) if row[l]]
+        words = rho[batch]
         try:
-            c_hat = setup.product.decode_erasures(rho, support, msg_field)
+            c_hat = setup.product.decode_erasures(words, support, msg_field)
         except DecodeFailure as exc:
+            i = batch[exc.word or 0]
             raise DecodeFailure(f"subquery {i}: {exc}") from exc
-        for l in support:
-            stripe = setup.stripes[l][i]
-            if stripe is None or (stripe, l) in symbols:
-                raise DecodeFailure("stripe assignment inconsistent")
-            symbols[(stripe, l)] = msg_field.sub(rho[l], c_hat[l])
-    rows = []
+        for i, word, decoded in zip(batch, words.tolist(), c_hat.tolist()):
+            for l in support:
+                stripe = setup.stripes[l][i]
+                if stripe is None or (stripe, l) in symbols:
+                    raise DecodeFailure("stripe assignment inconsistent")
+                symbols[(stripe, l)] = msg_field.sub(word[l], decoded[l])
+    stripes: dict[tuple[int, ...], list[int]] = {}
     for t, iset in enumerate(setup.info_sets):
+        stripes.setdefault(iset, []).append(t)
+    out = np.zeros((setup.beta, code.k), dtype=np.int64)
+    for iset, batch in stripes.items():
         try:
-            values = [symbols[(t, l)] for l in iset]
+            values = [[symbols[(t, l)] for l in iset] for t in batch]
         except KeyError as exc:
-            raise DecodeFailure(f"missing symbol for stripe {t}") from exc
-        rows.append(code.message_from_information_set(iset, values, msg_field))
-    return Matrix(msg_field, rows, setup.beta, k)
+            raise DecodeFailure(f"missing symbol for stripe {exc.args[0][0]}") from exc
+        out[batch] = code.message_from_information_set(iset, values, msg_field)
+    return Matrix.wrap(msg_field, out.tolist(), setup.beta, code.k)
 
 
 # --- maximum-rate matrices ----------------------------------------------------------

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import strategies as st
 
 from codedpir.codes import ErasurePattern, LinearCode, code_from_generator
+from codedpir.errors import DecodeFailure, NotCorrectable, RankDeficient
 from codedpir.families import grs_code
-from codedpir.fields import Matrix, field_make
+from codedpir.fields import Matrix, field_make, mat_mul, mat_rank, mat_solve
 from codedpir.protocol1 import p1_plan
 from codedpir.ratematrix import ErasureMatrix
 from codedpir.rng import derive_seed
@@ -94,6 +95,32 @@ def mat_mul_reference(A, B):
                     acc = f.add(acc, f.mul(x, brow[j]))
             out[i][j] = acc
     return Matrix(f, out, A.rows, B.cols)
+
+
+def decode_erasures_reference(code, word, erased, value_field=None) -> list[int]:
+    """Reference for `decode_erasures` on one word: the syndrome of the word
+    with E zeroed, then one solve of H_E x = -H_K y_K. NotCorrectable when H's
+    columns at E are dependent, DecodeFailure when the solve is inconsistent."""
+    erased = sorted(set(int(j) for j in erased))
+    if mat_rank(code.H.restrict_cols(erased)) < len(erased):
+        raise NotCorrectable(f"pattern {erased} not correctable")
+    out = [0 if j in erased else x for j, x in enumerate(word)]
+    syndrome = mat_mul(code.H, Matrix.column(value_field or code.field, out))
+    try:  # H_E (-x) = H_K y_K
+        sol = mat_solve(code.H.restrict_cols(erased), syndrome)
+    except RankDeficient as exc:
+        raise DecodeFailure("no codeword agrees with the word off E") from exc
+    for j, (x,) in zip(erased, sol.data):
+        out[j] = syndrome.field.neg(x)
+    return out
+
+
+def message_from_information_set_reference(code, coords, values, value_field) -> list[int]:
+    """Reference for `message_from_information_set` on one word: the solve of
+    m G|_I = values (RankDeficient unless the solution exists and is unique)."""
+    sub = code.G.restrict_cols(list(coords)).transpose()
+    sol = mat_solve(sub, Matrix.column(value_field, list(values)))
+    return [row[0] for row in sol.data]
 
 
 def pattern_list_reference(code, w: int) -> tuple[int, ...]:

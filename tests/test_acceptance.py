@@ -295,7 +295,7 @@ def test_criterion_10_property_suites(good532, bad532, code73, rs53, f2):
                         continue
                     erased = [0 if j in support else word[j]
                               for j in range(code.n)]
-                    assert code.decode_erasures(erased, support) == list(word)
+                    assert code.decode_erasures([erased], support).tolist() == [list(word)]
         # selection solver agrees with the brute-force oracle (n <= 9)
         f13 = field_make(13)
         points = sorted({1, 3, 9, 2, 6, 5, 4, 12, 10})

@@ -86,23 +86,27 @@ def test_decode_erasures_roundtrip(code73):
     f4 = code73.field.extension(2)
     rng = random.Random(11)
     word = mat_mul(Matrix(f4, [[rng.randrange(4) for _ in range(3)]]), code73.G).data[0]
-    assert code73.decode_erasures(list(word), []) == list(word)
+    assert code73.decode_erasures([list(word)], []).tolist() == [list(word)]
     got = code73.decode_erasures(
-        [0 if j in (2, 3, 4, 5) else word[j] for j in range(7)],
+        [[0 if j in (2, 3, 4, 5) else word[j] for j in range(7)]],
         [2, 3, 4, 5], value_field=f4)
-    assert got == list(word)
+    assert got.tolist() == [list(word)]
     with pytest.raises(NotCorrectable):
-        code73.decode_erasures(list(word), [0, 1, 2, 3, 4])
+        code73.decode_erasures([list(word)], [0, 1, 2, 3, 4])
+    # positions outside 0..n-1, and words of another length, are refused
+    for words, erased in (([word], [7]), ([word], [-1]), ([word[:6]], [])):
+        with pytest.raises(DimensionMismatch):
+            code73.decode_erasures(words, erased)
     # a word that no codeword matches off E fails the syndrome check, also
     # with nothing erased
     bad = list(word)
     bad[0] ^= 1
     with pytest.raises(DecodeFailure):
-        code73.decode_erasures(bad, [], value_field=f4)
+        code73.decode_erasures([bad], [], value_field=f4)
     # d_min = 4: a word off a codeword in one unerased position fits no
     # codeword off two erasures
     with pytest.raises(DecodeFailure):
-        code73.decode_erasures(bad, [5, 6], value_field=f4)
+        code73.decode_erasures([bad], [5, 6], value_field=f4)
     assert issubclass(NotCorrectable, DecodeFailure)
 
 
@@ -117,7 +121,7 @@ def test_decode_erasures_every_correctable_pattern(good532, code73):
                 if not code.erasure_correctable(pat):
                     continue
                 erased = [0 if j in support else word[j] for j in range(code.n)]
-                assert code.decode_erasures(erased, support) == list(word)
+                assert code.decode_erasures([erased], support).tolist() == [list(word)]
 
 
 def test_min_distance_reference_values(good532, code124):

@@ -12,7 +12,8 @@ from codedpir.audit import (SAMPLE_LIMIT, SET_LIMIT, _homogeneity_p, chi2_sf,
                             privacy_audit)
 from codedpir.codes import LinearCode, repetition_code
 from codedpir.dss import Dss, run
-from codedpir.errors import BadParams, RateOneProduct, StructureViolation, TooLarge
+from codedpir.errors import (BadParams, DimensionMismatch, RateOneProduct,
+                             StructureViolation, TooLarge)
 from codedpir.fields import Matrix, field_make, mat_mul
 from codedpir.optimizer import optimize_rate
 from codedpir.protocol2 import p2_build_structure
@@ -37,6 +38,24 @@ def test_dss_init_invariants(good532):
                        dss.arrays[1].data[0][0], dss.arrays[1].data[1][0]]
     with pytest.raises(BadParams):
         Dss(good532, f=1, beta=0)
+
+
+def test_dss_lifts_subfield_files_and_rejects_other_fields(good532, f2):
+    """Files over a subfield of GF(q^ell) are stored lifted into it and come
+    back from every protocol; files over a field outside it are refused."""
+    s5 = p2_build_structure(good532, ISETS_EX5, EHAT_EX5)
+    files = [Matrix(f2, [[1, 0, 1], [0, 1, 1]]), Matrix(f2, [[1, 1, 0], [0, 0, 1]])]
+    dss = Dss(good532, f=2, beta=2, ell=2, files=files)
+    for m in (1, 2):
+        tx = run(2, dss, {"structure": s5, "m": m, "seed": 5})
+        assert tx.decoded_hash == dss.file_hash(m)
+    assert [x.lift(dss.msg_field) for x in files] == dss.files
+    f4 = field_make(2, 2)
+    with pytest.raises(BadParams):
+        Dss(good532, f=1, beta=2, ell=1, files=[Matrix(f4, [[1, 2, 3], [0, 1, 2]])])
+    with pytest.raises(BadParams):
+        Dss(good532, f=1, beta=2, ell=2,
+            files=[Matrix(field_make(3), [[1, 2, 0], [0, 1, 2]])])
 
 
 def test_run_all_protocols(good532, code124):
@@ -263,6 +282,19 @@ def test_exact_audit_matches_enumeration_on_random_codes(setup):
     outcomes = _exact_outcomes(3, setup, 2, sets)
     assert [o.identical for o in outcomes] == p23_exact_reference(setup, 2, sets)
     assert not any(o.flagged for o in outcomes if len(o.collusion) <= T)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(optimized_setups(), st.sampled_from([1, 2, 3]), st.integers(0, 2**16))
+def test_p3_roundtrip_on_random_query_codes(setup, ell, seed):
+    """Full protocol-3 pipeline on random query codes and the optimizer's
+    structures: every file index decodes through the product code, with
+    GF(q^ell) payloads up to ell = 3."""
+    dss = Dss(setup.code, f=2, beta=setup.beta, ell=ell, seed=seed)
+    for m in (1, 2):
+        tx = run(3, dss, {"setup": setup, "m": m, "seed": seed})
+        assert tx.decoded_hash == dss.file_hash(m)
+        assert tx.rate == setup.rate
 
 
 def test_exact_audit_decides_many_files(code73):
@@ -525,3 +557,6 @@ def test_decoders_reject_incomplete_responses(good532, code124):
     responses3 = p3_respond(dss3, p3_queries(setup, 1, 1, 0))
     with pytest.raises(DecodeFailure):
         p3_decode(setup, [r[:-1] for r in responses3], 1, 1, dss3.msg_field)
+    # queries built for two files do not fit a one-file store
+    with pytest.raises(DimensionMismatch):
+        p3_respond(dss3, p3_queries(setup, 2, 1, 0))

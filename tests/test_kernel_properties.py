@@ -17,11 +17,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from codedpir.codes import (COLUMN_SEARCH_BUDGET, ErasurePattern, LinearCode,
                             code_from_generator)
-from codedpir.errors import DecodeFailure, NotCorrectable
+from codedpir.errors import DecodeFailure, NotCorrectable, RankDeficient
 from codedpir.families import _is_mds_parity_check
 from codedpir.fields import MATMUL_CHUNK, Matrix, field_make, mat_mul, mat_rank, mat_rref
 from codedpir.optimizer import compute_erasure_pattern_list
-from conftest import all_codewords, codes, mat_mul_reference, pattern_list_reference
+from conftest import (all_codewords, codes, decode_erasures_reference, mat_mul_reference,
+                      message_from_information_set_reference, pattern_list_reference)
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1),
           (2, 4), (17, 1)]
@@ -186,12 +187,62 @@ def test_decode_erasures_matches_brute_force(code, data):
                      if all(cw[j] == word[j] for j in known)]
             if mat_rank(code.H.restrict_cols(erased)) < w:
                 with pytest.raises(NotCorrectable):
-                    code.decode_erasures(word, erased)
+                    code.decode_erasures([word], erased)
             elif agree:
-                assert [code.decode_erasures(word, erased)] == agree, erased
+                assert code.decode_erasures([word], erased).tolist() == agree, erased
             else:
                 with pytest.raises(DecodeFailure):
-                    code.decode_erasures(word, erased)
+                    code.decode_erasures([word], erased)
+
+
+@PROPERTY
+@given(codes([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)], max_n=6),
+       st.integers(1, 3), st.data())
+def test_compiled_decoders_match_reference(code, ell, data):
+    """Batches of words over GF(q^ell), each a codeword with up to two symbols
+    overwritten, against the per-word solves. For every E with
+    |E| <= n - k + 1 (so dependent patterns occur), the batch decodes to the
+    reference's words, or raises the class of the first word the reference
+    fails on (NotCorrectable for the pattern; DecodeFailure naming that word
+    otherwise). For every k-set I, the batch solve on the words' symbols at I
+    matches the reference, or both raise RankDeficient."""
+    field = code.field.extension(ell)
+    symbol = st.integers(0, field.order - 1)
+    batch = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        message = np.array([[data.draw(symbol) for _ in range(code.k)]], dtype=np.int64)
+        word = code.encode(message, field).tolist()[0]
+        for j in data.draw(st.lists(st.integers(0, code.n - 1), max_size=2)):
+            word[j] = data.draw(symbol)
+        batch.append(word)
+    for w in range(min(code.n, code.n - code.k + 1) + 1):
+        for erased in itertools.combinations(range(code.n), w):
+            want, failure = [], None
+            for i, word in enumerate(batch):
+                try:
+                    want.append(decode_erasures_reference(code, word, erased, field))
+                except DecodeFailure as exc:
+                    failure = (type(exc), i)
+                    break
+            if failure is None:
+                assert code.decode_erasures(batch, erased, field).tolist() == want
+                continue
+            with pytest.raises(DecodeFailure) as raised:
+                code.decode_erasures(batch, erased, field)
+            assert type(raised.value) is failure[0], erased
+            if failure[0] is DecodeFailure:
+                assert raised.value.word == failure[1], erased
+    for coords in itertools.combinations(range(code.n), code.k):
+        values = [[word[j] for j in coords] for word in batch]
+        try:
+            want = [message_from_information_set_reference(code, coords, v, field)
+                    for v in values]
+        except RankDeficient:
+            with pytest.raises(RankDeficient):
+                code.message_from_information_set(coords, values, field)
+            continue
+        got = code.message_from_information_set(coords, values, field)
+        assert got.tolist() == want, coords
 
 
 @PROPERTY

@@ -267,6 +267,30 @@ def test_decode_checks_desired_stripes_on_all_known_coordinates(good532):
     assert p1_decode(plan, responses, dss.msg_field) == dss.files[0]
 
 
+def test_decode_flip_outcomes(good532):
+    """Each of the 105 single-symbol flips of the [5,3] generic-Lambda run
+    either raises DecodeFailure (80) or decodes to a wrong file (25); none
+    goes unnoticed in the output."""
+    from codedpir.errors import DecodeFailure
+    from codedpir.ratematrix import lambda_generic
+    lam = lambda_generic(good532, seed=1)
+    dss = Dss(good532, f=2, beta=lam.nu ** 2, seed=1)
+    plan = p1_plan(good532, lam, f=2, m=1, seed=1)
+    responses = [p1_answer(dss, j, plan.node_query(j)) for j in range(5)]
+    outcomes = {"raised": 0, "wrong": 0, "unchanged": 0}
+    for j in range(5):
+        for pos in range(plan.d):
+            flipped = [list(r) for r in responses]
+            flipped[j][pos] = dss.msg_field.add(flipped[j][pos], 1)
+            try:
+                decoded = p1_decode(plan, flipped, dss.msg_field)
+            except DecodeFailure:
+                outcomes["raised"] += 1
+                continue
+            outcomes["unchanged" if decoded == dss.files[0] else "wrong"] += 1
+    assert outcomes == {"raised": 80, "wrong": 25, "unchanged": 0}
+
+
 def test_end_to_end_reed_muller_automorphism_matrix():
     """Capacity run on R(1,3) with the translation-built matrix: f=2 rate
     equals the finite capacity for [8,4]."""

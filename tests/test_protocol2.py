@@ -204,16 +204,18 @@ def test_corrupted_response_raises_decode_failure_not_field_error(code73):
     dss = Dss(code73, f=2, beta=structure.beta, seed=3)
     responses = p2_respond(dss, p2_queries(structure, 2, 1, 11))
     assert p2_decode(structure, responses, 2, 1, dss.msg_field) == dss.files[0]
-    failures = 0
+    failures = wrong = 0
     for l in range(7):
         for i in range(structure.d):
             flipped = [list(r) for r in responses]
             flipped[l][i] ^= 1
             try:
-                p2_decode(structure, flipped, 2, 1, dss.msg_field)
+                decoded = p2_decode(structure, flipped, 2, 1, dss.msg_field)
             except DecodeFailure:
                 failures += 1
-    assert failures > 0
+                continue
+            wrong += decoded != dss.files[0]
+    assert (failures, wrong) == (9, 12)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
