@@ -2,10 +2,10 @@
 
 The Dss holds f files of beta stripes each over GF(q^ell) (files given over
 a subfield are lifted into it), encoded in one array product with the storage
-code into `stored`, an (f*beta) x n int64 array; node l stores its column l,
-the l-th coordinate of every encoded stripe (f coded chunks of beta symbols),
-and `arrays` keeps the same codewords as one beta x n Matrix per file. Nodes
-are read-only after init. `run` makes one round trip of protocol 1, or of the
+code into `stored`, an (f*beta) x n int64 array and the one copy of the coded
+data; node l stores its column l (`node_content`), the l-th coordinate of
+every encoded stripe (f coded chunks of beta symbols). Nodes are read-only
+after init. `run` makes one round trip of protocol 1, or of the
 protocol-3 engine, which serves protocol 2 with the repetition query code.
 """
 
@@ -63,8 +63,6 @@ class Dss:
             .reshape(f * beta, code.k), self.msg_field)
         if not code.contains_codewords(self.stored, self.msg_field):
             raise BadParams("encoded stripe is not a codeword")
-        self.arrays = [Matrix.wrap(self.msg_field, rows, beta, code.n)
-                       for rows in self.stored.reshape(f, beta, code.n).tolist()]
 
     def node_content(self, node: int) -> list[int]:
         """The f coded chunks stored by a node: file-major, stripe-minor."""

@@ -15,7 +15,8 @@ erasure decoding) is one exact product on int64 arrays of canonical elements,
 once k (p-1)^2 reaches 2^63; over GF(p^a) with log/exp tables (order up to
 2^16), one table gather per term over row blocks of at most MATMUL_CHUNK
 terms, summed by XOR in characteristic 2 and digit-wise mod p otherwise;
-over larger fields, a scalar loop over `add` and `mul`.
+over larger fields, a scalar loop over `add` and `mul`. `sum_array` and
+`sub_array` add and subtract such arrays in the same two ways.
 
 Everything here is immutable after construction and safe to share.
 """
@@ -347,6 +348,16 @@ class FiniteField:
         for i in range(self.alpha):
             power = self.p ** i
             out = out + (terms // power % self.p).sum(axis=axis) % self.p * power
+        return out
+
+    def sub_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise a - b of two int64 arrays of canonical elements."""
+        if self.p == 2:
+            return a ^ b
+        out = 0
+        for i in range(self.alpha):
+            power = self.p ** i
+            out = out + (a // power - b // power) % self.p * power
         return out
 
     def _gather_tables(self) -> tuple[np.ndarray, np.ndarray]:

@@ -7,12 +7,12 @@ aligned values were made decodable by round l's downloads. Stripe indices are
 privately permuted per file and the per-node query order is shuffled, which is
 what the privacy of the scheme rests on.
 
-A plan therefore has two parts. The schedule (kappa, nu, beta, d, the
-interference matrices A and B, and every node's canonical atom list) depends
-only on the code, Lambda, f and m; it is built and checked once per such
-tuple and shared, immutable, by every plan. The private part, the stripe
-permutations `perms` and the query-order `shuffles`, is drawn for each plan
-from one seeded numpy generator (`rng.generator(seed, "p1")`): one
+A plan therefore has two parts. The schedule (beta, d, every node's canonical
+atom list and the decode map that routes each atom's answer to the word it
+feeds) depends only on the code, Lambda, f and m; it is built and checked
+once per such tuple and shared, immutable, by every plan. The private part,
+the stripe permutations `perms` and the query-order `shuffles`, is drawn for
+each plan from one seeded numpy generator (`rng.generator(seed, "p1")`): one
 `Generator.permuted` over the (f, beta) stripe indices, then one over the
 (n, d) query positions, both handed out as lists of plain ints.
 
@@ -86,6 +86,27 @@ class P1Atom:
     srow: int = -1                 # B-row index used (desired atoms)
 
 
+@dataclass(frozen=True, eq=False)
+class P1DecodeMap:
+    """Where each response of a schedule goes in decoding (seed-independent).
+
+    `p1_decode` fills a flat `words` x n array: row r < beta is the stripe of
+    logical row r + 1, the rows after it the aligned side-information sums.
+    Node j's answer to its canonical atom i goes to entry dst[j, i]; once the
+    sums are decoded, each entry in `cancel` (a desired sum above round 1)
+    loses the aligned symbol at the same index of `side`. A batch pairs the
+    nodes missing from some sums (or stripes) with those words' rows.
+    """
+
+    words: int
+    dst: np.ndarray
+    cancel: np.ndarray
+    side: np.ndarray
+    sum_batches: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+    stripe_batches: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+    info: tuple[int, ...]  # the information set all messages are read off
+
+
 @dataclass
 class P1Plan:
     code: LinearCode
@@ -93,14 +114,11 @@ class P1Plan:
     f: int
     m: int
     seed: int
-    kappa: int
-    nu: int
     beta: int
     d: int
-    A: tuple[tuple[int, ...], ...]
-    B: tuple[tuple[int, ...], ...]
     perms: list[list[int]]                 # per file: logical row-1 -> physical row (0-based); user-private
     node_atoms: tuple[tuple[P1Atom, ...], ...]  # canonical order per node; shared schedule
+    decode_map: P1DecodeMap                # shared schedule
     shuffles: list[list[int]]              # visible position -> canonical index
 
     @property
@@ -109,31 +127,21 @@ class P1Plan:
 
     def node_query(self, node: int) -> list[tuple[tuple[int, int], ...]]:
         """Node-visible query list: physical rows, shuffled order, no labels."""
-        atoms = self.node_atoms[node]
-        out = []
-        for idx in self.shuffles[node]:
-            atom = atoms[idx]
-            out.append(tuple(sorted((mp, self.perms[mp - 1][row - 1])
-                                    for mp, row in atom.terms)))
-        return out
-
-    def unshuffle(self, node: int, responses: Sequence[int]) -> list[int]:
-        canonical = [0] * len(responses)
-        for pos, idx in enumerate(self.shuffles[node]):
-            canonical[idx] = responses[pos]
-        return canonical
+        atoms, perms = self.node_atoms[node], self.perms
+        return [tuple(sorted((mp, perms[mp - 1][row - 1]) for mp, row in atoms[idx].terms))
+                for idx in self.shuffles[node]]
 
 
 def p1_plan(code: LinearCode, lam: RateMatrix, f: int, m: int, seed: int) -> P1Plan:
     """Full request schedule for retrieving file m (1-based) out of f: the
     shared schedule of (code, lam, f, m) plus this seed's perms and shuffles."""
-    kappa, nu, beta, d, A, B, node_atoms = _schedule(code, lam, f, m)
+    beta, d, node_atoms, decode_map = _schedule(code, lam, f, m)
     rng = generator(seed, "p1")
     perms = _row_permutations(rng, f, beta)
     shuffles = _row_permutations(rng, code.n, d)
-    return P1Plan(code=code, lam=lam, f=f, m=m, seed=seed, kappa=kappa, nu=nu,
-                  beta=beta, d=d, A=A, B=B, perms=perms,
-                  node_atoms=node_atoms, shuffles=shuffles)
+    return P1Plan(code=code, lam=lam, f=f, m=m, seed=seed, beta=beta, d=d,
+                  perms=perms, node_atoms=node_atoms, decode_map=decode_map,
+                  shuffles=shuffles)
 
 
 def _row_permutations(rng: np.random.Generator, rows: int, size: int) -> list[list[int]]:
@@ -143,7 +151,7 @@ def _row_permutations(rng: np.random.Generator, rows: int, size: int) -> list[li
 
 @lru_cache(maxsize=16)
 def _schedule(code: LinearCode, lam: RateMatrix, f: int, m: int) -> tuple:
-    """Seed-independent part of a plan: (kappa, nu, beta, d, A, B, node_atoms).
+    """Seed-independent part of a plan: (beta, d, node_atoms, decode_map).
 
     Bad input raises on every call (lru_cache stores only returned values).
     """
@@ -214,100 +222,85 @@ def _schedule(code: LinearCode, lam: RateMatrix, f: int, m: int) -> tuple:
             raise DecodeFailure(
                 f"schedule for node {j} has {len(node_atoms[j])} requests, expected {d}")
 
-    return kappa, nu, beta, d, A, B, tuple(tuple(atoms) for atoms in node_atoms)
+    node_atoms = tuple(tuple(atoms) for atoms in node_atoms)
+    return beta, d, node_atoms, _decode_map(code, nu, B, beta, d, node_atoms)
+
+
+def _decode_map(code: LinearCode, nu: int, B, beta: int, d: int,
+                node_atoms: tuple[tuple[P1Atom, ...], ...]) -> P1DecodeMap:
+    """Route each atom at node j to coordinate j of the word it feeds: an
+    undesired atom to its aligned sum (subset, block, u), a desired atom to
+    its stripe, cancelling the aligned sum (subset, block, B[srow][j])."""
+    n = code.n
+    sum_ids: dict[tuple, int] = {}
+    dst, cancel = [], []   # flat entry per atom; (stripe entry, aligned entry)
+    for j, atoms in enumerate(node_atoms):
+        for atom in atoms:
+            if atom.kind == "undesired":
+                u = atom.terms[0][1] - atom.block * nu
+                word = beta + sum_ids.setdefault((atom.subset, atom.block, u), len(sum_ids))
+            else:
+                word = atom.terms[0][1] - 1
+                if atom.kind == "desired":
+                    key = (atom.subset, atom.block, B[atom.srow - 1][j])
+                    side = beta + sum_ids.setdefault(key, len(sum_ids))
+                    cancel.append((word * n + j, side * n + j))
+            dst.append(word * n + j)
+    known = np.zeros((beta + len(sum_ids), n), dtype=bool)
+    known.flat[dst] = True
+    batches: tuple[dict, dict] = ({}, {})  # stripes, sums: missing nodes -> rows
+    for word, row in enumerate(known):
+        missing = tuple(np.flatnonzero(~row).tolist())
+        batches[word >= beta].setdefault(missing, []).append(word)
+    stripe_batches, sum_batches = (tuple((missing, np.array(rows)) for missing, rows
+                                         in group.items()) for group in batches)
+    cancel = np.array(cancel, dtype=np.int64).reshape(-1, 2)
+    return P1DecodeMap(words=len(known), dst=np.array(dst).reshape(n, d),
+                       cancel=cancel[:, 0], side=cancel[:, 1], sum_batches=sum_batches,
+                       stripe_batches=stripe_batches, info=code.information_set())
 
 
 def p1_answer(dss, node: int, visible_query: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
-    """Node-side evaluation: each entry is a sum of stored symbols."""
-    f = dss.msg_field
+    """Node-side evaluation: each entry is a sum of the node's stored symbols."""
+    f, beta = dss.msg_field, dss.beta
+    content = dss.node_content(node)
     out = []
     for terms in visible_query:
         if not terms:
             raise DimensionMismatch("empty symbol sum is not a legal request")
         acc = 0
         for mp, phys_row in terms:
-            acc = f.add(acc, dss.arrays[mp - 1].data[phys_row][node])
+            acc = f.add(acc, content[(mp - 1) * beta + phys_row])
         out.append(acc)
     return out
 
 
 def p1_decode(plan: P1Plan, responses: Sequence[Sequence[int]],
               msg_field: FiniteField) -> Matrix:
-    """Reconstruct all nu^f stripes of the requested file from the responses.
+    """Reconstruct all nu^f stripes of the requested file from the responses,
+    through the plan's decode map: aligned side-information sums, then the
+    stripes they leave, each erasure-decoded in one batch per set of missing
+    nodes; the messages are read off one information set.
 
-    Detects: an aligned side-information sum or a desired stripe raises
-    DecodeFailure where no codeword matches all its known coordinates (which
-    needs it known at more than k nodes)."""
-    code = plan.code
-    n, k = code.n, code.k
+    Detects: an aligned sum or a stripe raises DecodeFailure where no codeword
+    matches all its known coordinates (which needs it known at more than k
+    nodes); a stripe known on no information set raises NotCorrectable."""
+    code, dmap = plan.code, plan.decode_map
+    n = code.n
     if len(responses) != n or any(len(r) != plan.d for r in responses):
         raise DecodeFailure("incomplete responses")
-    canonical = [plan.unshuffle(j, responses[j]) for j in range(n)]
-
-    # phase 1: coordinates of aligned side-information sums, then decode them
-    # in one batch per set of missing nodes
-    aligned_coords: dict[tuple, dict[int, int]] = {}
-    desired_coords: dict[int, dict[int, int]] = {}
-    for j in range(n):
-        for idx, atom in enumerate(plan.node_atoms[j]):
-            value = canonical[j][idx]
-            if atom.kind == "undesired":
-                u = atom.terms[0][1] - atom.block * plan.nu
-                aligned_coords.setdefault((atom.subset, atom.block, u), {})[j] = value
-            elif atom.kind == "desired1":
-                desired_coords.setdefault(atom.terms[0][1], {})[j] = value
-
-    by_missing: dict[tuple[int, ...], list[tuple]] = {}
-    for key, coords in aligned_coords.items():
-        missing = tuple(j for j in range(n) if j not in coords)
-        by_missing.setdefault(missing, []).append(key)
-    aligned_full: dict[tuple, list[int]] = {}
-    for missing, keys in by_missing.items():
-        words = [[aligned_coords[key].get(j, 0) for j in range(n)] for key in keys]
-        aligned_full.update(zip(keys, code.decode_erasures(
-            words, missing, msg_field).tolist()))
-
-    # phase 2: cancel side information from higher-round desired sums
-    for j in range(n):
-        for idx, atom in enumerate(plan.node_atoms[j]):
-            if atom.kind != "desired":
-                continue
-            value = canonical[j][idx]
-            b_row = plan.B[atom.srow - 1][j]
-            side = aligned_full[(atom.subset, atom.block, b_row)][j]
-            row = atom.terms[0][1]
-            desired_coords.setdefault(row, {})[j] = msg_field.sub(value, side)
-
-    if len(desired_coords) != plan.beta:
-        raise DecodeFailure(
-            f"recovered {len(desired_coords)} stripes, expected {plan.beta}")
-
-    # phase 3: solve the stripes known at the same nodes in one batch on an
-    # information set among them, then check every stripe on all its known
-    # coordinates in one encode
-    by_known: dict[tuple[int, ...], list[int]] = {}
-    for row, coords in desired_coords.items():
-        by_known.setdefault(tuple(sorted(coords)), []).append(row)
-    perm = plan.perms[plan.m - 1]
-    decoded = np.zeros((plan.beta, k), dtype=np.int64)
-    checks = []
-    for known, rows in by_known.items():
-        info = code.information_columns(known)
-        if len(info) != k:
-            raise DecodeFailure(f"coordinates {list(known)} contain no information set")
-        values = np.array([[desired_coords[row][j] for j in known] for row in rows],
-                          dtype=np.int64).reshape(len(rows), len(known))
-        at = [perm[row - 1] for row in rows]
-        decoded[at] = code.message_from_information_set(
-            info, values[:, [known.index(j) for j in info]], msg_field)
-        checks.append((known, rows, at, values))
-    words = code.encode(decoded, msg_field)
-    for known, rows, at, values in checks:
-        wrong = np.flatnonzero((words[np.ix_(at, known)] != values).any(axis=1))
-        if wrong.size:
-            raise DecodeFailure(f"stripe {rows[wrong[0]]} disagrees with its "
-                                "known coordinates")
-    return Matrix.wrap(msg_field, decoded.tolist(), plan.beta, k)
+    flat = np.zeros(dmap.words * n, dtype=np.int64)
+    flat[dmap.dst[np.arange(n)[:, None], plan.shuffles]] = responses
+    words = flat.reshape(dmap.words, n)
+    for missing, rows in dmap.sum_batches:
+        words[rows] = code.decode_erasures(words[rows], missing, msg_field)
+    flat[dmap.cancel] = msg_field.sub_array(flat[dmap.cancel], flat[dmap.side])
+    for missing, rows in dmap.stripe_batches:
+        words[rows] = code.decode_erasures(words[rows], missing, msg_field)
+    decoded = np.empty((plan.beta, code.k), dtype=np.int64)
+    decoded[plan.perms[plan.m - 1]] = code.message_from_information_set(
+        dmap.info, words[:plan.beta, dmap.info], msg_field)
+    return Matrix.wrap(msg_field, decoded.tolist(), plan.beta, code.k)
 
 
 @dataclass
@@ -328,26 +321,21 @@ def p1_symmetry_audit(plan: P1Plan) -> SymmetryReport:
             counts.setdefault(key, {}).setdefault(files, 0)
             counts[key][files] += 1
     violations = []
-    n = plan.code.n
-    for j in range(n):
-        for (jj, rep, rnd), table in list(counts.items()):
-            if jj != j:
-                continue
-            by_size: dict[int, set[int]] = {}
-            for files, c in table.items():
-                by_size.setdefault(len(files), set()).add(c)
-            for size, values in by_size.items():
-                if len(values) != 1:
-                    violations.append(
-                        f"node {j} rep {rep} round {rnd}: unequal counts for "
-                        f"{size}-file sums: {sorted(values)}")
-        # same (rep, rnd) tables must agree across nodes
+    for (j, rep, rnd), table in counts.items():
+        by_size: dict[int, set[int]] = {}
+        for files, c in table.items():
+            by_size.setdefault(len(files), set()).add(c)
+        for size, values in by_size.items():
+            if len(values) != 1:
+                violations.append(
+                    f"node {j} rep {rep} round {rnd}: unequal counts for "
+                    f"{size}-file sums: {sorted(values)}")
+    # same (rep, rnd) tables must agree across nodes
     reference = {key[1:]: table for key, table in counts.items() if key[0] == 0}
     for (j, rep, rnd), table in counts.items():
         if table != reference.get((rep, rnd)):
             violations.append(f"node {j} differs from node 0 at rep {rep} round {rnd}")
-    freq: dict[int, set[int]] = {}
-    for j in range(n):
+    for j in range(plan.code.n):
         per_file = {mp: 0 for mp in range(1, plan.f + 1)}
         for atom in plan.node_atoms[j]:
             for mp, _ in atom.terms:

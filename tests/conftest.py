@@ -9,7 +9,7 @@ from codedpir.errors import DecodeFailure, NotCorrectable, RankDeficient
 from codedpir.families import grs_code
 from codedpir.fields import Matrix, field_make, mat_mul, mat_rank, mat_solve
 from codedpir.protocol1 import p1_plan
-from codedpir.ratematrix import ErasureMatrix
+from codedpir.ratematrix import ErasureMatrix, interference_matrices
 from codedpir.rng import derive_seed
 
 GOOD_G = [[1, 0, 0, 1, 0], [0, 1, 0, 1, 1], [0, 0, 1, 0, 1]]
@@ -121,6 +121,76 @@ def message_from_information_set_reference(code, coords, values, value_field) ->
     sub = code.G.restrict_cols(list(coords)).transpose()
     sol = mat_solve(sub, Matrix.column(value_field, list(values)))
     return [row[0] for row in sol.data]
+
+
+def p1_decode_reference(plan, responses, msg_field) -> Matrix:
+    """Reference for `p1_decode`: the per-atom decode. Each call sorts every
+    atom's answer into dicts of aligned side-information sums and desired
+    stripes, decodes the sums in one batch per set of missing nodes, cancels
+    them from the higher-round desired sums, solves the stripes known at the
+    same nodes on an information set among them and checks every stripe on
+    all its known coordinates in one encode."""
+    code = plan.code
+    n, k = code.n, code.k
+    nu, B = plan.lam.nu, interference_matrices(plan.lam).B
+    if len(responses) != n or any(len(r) != plan.d for r in responses):
+        raise DecodeFailure("incomplete responses")
+    canonical = [[0] * plan.d for _ in range(n)]
+    for j in range(n):
+        for pos, idx in enumerate(plan.shuffles[j]):
+            canonical[j][idx] = responses[j][pos]
+
+    aligned_coords: dict[tuple, dict[int, int]] = {}
+    desired_coords: dict[int, dict[int, int]] = {}
+    for j in range(n):
+        for idx, atom in enumerate(plan.node_atoms[j]):
+            value = canonical[j][idx]
+            if atom.kind == "undesired":
+                u = atom.terms[0][1] - atom.block * nu
+                aligned_coords.setdefault((atom.subset, atom.block, u), {})[j] = value
+            elif atom.kind == "desired1":
+                desired_coords.setdefault(atom.terms[0][1], {})[j] = value
+    by_missing: dict[tuple[int, ...], list[tuple]] = {}
+    for key, coords in aligned_coords.items():
+        missing = tuple(j for j in range(n) if j not in coords)
+        by_missing.setdefault(missing, []).append(key)
+    aligned_full: dict[tuple, list[int]] = {}
+    for missing, keys in by_missing.items():
+        words = [[aligned_coords[key].get(j, 0) for j in range(n)] for key in keys]
+        aligned_full.update(zip(keys, code.decode_erasures(
+            words, missing, msg_field).tolist()))
+
+    for j in range(n):
+        for idx, atom in enumerate(plan.node_atoms[j]):
+            if atom.kind != "desired":
+                continue
+            side = aligned_full[(atom.subset, atom.block, B[atom.srow - 1][j])][j]
+            desired_coords.setdefault(atom.terms[0][1], {})[j] = msg_field.sub(
+                canonical[j][idx], side)
+    if len(desired_coords) != plan.beta:
+        raise DecodeFailure(f"recovered {len(desired_coords)} stripes, expected {plan.beta}")
+
+    by_known: dict[tuple[int, ...], list[int]] = {}
+    for row, coords in desired_coords.items():
+        by_known.setdefault(tuple(sorted(coords)), []).append(row)
+    perm = plan.perms[plan.m - 1]
+    decoded = np.zeros((plan.beta, k), dtype=np.int64)
+    checks = []
+    for known, rows in by_known.items():
+        info = code.information_columns(known)
+        if len(info) != k:
+            raise DecodeFailure(f"coordinates {list(known)} contain no information set")
+        values = np.array([[desired_coords[row][j] for j in known] for row in rows],
+                          dtype=np.int64).reshape(len(rows), len(known))
+        at = [perm[row - 1] for row in rows]
+        decoded[at] = code.message_from_information_set(
+            info, values[:, [known.index(j) for j in info]], msg_field)
+        checks.append((known, rows, at, values))
+    words = code.encode(decoded, msg_field)
+    for known, rows, at, values in checks:
+        if (words[np.ix_(at, known)] != values).any():
+            raise DecodeFailure("a stripe disagrees with its known coordinates")
+    return Matrix.wrap(msg_field, decoded.tolist(), plan.beta, k)
 
 
 def pattern_list_reference(code, w: int) -> tuple[int, ...]:

@@ -28,14 +28,11 @@ from conftest import (EHAT_EX5, EHAT_EX6, EHAT_P3, ISETS_EX5, ISETS_EX6,
 
 def test_dss_init_invariants(good532):
     dss = Dss(good532, f=2, beta=2, seed=1)
-    h_lift = good532.H.lift(dss.msg_field)
-    for arr in dss.arrays:
-        prod = mat_mul(arr, h_lift.transpose())
-        assert all(all(v == 0 for v in row) for row in prod.data)
-    # node content layout: file-major, stripe-minor
-    content = dss.node_content(0)
-    assert content == [dss.arrays[0].data[0][0], dss.arrays[0].data[1][0],
-                       dss.arrays[1].data[0][0], dss.arrays[1].data[1][0]]
+    # stored rows are the files' codewords, file-major and stripe-minor
+    words = [row for x in dss.files for row in mat_mul(x, good532.G).data]
+    assert dss.stored.tolist() == words
+    # a node stores coordinate l of each of them
+    assert dss.node_content(0) == [word[0] for word in words]
     with pytest.raises(BadParams):
         Dss(good532, f=1, beta=0)
 

@@ -111,6 +111,21 @@ def test_mat_mul_matches_reference(field, data):
     assert mat_mul(A, B) == mat_mul_reference(A, B)
 
 
+@PROPERTY
+@given(st.sampled_from(FIELDS + [(5, 2), (5, 7)]), st.data())
+def test_sub_array_matches_sub(field, data):
+    """The array subtraction equals the scalar `sub` elementwise: XOR in
+    characteristic 2, a difference mod p over GF(p) and digit by digit over
+    GF(p^a) (GF(9), GF(25) and the table-less GF(5^7))."""
+    f = field_make(*field)
+    size = data.draw(st.integers(0, 24))
+    a, b = (data.draw(st.lists(st.integers(0, f.order - 1), min_size=size, max_size=size))
+            for _ in range(2))
+    got = f.sub_array(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [f.sub(x, y) for x, y in zip(a, b)]
+
+
 @pytest.mark.parametrize("field", [(2, 4), (3, 2)])
 def test_mat_mul_over_several_row_blocks(field):
     """A product of more than MATMUL_CHUNK terms is gathered over row blocks;

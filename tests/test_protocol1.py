@@ -2,13 +2,15 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from codedpir.dss import Dss
-from codedpir.errors import KappaEqualsNu, OutOfRange
+from codedpir.errors import DecodeFailure, KappaEqualsNu, OutOfRange
+from codedpir.optimizer import optimize_rate
 from codedpir.protocol1 import (d_of, n_of, p1_answer, p1_decode, p1_plan,
                                 p1_symmetry_audit, u_of)
-from codedpir.ratematrix import rate_matrix, rate_protocol1
-from conftest import LAM23, LAM35
+from codedpir.ratematrix import E_to_lambda, lambda_generic, rate_matrix, rate_protocol1
+from conftest import LAM23, LAM35, codes, p1_decode_reference
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +71,7 @@ def test_single_term_answer_is_raw_symbol(good532, lam35):
     for pos, terms in enumerate(query):
         if len(terms) == 1:
             mp, row = terms[0]
-            assert responses[pos] == dss.arrays[mp - 1].data[row][0]
+            assert responses[pos] == dss.stored[(mp - 1) * dss.beta + row, 0]
 
 
 def test_empty_sum_rejected(good532):
@@ -306,3 +308,43 @@ def test_end_to_end_reed_muller_automorphism_matrix():
     responses = [p1_answer(dss, j, plan.node_query(j)) for j in range(8)]
     decoded = p1_decode(plan, responses, dss.msg_field)
     assert decoded == dss.files[0]
+
+
+def decode_outcome(decode, plan, responses, msg_field):
+    """The decoded file, or the class of the DecodeFailure raised instead."""
+    try:
+        return decode(plan, responses, msg_field)
+    except DecodeFailure as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+@pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)],
+                         ids=["q2", "q3", "q4", "q5", "q7"])
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(st.data())
+def test_corrupted_responses_decode_like_the_reference(field, ell, data):
+    """With one response symbol changed, p1_decode returns the same file or
+    raises the same DecodeFailure class as the per-atom reference decode, on
+    the generic rate matrix and on the optimizer's (as `simulate p1` draws
+    them), for random codes over GF(q) and payloads over GF(q^ell)."""
+    code = data.draw(codes([field], max_n=6))
+    assume(code.k < code.n)
+    seed = data.draw(st.integers(0, 2**16))
+    lams = []
+    if code.min_distance() > 1:  # else the generic matrix has kappa = nu
+        lams.append(lambda_generic(code, seed=seed))
+    e, _ = optimize_rate(code, seed=seed)
+    if e is not None:
+        lams.append(rate_matrix(code, E_to_lambda(e)))
+    for lam in lams:
+        dss = Dss(code, f=2, beta=lam.nu ** 2, ell=ell, seed=seed)
+        plan = p1_plan(code, lam, 2, 1 + seed % 2, seed)
+        responses = [p1_answer(dss, j, plan.node_query(j)) for j in range(code.n)]
+        assert p1_decode(plan, responses, dss.msg_field) == dss.files[plan.m - 1]
+        j = data.draw(st.integers(0, code.n - 1))
+        pos = data.draw(st.integers(0, plan.d - 1))
+        responses[j][pos] = dss.msg_field.add(
+            responses[j][pos], data.draw(st.integers(1, dss.msg_field.order - 1)))
+        assert decode_outcome(p1_decode, plan, responses, dss.msg_field) == \
+            decode_outcome(p1_decode_reference, plan, responses, dss.msg_field)

@@ -75,7 +75,7 @@ def test_query_marginal_is_shifted_uniform(s5, good532):
     responses = p2_respond(dss, queries)
     for l in range(5):
         for i, stripe in enumerate(s5.stripes[l]):
-            expected = dss.arrays[0].data[stripe][l] if stripe is not None else 0
+            expected = dss.stored[stripe, l] if stripe is not None else 0
             assert responses[l][i] == expected
 
 

@@ -138,7 +138,7 @@ def test_response_decomposition(setup_vb, code124):
     qs = p3_queries(setup_vb, 1, 1, seed=4)
     responses = p3_respond(dss, qs)
     rho1 = [responses[l][0] for l in range(12)]
-    offsets = [dss.arrays[0].data[0][l] if l in (8, 11) else 0 for l in range(12)]
+    offsets = [int(dss.stored[0, l]) if l in (8, 11) else 0 for l in range(12)]
     diff = Matrix.column(dss.msg_field,
                          [dss.msg_field.sub(a, b) for a, b in zip(rho1, offsets)])
     from codedpir.fields import mat_mul
@@ -239,7 +239,7 @@ def test_zero_codeword_hook_exposes_offsets(code124, setup_vb):
     for l in range(12):
         for i in range(2):
             if setup_vb.ehat[i][l]:
-                assert responses[l][i] == dss.arrays[0].data[0][l]
+                assert responses[l][i] == dss.stored[0, l]
             else:
                 assert responses[l][i] == 0
 
