@@ -9,9 +9,13 @@ weight-Gamma row is correctable, so the window construction below finds a
 structure whenever that pattern list is exhaustive; it raises Gamma until the
 selection becomes infeasible. A `PatternList` holds support bitmasks only: an
 exhaustive list comes from the code's prefix walk over the columns of H
-(`LinearCode.correctable_masks`), a sampled one from seeded pivot draws and
-their bit rotations. The selection (d weight-Gamma rows plus beta
-information-set complements whose stacked column sums all equal beta) is
+(`LinearCode.correctable_masks`, walked once per code and weight, so the
+information-set list and the Gamma = n - k list of a noncolluding code are
+one walk). A sampled list makes all its seeded pivot draws first, then
+decides every bit rotation of every distinct find in one batched check
+(`LinearCode.correctable_shifts`), and lists each find followed by its
+correctable rotations in draw order. The selection (d weight-Gamma rows plus
+beta information-set complements whose stacked column sums all equal beta) is
 solved exactly by a depth-first search branching on the most constrained
 deficient column, with memoized infeasible states; rows may repeat.
 """
@@ -62,19 +66,21 @@ def compute_erasure_pattern_list(code: LinearCode, w: int,
     """All weight-w patterns correctable by `code`, or a seeded random sample.
 
     Exhaustive when C(n, w) fits the budget: `LinearCode.correctable_masks`
-    walks the column prefixes of H in lexicographic order. Otherwise
-    repeatedly permute the parity-check columns, take the pivot columns of H
-    in that order, take w of them (independent by construction), and also
-    keep the correctable cyclic shifts (bit rotations) of each find.
+    walks the column prefixes of H in lexicographic order, once per code and
+    w. Otherwise repeatedly permute the parity-check columns, take the pivot
+    columns of H in that order and take w of them (independent by
+    construction). Every cyclic shift (bit rotation) of every distinct find
+    is then decided at once (`LinearCode.correctable_shifts`), and the list
+    is each new find followed by its correctable shifts, in draw order.
     """
     _check_budgets(budget, sample_budget)
     n = code.n
     if w == 0 or comb(n, w) <= budget:
-        return PatternList(w, n, tuple(code.correctable_masks(w)))
+        return PatternList(w, n, code.correctable_masks(w))
     if w > n - code.k:
         return PatternList(w, n, ())
     rng = rng_for(seed, "patterns", w)
-    found: dict[int, None] = {}
+    finds: dict[int, list[int]] = {}
     for _ in range(sample_budget):
         perm = list(range(n))
         rng.shuffle(perm)
@@ -82,14 +88,15 @@ def compute_erasure_pattern_list(code: LinearCode, w: int,
         if len(pivot_cols) < w:
             continue
         support = rng.sample(pivot_cols, w)
-        mask = sum(1 << j for j in support)
-        if mask not in found:
-            found[mask] = None
-            for shift in range(1, n):
-                rotated = (mask << shift | mask >> (n - shift)) & ((1 << n) - 1)
-                if rotated not in found and code.correctable_support(
-                        [(j + shift) % n for j in support]):
-                    found[rotated] = None
+        finds.setdefault(sum(1 << j for j in support), support)
+    # shift 0 is the find itself; a find already listed is a shift of an
+    # earlier find, whose correctable shifts are then listed already
+    shifts = code.correctable_shifts(list(finds.values()))
+    found: dict[int, None] = {}
+    for mask, correctable in zip(finds, shifts.tolist()):
+        for shift in range(n):
+            if correctable[shift]:
+                found[(mask << shift | mask >> (n - shift)) & ((1 << n) - 1)] = None
     return PatternList(w, n, tuple(found))
 
 

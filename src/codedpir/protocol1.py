@@ -282,9 +282,10 @@ def p1_decode(plan: P1Plan, responses: Sequence[Sequence[int]],
     stripes they leave, each erasure-decoded in one batch per set of missing
     nodes; the messages are read off one information set.
 
-    Detects: an aligned sum or a stripe raises DecodeFailure where no codeword
-    matches all its known coordinates (which needs it known at more than k
-    nodes); a stripe known on no information set raises NotCorrectable."""
+    Detects: an aligned sum or a stripe raises DecodeFailure, naming it,
+    where no codeword matches all its known coordinates (which needs it known
+    at more than k nodes); a stripe known on no information set raises
+    NotCorrectable."""
     code, dmap = plan.code, plan.decode_map
     n = code.n
     if len(responses) != n or any(len(r) != plan.d for r in responses):
@@ -292,11 +293,22 @@ def p1_decode(plan: P1Plan, responses: Sequence[Sequence[int]],
     flat = np.zeros(dmap.words * n, dtype=np.int64)
     flat[dmap.dst[np.arange(n)[:, None], plan.shuffles]] = responses
     words = flat.reshape(dmap.words, n)
-    for missing, rows in dmap.sum_batches:
-        words[rows] = code.decode_erasures(words[rows], missing, msg_field)
+
+    def decode(batches) -> None:
+        for missing, rows in batches:
+            try:
+                words[rows] = code.decode_erasures(words[rows], missing, msg_field)
+            except DecodeFailure as exc:
+                if exc.word is None:  # NotCorrectable: no word is at fault
+                    raise
+                row = int(rows[exc.word])
+                name = (f"stripe {row + 1}" if row < plan.beta
+                        else f"aligned sum {row - plan.beta + 1}")
+                raise DecodeFailure(f"{name}: {exc}") from exc
+
+    decode(dmap.sum_batches)
     flat[dmap.cancel] = msg_field.sub_array(flat[dmap.cancel], flat[dmap.side])
-    for missing, rows in dmap.stripe_batches:
-        words[rows] = code.decode_erasures(words[rows], missing, msg_field)
+    decode(dmap.stripe_batches)
     decoded = np.empty((plan.beta, code.k), dtype=np.int64)
     decoded[plan.perms[plan.m - 1]] = code.message_from_information_set(
         dmap.info, words[:plan.beta, dmap.info], msg_field)

@@ -10,7 +10,7 @@ from codedpir.families import grs_code
 from codedpir.fields import Matrix, field_make, mat_mul, mat_rank, mat_solve
 from codedpir.protocol1 import p1_plan
 from codedpir.ratematrix import ErasureMatrix, interference_matrices
-from codedpir.rng import derive_seed
+from codedpir.rng import derive_seed, rng_for
 
 GOOD_G = [[1, 0, 0, 1, 0], [0, 1, 0, 1, 1], [0, 0, 1, 0, 1]]
 BAD_G = [[1, 0, 0, 1, 0], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1]]
@@ -200,6 +200,33 @@ def pattern_list_reference(code, w: int) -> tuple[int, ...]:
     return tuple(sum(1 << j for j in support)
                  for support in itertools.combinations(range(code.n), w)
                  if code.erasure_correctable(ErasurePattern.from_support(code.n, support)))
+
+
+def sampled_pattern_list_reference(code, w: int, sample_budget: int,
+                                   seed: int) -> tuple[int, ...]:
+    """Reference for the sampled pattern list: the same seeded draws (a
+    shuffle, the pivot columns of H in that order, a w-sample of them), each
+    new find followed at once by every cyclic shift of it that is not yet
+    listed and that `correctable_support` accepts, one shift at a time."""
+    n = code.n
+    rng = rng_for(seed, "patterns", w)
+    found: dict[int, None] = {}
+    for _ in range(sample_budget):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        pivot_cols = code.pivot_columns(perm)
+        if len(pivot_cols) < w:
+            continue
+        support = rng.sample(pivot_cols, w)
+        mask = sum(1 << j for j in support)
+        if mask not in found:
+            found[mask] = None
+            for shift in range(1, n):
+                rotated = (mask << shift | mask >> (n - shift)) & ((1 << n) - 1)
+                if rotated not in found and code.correctable_support(
+                        [(j + shift) % n for j in support]):
+                    found[rotated] = None
+    return tuple(found)
 
 
 def compute_matrix_bruteforce(lgamma, lnk, d: int, beta: int):

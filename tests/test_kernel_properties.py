@@ -22,13 +22,21 @@ from codedpir.families import _is_mds_parity_check
 from codedpir.fields import MATMUL_CHUNK, Matrix, field_make, mat_mul, mat_rank, mat_rref
 from codedpir.optimizer import compute_erasure_pattern_list
 from conftest import (all_codewords, codes, decode_erasures_reference, mat_mul_reference,
-                      message_from_information_set_reference, pattern_list_reference)
+                      message_from_information_set_reference, pattern_list_reference,
+                      sampled_pattern_list_reference)
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1),
           (2, 4), (17, 1)]
+# the largest prime whose int64 elimination products stay below 2^63, and a
+# prime near 2^40, which `_column_ranks` hands to the scalar reducer
+INT64_PRIMES = [(3037000493, 1), (1099511627791, 1)]
 BRUTE_LIMIT = 512  # q^k ceiling for the brute-force distance oracle
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def field_id(field: tuple[int, int]) -> str:
+    return f"{field[0]}^{field[1]}"
 
 
 def check_erasures(code):
@@ -77,6 +85,61 @@ def test_pattern_lists_match_reference(code, seed):
             support = [j for j in range(code.n) if mask >> j & 1]
             assert len(support) == w
             assert mat_rank(code.H.restrict_cols(support)) == w, support
+
+
+@pytest.mark.parametrize("field", FIELDS + [(5, 7)] + INT64_PRIMES, ids=field_id)
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), sample_budget=st.integers(0, 40))
+def test_sampled_pattern_lists_match_reference(field, data, seed, sample_budget):
+    """budget = 0 forces the sampled branch at every weight w >= 1: the
+    draws, the batched shift check and the replay list exactly the masks of
+    the per-shift reference loop, in its order."""
+    code = data.draw(codes([field]))
+    for w in range(1, code.n - code.k + 2):
+        got = compute_erasure_pattern_list(code, w, budget=0,
+                                           sample_budget=sample_budget, seed=seed)
+        assert got.masks() == sampled_pattern_list_reference(code, w, sample_budget,
+                                                             seed), w
+
+
+@pytest.mark.parametrize("field", [(5, 7)] + INT64_PRIMES, ids=field_id)
+def test_correctable_shifts_with_large_entries(field):
+    """G has uniform entries and a column that is a combination of two
+    others, so elimination products reach (p-1)^2: every shift of every
+    support against the rank of H's columns."""
+    f = field_make(*field)
+    rng = random.Random(f.order)
+    cols = [[rng.randrange(1, f.order) for _ in range(3)] for _ in range(4)]
+    a, b = rng.randrange(1, f.order), rng.randrange(1, f.order)
+    cols.append([f.add(f.mul(a, x), f.mul(b, y)) for x, y in zip(cols[0], cols[1])])
+    cols.append([f.mul(a, x) for x in cols[2]])
+    code = code_from_generator(Matrix(f, [list(row) for row in zip(*cols)]))
+    for w in range(code.n + 1):
+        supports = list(itertools.combinations(range(code.n), w))
+        for support, row in zip(supports, code.correctable_shifts(supports).tolist()):
+            for shift in range(code.n):
+                shifted = [(j + shift) % code.n for j in support]
+                assert row[shift] == (mat_rank(code.H.restrict_cols(shifted)) == w)
+
+
+@pytest.mark.parametrize("field", FIELDS + [(5, 7)] + INT64_PRIMES, ids=field_id)
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_correctable_shifts_match_rank(field, data):
+    """Every cyclic shift of drawn supports, correctable or not, against the
+    rank of H's columns on the shifted support."""
+    code = data.draw(codes([field]))
+    w = data.draw(st.integers(0, code.n))
+    supports = data.draw(st.lists(st.permutations(range(code.n)), min_size=1,
+                                  max_size=4))
+    supports = [perm[:w] for perm in supports]
+    got = code.correctable_shifts(supports)
+    assert got.shape == (len(supports), code.n) and got.dtype == bool
+    for row, support in zip(got.tolist(), supports):
+        for shift in range(code.n):
+            shifted = [(j + shift) % code.n for j in support]
+            want = mat_rank(code.H.restrict_cols(shifted)) == w
+            assert row[shift] == want, (support, shift)
 
 
 @PROPERTY
@@ -336,6 +399,26 @@ def test_tabled_mul_matches_sympy(p, alpha):
         rng = random.Random(p * alpha)
         pairs = [(rng.randrange(f.order), rng.randrange(f.order)) for _ in range(500)]
         pairs += [(0, f.order - 1), (1, f.order - 1), (f.order - 1, f.order - 1)]
+    for a, b in pairs:
+        prod = gf_mul(gf_strip(list(reversed(f.to_digits(a)))),
+                      gf_strip(list(reversed(f.to_digits(b)))), p, ZZ)
+        assert f.mul(a, b) == f.from_digits(reversed(gf_rem(prod, modulus, p, ZZ))), (a, b)
+
+
+@pytest.mark.parametrize("p,alpha", [(5, 7), (7, 6), (17, 4)])
+def test_tableless_mul_matches_sympy(p, alpha):
+    """mul by polynomial multiplication modulo the canonical modulus, on the
+    fields above 2^16 elements that have no log/exp tables, against sympy's
+    gf_mul then gf_rem."""
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_mul, gf_rem, gf_strip
+    f = field_make(p, alpha)
+    assert f._exp is None
+    modulus = list(reversed(f.modulus))  # sympy lists coefficients high to low
+    rng = random.Random(p * alpha)
+    pairs = [(rng.randrange(f.order), rng.randrange(f.order)) for _ in range(300)]
+    pairs += [(0, f.order - 1), (1, f.order - 1), (f.order - 1, f.order - 1)]
     for a, b in pairs:
         prod = gf_mul(gf_strip(list(reversed(f.to_digits(a)))),
                       gf_strip(list(reversed(f.to_digits(b)))), p, ZZ)

@@ -186,3 +186,26 @@ def test_c13_pattern_lists_golden():
         assert hashlib.sha256(text.encode()).hexdigest() == want, (which, w)
         assert lst.masks() == tuple(sum(1 << j for j in p.support)
                                     for p in lst.patterns)
+
+
+@pytest.mark.parametrize("name", ["c1", "c5"])
+def test_one_walk_per_weight(name, monkeypatch):
+    """A noncolluding row lists its weight-(n-k) patterns once: the
+    information-set list and the Gamma = n - k list share one walk, and a
+    second `correctable_masks(w)` returns the kept tuple itself."""
+    from codedpir.codes import LinearCode
+    walks = []
+    original = LinearCode._column_walk
+
+    def spy(self, w):
+        walks.append(w)
+        return original(self, w)
+
+    monkeypatch.setattr(LinearCode, "_column_walk", spy)
+    code = fixture_code(load_fixture(name))
+    nk = code.n - code.k
+    e, gamma = optimize_rate(code)
+    assert e is not None and gamma == nk
+    assert walks.count(nk) == 1, walks
+    assert code.correctable_masks(nk) is code.correctable_masks(nk)
+    assert walks.count(nk) == 1

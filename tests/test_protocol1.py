@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -272,7 +273,8 @@ def test_decode_checks_desired_stripes_on_all_known_coordinates(good532):
 def test_decode_flip_outcomes(good532):
     """Each of the 105 single-symbol flips of the [5,3] generic-Lambda run
     either raises DecodeFailure (80) or decodes to a wrong file (25); none
-    goes unnoticed in the output."""
+    goes unnoticed in the output. Each failure names the stripe or aligned
+    sum it met."""
     from codedpir.errors import DecodeFailure
     from codedpir.ratematrix import lambda_generic
     lam = lambda_generic(good532, seed=1)
@@ -280,17 +282,23 @@ def test_decode_flip_outcomes(good532):
     plan = p1_plan(good532, lam, f=2, m=1, seed=1)
     responses = [p1_answer(dss, j, plan.node_query(j)) for j in range(5)]
     outcomes = {"raised": 0, "wrong": 0, "unchanged": 0}
+    named = set()
     for j in range(5):
         for pos in range(plan.d):
             flipped = [list(r) for r in responses]
             flipped[j][pos] = dss.msg_field.add(flipped[j][pos], 1)
             try:
                 decoded = p1_decode(plan, flipped, dss.msg_field)
-            except DecodeFailure:
+            except DecodeFailure as exc:
                 outcomes["raised"] += 1
+                match = re.match(r"(stripe|aligned sum) (\d+): word \d+: no codeword",
+                                 str(exc))
+                assert match, str(exc)
+                named.add(match.group(1))
                 continue
             outcomes["unchanged" if decoded == dss.files[0] else "wrong"] += 1
     assert outcomes == {"raised": 80, "wrong": 25, "unchanged": 0}
+    assert named == {"stripe", "aligned sum"}
 
 
 def test_end_to_end_reed_muller_automorphism_matrix():
