@@ -20,12 +20,12 @@ Two exact kernels carry the code predicates and the decoding:
   correctable patterns (`correctable_masks`, walked once per weight w and
   kept on the code) and runs the column search of `min_distance`; on G, the
   information-set predicates through `information_columns`. Many subsets at
-  once go through the batched rank on G (`_column_ranks`): one fraction-free
-  elimination over an r x B x s array of gathered columns, in blocks of
-  RANK_CHUNK entries, with GF(2) rows packed into uint64 words, GF(p) in
-  int64 mod p and GF(p^a) through the gather tables. `correctable_shifts`
-  uses it to decide every cyclic shift of a batch of patterns (a pattern is
-  correctable iff the columns of G off it have rank k). None allocates a
+  once go through the batched rank on G (`_column_ranks`, built on first
+  use): over GF(2) one XOR elimination over a B x s array of gathered
+  columns, G's rows packed into uint64 words; over other fields the column
+  reducer per subset. `correctable_shifts` uses it to decide every cyclic
+  shift of a batch of patterns, in blocks of RANK_CHUNK entries (a pattern
+  is correctable iff the columns of G off it have rank k). None allocates a
   `Matrix`.
 - Erasure decoding (`decode_erasures`), shared by the three protocols,
   compiled once per erased set E and kept for the code's lifetime: one rref
@@ -75,7 +75,7 @@ from .fields import (
 ENUM_BUDGET = 1 << 21          # subcode-enumeration ceiling (q^k for d_1)
 COLUMN_SEARCH_BUDGET = 5_000_000  # cumulative column-subset ceiling
 ENUM_CHUNK = 4096              # message rows per enumeration batch (~1 MB temporaries)
-RANK_CHUNK = 1 << 16           # 8-byte entries per batched-elimination block (512 KB)
+RANK_CHUNK = 1 << 16           # column indices per batched-rank block (512 KB of GF(2) words)
 
 
 _BITS = frozenset((0, 1))
@@ -144,7 +144,7 @@ class LinearCode:
             raise DimensionMismatch("G H^T != 0")
         self._reduce = _column_reducer(H)
         self._reduce_g = _column_reducer(G)
-        self._ranks_g = _column_ranks(G, self._reduce_g)
+        self._ranks_g = None  # `_column_ranks` over G, built on first use
         self._masks: dict[int, tuple[int, ...]] = {}  # correctable_masks per w
         self._products: dict[LinearCode, LinearCode] = {}  # hadamard_product memo
         self._decoders: dict[tuple[int, ...], tuple] = {}  # per erased E
@@ -245,13 +245,15 @@ class LinearCode:
         """Which cyclic shifts of each support are correctable: entry (i, t) of
         the D x n bool array is True iff the pattern {j + t mod n : j in S_i}
         is, for D supports S_i of one weight w. A pattern is correctable iff
-        the n - w columns of G off it have rank k; one batched elimination
+        the n - w columns of G off it have rank k; one batched rank
         (`_column_ranks`) decides this for every shift of a block of supports,
         each block's index array kept under RANK_CHUNK entries."""
         n = self.n
         out = np.zeros((len(supports), n), dtype=bool)
         if len(supports) == 0 or len(supports[0]) > n - self.k:
             return out
+        if self._ranks_g is None:
+            self._ranks_g = _column_ranks(self._g, self.field, self._reduce_g)
         kept = n - len(supports[0])
         shifts = np.arange(n)[None, :, None]
         block = max(1, RANK_CHUNK // (n * kept))
@@ -616,73 +618,36 @@ def _column_reducer(H: Matrix):
     return reduce
 
 
-def _column_ranks(M: Matrix, reduce):
-    """The batched elimination over column subsets of M, specialised to its
-    field like `_column_reducer` (`reduce` is that step over M's columns).
+def _column_ranks(g: np.ndarray, field: FiniteField, reduce):
+    """The batched rank over column subsets of g, an int64 array over
+    `field`; `reduce` is the `_column_reducer` step over g's columns.
 
     ranks(idx) takes a B x s array of column indices and returns the rank of
-    each M[:, idx[b]] as a length-B int64 array, in blocks of at most
-    RANK_CHUNK working entries, each block gathered as an r x B x s array
-    (rows first, so every step works on contiguous B x s planes). Step i
-    picks, in every subset at once, a column with a nonzero entry in row i
-    and clears row i from the others (fraction-free: c x - x_i v, so no
-    inverse is taken); a subset without one has lost a rank. GF(2) rows are
-    packed 64 to a uint64 word, GF(p) entries are reduced mod p in int64
-    (while (p-1)^2 < 2^63), and GF(p^a) entries are multiplied through the
-    field's gather tables. Table-less fields above 2^16 elements, and larger
-    primes, take `reduce` per subset.
+    each g[:, idx[b]] as a length-B int64 array. Over GF(2) the rows of g are
+    packed 64 to a uint64 word and the subsets are gathered as one
+    words x B x s array (words first, so every step works on contiguous
+    B x s planes); step i picks, in every subset at once, a column with bit
+    i set and XORs it into the others that have it, and a subset without
+    one has lost a rank. Other fields take `reduce` per subset.
     """
-    f, r = M.field, M.rows
-    rows = _array(M)
-    if f.order == 2:
-        bits, rows = rows, np.zeros((max(1, -(-r // 64)), M.cols), dtype=np.uint64)
-        for i in range(r):
-            rows[i // 64] |= bits[i].astype(np.uint64) << np.uint64(i % 64)
-
-        def eliminate(vals: np.ndarray) -> np.ndarray:
-            at = np.arange(vals.shape[1])
-            rank = np.zeros(len(at), dtype=np.int64)
-            for i in range(r):
-                has = (vals[i // 64] & np.uint64(1 << i % 64)).astype(bool)
-                pivot = has.argmax(axis=1)
-                rank += has[at, pivot]
-                vals ^= vals[:, at, pivot][:, :, None] * has
-            return rank
-    elif (f.alpha == 1 and (f.p - 1) ** 2 < 1 << 63) or f._exp is not None:
-        if f.alpha == 1:
-            p = f.p
-
-            def clear(c, vals, lead, v):
-                return (c[:, None] * vals - lead * v[:, :, None]) % p
-        else:
-            exp, log = f._gather_tables()
-
-            def clear(c, vals, lead, v):
-                return f.sub_array(exp[log[c][:, None] + log[vals]],
-                                   exp[log[lead] + log[v][:, :, None]])
-
-        def eliminate(vals: np.ndarray) -> np.ndarray:
-            at = np.arange(vals.shape[1])
-            rank = np.zeros(len(at), dtype=np.int64)
-            for _ in range(r):
-                lead = vals[0]
-                has = lead != 0
-                pivot = has.argmax(axis=1)
-                found = has[at, pivot]
-                rank += found
-                v = vals[:, at, pivot]
-                vals = clear(np.where(found, v[0], 1), vals[1:], lead, v[1:])
-            return rank
-    else:
+    r = len(g)
+    if field.order != 2:
         return lambda idx: np.array([len(_greedy_pivots(reduce, row, r))
                                      for row in idx.tolist()], dtype=np.int64)
+    words = np.zeros((max(1, -(-r // 64)), g.shape[1]), dtype=np.uint64)
+    for i in range(r):
+        words[i // 64] |= g[i].astype(np.uint64) << np.uint64(i % 64)
 
     def ranks(idx: np.ndarray) -> np.ndarray:
-        block = max(1, RANK_CHUNK // max(1, idx.shape[1] * len(rows)))
-        out = np.zeros(len(idx), dtype=np.int64)
-        for start in range(0, len(idx), block):
-            out[start:start + block] = eliminate(rows[:, idx[start:start + block]])
-        return out
+        vals = words[:, idx]
+        at = np.arange(len(idx))
+        rank = np.zeros(len(idx), dtype=np.int64)
+        for i in range(r):
+            has = (vals[i // 64] & np.uint64(1 << i % 64)).astype(bool)
+            pivot = has.argmax(axis=1)
+            rank += has[at, pivot]
+            vals ^= vals[:, at, pivot][:, :, None] * has
+        return rank
 
     return ranks
 

@@ -27,9 +27,6 @@ from conftest import (all_codewords, codes, decode_erasures_reference, mat_mul_r
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1),
           (2, 4), (17, 1)]
-# the largest prime whose int64 elimination products stay below 2^63, and a
-# prime near 2^40, which `_column_ranks` hands to the scalar reducer
-INT64_PRIMES = [(3037000493, 1), (1099511627791, 1)]
 BRUTE_LIMIT = 512  # q^k ceiling for the brute-force distance oracle
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -87,7 +84,7 @@ def test_pattern_lists_match_reference(code, seed):
             assert mat_rank(code.H.restrict_cols(support)) == w, support
 
 
-@pytest.mark.parametrize("field", FIELDS + [(5, 7)] + INT64_PRIMES, ids=field_id)
+@pytest.mark.parametrize("field", FIELDS + [(5, 7)], ids=field_id)
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1), sample_budget=st.integers(0, 40))
 def test_sampled_pattern_lists_match_reference(field, data, seed, sample_budget):
@@ -102,27 +99,7 @@ def test_sampled_pattern_lists_match_reference(field, data, seed, sample_budget)
                                                              seed), w
 
 
-@pytest.mark.parametrize("field", [(5, 7)] + INT64_PRIMES, ids=field_id)
-def test_correctable_shifts_with_large_entries(field):
-    """G has uniform entries and a column that is a combination of two
-    others, so elimination products reach (p-1)^2: every shift of every
-    support against the rank of H's columns."""
-    f = field_make(*field)
-    rng = random.Random(f.order)
-    cols = [[rng.randrange(1, f.order) for _ in range(3)] for _ in range(4)]
-    a, b = rng.randrange(1, f.order), rng.randrange(1, f.order)
-    cols.append([f.add(f.mul(a, x), f.mul(b, y)) for x, y in zip(cols[0], cols[1])])
-    cols.append([f.mul(a, x) for x in cols[2]])
-    code = code_from_generator(Matrix(f, [list(row) for row in zip(*cols)]))
-    for w in range(code.n + 1):
-        supports = list(itertools.combinations(range(code.n), w))
-        for support, row in zip(supports, code.correctable_shifts(supports).tolist()):
-            for shift in range(code.n):
-                shifted = [(j + shift) % code.n for j in support]
-                assert row[shift] == (mat_rank(code.H.restrict_cols(shifted)) == w)
-
-
-@pytest.mark.parametrize("field", FIELDS + [(5, 7)] + INT64_PRIMES, ids=field_id)
+@pytest.mark.parametrize("field", FIELDS + [(5, 7)], ids=field_id)
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(data=st.data())
 def test_correctable_shifts_match_rank(field, data):
