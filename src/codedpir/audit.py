@@ -260,7 +260,7 @@ def _audit_p1(dss: Dss, config: dict, collusion_sets, trials: int,
     samples = np.empty(shape, dtype=np.int64)
     for m, plan in plans.items():
         labels = np.array([[subset_index.setdefault(
-            tuple(sorted(mp for mp, _ in atom.terms)), len(subset_index))
+            tuple(mp for mp, _ in atom.terms), len(subset_index))
             for atom in atoms] for atoms in plan.node_atoms], dtype=np.int64)
         # each trial's shuffle orders first, then replaced by the labels they pick
         for t in range(trials):

@@ -13,20 +13,27 @@ Two exact kernels carry the code predicates and the decoding:
   independent. GF(2) columns are bitmasks keyed by their top bit; GF(p)
   columns are integer tuples reduced mod p; GF(p^a) columns are scaled through
   the field's log/exp tables (`mul` for fields above 2^16 elements, which have
-  none), with XOR addition in characteristic 2. Every column-subset question
-  is answered by one of the two: on H, `erasure_correctable`, `pivot_columns`
-  and one depth-first prefix walk (`_column_walk`: each subset extends its
-  prefix's basis, a dependent column prunes its subtree) that lists the
-  correctable patterns (`correctable_masks`, walked once per weight w and
-  kept on the code) and runs the column search of `min_distance`; on G, the
-  information-set predicates through `information_columns`. Many subsets at
-  once go through the batched rank on G (`_column_ranks`, built on first
-  use): over GF(2) one XOR elimination over a B x s array of gathered
-  columns, G's rows packed into uint64 words; over other fields the column
-  reducer per subset. `correctable_shifts` uses it to decide every cyclic
-  shift of a batch of patterns, in blocks of RANK_CHUNK entries (a pattern
-  is correctable iff the columns of G off it have rank k). None allocates a
-  `Matrix`.
+  none), with XOR addition in characteristic 2. One column subset at a time
+  goes through one of the two: on H, `erasure_correctable` and
+  `pivot_columns`; on G, the information-set predicates through
+  `information_columns`. Every subset of H's columns at once goes through
+  the column walk (`_column_levels`, built on first use by
+  `_column_eliminator`): level t holds each independent t-subset with its
+  residual, H with the span of the subset's columns eliminated (packed
+  uint64 words per column over GF(2), an int64 array otherwise), and a
+  later column extends the subset iff its residual column is nonzero. One
+  array Gauss-Jordan step builds the residuals of a block of children, and
+  children are listed in (subset, column) order, so each level stays in
+  the lexicographic order of its supports. One walk to depth w lists the
+  correctable patterns of every weight up to w (`correctable_masks`, kept
+  on the code); the column search of `min_distance` counts each level.
+  Many subsets of G's columns go through the batched rank on G
+  (`_column_ranks`, built on first use): over GF(2) one XOR elimination
+  over a B x s array of gathered columns, G's rows packed into uint64
+  words; over other fields the column reducer per subset.
+  `correctable_shifts` uses it to decide every cyclic shift of a batch of
+  patterns, in blocks of RANK_CHUNK entries (a pattern is correctable iff
+  the columns of G off it have rank k). None allocates a `Matrix`.
 - Erasure decoding (`decode_erasures`), shared by the three protocols,
   compiled once per erased set E and kept for the code's lifetime: one rref
   of H's columns ordered E then K (the rest) gives the recovery matrix R_E
@@ -49,7 +56,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -76,6 +83,7 @@ ENUM_BUDGET = 1 << 21          # subcode-enumeration ceiling (q^k for d_1)
 COLUMN_SEARCH_BUDGET = 5_000_000  # cumulative column-subset ceiling
 ENUM_CHUNK = 4096              # message rows per enumeration batch (~1 MB temporaries)
 RANK_CHUNK = 1 << 16           # column indices per batched-rank block (512 KB of GF(2) words)
+LEVEL_BLOCK = 1 << 14          # residual entries per block of prefixes in the column walk
 
 
 _BITS = frozenset((0, 1))
@@ -145,6 +153,7 @@ class LinearCode:
         self._reduce = _column_reducer(H)
         self._reduce_g = _column_reducer(G)
         self._ranks_g = None  # `_column_ranks` over G, built on first use
+        self._eliminate = None  # `_column_eliminator` over H, built on first use
         self._masks: dict[int, tuple[int, ...]] = {}  # correctable_masks per w
         self._products: dict[LinearCode, LinearCode] = {}  # hadamard_product memo
         self._decoders: dict[tuple[int, ...], tuple] = {}  # per erased E
@@ -367,15 +376,13 @@ class LinearCode:
         return d
 
     def _min_distance_column_search(self, budget: int) -> int:
-        """Smallest w such that some w parity-check columns are dependent.
-
-        Every smaller subset is independent, so the size-w walk can meet a
-        dependent column only at a full-size subset, and it stops at the first.
-        The budget counts subsets, as C(n, 1) + ... + C(n, w) after size w.
-        """
+        """Smallest w such that some w parity-check columns are dependent:
+        the first level of the column walk (`_column_levels`) that holds
+        fewer than C(n, w) subsets. The budget counts subsets, as
+        C(n, 1) + ... + C(n, w) after size w."""
         spent = 0
         for w in range(1, self.n - self.k + 2):
-            if any(key is None for _, key in self._column_walk(w)):
+            if self._column_levels(w, keep=False)[w] < comb(self.n, w):
                 return w
             spent += comb(self.n, w)
             if spent > budget:
@@ -385,7 +392,8 @@ class LinearCode:
     def correctable_masks(self, w: int) -> tuple[int, ...]:
         """Bitmasks (bit j set iff position j is erased) of every correctable
         weight-w erasure pattern, in the lexicographic order of their supports;
-        walked once per w and kept for the code's lifetime."""
+        one column walk to depth w lists every weight up to w, and each list
+        is kept for the code's lifetime."""
         masks = self._masks.get(w)
         if masks is None:
             if w == 0:
@@ -393,29 +401,50 @@ class LinearCode:
             elif w > self.n - self.k:
                 masks = ()
             else:
-                masks = tuple(mask for mask, key in self._column_walk(w)
-                              if key is not None)
+                levels = self._column_levels(w, keep=True)
+                for t in range(1, w):
+                    self._masks.setdefault(t, levels[t])
+                masks = levels[w]
             self._masks[w] = masks
         return masks
 
-    def _column_walk(self, w: int) -> Iterator[tuple[int, object]]:
-        """Depth-first walk over the w-subsets (w >= 1) of H's columns in
-        lexicographic order: each extends its prefix's basis by one column, and
-        a dependent column below size w prunes the subsets through it. Yields
-        (mask, key) per w-subset; key is None iff its last column is dependent."""
-        n, reduce = self.n, self._reduce
+    def _column_levels(self, depth: int, keep: bool) -> list:
+        """Level-by-level walk over the subsets of independent columns of H,
+        to size `depth` (>= 1): entry t of the result lists the independent
+        t-subsets in the lexicographic order of their supports, as a tuple of
+        bitmasks (keep) or as their count.
 
-        def walk(basis: dict, start: int, depth: int, mask: int):
-            for j in range(start, n - depth + 1):
-                key = reduce(basis, j)
-                if depth == 1:
-                    yield mask | 1 << j, key
-                elif key is not None:
-                    yield from walk(basis, j + 1, depth - 1, mask | 1 << j)
-                if key is not None:
-                    del basis[key]
+        Each live prefix carries its residual: H with the span of the
+        prefix's columns eliminated (`_column_eliminator`), so a later column
+        extends the prefix iff its residual column is nonzero. Children are
+        listed in (prefix, column) order, which keeps every level
+        lexicographic, and one array step builds the residuals of a block of
+        children. Prefixes go down in blocks of about LEVEL_BLOCK residual
+        entries, block by block, so the arrays held stay within depth blocks.
+        """
+        if self._eliminate is None:
+            self._eliminate = _column_eliminator(self.H)
+        h, eliminate = self._eliminate
+        n = self.n
+        bits = np.array([1 << j for j in range(n)], dtype=np.int64 if n < 63 else object)
+        after = np.arange(n)
+        block = max(1, LEVEL_BLOCK // max(1, h.size))
+        found: list[list] = [[] for _ in range(depth + 1)]
 
-        return walk({}, 0, w, 0)
+        def walk(residuals, last, masks, t):
+            prefix, col = np.nonzero(residuals.any(axis=1) & (after > last[:, None]))
+            masks = masks[prefix] | bits[col]
+            found[t + 1].append(masks if keep else len(col))
+            if t + 1 < depth:
+                for s in range(0, len(col), block):
+                    p, c = prefix[s:s + block], col[s:s + block]
+                    walk(eliminate(residuals[p], c), c, masks[s:s + block], t + 1)
+
+        walk(h[None], np.array([-1]), np.zeros(1, dtype=bits.dtype), 0)
+        if not keep:
+            return [sum(level) for level in found]
+        return [tuple(itertools.chain.from_iterable(m.tolist() for m in level))
+                for level in found]
 
     def generalized_hamming_weight(self, s: int) -> int:
         """d_s: smallest support of an s-dimensional subcode (exact). d_1 is
@@ -618,6 +647,63 @@ def _column_reducer(H: Matrix):
     return reduce
 
 
+def _column_eliminator(H: Matrix):
+    """(h, eliminate) for the column walk over H.
+
+    h is H as a residual, its columns on the last axis: over GF(2) a W x n
+    uint64 array, H's rows packed 64 to a word; over other fields H itself,
+    an r x n int64 array (Python integers when (p-1)^2 passes int64).
+    eliminate(R, cols) takes a stack of residuals and one column index per
+    residual, and returns each residual with that column eliminated by one
+    Gauss-Jordan step: with u the column and i its first nonzero row, every
+    column c loses u times R[i, c] / u_i. Column c then ends at zero iff it
+    lay in the span of the prefix's columns and u, and row i ends at zero.
+    Over GF(p) and GF(p^a) the step scales R by u_i instead of dividing row
+    i by it, which changes no zero entry. Over GF(2), i is the lowest set bit
+    of u, and the columns with that bit set are XORed with u.
+    """
+    f, h = H.field, _array(H)
+    if f.order == 2:
+        def eliminate(R: np.ndarray, cols: np.ndarray) -> np.ndarray:
+            at = np.arange(len(cols))
+            u = R[at, :, cols]
+            word = (u != 0).argmax(axis=1)
+            low = u[at, word]
+            low &= ~low + np.uint64(1)
+            has = (R[at, word] & low[:, None]) != 0
+            return R ^ u[:, :, None] * has[:, None, :]
+
+        return _packed_rows(h), eliminate
+
+    if f.alpha == 1:
+        p = f.p
+        if (p - 1) ** 2 >= 1 << 63:  # int64 products could wrap
+            h = h.astype(object)
+
+        def step(R, pivot, u, row):
+            return (R * pivot - u * row) % p
+    else:
+        if f._exp is not None:
+            exp, log = f._gather_tables()
+
+            def mul(a, b):
+                return exp[log[a] + log[b]]
+        else:  # no tables above 2^16 elements
+            def mul(a, b):
+                return np.frompyfunc(f.mul, 2, 1)(a, b).astype(np.int64)
+
+        def step(R, pivot, u, row):
+            return f.sub_array(mul(R, pivot), mul(u, row))
+
+    def eliminate(R: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        at = np.arange(len(cols))
+        u = R[at, :, cols]
+        i = (u != 0).argmax(axis=1)
+        return step(R, u[at, i][:, None, None], u[:, :, None], R[at, i][:, None, :])
+
+    return h, eliminate
+
+
 def _column_ranks(g: np.ndarray, field: FiniteField, reduce):
     """The batched rank over column subsets of g, an int64 array over
     `field`; `reduce` is the `_column_reducer` step over g's columns.
@@ -634,9 +720,7 @@ def _column_ranks(g: np.ndarray, field: FiniteField, reduce):
     if field.order != 2:
         return lambda idx: np.array([len(_greedy_pivots(reduce, row, r))
                                      for row in idx.tolist()], dtype=np.int64)
-    words = np.zeros((max(1, -(-r // 64)), g.shape[1]), dtype=np.uint64)
-    for i in range(r):
-        words[i // 64] |= g[i].astype(np.uint64) << np.uint64(i % 64)
+    words = _packed_rows(g)
 
     def ranks(idx: np.ndarray) -> np.ndarray:
         vals = words[:, idx]
@@ -650,6 +734,15 @@ def _column_ranks(g: np.ndarray, field: FiniteField, reduce):
         return rank
 
     return ranks
+
+
+def _packed_rows(a: np.ndarray) -> np.ndarray:
+    """The rows of a 0/1 int64 array packed 64 to a uint64 word: row i is bit
+    i % 64 of word i // 64, one W x n array (W >= 1) for the n columns."""
+    words = np.zeros((max(1, -(-len(a) // 64)), a.shape[1]), dtype=np.uint64)
+    for i, row in enumerate(a):
+        words[i // 64] |= row.astype(np.uint64) << np.uint64(i % 64)
+    return words
 
 
 def repetition_code(field: FiniteField, n: int) -> LinearCode:

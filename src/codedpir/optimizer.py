@@ -8,11 +8,14 @@ starts at the floor Gamma = min(k, d_min(product) - 1), where every
 weight-Gamma row is correctable, so the window construction below finds a
 structure whenever that pattern list is exhaustive; it raises Gamma until the
 selection becomes infeasible. A `PatternList` holds support bitmasks only: an
-exhaustive list comes from the code's prefix walk over the columns of H
-(`LinearCode.correctable_masks`, walked once per code and weight, so the
-information-set list and the Gamma = n - k list of a noncolluding code are
-one walk). A sampled list makes all its seeded pivot draws first, then
-decides every bit rotation of every distinct find in one batched check
+exhaustive list is one level of the code's column walk over H
+(`LinearCode.correctable_masks`), which extends every independent subset of
+H's columns by each later column, a block of subsets at a time in arrays,
+and lists each weight in lexicographic order. A walk to weight w lists
+every lower weight too and the code keeps them, so a noncolluding code's
+information-set list (weight n - k, asked first) and all its Gamma lists
+come from one walk. A sampled list makes all its seeded pivot draws first,
+then decides every bit rotation of every distinct find in one batched check
 (`LinearCode.correctable_shifts`), and lists each find followed by its
 correctable rotations in draw order. The selection (d weight-Gamma rows plus
 beta information-set complements whose stacked column sums all equal beta) is
@@ -66,12 +69,13 @@ def compute_erasure_pattern_list(code: LinearCode, w: int,
     """All weight-w patterns correctable by `code`, or a seeded random sample.
 
     Exhaustive when C(n, w) fits the budget: `LinearCode.correctable_masks`
-    walks the column prefixes of H in lexicographic order, once per code and
-    w. Otherwise repeatedly permute the parity-check columns, take the pivot
-    columns of H in that order and take w of them (independent by
-    construction). Every cyclic shift (bit rotation) of every distinct find
-    is then decided at once (`LinearCode.correctable_shifts`), and the list
-    is each new find followed by its correctable shifts, in draw order.
+    reads level w of the code's column walk over H, kept per code, in
+    lexicographic order. Otherwise repeatedly permute the parity-check
+    columns, take the pivot columns of H in that order and take w of them
+    (independent by construction). Every cyclic shift (bit rotation) of
+    every distinct find is then decided at once
+    (`LinearCode.correctable_shifts`), and the list is each new find followed
+    by its correctable shifts, in draw order.
     """
     _check_budgets(budget, sample_budget)
     n = code.n

@@ -22,9 +22,11 @@ nodes only ever see physical rows (the private permutation applied).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb
 from typing import Sequence
 
@@ -81,7 +83,7 @@ class P1Atom:
     rep: int                       # repetition, 1..kappa
     rnd: int                       # round, 1..f
     subset: tuple[int, ...]        # side-information files (empty for desired1)
-    terms: tuple[tuple[int, int], ...]  # (file 1-based, logical row 1-based)
+    terms: tuple[tuple[int, int], ...]  # (file 1-based, logical row 1-based), by file
     block: int = -1                # side-information block index (if any)
     srow: int = -1                 # B-row index used (desired atoms)
 
@@ -126,9 +128,10 @@ class P1Plan:
         return Fraction(self.beta * self.code.k, self.code.n * self.d)
 
     def node_query(self, node: int) -> list[tuple[tuple[int, int], ...]]:
-        """Node-visible query list: physical rows, shuffled order, no labels."""
+        """Node-visible query list: physical rows, shuffled order, no labels;
+        each sum's terms in file order, as its atom lists them."""
         atoms, perms = self.node_atoms[node], self.perms
-        return [tuple(sorted((mp, perms[mp - 1][row - 1]) for mp, row in atoms[idx].terms))
+        return [tuple((mp, perms[mp - 1][row - 1]) for mp, row in atoms[idx].terms)
                 for idx in self.shuffles[node]]
 
 
@@ -200,8 +203,8 @@ def _schedule(code: LinearCode, lam: RateMatrix, f: int, m: int) -> tuple:
                                    base + _u(l, kappa, nu, f)):
                     for srow in range(1, nu - kappa + 1):
                         for j in range(n):
-                            terms = ((m, mu * nu + A[i - 1][j]),) + tuple(
-                                (mp, block * nu + B[srow - 1][j]) for mp in subset)
+                            terms = tuple(sorted(((m, mu * nu + A[i - 1][j]),) + tuple(
+                                (mp, block * nu + B[srow - 1][j]) for mp in subset)))
                             node_atoms[j].append(P1Atom(
                                 "desired", i, l + 1, subset, terms,
                                 block=block, srow=srow))
@@ -223,14 +226,15 @@ def _schedule(code: LinearCode, lam: RateMatrix, f: int, m: int) -> tuple:
                 f"schedule for node {j} has {len(node_atoms[j])} requests, expected {d}")
 
     node_atoms = tuple(tuple(atoms) for atoms in node_atoms)
-    return beta, d, node_atoms, _decode_map(code, nu, B, beta, d, node_atoms)
+    return beta, d, node_atoms, _decode_map(code, nu, B, beta, d, m, node_atoms)
 
 
-def _decode_map(code: LinearCode, nu: int, B, beta: int, d: int,
+def _decode_map(code: LinearCode, nu: int, B, beta: int, d: int, m: int,
                 node_atoms: tuple[tuple[P1Atom, ...], ...]) -> P1DecodeMap:
     """Route each atom at node j to coordinate j of the word it feeds: an
     undesired atom to its aligned sum (subset, block, u), a desired atom to
-    its stripe, cancelling the aligned sum (subset, block, B[srow][j])."""
+    the stripe of its file-m row, cancelling the aligned sum
+    (subset, block, B[srow][j])."""
     n = code.n
     sum_ids: dict[tuple, int] = {}
     dst, cancel = [], []   # flat entry per atom; (stripe entry, aligned entry)
@@ -240,7 +244,7 @@ def _decode_map(code: LinearCode, nu: int, B, beta: int, d: int,
                 u = atom.terms[0][1] - atom.block * nu
                 word = beta + sum_ids.setdefault((atom.subset, atom.block, u), len(sum_ids))
             else:
-                word = atom.terms[0][1] - 1
+                word = dict(atom.terms)[m] - 1
                 if atom.kind == "desired":
                     key = (atom.subset, atom.block, B[atom.srow - 1][j])
                     side = beta + sum_ids.setdefault(key, len(sum_ids))
@@ -323,8 +327,12 @@ class SymmetryReport:
 
 
 def p1_symmetry_audit(plan: P1Plan) -> SymmetryReport:
-    """File symmetry within nodes and symmetry across nodes, plus per-file
-    request-frequency balance over each node's full query list."""
+    """File symmetry within nodes and symmetry across nodes, per-file
+    request-frequency balance over each node's full query list, and no
+    (file, logical row) requested twice at one node: the private permutation
+    maps logical rows one to one, so a repeat shows the node one stored
+    symbol twice. Repeats are reported once per (node, file), naming the
+    first row requested most often."""
     counts: dict = {}
     for j in range(plan.code.n):
         for atom in plan.node_atoms[j]:
@@ -354,4 +362,14 @@ def p1_symmetry_audit(plan: P1Plan) -> SymmetryReport:
                 per_file[mp] += 1
         if len(set(per_file.values())) != 1:
             violations.append(f"node {j}: per-file request frequencies {per_file}")
+        requests = Counter(chain.from_iterable(atom.terms for atom in plan.node_atoms[j]))
+        repeats: dict[int, list[tuple[int, int]]] = {}  # file -> (-count, row)
+        for (mp, row), count in requests.items():
+            if count > 1:
+                repeats.setdefault(mp, []).append((-count, row))
+        for mp in sorted(repeats):
+            count, row = min(repeats[mp])
+            violations.append(f"node {j}: file {mp} row {row} requested {-count} "
+                              f"times ({len(repeats[mp])} rows of file {mp} "
+                              "requested more than once)")
     return SymmetryReport(ok=not violations, violations=violations, counts=counts)

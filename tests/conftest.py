@@ -12,6 +12,10 @@ from codedpir.protocol1 import p1_plan
 from codedpir.ratematrix import ErasureMatrix, interference_matrices
 from codedpir.rng import derive_seed, rng_for
 
+# (p, alpha) of the fields the kernel properties draw codes over
+FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1),
+          (2, 4), (17, 1)]
+
 GOOD_G = [[1, 0, 0, 1, 0], [0, 1, 0, 1, 1], [0, 0, 1, 0, 1]]
 BAD_G = [[1, 0, 0, 1, 0], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1]]
 H73 = [[0, 1, 1, 1, 0, 0, 0], [1, 0, 1, 0, 1, 0, 0],
@@ -165,7 +169,7 @@ def p1_decode_reference(plan, responses, msg_field) -> Matrix:
             if atom.kind != "desired":
                 continue
             side = aligned_full[(atom.subset, atom.block, B[atom.srow - 1][j])][j]
-            desired_coords.setdefault(atom.terms[0][1], {})[j] = msg_field.sub(
+            desired_coords.setdefault(dict(atom.terms)[plan.m], {})[j] = msg_field.sub(
                 canonical[j][idx], side)
     if len(desired_coords) != plan.beta:
         raise DecodeFailure(f"recovered {len(desired_coords)} stripes, expected {plan.beta}")

@@ -106,6 +106,18 @@ def test_audit_privacy_cli(good_spec, capsys):
                  "--exact", "--files", "2"]) == 0
 
 
+def test_audit_privacy_protocol_1_fails_at_four_files(good_spec, capsys):
+    """With four files protocol 1 asks one node twice for one row of an
+    undesired file; the audit exits 1 and prints the repeat. Three files
+    pass."""
+    argv = ["audit-privacy", "--protocol", "1", "--code", good_spec,
+            "--trials", "50", "--seed", "1"]
+    assert main(argv + ["--files", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "FLAGGED: collusion () structural: m=1: node 0: file 2 row" in out
+    assert main(argv + ["--files", "3"]) == 0
+
+
 def test_audit_privacy_rejects_exact_protocol_1(good_spec, capsys):
     """Protocol 1 has only the statistical audit: --exact is an error, not a
     statistical run."""

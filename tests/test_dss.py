@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -497,6 +498,20 @@ def test_p1_audit_reports_skipped_sets_as_notes(good532):
                             "noncolluding protocol defends single spies"]
     assert report.outcomes and all(o.collusion == (0,) for o in report.outcomes)
     assert report.passed
+
+
+def test_p1_audit_flags_repeated_rows_at_four_files(good532):
+    """At f = 4 protocol 1 asks one node twice for some rows of undesired
+    files: the audit fails through the structural notes naming the node,
+    file and row, whatever its sampled positions read."""
+    lam = rate_matrix(good532, LAM35)
+    report = privacy_audit(1, Dss(good532, f=4, beta=625), {"lam": lam}, trials=200)
+    assert not report.passed
+    structural = [o.position for o in report.outcomes if o.collusion == ()]
+    assert structural and all(o.flagged for o in report.outcomes if o.collusion == ())
+    assert any(re.fullmatch(r"structural: m=1: node 0: file 2 row \d+ requested 2 "
+                            r"times \(\d+ rows of file 2 requested more than once\)", p)
+               for p in structural), structural[:3]
 
 
 def test_chi2_sf_matches_scipy():

@@ -4,8 +4,9 @@ import pytest
 
 from codedpir.errors import (DegreeOutOfRange, DimensionMismatch, FieldMismatch,
                              NonPrime, RankDeficient)
-from codedpir.fields import (Matrix, field_make, mat_inverse, mat_mul,
-                             mat_rank, mat_rref, mat_solve, null_space)
+from codedpir.fields import (Matrix, canonical_modulus, field_make, mat_inverse,
+                             mat_mul, mat_rank, mat_rref, mat_solve, null_space)
+from conftest import FIELDS
 
 
 def _irreducible_by_roots(coeffs, p):
@@ -29,6 +30,23 @@ def test_canonical_modulus_gf8_matches_enumeration_oracle():
             break
     assert first == (1, 1, 0, 1)  # x^3 + x + 1
     assert field_make(2, 3).modulus == first
+
+
+@pytest.mark.parametrize("p,alpha", [f for f in FIELDS if f[1] > 1] + [(3, 4), (2, 8)])
+def test_canonical_modulus_is_first_irreducible_by_sympy(p, alpha):
+    """The canonical modulus is the first monic degree-alpha polynomial, in
+    `canonical_modulus`'s order (the base-p digits of v = 0, 1, ... as the
+    coefficients below the leading one, low to high), that sympy's
+    gf_irreducible_p accepts."""
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+    for v in range(p ** alpha):
+        coeffs = [v // p ** i % p for i in range(alpha)] + [1]
+        if gf_irreducible_p(coeffs[::-1], p, ZZ):  # sympy lists high to low
+            break
+    assert canonical_modulus(p, alpha) == tuple(coeffs)
+    assert field_make(p, alpha).modulus == tuple(coeffs)
 
 
 def test_field_make_rejects_bad_parameters():

@@ -19,14 +19,13 @@ from codedpir.codes import (COLUMN_SEARCH_BUDGET, ErasurePattern, LinearCode,
                             code_from_generator)
 from codedpir.errors import DecodeFailure, NotCorrectable, RankDeficient
 from codedpir.families import _is_mds_parity_check
-from codedpir.fields import MATMUL_CHUNK, Matrix, field_make, mat_mul, mat_rank, mat_rref
+from codedpir.fields import (MATMUL_CHUNK, Matrix, _is_prime, field_make, mat_mul,
+                             mat_rank, mat_rref)
 from codedpir.optimizer import compute_erasure_pattern_list
-from conftest import (all_codewords, codes, decode_erasures_reference, mat_mul_reference,
-                      message_from_information_set_reference, pattern_list_reference,
-                      sampled_pattern_list_reference)
+from conftest import (FIELDS, all_codewords, codes, decode_erasures_reference,
+                      mat_mul_reference, message_from_information_set_reference,
+                      pattern_list_reference, sampled_pattern_list_reference)
 
-FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1),
-          (2, 4), (17, 1)]
 BRUTE_LIMIT = 512  # q^k ceiling for the brute-force distance oracle
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -63,12 +62,16 @@ def test_erasure_correctable_without_field_tables():
 
 
 @PROPERTY
-@given(codes(FIELDS), st.integers(0, 2**32 - 1))
+@given(codes(FIELDS + [(5, 7)]), st.integers(0, 2**32 - 1))
 def test_pattern_lists_match_reference(code, seed):
-    """The exhaustive prefix walk (taken when C(n, w) fits the budget) lists
-    what the per-subset filter lists, in the same order; `patterns` and
-    `masks()` describe the same list; every sampled pattern has independent
-    columns of H."""
+    """The exhaustive column walk (taken when C(n, w) fits the budget) lists
+    what the per-subset filter lists, in the same order, whether it walks
+    to each weight w or lists w on the way to a deeper weight; `patterns`
+    and `masks()` describe the same list; every sampled pattern has
+    independent columns of H."""
+    deep = LinearCode(code.G, code.H, check=False)
+    for w in reversed(range(code.n - code.k + 2)):
+        assert deep.correctable_masks(w) == pattern_list_reference(code, w), w
     for w in range(code.n - code.k + 2):
         full = compute_erasure_pattern_list(code, w, budget=comb(code.n, w),
                                             sample_budget=0)
@@ -82,6 +85,74 @@ def test_pattern_lists_match_reference(code, seed):
             support = [j for j in range(code.n) if mask >> j & 1]
             assert len(support) == w
             assert mat_rank(code.H.restrict_cols(support)) == w, support
+
+
+def rank_pattern_list(code, w: int) -> tuple[int, ...]:
+    """Every weight-w support in `itertools.combinations` order whose columns
+    of H have rank w, as support bitmasks."""
+    return tuple(sum(1 << j for j in support)
+                 for support in itertools.combinations(range(code.n), w)
+                 if mat_rank(code.H.restrict_cols(support)) == w)
+
+
+def test_pattern_lists_past_63_positions():
+    """Masks of 64 or more positions are Python integers, and a GF(2) parity
+    check of more than 64 rows packs each column into two words: [64, 62]
+    codes over GF(2) and GF(3), and a [68, 3] binary code whose H has 65
+    rows, against the rank of every 2-subset. Repeated, proportional and
+    zero columns make some pairs dependent; in the [68, 3] code two columns
+    are set only in the second word."""
+    rng = random.Random(64)
+    for q in (2, 3):
+        f = field_make(q)
+        cols = [[rng.randrange(q) for _ in range(2)] for _ in range(64)]
+        cols[9], cols[40] = list(cols[3]), [f.mul(q - 1, x) for x in cols[60]]
+        cols[50] = [0, 0]
+        H = Matrix(f, [list(row) for row in zip(*cols)])
+        code = LinearCode.from_parity_check(H)
+        assert (code.n, code.k) == (64, 62)
+        assert code.correctable_masks(2) == rank_pattern_list(code, 2)
+        assert max(code.correctable_masks(2)) >= 1 << 63
+    unit = [[int(i == j) for i in range(65)] for j in range(65)]
+    spread = [rng.randrange(2) for _ in range(64)] + [1]
+    cols = unit + [unit[64], unit[7], spread]
+    rng.shuffle(cols)
+    H = Matrix(field_make(2), [list(row) for row in zip(*cols)])
+    code = LinearCode.from_parity_check(H)
+    assert (code.n, code.k) == (68, 3)
+    want = rank_pattern_list(code, 2)
+    assert len(want) < comb(68, 2)
+    assert code.correctable_masks(2) == want
+
+
+def test_column_walk_over_a_large_prime():
+    """Over the first prime p above 2^40 most products of two symbols pass
+    int64, so the walk's residuals are Python integers. H has
+    large entries, a column in the span of two others and one a multiple of
+    another: every list and the column search against the rank of every
+    subset."""
+    p = next(p for p in itertools.count(1 << 40) if _is_prime(p))
+    f, rng = field_make(p), random.Random(p)
+    cols = [[rng.randrange(p) for _ in range(3)] for _ in range(4)]
+    a, b, c = (rng.randrange(1, p) for _ in range(3))
+    cols.append([f.add(f.mul(a, x), f.mul(b, y)) for x, y in zip(cols[0], cols[1])])
+    cols.append([f.mul(c, x) for x in cols[2]])
+    code = LinearCode.from_parity_check(Matrix(f, [list(row) for row in zip(*cols)]))
+    for w in range(code.n + 1):
+        assert code.correctable_masks(w) == rank_pattern_list(code, w), w
+    want = next(w for w in range(1, code.n + 1)
+                if len(rank_pattern_list(code, w)) < comb(code.n, w))
+    assert code._min_distance_column_search(budget=COLUMN_SEARCH_BUDGET) == want
+
+
+@PROPERTY
+@given(codes(FIELDS + [(5, 7)], max_n=6))
+def test_column_search_matches_subset_ranks(code):
+    """The column search's d_min is the smallest w for which some w columns
+    of H have rank below w, by the rank of every subset."""
+    want = next(w for w in range(1, code.n + 1)
+                if len(rank_pattern_list(code, w)) < comb(code.n, w))
+    assert code._min_distance_column_search(budget=COLUMN_SEARCH_BUDGET) == want
 
 
 @pytest.mark.parametrize("field", FIELDS + [(5, 7)], ids=field_id)

@@ -189,23 +189,27 @@ def test_c13_pattern_lists_golden():
 
 
 @pytest.mark.parametrize("name", ["c1", "c5"])
-def test_one_walk_per_weight(name, monkeypatch):
-    """A noncolluding row lists its weight-(n-k) patterns once: the
-    information-set list and the Gamma = n - k list share one walk, and a
-    second `correctable_masks(w)` returns the kept tuple itself."""
+def test_one_walk_per_code(name, monkeypatch):
+    """A noncolluding row walks the columns of H once for all its pattern
+    lists: the information-set list (weight n - k) comes first, its walk
+    lists every lower weight on the way, and the Gamma lists, the
+    Gamma = n - k list among them, are read from what it kept; a second
+    `correctable_masks(w)` returns the kept tuple itself. Walks that only
+    count subsets (the column search of `min_distance`) keep no list."""
     from codedpir.codes import LinearCode
     walks = []
-    original = LinearCode._column_walk
+    original = LinearCode._column_levels
 
-    def spy(self, w):
-        walks.append(w)
-        return original(self, w)
+    def spy(self, depth, keep):
+        walks.append((depth, keep))
+        return original(self, depth, keep)
 
-    monkeypatch.setattr(LinearCode, "_column_walk", spy)
+    monkeypatch.setattr(LinearCode, "_column_levels", spy)
     code = fixture_code(load_fixture(name))
     nk = code.n - code.k
     e, gamma = optimize_rate(code)
     assert e is not None and gamma == nk
-    assert walks.count(nk) == 1, walks
-    assert code.correctable_masks(nk) is code.correctable_masks(nk)
-    assert walks.count(nk) == 1
+    assert [depth for depth, keep in walks if keep] == [nk], walks
+    for w in range(nk + 1):
+        assert code.correctable_masks(w) is code.correctable_masks(w)
+    assert [depth for depth, keep in walks if keep] == [nk]

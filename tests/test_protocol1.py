@@ -155,6 +155,39 @@ def test_symmetry_audit(good532, lam35):
     assert not broken.ok
 
 
+REPEAT = re.compile(r"node (\d+): file (\d+) row (\d+) requested (\d+) times")
+
+
+@pytest.mark.parametrize("f", [2, 3])
+def test_symmetry_audit_passes_without_repeated_rows(good532, bad532, lam35, f):
+    """Up to f = 3 each file lies in one side-information subset of each
+    size, so no node is asked twice for one (file, row), whichever file is
+    requested."""
+    for code, lam in ((good532, lam35), (bad532, rate_matrix(bad532, LAM23))):
+        for m in range(1, f + 1):
+            report = p1_symmetry_audit(p1_plan(code, lam, f, m, 0))
+            assert report.ok, report.violations
+
+
+@pytest.mark.parametrize("f,most", [(4, 2), (5, 3)])
+def test_symmetry_audit_names_repeated_rows(good532, lam35, f, most):
+    """From f = 4 the schedule asks every node for some rows of every
+    undesired file more than once (up to twice at f = 4, three times at
+    f = 5), never for a row of the requested file. The audit names each
+    (node, file) with a row requested that often at that node."""
+    for m in (1, f):
+        plan = p1_plan(good532, lam35, f, m, 0)
+        report = p1_symmetry_audit(plan)
+        named = [REPEAT.match(v) for v in report.violations]
+        assert not report.ok and all(named), report.violations
+        assert {(int(g[1]), int(g[2])) for g in named} == {
+            (j, mp) for j in range(good532.n) for mp in range(1, f + 1) if mp != m}
+        for g in named:
+            j, mp, row, count = map(int, g.groups())
+            terms = [t for atom in plan.node_atoms[j] for t in atom.terms]
+            assert terms.count((mp, row)) == count == most, g[0]
+
+
 def test_invalid_lambda_rejected(good532):
     from codedpir.errors import InvalidLambda
     from codedpir.ratematrix import RateMatrix
