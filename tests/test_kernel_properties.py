@@ -95,6 +95,12 @@ def rank_pattern_list(code, w: int) -> tuple[int, ...]:
                  if mat_rank(code.H.restrict_cols(support)) == w)
 
 
+def rank_min_distance(code) -> int:
+    """The smallest w for which some w columns of H have rank below w."""
+    return next(w for w in range(1, code.n + 1)
+                if len(rank_pattern_list(code, w)) < comb(code.n, w))
+
+
 def test_pattern_lists_past_63_positions():
     """Masks of 64 or more positions are Python integers, and a GF(2) parity
     check of more than 64 rows packs each column into two words: [64, 62]
@@ -127,8 +133,8 @@ def test_pattern_lists_past_63_positions():
 
 def test_column_walk_over_a_large_prime():
     """Over the first prime p above 2^40 most products of two symbols pass
-    int64, so the walk's residuals are Python integers. H has
-    large entries, a column in the span of two others and one a multiple of
+    int64, so the walk's residuals are Python integers. H has large
+    entries, a column in the span of two others and one a multiple of
     another: every list and the column search against the rank of every
     subset."""
     p = next(p for p in itertools.count(1 << 40) if _is_prime(p))
@@ -140,9 +146,8 @@ def test_column_walk_over_a_large_prime():
     code = LinearCode.from_parity_check(Matrix(f, [list(row) for row in zip(*cols)]))
     for w in range(code.n + 1):
         assert code.correctable_masks(w) == rank_pattern_list(code, w), w
-    want = next(w for w in range(1, code.n + 1)
-                if len(rank_pattern_list(code, w)) < comb(code.n, w))
-    assert code._min_distance_column_search(budget=COLUMN_SEARCH_BUDGET) == want
+    assert code._min_distance_column_search(budget=COLUMN_SEARCH_BUDGET) == \
+        rank_min_distance(code)
 
 
 @PROPERTY
@@ -150,9 +155,8 @@ def test_column_walk_over_a_large_prime():
 def test_column_search_matches_subset_ranks(code):
     """The column search's d_min is the smallest w for which some w columns
     of H have rank below w, by the rank of every subset."""
-    want = next(w for w in range(1, code.n + 1)
-                if len(rank_pattern_list(code, w)) < comb(code.n, w))
-    assert code._min_distance_column_search(budget=COLUMN_SEARCH_BUDGET) == want
+    assert code._min_distance_column_search(budget=COLUMN_SEARCH_BUDGET) == \
+        rank_min_distance(code)
 
 
 @pytest.mark.parametrize("field", FIELDS + [(5, 7)], ids=field_id)
