@@ -6,34 +6,29 @@ render 1-based coordinates to match the usual coding-theory convention.
 
 Two exact kernels carry the code predicates and the decoding:
 
-- Column independence. Each code builds, once, an elimination step over the
-  columns of H and another over the columns of G (`_column_reducer`). It
-  reduces one column against a basis kept as a dict from pivot key to a vector
-  whose leading entry sits at that key, and adds the column when it is
-  independent. GF(2) columns are bitmasks keyed by their top bit; GF(p)
-  columns are integer tuples reduced mod p; GF(p^a) columns are scaled through
-  the field's log/exp tables (`mul` for fields above 2^16 elements, which have
-  none), with XOR addition in characteristic 2. One column subset at a time
-  goes through one of the two: on H, `erasure_correctable` and
-  `pivot_columns`; on G, the information-set predicates through
-  `information_columns`. Every subset of H's columns at once goes through
-  the column walk (`_column_levels`, built on first use by
-  `_column_eliminator`): level t holds each independent t-subset with its
-  residual, H with the span of the subset's columns eliminated (packed
+- Column independence. One array Gauss-Jordan step over the columns of H or
+  of G (`_column_eliminator`, built on first use for each) answers every
+  question of the form "which of these columns are independent". A residual
+  is the matrix with the span of some of its columns eliminated (packed
   uint64 words per column over GF(2), an int64 array otherwise), and a
-  later column extends the subset iff its residual column is nonzero. One
-  array Gauss-Jordan step builds the residuals of a block of children, and
-  children are listed in (subset, column) order, so each level stays in
-  the lexicographic order of its supports. One walk to depth w lists the
-  correctable patterns of every weight up to w (`correctable_masks`, kept
-  on the code); the column search of `min_distance` counts each level.
-  Many subsets of G's columns go through the batched rank on G
-  (`_column_ranks`, built on first use): over GF(2) one XOR elimination
-  over a B x s array of gathered columns, G's rows packed into uint64
-  words; over other fields the column reducer per subset.
-  `correctable_shifts` uses it to decide every cyclic shift of a batch of
-  patterns, in blocks of RANK_CHUNK entries (a pattern is correctable iff
-  the columns of G off it have rank k). None allocates a `Matrix`.
+  column is independent of those eliminated iff its residual column is
+  nonzero. Two loops drive the step:
+  - `_independent` takes a B x s array of column indices and says, for each
+    entry, whether that column is independent of the ones before it in its
+    row: it gathers each row's own columns, then eliminates and drops them
+    one at a time. On H, `correctable_support` asks one row and
+    `pivot_columns` a row per order; on G, `information_columns` asks one
+    row and `correctable_shifts` a row per cyclic shift of each support (a
+    pattern is correctable iff the columns of G off it have rank k).
+  - The column walk (`_column_levels`) extends every independent subset of
+    H's columns by each later column whose residual is nonzero, one array
+    step per block of children, listed in (subset, column) order so each
+    level stays in the lexicographic order of its supports. One walk to
+    depth w lists the correctable patterns of every weight up to w
+    (`correctable_masks`, kept on the code); the column search of
+    `min_distance` counts each level.
+  Both work in blocks of about BLOCK array entries, and neither allocates a
+  `Matrix`.
 - Erasure decoding (`decode_erasures`), shared by the three protocols,
   compiled once per erased set E and kept for the code's lifetime: one rref
   of H's columns ordered E then K (the rest) gives the recovery matrix R_E
@@ -53,7 +48,6 @@ message rows a batch) behind `min_distance` and `generalized_hamming_weight`.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
@@ -82,8 +76,7 @@ from .fields import (
 ENUM_BUDGET = 1 << 21          # subcode-enumeration ceiling (q^k for d_1)
 COLUMN_SEARCH_BUDGET = 5_000_000  # cumulative column-subset ceiling
 ENUM_CHUNK = 4096              # message rows per enumeration batch (~1 MB temporaries)
-RANK_CHUNK = 1 << 16           # column indices per batched-rank block (512 KB of GF(2) words)
-LEVEL_BLOCK = 1 << 14          # residual entries per block of prefixes in the column walk
+BLOCK = 1 << 14                # array entries per block of the column eliminations
 
 
 _BITS = frozenset((0, 1))
@@ -112,6 +105,8 @@ class ErasurePattern:
     def from_support(n: int, support: Iterable[int]) -> "ErasurePattern":
         mask = [0] * n
         for j in support:
+            if not 0 <= j < n:
+                raise DimensionMismatch(f"position {j} outside 0..{n - 1}")
             mask[j] = 1
         return ErasurePattern(n, tuple(mask))
 
@@ -150,10 +145,7 @@ class LinearCode:
         self._ht = _array(H).T
         if check and not self.contains_codewords(G.data):
             raise DimensionMismatch("G H^T != 0")
-        self._reduce = _column_reducer(H)
-        self._reduce_g = _column_reducer(G)
-        self._ranks_g = None  # `_column_ranks` over G, built on first use
-        self._eliminate = None  # `_column_eliminator` over H, built on first use
+        self._eliminators: dict[str, tuple] = {}  # `_column_eliminator` of "H" and "G"
         self._masks: dict[int, tuple[int, ...]] = {}  # correctable_masks per w
         self._products: dict[LinearCode, LinearCode] = {}  # hadamard_product memo
         self._decoders: dict[tuple[int, ...], tuple] = {}  # per erased E
@@ -203,7 +195,7 @@ class LinearCode:
 
     def is_information_set(self, coords: Iterable[int]) -> bool:
         coords = sorted(set(int(j) for j in coords))
-        return len(coords) == self.k and self.contains_information_set(coords)
+        return self.contains_information_set(coords) and len(coords) == self.k
 
     def contains_information_set(self, coords: Iterable[int]) -> bool:
         coords = sorted(set(int(j) for j in coords))
@@ -221,7 +213,8 @@ class LinearCode:
     def information_columns(self, order: Iterable[int]) -> list[int]:
         """Columns of G taken greedily in `order`, each independent of those
         taken before it (at most k; an information set when k are taken)."""
-        return _greedy_pivots(self._reduce_g, order, self.k)
+        order = list(order)
+        return list(itertools.compress(order, self._independent("G", [order])[0]))
 
     def contains_codewords(self, words, value_field: FiniteField | None = None) -> bool:
         """True iff every word (an r x n array or nested rows of canonical
@@ -241,46 +234,76 @@ class LinearCode:
     def correctable_support(self, support: Sequence[int]) -> bool:
         """True iff the columns of H at `support` (distinct positions, in any
         order) are linearly independent."""
-        if len(support) > self.n - self.k:
-            return False
-        basis: dict = {}
-        reduce = self._reduce
-        for j in support:
-            if reduce(basis, j) is None:
-                return False
-        return True
+        return bool(self._independent("H", [list(support)]).all())
 
     def correctable_shifts(self, supports: Sequence[Sequence[int]]) -> np.ndarray:
         """Which cyclic shifts of each support are correctable: entry (i, t) of
         the D x n bool array is True iff the pattern {j + t mod n : j in S_i}
         is, for D supports S_i of one weight w. A pattern is correctable iff
-        the n - w columns of G off it have rank k; one batched rank
-        (`_column_ranks`) decides this for every shift of a block of supports,
-        each block's index array kept under RANK_CHUNK entries."""
+        the n - w columns of G off it have rank k; one `_independent` call
+        over G decides every shift of a block of supports, each block's
+        index array kept under BLOCK entries."""
         n = self.n
         out = np.zeros((len(supports), n), dtype=bool)
         if len(supports) == 0 or len(supports[0]) > n - self.k:
             return out
-        if self._ranks_g is None:
-            self._ranks_g = _column_ranks(self._g, self.field, self._reduce_g)
         kept = n - len(supports[0])
         shifts = np.arange(n)[None, :, None]
-        block = max(1, RANK_CHUNK // (n * kept))
+        block = max(1, BLOCK // (n * max(1, kept)))
         for start in range(0, len(supports), block):
             chunk = supports[start:start + block]
             erased = np.zeros((len(chunk), n), dtype=bool)
             erased[np.arange(len(chunk))[:, None], chunk] = True
             idx = np.nonzero(~erased)[1].reshape(len(chunk), 1, kept) + shifts
             idx %= n
-            ranks = self._ranks_g(idx.reshape(-1, kept))
+            ranks = self._independent("G", idx.reshape(len(chunk) * n, kept)).sum(axis=1)
             out[start:start + len(chunk)] = (ranks == self.k).reshape(-1, n)
         return out
 
-    def pivot_columns(self, order: Sequence[int]) -> list[int]:
-        """Columns of H taken greedily in `order`, each independent of those
-        taken before it: the pivot columns of rref(H[:, order]) mapped back
-        through `order`, in that order."""
-        return _greedy_pivots(self._reduce, order, self.H.rows)
+    def pivot_columns(self, orders) -> np.ndarray:
+        """The pivot columns of rref(H[:, order]) mapped back through each
+        order of a B x n array of column orders, in that order: the columns
+        taken greedily, each independent of those taken before it. H has
+        full rank, so each order has n - k of them, and the result is a
+        B x (n - k) array from one `_independent` call over H."""
+        orders = np.asarray(orders, dtype=np.intp).reshape(-1, self.n)
+        return orders[self._independent("H", orders)].reshape(len(orders), self.n - self.k)
+
+    def _eliminator(self, of: str) -> tuple:
+        """`_column_eliminator` over H or G (`of` is "H" or "G"), built on
+        first use and kept for the code's lifetime."""
+        if of not in self._eliminators:
+            self._eliminators[of] = _column_eliminator(getattr(self, of))
+        return self._eliminators[of]
+
+    def _independent(self, of: str, idx) -> np.ndarray:
+        """Entry (b, t) of the B x s bool result is True iff column idx[b, t]
+        of `of` ("H" or "G") is independent of the columns idx[b, :t].
+
+        Each block of rows gathers its own columns of the residual, as a
+        B x rows x s array, and eliminates the first column of what is left
+        (`_column_eliminator`) s times, dropping it after each step: column t
+        is independent iff it is nonzero when its turn comes. DimensionMismatch
+        for an index outside 0..n-1.
+        """
+        idx = np.asarray(idx, dtype=np.intp)
+        if idx.size and not 0 <= idx.min() <= idx.max() < self.n:
+            raise DimensionMismatch(f"column indices {idx.min()}..{idx.max()} "
+                                    f"outside 0..{self.n - 1}")
+        residual, eliminate = self._eliminator(of)
+        out = np.zeros(idx.shape, dtype=bool)
+        if not len(residual):  # no rows: nothing is independent
+            return out
+        s = idx.shape[1]
+        block = max(1, BLOCK // max(1, len(residual) * s))
+        for start in range(0, len(idx), block):
+            R = residual[:, idx[start:start + block]].transpose(1, 0, 2)
+            first = np.zeros(len(R), dtype=np.intp)
+            for t in range(s):
+                out[start:start + len(R), t] = R[:, :, 0].any(axis=1)
+                if t + 1 < s:
+                    R = eliminate(R, first)[:, :, 1:]
+        return out
 
     # --- encoding / decoding ------------------------------------------------------
 
@@ -419,16 +442,14 @@ class LinearCode:
         extends the prefix iff its residual column is nonzero. Children are
         listed in (prefix, column) order, which keeps every level
         lexicographic, and one array step builds the residuals of a block of
-        children. Prefixes go down in blocks of about LEVEL_BLOCK residual
+        children. Prefixes go down in blocks of about BLOCK residual
         entries, block by block, so the arrays held stay within depth blocks.
         """
-        if self._eliminate is None:
-            self._eliminate = _column_eliminator(self.H)
-        h, eliminate = self._eliminate
+        h, eliminate = self._eliminator("H")
         n = self.n
         bits = np.array([1 << j for j in range(n)], dtype=np.int64 if n < 63 else object)
         after = np.arange(n)
-        block = max(1, LEVEL_BLOCK // max(1, h.size))
+        block = max(1, BLOCK // max(1, h.size))
         found: list[list] = [[] for _ in range(depth + 1)]
 
         def walk(residuals, last, masks, t):
@@ -562,93 +583,9 @@ def _spanned_code(M: Matrix) -> LinearCode:
     return LinearCode(G, null_space(G), check=False)
 
 
-def _greedy_pivots(reduce, order: Iterable[int], limit: int) -> list[int]:
-    """Columns taken greedily in `order` by a `_column_reducer` step, each
-    independent of those taken before it, stopping after `limit`: the pivot
-    columns of rref(M[:, order]) mapped back through `order`, in that order."""
-    basis: dict = {}
-    out = []
-    for j in order:
-        if len(out) == limit:
-            break
-        if reduce(basis, j) is not None:
-            out.append(j)
-    return out
-
-
-def _column_reducer(H: Matrix):
-    """The elimination step over the columns of H, specialised to its field.
-
-    reduce(basis, j) reduces column j of H against `basis`, a dict from pivot
-    key to a vector whose leading entry sits at that key. An independent
-    column is added under its pivot key, which is returned; for a dependent
-    one the basis is left unchanged and None is returned.
-    """
-    f, r = H.field, H.rows
-    if f.order == 2:
-        bits = [sum(H.data[i][j] << i for i in range(r)) for j in range(H.cols)]
-
-        def reduce(basis: dict, j: int):
-            v = bits[j]
-            while v:
-                top = v.bit_length()
-                b = basis.get(top)
-                if b is None:
-                    basis[top] = v
-                    return top
-                v ^= b
-            return None
-
-        return reduce
-
-    cols = [tuple(row[j] for row in H.data) for j in range(H.cols)]
-    if f.alpha == 1:
-        p = f.p
-
-        def reduce(basis: dict, j: int):
-            v = cols[j]
-            for i in range(r):
-                c = v[i]
-                if c:
-                    b = basis.get(i)
-                    if b is None:
-                        inv = pow(c, p - 2, p)
-                        basis[i] = [x * inv % p for x in v]
-                        return i
-                    v = [(x - c * y) % p for x, y in zip(v, b)]
-            return None
-
-        return reduce
-
-    # GF(p^a): basis vectors are stored with leading entry 1
-    sub = operator.xor if f.p == 2 else f.sub
-    if f._exp is not None:
-        exp, log = f._exp, f._log
-
-        def scale(c: int, v) -> list[int]:
-            lc = log[c]
-            return [exp[log[x] + lc] if x else 0 for x in v]
-    else:  # no tables above 2^16 elements
-        def scale(c: int, v) -> list[int]:
-            return [f.mul(c, x) for x in v]
-
-    def reduce(basis: dict, j: int):
-        v = cols[j]
-        for i in range(r):
-            c = v[i]
-            if c:
-                b = basis.get(i)
-                if b is None:
-                    basis[i] = scale(f.inv(c), v)
-                    return i
-                v = list(map(sub, v, scale(c, b)))
-        return None
-
-    return reduce
-
-
 def _column_eliminator(H: Matrix):
-    """(h, eliminate) for the column walk over H.
+    """(h, eliminate): the column elimination over H, for `_independent` and
+    the column walk.
 
     h is H as a residual, its columns on the last axis: over GF(2) a W x n
     uint64 array, H's rows packed 64 to a word; over other fields H itself,
@@ -659,8 +596,9 @@ def _column_eliminator(H: Matrix):
     column c loses u times R[i, c] / u_i. Column c then ends at zero iff it
     lay in the span of the prefix's columns and u, and row i ends at zero.
     Over GF(p) and GF(p^a) the step scales R by u_i instead of dividing row
-    i by it, which changes no zero entry. Over GF(2), i is the lowest set bit
-    of u, and the columns with that bit set are XORed with u.
+    i by it, which changes no zero entry (by 1 when u is zero, so a zero
+    column leaves R unchanged). Over GF(2), i is the lowest set bit of u,
+    and the columns with that bit set are XORed with u (none when u is zero).
     """
     f, h = H.field, _array(H)
     if f.order == 2:
@@ -699,41 +637,11 @@ def _column_eliminator(H: Matrix):
         at = np.arange(len(cols))
         u = R[at, :, cols]
         i = (u != 0).argmax(axis=1)
-        return step(R, u[at, i][:, None, None], u[:, :, None], R[at, i][:, None, :])
+        pivot = u[at, i]
+        pivot[pivot == 0] = 1
+        return step(R, pivot[:, None, None], u[:, :, None], R[at, i][:, None, :])
 
     return h, eliminate
-
-
-def _column_ranks(g: np.ndarray, field: FiniteField, reduce):
-    """The batched rank over column subsets of g, an int64 array over
-    `field`; `reduce` is the `_column_reducer` step over g's columns.
-
-    ranks(idx) takes a B x s array of column indices and returns the rank of
-    each g[:, idx[b]] as a length-B int64 array. Over GF(2) the rows of g are
-    packed 64 to a uint64 word and the subsets are gathered as one
-    words x B x s array (words first, so every step works on contiguous
-    B x s planes); step i picks, in every subset at once, a column with bit
-    i set and XORs it into the others that have it, and a subset without
-    one has lost a rank. Other fields take `reduce` per subset.
-    """
-    r = len(g)
-    if field.order != 2:
-        return lambda idx: np.array([len(_greedy_pivots(reduce, row, r))
-                                     for row in idx.tolist()], dtype=np.int64)
-    words = _packed_rows(g)
-
-    def ranks(idx: np.ndarray) -> np.ndarray:
-        vals = words[:, idx]
-        at = np.arange(len(idx))
-        rank = np.zeros(len(idx), dtype=np.int64)
-        for i in range(r):
-            has = (vals[i // 64] & np.uint64(1 << i % 64)).astype(bool)
-            pivot = has.argmax(axis=1)
-            rank += has[at, pivot]
-            vals ^= vals[:, at, pivot][:, :, None] * has
-        return rank
-
-    return ranks
 
 
 def _packed_rows(a: np.ndarray) -> np.ndarray:

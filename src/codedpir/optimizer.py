@@ -14,8 +14,10 @@ H's columns by each later column, a block of subsets at a time in arrays,
 and lists each weight in lexicographic order. A walk to weight w lists
 every lower weight too and the code keeps them, so a noncolluding code's
 information-set list (weight n - k, asked first) and all its Gamma lists
-come from one walk. A sampled list makes all its seeded pivot draws first,
-then decides every bit rotation of every distinct find in one batched check
+come from one walk. A sampled list makes all its seeded draws first (a
+column order and the positions of w of its n - k pivots), takes the pivots
+of every order in one batched call (`LinearCode.pivot_columns`), decides
+every bit rotation of every distinct find in one more
 (`LinearCode.correctable_shifts`), and lists each find followed by its
 correctable rotations in draw order. The selection (d weight-Gamma rows plus
 beta information-set complements whose stacked column sums all equal beta) is
@@ -27,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+
+import numpy as np
 
 from .codes import ErasurePattern, LinearCode
 from .errors import BadParams, RateOneProduct, TooLarge
@@ -70,10 +74,13 @@ def compute_erasure_pattern_list(code: LinearCode, w: int,
 
     Exhaustive when C(n, w) fits the budget: `LinearCode.correctable_masks`
     reads level w of the code's column walk over H, kept per code, in
-    lexicographic order. Otherwise repeatedly permute the parity-check
-    columns, take the pivot columns of H in that order and take w of them
-    (independent by construction). Every cyclic shift (bit rotation) of
-    every distinct find is then decided at once
+    lexicographic order. Otherwise draw `sample_budget` times a permutation
+    of the parity-check columns and w of the n - k positions of its pivots;
+    one `LinearCode.pivot_columns` call then gives every order's pivot
+    columns of H, and the w drawn ones are a find (independent by
+    construction). This consumes the seeded generator exactly as sampling
+    w of each order's pivot columns would. Every cyclic shift (bit rotation)
+    of every distinct find is then decided at once
     (`LinearCode.correctable_shifts`), and the list is each new find followed
     by its correctable shifts, in draw order.
     """
@@ -83,15 +90,8 @@ def compute_erasure_pattern_list(code: LinearCode, w: int,
         return PatternList(w, n, code.correctable_masks(w))
     if w > n - code.k:
         return PatternList(w, n, ())
-    rng = rng_for(seed, "patterns", w)
     finds: dict[int, list[int]] = {}
-    for _ in range(sample_budget):
-        perm = list(range(n))
-        rng.shuffle(perm)
-        pivot_cols = code.pivot_columns(perm)
-        if len(pivot_cols) < w:
-            continue
-        support = rng.sample(pivot_cols, w)
+    for support in _drawn_supports(code, w, sample_budget, rng_for(seed, "patterns", w)):
         finds.setdefault(sum(1 << j for j in support), support)
     # shift 0 is the find itself; a find already listed is a shift of an
     # earlier find, whose correctable shifts are then listed already
@@ -102,6 +102,23 @@ def compute_erasure_pattern_list(code: LinearCode, w: int,
             if correctable[shift]:
                 found[(mask << shift | mask >> (n - shift)) & ((1 << n) - 1)] = None
     return PatternList(w, n, tuple(found))
+
+
+def _drawn_supports(code: LinearCode, w: int, draws: int, rng) -> list[list[int]]:
+    """The supports of `draws` seeded draws, all made first: each draws a
+    permutation of the n columns and w of the n - k positions of its pivots,
+    and its support is the pivot columns of H at those positions, from one
+    `LinearCode.pivot_columns` call for every order. The orders are dropped
+    on return, so only the supports outlive the draws."""
+    n = code.n
+    orders = np.empty((draws, n), dtype=np.intp)
+    picks = np.empty((draws, w), dtype=np.intp)
+    for b in range(draws):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        orders[b] = perm
+        picks[b] = rng.sample(range(n - code.k), w)
+    return np.take_along_axis(code.pivot_columns(orders), picks, axis=1).tolist()
 
 
 def _check_budgets(budget: int, sample_budget: int) -> None:

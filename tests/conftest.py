@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from codedpir.codes import ErasurePattern, LinearCode, code_from_generator
+from codedpir.codes import LinearCode, code_from_generator
 from codedpir.errors import DecodeFailure, NotCorrectable, RankDeficient
 from codedpir.families import grs_code
-from codedpir.fields import Matrix, field_make, mat_mul, mat_rank, mat_solve
+from codedpir.fields import Matrix, field_make, mat_mul, mat_rank, mat_rref, mat_solve
 from codedpir.protocol1 import p1_plan
 from codedpir.ratematrix import ErasureMatrix, interference_matrices
 from codedpir.rng import derive_seed, rng_for
@@ -197,28 +197,29 @@ def p1_decode_reference(plan, responses, msg_field) -> Matrix:
     return Matrix.wrap(msg_field, decoded.tolist(), plan.beta, k)
 
 
-def pattern_list_reference(code, w: int) -> tuple[int, ...]:
+def rank_pattern_list(code, w: int) -> tuple[int, ...]:
     """Reference for the exhaustive pattern list: every weight-w support in
-    `itertools.combinations` order, kept when `erasure_correctable` accepts
-    it, as support bitmasks."""
+    `itertools.combinations` order whose columns of H have rank w, as
+    support bitmasks."""
     return tuple(sum(1 << j for j in support)
                  for support in itertools.combinations(range(code.n), w)
-                 if code.erasure_correctable(ErasurePattern.from_support(code.n, support)))
+                 if mat_rank(code.H.restrict_cols(support)) == w)
 
 
 def sampled_pattern_list_reference(code, w: int, sample_budget: int,
                                    seed: int) -> tuple[int, ...]:
     """Reference for the sampled pattern list: the same seeded draws (a
-    shuffle, the pivot columns of H in that order, a w-sample of them), each
-    new find followed at once by every cyclic shift of it that is not yet
-    listed and that `correctable_support` accepts, one shift at a time."""
+    shuffle, the RREF pivots of H's columns in that order mapped back
+    through it, a w-sample of them), each new find followed at once by every
+    cyclic shift of it that is not yet listed and whose columns of H have
+    rank w, one shift at a time."""
     n = code.n
     rng = rng_for(seed, "patterns", w)
     found: dict[int, None] = {}
     for _ in range(sample_budget):
         perm = list(range(n))
         rng.shuffle(perm)
-        pivot_cols = code.pivot_columns(perm)
+        pivot_cols = [perm[c] for c in mat_rref(code.H.restrict_cols(perm))[1]]
         if len(pivot_cols) < w:
             continue
         support = rng.sample(pivot_cols, w)
@@ -227,8 +228,8 @@ def sampled_pattern_list_reference(code, w: int, sample_budget: int,
             found[mask] = None
             for shift in range(1, n):
                 rotated = (mask << shift | mask >> (n - shift)) & ((1 << n) - 1)
-                if rotated not in found and code.correctable_support(
-                        [(j + shift) % n for j in support]):
+                shifted = [(j + shift) % n for j in support]
+                if rotated not in found and mat_rank(code.H.restrict_cols(shifted)) == w:
                     found[rotated] = None
     return tuple(found)
 

@@ -65,6 +65,24 @@ def test_information_sets(good532, bad532):
     assert not good532.is_information_set([0, 1])
 
 
+def test_out_of_range_coordinates_fail_loudly(good532):
+    """A coordinate outside 0..n-1 raises DimensionMismatch; a negative one
+    is not read as counted from the end."""
+    for coords in ([0, 1, -1], [0, 1, 7]):
+        with pytest.raises(DimensionMismatch):
+            good532.is_information_set(coords)
+        with pytest.raises(DimensionMismatch):
+            good532.information_columns(coords)
+    for support in ([0, 9], [-1]):
+        with pytest.raises(DimensionMismatch):
+            good532.correctable_support(support)
+    with pytest.raises(DimensionMismatch):
+        good532.pivot_columns([[0, 1, 2, 3, 5]])
+    for support in ([-1], [5]):
+        with pytest.raises(DimensionMismatch):
+            ErasurePattern.from_support(5, support)
+
+
 def test_erasure_correctability(code73):
     assert code73.erasure_correctable(ErasurePattern.from_support(7, [2, 3, 4, 5]))
     assert code73.erasure_correctable(ErasurePattern(7, (0,) * 7))

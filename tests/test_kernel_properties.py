@@ -24,7 +24,7 @@ from codedpir.fields import (MATMUL_CHUNK, Matrix, _is_prime, field_make, mat_mu
 from codedpir.optimizer import compute_erasure_pattern_list
 from conftest import (FIELDS, all_codewords, codes, decode_erasures_reference,
                       mat_mul_reference, message_from_information_set_reference,
-                      pattern_list_reference, sampled_pattern_list_reference)
+                      rank_pattern_list, sampled_pattern_list_reference)
 
 BRUTE_LIMIT = 512  # q^k ceiling for the brute-force distance oracle
 
@@ -65,17 +65,18 @@ def test_erasure_correctable_without_field_tables():
 @given(codes(FIELDS + [(5, 7)]), st.integers(0, 2**32 - 1))
 def test_pattern_lists_match_reference(code, seed):
     """The exhaustive column walk (taken when C(n, w) fits the budget) lists
-    what the per-subset filter lists, in the same order, whether it walks
+    the supports whose columns of H have full rank, in the same order
+    (`rank_pattern_list`), whether it walks
     to each weight w or lists w on the way to a deeper weight; `patterns`
     and `masks()` describe the same list; every sampled pattern has
     independent columns of H."""
     deep = LinearCode(code.G, code.H, check=False)
     for w in reversed(range(code.n - code.k + 2)):
-        assert deep.correctable_masks(w) == pattern_list_reference(code, w), w
+        assert deep.correctable_masks(w) == rank_pattern_list(code, w), w
     for w in range(code.n - code.k + 2):
         full = compute_erasure_pattern_list(code, w, budget=comb(code.n, w),
                                             sample_budget=0)
-        assert full.masks() == pattern_list_reference(code, w), w
+        assert full.masks() == rank_pattern_list(code, w), w
         assert tuple(sum(1 << j for j in p.support) for p in full.patterns) == full.masks()
         assert all(p.weight == w and p.n == code.n for p in full.patterns)
         sampled = compute_erasure_pattern_list(code, w, budget=0, sample_budget=20,
@@ -85,14 +86,6 @@ def test_pattern_lists_match_reference(code, seed):
             support = [j for j in range(code.n) if mask >> j & 1]
             assert len(support) == w
             assert mat_rank(code.H.restrict_cols(support)) == w, support
-
-
-def rank_pattern_list(code, w: int) -> tuple[int, ...]:
-    """Every weight-w support in `itertools.combinations` order whose columns
-    of H have rank w, as support bitmasks."""
-    return tuple(sum(1 << j for j in support)
-                 for support in itertools.combinations(range(code.n), w)
-                 if mat_rank(code.H.restrict_cols(support)) == w)
 
 
 def rank_min_distance(code) -> int:
@@ -107,7 +100,8 @@ def test_pattern_lists_past_63_positions():
     codes over GF(2) and GF(3), and a [68, 3] binary code whose H has 65
     rows, against the rank of every 2-subset. Repeated, proportional and
     zero columns make some pairs dependent; in the [68, 3] code two columns
-    are set only in the second word."""
+    are set only in the second word. Each code's one-subset and batched
+    greedy paths are checked too (`check_one_subset_paths`)."""
     rng = random.Random(64)
     for q in (2, 3):
         f = field_make(q)
@@ -119,6 +113,7 @@ def test_pattern_lists_past_63_positions():
         assert (code.n, code.k) == (64, 62)
         assert code.correctable_masks(2) == rank_pattern_list(code, 2)
         assert max(code.correctable_masks(2)) >= 1 << 63
+        check_one_subset_paths(code, rng)
     unit = [[int(i == j) for i in range(65)] for j in range(65)]
     spread = [rng.randrange(2) for _ in range(64)] + [1]
     cols = unit + [unit[64], unit[7], spread]
@@ -129,6 +124,7 @@ def test_pattern_lists_past_63_positions():
     want = rank_pattern_list(code, 2)
     assert len(want) < comb(68, 2)
     assert code.correctable_masks(2) == want
+    check_one_subset_paths(code, rng)
 
 
 def test_column_walk_over_a_large_prime():
@@ -136,7 +132,8 @@ def test_column_walk_over_a_large_prime():
     int64, so the walk's residuals are Python integers. H has large
     entries, a column in the span of two others and one a multiple of
     another: every list and the column search against the rank of every
-    subset."""
+    subset, and the one-subset and batched greedy paths
+    (`check_one_subset_paths`)."""
     p = next(p for p in itertools.count(1 << 40) if _is_prime(p))
     f, rng = field_make(p), random.Random(p)
     cols = [[rng.randrange(p) for _ in range(3)] for _ in range(4)]
@@ -148,6 +145,7 @@ def test_column_walk_over_a_large_prime():
         assert code.correctable_masks(w) == rank_pattern_list(code, w), w
     assert code._min_distance_column_search(budget=COLUMN_SEARCH_BUDGET) == \
         rank_min_distance(code)
+    check_one_subset_paths(code, rng)
 
 
 @PROPERTY
@@ -194,12 +192,45 @@ def test_correctable_shifts_match_rank(field, data):
             assert row[shift] == want, (support, shift)
 
 
+def rref_pivots(M, order) -> list[int]:
+    """The pivot columns of rref(M[:, order]) mapped back through `order`."""
+    return [order[c] for c in mat_rref(M.restrict_cols(order))[1]]
+
+
 @PROPERTY
 @given(codes(FIELDS + [(5, 7)]), st.data())
 def test_pivot_columns_match_rref(code, data):
-    order = data.draw(st.permutations(range(code.n)))
-    _, pivots = mat_rref(code.H.restrict_cols(order))
-    assert code.pivot_columns(order) == [order[c] for c in pivots]
+    """Up to four orders (none included) in one call: row b holds the RREF
+    pivots of H's columns in order b, mapped back through it."""
+    orders = data.draw(st.lists(st.permutations(range(code.n)), max_size=4))
+    got = code.pivot_columns(orders)
+    assert got.shape == (len(orders), code.n - code.k)
+    assert got.tolist() == [rref_pivots(code.H, order) for order in orders]
+
+
+def check_one_subset_paths(code, rng):
+    """`correctable_support`, `information_columns`, `pivot_columns` (three
+    orders in one call) and `correctable_shifts` against `mat_rank` and
+    `mat_rref`, on random supports and orders of every weight up to n - k + 1
+    (so dependent supports occur) and on the first and last n - k columns."""
+    n, nk = code.n, code.n - code.k
+    supports = [list(range(nk)), list(range(n - nk, n))]
+    supports += [rng.sample(range(n), w) for w in range(min(n, nk + 1) + 1)]
+    for support in supports:
+        want = mat_rank(code.H.restrict_cols(support)) == len(support)
+        assert code.correctable_support(support) == want, support
+    orders = [rng.sample(range(n), n) for _ in range(3)]
+    for order in orders + supports:
+        assert code.information_columns(order) == rref_pivots(code.G, order), order
+    assert code.pivot_columns(orders).tolist() == [rref_pivots(code.H, order)
+                                                   for order in orders]
+    for w in (1, min(2, nk), nk):
+        drawn = [rng.sample(range(n), w) for _ in range(3)]
+        got = code.correctable_shifts(drawn)
+        for row, support in zip(got.tolist(), drawn):
+            for shift in rng.sample(range(n), min(n, 8)):
+                shifted = [(j + shift) % n for j in support]
+                assert row[shift] == (mat_rank(code.H.restrict_cols(shifted)) == w)
 
 
 def random_matrix(data, field, rows, cols):

@@ -188,6 +188,25 @@ def test_c13_pattern_lists_golden():
                                     for p in lst.patterns)
 
 
+def test_c13_sampled_list_asks_for_pivots_once(monkeypatch):
+    """Every draw of c13's weight-17 sampled list is made first, and the
+    pivot columns of all its orders come from one `pivot_columns` call."""
+    from codedpir.codes import LinearCode
+    calls = []
+    original = LinearCode.pivot_columns
+
+    def spy(self, orders):
+        calls.append(len(orders))
+        return original(self, orders)
+
+    monkeypatch.setattr(LinearCode, "pivot_columns", spy)
+    fixture = load_fixture("c13")
+    sample_budget = fixture["colluding"]["sample_budget"]
+    compute_erasure_pattern_list(fixture_code(fixture), 17,
+                                 sample_budget=sample_budget, seed=0)
+    assert calls == [sample_budget]
+
+
 @pytest.mark.parametrize("name", ["c1", "c5"])
 def test_one_walk_per_code(name, monkeypatch):
     """A noncolluding row walks the columns of H once for all its pattern

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from codedpir.dss import Dss, run
-from codedpir.errors import StructureViolation
+from codedpir.errors import CodedPirError, StructureViolation
 from codedpir.fields import Matrix
 from codedpir.optimizer import optimize_rate
 from codedpir.protocol2 import (p2_build_structure, p2_decode, p2_queries,
@@ -42,6 +42,8 @@ def test_structure_violations(good532, code73):
         p2_build_structure(code73, [[0, 1, 2]] * 7, [[1] * 7] * 3)
     with pytest.raises(StructureViolation):  # {0, 1, 3} is no information set
         p2_build_structure(good532, [[0, 1, 2], [0, 1, 3]], EHAT_EX5)
+    with pytest.raises(CodedPirError, match=r"outside 0\.\.4"):  # no position 7
+        p2_build_structure(good532, [[0, 1, 7], [0, 1, 2]], EHAT_EX5)
 
 
 def test_stripe_assignments_match_worked_deltas(s5, s6):
