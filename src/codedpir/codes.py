@@ -40,9 +40,12 @@ Two exact kernels carry the code predicates and the decoding:
   inverse of G|_I per information set I and solves a batch in one product.
 
 `encode` is the array encoder (G converted to an array once per code, lifted
-into GF(q^ell) by one gather for stored files); the protocol queries call it,
-and so does the one subcode enumeration (`_min_support`, about ENUM_CHUNK
-message rows a batch) behind `min_distance` and `generalized_hamming_weight`.
+into GF(q^ell) by one gather for stored files) that the protocol queries call.
+The one subcode enumeration behind `min_distance` and
+`generalized_hamming_weight` (`_min_support`) encodes no message: for each
+pivot set of its reduced-echelon message matrices the words form an affine
+span, listed block by block (about ENUM_CHUNK rows) as the offsets of one
+`matmul_array` product minus an inner table built by field subtractions.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ from .fields import (
 
 ENUM_BUDGET = 1 << 21          # subcode-enumeration ceiling (q^k for d_1)
 COLUMN_SEARCH_BUDGET = 5_000_000  # cumulative column-subset ceiling
-ENUM_CHUNK = 4096              # message rows per enumeration batch (~1 MB temporaries)
+ENUM_CHUNK = 4096              # rows of n symbols per subcode-enumeration block
 BLOCK = 1 << 14                # array entries per block of the column eliminations
 
 
@@ -483,28 +486,52 @@ class LinearCode:
 
     def _min_support(self, s: int) -> int:
         """Smallest support of an s-dimensional subcode, visiting each exactly
-        once as the row space of U G for its one s x k reduced-echelon U: U's
-        pivot columns come from `combinations(range(k), s)`, and its free
-        entries (right of a row's pivot, off the pivot columns) are the base-q
-        digits of a counter. About ENUM_CHUNK rows of U are encoded at a time;
-        the support is the set of columns where some row of U G is nonzero."""
-        q, k, n = self.field.order, self.k, self.n
-        per_batch = max(1, ENUM_CHUNK // s)
+        once through its one s x k reduced-echelon message matrix U: U's pivot
+        columns come from `combinations(range(k), s)`, and each free entry
+        (right of a row's pivot, off the pivot columns) ranges over GF(q).
+
+        For one pivot set the s rows of U G form an affine span: G's pivot
+        rows plus c times G's row j in row i, per free entry (i, j). The last
+        free entries span an inner table, one `sub_array` per entry against
+        the q multiples of its row (closed under negation, so subtracting
+        lists the same words). The others give the offsets of a block of
+        about ENUM_CHUNK rows by one `matmul_array` product, and the block's
+        words are offset - inner, as an s x n x words array of the smallest
+        signed type that holds q. The support counts the columns where some
+        row is nonzero."""
+        field, q, k, n, g = self.field, self.field.order, self.k, self.n, self._g
+        symbol = np.min_scalar_type(-q)
+        per_block = max(1, ENUM_CHUNK // s)  # subcodes per block
+        # free entries need s < k, and then the budgets keep q below 2^11
+        multiples = (field.matmul_array(np.arange(q)[:, None], g.reshape(1, k * n))
+                     .reshape(q, k, n).transpose(1, 2, 0).astype(symbol)
+                     if s < k else None)
         best = n
         for pivots in itertools.combinations(range(k), s):
-            free = np.array([(i, j) for i, p in enumerate(pivots)
-                             for j in range(p + 1, k) if j not in pivots],
-                            dtype=np.intp).reshape(-1, 2)
-            powers = q ** np.arange(len(free), dtype=np.int64)
-            total = q ** len(free)
-            for start in range(0, total, per_batch):
-                counter = np.arange(start, min(start + per_batch, total),
-                                    dtype=np.int64)
-                U = np.zeros((len(counter), s, k), dtype=np.int64)
-                U[:, range(s), pivots] = 1
-                U[:, free[:, 0], free[:, 1]] = counter[:, None] // powers % q
-                words = self.encode(U.reshape(-1, k)).reshape(len(counter), s, n)
-                support = np.count_nonzero(words.any(axis=1), axis=1)
+            free = [(i, j) for i, p in enumerate(pivots)
+                    for j in range(p + 1, k) if j not in pivots]
+            outer = len(free)
+            inner = np.zeros((s, n, 1), dtype=symbol)
+            while outer and inner.shape[2] * q <= per_block:
+                outer -= 1
+                i, j = free[outer]
+                grown = np.repeat(inner[:, :, None], q, axis=2)
+                grown[i] = field.sub_array(inner[i, :, None], multiples[j, :, :, None])
+                inner = grown.reshape(s, n, -1)
+            span = np.zeros((1 + outer, s, n), dtype=np.int64)
+            span[0] = g[list(pivots)]
+            for t, (i, j) in enumerate(free[:outer]):
+                span[1 + t, i] = g[j]
+            span = span.reshape(1 + outer, s * n)
+            powers = q ** np.arange(outer, dtype=np.int64)
+            total, step = q ** outer, max(1, per_block // inner.shape[2])
+            for start in range(0, total, step):
+                counter = np.arange(start, min(start + step, total), dtype=np.int64)
+                coefficients = np.ones((len(counter), 1 + outer), dtype=np.int64)
+                coefficients[:, 1:] = counter[:, None] // powers % q
+                offsets = field.matmul_array(coefficients, span).T.astype(symbol)
+                words = field.sub_array(offsets.reshape(s, n, -1, 1), inner[:, :, None])
+                support = (words != 0).any(axis=0).sum(axis=0, dtype=np.int32)
                 best = min(best, int(support.min()))
         return best
 

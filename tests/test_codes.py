@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codedpir.codes import (ENUM_BUDGET, ErasurePattern, LinearCode,
-                            code_from_generator, gaussian_binomial,
-                            standard_form_parity)
+from codedpir.codes import (COLUMN_SEARCH_BUDGET, ENUM_BUDGET, ENUM_CHUNK,
+                            ErasurePattern, LinearCode, code_from_generator,
+                            gaussian_binomial, standard_form_parity)
 from codedpir.errors import (DecodeFailure, DimensionMismatch, EmptySupport,
                              NotCorrectable, RankDeficientGenerator)
-from codedpir.families import cyclic_code, grs_code
+from codedpir.families import code_from_spec, cyclic_code, grs_code
 from codedpir.fields import Matrix, field_make, mat_mul, mat_rank
 from codedpir.reports import fixture_code, load_fixture
 from conftest import all_codewords, codes
@@ -192,6 +192,83 @@ def test_ghw_k_is_the_support_size(f2):
     for field, g in ((f2, [[1, 0, 0, 1, 1], [0, 1, 0, 1, 0]]),
                      (field_make(3), [[1, 0, 0, 2, 1], [0, 1, 0, 1, 0]])):
         assert code_from_generator(Matrix(field, g)).generalized_hamming_weight(2) == 4
+
+
+def random_systematic_code(field, n, k, rng):
+    """[n,k] code from [I_k | A] with A drawn by `rng`."""
+    rows = [[int(i == j) for j in range(k)] + [rng.randrange(field.order)
+                                               for _ in range(n - k)]
+            for i in range(k)]
+    return code_from_generator(Matrix(field, rows))
+
+
+def test_min_distance_past_one_block():
+    """d_1 by the subcode enumeration on codes whose q^k words fill several
+    blocks of ENUM_CHUNK, so both the outer offsets and the inner table
+    vary: c13's query dual [26,17], a GF(9) [8,5] code and a GF(3^5) [5,2]
+    code (words held as int16) against the column search, and the c14
+    product [32,16], which is RM(2,5) with d = 8 (its column search passes
+    COLUMN_SEARCH_BUDGET)."""
+    c13, c14 = load_fixture("c13"), load_fixture("c14")
+    query_dual = code_from_spec(c13["colluding"]["query"]).dual()
+    rng = random.Random(9)
+    gf9 = random_systematic_code(field_make(3, 2), 8, 5, rng)
+    gf243 = random_systematic_code(field_make(3, 5), 5, 2, rng)
+    for code in (query_dual, gf9, gf243):
+        assert code.field.order ** code.k > ENUM_CHUNK
+        assert code._min_support(1) == \
+            code._min_distance_column_search(budget=COLUMN_SEARCH_BUDGET)
+    assert query_dual._min_support(1) == 4
+    product = fixture_code(c14).hadamard_product(code_from_spec(c14["colluding"]["query"]))
+    assert (product.n, product.k) == (32, 16)
+    assert product._min_support(1) == 8
+    # a binary [30,14] code [I | A] whose one weight-2 word is g_0 + g_1 (rows
+    # 0 and 1 of A agree, the others differ, and every row has bits 0 and 1
+    # set): pivot 0's last 12 free entries fill a block, so the word comes
+    # from its second
+    parity = rng.sample(range(3, 1 << 16, 4), 13)
+    rows = [[int(i == j) for j in range(14)] + [parity[max(i - 1, 0)] >> b & 1
+                                                for b in range(16)]
+            for i in range(14)]
+    assert 2 ** 12 == ENUM_CHUNK
+    assert code_from_generator(Matrix(field_make(2), rows))._min_support(1) == 2
+
+
+def test_min_support_keeps_every_symbol():
+    """Words are held in the smallest signed type that holds q: over GF(257)
+    the symbol 256 stays nonzero (an int8 word would read it as 0, and the
+    row [1 0 256] as weight 1)."""
+    code = code_from_generator(Matrix(field_make(257), [[1, 0, 256], [0, 1, 1]]))
+    assert code._min_support(1) == 2
+
+
+def check_wei_duality(code):
+    """Wei's duality: d_r(C) for r = 1..k and n + 1 - d_r(C^perp) for
+    r = 1..n-k are together exactly 1..n."""
+    dual = code.dual()
+    ours = [code.generalized_hamming_weight(r) for r in range(1, code.k + 1)]
+    theirs = [code.n + 1 - dual.generalized_hamming_weight(r)
+              for r in range(1, dual.k + 1)]
+    assert sorted(ours + theirs) == list(range(1, code.n + 1)), (ours, theirs)
+
+
+@pytest.mark.parametrize("p, alpha, n, k", [(2, 1, 14, 7), (3, 1, 10, 5), (2, 2, 9, 5),
+                                             (3, 2, 8, 4)])
+def test_ghw_wei_duality(p, alpha, n, k):
+    """Every GHW of a random code and of its dual, by the subcode
+    enumeration, satisfy Wei's duality. At s = 3 the binary [14,7] code's
+    first pivot set has 2^12 subcodes of 3 rows, listed in several blocks of
+    about ENUM_CHUNK rows."""
+    code = random_systematic_code(field_make(p, alpha), n, k, random.Random(n * p + k))
+    check_wei_duality(code)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.one_of(codes([(2, 1)], max_n=8), codes([(3, 1), (2, 2)], max_n=5),
+                 codes([(3, 2)], max_n=4)))
+def test_ghw_wei_duality_small_codes(code):
+    """Wei's duality on small random codes, zero columns and k = n included."""
+    check_wei_duality(code)
 
 
 def test_gaussian_binomial():
