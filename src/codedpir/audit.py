@@ -7,17 +7,24 @@ requested file iff every unit offset it adds lies in V_S, whatever f and the
 files are. Statistical mode, the only audit of protocol 1 and a tripwire on
 all three, samples the query symbols every node sees and chi-squares the
 per-position (joint, for colluding sets) histograms across the requested file
-index, passing when every p-value clears a Bonferroni-corrected 0.01
-threshold. For protocols 2 and 3 the query-code messages of all trials of a
-file index come from one draw of one seeded numpy generator and go through the
-protocol's own query step (`protocol3.query_batch`) at once; protocol 1 draws
-one plan per trial (`protocol1.p1_plan`, one generator each). Protocol 2 is
-audited as protocol 3 with the repetition query code (T = 1, single spies).
+index, passing when every p-value clears a 0.01 threshold Bonferroni-corrected
+over the sets it tests. The tests are counted in batches: the sets of one size
+go in blocks, one bincount counts every (set, position, file index) of a
+block, and every statistic of the block is formed at once; only the p-value
+itself (`chi2_sf`) is one call per test. For protocols 2 and 3 the query-code
+messages of all trials of a file index come from one draw of one seeded numpy
+generator and go through the protocol's own query step
+(`protocol3.query_batch`) at once; protocol 1 draws one plan per trial
+(`protocol1.p1_plan`, one generator each). Protocol 2 is audited as protocol 3
+with the repetition query code (T = 1, single spies).
 
 Auditing every legal set checks at most `SET_LIMIT` sets, counted before any
 is built; a statistical audit holds every sampled symbol in one int64 array,
 and one larger than `SAMPLE_LIMIT` symbols raises `TooLarge` before any trial
-is drawn.
+is drawn. The counting blocks hold at most `fields.MATMUL_CHUNK` keys and as
+many counts, the block size of the field layer's array products, down to one
+(set, position) test, whose f x trials keys and f x q^|S| table alone may be
+larger; so counting adds little to the memory the samples hold.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import numpy as np
 
 from .dss import Dss
 from .errors import BadParams, TooLarge
-from .fields import Matrix, mat_mul, null_space
+from .fields import MATMUL_CHUNK, Matrix, mat_mul, null_space
 from .protocol1 import p1_plan, p1_symmetry_audit
 from .protocol3 import P3Setup, query_batch
 from .rng import derive_seed, generator
@@ -65,20 +72,6 @@ class PrivacyReport:
     def worst(self) -> AuditOutcome | None:
         stat = [o for o in self.outcomes if o.p_value is not None]
         return min(stat, key=lambda o: o.p_value) if stat else None
-
-
-def _homogeneity_p(counts: np.ndarray) -> float:
-    counts = np.asarray(counts, dtype=float)
-    keep = counts.sum(axis=0) > 0
-    counts = counts[:, keep]
-    if counts.shape[1] <= 1:
-        return 1.0
-    row = counts.sum(axis=1, keepdims=True)
-    col = counts.sum(axis=0, keepdims=True)
-    expected = row @ col / counts.sum()
-    stat = float(((counts - expected) ** 2 / expected).sum())
-    dof = (counts.shape[0] - 1) * (counts.shape[1] - 1)
-    return chi2_sf(stat, dof)
 
 
 def chi2_sf(stat: float, dof: int) -> float:
@@ -216,21 +209,69 @@ def _homogeneity_outcomes(samples: np.ndarray, base: int, sets, threshold: float
                           names: list[str], sink: list) -> None:
     """One chi-square homogeneity test across file indices per (set, position):
     samples[g, t, l, pos] is the symbol (in 0..base-1) node l sees at position
-    names[pos] in trial t for file g + 1; a set is tested on its joint symbol."""
-    f = samples.shape[0]
-    for tset in sets:
-        vmax = base ** len(tset)
-        bins = np.arange(f)[:, None] * vmax
-        for pos, name in enumerate(names):
-            joint = 0
-            for l in tset:
-                joint = joint * base + samples[:, :, l, pos]
-            # file g + 1 counts in bins g*vmax .. (g+1)*vmax - 1
-            counts = np.bincount((joint + bins).ravel(), minlength=f * vmax)
-            p = _homogeneity_p(counts.reshape(f, vmax))
-            sink.append(AuditOutcome(collusion=tuple(tset), position=name,
-                                     p_value=p, identical=None,
-                                     flagged=p <= threshold))
+    names[pos] in trial t for file g + 1; a set is tested on its joint symbol.
+
+    The sets of one size are counted in blocks: each set's joint symbols are
+    built from the views samples[:, :, l] of its nodes, and one bincount counts
+    every (set, position, file) of the block. A block is as many sets as keep
+    its keys and its counts within MATMUL_CHUNK entries each or, when one
+    set's do not fit, as many of that set's positions (at least one: a lone
+    test's f x trials keys and f x base^|set| table may be larger); all its
+    tests are scored at once (`_homogeneity_ps`)."""
+    f, trials, _, npos = samples.shape
+    p_values: dict[int, list[float]] = {}
+    for size in sorted({len(tset) for tset in sets}):
+        group = [i for i, tset in enumerate(sets) if len(tset) == size]
+        vmax = base ** size
+        fit = max(1, MATMUL_CHUNK // (f * max(trials, vmax)))  # tests per block
+        width, block = min(npos, fit), max(1, fit // npos)
+        for start in range(0, len(group), block):
+            part = group[start:start + block]
+            for lo in range(0, npos, width):
+                cols = slice(lo, min(lo + width, npos))
+                w = cols.stop - lo
+                keys = np.empty((len(part), f, trials, w), dtype=np.int64)
+                for key, i in zip(keys, part):
+                    first, *rest = sets[i]
+                    key[...] = samples[:, :, first, cols]
+                    for l in rest:
+                        key *= base
+                        key += samples[:, :, l, cols]
+                # set b, position lo + p, file g + 1 counts in bins
+                # ((b*w + p)*f + g)*vmax .. + vmax - 1
+                keys += ((np.arange(len(part))[:, None, None, None] * w + np.arange(w))
+                         * f + np.arange(f)[:, None, None]) * vmax
+                counts = np.bincount(keys.ravel(), minlength=len(part) * w * f * vmax)
+                ps = _homogeneity_ps(counts.reshape(len(part) * w, f, vmax))
+                for b, i in enumerate(part):
+                    p_values.setdefault(i, []).extend(ps[b * w:(b + 1) * w])
+    for i, tset in enumerate(sets):
+        sink.extend(AuditOutcome(collusion=tuple(tset), position=name, p_value=p,
+                                 identical=None, flagged=p <= threshold)
+                    for name, p in zip(names, p_values[i]))
+
+
+def _homogeneity_ps(counts: np.ndarray) -> list[float]:
+    """The chi-square homogeneity p-value of each files x values table
+    counts[b]: the values no file shows are dropped, a table left with at most
+    one value reads 1.0, and the tables that keep the same number of values
+    are scored together."""
+    tests, f, vmax = counts.shape
+    seen = counts.any(axis=1)
+    kept = seen.sum(axis=1)
+    ps = [1.0] * tests
+    for k in set(kept[kept > 1].tolist()):
+        rows = np.flatnonzero(kept == k)
+        mask = np.broadcast_to(seen[rows, None], (len(rows), f, vmax))
+        table = counts[rows][mask].reshape(len(rows), f, k).astype(float)
+        row = table.sum(axis=2, keepdims=True)
+        col = table.sum(axis=1, keepdims=True)
+        expected = row * col / table.sum(axis=(1, 2))[:, None, None]
+        stats = ((table - expected) ** 2 / expected).reshape(len(rows), f * k).sum(axis=1)
+        dof = (f - 1) * (k - 1)
+        for r, stat in zip(rows.tolist(), stats.tolist()):
+            ps[r] = chi2_sf(stat, dof)
+    return ps
 
 
 # --- protocol 1: positional subset distributions plus exact balance checks -------
@@ -267,15 +308,14 @@ def _audit_p1(dss: Dss, config: dict, collusion_sets, trials: int,
             child = derive_seed(seed, "audit-p1", m, t)
             samples[m - 1, t] = p1_plan(dss.code, lam, dss.f, m, child).shuffles
         samples[m - 1] = labels[rows, samples[m - 1]]
-    threshold = 0.01 / max(len(collusion_sets) * d, 1)
+    audited = [tset for tset in collusion_sets if len(tset) == 1]
+    threshold = 0.01 / max(len(audited) * d, 1)
     skipped = [f"skipping non-singleton set {tset}: the noncolluding protocol "
                "defends single spies" for tset in collusion_sets if len(tset) != 1]
     report = PrivacyReport(protocol=1, mode="statistical", trials=trials,
                            threshold=threshold, notes=notes + skipped)
-    _homogeneity_outcomes(samples, len(subset_index),
-                          [tset for tset in collusion_sets if len(tset) == 1],
-                          threshold, [f"position {pos}" for pos in range(d)],
-                          report.outcomes)
+    _homogeneity_outcomes(samples, len(subset_index), audited, threshold,
+                          [f"position {pos}" for pos in range(d)], report.outcomes)
     # only the structural notes are violations; skipped sets are not
     report.outcomes += [AuditOutcome(collusion=(), position=f"structural: {note}",
                                      p_value=None, identical=False, flagged=True)

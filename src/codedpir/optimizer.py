@@ -28,6 +28,7 @@ deficient column, with memoized infeasible states; rows may repeat.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -56,6 +57,12 @@ class PatternList:
 
     def masks(self) -> tuple[int, ...]:
         return self._masks
+
+    @cached_property
+    def sorted_masks(self) -> tuple[int, ...]:
+        """The distinct masks in increasing order, sorted once per list (an
+        information-set list serves every Gamma of its optimization)."""
+        return tuple(sorted(set(self._masks)))
 
     @property
     def patterns(self) -> tuple[ErasurePattern, ...]:
@@ -142,8 +149,7 @@ def compute_matrix(lgamma: PatternList, lnk: PatternList, d: int,
     gamma, nk = lgamma.weight, lnk.weight
     if d * gamma + beta * nk != beta * n:
         return None
-    masks_g = sorted(set(lgamma.masks()))
-    masks_k = sorted(set(lnk.masks()))
+    masks_g, masks_k = lgamma.sorted_masks, lnk.sorted_masks
     fast = _window_construction(masks_g, masks_k, n, gamma, d, beta)
     if fast is not None:
         return fast
@@ -211,8 +217,8 @@ def _unmask(mask: int, n: int) -> tuple[int, ...]:
     return tuple(mask >> j & 1 for j in range(n))
 
 
-def _window_construction(masks_g: list[int], masks_k: list[int], n: int,
-                         gamma: int, d: int, beta: int) -> ErasureMatrix | None:
+def _window_construction(masks_g: tuple[int, ...], masks_k: tuple[int, ...],
+                         n: int, gamma: int, d: int, beta: int) -> ErasureMatrix | None:
     """Repeat one info-set complement beta times; tile its complement with d
     cyclic weight-Gamma windows (offsets i*Gamma cover each coordinate beta
     times). Window layouts are tried over rotations of the sorted coordinate

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from codedpir.audit import chi2_sf
 from codedpir.codes import LinearCode, code_from_generator
 from codedpir.errors import DecodeFailure, NotCorrectable, RankDeficient
 from codedpir.families import grs_code
@@ -305,12 +306,28 @@ def query_reference(setup, f: int, m: int, msgs) -> list:
     return rows
 
 
+def _homogeneity_p(counts: np.ndarray) -> float:
+    """Reference for one chi-square homogeneity test: the p-value of the
+    files x values table `counts`, over the values some file shows; 1.0 when
+    at most one value is shown."""
+    counts = np.asarray(counts, dtype=float)
+    keep = counts.sum(axis=0) > 0
+    counts = counts[:, keep]
+    if counts.shape[1] <= 1:
+        return 1.0
+    row = counts.sum(axis=1, keepdims=True)
+    col = counts.sum(axis=0, keepdims=True)
+    expected = row @ col / counts.sum()
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    dof = (counts.shape[0] - 1) * (counts.shape[1] - 1)
+    return chi2_sf(stat, dof)
+
+
 def p23_audit_outcomes_reference(tensors, q: int, sets, threshold: float):
     """Reference for the protocol-2/3 statistical outcomes: one chi-square
     test per (set, subquery i, column j) on the per-file histograms of the
     set's joint symbol, from tensors[g][t, l, i, j] (file g + 1, trial t).
     Returns (set, position, p-value, flagged) in report order."""
-    from codedpir.audit import _homogeneity_p
     trials, _, d, bf = tensors[0].shape
     out = []
     for tset in sets:

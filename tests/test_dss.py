@@ -3,14 +3,14 @@ import itertools
 import json
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from codedpir import audit
-from codedpir.audit import (SAMPLE_LIMIT, SET_LIMIT, _homogeneity_p, chi2_sf,
-                            privacy_audit)
+from codedpir.audit import SAMPLE_LIMIT, SET_LIMIT, chi2_sf, privacy_audit
 from codedpir.codes import LinearCode, repetition_code
 from codedpir.dss import Dss, run
 from codedpir.errors import (BadParams, DimensionMismatch, RateOneProduct,
@@ -22,9 +22,9 @@ from codedpir.protocol3 import p3_rm_max_rate, p3_setup
 from codedpir.ratematrix import rate_matrix
 from codedpir.rng import generator
 from conftest import (EHAT_EX5, EHAT_EX6, EHAT_P3, ISETS_EX5, ISETS_EX6,
-                      ISETS_P3, LAM35, codes, p1_audit_samples_reference,
-                      p23_audit_outcomes_reference, p23_exact_reference,
-                      query_reference)
+                      ISETS_P3, LAM35, _homogeneity_p, codes,
+                      p1_audit_samples_reference, p23_audit_outcomes_reference,
+                      p23_exact_reference, query_reference)
 
 
 def test_dss_init_invariants(good532):
@@ -487,6 +487,64 @@ def test_p23_audit_matches_reference(good532, code124, protocol):
                 tensors, q, controls, report.threshold)
 
 
+# how a sampled position is drawn: iid uniform; one value at every node; file
+# index 1 never showing the value base - 1; file index 1 seeing 0 at every node
+# in its first half of trials
+POSITION_MODES = ["uniform", "one value", "unseen", "skewed"]
+
+
+@st.composite
+def homogeneity_cases(draw):
+    """(samples, base, sets, chunk): samples[g, t, l, pos] over 2-4 file
+    indices and 4-6 nodes, collusion sets of 1-3 nodes in any order with
+    repeats (every pair of nodes among them), and a counting block size: the
+    audit's own, or one small enough to split a size group across blocks and
+    a set's positions across blocks."""
+    f, base, n = draw(st.integers(2, 4)), draw(st.integers(2, 5)), draw(st.integers(4, 6))
+    trials = draw(st.integers(1, 30))
+    modes = draw(st.lists(st.sampled_from(POSITION_MODES), min_size=1, max_size=4))
+    by_size = {s: list(itertools.combinations(range(n), s)) for s in (1, 2, 3)}
+    extra = draw(st.lists(st.sampled_from(by_size[1] + by_size[2] + by_size[3]),
+                          max_size=6))
+    sets = draw(st.permutations(by_size[2] + extra + [
+        draw(st.sampled_from(by_size[1])), draw(st.sampled_from(by_size[3]))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.integers(0, base, size=(f, trials, n, len(modes)))
+    for pos, mode in enumerate(modes):
+        if mode == "one value":
+            samples[..., pos] = rng.integers(base)
+        elif mode == "unseen":
+            samples[0, :, :, pos] %= base - 1
+        elif mode == "skewed":
+            samples[0, :(trials + 1) // 2, :, pos] = 0
+    chunk = draw(st.one_of(st.just(audit.MATMUL_CHUNK), st.integers(1, 400)))
+    return samples, base, sets, chunk
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(homogeneity_cases())
+def test_batched_homogeneity_matches_scalar_tests(case):
+    """Every (set, position) test of a batched count gives, in order, the
+    p-value (bit for bit) and flag of one scalar chi-square test on that set's
+    joint-symbol histograms, whatever the counting block size."""
+    samples, base, sets, chunk = case
+    names = [f"subquery 0 col {pos}" for pos in range(samples.shape[3])]
+    sink = []
+    with mock.patch.object(audit, "MATMUL_CHUNK", chunk), \
+            mock.patch.object(audit.np, "bincount", wraps=np.bincount) as count:
+        audit._homogeneity_outcomes(samples, base, sets, 0.01, names, sink)
+    # each count's keys and bins fit in the block size, but for a lone test,
+    # whose files x trials keys or files x joint-values table may be larger
+    f, trials = samples.shape[:2]
+    tables = {f * base ** len(tset) for tset in sets}
+    for (keys,), kwargs in count.call_args_list:
+        assert keys.size <= max(chunk, f * trials)
+        assert kwargs["minlength"] <= chunk or kwargs["minlength"] in tables
+    assert all(o.identical is None for o in sink)
+    assert [(o.collusion, o.position, o.p_value, o.flagged) for o in sink] == \
+        p23_audit_outcomes_reference(list(samples[:, :, :, None, :]), base, sets, 0.01)
+
+
 def test_p1_audit_reports_skipped_sets_as_notes(good532):
     """A colluding set given to the protocol-1 audit is skipped with a note,
     not reported as a flagged structural violation."""
@@ -497,6 +555,8 @@ def test_p1_audit_reports_skipped_sets_as_notes(good532):
     assert report.notes == ["skipping non-singleton set (1, 2): the "
                             "noncolluding protocol defends single spies"]
     assert report.outcomes and all(o.collusion == (0,) for o in report.outcomes)
+    # only the audited set counts in the Bonferroni correction: 24 positions
+    assert len(report.outcomes) == 24 and report.threshold == 0.01 / 24
     assert report.passed
 
 

@@ -162,6 +162,25 @@ def test_monotone_gamma_examination(good532, monkeypatch):
     assert seen[1:] == [1, 2]  # every Gamma from the floor up, none skipped
 
 
+def test_information_set_list_sorted_once(good532, monkeypatch):
+    """Every Gamma of one optimization reads the same sorted information-set
+    masks, sorted on first use."""
+    import codedpir.optimizer as opt
+    lists, sorted_masks = [], []
+    original = opt.compute_matrix
+
+    def spy(lgamma, lnk, d, beta):
+        lists.append(lnk)
+        sorted_masks.append(lnk.sorted_masks)
+        return original(lgamma, lnk, d, beta)
+
+    monkeypatch.setattr(opt, "compute_matrix", spy)
+    opt.optimize_rate(good532)
+    assert len(lists) == 2 and lists[0] is lists[1]
+    assert sorted_masks[1] is sorted_masks[0]
+    assert list(sorted_masks[0]) == sorted(set(lists[0].masks()))
+
+
 # sha256 of the supports, in list order, of the pattern lists that the c13
 # Table III row builds at seed 0 (recorded before the elimination kernel
 # replaced the per-draw RREF): a change here is a change of the RNG stream
