@@ -133,7 +133,3 @@ class OrderOverflow(CodedPirError):
 
 class BadParams(CodedPirError):
     """Inconsistent storage-system parameters."""
-
-
-class OutOfRange(CodedPirError):
-    """Round index outside the protocol's legal range."""

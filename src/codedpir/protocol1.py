@@ -3,9 +3,11 @@
 The plan downloads symbol sums over kappa repetitions of f rounds. Round 1
 fetches desired rows and single-file side information; round l+1 fetches sums
 of one new desired row with side-information sums of l other files, whose
-aligned values were made decodable by round l's downloads. Stripe indices are
-privately permuted per file and the per-node query order is shuffled, which is
-what the privacy of the scheme rests on.
+aligned values were made decodable by round l's downloads. Each undesired
+file has its own run of row blocks, one block per aligned-sum group it is in,
+so a node is asked for each stored symbol at most once (`p1_symmetry_audit`
+checks this). Stripe indices are privately permuted per file and the per-node
+query order is shuffled, which is what the privacy of the scheme rests on.
 
 A plan therefore has two parts. The schedule (beta, d, every node's canonical
 atom list and the decode map that routes each atom's answer to the word it
@@ -26,53 +28,17 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from math import comb
+from itertools import chain, combinations
 from typing import Sequence
 
 import numpy as np
 
 from .codes import LinearCode
 from .dss import MAX_STRIPES
-from .errors import DecodeFailure, DimensionMismatch, InvalidLambda, KappaEqualsNu, OutOfRange
+from .errors import DecodeFailure, DimensionMismatch, InvalidLambda, KappaEqualsNu
 from .fields import FiniteField, Matrix
 from .ratematrix import RateMatrix, interference_matrices, validate_rate_matrix
 from .rng import generator
-
-
-def u_of(l: int, kappa: int, nu: int, f: int) -> int:
-    """Block-count prefix sum for undesired downloads through round l."""
-    if not 1 <= l <= f - 1:
-        raise OutOfRange(f"l={l} outside 1..{f - 1}")
-    return _u(l, kappa, nu, f)
-
-
-def _u(l: int, kappa: int, nu: int, f: int) -> int:
-    return sum(kappa ** (f - h - 1) * (nu - kappa) ** (h - 1)
-               for h in range(1, l + 1))
-
-
-def d_of(l: int, kappa: int, nu: int, f: int) -> int:
-    """Desired stripe-block count through round l+1."""
-    if not 0 <= l <= f - 1:
-        raise OutOfRange(f"l={l} outside 0..{f - 1}")
-    return kappa ** (f - 1) + sum(
-        comb(f - 1, h) * kappa ** (f - h - 1) * (nu - kappa) ** h
-        for h in range(1, l + 1))
-
-
-def n_of(l: int, f: int) -> int:
-    """Number of l-sized side-information file subsets."""
-    if not 1 <= l <= f - 1:
-        raise OutOfRange(f"l={l} outside 1..{f - 1}")
-    return comb(f - 1, l)
-
-
-def _colex_subsets(universe: Sequence[int], size: int) -> list[tuple[int, ...]]:
-    import itertools
-    subs = [tuple(sorted(s)) for s in itertools.combinations(sorted(universe), size)]
-    subs.sort(key=lambda s: tuple(reversed(s)))
-    return subs
 
 
 @dataclass(frozen=True)
@@ -84,7 +50,7 @@ class P1Atom:
     rnd: int                       # round, 1..f
     subset: tuple[int, ...]        # side-information files (empty for desired1)
     terms: tuple[tuple[int, int], ...]  # (file 1-based, logical row 1-based), by file
-    block: int = -1                # side-information block index (if any)
+    block: int = -1                # the atom's aligned-sum group (if any)
     srow: int = -1                 # B-row index used (desired atoms)
 
 
@@ -93,7 +59,8 @@ class P1DecodeMap:
     """Where each response of a schedule goes in decoding (seed-independent).
 
     `p1_decode` fills a flat `words` x n array: row r < beta is the stripe of
-    logical row r + 1, the rows after it the aligned side-information sums.
+    logical row r + 1, row beta + g*nu + u - 1 the aligned side-information
+    sum of group g at row offset u.
     Node j's answer to its canonical atom i goes to entry dst[j, i]; once the
     sums are decoded, each entry in `cancel` (a desired sum above round 1)
     loses the aligned symbol at the same index of `side`. A batch pairs the
@@ -156,6 +123,18 @@ def _row_permutations(rng: np.random.Generator, rows: int, size: int) -> list[li
 def _schedule(code: LinearCode, lam: RateMatrix, f: int, m: int) -> tuple:
     """Seed-independent part of a plan: (beta, d, node_atoms, decode_map).
 
+    One pass lays out every row and routes every answer. Per repetition,
+    round 1 asks each node for kappa^(f-1) rows of file m. Then, for each
+    side-information size s, the aligned-sum groups of that size (each
+    subset of s undesired files, kappa^(f-s-1) (nu-kappa)^(s-1) times) each
+    take every file's next own block of nu rows: a node asks for the
+    group's kappa rows A[:, j] of every file in it (round s), then for nu -
+    kappa sums of a new desired row with the group's rows B[:, j] (round
+    s+1). The answer to an undesired atom is coordinate j of the group's
+    aligned sum at that row offset; a desired sum loses the aligned sum of
+    its side rows. Desired rows above round 1 come in blocks of nu from one
+    counter per repetition.
+
     Bad input raises on every call (lru_cache stores only returned values).
     """
     report = validate_rate_matrix(code, lam.rows)
@@ -172,85 +151,65 @@ def _schedule(code: LinearCode, lam: RateMatrix, f: int, m: int) -> tuple:
         raise DimensionMismatch(f"nu^f = {beta} stripes exceed the memory guard")
     ab = interference_matrices(lam)
     A, B = ab.A, ab.B
-    d = kappa if f == 1 else (kappa * (nu ** f - kappa ** f)) // (nu - kappa)
-
     others = [x for x in range(1, f + 1) if x != m]
     kf1 = kappa ** (f - 1)
-    uf1 = _u(f - 1, kappa, nu, f) if f >= 2 else 0
     node_atoms: list[list[P1Atom]] = [[] for _ in range(n)]
+    dst: list[list[int]] = [[] for _ in range(n)]  # each atom's entry word * n + j
+    cancel: list[int] = []  # entries of the desired sums above round 1 ...
+    side: list[int] = []    # ... and of the aligned sums they lose
+    block = dict.fromkeys(others, 0)  # each undesired file's next row block
+    groups = 0
 
-    for i in range(1, kappa + 1):
-        base = (i - 1) * uf1
-        # round 1: desired rows, then single-file side information
+    def ask(j: int, atom: P1Atom, word: int, aligned: int | None = None) -> None:
+        node_atoms[j].append(atom)
+        dst[j].append(word * n + j)
+        if aligned is not None:
+            cancel.append(word * n + j)
+            side.append(aligned * n + j)
+
+    def aligned_sum(g: int, starts: tuple, u: int) -> tuple[list, int]:
+        """Terms and word of group g's aligned sum at row offset u."""
+        return [(x, r + u) for x, r in starts], beta + g * nu + u - 1
+
+    for i, a in enumerate(A, 1):
         for s in range(1, kf1 + 1):
             for j in range(n):
-                row = kf1 * (A[i - 1][j] - 1) + s
-                node_atoms[j].append(P1Atom("desired1", i, 1, (), ((m, row),)))
-        if f >= 2:
-            for subset in _colex_subsets(others, 1):
-                for block in range(base, base + _u(1, kappa, nu, f)):
-                    for t in range(1, kappa + 1):
-                        for j in range(n):
-                            row = block * nu + A[t - 1][j]
-                            node_atoms[j].append(P1Atom(
-                                "undesired", i, 1, subset,
-                                tuple((mp, row) for mp in subset), block=block))
-        for l in range(1, f):
-            # round l+1 desired sums, one new stripe block per (subset, block, srow)
-            mu = d_of(l - 1, kappa, nu, f)
-            for subset in _colex_subsets(others, l):
-                for block in range(base + _u(l - 1, kappa, nu, f),
-                                   base + _u(l, kappa, nu, f)):
-                    for srow in range(1, nu - kappa + 1):
-                        for j in range(n):
-                            terms = tuple(sorted(((m, mu * nu + A[i - 1][j]),) + tuple(
-                                (mp, block * nu + B[srow - 1][j]) for mp in subset)))
-                            node_atoms[j].append(P1Atom(
-                                "desired", i, l + 1, subset, terms,
-                                block=block, srow=srow))
-                        mu += 1
-            if l + 1 <= f - 1:
-                for subset in _colex_subsets(others, l + 1):
-                    for block in range(base + _u(l, kappa, nu, f),
-                                       base + _u(l + 1, kappa, nu, f)):
-                        for t in range(1, kappa + 1):
-                            for j in range(n):
-                                row = block * nu + A[t - 1][j]
-                                node_atoms[j].append(P1Atom(
-                                    "undesired", i, l + 1, subset,
-                                    tuple((mp, row) for mp in subset), block=block))
-
-    for j in range(n):
-        if len(node_atoms[j]) != d:
-            raise DecodeFailure(
-                f"schedule for node {j} has {len(node_atoms[j])} requests, expected {d}")
-
+                row = kf1 * (a[j] - 1) + s
+                ask(j, P1Atom("desired1", i, 1, (), ((m, row),)), row - 1)
+        mu = kf1  # next desired row block
+        for size in range(1, f):
+            layout = []  # (group, subset, (file, row before its block) per file)
+            for subset in combinations(others, size):
+                for _ in range(kappa ** (f - size - 1) * (nu - kappa) ** (size - 1)):
+                    layout.append((groups, subset, tuple((x, block[x] * nu) for x in subset)))
+                    groups += 1
+                    for x in subset:
+                        block[x] += 1
+            for g, subset, starts in layout:
+                for t in range(kappa):
+                    for j in range(n):
+                        terms, word = aligned_sum(g, starts, A[t][j])
+                        ask(j, P1Atom("undesired", i, size, subset, tuple(terms), block=g),
+                            word)
+            for g, subset, starts in layout:
+                for srow in range(1, nu - kappa + 1):
+                    for j in range(n):
+                        terms, aligned = aligned_sum(g, starts, B[srow - 1][j])
+                        row = mu * nu + a[j]
+                        ask(j, P1Atom("desired", i, size + 1, subset,
+                                      tuple(sorted(terms + [(m, row)])), block=g, srow=srow),
+                            row - 1, aligned)
+                    mu += 1
     node_atoms = tuple(tuple(atoms) for atoms in node_atoms)
-    return beta, d, node_atoms, _decode_map(code, nu, B, beta, d, m, node_atoms)
+    decode_map = _decode_map(code, beta, beta + groups * nu, dst, cancel, side)
+    return beta, len(node_atoms[0]), node_atoms, decode_map
 
 
-def _decode_map(code: LinearCode, nu: int, B, beta: int, d: int, m: int,
-                node_atoms: tuple[tuple[P1Atom, ...], ...]) -> P1DecodeMap:
-    """Route each atom at node j to coordinate j of the word it feeds: an
-    undesired atom to its aligned sum (subset, block, u), a desired atom to
-    the stripe of its file-m row, cancelling the aligned sum
-    (subset, block, B[srow][j])."""
-    n = code.n
-    sum_ids: dict[tuple, int] = {}
-    dst, cancel = [], []   # flat entry per atom; (stripe entry, aligned entry)
-    for j, atoms in enumerate(node_atoms):
-        for atom in atoms:
-            if atom.kind == "undesired":
-                u = atom.terms[0][1] - atom.block * nu
-                word = beta + sum_ids.setdefault((atom.subset, atom.block, u), len(sum_ids))
-            else:
-                word = dict(atom.terms)[m] - 1
-                if atom.kind == "desired":
-                    key = (atom.subset, atom.block, B[atom.srow - 1][j])
-                    side = beta + sum_ids.setdefault(key, len(sum_ids))
-                    cancel.append((word * n + j, side * n + j))
-            dst.append(word * n + j)
-    known = np.zeros((beta + len(sum_ids), n), dtype=bool)
+def _decode_map(code: LinearCode, beta: int, words: int, dst: list[list[int]],
+                cancel: list[int], side: list[int]) -> P1DecodeMap:
+    """Batch the schedule's words by the nodes missing from them."""
+    dst = np.array(dst)
+    known = np.zeros((words, code.n), dtype=bool)
     known.flat[dst] = True
     batches: tuple[dict, dict] = ({}, {})  # stripes, sums: missing nodes -> rows
     for word, row in enumerate(known):
@@ -258,15 +217,15 @@ def _decode_map(code: LinearCode, nu: int, B, beta: int, d: int, m: int,
         batches[word >= beta].setdefault(missing, []).append(word)
     stripe_batches, sum_batches = (tuple((missing, np.array(rows)) for missing, rows
                                          in group.items()) for group in batches)
-    cancel = np.array(cancel, dtype=np.int64).reshape(-1, 2)
-    return P1DecodeMap(words=len(known), dst=np.array(dst).reshape(n, d),
-                       cancel=cancel[:, 0], side=cancel[:, 1], sum_batches=sum_batches,
+    return P1DecodeMap(words=words, dst=dst, cancel=np.array(cancel, dtype=np.int64),
+                       side=np.array(side, dtype=np.int64), sum_batches=sum_batches,
                        stripe_batches=stripe_batches, info=code.information_set())
 
 
 def p1_answer(dss, node: int, visible_query: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
-    """Node-side evaluation: each entry is a sum of the node's stored symbols."""
-    f, beta = dss.msg_field, dss.beta
+    """Node-side evaluation: each entry is a sum of the node's stored symbols,
+    each term a file 1..f and a row 0..beta-1 of the store."""
+    add, f, beta = dss.msg_field.add, dss.f, dss.beta
     content = dss.node_content(node)
     out = []
     for terms in visible_query:
@@ -274,7 +233,10 @@ def p1_answer(dss, node: int, visible_query: Sequence[Sequence[tuple[int, int]]]
             raise DimensionMismatch("empty symbol sum is not a legal request")
         acc = 0
         for mp, phys_row in terms:
-            acc = f.add(acc, content[(mp - 1) * beta + phys_row])
+            if not (0 < mp <= f and 0 <= phys_row < beta):
+                raise DimensionMismatch(f"term {(mp, phys_row)} lies outside files "
+                                        f"1..{f}, rows 0..{beta - 1}")
+            acc = add(acc, content[(mp - 1) * beta + phys_row])
         out.append(acc)
     return out
 

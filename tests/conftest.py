@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -9,7 +10,7 @@ from codedpir.codes import LinearCode, code_from_generator
 from codedpir.errors import DecodeFailure, NotCorrectable, RankDeficient
 from codedpir.families import grs_code
 from codedpir.fields import Matrix, field_make, mat_mul, mat_rank, mat_rref, mat_solve
-from codedpir.protocol1 import p1_plan
+from codedpir.protocol1 import p1_plan, p1_symmetry_audit
 from codedpir.ratematrix import ErasureMatrix, interference_matrices
 from codedpir.rng import derive_seed, rng_for
 
@@ -128,6 +129,14 @@ def message_from_information_set_reference(code, coords, values, value_field) ->
     return [row[0] for row in sol.data]
 
 
+def p1_symmetry_audit_with_repeat(plan):
+    """`p1_symmetry_audit` of `plan` with node 0 asked twice for its last sum,
+    for tests of what the audits do with a schedule that repeats rows."""
+    atoms = plan.node_atoms
+    return p1_symmetry_audit(dataclasses.replace(
+        plan, node_atoms=(atoms[0] + atoms[0][-1:],) + atoms[1:]))
+
+
 def p1_decode_reference(plan, responses, msg_field) -> Matrix:
     """Reference for `p1_decode`: the per-atom decode. Each call sorts every
     atom's answer into dicts of aligned side-information sums and desired
@@ -151,7 +160,7 @@ def p1_decode_reference(plan, responses, msg_field) -> Matrix:
         for idx, atom in enumerate(plan.node_atoms[j]):
             value = canonical[j][idx]
             if atom.kind == "undesired":
-                u = atom.terms[0][1] - atom.block * nu
+                u = (atom.terms[0][1] - 1) % nu + 1
                 aligned_coords.setdefault((atom.subset, atom.block, u), {})[j] = value
             elif atom.kind == "desired1":
                 desired_coords.setdefault(atom.terms[0][1], {})[j] = value

@@ -106,16 +106,21 @@ def test_audit_privacy_cli(good_spec, capsys):
                  "--exact", "--files", "2"]) == 0
 
 
-def test_audit_privacy_protocol_1_fails_at_four_files(good_spec, capsys):
-    """With four files protocol 1 asks one node twice for one row of an
-    undesired file; the audit exits 1 and prints the repeat. Three files
-    pass."""
+def test_audit_privacy_protocol_1_fails_at_four_files(good_spec, capsys, monkeypatch):
+    """Protocol 1 passes its audit at three and four files; at four files a
+    schedule that asks one node twice for a row (patched into the symmetry
+    audit) makes the audit exit 1 and print the repeat."""
+    from codedpir import audit
+    from conftest import p1_symmetry_audit_with_repeat
     argv = ["audit-privacy", "--protocol", "1", "--code", good_spec,
             "--trials", "50", "--seed", "1"]
+    assert main(argv + ["--files", "3"]) == 0
+    assert main(argv + ["--files", "4"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(audit, "p1_symmetry_audit", p1_symmetry_audit_with_repeat)
     assert main(argv + ["--files", "4"]) == 1
     out = capsys.readouterr().out
     assert "FLAGGED: collusion () structural: m=1: node 0: file 2 row" in out
-    assert main(argv + ["--files", "3"]) == 0
 
 
 def test_audit_privacy_rejects_exact_protocol_1(good_spec, capsys):

@@ -23,8 +23,9 @@ from codedpir.ratematrix import rate_matrix
 from codedpir.rng import generator
 from conftest import (EHAT_EX5, EHAT_EX6, EHAT_P3, ISETS_EX5, ISETS_EX6,
                       ISETS_P3, LAM35, _homogeneity_p, codes,
-                      p1_audit_samples_reference, p23_audit_outcomes_reference,
-                      p23_exact_reference, query_reference)
+                      p1_audit_samples_reference, p1_symmetry_audit_with_repeat,
+                      p23_audit_outcomes_reference, p23_exact_reference,
+                      query_reference)
 
 
 def test_dss_init_invariants(good532):
@@ -560,12 +561,18 @@ def test_p1_audit_reports_skipped_sets_as_notes(good532):
     assert report.passed
 
 
-def test_p1_audit_flags_repeated_rows_at_four_files(good532):
-    """At f = 4 protocol 1 asks one node twice for some rows of undesired
-    files: the audit fails through the structural notes naming the node,
+def test_p1_audit_flags_repeated_rows_at_four_files(good532, monkeypatch):
+    """At f = 4 protocol 1 asks no node twice for one (file, row) and the
+    audit passes. With a schedule that does (a repeated sum patched into the
+    symmetry audit), it fails through the structural notes naming the node,
     file and row, whatever its sampled positions read."""
     lam = rate_matrix(good532, LAM35)
-    report = privacy_audit(1, Dss(good532, f=4, beta=625), {"lam": lam}, trials=200)
+    dss = Dss(good532, f=4, beta=625)
+    report = privacy_audit(1, dss, {"lam": lam}, trials=200)
+    assert report.passed and not report.notes
+    assert all(o.collusion != () for o in report.outcomes)
+    monkeypatch.setattr(audit, "p1_symmetry_audit", p1_symmetry_audit_with_repeat)
+    report = privacy_audit(1, dss, {"lam": lam}, trials=50)
     assert not report.passed
     structural = [o.position for o in report.outcomes if o.collusion == ()]
     assert structural and all(o.flagged for o in report.outcomes if o.collusion == ())

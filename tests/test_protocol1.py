@@ -1,15 +1,16 @@
 import dataclasses
 import re
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from codedpir.dss import Dss
-from codedpir.errors import DecodeFailure, KappaEqualsNu, OutOfRange
+from codedpir.dss import Dss, run
+from codedpir.errors import DecodeFailure, DimensionMismatch, KappaEqualsNu
 from codedpir.optimizer import optimize_rate
-from codedpir.protocol1 import (d_of, n_of, p1_answer, p1_decode, p1_plan,
-                                p1_symmetry_audit, u_of)
+from codedpir.protocol1 import p1_answer, p1_decode, p1_plan, p1_symmetry_audit
 from codedpir.ratematrix import E_to_lambda, lambda_generic, rate_matrix, rate_protocol1
 from conftest import LAM23, LAM35, codes, p1_decode_reference
 
@@ -19,20 +20,26 @@ def lam35(good532):
     return rate_matrix(good532, LAM35)
 
 
-def test_counting_functions():
-    # (kappa, nu, f) = (3, 5, 2): U(1) = 1, D(0) = 3, D(1) = 5, D(1)*nu = nu^2
-    assert u_of(1, 3, 5, 2) == 1
-    assert d_of(0, 3, 5, 2) == 3
-    assert d_of(1, 3, 5, 2) == 5
-    assert d_of(1, 3, 5, 2) * 5 == 25
-    assert n_of(1, 2) == 1
-    assert n_of(2, 4) == 3
-    # telescoping identity for (2, 3, 3)
-    assert d_of(2, 2, 3, 3) * 3 == 27
-    with pytest.raises(OutOfRange):
-        u_of(0, 3, 5, 2)
-    with pytest.raises(OutOfRange):
-        d_of(2, 3, 5, 2)
+def test_counting_functions(good532, bad532, lam35):
+    """Per node and repetition, round r asks for every r-file sum
+    kappa^(f-r) (nu-kappa)^(r-1) times, so d = kappa (nu^f - kappa^f) /
+    (nu - kappa); the desired rows over all nodes are exactly 1..nu^f."""
+    lam23 = rate_matrix(bad532, LAM23)
+    for code, lam, f in ((good532, lam35, 2), (bad532, lam23, 3),
+                         (good532, lam35, 4), (bad532, lam23, 4)):
+        kappa, nu = lam.kappa, lam.nu
+        plan = p1_plan(code, lam, f, 1, 0)
+        assert plan.beta == nu ** f
+        assert plan.d == kappa * (nu ** f - kappa ** f) // (nu - kappa)
+        counts = p1_symmetry_audit(plan).counts
+        assert set(counts) == {(j, rep, r) for j in range(code.n)
+                               for rep in range(1, kappa + 1) for r in range(1, f + 1)}
+        for (j, rep, r), table in counts.items():
+            assert table == {frozenset(files): kappa ** (f - r) * (nu - kappa) ** (r - 1)
+                             for files in combinations(range(1, f + 1), r)}, (j, rep, r)
+        desired = {row for atoms in plan.node_atoms for atom in atoms
+                   for mp, row in atom.terms if mp == 1}
+        assert desired == set(range(1, plan.beta + 1))
 
 
 def test_plan_shape_and_rate(good532, lam35):
@@ -77,9 +84,20 @@ def test_single_term_answer_is_raw_symbol(good532, lam35):
 
 def test_empty_sum_rejected(good532):
     dss = Dss(good532, f=1, beta=5, seed=0)
-    from codedpir.errors import DimensionMismatch
     with pytest.raises(DimensionMismatch):
         p1_answer(dss, 0, [()])
+
+
+@pytest.mark.parametrize("term", [(0, 0), (3, 0), (1, -1), (2, 25)])
+def test_answer_rejects_terms_outside_the_store(good532, term):
+    """A node holds rows 0..beta-1 of files 1..f: any other term is an error,
+    not a read of another file or stripe (file 0 and row -1 would index
+    from the end of the store)."""
+    dss = Dss(good532, f=2, beta=25, seed=0)
+    assert p1_answer(dss, 0, [((1, 0), (2, 24))]) == [
+        dss.msg_field.add(dss.stored[0, 0], dss.stored[49, 0])]
+    with pytest.raises(DimensionMismatch, match="outside"):
+        p1_answer(dss, 0, [((1, 3),), ((1, 4), term)])
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -158,11 +176,10 @@ def test_symmetry_audit(good532, lam35):
 REPEAT = re.compile(r"node (\d+): file (\d+) row (\d+) requested (\d+) times")
 
 
-@pytest.mark.parametrize("f", [2, 3])
+@pytest.mark.parametrize("f", [2, 3, 4, 5])
 def test_symmetry_audit_passes_without_repeated_rows(good532, bad532, lam35, f):
-    """Up to f = 3 each file lies in one side-information subset of each
-    size, so no node is asked twice for one (file, row), whichever file is
-    requested."""
+    """Each undesired file has its own run of row blocks, so no node is asked
+    twice for one (file, row), whichever file is requested."""
     for code, lam in ((good532, lam35), (bad532, rate_matrix(bad532, LAM23))):
         for m in range(1, f + 1):
             report = p1_symmetry_audit(p1_plan(code, lam, f, m, 0))
@@ -171,21 +188,58 @@ def test_symmetry_audit_passes_without_repeated_rows(good532, bad532, lam35, f):
 
 @pytest.mark.parametrize("f,most", [(4, 2), (5, 3)])
 def test_symmetry_audit_names_repeated_rows(good532, lam35, f, most):
-    """From f = 4 the schedule asks every node for some rows of every
-    undesired file more than once (up to twice at f = 4, three times at
-    f = 5), never for a row of the requested file. The audit names each
-    (node, file) with a row requested that often at that node."""
+    """A node asked for one sum `most` times is asked for each of its
+    (file, row) terms that often: the audit names each such (node, file)
+    with that row and count, and nothing for the other nodes and files."""
     for m in (1, f):
         plan = p1_plan(good532, lam35, f, m, 0)
-        report = p1_symmetry_audit(plan)
-        named = [REPEAT.match(v) for v in report.violations]
-        assert not report.ok and all(named), report.violations
-        assert {(int(g[1]), int(g[2])) for g in named} == {
-            (j, mp) for j in range(good532.n) for mp in range(1, f + 1) if mp != m}
-        for g in named:
-            j, mp, row, count = map(int, g.groups())
-            terms = [t for atom in plan.node_atoms[j] for t in atom.terms]
-            assert terms.count((mp, row)) == count == most, g[0]
+        assert p1_symmetry_audit(plan).ok
+        atoms = plan.node_atoms
+        repeated = next(atom for atom in atoms[1] if len(atom.terms) == 2)
+        report = p1_symmetry_audit(dataclasses.replace(plan, node_atoms=(
+            atoms[0], atoms[1] + (repeated,) * (most - 1)) + atoms[2:]))
+        named = [g for g in map(REPEAT.match, report.violations) if g]
+        assert not report.ok
+        assert sorted((int(g[1]), int(g[2]), int(g[3]), int(g[4])) for g in named) == [
+            (1, mp, row, most) for mp, row in repeated.terms], report.violations
+
+
+@pytest.mark.parametrize("code_name,rows,f", [("good532", LAM35, 4),
+                                              ("bad532", LAM23, 4), ("bad532", LAM23, 5)])
+def test_node_views_repeat_no_stored_symbol(request, code_name, rows, f):
+    """In every node's query list, whatever the seed and the requested file,
+    each (file, physical row) occurs at most once, so a node cannot single
+    out the requested file as the one whose rows never repeat."""
+    code = request.getfixturevalue(code_name)
+    lam = rate_matrix(code, rows)
+    for seed in range(3):
+        for m in range(1, f + 1):
+            plan = p1_plan(code, lam, f, m, seed)
+            for j in range(code.n):
+                terms = Counter(t for terms in plan.node_query(j) for t in terms)
+                assert max(terms.values()) == 1, (seed, m, j)
+                assert all(0 <= row < plan.beta for _, row in terms)
+
+
+@pytest.mark.parametrize("f", [4, 5])
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(st.data())
+def test_many_file_schedules_are_private_and_decode(f, data):
+    """On small codes over GF(2) and GF(3) with the generic rate matrix, the
+    f = 4 and 5 schedules ask no node twice for a (file, row), pass the
+    symmetry audit and retrieve every file."""
+    code = data.draw(codes([(2, 1), (3, 1)], max_n=5))
+    assume(code.k < code.n and code.min_distance() > 1)
+    lam = lambda_generic(code, seed=data.draw(st.integers(0, 2**16)))
+    assume(lam.nu ** f <= 625)
+    dss = Dss(code, f=f, beta=lam.nu ** f, seed=f)
+    for m in range(1, f + 1):
+        plan = p1_plan(code, lam, f, m, m)
+        assert p1_symmetry_audit(plan).ok
+        for atoms in plan.node_atoms:
+            terms = Counter(t for atom in atoms for t in atom.terms)
+            assert max(terms.values()) == 1
+        assert run(1, dss, {"lam": lam, "m": m, "seed": m}).decoded_hash == dss.file_hash(m)
 
 
 def test_invalid_lambda_rejected(good532):
