@@ -38,7 +38,7 @@ import numpy as np
 from .dss import Dss
 from .errors import BadParams, TooLarge
 from .fields import MATMUL_CHUNK, Matrix, mat_mul, null_space
-from .protocol1 import p1_plan, p1_symmetry_audit
+from .protocol1 import _first_seen, p1_plan, p1_symmetry_audit
 from .protocol3 import P3Setup, query_batch
 from .rng import derive_seed, generator
 
@@ -294,27 +294,27 @@ def _audit_p1(dss: Dss, config: dict, collusion_sets, trials: int,
         sym = p1_symmetry_audit(plan)
         if not sym.ok:
             notes.extend(f"m={m}: {v}" for v in sym.violations)
-    # the canonical atoms depend only on m, so label each one's file subset once;
-    # a trial's node-j view is then that label row in the plan's shuffled order
-    subset_index: dict[tuple, int] = {}
+    # the canonical requests depend only on m, so label each one's file set
+    # once, numbered by first appearance over (m, node, request); a trial's
+    # node-j view is then that label row in the plan's shuffled order
+    masks = np.stack([plan.file_sets for plan in plans.values()])
+    first, _, labels = _first_seen(masks.ravel())
+    labels = labels.reshape(masks.shape)
     rows = np.arange(n)[:, None]
     samples = np.empty(shape, dtype=np.int64)
-    for m, plan in plans.items():
-        labels = np.array([[subset_index.setdefault(
-            tuple(mp for mp, _ in atom.terms), len(subset_index))
-            for atom in atoms] for atoms in plan.node_atoms], dtype=np.int64)
+    for m in plans:
         # each trial's shuffle orders first, then replaced by the labels they pick
         for t in range(trials):
             child = derive_seed(seed, "audit-p1", m, t)
             samples[m - 1, t] = p1_plan(dss.code, lam, dss.f, m, child).shuffles
-        samples[m - 1] = labels[rows, samples[m - 1]]
+        samples[m - 1] = labels[m - 1][rows, samples[m - 1]]
     audited = [tset for tset in collusion_sets if len(tset) == 1]
     threshold = 0.01 / max(len(audited) * d, 1)
     skipped = [f"skipping non-singleton set {tset}: the noncolluding protocol "
                "defends single spies" for tset in collusion_sets if len(tset) != 1]
     report = PrivacyReport(protocol=1, mode="statistical", trials=trials,
                            threshold=threshold, notes=notes + skipped)
-    _homogeneity_outcomes(samples, len(subset_index), audited, threshold,
+    _homogeneity_outcomes(samples, len(first), audited, threshold,
                           [f"position {pos}" for pos in range(d)], report.outcomes)
     # only the structural notes are violations; skipped sets are not
     report.outcomes += [AuditOutcome(collusion=(), position=f"structural: {note}",

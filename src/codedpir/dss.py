@@ -76,36 +76,51 @@ class Dss:
 
 @dataclass
 class Transcript:
-    """One protocol round trip: node views, responses, and the achieved rate."""
+    """One protocol round trip: node views, responses, and the achieved rate.
+
+    Queries, responses and the user part are held as the protocol made them
+    (protocol 1: int64 arrays; protocols 2 and 3: query matrices and lists)
+    and rendered as JSON only by `to_json_dict`."""
 
     protocol: str
     n: int
     f: int
     requested: int
     seed: int
-    queries: list            # per-node, node-visible form
-    responses: list          # per-node response symbols
+    queries: object          # per-node, node-visible form
+    responses: object        # per-node response symbols
     decoded_hash: str = ""
     downloaded: int = 0
     rate: Fraction = Fraction(0)
     user: dict = dc_field(default_factory=dict)  # user-private bookkeeping
 
     def to_json_dict(self, include_user: bool = True) -> dict:
+        if self.protocol == "p1":
+            # a query row lists its (file, physical row) terms in file order
+            queries = [[[[x, row] for x, row in enumerate(request, 1) if row >= 0]
+                        for request in node] for node in self.queries.tolist()]
+        else:
+            queries = [q.to_json_dict() for q in self.queries]
         out = {
             "protocol": self.protocol,
             "n": self.n,
             "files": self.f,
             "seed": self.seed,
-            "queries": self.queries,
-            "responses": self.responses,
+            "queries": queries,
+            "responses": _plain(self.responses),
             "decoded_hash": self.decoded_hash,
             "downloaded": self.downloaded,
             "rate": [self.rate.numerator, self.rate.denominator],
         }
         if include_user:
             out["requested"] = self.requested
-            out["user"] = self.user
+            out["user"] = {key: _plain(value) for key, value in self.user.items()}
         return out
+
+
+def _plain(value):
+    """JSON form of a value that may be an array."""
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 # --- protocol runner -----------------------------------------------------------
@@ -127,25 +142,22 @@ def run(protocol: int, dss: Dss, config: dict) -> Transcript:
         plan = p1_plan(dss.code, config["lam"], dss.f, m, seed)
         if plan.beta != dss.beta:
             raise BadParams(f"plan wants beta={plan.beta}, storage has {dss.beta}")
-        queries = [plan.node_query(j) for j in range(n)]
-        responses = [p1_answer(dss, j, queries[j]) for j in range(n)]
+        queries = np.stack([plan.node_query(j) for j in range(n)])
+        responses = np.stack([p1_answer(dss, j, queries[j]) for j in range(n)])
         decoded = p1_decode(plan, responses, dss.msg_field)
-        downloaded = sum(len(q) for q in queries)
-        user = {"perms": [list(p) for p in plan.perms],
-                "shuffles": [list(s) for s in plan.shuffles]}
-        tx_queries = [[[list(term) for term in atom] for atom in q] for q in queries]
+        downloaded = responses.size
+        user = {"perms": plan.perms, "shuffles": plan.shuffles}
     elif protocol in (2, 3):
         setup = config["structure" if protocol == 2 else "setup"]
         if setup.beta != dss.beta:
             raise BadParams("setup and storage disagree on beta")
-        qs = p3_queries(setup, dss.f, m, seed)
-        responses = p3_respond(dss, qs)
+        queries = p3_queries(setup, dss.f, m, seed)
+        responses = p3_respond(dss, queries)
         decoded = p3_decode(setup, responses, dss.f, m, dss.msg_field)
         downloaded = sum(len(r) for r in responses)
         user = {"ehat": [list(r) for r in setup.ehat],
                 "info_sets": [list(s) for s in setup.info_sets],
                 "T": setup.collusion_threshold, "seed": seed}
-        tx_queries = [q.to_json_dict() for q in qs]
     else:
         raise BadParams(f"unknown protocol {protocol}")
 
@@ -153,7 +165,7 @@ def run(protocol: int, dss: Dss, config: dict) -> Transcript:
         raise DecodeFailure("decoded file differs from stored file")
     rate = Fraction(dss.beta * dss.code.k, downloaded)
     tx = Transcript(protocol=f"p{protocol}", n=n, f=dss.f, requested=m,
-                    seed=seed, queries=tx_queries, responses=responses,
+                    seed=seed, queries=queries, responses=responses,
                     decoded_hash=dss.file_hash(m), downloaded=downloaded,
                     rate=rate, user=user)
     return tx

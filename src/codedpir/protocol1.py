@@ -9,27 +9,34 @@ so a node is asked for each stored symbol at most once (`p1_symmetry_audit`
 checks this). Stripe indices are privately permuted per file and the per-node
 query order is shuffled, which is what the privacy of the scheme rests on.
 
-A plan therefore has two parts. The schedule (beta, d, every node's canonical
-atom list and the decode map that routes each atom's answer to the word it
+A plan therefore has two parts. The schedule (beta, d, the canonical request
+rows, their labels and the decode map that routes each answer to the word it
 feeds) depends only on the code, Lambda, f and m; it is built and checked
-once per such tuple and shared, immutable, by every plan. The private part,
+once per such tuple and shared by every plan, its row and label arrays
+read-only. The private part,
 the stripe permutations `perms` and the query-order `shuffles`, is drawn for
 each plan from one seeded numpy generator (`rng.generator(seed, "p1")`): one
 `Generator.permuted` over the (f, beta) stripe indices, then one over the
-(n, d) query positions, both handed out as lists of plain ints.
+(n, d) query positions, kept as int64 arrays.
 
-Row indices inside atoms are 1-based logical rows into the interleaved array;
-nodes only ever see physical rows (the private permutation applied).
+The schedule is arrays. `rows[j, i, x - 1]` is the 1-based logical row of
+file x in node j's canonical request i, 0 where file x is absent; request i
+has the same (repetition, round), `labels[i]`, and the same files at every
+node. A node sees only `node_query(j)`: a (d, f) int64 array in the node's
+shuffled order whose entry (i, x - 1) is the physical row of file x (the
+private permutation applied), -1 where the file is absent. `p1_answer`
+returns one field sum per row of it, `p1_decode` takes the (n, d) answers.
+`dss.run` keeps these arrays in its transcript, which renders them as JSON
+lists (each request its [file, physical row] terms in file order) only in
+`Transcript.to_json_dict`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations
-from typing import Sequence
+from itertools import combinations
 
 import numpy as np
 
@@ -41,19 +48,6 @@ from .ratematrix import RateMatrix, interference_matrices, validate_rate_matrix
 from .rng import generator
 
 
-@dataclass(frozen=True)
-class P1Atom:
-    """One requested symbol sum: sum over `terms` of y^(file)_(row) at a node."""
-
-    kind: str                      # "desired1" | "undesired" | "desired"
-    rep: int                       # repetition, 1..kappa
-    rnd: int                       # round, 1..f
-    subset: tuple[int, ...]        # side-information files (empty for desired1)
-    terms: tuple[tuple[int, int], ...]  # (file 1-based, logical row 1-based), by file
-    block: int = -1                # the atom's aligned-sum group (if any)
-    srow: int = -1                 # B-row index used (desired atoms)
-
-
 @dataclass(frozen=True, eq=False)
 class P1DecodeMap:
     """Where each response of a schedule goes in decoding (seed-independent).
@@ -61,8 +55,8 @@ class P1DecodeMap:
     `p1_decode` fills a flat `words` x n array: row r < beta is the stripe of
     logical row r + 1, row beta + g*nu + u - 1 the aligned side-information
     sum of group g at row offset u.
-    Node j's answer to its canonical atom i goes to entry dst[j, i]; once the
-    sums are decoded, each entry in `cancel` (a desired sum above round 1)
+    Node j's answer to its canonical request i goes to entry dst[j, i]; once
+    the sums are decoded, each entry in `cancel` (a desired sum above round 1)
     loses the aligned symbol at the same index of `side`. A batch pairs the
     nodes missing from some sums (or stripes) with those words' rows.
     """
@@ -85,43 +79,50 @@ class P1Plan:
     seed: int
     beta: int
     d: int
-    perms: list[list[int]]                 # per file: logical row-1 -> physical row (0-based); user-private
-    node_atoms: tuple[tuple[P1Atom, ...], ...]  # canonical order per node; shared schedule
-    decode_map: P1DecodeMap                # shared schedule
-    shuffles: list[list[int]]              # visible position -> canonical index
+    perms: np.ndarray        # (f, beta): logical row r of file x -> physical row
+                             # perms[x - 1, r - 1]; user-private
+    rows: np.ndarray         # (n, d, f) canonical logical rows, 0 = file absent; shared
+    labels: np.ndarray       # (d, 2) (repetition, round) per canonical request; shared
+    decode_map: P1DecodeMap  # shared schedule
+    shuffles: np.ndarray     # (n, d): node j's visible position -> canonical index
 
     @property
     def rate(self) -> Fraction:
         return Fraction(self.beta * self.code.k, self.code.n * self.d)
 
-    def node_query(self, node: int) -> list[tuple[tuple[int, int], ...]]:
-        """Node-visible query list: physical rows, shuffled order, no labels;
-        each sum's terms in file order, as its atom lists them."""
-        atoms, perms = self.node_atoms[node], self.perms
-        return [tuple((mp, perms[mp - 1][row - 1]) for mp, row in atoms[idx].terms)
-                for idx in self.shuffles[node]]
+    @property
+    def file_sets(self) -> np.ndarray:
+        """(n, d) bitmask of the files in each canonical request (bit x - 1
+        for file x)."""
+        return (self.rows > 0) @ (1 << np.arange(self.f))
+
+    def node_query(self, node: int) -> np.ndarray:
+        """Node-visible query: (d, f) physical rows in the node's shuffled
+        order, -1 where the file is absent; no labels."""
+        rows = self.rows[node, self.shuffles[node]]
+        return np.where(rows > 0, self.perms[np.arange(self.f), rows - 1], -1)
 
 
 def p1_plan(code: LinearCode, lam: RateMatrix, f: int, m: int, seed: int) -> P1Plan:
     """Full request schedule for retrieving file m (1-based) out of f: the
     shared schedule of (code, lam, f, m) plus this seed's perms and shuffles."""
-    beta, d, node_atoms, decode_map = _schedule(code, lam, f, m)
+    beta, rows, labels, decode_map = _schedule(code, lam, f, m)
     rng = generator(seed, "p1")
     perms = _row_permutations(rng, f, beta)
-    shuffles = _row_permutations(rng, code.n, d)
-    return P1Plan(code=code, lam=lam, f=f, m=m, seed=seed, beta=beta, d=d,
-                  perms=perms, node_atoms=node_atoms, decode_map=decode_map,
+    shuffles = _row_permutations(rng, code.n, len(labels))
+    return P1Plan(code=code, lam=lam, f=f, m=m, seed=seed, beta=beta, d=len(labels),
+                  perms=perms, rows=rows, labels=labels, decode_map=decode_map,
                   shuffles=shuffles)
 
 
-def _row_permutations(rng: np.random.Generator, rows: int, size: int) -> list[list[int]]:
-    """`rows` independent uniform permutations of range(size), as plain ints."""
-    return rng.permuted(np.arange(size)[None].repeat(rows, axis=0), axis=1).tolist()
+def _row_permutations(rng: np.random.Generator, rows: int, size: int) -> np.ndarray:
+    """`rows` independent uniform permutations of range(size)."""
+    return rng.permuted(np.arange(size)[None].repeat(rows, axis=0), axis=1)
 
 
 @lru_cache(maxsize=16)
 def _schedule(code: LinearCode, lam: RateMatrix, f: int, m: int) -> tuple:
-    """Seed-independent part of a plan: (beta, d, node_atoms, decode_map).
+    """Seed-independent part of a plan: (beta, rows, labels, decode_map).
 
     One pass lays out every row and routes every answer. Per repetition,
     round 1 asks each node for kappa^(f-1) rows of file m. Then, for each
@@ -130,10 +131,12 @@ def _schedule(code: LinearCode, lam: RateMatrix, f: int, m: int) -> tuple:
     take every file's next own block of nu rows: a node asks for the
     group's kappa rows A[:, j] of every file in it (round s), then for nu -
     kappa sums of a new desired row with the group's rows B[:, j] (round
-    s+1). The answer to an undesired atom is coordinate j of the group's
+    s+1). The answer to an undesired request is coordinate j of the group's
     aligned sum at that row offset; a desired sum loses the aligned sum of
     its side rows. Desired rows above round 1 come in blocks of nu from one
-    counter per repetition.
+    counter per repetition. Every node's request i comes from the same step,
+    so all nodes share its label and files; only the row offsets (columns of
+    A and B) differ, and each step fills all nodes at once.
 
     Bad input raises on every call (lru_cache stores only returned values).
     """
@@ -150,103 +153,114 @@ def _schedule(code: LinearCode, lam: RateMatrix, f: int, m: int) -> tuple:
     if beta > MAX_STRIPES:
         raise DimensionMismatch(f"nu^f = {beta} stripes exceed the memory guard")
     ab = interference_matrices(lam)
-    A, B = ab.A, ab.B
+    A = np.array(ab.A, dtype=np.int64).reshape(kappa, n)
+    B = np.array(ab.B, dtype=np.int64).reshape(nu - kappa, n)
     others = [x for x in range(1, f + 1) if x != m]
     kf1 = kappa ** (f - 1)
-    node_atoms: list[list[P1Atom]] = [[] for _ in range(n)]
-    dst: list[list[int]] = [[] for _ in range(n)]  # each atom's entry word * n + j
-    cancel: list[int] = []  # entries of the desired sums above round 1 ...
-    side: list[int] = []    # ... and of the aligned sums they lose
+    rows: list[np.ndarray] = []     # per step, [request, node, file]
+    words: list[np.ndarray] = []    # per step, [request, node]: the word each answer feeds
+    aligned: list[np.ndarray] = []  # ... and the aligned sum it loses (-1: none)
+    labels: list[tuple[int, int]] = []
     block = dict.fromkeys(others, 0)  # each undesired file's next row block
     groups = 0
 
-    def ask(j: int, atom: P1Atom, word: int, aligned: int | None = None) -> None:
-        node_atoms[j].append(atom)
-        dst[j].append(word * n + j)
-        if aligned is not None:
-            cancel.append(word * n + j)
-            side.append(aligned * n + j)
-
-    def aligned_sum(g: int, starts: tuple, u: int) -> tuple[list, int]:
-        """Terms and word of group g's aligned sum at row offset u."""
-        return [(x, r + u) for x, r in starts], beta + g * nu + u - 1
+    def ask(rep: int, rnd: int, step: np.ndarray, word: np.ndarray, loses=-1) -> None:
+        """One step's requests: rows step[..., j, :] at node j, feeding
+        word[..., j], each losing the aligned sum `loses` (desired sums
+        above round 1)."""
+        rows.append(step.reshape(-1, n, f))
+        words.append(word.reshape(-1, n))
+        aligned.append(np.broadcast_to(loses, word.shape).reshape(-1, n))
+        labels.extend([(rep, rnd)] * len(words[-1]))
 
     for i, a in enumerate(A, 1):
-        for s in range(1, kf1 + 1):
-            for j in range(n):
-                row = kf1 * (a[j] - 1) + s
-                ask(j, P1Atom("desired1", i, 1, (), ((m, row),)), row - 1)
+        step = np.zeros((kf1, n, f), dtype=np.int64)
+        step[..., m - 1] = kf1 * (a - 1) + np.arange(1, kf1 + 1)[:, None]
+        ask(i, 1, step, step[..., m - 1] - 1)
         mu = kf1  # next desired row block
         for size in range(1, f):
-            layout = []  # (group, subset, (file, row before its block) per file)
-            for subset in combinations(others, size):
-                for _ in range(kappa ** (f - size - 1) * (nu - kappa) ** (size - 1)):
-                    layout.append((groups, subset, tuple((x, block[x] * nu) for x in subset)))
-                    groups += 1
-                    for x in subset:
-                        block[x] += 1
-            for g, subset, starts in layout:
-                for t in range(kappa):
-                    for j in range(n):
-                        terms, word = aligned_sum(g, starts, A[t][j])
-                        ask(j, P1Atom("undesired", i, size, subset, tuple(terms), block=g),
-                            word)
-            for g, subset, starts in layout:
-                for srow in range(1, nu - kappa + 1):
-                    for j in range(n):
-                        terms, aligned = aligned_sum(g, starts, B[srow - 1][j])
-                        row = mu * nu + a[j]
-                        ask(j, P1Atom("desired", i, size + 1, subset,
-                                      tuple(sorted(terms + [(m, row)])), block=g, srow=srow),
-                            row - 1, aligned)
-                    mu += 1
-    node_atoms = tuple(tuple(atoms) for atoms in node_atoms)
-    decode_map = _decode_map(code, beta, beta + groups * nu, dst, cancel, side)
-    return beta, len(node_atoms[0]), node_atoms, decode_map
+            # the groups of this size: each file's row before its block, and
+            # whether the file is in the group, shaped [group, 1, 1, file]
+            per_subset = kappa ** (f - size - 1) * (nu - kappa) ** (size - 1)
+            subsets = list(combinations(others, size))
+            starts = np.zeros((len(subsets) * per_subset, 1, 1, f), dtype=np.int64)
+            member = np.zeros(starts.shape, dtype=bool)
+            for s, subset in enumerate(subsets):
+                span = slice(s * per_subset, (s + 1) * per_subset)
+                for x in subset:
+                    starts[span, 0, 0, x - 1] = (block[x] + np.arange(per_subset)) * nu
+                    member[span, 0, 0, x - 1] = True
+                    block[x] += per_subset
+            # word of group g's aligned sum at row offset u: beta + g*nu + u - 1
+            base = beta + (groups + np.arange(len(starts)))[:, None, None] * nu - 1
+            groups += len(starts)
+            ask(i, size, np.where(member, starts + A[..., None], 0), base + A)
+            step = np.where(member, starts + B[..., None], 0)
+            desired = mu + np.arange(len(starts) * (nu - kappa)).reshape(-1, nu - kappa, 1)
+            mu += len(starts) * (nu - kappa)
+            step[..., m - 1] = desired * nu + a
+            ask(i, size + 1, step, step[..., m - 1] - 1, base + B)
+    rows = np.concatenate(rows).transpose(1, 0, 2).copy()
+    labels = np.array(labels, dtype=np.int64)
+    rows.flags.writeable = labels.flags.writeable = False
+    dst = n * np.concatenate(words).T + np.arange(n)[:, None]
+    lost = np.concatenate(aligned).T
+    side = lost >= 0
+    decode_map = _decode_map(code, beta, beta + groups * nu, dst, dst[side],
+                             (n * lost + np.arange(n)[:, None])[side])
+    return beta, rows, labels, decode_map
 
 
-def _decode_map(code: LinearCode, beta: int, words: int, dst: list[list[int]],
-                cancel: list[int], side: list[int]) -> P1DecodeMap:
-    """Batch the schedule's words by the nodes missing from them."""
-    dst = np.array(dst)
-    known = np.zeros((words, code.n), dtype=bool)
-    known.flat[dst] = True
-    batches: tuple[dict, dict] = ({}, {})  # stripes, sums: missing nodes -> rows
-    for word, row in enumerate(known):
-        missing = tuple(np.flatnonzero(~row).tolist())
-        batches[word >= beta].setdefault(missing, []).append(word)
-    stripe_batches, sum_batches = (tuple((missing, np.array(rows)) for missing, rows
-                                         in group.items()) for group in batches)
-    return P1DecodeMap(words=words, dst=dst, cancel=np.array(cancel, dtype=np.int64),
-                       side=np.array(side, dtype=np.int64), sum_batches=sum_batches,
-                       stripe_batches=stripe_batches, info=code.information_set())
+def _decode_map(code: LinearCode, beta: int, words: int, dst: np.ndarray,
+                cancel: np.ndarray, side: np.ndarray) -> P1DecodeMap:
+    """Batch the schedule's words by the nodes missing from them: stripes
+    and aligned sums apart, each batch's rows ascending and the batches in
+    order of their first row."""
+    missing = np.ones((words, code.n), dtype=bool)
+    missing.flat[dst] = False
+
+    def batches(start: int, stop: int) -> tuple:
+        first, count, number = _first_seen(missing[start:stop])
+        rows = np.argsort(number, kind="stable") + start
+        ends = np.cumsum(count).tolist()
+        return tuple((tuple(np.flatnonzero(missing[start + pos]).tolist()), rows[end - c:end])
+                     for pos, c, end in zip(first.tolist(), count.tolist(), ends))
+
+    return P1DecodeMap(words=words, dst=dst, cancel=cancel, side=side,
+                       sum_batches=batches(beta, words), stripe_batches=batches(0, beta),
+                       info=code.information_set())
 
 
-def p1_answer(dss, node: int, visible_query: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
-    """Node-side evaluation: each entry is a sum of the node's stored symbols,
-    each term a file 1..f and a row 0..beta-1 of the store."""
-    add, f, beta = dss.msg_field.add, dss.f, dss.beta
-    content = dss.node_content(node)
-    out = []
-    for terms in visible_query:
-        if not terms:
-            raise DimensionMismatch("empty symbol sum is not a legal request")
-        acc = 0
-        for mp, phys_row in terms:
-            if not (0 < mp <= f and 0 <= phys_row < beta):
-                raise DimensionMismatch(f"term {(mp, phys_row)} lies outside files "
-                                        f"1..{f}, rows 0..{beta - 1}")
-            acc = add(acc, content[(mp - 1) * beta + phys_row])
-        out.append(acc)
-    return out
+def p1_answer(dss, node: int, query) -> np.ndarray:
+    """Node-side evaluation of a (d, f) query of physical rows, -1 where a
+    file is absent: entry i is the field sum of the node's stored symbols of
+    row query[i, x - 1] of file x over the files present in row i. Every
+    row must name at least one symbol, and each symbol lies in rows 0..beta-1
+    of files 1..f; anything else raises DimensionMismatch."""
+    f, beta = dss.f, dss.beta
+    query = np.asarray(query)
+    if query.ndim != 2 or query.shape[1] != f or query.dtype.kind not in "iu":
+        raise DimensionMismatch(f"a query is a (d, {f}) integer array of rows; "
+                                f"got {query.dtype} of shape {query.shape}")
+    if query.size and (query.min() < -1 or query.max() >= beta):
+        raise DimensionMismatch(f"a term lies outside files 1..{f}, rows "
+                                f"0..{beta - 1} (-1 for a file not in the sum)")
+    query = query.astype(np.int64, copy=False)
+    absent = query < 0
+    if absent.all(axis=1).any():
+        raise DimensionMismatch("empty symbol sum is not a legal request")
+    # the node's column, file-major, then one padded zero for absent terms
+    content = np.append(dss.stored[:, node], 0)
+    index = np.where(absent, f * beta, query + np.arange(0, f * beta, beta))
+    return dss.msg_field.sum_array(content[index], axis=1)
 
 
-def p1_decode(plan: P1Plan, responses: Sequence[Sequence[int]],
-              msg_field: FiniteField) -> Matrix:
-    """Reconstruct all nu^f stripes of the requested file from the responses,
-    through the plan's decode map: aligned side-information sums, then the
-    stripes they leave, each erasure-decoded in one batch per set of missing
-    nodes; the messages are read off one information set.
+def p1_decode(plan: P1Plan, responses: np.ndarray, msg_field: FiniteField) -> Matrix:
+    """Reconstruct all nu^f stripes of the requested file from the (n, d)
+    responses (row j: node j's answers in its visible order) through the
+    plan's decode map: aligned side-information sums, then the stripes they
+    leave, each erasure-decoded in one batch per set of missing nodes; the
+    messages are read off one information set.
 
     Detects: an aligned sum or a stripe raises DecodeFailure, naming it,
     where no codeword matches all its known coordinates (which needs it known
@@ -294,14 +308,20 @@ def p1_symmetry_audit(plan: P1Plan) -> SymmetryReport:
     (file, logical row) requested twice at one node: the private permutation
     maps logical rows one to one, so a repeat shows the node one stored
     symbol twice. Repeats are reported once per (node, file), naming the
-    first row requested most often."""
+    first row requested most often.
+
+    One count over (node, rep, rnd, file set) fills `counts`, each table in
+    order of first appearance; one bincount over (file, row) per node finds
+    the repeats."""
+    n, d, f = plan.rows.shape
+    present = plan.rows > 0
+    keys = np.stack(np.broadcast_arrays(np.arange(n)[:, None], *plan.labels.T,
+                                        plan.file_sets), axis=2).reshape(n * d, 4)
+    first, count, _ = _first_seen(keys)
     counts: dict = {}
-    for j in range(plan.code.n):
-        for atom in plan.node_atoms[j]:
-            files = frozenset(mp for mp, _ in atom.terms)
-            key = (j, atom.rep, atom.rnd)
-            counts.setdefault(key, {}).setdefault(files, 0)
-            counts[key][files] += 1
+    for (j, rep, rnd, mask), c in zip(keys[first].tolist(), count.tolist()):
+        files = frozenset(x + 1 for x in range(f) if mask >> x & 1)
+        counts.setdefault((j, rep, rnd), {})[files] = c
     violations = []
     for (j, rep, rnd), table in counts.items():
         by_size: dict[int, set[int]] = {}
@@ -317,21 +337,35 @@ def p1_symmetry_audit(plan: P1Plan) -> SymmetryReport:
     for (j, rep, rnd), table in counts.items():
         if table != reference.get((rep, rnd)):
             violations.append(f"node {j} differs from node 0 at rep {rep} round {rnd}")
-    for j in range(plan.code.n):
-        per_file = {mp: 0 for mp in range(1, plan.f + 1)}
-        for atom in plan.node_atoms[j]:
-            for mp, _ in atom.terms:
-                per_file[mp] += 1
-        if len(set(per_file.values())) != 1:
-            violations.append(f"node {j}: per-file request frequencies {per_file}")
-        requests = Counter(chain.from_iterable(atom.terms for atom in plan.node_atoms[j]))
-        repeats: dict[int, list[tuple[int, int]]] = {}  # file -> (-count, row)
-        for (mp, row), count in requests.items():
-            if count > 1:
-                repeats.setdefault(mp, []).append((-count, row))
-        for mp in sorted(repeats):
-            count, row = min(repeats[mp])
-            violations.append(f"node {j}: file {mp} row {row} requested {-count} "
-                              f"times ({len(repeats[mp])} rows of file {mp} "
-                              "requested more than once)")
+    width = int(plan.rows.max()) + 1
+    for j, per_file in enumerate(present.sum(axis=1).tolist()):
+        if len(set(per_file)) != 1:
+            violations.append(f"node {j}: per-file request frequencies "
+                              f"{dict(enumerate(per_file, 1))}")
+        hits = np.bincount((plan.rows[j] + np.arange(f) * width)[present[j]],
+                           minlength=f * width).reshape(f, width)
+        repeated = hits > 1
+        for x in np.flatnonzero(repeated.any(axis=1)).tolist():
+            row = int(hits[x].argmax())
+            violations.append(f"node {j}: file {x + 1} row {row} requested "
+                              f"{hits[x, row]} times ({repeated[x].sum()} rows of "
+                              f"file {x + 1} requested more than once)")
     return SymmetryReport(ok=not violations, violations=violations, counts=counts)
+
+
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct entries of `keys` (its rows, for a 2-D array), numbered
+    in order of first appearance: the position of each one's first
+    appearance, how often each appears, and each entry's number."""
+    columns = keys if keys.ndim == 2 else keys[:, None]
+    order = np.lexsort(columns.T[::-1])  # stable: equal keys keep their order
+    ordered = columns[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    by_first = np.argsort(order[starts])
+    number = np.empty(len(starts), dtype=np.int64)
+    number[by_first] = np.arange(len(starts))
+    index = np.empty(len(keys), dtype=np.int64)
+    index[order] = number[np.cumsum(new) - 1]
+    return order[starts][by_first], np.diff(np.append(starts, len(keys)))[by_first], index

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from codedpir.audit import chi2_sf
 from codedpir.codes import LinearCode, code_from_generator
-from codedpir.errors import DecodeFailure, NotCorrectable, RankDeficient
+from codedpir.errors import DecodeFailure, DimensionMismatch, NotCorrectable, RankDeficient
 from codedpir.families import grs_code
 from codedpir.fields import Matrix, field_make, mat_mul, mat_rank, mat_rref, mat_solve
 from codedpir.protocol1 import p1_plan, p1_symmetry_audit
@@ -129,12 +130,90 @@ def message_from_information_set_reference(code, coords, values, value_field) ->
     return [row[0] for row in sol.data]
 
 
+class P1Atom(NamedTuple):
+    """One requested symbol sum: sum over `terms` of y^(file)_(row) at a node."""
+
+    kind: str                      # "desired1" | "undesired" | "desired"
+    rep: int                       # repetition, 1..kappa
+    rnd: int                       # round, 1..f
+    subset: tuple[int, ...]        # side-information files (empty for desired1)
+    terms: tuple[tuple[int, int], ...]  # (file 1-based, logical row 1-based), by file
+    block: int = -1                # the atom's aligned-sum group (if any)
+    srow: int = -1                 # B-row index used (desired atoms)
+
+
+def p1_schedule_reference(code, lam, f: int, m: int) -> tuple[int, tuple]:
+    """Reference for protocol 1's schedule: (beta, node_atoms), every node's
+    canonical atom list built one (atom, node) at a time. Per repetition,
+    round 1 asks each node for kappa^(f-1) rows of file m; then, per
+    side-information size s, every aligned-sum group of that size (each
+    s-subset of the undesired files, kappa^(f-s-1) (nu-kappa)^(s-1) times)
+    takes each of its files' next own block of nu rows, asked as the kappa
+    rows A[:, j] (round s) and as nu - kappa sums of a new desired row with
+    the rows B[:, j] (round s + 1)."""
+    kappa, nu = lam.kappa, lam.nu
+    if f < 1 or not 1 <= m <= f or (kappa == nu and f > 1):
+        raise DimensionMismatch(f"no schedule for f={f}, m={m}, kappa={kappa}, nu={nu}")
+    n, beta = code.n, nu ** f
+    ab = interference_matrices(lam)
+    A, B = ab.A, ab.B
+    others = [x for x in range(1, f + 1) if x != m]
+    kf1 = kappa ** (f - 1)
+    node_atoms = [[] for _ in range(n)]
+    block = dict.fromkeys(others, 0)  # each undesired file's next row block
+    groups = 0
+    for i, a in enumerate(A, 1):
+        for s in range(1, kf1 + 1):
+            for j in range(n):
+                node_atoms[j].append(P1Atom("desired1", i, 1, (),
+                                            ((m, kf1 * (a[j] - 1) + s),)))
+        mu = kf1  # next desired row block
+        for size in range(1, f):
+            layout = []  # (group, subset, (file, row before its block) per file)
+            for subset in itertools.combinations(others, size):
+                for _ in range(kappa ** (f - size - 1) * (nu - kappa) ** (size - 1)):
+                    layout.append((groups, subset, tuple((x, block[x] * nu) for x in subset)))
+                    groups += 1
+                    for x in subset:
+                        block[x] += 1
+            for g, subset, starts in layout:
+                for t in range(kappa):
+                    for j in range(n):
+                        terms = tuple((x, r + A[t][j]) for x, r in starts)
+                        node_atoms[j].append(P1Atom("undesired", i, size, subset, terms,
+                                                    block=g))
+            for g, subset, starts in layout:
+                for srow in range(1, nu - kappa + 1):
+                    for j in range(n):
+                        terms = [(x, r + B[srow - 1][j]) for x, r in starts]
+                        terms = tuple(sorted(terms + [(m, mu * nu + a[j])]))
+                        node_atoms[j].append(P1Atom("desired", i, size + 1, subset, terms,
+                                                    block=g, srow=srow))
+                    mu += 1
+    return beta, tuple(tuple(atoms) for atoms in node_atoms)
+
+
+def p1_atoms(plan) -> tuple:
+    """The reference schedule's atoms of `plan`'s (code, Lambda, f, m)."""
+    return p1_schedule_reference(plan.code, plan.lam, plan.f, plan.m)[1]
+
+
+def p1_atom_rows(atom, f: int) -> list[int]:
+    """An atom as a row of the array schedule: file x's logical row at
+    index x - 1, 0 for a file not in the sum."""
+    rows = [0] * f
+    for x, row in atom.terms:
+        rows[x - 1] = row
+    return rows
+
+
 def p1_symmetry_audit_with_repeat(plan):
-    """`p1_symmetry_audit` of `plan` with node 0 asked twice for its last sum,
-    for tests of what the audits do with a schedule that repeats rows."""
-    atoms = plan.node_atoms
-    return p1_symmetry_audit(dataclasses.replace(
-        plan, node_atoms=(atoms[0] + atoms[0][-1:],) + atoms[1:]))
+    """`p1_symmetry_audit` of `plan` with node 0 asking for its last sum again
+    in place of the sum before it, for tests of what the audits do with a
+    schedule that repeats rows."""
+    rows = plan.rows.copy()
+    rows[0, -2] = rows[0, -1]
+    return p1_symmetry_audit(dataclasses.replace(plan, rows=rows))
 
 
 def p1_decode_reference(plan, responses, msg_field) -> Matrix:
@@ -154,10 +233,11 @@ def p1_decode_reference(plan, responses, msg_field) -> Matrix:
         for pos, idx in enumerate(plan.shuffles[j]):
             canonical[j][idx] = responses[j][pos]
 
+    node_atoms = p1_atoms(plan)
     aligned_coords: dict[tuple, dict[int, int]] = {}
     desired_coords: dict[int, dict[int, int]] = {}
     for j in range(n):
-        for idx, atom in enumerate(plan.node_atoms[j]):
+        for idx, atom in enumerate(node_atoms[j]):
             value = canonical[j][idx]
             if atom.kind == "undesired":
                 u = (atom.terms[0][1] - 1) % nu + 1
@@ -175,7 +255,7 @@ def p1_decode_reference(plan, responses, msg_field) -> Matrix:
             words, missing, msg_field).tolist()))
 
     for j in range(n):
-        for idx, atom in enumerate(plan.node_atoms[j]):
+        for idx, atom in enumerate(node_atoms[j]):
             if atom.kind != "desired":
                 continue
             side = aligned_full[(atom.subset, atom.block, B[atom.srow - 1][j])][j]
@@ -281,11 +361,12 @@ def p1_audit_samples_reference(dss, lam, trials: int, seed: int):
     subset_index: dict[tuple, int] = {}
     samples = np.empty((dss.f, trials, n, d), dtype=np.int64)
     for m in range(1, dss.f + 1):
+        node_atoms = p1_schedule_reference(dss.code, lam, dss.f, m)[1]
         for t in range(trials):
             child = derive_seed(seed, "audit-p1", m, t)
             plan = p1_plan(dss.code, lam, dss.f, m, child)
             for j in range(n):
-                atoms = plan.node_atoms[j]
+                atoms = node_atoms[j]
                 for pos, idx in enumerate(plan.shuffles[j]):
                     files = tuple(sorted(mp for mp, _ in atoms[idx].terms))
                     code_idx = subset_index.setdefault(files, len(subset_index))

@@ -48,7 +48,8 @@ def criterion(num: int, desc: str, budget: float | None = None):
 
 
 def test_criterion_1_protocol1_worked_example(good532):
-    with criterion(1, "file-dependent protocol hits 5/8 on the [5,3,2] run"):
+    with criterion(1, "file-dependent protocol hits 5/8 on the [5,3,2] run and "
+                      "the finite capacity at f = 2..5"):
         lam = rate_matrix(good532, LAM35)
         dss = Dss(good532, f=2, beta=25, seed=0)
         t0 = time.time()
@@ -61,6 +62,14 @@ def test_criterion_1_protocol1_worked_example(good532):
         assert decoded.rows == 25 and decoded == dss.files[0]
         assert plan.rate == Fraction(5, 8) == capacity_finite(5, 3, 2)
         assert elapsed < 1.0
+        # the finite capacity at every small number of files, either end of the file list
+        for f in range(2, 6):
+            dss = Dss(good532, f=f, beta=lam.nu ** f, seed=f)
+            for m in (1, f):
+                assert p1_plan(good532, lam, f, m, seed=m).rate == capacity_finite(5, 3, f)
+                tx = run(1, dss, {"lam": lam, "m": m, "seed": m})
+                assert tx.decoded_hash == dss.file_hash(m)
+                assert tx.rate == capacity_finite(5, 3, f)
 
 
 def test_criterion_2_protocol2_worked_examples(good532, code73):

@@ -4,15 +4,17 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from codedpir.dss import Dss, run
 from codedpir.errors import DecodeFailure, DimensionMismatch, KappaEqualsNu
 from codedpir.optimizer import optimize_rate
-from codedpir.protocol1 import p1_answer, p1_decode, p1_plan, p1_symmetry_audit
+from codedpir.protocol1 import _first_seen, p1_answer, p1_decode, p1_plan, p1_symmetry_audit
 from codedpir.ratematrix import E_to_lambda, lambda_generic, rate_matrix, rate_protocol1
-from conftest import LAM23, LAM35, codes, p1_decode_reference
+from conftest import (LAM23, LAM35, codes, p1_atom_rows, p1_atoms, p1_decode_reference,
+                      p1_schedule_reference)
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +39,7 @@ def test_counting_functions(good532, bad532, lam35):
         for (j, rep, r), table in counts.items():
             assert table == {frozenset(files): kappa ** (f - r) * (nu - kappa) ** (r - 1)
                              for files in combinations(range(1, f + 1), r)}, (j, rep, r)
-        desired = {row for atoms in plan.node_atoms for atom in atoms
-                   for mp, row in atom.terms if mp == 1}
+        desired = set(plan.rows[:, :, 0].ravel().tolist()) - {0}
         assert desired == set(range(1, plan.beta + 1))
 
 
@@ -46,15 +47,15 @@ def test_plan_shape_and_rate(good532, lam35):
     plan = p1_plan(good532, lam35, f=2, m=1, seed=0)
     assert plan.beta == 25
     assert plan.d == 24
-    assert all(len(atoms) == 24 for atoms in plan.node_atoms)
+    assert plan.rows.shape == (5, 24, 2) and plan.labels.shape == (24, 2)
     assert plan.rate == Fraction(5, 8) == rate_protocol1(3, 5, 3, 5, 2)
 
 
 def test_plan_matches_published_schedule(good532, lam35):
     """Spot checks of the canonical (pre-shuffle) schedule against the
     published download table for the (3,5,2) run, server 1."""
-    plan = p1_plan(good532, lam35, f=2, m=1, seed=0)
-    atoms = plan.node_atoms[0]
+    node_atoms = p1_schedule_reference(good532, lam35, f=2, m=1)[1]
+    atoms = node_atoms[0]
     des1_r1 = [a.terms for a in atoms if a.kind == "desired1" and a.rep == 1]
     assert des1_r1 == [((1, 1),), ((1, 2),), ((1, 3),)]
     und_r1 = [a.terms for a in atoms if a.kind == "undesired" and a.rep == 1]
@@ -66,9 +67,47 @@ def test_plan_matches_published_schedule(good532, lam35):
     des2_r2 = [a.terms for a in atoms if a.kind == "desired" and a.rep == 2]
     assert des2_r2 == [((1, 17), (2, 8)), ((1, 22), (2, 9))]
     # server 4 uses column 4 of the interference matrices: A col = (2,3,4)
-    atoms4 = plan.node_atoms[3]
+    atoms4 = node_atoms[3]
     des1_s4 = [a.terms for a in atoms4 if a.kind == "desired1" and a.rep == 1]
     assert des1_s4 == [((1, 4),), ((1, 5),), ((1, 6),)]
+
+
+SCHEDULE_CASES = [("good532", LAM35, f) for f in range(1, 6)] + [
+    ("bad532", LAM23, f) for f in (4, 5)]
+
+
+@pytest.mark.parametrize("code_name,lam_rows,f", SCHEDULE_CASES)
+def test_schedule_matches_reference(request, code_name, lam_rows, f):
+    """The array schedule is the reference schedule atom for atom: node j's
+    request i asks the rows of atom i of node j's reference list, and its
+    label is that atom's (repetition, round), for every requested file."""
+    code = request.getfixturevalue(code_name)
+    lam = rate_matrix(code, lam_rows)
+    for m in range(1, f + 1):
+        assert_schedule_matches_reference(p1_plan(code, lam, f, m, 0))
+
+
+def assert_schedule_matches_reference(plan):
+    beta, node_atoms = p1_schedule_reference(plan.code, plan.lam, plan.f, plan.m)
+    assert plan.beta == beta and plan.d == len(node_atoms[0])
+    assert plan.rows.tolist() == [[p1_atom_rows(atom, plan.f) for atom in atoms]
+                                  for atoms in node_atoms]
+    for atoms in node_atoms:
+        assert plan.labels.tolist() == [[atom.rep, atom.rnd] for atom in atoms]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.data())
+def test_schedule_matches_reference_on_random_codes(data):
+    """The same on random codes over GF(2), GF(3) and GF(4) with the generic
+    rate matrix, f = 1..4 and a drawn requested file."""
+    code = data.draw(codes([(2, 1), (3, 1), (2, 2)], max_n=6))
+    assume(code.k < code.n and code.min_distance() > 1)
+    lam = lambda_generic(code, seed=data.draw(st.integers(0, 2**16)))
+    f = data.draw(st.integers(1, 4))
+    assume(lam.nu ** f <= 625)
+    assert_schedule_matches_reference(
+        p1_plan(code, lam, f, data.draw(st.integers(1, f)), 0))
 
 
 def test_single_term_answer_is_raw_symbol(good532, lam35):
@@ -76,28 +115,78 @@ def test_single_term_answer_is_raw_symbol(good532, lam35):
     plan = p1_plan(good532, lam35, f=2, m=1, seed=3)
     query = plan.node_query(0)
     responses = p1_answer(dss, 0, query)
-    for pos, terms in enumerate(query):
+    assert query.shape == (plan.d, 2) and responses.shape == (plan.d,)
+    singles = 0
+    for pos, rows in enumerate(query.tolist()):
+        terms = [(x, row) for x, row in enumerate(rows, 1) if row >= 0]
         if len(terms) == 1:
-            mp, row = terms[0]
+            (mp, row), = terms
             assert responses[pos] == dss.stored[(mp - 1) * dss.beta + row, 0]
+            singles += 1
+    assert singles == 18  # per repetition: 3 desired rows and 3 side rows
+
+
+def answer_reference(dss, node: int, query) -> list[int]:
+    """Reference for `p1_answer`: each row's present terms added one at a
+    time with the field's `add`, each read from its file's own rows."""
+    out = []
+    for rows in np.asarray(query).tolist():
+        acc = 0
+        for x, row in enumerate(rows, 1):
+            if row >= 0:
+                assert 0 <= row < dss.beta
+                acc = dss.msg_field.add(acc, int(dss.stored[(x - 1) * dss.beta + row, node]))
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("q,ell", [(2, 1), (2, 2), (3, 1)], ids=["gf2", "gf4", "gf3"])
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.data())
+def test_answer_matches_termwise_reference(q, ell, data):
+    """Answers to random queries (each row names at least one term) equal the
+    term-by-term field sums over GF(2), GF(4) and GF(3), on a [5,3] code."""
+    code = data.draw(codes([(q, 1)], n=5))
+    f = data.draw(st.integers(1, 4))
+    beta = data.draw(st.integers(1, 6))
+    dss = Dss(code, f=f, beta=beta, ell=ell, seed=data.draw(st.integers(0, 99)))
+    d = data.draw(st.integers(0, 8))
+    query = np.array(data.draw(st.lists(
+        st.lists(st.integers(-1, beta - 1), min_size=f, max_size=f)
+        .filter(lambda rows: max(rows) >= 0), min_size=d, max_size=d)),
+        dtype=np.int64).reshape(d, f)
+    node = data.draw(st.integers(0, 4))
+    answer = p1_answer(dss, node, query)
+    assert answer.shape == (d,)
+    assert answer.tolist() == answer_reference(dss, node, query)
 
 
 def test_empty_sum_rejected(good532):
     dss = Dss(good532, f=1, beta=5, seed=0)
-    with pytest.raises(DimensionMismatch):
-        p1_answer(dss, 0, [()])
+    with pytest.raises(DimensionMismatch, match="empty"):
+        p1_answer(dss, 0, np.array([[-1]]))
 
 
-@pytest.mark.parametrize("term", [(0, 0), (3, 0), (1, -1), (2, 25)])
+@pytest.mark.parametrize("term", [
+    [4, -2],      # a row below -1
+    [4, 25],      # a row equal to beta (it would read file 2's first stripe)
+    [4, 0, -1],   # f + 1 columns
+    [-1, -1],     # a sum that names no term
+    [4.0, 0.0],   # not an integer array
+    [4],          # f - 1 columns
+])
 def test_answer_rejects_terms_outside_the_store(good532, term):
-    """A node holds rows 0..beta-1 of files 1..f: any other term is an error,
-    not a read of another file or stripe (file 0 and row -1 would index
-    from the end of the store)."""
+    """A node holds rows 0..beta-1 of files 1..f, and -1 marks a file not in
+    the sum: any other query is an error, not a read of another file or
+    stripe (a row of beta would read the next file's first stripe, and -2
+    would index from the end of the store)."""
     dss = Dss(good532, f=2, beta=25, seed=0)
-    assert p1_answer(dss, 0, [((1, 0), (2, 24))]) == [
+    assert p1_answer(dss, 0, np.array([[0, 24]])).tolist() == [
         dss.msg_field.add(dss.stored[0, 0], dss.stored[49, 0])]
-    with pytest.raises(DimensionMismatch, match="outside"):
-        p1_answer(dss, 0, [((1, 3),), ((1, 4), term)])
+    with pytest.raises(DimensionMismatch):
+        p1_answer(dss, 0, np.array([[3] + [-1] * (len(term) - 1), term]))
+    with pytest.raises(DimensionMismatch):  # not a (d, f) array
+        p1_answer(dss, 0, np.array(term))
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -123,7 +212,7 @@ def test_single_file_degenerate(good532, lam35):
     dss = Dss(good532, f=1, beta=5, seed=2)
     plan = p1_plan(good532, lam35, f=1, m=1, seed=2)
     assert plan.d == 3  # kappa requests per node, no side information
-    assert all(a.kind == "desired1" for atoms in plan.node_atoms for a in atoms)
+    assert (plan.file_sets == 1).all() and (plan.labels[:, 1] == 1).all()
     responses = [p1_answer(dss, j, plan.node_query(j)) for j in range(5)]
     assert p1_decode(plan, responses, dss.msg_field) == dss.files[0]
 
@@ -151,7 +240,7 @@ def test_download_accounting_many_shapes(good532, bad532):
         lam = rate_matrix(code, rows)
         plan = p1_plan(code, lam, f=f, m=1, seed=1)
         k, n = code.k, code.n
-        total = sum(len(a) for a in plan.node_atoms)
+        total = int((plan.rows > 0).any(axis=2).sum())
         assert total == n * plan.d
         assert Fraction(plan.beta * k, total) == rate_protocol1(
             lam.kappa, lam.nu, k, n, f)
@@ -167,10 +256,48 @@ def test_symmetry_audit(good532, lam35):
     assert table_r1[frozenset({1})] == 3 and table_r1[frozenset({2})] == 3
     table_r2 = report.counts[(0, 1, 2)]
     assert table_r2[frozenset({1, 2})] == 2
-    # negative control: dropping one request breaks node symmetry
-    broken = p1_symmetry_audit(dataclasses.replace(
-        plan, node_atoms=(plan.node_atoms[0][:-1],) + plan.node_atoms[1:]))
+    # negative control: node 0 dropping the desired term of its last sum
+    # breaks node symmetry
+    rows = plan.rows.copy()
+    rows[0, -1, 0] = 0
+    broken = p1_symmetry_audit(dataclasses.replace(plan, rows=rows))
     assert not broken.ok
+    assert "node 1 differs from node 0 at rep 3 round 2" in broken.violations
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 3), min_size=2, max_size=2), max_size=40),
+       st.booleans())
+def test_first_seen_numbers_by_first_appearance(rows, flat):
+    """The distinct keys (ints, or rows of ints) numbered as a dict fills in
+    scan order: first positions, counts and each entry's number."""
+    keys = [row[0] for row in rows] if flat else [tuple(row) for row in rows]
+    first, count, number = _first_seen(np.array(keys, dtype=np.int64).reshape(
+        len(keys), *(() if flat else (2,))))
+    seen: dict = {}
+    for pos, key in enumerate(keys):
+        seen.setdefault(key, [pos, 0])[1] += 1
+    assert first.tolist() == [pos for pos, _ in seen.values()]
+    assert count.tolist() == [c for _, c in seen.values()]
+    assert number.tolist() == [list(seen).index(key) for key in keys]
+
+
+def test_symmetry_counts_follow_the_reference_atoms(good532, lam35):
+    """The symmetry audit's tables are those of the reference atoms, filled
+    in the same order: per node, each (rep, round) and each file set as the
+    node's atom list first shows it."""
+    for f in (2, 3, 4):
+        for m in (1, f):
+            plan = p1_plan(good532, lam35, f, m, 0)
+            counts: dict = {}
+            for j, atoms in enumerate(p1_atoms(plan)):
+                for atom in atoms:
+                    table = counts.setdefault((j, atom.rep, atom.rnd), {})
+                    files = frozenset(x for x, _ in atom.terms)
+                    table[files] = table.get(files, 0) + 1
+            got = p1_symmetry_audit(plan).counts
+            assert [(key, list(table.items())) for key, table in got.items()] == [
+                (key, list(table.items())) for key, table in counts.items()]
 
 
 REPEAT = re.compile(r"node (\d+): file (\d+) row (\d+) requested (\d+) times")
@@ -194,14 +321,16 @@ def test_symmetry_audit_names_repeated_rows(good532, lam35, f, most):
     for m in (1, f):
         plan = p1_plan(good532, lam35, f, m, 0)
         assert p1_symmetry_audit(plan).ok
-        atoms = plan.node_atoms
-        repeated = next(atom for atom in atoms[1] if len(atom.terms) == 2)
-        report = p1_symmetry_audit(dataclasses.replace(plan, node_atoms=(
-            atoms[0], atoms[1] + (repeated,) * (most - 1)) + atoms[2:]))
+        # node 1 asks its first 2-file sum again in place of the next most - 1 sums
+        first = int(np.flatnonzero((plan.rows[1] > 0).sum(axis=1) == 2)[0])
+        rows = plan.rows.copy()
+        rows[1, first + 1:first + most] = rows[1, first]
+        report = p1_symmetry_audit(dataclasses.replace(plan, rows=rows))
         named = [g for g in map(REPEAT.match, report.violations) if g]
         assert not report.ok
         assert sorted((int(g[1]), int(g[2]), int(g[3]), int(g[4])) for g in named) == [
-            (1, mp, row, most) for mp, row in repeated.terms], report.violations
+            (1, x, row, most) for x, row in enumerate(rows[1, first].tolist(), 1)
+            if row], report.violations
 
 
 @pytest.mark.parametrize("code_name,rows,f", [("good532", LAM35, 4),
@@ -216,7 +345,8 @@ def test_node_views_repeat_no_stored_symbol(request, code_name, rows, f):
         for m in range(1, f + 1):
             plan = p1_plan(code, lam, f, m, seed)
             for j in range(code.n):
-                terms = Counter(t for terms in plan.node_query(j) for t in terms)
+                terms = Counter((x, row) for rows in plan.node_query(j).tolist()
+                                for x, row in enumerate(rows, 1) if row >= 0)
                 assert max(terms.values()) == 1, (seed, m, j)
                 assert all(0 <= row < plan.beta for _, row in terms)
 
@@ -236,8 +366,9 @@ def test_many_file_schedules_are_private_and_decode(f, data):
     for m in range(1, f + 1):
         plan = p1_plan(code, lam, f, m, m)
         assert p1_symmetry_audit(plan).ok
-        for atoms in plan.node_atoms:
-            terms = Counter(t for atom in atoms for t in atom.terms)
+        for rows in plan.rows.tolist():
+            terms = Counter((x, row) for sums in rows
+                            for x, row in enumerate(sums, 1) if row)
             assert max(terms.values()) == 1
         assert run(1, dss, {"lam": lam, "m": m, "seed": m}).decoded_hash == dss.file_hash(m)
 
@@ -259,38 +390,41 @@ def test_seeds_share_one_schedule(good532, lam35):
     draws only the private permutations and shuffles."""
     a = p1_plan(good532, lam35, f=2, m=1, seed=0)
     b = p1_plan(good532, lam35, f=2, m=1, seed=1)
-    assert b.node_atoms is a.node_atoms
-    assert isinstance(a.node_atoms, tuple)
-    assert all(isinstance(atoms, tuple) for atoms in a.node_atoms)
-    assert a.perms != b.perms and a.shuffles != b.shuffles
+    assert b.rows is a.rows and b.labels is a.labels
+    # the shared arrays are read-only, so no plan can change another's schedule
+    assert not a.rows.flags.writeable and not a.labels.flags.writeable
+    with pytest.raises(ValueError):
+        a.rows[0, 0, 0] = 7
+    assert (a.perms != b.perms).any() and (a.shuffles != b.shuffles).any()
     private = {"seed", "perms", "shuffles"}
     for fld in dataclasses.fields(a):
         if fld.name not in private:
-            assert getattr(a, fld.name) == getattr(b, fld.name), fld.name
+            assert getattr(a, fld.name) is getattr(b, fld.name), fld.name
     # the other file index has its own schedule
-    assert p1_plan(good532, lam35, f=2, m=2, seed=0).node_atoms != a.node_atoms
+    assert (p1_plan(good532, lam35, f=2, m=2, seed=0).rows != a.rows).any()
 
 
 def test_plan_draws_plain_int_permutations_that_replay(good532, lam35):
     """One generator per plan draws every stripe permutation and query
-    shuffle: each is a permutation of range(beta) or range(d) made of plain
-    Python ints, a fixed seed replays them bit for bit, and the transcript
-    that carries them serializes."""
+    shuffle: each is a permutation of range(beta) or range(d), a fixed seed
+    replays them bit for bit, and the transcript that carries them renders
+    them as plain Python ints and serializes."""
     import json
     from codedpir.dss import run
     plan = p1_plan(good532, lam35, f=2, m=1, seed=21)
-    assert len(plan.perms) == plan.f and len(plan.shuffles) == good532.n
-    for perm in plan.perms:
+    assert plan.perms.shape == (plan.f, plan.beta)
+    assert plan.shuffles.shape == (good532.n, plan.d)
+    for perm in plan.perms.tolist():
         assert sorted(perm) == list(range(plan.beta))
-        assert all(type(x) is int for x in perm)
-    for order in plan.shuffles:
+    for order in plan.shuffles.tolist():
         assert sorted(order) == list(range(plan.d))
-        assert all(type(x) is int for x in order)
     again = p1_plan(good532, lam35, f=2, m=1, seed=21)
-    assert (again.perms, again.shuffles) == (plan.perms, plan.shuffles)
+    assert (again.perms == plan.perms).all() and (again.shuffles == plan.shuffles).all()
     dss = Dss(good532, f=2, beta=25, seed=21)
     tx = run(1, dss, {"lam": lam35, "m": 1, "seed": 21})
-    assert tx.user == {"perms": plan.perms, "shuffles": plan.shuffles}
+    user = tx.to_json_dict()["user"]
+    assert user == {"perms": plan.perms.tolist(), "shuffles": plan.shuffles.tolist()}
+    assert all(type(x) is int for rows in user.values() for row in rows for x in row)
     assert json.dumps(tx.to_json_dict())
 
 
@@ -308,11 +442,7 @@ def test_plan_subset_multisets_independent_of_request(good532, lam35):
     from collections import Counter
     plans = {m: p1_plan(good532, lam35, f=2, m=m, seed=13) for m in (1, 2)}
     for j in range(5):
-        counters = []
-        for m, plan in plans.items():
-            counters.append(Counter(
-                frozenset(mp for mp, _ in atom.terms)
-                for atom in plan.node_atoms[j]))
+        counters = [Counter(plan.file_sets[j].tolist()) for plan in plans.values()]
         assert counters[0] == counters[1]
 
 
@@ -336,15 +466,16 @@ def test_decode_checks_desired_stripes_on_all_known_coordinates(good532):
     dss = Dss(good532, f=2, beta=lam.nu ** 2, seed=1)
     plan = p1_plan(good532, lam, f=2, m=1, seed=1)
     responses = [p1_answer(dss, j, plan.node_query(j)) for j in range(5)]
+    node_atoms = p1_atoms(plan)
     known: dict[int, set] = {}
-    for j, atoms in enumerate(plan.node_atoms):
+    for j, atoms in enumerate(node_atoms):
         for atom in atoms:
             if atom.kind in ("desired", "desired1"):
                 known.setdefault(atom.terms[0][1], set()).add(j)
     detectable = 0
     for j in range(5):
         for pos, idx in enumerate(plan.shuffles[j]):
-            atom = plan.node_atoms[j][idx]
+            atom = node_atoms[j][idx]
             if atom.kind not in ("desired", "desired1") or \
                     good532.puncture(known[atom.terms[0][1]]).min_distance() < 2:
                 continue
