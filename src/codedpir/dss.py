@@ -3,10 +3,12 @@
 The Dss holds f files of beta stripes each over GF(q^ell) (files given over
 a subfield are lifted into it), encoded in one array product with the storage
 code into `stored`, an (f*beta) x n int64 array and the one copy of the coded
-data; node l stores its column l (`node_content`), the l-th coordinate of
-every encoded stripe (f coded chunks of beta symbols). Nodes are read-only
-after init. `run` makes one round trip of protocol 1, or of the
-protocol-3 engine, which serves protocol 2 with the repetition query code.
+data; node l stores its column l, the l-th coordinate of every encoded stripe
+(f coded chunks of beta symbols), and the protocols' node-side steps
+(`p1_answer`, `p3_respond`) read the nodes' columns from `stored` directly.
+Nodes and files are read-only after init. `run` makes one round trip of
+protocol 1, or of the protocol-3 engine, which serves protocol 2 with the
+repetition query code.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ class Dss:
                 raise BadParams(f"files must lie over {self.msg_field} or a subfield")
             files = [x.lift(self.msg_field) for x in files]
         self.files = files
+        self._hashes: dict[int, str] = {}
         # file-major, stripe-minor: column l is node l's content
         self.stored = code.encode(
             np.array([row for x in files for row in x.data], dtype=np.int64)
@@ -69,18 +72,23 @@ class Dss:
         return self.stored[:, node].tolist()
 
     def file_hash(self, m: int) -> str:
-        """Canonical digest of file m (1-based) for transcript comparison."""
-        payload = json.dumps(self.files[m - 1].data).encode()
-        return hashlib.sha256(payload).hexdigest()
+        """Canonical digest of file m (1-based) for transcript comparison,
+        computed on first request (files are read-only after init)."""
+        digest = self._hashes.get(m)
+        if digest is None:
+            payload = json.dumps(self.files[m - 1].data).encode()
+            digest = self._hashes[m] = hashlib.sha256(payload).hexdigest()
+        return digest
 
 
 @dataclass
 class Transcript:
     """One protocol round trip: node views, responses, and the achieved rate.
 
-    Queries, responses and the user part are held as the protocol made them
-    (protocol 1: int64 arrays; protocols 2 and 3: query matrices and lists)
-    and rendered as JSON only by `to_json_dict`."""
+    Queries, responses and the user part are held as the protocol made them,
+    int64 arrays (protocol 1: (n, d, f) physical rows; protocols 2 and 3:
+    (n, d, beta*f) query symbols over GF(`q`)), and rendered as JSON only by
+    `to_json_dict`."""
 
     protocol: str
     n: int
@@ -93,6 +101,7 @@ class Transcript:
     downloaded: int = 0
     rate: Fraction = Fraction(0)
     user: dict = dc_field(default_factory=dict)  # user-private bookkeeping
+    q: int = 0               # order of the query symbols' field (protocols 2, 3)
 
     def to_json_dict(self, include_user: bool = True) -> dict:
         if self.protocol == "p1":
@@ -100,7 +109,9 @@ class Transcript:
             queries = [[[[x, row] for x, row in enumerate(request, 1) if row >= 0]
                         for request in node] for node in self.queries.tolist()]
         else:
-            queries = [q.to_json_dict() for q in self.queries]
+            _, d, cols = self.queries.shape
+            queries = [{"q": self.q, "rows": d, "cols": cols, "entries": node}
+                       for node in self.queries.tolist()]
         out = {
             "protocol": self.protocol,
             "n": self.n,
@@ -151,10 +162,13 @@ def run(protocol: int, dss: Dss, config: dict) -> Transcript:
         setup = config["structure" if protocol == 2 else "setup"]
         if setup.beta != dss.beta:
             raise BadParams("setup and storage disagree on beta")
+        if setup.code.field is not dss.code.field or setup.code.G != dss.code.G:
+            raise BadParams("setup was built for another storage code than the "
+                            "store's (field or generator matrix differs)")
         queries = p3_queries(setup, dss.f, m, seed)
         responses = p3_respond(dss, queries)
         decoded = p3_decode(setup, responses, dss.f, m, dss.msg_field)
-        downloaded = sum(len(r) for r in responses)
+        downloaded = responses.size
         user = {"ehat": [list(r) for r in setup.ehat],
                 "info_sets": [list(s) for s in setup.info_sets],
                 "T": setup.collusion_threshold, "seed": seed}
@@ -167,5 +181,5 @@ def run(protocol: int, dss: Dss, config: dict) -> Transcript:
     tx = Transcript(protocol=f"p{protocol}", n=n, f=dss.f, requested=m,
                     seed=seed, queries=queries, responses=responses,
                     decoded_hash=dss.file_hash(m), downloaded=downloaded,
-                    rate=rate, user=user)
+                    rate=rate, user=user, q=dss.code.field.order)
     return tx

@@ -15,14 +15,19 @@ erasure decoding) is one exact product on int64 arrays of canonical elements,
 once k (p-1)^2 reaches 2^63; over GF(p^a) with log/exp tables (order up to
 2^16), one table gather per term over row blocks of at most MATMUL_CHUNK
 terms, summed by XOR in characteristic 2 and digit-wise mod p otherwise;
-over larger fields, a scalar loop over `add` and `mul`. `sum_array` and
-`sub_array` add and subtract such arrays in the same two ways.
+over larger fields, a scalar loop over `add` and `mul`. Its operands may be
+stacked, (..., r, k) and (..., k, c) with leading dimensions broadcast as by
+`@`, for one product per slice in one call (every node's response): the
+stacks' rows are then blocked one after another, each row gathering its own
+slice of b. `sum_array` and `sub_array` add and subtract such arrays in the
+same two ways.
 
 Everything here is immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -311,8 +316,12 @@ class FiniteField:
     def matmul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The product a b over this field of an r x k and a k x c int64 array
         of canonical elements, as an r x c int64 array (see the module
-        docstring)."""
-        (r, k), c = a.shape, b.shape[1]
+        docstring). Stacked operands (..., r, k) and (..., k, c) multiply
+        slice by slice, their leading dimensions broadcast as by `@`, into a
+        (..., r, c) array; DimensionMismatch if the inner sizes differ."""
+        (r, k), c = a.shape[-2:], b.shape[-1]
+        if b.shape[-2] != k:
+            raise DimensionMismatch(f"{a.shape} times {b.shape}")
         if self.alpha == 1:
             if k * (self.p - 1) ** 2 >= 1 << 63:  # int64 sums could wrap
                 out = a.astype(object) @ b.astype(object) % self.p
@@ -320,25 +329,34 @@ class FiniteField:
             out = a @ b
             out %= self.p
             return out
+        lead = a.shape[:-2]
+        if lead != b.shape[:-2]:
+            lead = np.broadcast_shapes(lead, b.shape[:-2])
+            a, b = np.broadcast_to(a, lead + (r, k)), np.broadcast_to(b, lead + (k, c))
+        size = math.prod(lead)
+        if lead:  # the stack's rows one after another: row i times slice i // r of b
+            a, b = a.reshape(size * r, k), b.reshape(size, k, c)
         if self._exp is None:
-            bt = b.T.tolist()
-            out = [[0] * c for _ in range(r)]
-            for orow, arow in zip(out, a.tolist()):
-                for j, bcol in enumerate(bt):
+            cols = np.swapaxes(b, -1, -2).reshape(size, c, k).tolist()
+            out = [[0] * c for _ in range(size * r)]
+            for i, (orow, arow) in enumerate(zip(out, a.tolist())):
+                for j, bcol in enumerate(cols[i // r]):
                     acc = 0
                     for x, y in zip(arow, bcol):
                         if x and y:
                             acc = self.add(acc, self.mul(x, y))
                     orow[j] = acc
-            return np.array(out, dtype=np.int64).reshape(r, c)
+            return np.array(out, dtype=np.int64).reshape(lead + (r, c))
         exp, log = self._gather_tables()
-        log_b = log[b][None]
-        out = np.empty((r, c), dtype=np.int64)
+        log_b = log[b]
+        out = np.empty((size * r, c), dtype=np.int64)
         step = max(1, MATMUL_CHUNK // max(1, k * c))
-        for start in range(0, r, step):
-            terms = exp[log[a[start:start + step]][:, :, None] + log_b]
-            out[start:start + step] = self.sum_array(terms, axis=1)
-        return out
+        for start in range(0, size * r, step):
+            stop = min(start + step, size * r)
+            block = log_b if size == 1 else log_b[np.arange(start, stop) // r]
+            terms = exp[log[a[start:stop]][:, :, None] + block]
+            out[start:stop] = self.sum_array(terms, axis=1)
+        return out.reshape(lead + (r, c)) if lead else out
 
     def sum_array(self, terms: np.ndarray, axis: int) -> np.ndarray:
         """Field sum of an int64 array of canonical elements along `axis`."""

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .codes import LinearCode, repetition_code
 from .fields import FiniteField, Matrix
 from .protocol3 import P3Setup, p3_decode, p3_queries, p3_respond, p3_setup
@@ -27,14 +29,14 @@ def p2_build_structure(code: LinearCode, info_sets: Sequence[Sequence[int]],
     return p3_setup(code, repetition_code(code.field, code.n), ehat, info_sets)
 
 
-def p2_queries(setup: P3Setup, f: int, m: int, seed: int) -> list[Matrix]:
+def p2_queries(setup: P3Setup, f: int, m: int, seed: int) -> np.ndarray:
     return p3_queries(setup, f, m, seed)
 
 
-def p2_respond(dss, queries: Sequence[Matrix]) -> list[list[int]]:
+def p2_respond(dss, queries) -> np.ndarray:
     return p3_respond(dss, queries)
 
 
-def p2_decode(setup: P3Setup, responses: Sequence[Sequence[int]],
-              f: int, m: int, msg_field: FiniteField) -> Matrix:
+def p2_decode(setup: P3Setup, responses, f: int, m: int,
+              msg_field: FiniteField) -> Matrix:
     return p3_decode(setup, responses, f, m, msg_field)

@@ -13,6 +13,13 @@ one call of one seeded numpy generator (`rng.generator(seed, "p3")`);
 `query_batch`, the array step that encodes them and adds the offsets, also
 runs the statistical audit's trials, drawn the same way.
 
+From query to answer a retrieval stays in int64 arrays: the query is one
+(n, d, beta*f) array, row l node l's; `p3_respond` answers every node in one
+stacked array product with the stored columns, an (n, d) response array; and
+`p3_decode` erasure-decodes one batch per distinct Ehat row and places the
+exposed symbols by the index arrays of `P3Setup.decode_plan`, built once per
+setup, before one solve per distinct information set.
+
 With the [n,1] repetition code as the query code the product is the storage
 code and T = 1: that is protocol 2, the file-independent noncolluding
 protocol (see `protocol2`).
@@ -90,6 +97,48 @@ class P3Setup:
                              for row in self.ehat))
         return tuple(out)
 
+    @cached_property
+    def leaks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(nodes, subqueries, stripes): every place where a subquery has a
+        node leak a symbol, as three int64 arrays in node-major order."""
+        return tuple(np.array(x, dtype=np.int64) for x in zip(*[
+            (l, i, t) for l, stripes in enumerate(self.stripes)
+            for i, t in enumerate(stripes) if t is not None]))
+
+    @cached_property
+    def decode_plan(self) -> tuple[tuple, tuple]:
+        """Where `p3_decode` reads and writes, built once: per distinct Ehat
+        row (in order of first appearance) its subqueries, its support and the
+        (subqueries x support) array of the stripe each exposed symbol belongs
+        to; per distinct information set the stripes read off it and the
+        (stripes x set) index of their symbols. Raises DecodeFailure unless
+        each stripe's symbol at each node of its information set is exposed
+        exactly once."""
+        rows: dict[Mask, list[int]] = {}
+        for i, row in enumerate(self.ehat):
+            rows.setdefault(row, []).append(i)
+        exposed = np.zeros((self.beta, self.code.n), dtype=np.int64)
+        row_plan = []
+        for row, batch in rows.items():
+            support = np.flatnonzero(row)
+            stripes = [[self.stripes[l][i] for l in support] for i in batch]
+            if any(t is None for ts in stripes for t in ts):
+                raise DecodeFailure("stripe assignment inconsistent")
+            stripes = np.array(stripes, dtype=np.int64).reshape(len(batch), len(support))
+            np.add.at(exposed, (stripes, support), 1)
+            row_plan.append((np.array(batch), support, stripes))
+        if (exposed > 1).any():
+            raise DecodeFailure("stripe assignment inconsistent")
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for t, iset in enumerate(self.info_sets):
+            groups.setdefault(iset, []).append(t)
+        for iset, batch in groups.items():
+            for t in batch:
+                if not exposed[t, list(iset)].all():
+                    raise DecodeFailure(f"missing symbol for stripe {t}")
+        return tuple(row_plan), tuple((iset, batch, np.ix_(batch, iset))
+                                      for iset, batch in groups.items())
+
     def to_json_dict(self) -> dict:
         from .families import spec_from_code
         return {"code": spec_from_code(self.code),
@@ -156,14 +205,13 @@ def p3_setup(code: LinearCode, query_code: LinearCode,
     return setup
 
 
-def p3_queries(setup: P3Setup, f: int, m: int, seed: int) -> list[Matrix]:
-    """d x (beta*f) query matrix per node; fresh codeword batch per subquery."""
-    field = setup.query_code.field
+def p3_queries(setup: P3Setup, f: int, m: int, seed: int) -> np.ndarray:
+    """The (n, d, beta*f) int64 query array over the query field: node l's
+    d x beta*f query is row l, a fresh codeword batch per subquery."""
     d, bf = setup.d, setup.beta * f
     msgs = generator(seed, "p3").integers(
-        0, field.order, size=(1, d, bf, setup.query_code.k))
-    return [Matrix.wrap(field, rows, d, bf)
-            for rows in query_batch(setup, f, m, msgs)[0].tolist()]
+        0, setup.query_code.field.order, size=(1, d, bf, setup.query_code.k))
+    return query_batch(setup, f, m, msgs)[0]
 
 
 def query_batch(setup: P3Setup, f: int, m: int, msgs: np.ndarray) -> np.ndarray:
@@ -176,71 +224,62 @@ def query_batch(setup: P3Setup, f: int, m: int, msgs: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"m={m} outside 1..{f}, or {bf} != beta*f columns")
     words = qcode.encode(msgs.reshape(T * d * bf, kq))
     out = words.reshape(T, d, bf, qcode.n).transpose(0, 3, 1, 2)
-    nodes, subs, cols = zip(*[(l, i, (m - 1) * setup.beta + stripe)
-                              for l, stripes in enumerate(setup.stripes)
-                              for i, stripe in enumerate(stripes)
-                              if stripe is not None])
+    nodes, subs, stripes = setup.leaks
+    cols = (m - 1) * setup.beta + stripes
     hit = out[:, nodes, subs, cols]
     out[:, nodes, subs, cols] = qcode.field.sum_array(
         np.stack([hit, np.ones_like(hit)]), axis=0)
     return out
 
 
-def p3_respond(dss, queries: Sequence[Matrix]) -> list[list[int]]:
-    """Per-node responses: subquery dot products with the stored column, one
-    array product per node over the message field."""
-    field, stored = dss.msg_field, dss.stored
-    out = []
-    for l, Q in enumerate(queries):
-        if Q.cols != len(stored):
-            raise DimensionMismatch(f"query of {Q.cols} columns for "
-                                    f"{len(stored)} stored stripes")
-        rows = np.array(Q.data, dtype=np.int64).reshape(Q.rows, Q.cols)
-        out.append(field.matmul_array(field.embed_array(rows, Q.field),
-                                      stored[:, l:l + 1]).ravel().tolist())
-    return out
+def p3_respond(dss, queries) -> np.ndarray:
+    """Every node's responses as an (n, d) array over the message field: the
+    subquery dot products of node l's query rows with its stored column, all
+    nodes in one stacked array product. The queries must be an (n, d, beta*f)
+    integer array over the storage code's field; anything else raises
+    DimensionMismatch."""
+    field, stored, code = dss.msg_field, dss.stored, dss.code
+    queries = np.asarray(queries)
+    if (queries.ndim != 3 or queries.shape[0] != code.n
+            or queries.shape[2] != len(stored) or queries.dtype.kind not in "iu"):
+        raise DimensionMismatch(f"queries are an (n={code.n}, d, {len(stored)}) "
+                                f"integer array for {len(stored)} stored stripes; "
+                                f"got {queries.dtype} of shape {queries.shape}")
+    if queries.size and (queries.min() < 0 or queries.max() >= code.field.order):
+        raise DimensionMismatch(f"a query symbol lies outside {code.field}")
+    rows = field.embed_array(queries.astype(np.int64, copy=False), code.field)
+    return field.matmul_array(rows, stored.T[:, :, None])[..., 0]
 
 
-def p3_decode(setup: P3Setup, responses: Sequence[Sequence[int]],
-              f: int, m: int, msg_field: FiniteField) -> Matrix:
-    """Decode each subquery's response vector rho in the product code with its
-    support erased, one batch per distinct Ehat row; the exposed symbols are
-    rho_l - c_l there. An inconsistent response raises DecodeFailure only when
-    Gamma < n - ktilde (the support leaves parity checks unused); otherwise it
-    decodes to a wrong stripe."""
+def p3_decode(setup: P3Setup, responses, f: int, m: int,
+              msg_field: FiniteField) -> Matrix:
+    """Decode the (n, d) responses: each subquery's response vector rho in the
+    product code with its support erased, one batch per distinct Ehat row; the
+    exposed symbols are rho_l - c_l there, placed by `decode_plan`. An
+    inconsistent response raises DecodeFailure only when Gamma < n - ktilde
+    (the support leaves parity checks unused); otherwise it decodes to a wrong
+    stripe."""
     code = setup.code
-    n = code.n
-    if len(responses) != n or any(len(r) != setup.d for r in responses):
+    try:
+        rho = np.asarray(responses, dtype=np.int64)
+    except ValueError:  # ragged
+        rho = None
+    if rho is None or rho.shape != (code.n, setup.d):
         raise DecodeFailure("incomplete responses")
-    rho = np.array(responses, dtype=np.int64).reshape(n, setup.d).T  # d x n
-    subqueries: dict[Mask, list[int]] = {}
-    for i, row in enumerate(setup.ehat):
-        subqueries.setdefault(row, []).append(i)
-    symbols: dict[tuple[int, int], int] = {}
-    for row, batch in subqueries.items():
-        support = [l for l in range(n) if row[l]]
+    rho = rho.T  # d x n
+    rows, groups = setup.decode_plan
+    symbols = np.zeros((setup.beta, code.n), dtype=np.int64)
+    for batch, support, stripes in rows:
         words = rho[batch]
         try:
             c_hat = setup.product.decode_erasures(words, support, msg_field)
         except DecodeFailure as exc:
-            i = batch[exc.word or 0]
-            raise DecodeFailure(f"subquery {i}: {exc}") from exc
-        for i, word, decoded in zip(batch, words.tolist(), c_hat.tolist()):
-            for l in support:
-                stripe = setup.stripes[l][i]
-                if stripe is None or (stripe, l) in symbols:
-                    raise DecodeFailure("stripe assignment inconsistent")
-                symbols[(stripe, l)] = msg_field.sub(word[l], decoded[l])
-    stripes: dict[tuple[int, ...], list[int]] = {}
-    for t, iset in enumerate(setup.info_sets):
-        stripes.setdefault(iset, []).append(t)
+            raise DecodeFailure(f"subquery {batch[exc.word or 0]}: {exc}") from exc
+        symbols[stripes, support] = msg_field.sub_array(words[:, support],
+                                                        c_hat[:, support])
     out = np.zeros((setup.beta, code.k), dtype=np.int64)
-    for iset, batch in stripes.items():
-        try:
-            values = [[symbols[(t, l)] for l in iset] for t in batch]
-        except KeyError as exc:
-            raise DecodeFailure(f"missing symbol for stripe {exc.args[0][0]}") from exc
-        out[batch] = code.message_from_information_set(iset, values, msg_field)
+    for iset, batch, at in groups:
+        out[batch] = code.message_from_information_set(iset, symbols[at], msg_field)
     return Matrix.wrap(msg_field, out.tolist(), setup.beta, code.k)
 
 

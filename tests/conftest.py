@@ -396,6 +396,62 @@ def query_reference(setup, f: int, m: int, msgs) -> list:
     return rows
 
 
+def p3_respond_reference(dss, queries) -> list[list[int]]:
+    """Reference for `p3_respond`: one array product per node of its query
+    `Matrix` with its stored column, over the message field."""
+    field, stored = dss.msg_field, dss.stored
+    out = []
+    for l, Q in enumerate(queries):
+        if Q.cols != len(stored):
+            raise DimensionMismatch(f"query of {Q.cols} columns for "
+                                    f"{len(stored)} stored stripes")
+        rows = np.array(Q.data, dtype=np.int64).reshape(Q.rows, Q.cols)
+        out.append(field.matmul_array(field.embed_array(rows, Q.field),
+                                      stored[:, l:l + 1]).ravel().tolist())
+    return out
+
+
+def p3_decode_reference(setup, responses, f: int, m: int, msg_field) -> Matrix:
+    """Reference for `p3_decode`: the per-symbol decode. Each distinct Ehat
+    row's subqueries are erasure-decoded in one batch, every exposed symbol
+    rho_l - c_l is read into a dict by the field's `sub`, and each distinct
+    information set's stripes are solved from the dict."""
+    code = setup.code
+    n = code.n
+    if len(responses) != n or any(len(r) != setup.d for r in responses):
+        raise DecodeFailure("incomplete responses")
+    rho = np.array(responses, dtype=np.int64).reshape(n, setup.d).T  # d x n
+    subqueries: dict[tuple, list[int]] = {}
+    for i, row in enumerate(setup.ehat):
+        subqueries.setdefault(row, []).append(i)
+    symbols: dict[tuple[int, int], int] = {}
+    for row, batch in subqueries.items():
+        support = [l for l in range(n) if row[l]]
+        words = rho[batch]
+        try:
+            c_hat = setup.product.decode_erasures(words, support, msg_field)
+        except DecodeFailure as exc:
+            i = batch[exc.word or 0]
+            raise DecodeFailure(f"subquery {i}: {exc}") from exc
+        for i, word, decoded in zip(batch, words.tolist(), c_hat.tolist()):
+            for l in support:
+                stripe = setup.stripes[l][i]
+                if stripe is None or (stripe, l) in symbols:
+                    raise DecodeFailure("stripe assignment inconsistent")
+                symbols[(stripe, l)] = msg_field.sub(word[l], decoded[l])
+    stripes: dict[tuple[int, ...], list[int]] = {}
+    for t, iset in enumerate(setup.info_sets):
+        stripes.setdefault(iset, []).append(t)
+    out = np.zeros((setup.beta, code.k), dtype=np.int64)
+    for iset, batch in stripes.items():
+        try:
+            values = [[symbols[(t, l)] for l in iset] for t in batch]
+        except KeyError as exc:
+            raise DecodeFailure(f"missing symbol for stripe {exc.args[0][0]}") from exc
+        out[batch] = code.message_from_information_set(iset, values, msg_field)
+    return Matrix.wrap(msg_field, out.tolist(), setup.beta, code.k)
+
+
 def _homogeneity_p(counts: np.ndarray) -> float:
     """Reference for one chi-square homogeneity test: the p-value of the
     files x values table `counts`, over the values some file shows; 1.0 when

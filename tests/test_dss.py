@@ -146,6 +146,46 @@ def test_golden_runs_retrieve_pinned_outputs(good532, code73, code124,
         OUTPUT_GOLDEN[(protocol, seed)]
 
 
+@pytest.mark.parametrize("store,m,seed", [
+    ("bad532", 1, 0), ("bad532", 2, 2),   # decoded a wrong file
+    ("bad532", 1, 1), ("bad532", 2, 1),   # completed with a transcript
+    ("gf3", 1, 0),                        # failed inside the field embedding
+    ("good532-again", 1, 0)])             # an equal code is accepted
+def test_run_rejects_setup_of_another_storage_code(good532, bad532, store, m, seed):
+    """A protocol-2 structure built on the [5,3] code `good532` refuses a
+    store on another [5,3] GF(2) code, whose runs either decoded a wrong file
+    or completed unvalidated, and one on a GF(3) code with the same
+    generator, before any query is drawn; an equal code built anew runs."""
+    from codedpir.codes import code_from_generator
+    s5 = p2_build_structure(good532, ISETS_EX5, EHAT_EX5)
+    code = {"bad532": bad532,
+            "gf3": code_from_generator(Matrix(field_make(3), good532.G.data)),
+            "good532-again": code_from_generator(Matrix(field_make(2), good532.G.data))
+            }[store]
+    dss = Dss(code, f=2, beta=2, seed=seed)
+    if store == "good532-again":
+        assert run(2, dss, {"structure": s5, "m": m, "seed": seed}).decoded_hash \
+            == dss.file_hash(m)
+        return
+    with mock.patch("codedpir.protocol3.p3_queries") as queries:
+        with pytest.raises(BadParams, match="another storage code"):
+            run(2, dss, {"structure": s5, "m": m, "seed": seed})
+    queries.assert_not_called()
+
+
+def test_file_hash_is_the_digest_of_the_file(good532):
+    """Each file's digest is the sha256 of the JSON of its rows, the same on
+    every request (computed once per file)."""
+    dss = Dss(good532, f=3, beta=2, seed=4)
+    for m in (2, 1, 3, 2):
+        want = hashlib.sha256(json.dumps(dss.files[m - 1].data).encode()).hexdigest()
+        assert dss.file_hash(m) == want
+    assert len({dss.file_hash(m) for m in (1, 2, 3)}) == 3
+    with mock.patch("codedpir.dss.hashlib.sha256") as sha:
+        dss.file_hash(1)
+    sha.assert_not_called()
+
+
 def test_run_replays_bit_exactly(good532):
     s5 = p2_build_structure(good532, ISETS_EX5, EHAT_EX5)
     dss = Dss(good532, f=2, beta=2, seed=11)

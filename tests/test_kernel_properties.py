@@ -8,6 +8,7 @@ product behind `mat_mul` is checked against the scalar triple loop
 """
 
 import itertools
+import math
 import random
 from math import comb
 
@@ -17,7 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from codedpir.codes import (COLUMN_SEARCH_BUDGET, ErasurePattern, LinearCode,
                             code_from_generator)
-from codedpir.errors import DecodeFailure, NotCorrectable, RankDeficient
+from codedpir.errors import (DecodeFailure, DimensionMismatch, NotCorrectable,
+                             RankDeficient)
 from codedpir.families import _is_mds_parity_check
 from codedpir.fields import (MATMUL_CHUNK, Matrix, _is_prime, field_make, mat_mul,
                              mat_rank, mat_rref)
@@ -283,6 +285,68 @@ def test_mat_mul_over_several_row_blocks(field):
     A = Matrix(f, [[rng.randrange(f.order) for _ in range(k)] for _ in range(r)])
     B = Matrix(f, [[rng.randrange(f.order) for _ in range(c)] for _ in range(k)])
     assert mat_mul(A, B) == mat_mul_reference(A, B)
+
+
+@pytest.mark.parametrize("field", [(2, 1), (3, 1), (17, 1), (2**31 - 1, 1), (2, 4),
+                                   (2, 3), (3, 2), (5, 7)], ids=field_id)
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_stacked_matmul_matches_slices(field, data):
+    """`matmul_array` on stacked operands (..., r, k) and (..., k, c) equals
+    the scalar product of every pair of slices, over GF(2), GF(p), GF(2^a),
+    GF(p^a), GF(2^31 - 1) (Python integers once k >= 3) and the table-less
+    GF(5^7). Up to two leading dimensions of size 0 to 3, which an operand
+    may leave out or give size 1 (broadcast as by `@`); r, k, c from 1 to 4."""
+    f = field_make(*field)
+    entry = st.one_of(st.integers(0, 2), st.integers(0, f.order - 1))
+    lead = data.draw(st.lists(st.integers(0, 3), max_size=2))
+
+    def operand(rows, cols):
+        dims = [data.draw(st.sampled_from([size, 1])) for size in lead]
+        shape = tuple(dims[data.draw(st.integers(0, len(dims))):]) + (rows, cols)
+        flat = data.draw(st.lists(entry, min_size=math.prod(shape),
+                                  max_size=math.prod(shape)))
+        return np.array(flat, dtype=np.int64).reshape(shape)
+
+    r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a, b = operand(r, k), operand(k, c)
+    got = f.matmul_array(a, b)
+    both = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    assert got.dtype == np.int64 and got.shape == both + (r, c)
+    a, b = np.broadcast_to(a, both + (r, k)), np.broadcast_to(b, both + (k, c))
+    for idx in np.ndindex(*both):
+        want = mat_mul_reference(Matrix(f, a[idx].tolist(), r, k),
+                                 Matrix(f, b[idx].tolist(), k, c))
+        assert got[idx].tolist() == want.data, idx
+
+
+@pytest.mark.parametrize("field", [(2, 4), (3, 2)], ids=field_id)
+def test_stacked_matmul_over_blocks_across_slices(field):
+    """A stacked product of more than MATMUL_CHUNK terms is gathered in row
+    blocks of the stacked rows, which here end inside a slice; every slice
+    equals its own product."""
+    f = field_make(*field)
+    rng = np.random.default_rng(5)
+    size, r, k, c = 3, 700, 8, 12
+    assert 3 * MATMUL_CHUNK < size * r * k * c and (MATMUL_CHUNK // (k * c)) % r
+    a = rng.integers(0, f.order, size=(size, r, k))
+    b = rng.integers(0, f.order, size=(size, k, c))
+    got = f.matmul_array(a, b)
+    for s in range(size):
+        want = mat_mul(Matrix(f, a[s].tolist()), Matrix(f, b[s].tolist()))
+        assert got[s].tolist() == want.data, s
+
+
+@pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 4), (5, 7)], ids=field_id)
+@pytest.mark.parametrize("shapes", [((2, 3), (1, 4)), ((2, 1), (3, 4)),
+                                    ((5, 2, 3), (5, 2, 4))])
+def test_matmul_array_rejects_unequal_inner_sizes(field, shapes):
+    """An inner size of 1 on one side would broadcast through the log/exp
+    gather into a wrong product; every regime raises instead."""
+    f = field_make(*field)
+    a, b = (np.ones(shape, dtype=np.int64) for shape in shapes)
+    with pytest.raises(DimensionMismatch):
+        f.matmul_array(a, b)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])

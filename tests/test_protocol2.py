@@ -1,11 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from codedpir.dss import Dss, run
 from codedpir.errors import CodedPirError, StructureViolation
-from codedpir.fields import Matrix
 from codedpir.optimizer import optimize_rate
 from codedpir.protocol2 import (p2_build_structure, p2_decode, p2_queries,
                                 p2_respond)
@@ -64,16 +64,14 @@ def test_query_marginal_is_shifted_uniform(s5, good532):
     # Q = U + V with V deterministic: exact uniformity of each Q given uniform U
     qs0 = p2_queries(s5, f=1, m=1, seed=0)
     qs1 = p2_queries(s5, f=1, m=1, seed=1)
-    assert qs0[0].data != qs1[0].data  # seed actually feeds U
+    assert qs0[0].tolist() != qs1[0].tolist()  # seed actually feeds U
     # with U = 0 (direct construction), responses expose exactly the V picks
     dss = Dss(good532, f=1, beta=2, seed=9)
-    queries = []
+    queries = np.zeros((5, 3, 2), dtype=np.int64)
     for l in range(5):
-        rows = [[0] * 2 for _ in range(3)]
         for i, stripe in enumerate(s5.stripes[l]):
             if stripe is not None:
-                rows[i][stripe] = 1
-        queries.append(Matrix(good532.field, rows))
+                queries[l, i, stripe] = 1
     responses = p2_respond(dss, queries)
     for l in range(5):
         for i, stripe in enumerate(s5.stripes[l]):
@@ -141,7 +139,7 @@ def test_interference_symbol_decomposition_example5(good532, s5):
     seed = 31
     dss = Dss(good532, f=1, beta=2, seed=seed)
     qs = p2_queries(s5, f=1, m=1, seed=seed)
-    u = qs[3].data  # node 4 has V = 0, so its query is exactly U
+    u = qs[3].tolist()  # node 4 has V = 0, so its query is exactly U
     x = dss.files[0].data  # 2 x 3 message matrix
     gf = dss.msg_field
 
@@ -171,7 +169,7 @@ def test_interference_solve_example6(code73, s6):
     seed = 17
     dss = Dss(code73, f=1, beta=4, seed=seed)
     qs = p2_queries(s6, f=1, m=1, seed=seed)
-    u = [[qs[0].data[i][j] for j in range(4)] for i in range(3)]
+    u = qs[0].tolist()  # 3 x 4: the stripes of the one file
     # column 0 of Ehat is (0,1,1): node 1 is masked in subquery 1 and serves
     # stripes 3 and 4 (its information sets) in subqueries 2 and 3
     assert s6.stripes[0] == (None, 2, 3)

@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from codedpir.codes import repetition_code
 from codedpir.dss import Dss
-from codedpir.errors import (DimensionMismatch, OrderOverflow, RateOneProduct,
-                             StructureViolation)
+from codedpir.errors import (DecodeFailure, DimensionMismatch, OrderOverflow,
+                             RateOneProduct, StructureViolation)
 from codedpir.families import grs_code, rm_code
 from codedpir.fields import Matrix, field_make, mat_rank
+from codedpir.optimizer import optimize_rate
 from codedpir.protocol2 import p2_build_structure
 from codedpir.protocol3 import (collusion_threshold, necessary_condition_p3,
                                 p3_decode, p3_queries, p3_respond,
@@ -15,8 +18,8 @@ from codedpir.protocol3 import (collusion_threshold, necessary_condition_p3,
                                 validate_max_rate_matrix)
 from codedpir.rng import generator
 from conftest import (EHAT_EX5, EHAT_EX6, EHAT_P3, EHAT_T0, ISETS_EX5,
-                      ISETS_EX6, ISETS_P3, ISETS_T0, QUERY_T0, STORAGE_T0,
-                      query_reference)
+                      ISETS_EX6, ISETS_P3, ISETS_T0, QUERY_T0, STORAGE_T0, codes,
+                      p3_decode_reference, p3_respond_reference, query_reference)
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +74,7 @@ def test_query_offsets_match_worked_example(setup_vb, code124, f2):
     cw = code124.encode(msg).tolist()[0]
     for l in range(12):
         expected = cw[l] ^ (1 if l in (8, 11) else 0)
-        assert qs[l].data[0][0] == expected
+        assert qs[l, 0, 0] == expected
     # beta = 1 forces s = 1 on every accessed node
     assert setup_vb.stripes[8] == (0, None)
     assert setup_vb.stripes[2] == (None, 0)
@@ -127,9 +130,9 @@ def test_p3_queries_is_query_batch_on_its_draw(query_setups, name):
     msgs = generator(seed, "p3").integers(0, q, size=(1, setup.d, bf, kq))
     for m in range(1, f + 1):
         qs = p3_queries(setup, f, m, seed)
-        assert all((Q.field, Q.rows, Q.cols) == (setup.code.field, setup.d, bf)
-                   for Q in qs)
-        assert [Q.data for Q in qs] == query_batch(setup, f, m, msgs)[0].tolist()
+        assert qs.dtype == np.int64 and qs.shape == (setup.code.n, setup.d, bf)
+        assert 0 <= qs.min() and qs.max() < setup.code.field.order
+        assert qs.tolist() == query_batch(setup, f, m, msgs)[0].tolist()
 
 
 def test_response_decomposition(setup_vb, code124):
@@ -228,13 +231,11 @@ def test_zero_codeword_hook_exposes_offsets(code124, setup_vb):
     """With the random codewords forced to zero the queries are the bare unit
     offsets and responses are exactly the masked file symbols."""
     dss = Dss(code124, f=1, beta=1, seed=8)
-    queries = []
+    queries = np.zeros((12, 2, 1), dtype=np.int64)
     for l in range(12):
-        rows = [[0] * 1 for _ in range(2)]
         for i, stripe in enumerate(setup_vb.stripes[l]):
             if setup_vb.ehat[i][l]:
-                rows[i][stripe] = 1
-        queries.append(Matrix(code124.field, rows, 2, 1))
+                queries[l, i, stripe] = 1
     responses = p3_respond(dss, queries)
     for l in range(12):
         for i in range(2):
@@ -263,3 +264,146 @@ def test_necessary_condition_p3_zero_column_product(f2):
     assert prod.k == 1 and prod.min_distance() == 1  # support shrank to {2}
     report = necessary_condition_p3(c, cbar)
     assert report.ok
+
+
+def _outcome(decode, setup, responses, f, m, msg_field):
+    """The decoded file's rows, or the DecodeFailure text."""
+    try:
+        return decode(setup, responses, f, m, msg_field).data
+    except DecodeFailure as exc:
+        return f"DecodeFailure: {exc}"
+
+
+def check_array_path(code, query, ell: int, seed: int) -> bool:
+    """Stacked responses and the planned decode against the per-node and
+    per-symbol references, on the optimizer's structure for (code, query) and
+    f = 2 files over GF(q^ell); False when the optimizer finds none. Every
+    response equals the reference's, both decode the stored file at every
+    file index, and every single-symbol change of a response either raises
+    the same DecodeFailure text in both or decodes to the same file."""
+    try:
+        e, _ = optimize_rate(code, query, seed=seed)
+    except RateOneProduct:
+        return False
+    if e is None:
+        return False
+    setup = p3_setup(code, query, e.ehat, e.info_sets())
+    f = 2
+    dss = Dss(code, f=f, beta=setup.beta, ell=ell, seed=seed)
+    msg_field = dss.msg_field
+    for m in range(1, f + 1):
+        queries = p3_queries(setup, f, m, seed)
+        matrices = [Matrix.wrap(code.field, node, setup.d, setup.beta * f)
+                    for node in queries.tolist()]
+        responses = p3_respond(dss, queries)
+        want = p3_respond_reference(dss, matrices)
+        assert responses.dtype == np.int64 and responses.tolist() == want
+        decoded = p3_decode(setup, responses, f, m, msg_field)
+        assert decoded == p3_decode_reference(setup, want, f, m, msg_field)
+        assert decoded == dss.files[m - 1]
+    for l in range(code.n):
+        for i in range(setup.d):
+            flipped = responses.copy()
+            flipped[l, i] = msg_field.add(int(flipped[l, i]), 1)
+            assert _outcome(p3_decode, setup, flipped, f, f, msg_field) == _outcome(
+                p3_decode_reference, setup, flipped.tolist(), f, f, msg_field), (l, i)
+    return True
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(codes([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)], max_n=6),
+       st.sampled_from([1, 2]), st.booleans(), st.integers(0, 2**16), st.data())
+def test_array_path_matches_reference(code, ell, colluding, seed, data):
+    """`check_array_path` on random storage codes up to GF(8) and GF(9) with
+    the repetition query code (protocol 2) or a random query code of full
+    support (protocol 3)."""
+    assume(code.k < code.n)
+    field = code.field
+    if colluding:
+        query = data.draw(codes([(field.p, field.alpha)], max_messages=81, n=code.n))
+        assume(all(any(col) for col in zip(*query.G.data)))
+    else:
+        query = repetition_code(field, code.n)
+    assume(check_array_path(code, query, ell, seed))
+
+
+@pytest.mark.parametrize("colluding", [False, True], ids=["p2", "p3"])
+@pytest.mark.parametrize("ell", [1, 2], ids=["ell1", "ell2"])
+@pytest.mark.parametrize("field", [(2, 3), (3, 2)], ids=["gf8", "gf9"])
+def test_array_path_matches_reference_over_gf8_and_gf9(field, ell, colluding):
+    """`check_array_path` on the [6,3] Reed-Solomon storage code over GF(8)
+    and GF(9), with the repetition query code or the [6,2] one (T = 2)."""
+    f = field_make(*field)
+    query = grs_code(f, 6, 2) if colluding else repetition_code(f, 6)
+    assert check_array_path(grs_code(f, 6, 3), query, ell, seed=ell)
+
+
+def test_corrupted_responses_fail_like_the_reference(code73):
+    """On the floor-rate [7,3] structure (two subqueries share an Ehat row),
+    every single-symbol change of a response raises the reference's
+    DecodeFailure text, naming the subquery of the failing word in its batch,
+    or decodes to the reference's file."""
+    from codedpir.ratematrix import lambda_generic, lambda_to_E
+    e = lambda_to_E(lambda_generic(code73))
+    setup = p2_build_structure(code73, e.info_sets(), e.ehat)
+    dss = Dss(code73, f=2, beta=setup.beta, ell=2, seed=3)
+    responses = p3_respond(dss, p3_queries(setup, 2, 1, 11))
+    texts = set()
+    for l in range(7):
+        for i in range(setup.d):
+            flipped = responses.copy()
+            flipped[l, i] = dss.msg_field.add(int(flipped[l, i]), 1)
+            got = _outcome(p3_decode, setup, flipped, 2, 1, dss.msg_field)
+            assert got == _outcome(p3_decode_reference, setup, flipped.tolist(), 2, 1,
+                                   dss.msg_field), (l, i)
+            if isinstance(got, str):
+                texts.add(got.split(": no codeword")[0])
+    assert "DecodeFailure: subquery 2: word 1" in texts, texts
+
+
+def test_decode_plan_names_a_stripe_never_exposed(good532):
+    """A setup (built around `p3_setup`) whose third information set holds a
+    node no subquery reads is refused when its decode plan is built, with the
+    reference's text, before any response is decoded."""
+    import dataclasses
+    s5 = p2_build_structure(good532, ISETS_EX5, EHAT_EX5)
+    broken = dataclasses.replace(s5, info_sets=((0, 1, 2), (0, 1, 2), (0, 1, 3)))
+    dss = Dss(good532, f=1, beta=3, seed=0)
+    responses = p3_respond(dss, p3_queries(broken, 1, 1, 0))
+    want = _outcome(p3_decode_reference, broken, responses.tolist(), 1, 1, dss.msg_field)
+    assert want == "DecodeFailure: missing symbol for stripe 2"
+    with pytest.raises(DecodeFailure, match="missing symbol for stripe 2"):
+        broken.decode_plan
+    assert _outcome(p3_decode, broken, responses, 1, 1, dss.msg_field) == want
+
+
+@pytest.mark.parametrize("nodes", ["all", "short"])
+@pytest.mark.parametrize("bad", ["columns", "rank", "float", "object",
+                                 "negative", "order"])
+def test_respond_rejects_malformed_queries(setup_vb, code124, bad, nodes):
+    """A query array of another shape or dtype, or with a symbol outside
+    GF(2), raises DimensionMismatch, as does each of them sent for only some
+    of the nodes; the well-formed array is answered."""
+    dss = Dss(code124, f=2, beta=1, ell=2, seed=0)
+    queries = p3_queries(setup_vb, 2, 1, seed=0)
+    assert p3_respond(dss, queries).shape == (12, setup_vb.d)
+    queries = {"columns": queries[:, :, :1],
+               "rank": queries.reshape(12, -1),
+               "float": queries.astype(float),
+               "object": queries.astype(object),
+               "negative": np.where(queries == 1, -1, queries),
+               "order": np.where(queries == 1, 2, queries)}[bad]
+    if nodes == "short":
+        queries = queries[:10]
+    with pytest.raises(DimensionMismatch):
+        p3_respond(dss, queries)
+
+
+def test_respond_rejects_a_short_node_list(setup_vb, code124):
+    """Queries for 10 of the 12 nodes, as a list of per-node arrays, are
+    refused rather than answered for the nodes given."""
+    dss = Dss(code124, f=1, beta=1, seed=0)
+    queries = p3_queries(setup_vb, 1, 1, seed=0)
+    assert p3_respond(dss, list(queries)).tolist() == p3_respond(dss, queries).tolist()
+    with pytest.raises(DimensionMismatch):
+        p3_respond(dss, list(queries[:10]))
