@@ -22,7 +22,7 @@ from .protocol1 import P1Plan, p1_answer, p1_decode, p1_plan, p1_symmetry_audit
 from .protocol2 import p2_build_structure
 from .protocol3 import (P3Setup, collusion_threshold, necessary_condition_p3,
                         p3_decode, p3_queries, p3_respond, p3_rm_max_rate,
-                        p3_setup, validate_max_rate_matrix)
+                        p3_setup)
 from .ratematrix import (ErasureMatrix, RateMatrix, beta_d_minimal,
                          capacity_asymptotic, capacity_finite, E_to_lambda,
                          interference_matrices, lambda_from_automorphisms,
@@ -50,7 +50,7 @@ __all__ = [
     "P1Plan", "p1_answer", "p1_decode", "p1_plan", "p1_symmetry_audit",
     "p2_build_structure", "P3Setup", "collusion_threshold",
     "necessary_condition_p3", "p3_decode", "p3_queries", "p3_respond",
-    "p3_rm_max_rate", "p3_setup", "validate_max_rate_matrix",
+    "p3_rm_max_rate", "p3_setup",
     # storage, audits and reports
     "Dss", "Transcript", "run", "PrivacyReport", "privacy_audit",
     "report_tables",

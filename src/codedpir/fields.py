@@ -179,7 +179,7 @@ class FiniteField:
     caches fields so identity comparison (`a.field is b.field`) works.
     """
 
-    def __init__(self, p: int, alpha: int, modulus: Sequence[int] | None = None):
+    def __init__(self, p: int, alpha: int):
         if not _is_prime(p):
             raise NonPrime(f"{p} is not prime")
         if not 1 <= alpha <= _MAX_DEGREE:
@@ -187,15 +187,7 @@ class FiniteField:
         self.p = p
         self.alpha = alpha
         self.order = p ** alpha
-        if modulus is None:
-            modulus = canonical_modulus(p, alpha)
-        else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != alpha + 1 or modulus[-1] != 1:
-                raise DegreeOutOfRange("modulus must be monic of degree alpha")
-            if alpha > 1 and not _is_irreducible(modulus, p):
-                raise NonPrime(f"modulus {modulus} is reducible over GF({p})")
-        self.modulus = tuple(modulus)
+        self.modulus = canonical_modulus(p, alpha)
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._gather: tuple[np.ndarray, np.ndarray] | None = None
@@ -450,9 +442,7 @@ class FiniteField:
         return f"GF({self.p}^{self.alpha})"
 
     def __reduce__(self):
-        if self.modulus == canonical_modulus(self.p, self.alpha):
-            return (field_make, (self.p, self.alpha))
-        return (FiniteField, (self.p, self.alpha, self.modulus))
+        return (field_make, (self.p, self.alpha))
 
 
 _FIELD_CACHE: dict[tuple[int, int], FiniteField] = {}
@@ -529,22 +519,6 @@ class Matrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Matrix({self.field}, {self.rows}x{self.cols}: {body})"
-
-    # --- JSON wire format -------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {"q": self.field.order, "rows": self.rows, "cols": self.cols,
-                "entries": [list(row) for row in self.data]}
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "Matrix":
-        q = int(obj["q"])
-        p, alpha = _factor_prime_power(q)
-        field = field_make(p, alpha)
-        m = Matrix(field, obj["entries"])
-        if m.rows != obj["rows"] or m.cols != obj["cols"]:
-            raise DimensionMismatch("JSON header disagrees with entries")
-        return m
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:

@@ -264,16 +264,15 @@ def _window_construction(masks_g: tuple[int, ...], masks_k: tuple[int, ...],
 
 
 def optimize_rate(code: LinearCode, query_code: LinearCode | None = None,
-                  beta_d_rule: str = "minimal", seed: int = 0,
+                  seed: int = 0,
                   budget: int = EXHAUSTIVE_LIMIT, sample_budget: int = SAMPLE_BUDGET
                   ) -> tuple[ErasureMatrix | None, int]:
     """Largest Gamma with a feasible structure matrix, and that matrix.
 
     query_code None stands for the repetition code, whose product with the
     storage code is the storage code; a query code zero at some position
-    raises StructureViolation (`protocol3.check_query_code`). beta_d_rule:
-    "minimal" takes the LCM-minimal (beta, d); "gamma-k" fixes
-    (beta, d) = (Gamma, k).
+    raises StructureViolation (`protocol3.check_query_code`). Each Gamma
+    is tried with the LCM-minimal (beta, d) of `beta_d_minimal`.
     """
     _check_budgets(budget, sample_budget)
     if query_code is None:
@@ -295,7 +294,7 @@ def optimize_rate(code: LinearCode, query_code: LinearCode | None = None,
         lg = compute_erasure_pattern_list(product, gamma, budget=budget,
                                           sample_budget=sample_budget, seed=seed)
         if len(lg):
-            beta, d = _beta_d(beta_d_rule, k, gamma)
+            beta, d = beta_d_minimal(k, gamma)
             e = compute_matrix(lg, lnk, d, beta)
             if e is not None:
                 e_opt, gamma_opt = e, gamma
@@ -303,11 +302,3 @@ def optimize_rate(code: LinearCode, query_code: LinearCode | None = None,
                 return e_opt, gamma_opt
         gamma += 1
     return e_opt, gamma_opt
-
-
-def _beta_d(rule: str, k: int, gamma: int) -> tuple[int, int]:
-    if rule == "minimal":
-        return beta_d_minimal(k, gamma)
-    if rule == "gamma-k":
-        return gamma, k
-    raise ValueError(f"unknown beta/d rule {rule!r}")

@@ -52,15 +52,67 @@ Mask = tuple[int, ...]
 
 @dataclass(frozen=True)
 class P3Setup:
-    """Validated (storage code, query code, structure) triple."""
+    """A (storage code, query code, structure) triple, checked when built.
+
+    Construction refuses, with DimensionMismatch, StructureViolation or
+    RateOneProduct, any triple the retrieval cannot run on: codes of another
+    length or field, a query code zero at some position, a rate-one Hadamard
+    product, Ehat rows of unequal weight or not correctable by the product,
+    sets that are not information sets of the storage code, and a column of
+    Ehat whose weight is not the number of sets holding that node. Every
+    later step (`stripes`, `decode_plan`, `p3_decode`) relies on this and
+    checks none of it again. Ehat and the sets are kept as int tuples, each
+    set sorted.
+    """
 
     code: LinearCode
     query_code: LinearCode
-    product: LinearCode
-    collusion_threshold: int
     ehat: tuple[Mask, ...]
     info_sets: tuple[tuple[int, ...], ...]
-    gamma: int
+
+    def __post_init__(self):
+        code, query_code, n = self.code, self.query_code, self.code.n
+        if query_code.n != n or query_code.field is not code.field:
+            raise DimensionMismatch("storage and query codes must share length and field")
+        check_query_code(query_code)
+        product = self.product
+        if product.k >= n:
+            raise RateOneProduct("Hadamard product has rate 1; no redundancy to exploit")
+        ehat = tuple(tuple(int(b) for b in row) for row in self.ehat)
+        info_sets = tuple(tuple(sorted(int(j) for j in s)) for s in self.info_sets)
+        object.__setattr__(self, "ehat", ehat)
+        object.__setattr__(self, "info_sets", info_sets)
+        if not ehat or any(len(row) != n for row in ehat):
+            raise StructureViolation("Ehat must be nonempty with n columns")
+        gamma = sum(ehat[0])
+        if gamma < 1:
+            raise StructureViolation("zero-weight subquery row")
+        for i, row in enumerate(ehat):
+            if sum(row) != gamma:
+                raise StructureViolation(f"row {i} weight {sum(row)} != {gamma}")
+            if not product.erasure_correctable(ErasurePattern(n, row)):
+                raise StructureViolation(f"row {i} not correctable by the product code")
+        for t, iset in enumerate(info_sets):
+            if len(iset) != code.k or not code.is_information_set(iset):
+                raise StructureViolation(f"set {t} is not an information set of the storage code")
+        # summed over the nodes, this also gives beta*k = Gamma*d
+        for l in range(n):
+            expected = sum(1 for iset in info_sets if l in iset)
+            got = sum(row[l] for row in ehat)
+            if got != expected:
+                raise StructureViolation(f"column {l} weight {got}, expected {expected}")
+
+    @cached_property
+    def product(self) -> LinearCode:
+        return self.code.hadamard_product(self.query_code)
+
+    @cached_property
+    def collusion_threshold(self) -> int:
+        return collusion_threshold(self.query_code)
+
+    @property
+    def gamma(self) -> int:
+        return sum(self.ehat[0])
 
     @property
     def beta(self) -> int:
@@ -88,7 +140,7 @@ class P3Setup:
         """Per node, the stripe each subquery downloads there (None = masked).
 
         Ascending first-unused rule over the node's information-set indices;
-        the column-profile check of `p3_setup` makes the counts line up.
+        the column-profile check at construction makes the counts line up.
         """
         out = []
         for node in range(self.code.n):
@@ -111,31 +163,21 @@ class P3Setup:
         row (in order of first appearance) its subqueries, its support and the
         (subqueries x support) array of the stripe each exposed symbol belongs
         to; per distinct information set the stripes read off it and the
-        (stripes x set) index of their symbols. Raises DecodeFailure unless
-        each stripe's symbol at each node of its information set is exposed
-        exactly once."""
+        (stripes x set) index of their symbols. The column profile checked at
+        construction exposes each stripe's symbol at each node of its
+        information set exactly once."""
         rows: dict[Mask, list[int]] = {}
         for i, row in enumerate(self.ehat):
             rows.setdefault(row, []).append(i)
-        exposed = np.zeros((self.beta, self.code.n), dtype=np.int64)
         row_plan = []
         for row, batch in rows.items():
             support = np.flatnonzero(row)
-            stripes = [[self.stripes[l][i] for l in support] for i in batch]
-            if any(t is None for ts in stripes for t in ts):
-                raise DecodeFailure("stripe assignment inconsistent")
-            stripes = np.array(stripes, dtype=np.int64).reshape(len(batch), len(support))
-            np.add.at(exposed, (stripes, support), 1)
+            stripes = np.array([[self.stripes[l][i] for l in support] for i in batch],
+                               dtype=np.int64).reshape(len(batch), len(support))
             row_plan.append((np.array(batch), support, stripes))
-        if (exposed > 1).any():
-            raise DecodeFailure("stripe assignment inconsistent")
         groups: dict[tuple[int, ...], list[int]] = {}
         for t, iset in enumerate(self.info_sets):
             groups.setdefault(iset, []).append(t)
-        for iset, batch in groups.items():
-            for t in batch:
-                if not exposed[t, list(iset)].all():
-                    raise DecodeFailure(f"missing symbol for stripe {t}")
         return tuple(row_plan), tuple((iset, batch, np.ix_(batch, iset))
                                       for iset, batch in groups.items())
 
@@ -166,43 +208,9 @@ def check_query_code(query_code: LinearCode) -> None:
 def p3_setup(code: LinearCode, query_code: LinearCode,
              ehat: Sequence[Sequence[int]],
              info_sets: Sequence[Sequence[int]]) -> P3Setup:
-    """Validate the structure: rows correctable by the Hadamard product code,
-    column profile matching the information sets of the storage code."""
-    if query_code.n != code.n or query_code.field is not code.field:
-        raise DimensionMismatch("storage and query codes must share length and field")
-    check_query_code(query_code)
-    product = code.hadamard_product(query_code)
-    if product.k >= code.n:
-        raise RateOneProduct("Hadamard product has rate 1; no redundancy to exploit")
-    ehat = tuple(tuple(int(b) for b in row) for row in ehat)
-    info_sets = tuple(tuple(sorted(int(j) for j in s)) for s in info_sets)
-    n = code.n
-    if not ehat or any(len(row) != n for row in ehat):
-        raise StructureViolation("Ehat must be nonempty with n columns")
-    gamma = sum(ehat[0])
-    if gamma < 1:
-        raise StructureViolation("zero-weight subquery row")
-    for i, row in enumerate(ehat):
-        if sum(row) != gamma:
-            raise StructureViolation(f"row {i} weight {sum(row)} != {gamma}")
-        if not product.erasure_correctable(ErasurePattern(n, row)):
-            raise StructureViolation(f"row {i} not correctable by the product code")
-    for t, iset in enumerate(info_sets):
-        if not code.is_information_set(iset):
-            raise StructureViolation(f"set {t} is not an information set of the storage code")
-    for l in range(n):
-        expected = sum(1 for iset in info_sets if l in iset)
-        got = sum(row[l] for row in ehat)
-        if got != expected:
-            raise StructureViolation(f"column {l} weight {got}, expected {expected}")
-    beta, d = len(info_sets), len(ehat)
-    if beta * code.k != gamma * d:
-        raise StructureViolation(f"beta*k != Gamma*d ({beta * code.k} vs {gamma * d})")
-    setup = P3Setup(code=code, query_code=query_code, product=product,
-                    collusion_threshold=collusion_threshold(query_code),
-                    ehat=ehat, info_sets=info_sets, gamma=gamma)
-    assert setup.rate <= setup.rate_upper_bound
-    return setup
+    """The setup of (Ehat, information sets) over the storage and query
+    codes; raises as `P3Setup` does on a structure the retrieval cannot run on."""
+    return P3Setup(code, query_code, ehat, info_sets)
 
 
 def p3_queries(setup: P3Setup, f: int, m: int, seed: int) -> np.ndarray:
@@ -285,43 +293,16 @@ def p3_decode(setup: P3Setup, responses, f: int, m: int,
 
 # --- maximum-rate matrices ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class MaxRateReport:
-    ok: bool
-    violation: str | None = None
-    witness: int | None = None
-
-
-def validate_max_rate_matrix(code: LinearCode, query_code: LinearCode,
-                             rows: Sequence[Sequence[int]]) -> MaxRateReport:
-    """Check the maximum-rate-matrix conditions: k-column regularity, first k
-    row supports information sets of the product, the rest of the storage code."""
-    product = code.hadamard_product(query_code)
-    n, k = code.n, code.k
-    if product.k >= n:
-        return MaxRateReport(False, violation="rate-one-product")
-    rows = [tuple(int(b) for b in r) for r in rows]
-    if len(rows) != k + n - product.k or any(len(r) != n for r in rows):
-        return MaxRateReport(False, violation="shape")
-    for j in range(n):
-        if sum(r[j] for r in rows) != k:
-            return MaxRateReport(False, violation="column-regularity", witness=j)
-    for i in range(k):
-        if not product.is_information_set([j for j, b in enumerate(rows[i]) if b]):
-            return MaxRateReport(False, violation="product-information-set", witness=i)
-    for i in range(k, len(rows)):
-        if not code.is_information_set([j for j, b in enumerate(rows[i]) if b]):
-            return MaxRateReport(False, violation="storage-information-set", witness=i)
-    return MaxRateReport(True)
-
-
 def p3_rm_max_rate(v: int, vbar: int, m: int) -> P3Setup:
     """Reed-Muller setup achieving the upper bound (n - ktilde)/n.
 
     Takes the weight-bounded information sets of the product code R(v+vbar, m)
     and the storage code R(v, m), and translates them: product sets by the k
     points of the storage information set, storage sets by the n - ktilde
-    points outside the product information set.
+    points outside the product information set. The Ehat rows are the
+    complements of the product sets, so `P3Setup` checking them correctable
+    checks that those are information sets of the product, and its column
+    profile is the maximum-rate matrix's k-column regularity.
     """
     if v + vbar > m:
         raise OrderOverflow(f"v + vbar = {v + vbar} exceeds m = {m}")
@@ -334,17 +315,14 @@ def p3_rm_max_rate(v: int, vbar: int, m: int) -> P3Setup:
     n = code.n
     i_tilde = rm_information_set(v + vbar, m)
     i_store = rm_information_set(v, m)
-    tilde_sets = [rm_translate(i_tilde, mu) for mu in i_store]
-    outside = [sigma for sigma in range(n) if sigma not in i_tilde]
-    store_sets = [rm_translate(i_store, sigma) for sigma in outside]
-    rows = [tuple(1 if j in set(s) else 0 for j in range(n)) for s in tilde_sets]
-    rows += [tuple(1 if j in set(s) else 0 for j in range(n)) for s in store_sets]
-    report = validate_max_rate_matrix(code, query_code, rows)
-    if not report.ok:
-        raise StructureViolation(f"max-rate matrix invalid: {report.violation}")
-    ehat = [tuple(1 - b for b in row) for row in rows[:code.k]]
+    ehat = [tuple(0 if j in s else 1 for j in range(n))
+            for s in (set(rm_translate(i_tilde, mu)) for mu in i_store)]
+    store_sets = [rm_translate(i_store, sigma) for sigma in range(n)
+                  if sigma not in i_tilde]
     setup = p3_setup(code, query_code, ehat, store_sets)
-    assert setup.rate == setup.rate_upper_bound
+    if setup.rate != setup.rate_upper_bound:
+        raise StructureViolation(f"rate {setup.rate} is below the bound "
+                                 f"{setup.rate_upper_bound}")
     return setup
 
 

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -17,6 +18,14 @@ def _irreducible_by_roots(coeffs, p):
             acc = (acc * x + c) % p
         return acc
     return all(ev(x) != 0 for x in range(p))
+
+
+def test_field_pickles_to_its_cached_instance():
+    """A field unpickles as `field_make`'s cached instance, so identity
+    comparison of fields survives a round trip."""
+    for p, alpha in [(2, 1), (2, 3), (3, 2), (17, 1)]:
+        f = field_make(p, alpha)
+        assert pickle.loads(pickle.dumps(f)) is f
 
 
 def test_canonical_modulus_gf8_matches_enumeration_oracle():
@@ -177,12 +186,3 @@ def test_null_space_and_inverse():
     assert all(all(x == 0 for x in row) for row in mat_mul(g, h.transpose()).data)
     m = Matrix(f2, [[1, 1], [0, 1]])
     assert mat_mul(m, mat_inverse(m)) == Matrix.identity(f2, 2)
-
-
-def test_matrix_json_roundtrip():
-    f8 = field_make(2, 3)
-    m = Matrix(f8, [[1, 5, 7], [0, 2, 3]])
-    obj = m.to_json_dict()
-    assert obj["q"] == 8
-    back = Matrix.from_json_dict(obj)
-    assert back == m

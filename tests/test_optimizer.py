@@ -109,9 +109,16 @@ def test_optimize_rate_worked_codes(good532, bad532, code73):
 
 
 def test_optimize_rate_gamma_k_rule(good532):
-    e, g = optimize_rate(good532, beta_d_rule="gamma-k")
-    assert g == 2
-    assert e.d == good532.k and e.beta == 2
+    """The paper's layout (beta, d) = (Gamma, k) at the optimum Gamma = 2 of
+    the good [5,3,2] code: the selection search finds a valid matrix on the
+    optimizer's pattern lists, and its setup has rate 2/5."""
+    gamma, k = 2, good532.k
+    lg = compute_erasure_pattern_list(good532, gamma)
+    lnk = compute_erasure_pattern_list(good532, good532.n - k)
+    e = compute_matrix(lg, lnk, d=k, beta=gamma)
+    assert e is not None
+    _check_valid(good532, e, gamma, gamma, k)
+    assert p2_build_structure(good532, e.info_sets(), e.ehat).rate == Fraction(2, 5)
 
 
 def test_optimize_rate_colluding_worked(code124):

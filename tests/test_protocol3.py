@@ -1,21 +1,21 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
-from codedpir.codes import repetition_code
-from codedpir.dss import Dss
-from codedpir.errors import (DecodeFailure, DimensionMismatch, OrderOverflow,
-                             RateOneProduct, StructureViolation)
-from codedpir.families import grs_code, rm_code
+from codedpir.codes import code_from_generator, repetition_code
+from codedpir.dss import Dss, run
+from codedpir.errors import (CodedPirError, DecodeFailure, DimensionMismatch,
+                             OrderOverflow, RateOneProduct, StructureViolation)
+from codedpir.families import grs_code, rm_code, rm_translate
 from codedpir.fields import Matrix, field_make, mat_rank
 from codedpir.optimizer import optimize_rate
 from codedpir.protocol2 import p2_build_structure
-from codedpir.protocol3 import (collusion_threshold, necessary_condition_p3,
-                                p3_decode, p3_queries, p3_respond,
-                                p3_rm_max_rate, p3_setup, query_batch,
-                                validate_max_rate_matrix)
+from codedpir.protocol3 import (P3Setup, collusion_threshold,
+                                necessary_condition_p3, p3_decode, p3_queries,
+                                p3_respond, p3_rm_max_rate, p3_setup, query_batch)
 from codedpir.rng import generator
 from conftest import (EHAT_EX5, EHAT_EX6, EHAT_P3, EHAT_T0, ISETS_EX5,
                       ISETS_EX6, ISETS_P3, ISETS_T0, QUERY_T0, STORAGE_T0, codes,
@@ -195,23 +195,30 @@ def test_rm_degenerate_repetition():
         p3_rm_max_rate(2, 2, 3)
 
 
-def test_validate_max_rate_matrix(code124):
+def test_max_rate_matrix_is_checked_when_built(f2):
+    """The RM(1,1,3) maximum-rate setup reaches the bound, and each condition
+    of a maximum-rate matrix is checked when a setup is built: a flipped bit
+    of Ehat, storage sets breaking the k-column regularity, a storage set that
+    is not an information set and a rate-one product are refused, the last
+    also by `p3_rm_max_rate` when v + vbar = m."""
     setup = p3_rm_max_rate(1, 1, 3)
-    code, query = setup.code, setup.query_code
-    rows = [tuple(1 - b for b in row) for row in setup.ehat]
-    rows += [tuple(1 if j in set(s) else 0 for j in range(code.n))
-             for s in setup.info_sets]
-    report = validate_max_rate_matrix(code, query, rows)
-    assert report.ok
-    corrupted = [list(r) for r in rows]
-    corrupted[0][0] ^= 1
-    report = validate_max_rate_matrix(code, query, corrupted)
-    assert not report.ok and report.violation == "column-regularity"
-    # ktilde = n is rejected
+    assert setup.rate == setup.rate_upper_bound == Fraction(1, 8)
+    corrupted = [list(r) for r in setup.ehat]
+    corrupted[1][0] ^= 1
+    with pytest.raises(StructureViolation, match="row 1 weight"):
+        dataclasses.replace(setup, ehat=corrupted)
+    moved = rm_translate(setup.info_sets[0], 1)  # an information set too
+    assert setup.code.is_information_set(moved) and moved != setup.info_sets[0]
+    with pytest.raises(StructureViolation, match=r"column \d+ weight"):
+        dataclasses.replace(setup, info_sets=[moved])
+    with pytest.raises(StructureViolation, match="set 0 is not an information set"):
+        dataclasses.replace(setup, info_sets=[(0, 1, 2, 3)])
     from codedpir.codes import code_from_generator
-    whole = code_from_generator(Matrix.identity(field_make(2), 12))
-    report = validate_max_rate_matrix(whole, whole, rows)
-    assert not report.ok and report.violation == "rate-one-product"
+    whole = code_from_generator(Matrix.identity(f2, 8))
+    with pytest.raises(RateOneProduct):
+        dataclasses.replace(setup, code=whole, query_code=whole)
+    with pytest.raises(RateOneProduct):
+        p3_rm_max_rate(1, 2, 3)  # R(3, 3) is the whole space
 
 
 def test_necessary_condition_p3(code124):
@@ -361,20 +368,135 @@ def test_corrupted_responses_fail_like_the_reference(code73):
     assert "DecodeFailure: subquery 2: word 1" in texts, texts
 
 
-def test_decode_plan_names_a_stripe_never_exposed(good532):
-    """A setup (built around `p3_setup`) whose third information set holds a
-    node no subquery reads is refused when its decode plan is built, with the
-    reference's text, before any response is decoded."""
-    import dataclasses
+def test_setup_with_a_stripe_never_exposed_cannot_be_built(good532):
+    """A setup whose third information set holds node 3, which no subquery
+    reads, so that a decoder would miss a symbol of stripe 2, can no longer be
+    built: its column profile is refused."""
     s5 = p2_build_structure(good532, ISETS_EX5, EHAT_EX5)
-    broken = dataclasses.replace(s5, info_sets=((0, 1, 2), (0, 1, 2), (0, 1, 3)))
-    dss = Dss(good532, f=1, beta=3, seed=0)
-    responses = p3_respond(dss, p3_queries(broken, 1, 1, 0))
-    want = _outcome(p3_decode_reference, broken, responses.tolist(), 1, 1, dss.msg_field)
-    assert want == "DecodeFailure: missing symbol for stripe 2"
-    with pytest.raises(DecodeFailure, match="missing symbol for stripe 2"):
-        broken.decode_plan
-    assert _outcome(p3_decode, broken, responses, 1, 1, dss.msg_field) == want
+    with pytest.raises(StructureViolation, match="column 0 weight 2, expected 3"):
+        dataclasses.replace(s5, info_sets=((0, 1, 2), (0, 1, 2), (0, 2, 3)))
+
+
+_F2 = field_make(2)
+_WHOLE5 = code_from_generator(Matrix.identity(_F2, 5))
+_REFUSALS = {
+    "empty": ({"ehat": ()}, StructureViolation, "Ehat must be nonempty"),
+    "short-row": ({"ehat": [(1, 0, 1, 0)] * 3}, StructureViolation, "n columns"),
+    "zero-weight": ({"ehat": [(0,) * 5] * 3}, StructureViolation, "zero-weight"),
+    "unequal": ({"ehat": [(1, 0, 1, 0, 0), (1, 1, 1, 0, 0), (0, 1, 1, 0, 0)]},
+                StructureViolation, r"row 1 weight 3 != 2"),
+    "uncorrectable": ({"ehat": [(1, 0, 1, 0, 0), (1, 1, 0, 0, 0), (0, 0, 1, 0, 1)]},
+                      StructureViolation, "row 2 not correctable"),
+    # two subqueries read node 2, which only one of these sets holds
+    "not-a-set": ({"info_sets": [(0, 1, 2), (0, 1, 3)]}, StructureViolation,
+                  "set 1 is not an information set"),
+    "repeated-node": ({"info_sets": [(0, 0, 1, 2), (0, 1, 2)]}, StructureViolation,
+                      "set 0 is not an information set"),
+    "profile": ({"info_sets": [(0, 1, 2)] * 3}, StructureViolation,
+                "column 0 weight 2, expected 3"),
+    "query-length": ({"query_code": repetition_code(_F2, 7)}, DimensionMismatch,
+                     "share length and field"),
+    "query-zero": ({"query_code": code_from_generator(Matrix(_F2, [[1, 1, 1, 1, 0]]))},
+                   StructureViolation, r"positions \[4\]"),
+    "rate-one": ({"code": _WHOLE5, "query_code": _WHOLE5}, RateOneProduct, "rate 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_construction_refuses_like_p3_setup(good532, case):
+    """Direct construction, `dataclasses.replace` and `p3_setup` refuse each
+    broken structure or pair of codes with the same exception type and text."""
+    s5 = p2_build_structure(good532, ISETS_EX5, EHAT_EX5)
+    change, exc_type, text = _REFUSALS[case]
+    fields = {"code": s5.code, "query_code": s5.query_code, "ehat": s5.ehat,
+              "info_sets": s5.info_sets, **change}
+    texts = set()
+    for build in (lambda: P3Setup(**fields), lambda: dataclasses.replace(s5, **change),
+                  lambda: p3_setup(**fields)):
+        with pytest.raises(exc_type, match=text) as exc:
+            build()
+        texts.add((type(exc.value), str(exc.value)))
+    assert len(texts) == 1
+
+
+def test_construction_normalises_the_structure(good532):
+    """Ehat rows and sets given as lists, sets unsorted, become int tuples
+    with each set sorted; the derived values follow from them."""
+    s5 = P3Setup(good532, repetition_code(good532.field, 5),
+                 [list(r) for r in EHAT_EX5], [[2, 1, 0], [1, 0, 2]])
+    assert s5.ehat == tuple(tuple(r) for r in EHAT_EX5)
+    assert s5.info_sets == ((0, 1, 2), (0, 1, 2))
+    assert (s5.gamma, s5.collusion_threshold, s5.product.k) == (2, 1, 3)
+
+
+def _exchange(data, lists: list) -> None:
+    """Two drawn lists of `lists` (distinct when there are two) exchange a
+    drawn element of each that the other lacks, in place; a no-op when either
+    lacks none."""
+    i = data.draw(st.integers(0, len(lists) - 1))
+    a, b = lists[i], lists[(i + data.draw(st.integers(1, max(len(lists) - 1, 1)))) % len(lists)]
+    only_a, only_b = sorted(set(a) - set(b)), sorted(set(b) - set(a))
+    if only_a and only_b:
+        x, y = data.draw(st.sampled_from(only_a)), data.draw(st.sampled_from(only_b))
+        a[a.index(x)], b[b.index(y)] = y, x
+
+
+def _perturbed(data, e, n: int, k: int):
+    """The optimizer's (Ehat, sets) with one change drawn: a flipped Ehat bit,
+    one set swapped for a drawn k-subset, two Ehat rows exchanging a node of
+    their supports (row and column weights kept), or two sets exchanging a
+    node (how often each node is held kept)."""
+    ehat = [list(r) for r in e.ehat]
+    sets = [sorted(s) for s in e.info_sets()]
+    supports = [[l for l in range(n) if r[l]] for r in ehat]
+    node = st.integers(0, n - 1)
+    kind = data.draw(st.sampled_from(["flip", "set", "rows", "sets"]))
+    event(kind)
+    if kind == "flip":
+        ehat[data.draw(st.integers(0, len(ehat) - 1))][data.draw(node)] ^= 1
+    elif kind == "set":
+        sets[data.draw(st.integers(0, len(sets) - 1))] = sorted(
+            data.draw(st.sets(node, min_size=k, max_size=k)))
+    elif kind == "rows":
+        _exchange(data, supports)
+        ehat = [[int(l in s) for l in range(n)] for s in supports]
+    else:
+        _exchange(data, sets)
+    return ehat, sets
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(codes([(2, 1), (3, 1), (2, 2), (5, 1)], max_n=6), st.booleans(),
+       st.integers(0, 2**16), st.data())
+def test_perturbed_structure_is_refused_or_decodes(code, colluding, seed, data):
+    """One change to the optimizer's structure for a random storage code, with
+    the repetition or a random query code: either building the setup raises a
+    CodedPirError other than DecodeFailure, or every file is retrieved exactly,
+    so the decoder needs no consistency check of its own."""
+    assume(code.k < code.n)
+    if colluding:
+        query = data.draw(codes([(code.field.p, code.field.alpha)], max_messages=81,
+                                n=code.n))
+        assume(all(any(col) for col in zip(*query.G.data)))
+    else:
+        query = repetition_code(code.field, code.n)
+    try:
+        e, _ = optimize_rate(code, query, seed=seed)
+    except RateOneProduct:
+        e = None
+    assume(e is not None)
+    ehat, sets = _perturbed(data, e, code.n, code.k)
+    assume(ehat != [list(r) for r in e.ehat] or sets != [sorted(t) for t in e.info_sets()])
+    try:
+        setup = p3_setup(code, query, ehat, sets)
+    except CodedPirError as exc:
+        assert not isinstance(exc, DecodeFailure)
+        event("refused")
+        return
+    event("built")
+    dss = Dss(code, f=2, beta=setup.beta, seed=seed)
+    for m in (1, 2):
+        run(3, dss, {"setup": setup, "m": m, "seed": seed})
 
 
 @pytest.mark.parametrize("nodes", ["all", "short"])
