@@ -29,15 +29,18 @@ Two exact kernels carry the code predicates and the decoding:
     `min_distance` counts each level.
   Both work in blocks of about BLOCK array entries, and neither allocates a
   `Matrix`.
-- Erasure decoding (`decode_erasures`), shared by the three protocols,
-  compiled once per erased set E and kept for the code's lifetime: one rref
+- Erasure decoding, shared by the three protocols, compiled once per erased
+  set E and kept for the code's lifetime (`_erasure_decoder`): one rref
   of H's columns ordered E then K (the rest) gives the recovery matrix R_E
   (x_E = R_E y_K) and the check matrix C_E (a word matches some codeword off
-  E iff C_E y_K = 0; with E empty, iff it is a codeword). A batch of r words
-  over GF(q) or GF(q^ell) then decodes in one `matmul_array` product with
-  both, lifted into the words' field by one gather; a word that fails C_E
-  raises `DecodeFailure`. `message_from_information_set` likewise keeps the
-  inverse of G|_I per information set I and solves a batch in one product.
+  E iff C_E y_K = 0; with E empty, iff it is a codeword). In
+  `decode_erasures` a batch of r words over GF(q) or GF(q^ell) then decodes
+  in one `matmul_array` product with both, lifted into the words' field by
+  one gather; a word that fails C_E raises `DecodeFailure`. Protocols 2 and 3
+  fold R_E and C_E into their setup's one decode map instead
+  (`protocol3.P3Setup.decode_map`). `message_from_information_set` likewise
+  keeps the inverse of G|_I per information set I and solves a batch in one
+  product.
 
 `encode` is the array encoder (G converted to an array once per code, lifted
 into GF(q^ell) by one gather for stored files) that the protocol queries call.

@@ -47,9 +47,9 @@ class Dss:
         if files is None:
             rng = rng_for(seed, "dss", "files")
             order = self.msg_field.order
-            files = [Matrix(self.msg_field,
-                            [[rng.randrange(order) for _ in range(code.k)]
-                             for _ in range(beta)])
+            files = [Matrix.wrap(self.msg_field,
+                                 [[rng.randrange(order) for _ in range(code.k)]
+                                  for _ in range(beta)], beta, code.k)
                      for _ in range(f)]
         else:
             if len(files) != f or any(x.rows != beta or x.cols != code.k

@@ -16,9 +16,15 @@ runs the statistical audit's trials, drawn the same way.
 From query to answer a retrieval stays in int64 arrays: the query is one
 (n, d, beta*f) array, row l node l's; `p3_respond` answers every node in one
 stacked array product with the stored columns, an (n, d) response array; and
-`p3_decode` erasure-decodes one batch per distinct Ehat row and places the
-exposed symbols by the index arrays of `P3Setup.decode_plan`, built once per
-setup, before one solve per distinct information set.
+`p3_decode` is one product of the flattened responses with
+`P3Setup.decode_map`, built once per setup. Decoding is linear once Ehat and
+the information sets are fixed: erasure decoding each subquery in the product
+code with its support erased exposes rho_l - R_E rho_K there, and each stripe's
+message is its exposed symbols on its information set times the inverse of G
+there. The map composes both, over the code's field, and adds one column per
+consistency check C_E rho_K = 0 of every subquery; a nonzero check raises
+DecodeFailure with the text of the per-row decode (`decode_erasures` on each
+distinct Ehat row in turn), which the tests keep as the reference.
 
 With the [n,1] repetition code as the query code the product is the storage
 code and T = 1: that is protocol 2, the file-independent noncolluding
@@ -60,7 +66,7 @@ class P3Setup:
     product, Ehat rows of unequal weight or not correctable by the product,
     sets that are not information sets of the storage code, and a column of
     Ehat whose weight is not the number of sets holding that node. Every
-    later step (`stripes`, `decode_plan`, `p3_decode`) relies on this and
+    later step (`stripes`, `decode_map`, `p3_decode`) relies on this and
     checks none of it again. Ehat and the sets are kept as int tuples, each
     set sorted.
     """
@@ -158,28 +164,51 @@ class P3Setup:
             for i, t in enumerate(stripes) if t is not None]))
 
     @cached_property
-    def decode_plan(self) -> tuple[tuple, tuple]:
-        """Where `p3_decode` reads and writes, built once: per distinct Ehat
-        row (in order of first appearance) its subqueries, its support and the
-        (subqueries x support) array of the stripe each exposed symbol belongs
-        to; per distinct information set the stripes read off it and the
-        (stripes x set) index of their symbols. The column profile checked at
-        construction exposes each stripe's symbol at each node of its
-        information set exactly once."""
+    def decode_map(self) -> tuple[np.ndarray, tuple[tuple[int, int, list[int]], ...]]:
+        """The decode as one linear map over the code's field, built once.
+
+        A (d*n) x (beta*k + c) int64 array sends the responses, flattened
+        subquery-major (entry i*n + l is node l's answer to subquery i), to
+        the beta*k symbols of the file, then to the c consistency checks of
+        every subquery. Subquery i with support E exposes rho_l - R_E rho_K at
+        each l in E, R_E and the check rows C_E from the product code's
+        `_erasure_decoder(E)`; stripe t's message is its exposed symbols on
+        its information set I times the inverse of G restricted to I. Next to
+        the map, per check column, (subquery, word in its Ehat row's batch,
+        support), the columns ordered as the per-row decode raises: distinct
+        rows by first appearance, then word, then check row. The column
+        profile checked at construction exposes each stripe's symbol at each
+        node of its information set exactly once."""
+        code, field, n, k, beta = self.code, self.code.field, self.code.n, self.code.k, self.beta
+        size = self.d * n
+        symbols = np.zeros((size, beta, n), dtype=np.int64)  # form of stripe t's symbol l
+        checks, keys = [], []
         rows: dict[Mask, list[int]] = {}
         for i, row in enumerate(self.ehat):
             rows.setdefault(row, []).append(i)
-        row_plan = []
         for row, batch in rows.items():
             support = np.flatnonzero(row)
-            stripes = np.array([[self.stripes[l][i] for l in support] for i in batch],
-                               dtype=np.int64).reshape(len(batch), len(support))
-            row_plan.append((np.array(batch), support, stripes))
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for t, iset in enumerate(self.info_sets):
-            groups.setdefault(iset, []).append(t)
-        return tuple(row_plan), tuple((iset, batch, np.ix_(batch, iset))
-                                      for iset, batch in groups.items())
+            known, recover_check = self.product._erasure_decoder(tuple(support.tolist()))
+            e = len(support)
+            recover = field.sub_array(np.zeros_like(recover_check[:, :e]),
+                                      recover_check[:, :e])
+            for j, i in enumerate(batch):
+                at = i * n + np.array(known, dtype=np.int64)
+                stripes = [self.stripes[l][i] for l in support]
+                symbols[i * n + support, stripes, support] = 1
+                symbols[at[:, None], stripes, support] = recover
+                check = np.zeros((size, recover_check.shape[1] - e), dtype=np.int64)
+                check[at] = recover_check[:, e:]
+                checks.append(check)
+                keys += [(i, j, support.tolist())] * check.shape[1]
+        inverses = np.stack([code.message_from_information_set(
+            iset, np.eye(k, dtype=np.int64), field) for iset in self.info_sets])
+        read = symbols[:, np.arange(beta)[:, None], np.array(self.info_sets)]
+        messages = field.matmul_array(read.transpose(1, 0, 2), inverses)
+        out = np.concatenate([messages.transpose(1, 0, 2).reshape(size, beta * k),
+                              *checks], axis=1)
+        out.flags.writeable = False
+        return out, tuple(keys)
 
     def to_json_dict(self) -> dict:
         from .families import spec_from_code
@@ -261,11 +290,12 @@ def p3_respond(dss, queries) -> np.ndarray:
 
 def p3_decode(setup: P3Setup, responses, f: int, m: int,
               msg_field: FiniteField) -> Matrix:
-    """Decode the (n, d) responses: each subquery's response vector rho in the
-    product code with its support erased, one batch per distinct Ehat row; the
-    exposed symbols are rho_l - c_l there, placed by `decode_plan`. An
-    inconsistent response raises DecodeFailure only when Gamma < n - ktilde
-    (the support leaves parity checks unused); otherwise it decodes to a wrong
+    """Decode the (n, d) responses over GF(q^ell) in one product with
+    `P3Setup.decode_map`: the file's beta*k symbols and every subquery's
+    consistency checks. An inconsistent response raises DecodeFailure, naming
+    the subquery and the word of its Ehat row's batch as the per-row decode
+    would, only when Gamma < n - ktilde (the support leaves parity checks
+    unused, so the map has check columns); otherwise it decodes to a wrong
     stripe."""
     code = setup.code
     try:
@@ -274,21 +304,17 @@ def p3_decode(setup: P3Setup, responses, f: int, m: int,
         rho = None
     if rho is None or rho.shape != (code.n, setup.d):
         raise DecodeFailure("incomplete responses")
-    rho = rho.T  # d x n
-    rows, groups = setup.decode_plan
-    symbols = np.zeros((setup.beta, code.n), dtype=np.int64)
-    for batch, support, stripes in rows:
-        words = rho[batch]
-        try:
-            c_hat = setup.product.decode_erasures(words, support, msg_field)
-        except DecodeFailure as exc:
-            raise DecodeFailure(f"subquery {batch[exc.word or 0]}: {exc}") from exc
-        symbols[stripes, support] = msg_field.sub_array(words[:, support],
-                                                        c_hat[:, support])
-    out = np.zeros((setup.beta, code.k), dtype=np.int64)
-    for iset, batch, at in groups:
-        out[batch] = code.message_from_information_set(iset, symbols[at], msg_field)
-    return Matrix.wrap(msg_field, out.tolist(), setup.beta, code.k)
+    linear, keys = setup.decode_map
+    out = msg_field.matmul_array(rho.T.reshape(1, -1),
+                                 msg_field.embed_array(linear, code.field))[0]
+    size = setup.beta * code.k
+    failing = np.flatnonzero(out[size:])
+    if failing.size:
+        i, word, support = keys[failing[0]]
+        raise DecodeFailure(f"subquery {i}: word {word}: no codeword agrees with "
+                            f"it off the erased positions {support}")
+    return Matrix.wrap(msg_field, out[:size].reshape(setup.beta, code.k).tolist(),
+                       setup.beta, code.k)
 
 
 # --- maximum-rate matrices ----------------------------------------------------------

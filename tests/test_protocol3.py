@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -9,10 +10,11 @@ from codedpir.codes import code_from_generator, repetition_code
 from codedpir.dss import Dss, run
 from codedpir.errors import (CodedPirError, DecodeFailure, DimensionMismatch,
                              OrderOverflow, RateOneProduct, StructureViolation)
-from codedpir.families import grs_code, rm_code, rm_translate
+from codedpir.families import grs_code, pyramid_code, rm_code, rm_translate
 from codedpir.fields import Matrix, field_make, mat_rank
 from codedpir.optimizer import optimize_rate
 from codedpir.protocol2 import p2_build_structure
+from codedpir.ratematrix import lrc_E_matrix
 from codedpir.protocol3 import (P3Setup, collusion_threshold,
                                 necessary_condition_p3, p3_decode, p3_queries,
                                 p3_respond, p3_rm_max_rate, p3_setup, query_batch)
@@ -282,20 +284,25 @@ def _outcome(decode, setup, responses, f, m, msg_field):
 
 
 def check_array_path(code, query, ell: int, seed: int) -> bool:
-    """Stacked responses and the planned decode against the per-node and
-    per-symbol references, on the optimizer's structure for (code, query) and
-    f = 2 files over GF(q^ell); False when the optimizer finds none. Every
-    response equals the reference's, both decode the stored file at every
-    file index, and every single-symbol change of a response either raises
-    the same DecodeFailure text in both or decodes to the same file."""
+    """`check_setup_path` on the optimizer's structure for (code, query);
+    False when the optimizer finds none."""
     try:
         e, _ = optimize_rate(code, query, seed=seed)
     except RateOneProduct:
         return False
     if e is None:
         return False
-    setup = p3_setup(code, query, e.ehat, e.info_sets())
-    f = 2
+    check_setup_path(p3_setup(code, query, e.ehat, e.info_sets()), ell, seed)
+    return True
+
+
+def check_setup_path(setup, ell: int, seed: int) -> None:
+    """Stacked responses and the one-map decode against the per-node and
+    per-row references, on `setup` and f = 2 files over GF(q^ell). Every
+    response equals the reference's, both decode the stored file at every
+    file index, and every single-symbol change of a response either raises
+    the same DecodeFailure text in both or decodes to the same file."""
+    code, f = setup.code, 2
     dss = Dss(code, f=f, beta=setup.beta, ell=ell, seed=seed)
     msg_field = dss.msg_field
     for m in range(1, f + 1):
@@ -314,7 +321,6 @@ def check_array_path(code, query, ell: int, seed: int) -> bool:
             flipped[l, i] = msg_field.add(int(flipped[l, i]), 1)
             assert _outcome(p3_decode, setup, flipped, f, f, msg_field) == _outcome(
                 p3_decode_reference, setup, flipped.tolist(), f, f, msg_field), (l, i)
-    return True
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -343,6 +349,59 @@ def test_array_path_matches_reference_over_gf8_and_gf9(field, ell, colluding):
     f = field_make(*field)
     query = grs_code(f, 6, 2) if colluding else repetition_code(f, 6)
     assert check_array_path(grs_code(f, 6, 3), query, ell, seed=ell)
+
+
+def _pyramid13_setup():
+    code, params = pyramid_code(field_make(13), r=4, delta=2, Lc=2, a=2)
+    em = lrc_E_matrix(params, code)
+    return p2_build_structure(code, em.info_sets(), em.ehat)
+
+
+@pytest.mark.parametrize("build,ell", [(_pyramid13_setup, 2),
+                                       (lambda: p3_rm_max_rate(1, 1, 4), 4)],
+                         ids=["pyramid-gf13-ell2", "rm114-ell4"])
+def test_array_path_matches_reference_on_lrc_and_rm_setups(build, ell):
+    """`check_setup_path` on the [12,8] GF(13) pyramid locality code's
+    `lrc_E_matrix` structure over GF(169) and on the RM(1,1,4) maximum-rate
+    setup over GF(16): fields and structures the random codes do not reach."""
+    check_setup_path(build(), ell, seed=5)
+
+
+@pytest.mark.parametrize("order,named", [
+    ((0, 1, 2), {"subquery 0: word 0"}),
+    ((1, 0, 2), {"subquery 0: word 0", "subquery 2: word 1"})], ids=["generic", "rows-swapped"])
+def test_two_corrupted_subqueries_name_the_first_rows_word(code73, order, named):
+    """On the floor-rate [7,3] structure (one check per subquery), corrupting
+    two subqueries with different Ehat rows raises the reference's text for
+    the word of the row that appears first in Ehat, also when, with the rows
+    swapped, that word's subquery has the higher index."""
+    from codedpir.ratematrix import lambda_generic, lambda_to_E
+    e = lambda_to_E(lambda_generic(code73))
+    setup = p2_build_structure(code73, e.info_sets(), [e.ehat[i] for i in order])
+    dss = Dss(code73, f=2, beta=setup.beta, ell=2, seed=3)
+    responses = p3_respond(dss, p3_queries(setup, 2, 1, 11))
+
+    def flip(at):
+        out = responses.copy()
+        for l, i in at:
+            out[l, i] = dss.msg_field.add(int(out[l, i]), 1)
+        return out
+
+    raising = {}  # subquery -> a node whose flip alone fails its check
+    for l in range(7):
+        for i in range(setup.d):
+            if isinstance(_outcome(p3_decode, setup, flip([(l, i)]), 2, 1,
+                                   dss.msg_field), str):
+                raising.setdefault(i, l)
+    got_named = set()
+    for i, j in itertools.combinations(sorted(raising), 2):
+        if setup.ehat[i] != setup.ehat[j]:
+            flipped = flip([(raising[i], i), (raising[j], j)])
+            got = _outcome(p3_decode, setup, flipped, 2, 1, dss.msg_field)
+            assert got == _outcome(p3_decode_reference, setup, flipped.tolist(), 2, 1,
+                                   dss.msg_field), (i, j)
+            got_named.add(got.removeprefix("DecodeFailure: ").split(": no codeword")[0])
+    assert got_named == named
 
 
 def test_corrupted_responses_fail_like_the_reference(code73):
