@@ -36,9 +36,12 @@ Two exact kernels carry the code predicates and the decoding:
   E iff C_E y_K = 0; with E empty, iff it is a codeword). In
   `decode_erasures` a batch of r words over GF(q) or GF(q^ell) then decodes
   in one `matmul_array` product with both, lifted into the words' field by
-  one gather; a word that fails C_E raises `DecodeFailure`. Protocols 2 and 3
-  fold R_E and C_E into their setup's one decode map instead
-  (`protocol3.P3Setup.decode_map`). `message_from_information_set` likewise
+  one gather; a word that fails C_E raises `DecodeFailure`. The protocols
+  read R_E and C_E from `_erasure_decoder` instead: protocol 1 keeps them
+  lifted per decode stage and batch (`protocol1._lift`), protocols 2
+  and 3 fold them into their setup's one decode map
+  (`protocol3.P3Setup.decode_map`); `decode_erasures` is left to the tests'
+  references and the bench trace. `message_from_information_set` likewise
   keeps the inverse of G|_I per information set I and solves a batch in one
   product.
 

@@ -5,10 +5,12 @@ a subfield are lifted into it), encoded in one array product with the storage
 code into `stored`, an (f*beta) x n int64 array and the one copy of the coded
 data; node l stores its column l, the l-th coordinate of every encoded stripe
 (f coded chunks of beta symbols), and the protocols' node-side steps
-(`p1_answer`, `p3_respond`) read the nodes' columns from `stored` directly.
-Nodes and files are read-only after init. `run` makes one round trip of
-protocol 1, or of the protocol-3 engine, which serves protocol 2 with the
-repetition query code.
+(`p1_answer`, `p3_respond`) answer every node at once, reading the nodes'
+columns from `stored` directly. Nodes and files are read-only after init.
+`run` makes one round trip of protocol 1, or of the protocol-3 engine, which
+serves protocol 2 with the repetition query code; both decoders take the
+responses through `response_array`, which refuses any symbol that is not an
+element of the files' field.
 """
 
 from __future__ import annotations
@@ -129,6 +131,30 @@ class Transcript:
         return out
 
 
+def response_array(responses, shape: tuple[int, int], msg_field: FiniteField) -> np.ndarray:
+    """The responses of a round trip as an int64 array of the given (n, d)
+    shape, each symbol an element of `msg_field`, for a decoder: DecodeFailure
+    for a ragged or misshapen set ("incomplete responses"), a non-integer
+    array, or a symbol outside 0..q^ell-1, naming the first node that sent
+    one."""
+    try:
+        rho = np.asarray(responses)
+    except ValueError:  # ragged
+        rho = None
+    if rho is None or rho.shape != shape:
+        raise DecodeFailure("incomplete responses")
+    if rho.dtype.kind not in "iu":
+        raise DecodeFailure(f"responses must be integer symbols of {msg_field}, "
+                            f"not a {rho.dtype} array")
+    order = msg_field.order
+    if rho.size and (rho.min() < 0 or rho.max() >= order):
+        outside = (rho < 0) | (rho >= order)
+        node, pos = (int(i[0]) for i in np.nonzero(outside))
+        raise DecodeFailure(f"node {node}: response {rho[node, pos]} is not an "
+                            f"element of {msg_field} (0..{order - 1})")
+    return rho.astype(np.int64, copy=False)
+
+
 def _plain(value):
     """JSON form of a value that may be an array."""
     return value.tolist() if isinstance(value, np.ndarray) else value
@@ -153,8 +179,8 @@ def run(protocol: int, dss: Dss, config: dict) -> Transcript:
         plan = p1_plan(dss.code, config["lam"], dss.f, m, seed)
         if plan.beta != dss.beta:
             raise BadParams(f"plan wants beta={plan.beta}, storage has {dss.beta}")
-        queries = np.stack([plan.node_query(j) for j in range(n)])
-        responses = np.stack([p1_answer(dss, j, queries[j]) for j in range(n)])
+        queries = plan.queries()
+        responses = p1_answer(dss, queries)
         decoded = p1_decode(plan, responses, dss.msg_field)
         downloaded = responses.size
         user = {"perms": plan.perms, "shuffles": plan.shuffles}

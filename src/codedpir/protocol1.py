@@ -22,10 +22,14 @@ each plan from one seeded numpy generator (`rng.generator(seed, "p1")`): one
 The schedule is arrays. `rows[j, i, x - 1]` is the 1-based logical row of
 file x in node j's canonical request i, 0 where file x is absent; request i
 has the same (repetition, round), `labels[i]`, and the same files at every
-node. A node sees only `node_query(j)`: a (d, f) int64 array in the node's
-shuffled order whose entry (i, x - 1) is the physical row of file x (the
-private permutation applied), -1 where the file is absent. `p1_answer`
-returns one field sum per row of it, `p1_decode` takes the (n, d) answers.
+node. Node j sees only row j of `P1Plan.queries()`, an (n, d, f) int64
+array built in one gather: its requests in its shuffled order, entry
+(i, x - 1) the physical row of file x (the private permutation applied), -1
+where the file is absent. `p1_answer` answers every node at once, one field
+sum per request, from one gather of the store; `p1_decode` takes the (n, d)
+answers and decodes them stage by stage (aligned sums, then stripes), each
+stage one product per set of missing nodes through tables built once per
+schedule and value field, and one decision on all its checks.
 `dss.run` keeps these arrays in its transcript, which renders them as JSON
 lists (each request its [file, physical row] terms in file order) only in
 `Transcript.to_json_dict`.
@@ -33,7 +37,7 @@ lists (each request its [file, physical row] terms in file order) only in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -41,7 +45,7 @@ from itertools import combinations
 import numpy as np
 
 from .codes import LinearCode
-from .dss import MAX_STRIPES
+from .dss import MAX_STRIPES, response_array
 from .errors import DecodeFailure, DimensionMismatch, InvalidLambda, KappaEqualsNu
 from .fields import FiniteField, Matrix
 from .ratematrix import RateMatrix, interference_matrices, validate_rate_matrix
@@ -58,7 +62,9 @@ class P1DecodeMap:
     Node j's answer to its canonical request i goes to entry dst[j, i]; once
     the sums are decoded, each entry in `cancel` (a desired sum above round 1)
     loses the aligned symbol at the same index of `side`. A batch pairs the
-    nodes missing from some sums (or stripes) with those words' rows.
+    nodes missing from some sums (or stripes) with those words' rows; per
+    value field, `lifted` keeps both stages' batches ready to decode
+    (`_lift`), built on the first decode over that field.
     """
 
     words: int
@@ -68,6 +74,7 @@ class P1DecodeMap:
     sum_batches: tuple[tuple[tuple[int, ...], np.ndarray], ...]
     stripe_batches: tuple[tuple[tuple[int, ...], np.ndarray], ...]
     info: tuple[int, ...]  # the information set all messages are read off
+    lifted: dict = dc_field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -96,10 +103,11 @@ class P1Plan:
         for file x)."""
         return (self.rows > 0) @ (1 << np.arange(self.f))
 
-    def node_query(self, node: int) -> np.ndarray:
-        """Node-visible query: (d, f) physical rows in the node's shuffled
-        order, -1 where the file is absent; no labels."""
-        rows = self.rows[node, self.shuffles[node]]
+    def queries(self) -> np.ndarray:
+        """Every node's visible query, one gather: (n, d, f) physical rows,
+        row j node j's requests in its shuffled order, -1 where the file is
+        absent; no labels."""
+        rows = np.take_along_axis(self.rows, self.shuffles[:, :, None], axis=1)
         return np.where(rows > 0, self.perms[np.arange(self.f), rows - 1], -1)
 
 
@@ -231,68 +239,111 @@ def _decode_map(code: LinearCode, beta: int, words: int, dst: np.ndarray,
                        info=code.information_set())
 
 
-def p1_answer(dss, node: int, query) -> np.ndarray:
-    """Node-side evaluation of a (d, f) query of physical rows, -1 where a
-    file is absent: entry i is the field sum of the node's stored symbols of
-    row query[i, x - 1] of file x over the files present in row i. Every
-    row must name at least one symbol, and each symbol lies in rows 0..beta-1
-    of files 1..f; anything else raises DimensionMismatch."""
-    f, beta = dss.f, dss.beta
-    query = np.asarray(query)
-    if query.ndim != 2 or query.shape[1] != f or query.dtype.kind not in "iu":
-        raise DimensionMismatch(f"a query is a (d, {f}) integer array of rows; "
-                                f"got {query.dtype} of shape {query.shape}")
-    if query.size and (query.min() < -1 or query.max() >= beta):
+def p1_answer(dss, queries) -> np.ndarray:
+    """Node-side evaluation of every node's query in one gather from the
+    store and one field-sum reduce: `queries` is the (n, d, f) array of
+    physical rows, node j's (d, f) query at row j, -1 where a file is absent;
+    entry (j, i) of the (n, d) answer is the field sum of node j's stored
+    symbols of row queries[j, i, x - 1] of file x over the files present in
+    that request. Every request must name at least one symbol, and each
+    symbol lies in rows 0..beta-1 of files 1..f; anything else, or a number
+    of queries other than n, raises DimensionMismatch."""
+    n, f, beta = dss.code.n, dss.f, dss.beta
+    queries = np.asarray(queries)
+    if queries.ndim != 3 or queries.shape[2] != f or queries.dtype.kind not in "iu":
+        raise DimensionMismatch(f"a query is a (d, {f}) integer array of rows, one "
+                                f"per node; got {queries.dtype} of shape {queries.shape}")
+    if len(queries) != n:
+        raise DimensionMismatch(f"{len(queries)} queries for {n} nodes")
+    if queries.size and (queries.min() < -1 or queries.max() >= beta):
         raise DimensionMismatch(f"a term lies outside files 1..{f}, rows "
                                 f"0..{beta - 1} (-1 for a file not in the sum)")
-    query = query.astype(np.int64, copy=False)
-    absent = query < 0
-    if absent.all(axis=1).any():
+    queries = queries.astype(np.int64, copy=False)
+    absent = queries < 0
+    if absent.all(axis=2).any():
         raise DimensionMismatch("empty symbol sum is not a legal request")
-    # the node's column, file-major, then one padded zero for absent terms
-    content = np.append(dss.stored[:, node], 0)
-    index = np.where(absent, f * beta, query + np.arange(0, f * beta, beta))
-    return dss.msg_field.sum_array(content[index], axis=1)
+    # stored row of each term (file-major); an absent term reads some row, zeroed
+    terms = dss.stored[queries + np.arange(0, f * beta, beta), np.arange(n)[:, None, None]]
+    terms[absent] = 0
+    return dss.msg_field.sum_array(terms, axis=2)
 
 
-def p1_decode(plan: P1Plan, responses: np.ndarray, msg_field: FiniteField) -> Matrix:
+def p1_decode(plan: P1Plan, responses, msg_field: FiniteField) -> Matrix:
     """Reconstruct all nu^f stripes of the requested file from the (n, d)
     responses (row j: node j's answers in its visible order) through the
-    plan's decode map: aligned side-information sums, then the stripes they
-    leave, each erasure-decoded in one batch per set of missing nodes; the
-    messages are read off one information set.
+    plan's decode map: one scatter of the responses into words, the aligned
+    side-information sums decoded, one array subtraction of them from the
+    desired sums above round 1, the stripes decoded, and the messages read
+    off one information set in one product.
 
-    Detects: an aligned sum or a stripe raises DecodeFailure, naming it,
-    where no codeword matches all its known coordinates (which needs it known
-    at more than k nodes); a stripe known on no information set raises
-    NotCorrectable."""
+    Each stage erasure-decodes its words in the storage code, one product
+    per set of missing nodes with tables built once per schedule and value
+    field (`_lift`), and then takes one decision on all its checks.
+
+    Detects: a response that is not an element of GF(q^ell) raises
+    DecodeFailure naming its node; an aligned sum or a stripe raises
+    DecodeFailure, naming it and its word, where no codeword matches all its
+    known coordinates (which needs it known at more than k nodes), the first
+    such word of the first failing batch in stage order."""
     code, dmap = plan.code, plan.decode_map
     n = code.n
-    if len(responses) != n or any(len(r) != plan.d for r in responses):
-        raise DecodeFailure("incomplete responses")
+    rho = response_array(responses, (n, plan.d), msg_field)
     flat = np.zeros(dmap.words * n, dtype=np.int64)
-    flat[dmap.dst[np.arange(n)[:, None], plan.shuffles]] = responses
-    words = flat.reshape(dmap.words, n)
-
-    def decode(batches) -> None:
-        for missing, rows in batches:
-            try:
-                words[rows] = code.decode_erasures(words[rows], missing, msg_field)
-            except DecodeFailure as exc:
-                if exc.word is None:  # NotCorrectable: no word is at fault
-                    raise
-                row = int(rows[exc.word])
-                name = (f"stripe {row + 1}" if row < plan.beta
-                        else f"aligned sum {row - plan.beta + 1}")
-                raise DecodeFailure(f"{name}: {exc}") from exc
-
-    decode(dmap.sum_batches)
+    flat[dmap.dst[np.arange(n)[:, None], plan.shuffles]] = rho
+    lifted = dmap.lifted.get(msg_field)
+    if lifted is None:
+        lifted = dmap.lifted[msg_field] = (_lift(code, dmap.sum_batches, msg_field),
+                                           _lift(code, dmap.stripe_batches, msg_field))
+    _decode(plan, flat, dmap.sum_batches, lifted[0], msg_field)
     flat[dmap.cancel] = msg_field.sub_array(flat[dmap.cancel], flat[dmap.side])
-    decode(dmap.stripe_batches)
+    _decode(plan, flat, dmap.stripe_batches, lifted[1], msg_field)
+    words = flat.reshape(dmap.words, n)
     decoded = np.empty((plan.beta, code.k), dtype=np.int64)
     decoded[plan.perms[plan.m - 1]] = code.message_from_information_set(
         dmap.info, words[:plan.beta, dmap.info], msg_field)
     return Matrix.wrap(msg_field, decoded.tolist(), plan.beta, code.k)
+
+
+def _lift(code: LinearCode, batches, msg_field: FiniteField) -> tuple:
+    """A stage's batches ready to decode over `msg_field`: per batch, the
+    flat indices of its words' known symbols, |K| x rows (so the gathered
+    words come out column-major, the layout in which `matmul_array` reduces
+    fastest over an extension field), those of their erased symbols, rows x
+    |E|, and [R_E; C_E]^T from the storage code's `_erasure_decoder` lifted
+    into the field."""
+    lifted = []
+    for missing, rows in batches:
+        known, recover_check = code._erasure_decoder(missing)
+        at = rows[:, None] * code.n
+        lifted.append((np.ascontiguousarray((at + known).T),
+                       at + np.array(missing, dtype=np.int64),
+                       msg_field.embed_array(recover_check, code.field)))
+    return tuple(lifted)
+
+
+def _decode(plan: P1Plan, flat: np.ndarray, batches, lifted: tuple,
+            msg_field: FiniteField) -> None:
+    """Fill every erased symbol of a stage's words in `flat` (the flat words
+    x n array), one product per batch whose columns past |E| are its checks;
+    then raise DecodeFailure on the first word, in batch order, that matches
+    no codeword off its erased positions, named as the per-batch decode
+    names it."""
+    bad = [np.zeros(0, dtype=bool)]  # a stage may have no batches (f = 1: no sums)
+    for known, erased, recover_check in lifted:
+        solved = msg_field.matmul_array(flat[known].T, recover_check)
+        e = erased.shape[1]
+        flat[erased] = solved[:, :e]
+        bad.append(solved[:, e:].any(axis=1))
+    failing = np.flatnonzero(np.concatenate(bad))
+    if failing.size:
+        ends = np.cumsum([len(rows) for _, rows in batches])
+        batch = int(np.searchsorted(ends, failing[0], side="right"))
+        missing, rows = batches[batch]
+        word = int(failing[0] - ends[batch] + len(rows))
+        row = int(rows[word])
+        name = f"stripe {row + 1}" if row < plan.beta else f"aligned sum {row - plan.beta + 1}"
+        raise DecodeFailure(f"{name}: word {word}: no codeword agrees with it off "
+                            f"the erased positions {list(missing)}")
 
 
 @dataclass

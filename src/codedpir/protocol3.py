@@ -41,6 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .codes import ErasurePattern, LinearCode
+from .dss import response_array
 from .errors import (
     DecodeFailure,
     DimensionMismatch,
@@ -298,12 +299,7 @@ def p3_decode(setup: P3Setup, responses, f: int, m: int,
     unused, so the map has check columns); otherwise it decodes to a wrong
     stripe."""
     code = setup.code
-    try:
-        rho = np.asarray(responses, dtype=np.int64)
-    except ValueError:  # ragged
-        rho = None
-    if rho is None or rho.shape != (code.n, setup.d):
-        raise DecodeFailure("incomplete responses")
+    rho = response_array(responses, (code.n, setup.d), msg_field)
     linear, keys = setup.decode_map
     out = msg_field.matmul_array(rho.T.reshape(1, -1),
                                  msg_field.embed_array(linear, code.field))[0]

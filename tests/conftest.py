@@ -287,6 +287,40 @@ def p1_decode_reference(plan, responses, msg_field) -> Matrix:
     return Matrix.wrap(msg_field, decoded.tolist(), plan.beta, k)
 
 
+def p1_decode_batched_reference(plan, responses, msg_field) -> Matrix:
+    """Reference for `p1_decode`'s stages: the per-batch loop, one
+    `decode_erasures` call per batch of words sharing their missing nodes,
+    aligned sums first, naming the stripe or aligned sum of the first
+    failing word of the first failing batch."""
+    code, dmap = plan.code, plan.decode_map
+    n = code.n
+    if len(responses) != n or any(len(r) != plan.d for r in responses):
+        raise DecodeFailure("incomplete responses")
+    flat = np.zeros(dmap.words * n, dtype=np.int64)
+    flat[dmap.dst[np.arange(n)[:, None], plan.shuffles]] = responses
+    words = flat.reshape(dmap.words, n)
+
+    def decode(batches) -> None:
+        for missing, rows in batches:
+            try:
+                words[rows] = code.decode_erasures(words[rows], missing, msg_field)
+            except DecodeFailure as exc:
+                if exc.word is None:  # NotCorrectable: no word is at fault
+                    raise
+                row = int(rows[exc.word])
+                name = (f"stripe {row + 1}" if row < plan.beta
+                        else f"aligned sum {row - plan.beta + 1}")
+                raise DecodeFailure(f"{name}: {exc}") from exc
+
+    decode(dmap.sum_batches)
+    flat[dmap.cancel] = msg_field.sub_array(flat[dmap.cancel], flat[dmap.side])
+    decode(dmap.stripe_batches)
+    decoded = np.empty((plan.beta, code.k), dtype=np.int64)
+    decoded[plan.perms[plan.m - 1]] = code.message_from_information_set(
+        dmap.info, words[:plan.beta, dmap.info], msg_field)
+    return Matrix.wrap(msg_field, decoded.tolist(), plan.beta, code.k)
+
+
 def rank_pattern_list(code, w: int) -> tuple[int, ...]:
     """Reference for the exhaustive pattern list: every weight-w support in
     `itertools.combinations` order whose columns of H have rank w, as

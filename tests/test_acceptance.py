@@ -54,8 +54,8 @@ def test_criterion_1_protocol1_worked_example(good532):
         dss = Dss(good532, f=2, beta=25, seed=0)
         t0 = time.time()
         plan = p1_plan(good532, lam, f=2, m=1, seed=0)
-        queries = [plan.node_query(j) for j in range(5)]
-        responses = [p1_answer(dss, j, queries[j]) for j in range(5)]
+        queries = plan.queries()
+        responses = p1_answer(dss, queries)
         decoded = p1_decode(plan, responses, dss.msg_field)
         elapsed = time.time() - t0
         assert sum(len(q) for q in queries) == 3 * 40

@@ -679,3 +679,40 @@ def test_decoders_reject_incomplete_responses(good532, code124):
     # queries built for two files do not fit a one-file store
     with pytest.raises(DimensionMismatch):
         p3_respond(dss3, p3_queries(setup, 2, 1, 0))
+
+
+@pytest.mark.parametrize("ell,bad", [(1, 99), (1, -1), (1, 2), (4, 16), (4, 99), (4, -1)])
+@pytest.mark.parametrize("protocol", [1, 3])
+def test_decoders_refuse_symbols_outside_the_field(good532, code124, protocol, ell, bad):
+    """A response that is not an element of GF(2^ell) is refused with
+    DecodeFailure naming the first node that sent one, never an IndexError
+    or a file decoded from a wrapped or truncated symbol; so is a response
+    array that is not integer."""
+    from codedpir.errors import DecodeFailure
+    from codedpir.protocol1 import p1_answer, p1_decode, p1_plan
+    from codedpir.protocol3 import p3_decode, p3_queries, p3_respond
+    if protocol == 1:
+        dss = Dss(good532, f=2, beta=25, ell=ell, seed=2)
+        plan = p1_plan(good532, rate_matrix(good532, LAM35), 2, 1, 2)
+        responses = p1_answer(dss, plan.queries())
+        decode = lambda rho: p1_decode(plan, rho, dss.msg_field)  # noqa: E731
+    else:
+        setup = p3_setup(code124, code124, EHAT_P3, ISETS_P3)
+        dss = Dss(code124, f=2, beta=setup.beta, ell=ell, seed=2)
+        responses = p3_respond(dss, p3_queries(setup, 2, 1, 2))
+        decode = lambda rho: p3_decode(setup, rho, 2, 1, dss.msg_field)  # noqa: E731
+    assert decode(responses) == dss.files[0]
+    order = 2 ** ell
+    for node in (1, len(responses) - 1):
+        rho = responses.copy()
+        rho[node, -1] = bad
+        rho[-1, 0] = bad
+        with pytest.raises(DecodeFailure, match=rf"^node {node}: response {bad} is not an "
+                           rf"element of GF\(2(\^{ell})?\) \(0..{order - 1}\)$"):
+            decode(rho)
+        with pytest.raises(DecodeFailure, match=rf"^node {node}: "):
+            decode([list(row) for row in rho])
+    with pytest.raises(DecodeFailure, match="not a float64 array"):
+        decode(responses.astype(float))
+    with pytest.raises(DecodeFailure, match="not a float64 array"):
+        decode(responses + 0.5)

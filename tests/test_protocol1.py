@@ -13,7 +13,8 @@ from codedpir.errors import DecodeFailure, DimensionMismatch, KappaEqualsNu
 from codedpir.optimizer import optimize_rate
 from codedpir.protocol1 import _first_seen, p1_answer, p1_decode, p1_plan, p1_symmetry_audit
 from codedpir.ratematrix import E_to_lambda, lambda_generic, rate_matrix, rate_protocol1
-from conftest import (LAM23, LAM35, codes, p1_atom_rows, p1_atoms, p1_decode_reference,
+from conftest import (LAM23, LAM35, codes, p1_atom_rows, p1_atoms,
+                      p1_decode_batched_reference, p1_decode_reference,
                       p1_schedule_reference)
 
 
@@ -110,12 +111,26 @@ def test_schedule_matches_reference_on_random_codes(data):
         p1_plan(code, lam, f, data.draw(st.integers(1, f)), 0))
 
 
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_queries_are_each_nodes_view(good532, lam35, f):
+    """Row j of the stacked queries is node j's view: its canonical requests
+    in its shuffled order, each file's logical row through that file's
+    private permutation, -1 where the file is absent."""
+    plan = p1_plan(good532, lam35, f, 1, 11)
+    queries = plan.queries()
+    assert queries.dtype == np.int64 and queries.shape == (5, plan.d, f)
+    rows, perms = plan.rows.tolist(), plan.perms.tolist()
+    assert queries.tolist() == [
+        [[perms[x][row - 1] if row else -1 for x, row in enumerate(rows[j][i])]
+         for i in plan.shuffles[j].tolist()] for j in range(5)]
+
+
 def test_single_term_answer_is_raw_symbol(good532, lam35):
     dss = Dss(good532, f=2, beta=25, seed=3)
     plan = p1_plan(good532, lam35, f=2, m=1, seed=3)
-    query = plan.node_query(0)
-    responses = p1_answer(dss, 0, query)
-    assert query.shape == (plan.d, 2) and responses.shape == (plan.d,)
+    queries = plan.queries()
+    query, responses = queries[0], p1_answer(dss, queries)[0]
+    assert queries.shape == (5, plan.d, 2) and responses.shape == (plan.d,)
     singles = 0
     for pos, rows in enumerate(query.tolist()):
         terms = [(x, row) for x, row in enumerate(rows, 1) if row >= 0]
@@ -144,49 +159,69 @@ def answer_reference(dss, node: int, query) -> list[int]:
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(st.data())
 def test_answer_matches_termwise_reference(q, ell, data):
-    """Answers to random queries (each row names at least one term) equal the
-    term-by-term field sums over GF(2), GF(4) and GF(3), on a [5,3] code."""
+    """Every node's answers to random stacked queries (each row names at
+    least one term) equal the term-by-term field sums of its own query over
+    GF(2), GF(4) and GF(3), on a [5,3] code."""
     code = data.draw(codes([(q, 1)], n=5))
     f = data.draw(st.integers(1, 4))
     beta = data.draw(st.integers(1, 6))
     dss = Dss(code, f=f, beta=beta, ell=ell, seed=data.draw(st.integers(0, 99)))
     d = data.draw(st.integers(0, 8))
-    query = np.array(data.draw(st.lists(
+    queries = np.array(data.draw(st.lists(
         st.lists(st.integers(-1, beta - 1), min_size=f, max_size=f)
-        .filter(lambda rows: max(rows) >= 0), min_size=d, max_size=d)),
-        dtype=np.int64).reshape(d, f)
-    node = data.draw(st.integers(0, 4))
-    answer = p1_answer(dss, node, query)
-    assert answer.shape == (d,)
-    assert answer.tolist() == answer_reference(dss, node, query)
+        .filter(lambda rows: max(rows) >= 0), min_size=5 * d, max_size=5 * d)),
+        dtype=np.int64).reshape(5, d, f)
+    answers = p1_answer(dss, queries)
+    assert answers.shape == (5, d)
+    assert answers.tolist() == [answer_reference(dss, node, queries[node])
+                                for node in range(5)]
 
 
 def test_empty_sum_rejected(good532):
     dss = Dss(good532, f=1, beta=5, seed=0)
-    with pytest.raises(DimensionMismatch, match="empty"):
-        p1_answer(dss, 0, np.array([[-1]]))
+    queries = np.zeros((5, 2, 1), dtype=np.int64)
+    queries[3, 1] = -1
+    with pytest.raises(DimensionMismatch, match="^empty symbol sum is not a legal request$"):
+        p1_answer(dss, queries)
 
 
-@pytest.mark.parametrize("term", [
-    [4, -2],      # a row below -1
-    [4, 25],      # a row equal to beta (it would read file 2's first stripe)
-    [4, 0, -1],   # f + 1 columns
-    [-1, -1],     # a sum that names no term
-    [4.0, 0.0],   # not an integer array
-    [4],          # f - 1 columns
-])
-def test_answer_rejects_terms_outside_the_store(good532, term):
+@pytest.mark.parametrize("term,text", [
+    ([4, -2], "outside"),      # a row below -1
+    ([4, 25], "outside"),      # a row equal to beta (it would read file 2's first stripe)
+    ([4, 0, -1], "of rows"),   # f + 1 columns
+    ([-1, -1], "empty"),       # a sum that names no term
+    ([4.0, 0.0], "of rows"),   # not an integer array
+    ([4], "of rows"),          # f - 1 columns
+], ids=[f"term{i}" for i in range(6)])
+def test_answer_rejects_terms_outside_the_store(good532, term, text):
     """A node holds rows 0..beta-1 of files 1..f, and -1 marks a file not in
     the sum: any other query is an error, not a read of another file or
     stripe (a row of beta would read the next file's first stripe, and -2
-    would index from the end of the store)."""
+    would index from the end of the store). Each node's query is a row of
+    one (n, d, f) array, so one bad node's query refuses the lot."""
     dss = Dss(good532, f=2, beta=25, seed=0)
-    assert p1_answer(dss, 0, np.array([[0, 24]])).tolist() == [
-        dss.msg_field.add(dss.stored[0, 0], dss.stored[49, 0])]
-    with pytest.raises(DimensionMismatch):
-        p1_answer(dss, 0, np.array([[3] + [-1] * (len(term) - 1), term]))
-    with pytest.raises(DimensionMismatch):  # not a (d, f) array
-        p1_answer(dss, 0, np.array(term))
+    good = np.array([[[0, 24]]] * 5)
+    assert p1_answer(dss, good)[:, 0].tolist() == [
+        dss.msg_field.add(dss.stored[0, j], dss.stored[49, j]) for j in range(5)]
+    texts = {"outside": "^a term lies outside files 1..2, rows 0..24 "
+                        r"\(-1 for a file not in the sum\)$",
+             "empty": "^empty symbol sum is not a legal request$",
+             "of rows": r"^a query is a \(d, 2\) integer array of rows, one per node; got "}
+    for node in (0, 4):
+        queries = np.array([[[3] + [-1] * (len(term) - 1)] * 2] * 5, dtype=np.array(term).dtype)
+        queries[node, 1] = term
+        with pytest.raises(DimensionMismatch, match=texts[text]):
+            p1_answer(dss, queries)
+    with pytest.raises(DimensionMismatch, match=texts["of rows"]):  # not (n, d, f)
+        p1_answer(dss, np.array([term] * 5))
+
+
+@pytest.mark.parametrize("nodes", [0, 4, 6])
+def test_answer_rejects_a_wrong_number_of_queries(good532, nodes):
+    """One (d, f) query per node of the store, no more and no fewer."""
+    dss = Dss(good532, f=2, beta=25, seed=0)
+    with pytest.raises(DimensionMismatch, match=f"^{nodes} queries for 5 nodes$"):
+        p1_answer(dss, np.zeros((nodes, 3, 2), dtype=np.int64))
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -194,7 +229,7 @@ def test_answer_rejects_terms_outside_the_store(good532, term):
 def test_end_to_end_worked_example(good532, lam35, m, seed):
     dss = Dss(good532, f=2, beta=25, seed=seed)
     plan = p1_plan(good532, lam35, f=2, m=m, seed=seed)
-    responses = [p1_answer(dss, j, plan.node_query(j)) for j in range(5)]
+    responses = p1_answer(dss, plan.queries())
     decoded = p1_decode(plan, responses, dss.msg_field)
     assert decoded == dss.files[m - 1]
 
@@ -204,7 +239,7 @@ def test_end_to_end_bad_code(bad532):
     dss = Dss(bad532, f=2, beta=9, seed=7)
     plan = p1_plan(bad532, lam, f=2, m=2, seed=7)
     assert plan.d == 10 and plan.rate == Fraction(27, 50)
-    responses = [p1_answer(dss, j, plan.node_query(j)) for j in range(5)]
+    responses = p1_answer(dss, plan.queries())
     assert p1_decode(plan, responses, dss.msg_field) == dss.files[1]
 
 
@@ -213,7 +248,7 @@ def test_single_file_degenerate(good532, lam35):
     plan = p1_plan(good532, lam35, f=1, m=1, seed=2)
     assert plan.d == 3  # kappa requests per node, no side information
     assert (plan.file_sets == 1).all() and (plan.labels[:, 1] == 1).all()
-    responses = [p1_answer(dss, j, plan.node_query(j)) for j in range(5)]
+    responses = p1_answer(dss, plan.queries())
     assert p1_decode(plan, responses, dss.msg_field) == dss.files[0]
 
 
@@ -223,7 +258,7 @@ def test_multiround_extension_field(good532):
     dss = Dss(good532, f=3, beta=27, ell=2, seed=5)
     plan = p1_plan(good532, lam23g, f=3, m=2, seed=5)
     assert plan.d == 2 * (27 - 8)
-    responses = [p1_answer(dss, j, plan.node_query(j)) for j in range(5)]
+    responses = p1_answer(dss, plan.queries())
     assert p1_decode(plan, responses, dss.msg_field) == dss.files[1]
 
 
@@ -344,8 +379,8 @@ def test_node_views_repeat_no_stored_symbol(request, code_name, rows, f):
     for seed in range(3):
         for m in range(1, f + 1):
             plan = p1_plan(code, lam, f, m, seed)
-            for j in range(code.n):
-                terms = Counter((x, row) for rows in plan.node_query(j).tolist()
+            for j, query in enumerate(plan.queries().tolist()):
+                terms = Counter((x, row) for rows in query
                                 for x, row in enumerate(rows, 1) if row >= 0)
                 assert max(terms.values()) == 1, (seed, m, j)
                 assert all(0 <= row < plan.beta for _, row in terms)
@@ -450,7 +485,7 @@ def test_decode_rejects_incomplete_responses(good532, lam35):
     from codedpir.errors import DecodeFailure
     dss = Dss(good532, f=2, beta=25, seed=1)
     plan = p1_plan(good532, lam35, f=2, m=1, seed=1)
-    responses = [p1_answer(dss, j, plan.node_query(j)) for j in range(5)]
+    responses = p1_answer(dss, plan.queries())
     with pytest.raises(DecodeFailure):
         p1_decode(plan, responses[:-1], dss.msg_field)
     with pytest.raises(DecodeFailure):
@@ -465,7 +500,7 @@ def test_decode_checks_desired_stripes_on_all_known_coordinates(good532):
     lam = lambda_generic(good532, seed=1)
     dss = Dss(good532, f=2, beta=lam.nu ** 2, seed=1)
     plan = p1_plan(good532, lam, f=2, m=1, seed=1)
-    responses = [p1_answer(dss, j, plan.node_query(j)) for j in range(5)]
+    responses = p1_answer(dss, plan.queries())
     node_atoms = p1_atoms(plan)
     known: dict[int, set] = {}
     for j, atoms in enumerate(node_atoms):
@@ -498,7 +533,7 @@ def test_decode_flip_outcomes(good532):
     lam = lambda_generic(good532, seed=1)
     dss = Dss(good532, f=2, beta=lam.nu ** 2, seed=1)
     plan = p1_plan(good532, lam, f=2, m=1, seed=1)
-    responses = [p1_answer(dss, j, plan.node_query(j)) for j in range(5)]
+    responses = p1_answer(dss, plan.queries())
     outcomes = {"raised": 0, "wrong": 0, "unchanged": 0}
     named = set()
     for j in range(5):
@@ -531,7 +566,7 @@ def test_end_to_end_reed_muller_automorphism_matrix():
     dss = Dss(code, f=2, beta=lam.nu ** 2, seed=4)
     plan = p1_plan(code, lam, f=2, m=1, seed=4)
     assert plan.rate == capacity_finite(8, 4, 2) == Fraction(2, 3)
-    responses = [p1_answer(dss, j, plan.node_query(j)) for j in range(8)]
+    responses = p1_answer(dss, plan.queries())
     decoded = p1_decode(plan, responses, dss.msg_field)
     assert decoded == dss.files[0]
 
@@ -544,16 +579,57 @@ def decode_outcome(decode, plan, responses, msg_field):
         return type(exc)
 
 
+def decode_text(decode, plan, responses, msg_field):
+    """The decoded file, or the class and text of the DecodeFailure raised."""
+    try:
+        return decode(plan, responses, msg_field)
+    except DecodeFailure as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("lam_rows,f,ell", [
+    (LAM35, 2, 1), (LAM35, 3, 1), (LAM35, 2, 4), (LAM35, 3, 4), (None, 2, 1)],
+    ids=["lam35-f2", "lam35-f3", "lam35-f2-gf16", "lam35-f3-gf16", "generic-f2"])
+def test_decode_matches_the_batched_reference_on_every_flip(good532, lam_rows, f, ell):
+    """On every single-symbol flip of a [5,3] run (the balanced LAM35 and the
+    generic rate matrix of `test_decode_flip_outcomes`), the staged decode
+    returns the file the per-batch `decode_erasures` loop returns, or raises
+    DecodeFailure with the same text. So it does with two symbols flipped
+    (each next to the other in node-major order, or d/2 apart) and with a
+    node's whole response flipped, where several words can fail and the one
+    named must be the first the per-batch loop meets."""
+    lam = rate_matrix(good532, lam_rows) if lam_rows else lambda_generic(good532, seed=1)
+    dss = Dss(good532, f=f, beta=lam.nu ** f, ell=ell, seed=1)
+    plan = p1_plan(good532, lam, f, 1, 1)
+    responses = p1_answer(dss, plan.queries())
+    assert p1_decode(plan, responses, dss.msg_field) == dss.files[0]
+    size = responses.size
+    flips = ([[i] for i in range(size)] + [[i, i + 1] for i in range(size - 1)]
+             + [[i, (i + plan.d // 2) % size] for i in range(size)]
+             + [list(range(j * plan.d, (j + 1) * plan.d)) for j in range(5)])
+    raised = []
+    for flip in flips:
+        flipped = responses.copy()
+        flipped.flat[flip] = [dss.msg_field.add(int(x), 1) for x in flipped.flat[flip]]
+        got = decode_text(p1_decode, plan, flipped, dss.msg_field)
+        assert got == decode_text(p1_decode_batched_reference, plan, flipped,
+                                  dss.msg_field), flip
+        raised.append(isinstance(got, tuple))
+    assert sum(raised[:size]) == (80 if lam_rows is None else 0)
+
+
 @pytest.mark.parametrize("ell", [1, 2])
-@pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)],
-                         ids=["q2", "q3", "q4", "q5", "q7"])
+@pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)],
+                         ids=["q2", "q3", "q4", "q5", "q7", "q8", "q9"])
 @settings(derandomize=True, max_examples=8, deadline=None)
 @given(st.data())
 def test_corrupted_responses_decode_like_the_reference(field, ell, data):
-    """With one response symbol changed, p1_decode returns the same file or
-    raises the same DecodeFailure class as the per-atom reference decode, on
-    the generic rate matrix and on the optimizer's (as `simulate p1` draws
-    them), for random codes over GF(q) and payloads over GF(q^ell)."""
+    """Each drawn code retrieves its file exactly; with one response symbol
+    changed, p1_decode returns the same file or raises the same DecodeFailure
+    class as the per-atom reference decode, and the same text as the
+    per-batch reference, on the generic rate matrix and on the optimizer's
+    (as `simulate p1` draws them), for random codes over GF(q) and payloads
+    over GF(q^ell)."""
     code = data.draw(codes([field], max_n=6))
     assume(code.k < code.n)
     seed = data.draw(st.integers(0, 2**16))
@@ -566,7 +642,7 @@ def test_corrupted_responses_decode_like_the_reference(field, ell, data):
     for lam in lams:
         dss = Dss(code, f=2, beta=lam.nu ** 2, ell=ell, seed=seed)
         plan = p1_plan(code, lam, 2, 1 + seed % 2, seed)
-        responses = [p1_answer(dss, j, plan.node_query(j)) for j in range(code.n)]
+        responses = p1_answer(dss, plan.queries())
         assert p1_decode(plan, responses, dss.msg_field) == dss.files[plan.m - 1]
         j = data.draw(st.integers(0, code.n - 1))
         pos = data.draw(st.integers(0, plan.d - 1))
@@ -574,3 +650,5 @@ def test_corrupted_responses_decode_like_the_reference(field, ell, data):
             responses[j][pos], data.draw(st.integers(1, dss.msg_field.order - 1)))
         assert decode_outcome(p1_decode, plan, responses, dss.msg_field) == \
             decode_outcome(p1_decode_reference, plan, responses, dss.msg_field)
+        assert decode_text(p1_decode, plan, responses, dss.msg_field) == \
+            decode_text(p1_decode_batched_reference, plan, responses, dss.msg_field)
