@@ -25,7 +25,7 @@ import numpy as np
 from .codes import LinearCode
 from .errors import BadParams, DecodeFailure
 from .fields import FiniteField, Matrix
-from .rng import rng_for
+from .rng import generator, seed_index
 
 MAX_STRIPES = 10 ** 6  # memory guard on the f*beta stripes of a store (protocol 1: nu^f a file)
 
@@ -40,19 +40,14 @@ class Dss:
         if f * beta > MAX_STRIPES:
             raise BadParams(f"{f} files of {beta} stripes exceed the memory "
                             f"guard of {MAX_STRIPES} stripes")
-        self.code = code
-        self.f = f
-        self.beta = beta
-        self.ell = ell
-        self.seed = seed
+        self.code, self.f, self.beta, self.ell = code, f, beta, ell
+        self.seed = seed_index(seed)
         self.msg_field: FiniteField = code.field.extension(ell)
         if files is None:
-            rng = rng_for(seed, "dss", "files")
-            order = self.msg_field.order
-            files = [Matrix.wrap(self.msg_field,
-                                 [[rng.randrange(order) for _ in range(code.k)]
-                                  for _ in range(beta)], beta, code.k)
-                     for _ in range(f)]
+            symbols = generator(seed, "dss", "files").integers(
+                0, self.msg_field.order, size=(f, beta, code.k))
+            files = [Matrix.wrap(self.msg_field, x.tolist(), beta, code.k)
+                     for x in symbols]
         else:
             if len(files) != f or any(x.rows != beta or x.cols != code.k
                                       for x in files):
@@ -60,12 +55,11 @@ class Dss:
             if any(not self.msg_field.has_subfield(x.field) for x in files):
                 raise BadParams(f"files must lie over {self.msg_field} or a subfield")
             files = [x.lift(self.msg_field) for x in files]
+            symbols = np.array([x.data for x in files], dtype=np.int64)
         self.files = files
         self._hashes: dict[int, str] = {}
         # file-major, stripe-minor: column l is node l's content
-        self.stored = code.encode(
-            np.array([row for x in files for row in x.data], dtype=np.int64)
-            .reshape(f * beta, code.k), self.msg_field)
+        self.stored = code.encode(symbols.reshape(f * beta, code.k), self.msg_field)
         if not code.contains_codewords(self.stored, self.msg_field):
             raise BadParams("encoded stripe is not a codeword")
 
@@ -173,7 +167,7 @@ def run(protocol: int, dss: Dss, config: dict) -> Transcript:
     from .protocol3 import p3_decode, p3_queries, p3_respond
 
     m = int(config.get("m", 1))
-    seed = int(config.get("seed", dss.seed))
+    seed = seed_index(config.get("seed", dss.seed))
     n = dss.code.n
     if protocol == 1:
         plan = p1_plan(dss.code, config["lam"], dss.f, m, seed)

@@ -14,15 +14,15 @@ H's columns by each later column, a block of subsets at a time in arrays,
 and lists each weight in lexicographic order. A walk to weight w lists
 every lower weight too and the code keeps them, so a noncolluding code's
 information-set list (weight n - k, asked first) and all its Gamma lists
-come from one walk. A sampled list makes all its seeded draws first (a
-column order and the positions of w of its n - k pivots), takes the pivots
-of every order in one batched call (`LinearCode.pivot_columns`), decides
-every bit rotation of every distinct find in one more
-(`LinearCode.correctable_shifts`), and lists each find followed by its
-correctable rotations in draw order. The selection (d weight-Gamma rows plus
-beta information-set complements whose stacked column sums all equal beta) is
-solved exactly by a depth-first search branching on the most constrained
-deficient column, with memoized infeasible states; rows may repeat.
+come from one walk. A sampled list makes all its seeded draws at once (sort
+keys from one `randbytes` call give each draw a column order and w of its
+n - k pivot positions), takes every order's pivots in one batched call
+(`LinearCode.pivot_columns`), decides every bit rotation of every distinct
+find in one more (`LinearCode.correctable_shifts`), and lists each find
+followed by its correctable rotations in draw order. The selection (d
+weight-Gamma rows and beta information-set complements, every stacked column
+sum beta, rows may repeat) is solved exactly by a depth-first search on the
+most constrained deficient column, memoizing infeasible states.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .codes import ErasurePattern, LinearCode
 from .errors import BadParams, RateOneProduct, TooLarge
 from .protocol3 import check_query_code
 from .ratematrix import ErasureMatrix, beta_d_minimal
-from .rng import rng_for
+from .rng import rng_for, seed_index
 
 EXHAUSTIVE_LIMIT = 100_000   # enumerate all weight-w patterns up to this count
 SAMPLE_BUDGET = 100_000      # randomized pivot draws otherwise
@@ -81,17 +81,16 @@ def compute_erasure_pattern_list(code: LinearCode, w: int,
 
     Exhaustive when C(n, w) fits the budget: `LinearCode.correctable_masks`
     reads level w of the code's column walk over H, kept per code, in
-    lexicographic order. Otherwise draw `sample_budget` times a permutation
-    of the parity-check columns and w of the n - k positions of its pivots;
-    one `LinearCode.pivot_columns` call then gives every order's pivot
-    columns of H, and the w drawn ones are a find (independent by
-    construction). This consumes the seeded generator exactly as sampling
-    w of each order's pivot columns would. Every cyclic shift (bit rotation)
-    of every distinct find is then decided at once
+    lexicographic order. Otherwise `_drawn_supports` makes `sample_budget`
+    draws of a column order of H and w of the positions of its n - k pivots;
+    the w drawn pivots are a find (independent by construction). Every cyclic
+    shift (bit rotation) of every distinct find is then decided at once
     (`LinearCode.correctable_shifts`), and the list is each new find followed
-    by its correctable shifts, in draw order.
+    by its correctable shifts, in draw order. BadParams for a seed that is
+    not an integer.
     """
     _check_budgets(budget, sample_budget)
+    seed = seed_index(seed)
     n = code.n
     if w == 0 or comb(n, w) <= budget:
         return PatternList(w, n, code.correctable_masks(w))
@@ -112,19 +111,16 @@ def compute_erasure_pattern_list(code: LinearCode, w: int,
 
 
 def _drawn_supports(code: LinearCode, w: int, draws: int, rng) -> list[list[int]]:
-    """The supports of `draws` seeded draws, all made first: each draws a
-    permutation of the n columns and w of the n - k positions of its pivots,
-    and its support is the pivot columns of H at those positions, from one
-    `LinearCode.pivot_columns` call for every order. The orders are dropped
-    on return, so only the supports outlive the draws."""
-    n = code.n
-    orders = np.empty((draws, n), dtype=np.intp)
-    picks = np.empty((draws, w), dtype=np.intp)
-    for b in range(draws):
-        perm = list(range(n))
-        rng.shuffle(perm)
-        orders[b] = perm
-        picks[b] = rng.sample(range(n - code.k), w)
+    """The supports of `draws` draws from one `randbytes` call of n + (n - k)
+    uint64 sort keys per draw: the stable sort of the first n is a column
+    order, and the support is the order's pivot columns of H (one
+    `LinearCode.pivot_columns` call for all orders) at the positions of the
+    w smallest of the rest. Only the supports outlive the call."""
+    n, r = code.n, code.n - code.k
+    keys = np.frombuffer(rng.randbytes(8 * draws * (n + r)), "<u8").reshape(draws, n + r)
+    orders = np.argsort(keys[:, :n], axis=1, kind="stable")
+    picks = np.argsort(keys[:, n:], axis=1, kind="stable")[:, :w]
+    del keys
     return np.take_along_axis(code.pivot_columns(orders), picks, axis=1).tolist()
 
 

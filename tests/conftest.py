@@ -332,21 +332,25 @@ def rank_pattern_list(code, w: int) -> tuple[int, ...]:
 
 def sampled_pattern_list_reference(code, w: int, sample_budget: int,
                                    seed: int) -> tuple[int, ...]:
-    """Reference for the sampled pattern list: the same seeded draws (a
-    shuffle, the RREF pivots of H's columns in that order mapped back
-    through it, a w-sample of them), each new find followed at once by every
-    cyclic shift of it that is not yet listed and whose columns of H have
-    rank w, one shift at a time."""
+    """Reference for the sampled pattern list: the same seeded stream read one
+    draw at a time (8n bytes of little-endian uint64 column keys, then
+    8(n - k) bytes of pick keys, each ordered by Python's stable `sorted`),
+    the RREF pivots of H's columns in the keys' column order mapped back
+    through it, the pivots at the positions of the w smallest pick keys; each
+    new find followed at once by every cyclic shift of it that is not yet
+    listed and whose columns of H have rank w, one shift at a time."""
     n = code.n
     rng = rng_for(seed, "patterns", w)
     found: dict[int, None] = {}
     for _ in range(sample_budget):
-        perm = list(range(n))
-        rng.shuffle(perm)
+        order_keys = _uint64s(rng.randbytes(8 * n))
+        pick_keys = _uint64s(rng.randbytes(8 * (n - code.k)))
+        perm = sorted(range(n), key=order_keys.__getitem__)
         pivot_cols = [perm[c] for c in mat_rref(code.H.restrict_cols(perm))[1]]
         if len(pivot_cols) < w:
             continue
-        support = rng.sample(pivot_cols, w)
+        support = [pivot_cols[i]
+                   for i in sorted(range(len(pivot_cols)), key=pick_keys.__getitem__)[:w]]
         mask = sum(1 << j for j in support)
         if mask not in found:
             found[mask] = None
@@ -356,6 +360,11 @@ def sampled_pattern_list_reference(code, w: int, sample_budget: int,
                 if rotated not in found and mat_rank(code.H.restrict_cols(shifted)) == w:
                     found[rotated] = None
     return tuple(found)
+
+
+def _uint64s(data: bytes) -> list[int]:
+    """The little-endian uint64s of a byte string, one at a time."""
+    return [int.from_bytes(data[i:i + 8], "little") for i in range(0, len(data), 8)]
 
 
 def compute_matrix_bruteforce(lgamma, lnk, d: int, beta: int):

@@ -15,8 +15,9 @@ from codedpir.codes import LinearCode, repetition_code
 from codedpir.dss import Dss, run
 from codedpir.errors import (BadParams, DimensionMismatch, RateOneProduct,
                              StructureViolation, TooLarge)
+from codedpir.families import grs_code
 from codedpir.fields import Matrix, field_make, mat_mul
-from codedpir.optimizer import optimize_rate
+from codedpir.optimizer import compute_erasure_pattern_list, optimize_rate
 from codedpir.protocol2 import p2_build_structure
 from codedpir.protocol3 import p3_rm_max_rate, p3_setup
 from codedpir.ratematrix import rate_matrix
@@ -101,31 +102,37 @@ def golden_run(good532, code73, code124, protocol: int, seed: int):
 
 # sha256 of the sorted-key JSON of whole transcripts (user part included), per
 # (protocol, seed): a change here changes an RNG stream or the transcript
-# format, and must be deliberate
+# format, and must be deliberate. Restated once when a store's files moved
+# from one stdlib `randrange` per symbol to one numpy `integers` call per
+# store (`rng.generator(seed, "dss", "files")`): the responses and decoded
+# hashes follow the files; the queries did not move
 TRANSCRIPT_GOLDEN = {
-    (1, 0): "9bfc8a57438eaa7baeafab1d1158cec085de1de696120f5c59d80777a98b0e39",
-    (1, 1): "c44795a904a43b459d8230cdb718eb79fcb86cabe73d2a25b7940ff52394de73",
-    (2, 0): "bd227416c636e1433e5fb0dd2394d36d0793334a0e5fb792b4d6d0def2516061",
-    (2, 1): "c0d1f5ef067c60bbd2a5aa5667ac543244877469083938481206347b9444df99",
-    (3, 0): "35e1ac707c08988eced39cb7ce5c4b669aad3fffd7694a4e9a4e05844fc75e26",
-    (3, 1): "74b4bce2fc863593507e06f88afbafedca1d686daccde29b2dc6408882ee058b",
+    (1, 0): "0ffcd87a7b4e95f3d0e5ac78680252cc14b8c6543b33794c8eef169567ca7f01",
+    (1, 1): "0ba7a66abb204f30af2749bea34117ba29fcb127e036b597d4dc149a95fab10a",
+    (2, 0): "76c9556ff0515a453c749ecb67f37ab441d66dc6fea3f79ecc874f0aade54b06",
+    (2, 1): "fbf1d3902717d135d14b81ca1fde7a4e34c2b8472a6db378d6999a653298406e",
+    (3, 0): "cd3c1c5bd203042876e42dc0c88fd82a8438a87c088c01faf5352d83fd98e1d0",
+    (3, 1): "2431fae275043741a555da8ce4b83f3ba1e7bbbf0e90d75583a79d974a077e27",
 }
 
 # what each golden run retrieves: (decoded_hash, rate, downloaded symbols).
 # These depend on the stored files and the protocol, not on the query
-# randomness, so a change of query RNG stream leaves them as they are
+# randomness, so a change of query RNG stream leaves them as they are. The
+# decoded hashes were restated once, with `TRANSCRIPT_GOLDEN`, when the
+# stored files moved to one numpy `integers` call per store; the rates and
+# download counts did not change
 OUTPUT_GOLDEN = {
-    (1, 0): ("78ca4f4037f6e5ae144ddec2d58572bb17fcda1fe539ec0bae9b1a69b36c9f5b",
+    (1, 0): ("74734d7b8a6d2e7953f0ab7ced31e0c0df38e9ae627e4238faea4230706b804e",
              Fraction(5, 8), 120),
-    (1, 1): ("f754a9b7be93c7cac767e9e31326bce5c8136ca5e201c3b99129a82005673371",
+    (1, 1): ("d5fb8556315efec05ea9394f4f45adcbddf4d26663b0b0a88e8b9feb4d77bf0a",
              Fraction(5, 8), 120),
-    (2, 0): ("5d7ea37765e3ad231fe4293a7fb451b7390662e8d19e73cf8ea3b0209efe8ccd",
+    (2, 0): ("e6724f03d7a54ec666180ea193def356774bf8f30a052124030c20c600715f2d",
              Fraction(4, 7), 21),
-    (2, 1): ("7780d78d6db9b2fbf96440f75d3a4fda0ba632e98c2cb482a77ebb52f5ae4ed1",
+    (2, 1): ("bc55e2412e5ed4ff5a70a333843abd91dae040dfef834637e3ca983039c8d10f",
              Fraction(4, 7), 21),
-    (3, 0): ("c0ebf85122c43ab6d523cd32cd6cf6ce9a4707953fe3f66012961c8396821921",
+    (3, 0): ("c32ae6caebc7af3fdd068e32dc76f57170b26d1b211262fef31c4480a1599ff4",
              Fraction(1, 6), 24),
-    (3, 1): ("dc29d2c5e52132a58df3e67a8dd33cd705124bbe8fa8b72a363e17a237c209a3",
+    (3, 1): ("d61f14641415f0df1f1c6a64bc0710f426f133d0c9ae81e4c60c8591aa2cc430",
              Fraction(1, 6), 24),
 }
 
@@ -184,6 +191,47 @@ def test_file_hash_is_the_digest_of_the_file(good532):
     with mock.patch("codedpir.dss.hashlib.sha256") as sha:
         dss.file_hash(1)
     sha.assert_not_called()
+
+
+def test_store_replays_per_seed(good532):
+    """A store's files replay for a fixed seed and differ across seeds."""
+    a, b = (Dss(good532, f=3, beta=4, seed=7) for _ in range(2))
+    assert [x.data for x in a.files] == [x.data for x in b.files]
+    assert np.array_equal(a.stored, b.stored)
+    stores = {json.dumps([x.data for x in Dss(good532, f=3, beta=4, seed=s).files])
+              for s in range(5)}
+    assert len(stores) == 5
+
+
+def test_store_draws_every_symbol_of_the_extension():
+    """Over GF(13) with ell = 2 the drawn symbols lie in 0..168, some outside
+    the image of GF(13), and `stored` is each file's rows times G lifted."""
+    f13 = field_make(13)
+    code = grs_code(f13, 6, 3)
+    dss = Dss(code, f=3, beta=20, ell=2, seed=0)
+    symbols = np.array([x.data for x in dss.files])
+    assert symbols.shape == (3, 20, 3)
+    assert 0 <= symbols.min() and symbols.max() <= 168
+    assert not set(symbols.ravel().tolist()) <= set(dss.msg_field.embedding_from(f13))
+    G = code.G.lift(dss.msg_field)
+    assert dss.stored.tolist() == [row for x in dss.files for row in mat_mul(x, G).data]
+
+
+@pytest.mark.parametrize("seed", [1.5, "1", None])
+def test_seeds_must_be_integers(good532, seed):
+    """A seed that is not an integer is refused, naming it, by a store, a
+    run and a sampled pattern list, where it was truncated before (1.5 drew
+    seed 1's files); a numpy integer is the same seed as the int."""
+    text = re.escape(f"a seed must be an integer, not {seed!r}")
+    with pytest.raises(BadParams, match=text):
+        Dss(good532, f=1, beta=1, seed=seed)
+    dss = Dss(good532, f=2, beta=2, seed=1)
+    with pytest.raises(BadParams, match=text):
+        run(2, dss, {"structure": p2_build_structure(good532, ISETS_EX5, EHAT_EX5),
+                     "seed": seed})
+    with pytest.raises(BadParams, match=text):
+        compute_erasure_pattern_list(good532, 2, budget=0, sample_budget=5, seed=seed)
+    assert Dss(good532, f=2, beta=2, seed=np.int64(1)).files == dss.files
 
 
 def test_run_replays_bit_exactly(good532):

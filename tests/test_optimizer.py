@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +16,7 @@ from codedpir.optimizer import (compute_erasure_pattern_list, compute_matrix,
 from codedpir.protocol2 import p2_build_structure
 from codedpir.protocol3 import p3_setup
 from codedpir.ratematrix import beta_d_minimal
-from codedpir.reports import fixture_code, load_fixture
+from codedpir.reports import colluding_row, fixture_code, load_fixture
 from conftest import QUERY_T0, STORAGE_T0, compute_matrix_bruteforce
 
 f2 = field_make(2)
@@ -190,9 +194,12 @@ def test_information_set_list_sorted_once(good532, monkeypatch):
 
 # sha256 of the supports, in list order, of the pattern lists that the c13
 # Table III row builds at seed 0 (recorded before the elimination kernel
-# replaced the per-draw RREF): a change here is a change of the RNG stream
+# replaced the per-draw RREF): a change here is a change of the RNG stream.
+# The sampled weight-17 entry was restated once when its draws moved from one
+# `shuffle` and one `sample` per draw to sort keys from one `randbytes` call;
+# the exhaustive product lists did not move
 C13_GOLDEN = {
-    ("code", 17): "b13a08f976e201e040764d24fcd5e2f300864d9b3e6b8b53253589b527d89130",
+    ("code", 17): "5edb0a455c5426a18abd9f7f88869e65b89d154b6f595a39af4581b6eab96245",
     ("product", 1): "1d5ce60d0c390df4d74151e6e19e25fc5fd7e80015d124abc6022a969c8fa5ee",
     ("product", 2): "1b2474db75d63569111a3e4249df5ecc17cafe0ed1a0b2b414e4dd82eaa7cda1",
     ("product", 3): "2c1bedc14d46ffc62d2c9ae18a8235b28a101bc3531a08bd4d2467195e3aaa11",
@@ -231,6 +238,33 @@ def test_c13_sampled_list_asks_for_pivots_once(monkeypatch):
     compute_erasure_pattern_list(fixture_code(fixture), 17,
                                  sample_budget=sample_budget, seed=0)
     assert calls == [sample_budget]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_c13_stays_certified(seed):
+    """c13's sampled weight-17 list still gives the optimal rate r_ub = 4/26."""
+    row = colluding_row(load_fixture("c13"), seed=seed)
+    assert row.computed["r_opt"] == row.computed["r_ub"] == Fraction(4, 26)
+
+
+def test_sampled_list_leaves_numpy_random_unloaded():
+    """A fresh interpreter that builds c13's weight-17 sampled list never
+    loads `numpy.random`, whose import would add to the peak memory of every
+    optimizer run."""
+    import codedpir
+    script = (
+        "import sys\n"
+        "from codedpir.optimizer import compute_erasure_pattern_list\n"
+        "from codedpir.reports import fixture_code, load_fixture\n"
+        "fixture = load_fixture('c13')\n"
+        "lst = compute_erasure_pattern_list(fixture_code(fixture), 17, sample_budget="
+        "fixture['colluding']['sample_budget'], seed=0)\n"
+        "print(len(lst), 'numpy.random' in sys.modules)\n")
+    src = str(Path(codedpir.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                         text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    size, loaded = out.stdout.split()
+    assert int(size) > 0 and loaded == "False"
 
 
 @pytest.mark.parametrize("name", ["c1", "c5"])
