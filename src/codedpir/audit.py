@@ -117,13 +117,13 @@ def privacy_audit(protocol: int, dss: Dss, config: dict,
     mode "statistical" samples `trials` queries per file index (protocols 1,
     2 and 3); mode "exact" decides each set by linear algebra (protocols 2
     and 3 only), reads no trials and reports trials = 0. `control_sets` are
-    audited and reported but never counted toward pass/fail (used for
-    oversized collusion sets that are expected to leak).
+    audited and reported but never counted toward pass/fail (protocols 2 and
+    3 only; used for oversized collusion sets that are expected to leak).
     """
     if mode not in ("statistical", "exact"):
         raise BadParams(f"unknown audit mode {mode!r}; use statistical or exact")
-    if mode == "exact" and protocol == 1:
-        raise BadParams("protocol 1 has only the statistical audit")
+    if protocol == 1 and (mode == "exact" or control_sets):
+        raise BadParams("protocol 1 has only the statistical audit, and no control sets")
     if dss.f < 2:
         raise BadParams("privacy audit needs at least two files to compare")
     n = dss.code.n

@@ -1,16 +1,16 @@
 """Simulated distributed storage system and the protocol runner.
 
-The Dss holds f files of beta stripes each over GF(q^ell) (files given over
-a subfield are lifted into it), encoded in one array product with the storage
-code into `stored`, an (f*beta) x n int64 array and the one copy of the coded
-data; node l stores its column l, the l-th coordinate of every encoded stripe
-(f coded chunks of beta symbols), and the protocols' node-side steps
-(`p1_answer`, `p3_respond`) answer every node at once, reading the nodes'
-columns from `stored` directly. Nodes and files are read-only after init.
-`run` makes one round trip of protocol 1, or of the protocol-3 engine, which
-serves protocol 2 with the repetition query code; both decoders take the
-responses through `response_array`, which refuses any symbol that is not an
-element of the files' field.
+The Dss holds f files of beta stripes over GF(q^ell) as one read-only
+(f, beta, k) int64 array, `files` (drawn, or a copy of the caller's array;
+a caller embeds a file over a subfield with `FiniteField.embed_array`),
+encoded in one array product with the storage code into `stored`, a
+read-only (f*beta) x n int64 array and the one copy of the coded data; node
+l stores its column l, the l-th coordinate of every encoded stripe, and the
+protocols' node-side steps (`p1_answer`, `p3_respond`) answer every node at
+once from `stored`. `run` makes one round trip of protocol 1, or of the
+protocol-3 engine, which serves protocol 2 with the repetition query code;
+both decoders take the responses through `response_array`, which refuses any
+symbol outside the files' field, and return the file as a (beta, k) array.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .codes import LinearCode
 from .errors import BadParams, DecodeFailure
-from .fields import FiniteField, Matrix
+from .fields import FiniteField
 from .rng import generator, seed_index
 
 MAX_STRIPES = 10 ** 6  # memory guard on the f*beta stripes of a store (protocol 1: nu^f a file)
@@ -34,7 +34,7 @@ class Dss:
     """n-node storage system holding f encoded files of beta stripes."""
 
     def __init__(self, code: LinearCode, f: int, beta: int, ell: int = 1,
-                 seed: int = 0, files: list[Matrix] | None = None):
+                 seed: int = 0, files: np.ndarray | None = None):
         if f < 1 or beta < 1 or ell < 1:
             raise BadParams(f"need f, beta, ell >= 1; got {f}, {beta}, {ell}")
         if f * beta > MAX_STRIPES:
@@ -43,25 +43,28 @@ class Dss:
         self.code, self.f, self.beta, self.ell = code, f, beta, ell
         self.seed = seed_index(seed)
         self.msg_field: FiniteField = code.field.extension(ell)
+        shape, order = (f, beta, code.k), self.msg_field.order
         if files is None:
-            symbols = generator(seed, "dss", "files").integers(
-                0, self.msg_field.order, size=(f, beta, code.k))
-            files = [Matrix.wrap(self.msg_field, x.tolist(), beta, code.k)
-                     for x in symbols]
+            files = generator(seed, "dss", "files").integers(0, order, size=shape)
         else:
-            if len(files) != f or any(x.rows != beta or x.cols != code.k
-                                      for x in files):
-                raise BadParams("files must be f matrices of beta x k")
-            if any(not self.msg_field.has_subfield(x.field) for x in files):
-                raise BadParams(f"files must lie over {self.msg_field} or a subfield")
-            files = [x.lift(self.msg_field) for x in files]
-            symbols = np.array([x.data for x in files], dtype=np.int64)
+            try:
+                files = np.array(files)  # a copy: the caller keeps no write access
+            except ValueError:  # ragged
+                files = np.array(None)
+            if files.shape != shape or files.dtype.kind not in "iu":
+                raise BadParams(f"files must be an integer array of shape {shape}, "
+                                f"not a {files.dtype} array of shape {files.shape}")
+            if files.min() < 0 or files.max() >= order:
+                raise BadParams(f"file symbols must be elements of {self.msg_field}")
+            files = files.astype(np.int64, copy=False)
+        files.flags.writeable = False
         self.files = files
         self._hashes: dict[int, str] = {}
         # file-major, stripe-minor: column l is node l's content
-        self.stored = code.encode(symbols.reshape(f * beta, code.k), self.msg_field)
+        self.stored = code.encode(files.reshape(f * beta, code.k), self.msg_field)
         if not code.contains_codewords(self.stored, self.msg_field):
             raise BadParams("encoded stripe is not a codeword")
+        self.stored.flags.writeable = False
 
     def node_content(self, node: int) -> list[int]:
         """The f coded chunks stored by a node: file-major, stripe-minor."""
@@ -72,7 +75,7 @@ class Dss:
         computed on first request (files are read-only after init)."""
         digest = self._hashes.get(m)
         if digest is None:
-            payload = json.dumps(self.files[m - 1].data).encode()
+            payload = json.dumps(self.files[m - 1].tolist()).encode()
             digest = self._hashes[m] = hashlib.sha256(payload).hexdigest()
         return digest
 
@@ -166,9 +169,8 @@ def run(protocol: int, dss: Dss, config: dict) -> Transcript:
     from .protocol1 import p1_answer, p1_decode, p1_plan
     from .protocol3 import p3_decode, p3_queries, p3_respond
 
-    m = int(config.get("m", 1))
+    m = seed_index(config.get("m", 1), "a file index")
     seed = seed_index(config.get("seed", dss.seed))
-    n = dss.code.n
     if protocol == 1:
         plan = p1_plan(dss.code, config["lam"], dss.f, m, seed)
         if plan.beta != dss.beta:
@@ -176,7 +178,6 @@ def run(protocol: int, dss: Dss, config: dict) -> Transcript:
         queries = plan.queries()
         responses = p1_answer(dss, queries)
         decoded = p1_decode(plan, responses, dss.msg_field)
-        downloaded = responses.size
         user = {"perms": plan.perms, "shuffles": plan.shuffles}
     elif protocol in (2, 3):
         setup = config["structure" if protocol == 2 else "setup"]
@@ -188,18 +189,16 @@ def run(protocol: int, dss: Dss, config: dict) -> Transcript:
         queries = p3_queries(setup, dss.f, m, seed)
         responses = p3_respond(dss, queries)
         decoded = p3_decode(setup, responses, dss.f, m, dss.msg_field)
-        downloaded = responses.size
         user = {"ehat": [list(r) for r in setup.ehat],
                 "info_sets": [list(s) for s in setup.info_sets],
                 "T": setup.collusion_threshold, "seed": seed}
     else:
         raise BadParams(f"unknown protocol {protocol}")
 
-    if decoded != dss.files[m - 1]:
+    if not np.array_equal(decoded, dss.files[m - 1]):
         raise DecodeFailure("decoded file differs from stored file")
-    rate = Fraction(dss.beta * dss.code.k, downloaded)
-    tx = Transcript(protocol=f"p{protocol}", n=n, f=dss.f, requested=m,
-                    seed=seed, queries=queries, responses=responses,
-                    decoded_hash=dss.file_hash(m), downloaded=downloaded,
-                    rate=rate, user=user, q=dss.code.field.order)
-    return tx
+    return Transcript(protocol=f"p{protocol}", n=dss.code.n, f=dss.f, requested=m,
+                      seed=seed, queries=queries, responses=responses,
+                      decoded_hash=dss.file_hash(m), downloaded=responses.size,
+                      rate=Fraction(dss.beta * dss.code.k, responses.size),
+                      user=user, q=dss.code.field.order)

@@ -47,7 +47,7 @@ import numpy as np
 from .codes import LinearCode
 from .dss import MAX_STRIPES, response_array
 from .errors import DecodeFailure, DimensionMismatch, InvalidLambda, KappaEqualsNu
-from .fields import FiniteField, Matrix
+from .fields import FiniteField
 from .ratematrix import RateMatrix, interference_matrices, validate_rate_matrix
 from .rng import generator
 
@@ -268,13 +268,13 @@ def p1_answer(dss, queries) -> np.ndarray:
     return dss.msg_field.sum_array(terms, axis=2)
 
 
-def p1_decode(plan: P1Plan, responses, msg_field: FiniteField) -> Matrix:
+def p1_decode(plan: P1Plan, responses, msg_field: FiniteField) -> np.ndarray:
     """Reconstruct all nu^f stripes of the requested file from the (n, d)
     responses (row j: node j's answers in its visible order) through the
     plan's decode map: one scatter of the responses into words, the aligned
     side-information sums decoded, one array subtraction of them from the
     desired sums above round 1, the stripes decoded, and the messages read
-    off one information set in one product.
+    off one information set in one product, returned as a (beta, k) array.
 
     Each stage erasure-decodes its words in the storage code, one product
     per set of missing nodes with tables built once per schedule and value
@@ -301,7 +301,7 @@ def p1_decode(plan: P1Plan, responses, msg_field: FiniteField) -> Matrix:
     decoded = np.empty((plan.beta, code.k), dtype=np.int64)
     decoded[plan.perms[plan.m - 1]] = code.message_from_information_set(
         dmap.info, words[:plan.beta, dmap.info], msg_field)
-    return Matrix.wrap(msg_field, decoded.tolist(), plan.beta, code.k)
+    return decoded
 
 
 def _lift(code: LinearCode, batches, msg_field: FiniteField) -> tuple:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .codes import LinearCode, repetition_code
-from .fields import FiniteField, Matrix
+from .fields import FiniteField
 from .protocol3 import P3Setup, p3_decode, p3_queries, p3_respond, p3_setup
 
 
@@ -38,5 +38,5 @@ def p2_respond(dss, queries) -> np.ndarray:
 
 
 def p2_decode(setup: P3Setup, responses, f: int, m: int,
-              msg_field: FiniteField) -> Matrix:
+              msg_field: FiniteField) -> np.ndarray:
     return p3_decode(setup, responses, f, m, msg_field)

@@ -49,7 +49,7 @@ from .errors import (
     RateOneProduct,
     StructureViolation,
 )
-from .fields import FiniteField, Matrix
+from .fields import FiniteField
 from .families import rm_code, rm_information_set, rm_translate
 from .ratematrix import ConditionReport
 from .rng import generator
@@ -290,14 +290,14 @@ def p3_respond(dss, queries) -> np.ndarray:
 
 
 def p3_decode(setup: P3Setup, responses, f: int, m: int,
-              msg_field: FiniteField) -> Matrix:
+              msg_field: FiniteField) -> np.ndarray:
     """Decode the (n, d) responses over GF(q^ell) in one product with
-    `P3Setup.decode_map`: the file's beta*k symbols and every subquery's
-    consistency checks. An inconsistent response raises DecodeFailure, naming
-    the subquery and the word of its Ehat row's batch as the per-row decode
-    would, only when Gamma < n - ktilde (the support leaves parity checks
-    unused, so the map has check columns); otherwise it decodes to a wrong
-    stripe."""
+    `P3Setup.decode_map`: the file, returned as a (beta, k) int64 array, and
+    every subquery's consistency checks. An inconsistent response raises
+    DecodeFailure, naming the subquery and the word of its Ehat row's batch
+    as the per-row decode would, only when Gamma < n - ktilde (the support
+    leaves parity checks unused, so the map has check columns); otherwise it
+    decodes to a wrong stripe."""
     code = setup.code
     rho = response_array(responses, (code.n, setup.d), msg_field)
     linear, keys = setup.decode_map
@@ -309,8 +309,7 @@ def p3_decode(setup: P3Setup, responses, f: int, m: int,
         i, word, support = keys[failing[0]]
         raise DecodeFailure(f"subquery {i}: word {word}: no codeword agrees with "
                             f"it off the erased positions {support}")
-    return Matrix.wrap(msg_field, out[:size].reshape(setup.beta, code.k).tolist(),
-                       setup.beta, code.k)
+    return out[:size].reshape(setup.beta, code.k)
 
 
 # --- maximum-rate matrices ----------------------------------------------------------

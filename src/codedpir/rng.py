@@ -34,12 +34,12 @@ DEFAULT_SEED = 0x5EED_C0DE
 ENV_SEED = "CODEDPIR_SEED"
 
 
-def seed_index(seed) -> int:
-    """`seed` as an int: BadParams naming any value that is not an integer."""
+def seed_index(value, what: str = "a seed") -> int:
+    """`value` as an int: BadParams naming it, as `what`, if it is not one."""
     try:
-        return operator.index(seed)
+        return operator.index(value)
     except TypeError:
-        raise BadParams(f"a seed must be an integer, not {seed!r}") from None
+        raise BadParams(f"{what} must be an integer, not {value!r}") from None
 
 
 def derive_seed(seed: int, *labels) -> int:

@@ -216,6 +216,12 @@ def p1_symmetry_audit_with_repeat(plan):
     return p1_symmetry_audit(dataclasses.replace(plan, rows=rows))
 
 
+def file_rows(decoded) -> list[list[int]]:
+    """A decoded file's rows as lists: a decoder's (beta, k) array's
+    `.tolist()`, a reference decode's `Matrix.data`."""
+    return decoded.data if isinstance(decoded, Matrix) else decoded.tolist()
+
+
 def p1_decode_reference(plan, responses, msg_field) -> Matrix:
     """Reference for `p1_decode`: the per-atom decode. Each call sorts every
     atom's answer into dicts of aligned side-information sums and desired

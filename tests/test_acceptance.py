@@ -59,7 +59,7 @@ def test_criterion_1_protocol1_worked_example(good532):
         decoded = p1_decode(plan, responses, dss.msg_field)
         elapsed = time.time() - t0
         assert sum(len(q) for q in queries) == 3 * 40
-        assert decoded.rows == 25 and decoded == dss.files[0]
+        assert decoded.shape[0] == 25 and np.array_equal(decoded, dss.files[0])
         assert plan.rate == Fraction(5, 8) == capacity_finite(5, 3, 2)
         assert elapsed < 1.0
         # the finite capacity at every small number of files, either end of the file list

@@ -32,7 +32,8 @@ from conftest import (EHAT_EX5, EHAT_EX6, EHAT_P3, ISETS_EX5, ISETS_EX6,
 def test_dss_init_invariants(good532):
     dss = Dss(good532, f=2, beta=2, seed=1)
     # stored rows are the files' codewords, file-major and stripe-minor
-    words = [row for x in dss.files for row in mat_mul(x, good532.G).data]
+    words = [row for x in dss.files
+             for row in mat_mul(Matrix(dss.msg_field, x.tolist()), good532.G).data]
     assert dss.stored.tolist() == words
     # a node stores coordinate l of each of them
     assert dss.node_content(0) == [word[0] for word in words]
@@ -41,18 +42,22 @@ def test_dss_init_invariants(good532):
 
 
 def test_dss_lifts_subfield_files_and_rejects_other_fields(good532, f2):
-    """Files over a subfield of GF(q^ell) are stored lifted into it and come
-    back from every protocol; files over a field outside it are refused."""
+    """Files over a subfield of GF(q^ell), embedded into it with
+    `embed_array` (as `Matrix.lift` embeds them), are stored and come back
+    from every protocol; symbols outside GF(q^ell), and files given as
+    matrices, are refused."""
     s5 = p2_build_structure(good532, ISETS_EX5, EHAT_EX5)
-    files = [Matrix(f2, [[1, 0, 1], [0, 1, 1]]), Matrix(f2, [[1, 1, 0], [0, 0, 1]])]
-    dss = Dss(good532, f=2, beta=2, ell=2, files=files)
+    f4 = field_make(2, 2)
+    sub = [[[1, 2, 3], [0, 1, 2]], [[3, 3, 0], [2, 0, 1]]]
+    msg_field = good532.field.extension(4)
+    files = msg_field.embed_array(np.array(sub), f4)
+    dss = Dss(good532, f=2, beta=2, ell=4, files=files)
     for m in (1, 2):
         tx = run(2, dss, {"structure": s5, "m": m, "seed": 5})
         assert tx.decoded_hash == dss.file_hash(m)
-    assert [x.lift(dss.msg_field) for x in files] == dss.files
-    f4 = field_make(2, 2)
+    assert [Matrix(f4, x).lift(dss.msg_field).data for x in sub] == dss.files.tolist()
     with pytest.raises(BadParams):
-        Dss(good532, f=1, beta=2, ell=1, files=[Matrix(f4, [[1, 2, 3], [0, 1, 2]])])
+        Dss(good532, f=1, beta=2, ell=1, files=np.array([sub[0]]))
     with pytest.raises(BadParams):
         Dss(good532, f=1, beta=2, ell=2,
             files=[Matrix(field_make(3), [[1, 2, 0], [0, 1, 2]])])
@@ -185,7 +190,7 @@ def test_file_hash_is_the_digest_of_the_file(good532):
     every request (computed once per file)."""
     dss = Dss(good532, f=3, beta=2, seed=4)
     for m in (2, 1, 3, 2):
-        want = hashlib.sha256(json.dumps(dss.files[m - 1].data).encode()).hexdigest()
+        want = hashlib.sha256(json.dumps(dss.files[m - 1].tolist()).encode()).hexdigest()
         assert dss.file_hash(m) == want
     assert len({dss.file_hash(m) for m in (1, 2, 3)}) == 3
     with mock.patch("codedpir.dss.hashlib.sha256") as sha:
@@ -196,9 +201,9 @@ def test_file_hash_is_the_digest_of_the_file(good532):
 def test_store_replays_per_seed(good532):
     """A store's files replay for a fixed seed and differ across seeds."""
     a, b = (Dss(good532, f=3, beta=4, seed=7) for _ in range(2))
-    assert [x.data for x in a.files] == [x.data for x in b.files]
+    assert a.files.tolist() == b.files.tolist()
     assert np.array_equal(a.stored, b.stored)
-    stores = {json.dumps([x.data for x in Dss(good532, f=3, beta=4, seed=s).files])
+    stores = {json.dumps(Dss(good532, f=3, beta=4, seed=s).files.tolist())
               for s in range(5)}
     assert len(stores) == 5
 
@@ -209,12 +214,13 @@ def test_store_draws_every_symbol_of_the_extension():
     f13 = field_make(13)
     code = grs_code(f13, 6, 3)
     dss = Dss(code, f=3, beta=20, ell=2, seed=0)
-    symbols = np.array([x.data for x in dss.files])
+    symbols = dss.files
     assert symbols.shape == (3, 20, 3)
     assert 0 <= symbols.min() and symbols.max() <= 168
     assert not set(symbols.ravel().tolist()) <= set(dss.msg_field.embedding_from(f13))
     G = code.G.lift(dss.msg_field)
-    assert dss.stored.tolist() == [row for x in dss.files for row in mat_mul(x, G).data]
+    assert dss.stored.tolist() == [row for x in dss.files
+                                   for row in mat_mul(Matrix(dss.msg_field, x.tolist()), G).data]
 
 
 @pytest.mark.parametrize("seed", [1.5, "1", None])
@@ -231,7 +237,103 @@ def test_seeds_must_be_integers(good532, seed):
                      "seed": seed})
     with pytest.raises(BadParams, match=text):
         compute_erasure_pattern_list(good532, 2, budget=0, sample_budget=5, seed=seed)
-    assert Dss(good532, f=2, beta=2, seed=np.int64(1)).files == dss.files
+    assert np.array_equal(Dss(good532, f=2, beta=2, seed=np.int64(1)).files, dss.files)
+
+
+def store_and_config(good532, code124, protocol: int, ell: int = 1):
+    """A two-file store and its run config for each protocol: LAM35 on
+    [5,3] (protocol 1), Example 5's structure (2), the [12,4] setup (3)."""
+    if protocol == 1:
+        return (Dss(good532, f=2, beta=25, ell=ell, seed=2),
+                {"lam": rate_matrix(good532, LAM35)})
+    if protocol == 2:
+        return (Dss(good532, f=2, beta=2, ell=ell, seed=2),
+                {"structure": p2_build_structure(good532, ISETS_EX5, EHAT_EX5)})
+    return (Dss(code124, f=2, beta=1, ell=ell, seed=2),
+            {"setup": p3_setup(code124, code124, EHAT_P3, ISETS_P3)})
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+@pytest.mark.parametrize("protocol", [1, 2, 3])
+def test_decoders_return_the_file_as_an_array(good532, code124, protocol, ell):
+    """Each protocol's decoder returns the requested file as a (beta, k)
+    int64 array equal to `dss.files[m - 1]`, the store's read-only
+    (f, beta, k) int64 array, over GF(2) and GF(4)."""
+    from codedpir.protocol1 import p1_answer, p1_decode, p1_plan
+    from codedpir.protocol2 import p2_decode, p2_queries, p2_respond
+    from codedpir.protocol3 import p3_decode, p3_queries, p3_respond
+    dss, config = store_and_config(good532, code124, protocol, ell)
+    assert dss.files.dtype == np.int64 and dss.files.shape == (2, dss.beta, dss.code.k)
+    for m in (1, 2):
+        if protocol == 1:
+            plan = p1_plan(dss.code, config["lam"], 2, m, 5)
+            decoded = p1_decode(plan, p1_answer(dss, plan.queries()), dss.msg_field)
+        elif protocol == 2:
+            setup = config["structure"]
+            responses = p2_respond(dss, p2_queries(setup, 2, m, 5))
+            decoded = p2_decode(setup, responses, 2, m, dss.msg_field)
+        else:
+            setup = config["setup"]
+            responses = p3_respond(dss, p3_queries(setup, 2, m, 5))
+            decoded = p3_decode(setup, responses, 2, m, dss.msg_field)
+        assert decoded.dtype == np.int64 and decoded.shape == (dss.beta, dss.code.k)
+        assert np.array_equal(decoded, dss.files[m - 1])
+
+
+@pytest.mark.parametrize("given", [False, True])
+def test_store_arrays_are_read_only(good532, given):
+    """`files` and `stored` refuse writes, where a write to `stored` made the
+    next run raise DecodeFailure; a given files array is copied, so a later
+    write to it leaves the store as it was."""
+    files = np.array([[[1, 0, 1], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]]])
+    dss = Dss(good532, f=2, beta=2, seed=1, files=files if given else None)
+    for array in (dss.files, dss.stored):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] ^= 1
+    kept = dss.files.copy()
+    files[0, 0, 0] ^= 1
+    assert np.array_equal(dss.files, kept)
+    s5 = p2_build_structure(good532, ISETS_EX5, EHAT_EX5)
+    for m in (1, 2):
+        assert run(2, dss, {"structure": s5, "m": m, "seed": 3}).decoded_hash \
+            == dss.file_hash(m)
+
+
+@pytest.mark.parametrize("files,text", [
+    (np.zeros((2, 3, 3), dtype=np.int64), "shape"),
+    (np.zeros((1, 2, 3), dtype=np.int64), "shape"),
+    (np.zeros((2, 2, 3, 1), dtype=np.int64), "shape"),
+    (np.zeros(12, dtype=np.int64), "shape"),
+    (np.zeros((2, 2, 3)), "float64"),
+    (np.zeros((2, 2, 3), dtype=bool), "bool"),
+    ([Matrix(field_make(2), [[1, 0, 1], [0, 1, 1]])] * 2, "object"),
+    ([[[0, 0, 0], [0, 0]], [[0, 0, 0], [0, 0, 0]]], "shape"),
+    (np.full((2, 2, 3), -1), "elements"),
+    (np.full((2, 2, 3), 4), "elements"),
+    (np.full((2, 2, 3), 2 ** 63, dtype=np.uint64), "elements"),
+], ids=["beta", "f", "rank4", "flat", "float", "bool", "matrices", "ragged",
+        "negative", "order", "uint64"])
+def test_given_files_are_refused_unless_an_array_of_symbols(good532, files, text):
+    """`files=` takes an (f, beta, k) integer array of GF(q^ell) symbols and
+    refuses, with BadParams, any other shape, a non-integer array (a list of
+    matrices, a ragged list) or a symbol outside 0..q^ell-1."""
+    with pytest.raises(BadParams, match=text):
+        Dss(good532, f=2, beta=2, ell=2, files=files)
+    assert Dss(good532, f=2, beta=2, ell=2, files=np.full((2, 2, 3), 3)).files.max() == 3
+
+
+@pytest.mark.parametrize("m", [1.9, "1"])
+@pytest.mark.parametrize("protocol", [1, 2, 3])
+def test_file_index_must_be_an_integer(good532, code124, protocol, m):
+    """A requested file index that is not an integer is refused, naming it,
+    where it was truncated before (1.9 retrieved file 1 and recorded
+    requested=1); a numpy integer is the same index as the int."""
+    dss, config = store_and_config(good532, code124, protocol)
+    with pytest.raises(BadParams, match=re.escape(f"a file index must be an integer, "
+                                                  f"not {m!r}")):
+        run(protocol, dss, {**config, "m": m, "seed": 1})
+    tx = run(protocol, dss, {**config, "m": np.int64(2), "seed": 1})
+    assert tx.requested == 2 and tx.decoded_hash == dss.file_hash(2)
 
 
 def test_run_replays_bit_exactly(good532):
@@ -440,6 +542,16 @@ def test_audit_rejects_unknown_mode_and_exact_p1(good532):
             privacy_audit(1, dss1, {"lam": lam}, trials=10, mode=mode)
     with pytest.raises(BadParams, match="protocol 1"):
         privacy_audit(1, dss1, {"lam": lam}, trials=10, mode="exact")
+
+
+def test_p1_audit_refuses_control_sets(good532):
+    """Protocol 1's audit has no control sets: it refuses them, where it
+    returned a report with no controls and no note."""
+    lam = rate_matrix(good532, LAM35)
+    dss1 = Dss(good532, f=2, beta=25, seed=0)
+    with pytest.raises(BadParams, match="protocol 1 .* no control sets"):
+        privacy_audit(1, dss1, {"lam": lam}, control_sets=[(0,), (1, 2)])
+    assert privacy_audit(1, dss1, {"lam": lam}, trials=10, control_sets=[]).controls == []
 
 
 def test_audit_rejects_bad_sets_and_trials(good532):
@@ -749,7 +861,7 @@ def test_decoders_refuse_symbols_outside_the_field(good532, code124, protocol, e
         dss = Dss(code124, f=2, beta=setup.beta, ell=ell, seed=2)
         responses = p3_respond(dss, p3_queries(setup, 2, 1, 2))
         decode = lambda rho: p3_decode(setup, rho, 2, 1, dss.msg_field)  # noqa: E731
-    assert decode(responses) == dss.files[0]
+    assert np.array_equal(decode(responses), dss.files[0])
     order = 2 ** ell
     for node in (1, len(responses) - 1):
         rho = responses.copy()

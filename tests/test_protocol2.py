@@ -87,7 +87,7 @@ def test_end_to_end_example5(good532, s5, f, ell):
             qs = p2_queries(s5, f, m, seed)
             responses = p2_respond(dss, qs)
             decoded = p2_decode(s5, responses, f, m, dss.msg_field)
-            assert decoded == dss.files[m - 1]
+            assert np.array_equal(decoded, dss.files[m - 1])
 
 
 @pytest.mark.parametrize("f", [1, 3])
@@ -98,7 +98,7 @@ def test_end_to_end_example6(code73, s6, f):
             qs = p2_queries(s6, f, m, seed)
             responses = p2_respond(dss, qs)
             decoded = p2_decode(s6, responses, f, m, dss.msg_field)
-            assert decoded == dss.files[m - 1]
+            assert np.array_equal(decoded, dss.files[m - 1])
 
 
 def test_rate_floor_structures(good532, bad532, code73):
@@ -140,7 +140,7 @@ def test_interference_symbol_decomposition_example5(good532, s5):
     dss = Dss(good532, f=1, beta=2, seed=seed)
     qs = p2_queries(s5, f=1, m=1, seed=seed)
     u = qs[3].tolist()  # node 4 has V = 0, so its query is exactly U
-    x = dss.files[0].data  # 2 x 3 message matrix
+    x = dss.files[0].tolist()  # 2 x 3 message matrix
     gf = dss.msg_field
 
     def interf(h, col):
@@ -174,7 +174,7 @@ def test_interference_solve_example6(code73, s6):
     # stripes 3 and 4 (its information sets) in subqueries 2 and 3
     assert s6.stripes[0] == (None, 2, 3)
     gf = dss.msg_field
-    x = dss.files[0].data  # 4 x 3
+    x = dss.files[0].tolist()  # 4 x 3
 
     def interf(h, col):
         acc = 0
@@ -203,7 +203,7 @@ def test_corrupted_response_raises_decode_failure_not_field_error(code73):
     assert structure.gamma == 3
     dss = Dss(code73, f=2, beta=structure.beta, seed=3)
     responses = p2_respond(dss, p2_queries(structure, 2, 1, 11))
-    assert p2_decode(structure, responses, 2, 1, dss.msg_field) == dss.files[0]
+    assert np.array_equal(p2_decode(structure, responses, 2, 1, dss.msg_field), dss.files[0])
     failures = wrong = 0
     for l in range(7):
         for i in range(structure.d):
@@ -214,7 +214,7 @@ def test_corrupted_response_raises_decode_failure_not_field_error(code73):
             except DecodeFailure:
                 failures += 1
                 continue
-            wrong += decoded != dss.files[0]
+            wrong += not np.array_equal(decoded, dss.files[0])
     assert (failures, wrong) == (9, 12)
 
 
