@@ -37,7 +37,7 @@ import numpy as np
 
 from .dss import Dss
 from .errors import BadParams, TooLarge
-from .fields import MATMUL_CHUNK, Matrix, mat_mul, null_space
+from .fields import MATMUL_CHUNK
 from .protocol1 import _first_seen, p1_plan, p1_symmetry_audit
 from .protocol3 import P3Setup, query_batch
 from .rng import derive_seed, generator
@@ -152,15 +152,14 @@ def _audit_p23_exact(protocol: int, setup: P3Setup, collusion_sets,
                      control_sets) -> PrivacyReport:
     """S is private iff N_S u = 0 for N_S the null space of G restricted to
     S and u each leak indicator (nodes of S leaking stripe t in subquery i)."""
-    G, beta = setup.query_code.G, setup.beta
-    # leaks[l][i*beta + t] = 1 iff node l leaks stripe t in subquery i
-    leaks = [[int(s == t) for s in stripes for t in range(beta)]
-             for stripes in setup.stripes]
+    f, g, beta = setup.query_code.field, setup.query_code.G.array(), setup.beta
+    # leaks[l, i*beta + t] = 1 iff node l leaks stripe t in subquery i
+    leaks = np.array([[int(s == t) for s in stripes for t in range(beta)]
+                      for stripes in setup.stripes], dtype=np.int64)
 
     def outcome(tset) -> AuditOutcome:
-        null = null_space(G.restrict_cols(tset))
-        seen = mat_mul(null, Matrix(G.field, [leaks[l] for l in tset]))
-        bad = [c for c in range(seen.cols) if any(row[c] for row in seen.data)]
+        null = f.null_space_array(g[:, list(tset)])
+        bad = np.flatnonzero(f.matmul_array(null, leaks[list(tset)]).any(axis=0)).tolist()
         position = ("subquery {} stripe {}".format(*divmod(bad[0], beta))
                     if bad else "joint-subqueries")
         return AuditOutcome(collusion=tuple(tset), position=position,

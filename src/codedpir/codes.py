@@ -30,8 +30,9 @@ Two exact kernels carry the code predicates and the decoding:
   Both work in blocks of about BLOCK array entries, and neither allocates a
   `Matrix`.
 - Erasure decoding, shared by the three protocols, compiled once per erased
-  set E and kept for the code's lifetime (`_erasure_decoder`): one rref
-  of H's columns ordered E then K (the rest) gives the recovery matrix R_E
+  set E and kept for the code's lifetime (`_erasure_decoder`): one
+  `FiniteField.rref_array` of H's columns ordered E then K (the rest), the
+  field's one row elimination, gives the recovery matrix R_E
   (x_E = R_E y_K) and the check matrix C_E (a word matches some codeword off
   E iff C_E y_K = 0; with E empty, iff it is a codeword). In
   `decode_erasures` a batch of r words over GF(q) or GF(q^ell) then decodes
@@ -44,6 +45,12 @@ Two exact kernels carry the code predicates and the decoding:
   references and the bench trace. `message_from_information_set` likewise
   keeps the inverse of G|_I per information set I and solves a batch in one
   product.
+
+Every other elimination runs on the cached arrays of G and H through that
+same row elimination: ranks when a code is checked, null spaces for H and
+shortened messages, the inverse of G|_I, the spanned codes of `puncture`,
+`shorten` and `hadamard_product`, and the standard form of
+`standard_form_parity`. Coordinates outside 0..n-1 raise DimensionMismatch.
 
 `encode` is the array encoder (G converted to an array once per code, lifted
 into GF(q^ell) by one gather for stored files) that the protocol queries call.
@@ -72,15 +79,7 @@ from .errors import (
     RankDeficientGenerator,
     TooLarge,
 )
-from .fields import (
-    FiniteField,
-    Matrix,
-    mat_inverse,
-    mat_mul,
-    mat_rank,
-    mat_rref,
-    null_space,
-)
+from .fields import FiniteField, Matrix
 
 ENUM_BUDGET = 1 << 21          # subcode-enumeration ceiling (q^k for d_1)
 COLUMN_SEARCH_BUDGET = 5_000_000  # cumulative column-subset ceiling
@@ -143,17 +142,17 @@ class LinearCode:
         self.k = G.rows
         self.meta = dict(meta or {})
         self.known_dmin = known_dmin
+        self._g = G.array()
+        self._ht = H.array().T
         if check:
-            if mat_rank(G) != self.k:
+            if len(self.field.rref_array(self._g)[1]) != self.k:
                 raise RankDeficientGenerator("generator rows are dependent")
             if H.cols != self.n or H.rows != self.n - self.k:
                 raise DimensionMismatch("parity-check shape mismatch")
-            if self.n - self.k > 0 and mat_rank(H) != self.n - self.k:
+            if len(self.field.rref_array(self._ht.T)[1]) != self.n - self.k:
                 raise RankDeficientGenerator("parity-check rows are dependent")
-        self._g = _array(G)
-        self._ht = _array(H).T
-        if check and not self.contains_codewords(G.data):
-            raise DimensionMismatch("G H^T != 0")
+            if not self.contains_codewords(self._g):
+                raise DimensionMismatch("G H^T != 0")
         self._eliminators: dict[str, tuple] = {}  # `_column_eliminator` of "H" and "G"
         self._masks: dict[int, tuple[int, ...]] = {}  # correctable_masks per w
         self._products: dict[LinearCode, LinearCode] = {}  # hadamard_product memo
@@ -165,18 +164,20 @@ class LinearCode:
     @staticmethod
     def from_generator(G: Matrix, meta: dict | None = None,
                        known_dmin: int | None = None) -> "LinearCode":
-        H = null_space(G)
-        if H.rows != G.cols - G.rows:  # rank-nullity
+        H = G.field.null_space_array(G.array())
+        if len(H) != G.cols - G.rows:  # rank-nullity
             raise RankDeficientGenerator("generator rows are dependent")
-        return LinearCode(G, H, meta=meta, known_dmin=known_dmin, check=False)
+        return LinearCode(G, Matrix.from_array(G.field, H), meta=meta,
+                          known_dmin=known_dmin, check=False)
 
     @staticmethod
     def from_parity_check(H: Matrix, meta: dict | None = None,
                           known_dmin: int | None = None) -> "LinearCode":
-        G = null_space(H)
-        if G.rows != H.cols - H.rows:  # rank-nullity
+        G = H.field.null_space_array(H.array())
+        if len(G) != H.cols - H.rows:  # rank-nullity
             raise RankDeficientGenerator("parity-check rows are dependent")
-        return LinearCode(G, H, meta=meta, known_dmin=known_dmin, check=False)
+        return LinearCode(Matrix.from_array(H.field, G), H, meta=meta,
+                          known_dmin=known_dmin, check=False)
 
     def __repr__(self) -> str:
         return f"LinearCode[{self.n},{self.k}] over {self.field}"
@@ -282,7 +283,8 @@ class LinearCode:
         """`_column_eliminator` over H or G (`of` is "H" or "G"), built on
         first use and kept for the code's lifetime."""
         if of not in self._eliminators:
-            self._eliminators[of] = _column_eliminator(getattr(self, of))
+            matrix = self._g if of == "G" else self._ht.T
+            self._eliminators[of] = _column_eliminator(self.field, matrix)
         return self._eliminators[of]
 
     def _independent(self, of: str, idx) -> np.ndarray:
@@ -335,7 +337,7 @@ class LinearCode:
                 raise DimensionMismatch(f"coordinates {coords} outside 0..{self.n - 1}")
             if len(coords) != self.k:
                 raise RankDeficient(f"{list(coords)} is not an information set")
-            inverse = _array(mat_inverse(self.G.restrict_cols(coords)))  # or RankDeficient
+            inverse = self.field.inverse_array(self._g[:, list(coords)])  # or RankDeficient
             self._inverses[coords] = inverse
         values = np.asarray(values, dtype=np.int64).reshape(-1, self.k)
         inverse = value_field.embed_array(inverse, self.field)
@@ -372,10 +374,11 @@ class LinearCode:
     def _erasure_decoder(self, erased: tuple[int, ...]) -> tuple[list[int], np.ndarray]:
         """(K, [R_E; C_E]^T) for the sorted erased positions E, built once per E.
 
-        One rref of H's columns ordered E then K gives [I M] over [0 C] (H_E
-        has full column rank), so a codeword has x_E = R_E y_K with R_E = -M,
-        and a word matches some codeword off E iff C_E y_K = 0. Both are kept
-        as one |K| x (|E| + rank C) array, so a batch decodes in one product.
+        One `rref_array` of H's columns ordered E then K gives [I M] over
+        [0 C] (H_E has full column rank), so a codeword has x_E = R_E y_K with
+        R_E = -M, and a word matches some codeword off E iff C_E y_K = 0. Both
+        are kept as one |K| x (|E| + rank C) array, so a batch decodes in one
+        product.
         """
         memo = self._decoders.get(erased)
         if memo is not None:
@@ -383,12 +386,10 @@ class LinearCode:
         if not self.correctable_support(erased):
             raise NotCorrectable(f"pattern {list(erased)} not correctable")
         known = [j for j in range(self.n) if j not in erased]
-        red, pivots = mat_rref(self.H.restrict_cols(list(erased) + known))
-        f, e = self.field, len(erased)
-        rows = [[f.neg(x) for x in row[e:]] if i < e else row[e:]
-                for i, row in enumerate(red.data[:len(pivots)])]
-        recover_check = np.array(rows, dtype=np.int64).reshape(len(rows), len(known)).T
-        memo = self._decoders[erased] = (known, np.ascontiguousarray(recover_check))
+        red, pivots = self.field.rref_array(self._ht.T[:, list(erased) + known])
+        rows = red[:len(pivots), len(erased):]
+        rows[:len(erased)] = self.field.sub_array(0, rows[:len(erased)])
+        memo = self._decoders[erased] = (known, np.ascontiguousarray(rows.T))
         return memo
 
     # --- distances ---------------------------------------------------------------
@@ -556,31 +557,31 @@ class LinearCode:
         if other.field is not self.field:
             raise DimensionMismatch("fields differ")
         f = self.field
-        products = []
-        for a in self.G.data:
-            for b in other.G.data:
-                products.append([f.mul(x, y) for x, y in zip(a, b)])
-        product = _spanned_code(Matrix(f, products, len(products), self.n))
+        products = [[f.mul(x, y) for x, y in zip(a, b)]
+                    for a in self.G.data for b in other.G.data]
+        product = _spanned_code(f, np.array(products, dtype=np.int64).reshape(-1, self.n))
         self._products[other] = product
         return product
 
-    def puncture(self, coords: Iterable[int]) -> "LinearCode":
+    def _positions(self, coords: Iterable[int], what: str) -> list[int]:
+        """The distinct positions of `coords`, sorted: EmptySupport if there
+        are none, DimensionMismatch naming them if one is outside 0..n-1."""
         coords = sorted(set(int(j) for j in coords))
         if not coords:
-            raise EmptySupport("puncture onto empty coordinate set")
-        return _spanned_code(self.G.restrict_cols(coords))
+            raise EmptySupport(f"{what} onto empty coordinate set")
+        if not 0 <= coords[0] <= coords[-1] < self.n:
+            raise DimensionMismatch(f"coordinates {coords} outside 0..{self.n - 1}")
+        return coords
+
+    def puncture(self, coords: Iterable[int]) -> "LinearCode":
+        return _spanned_code(self.field, self._g[:, self._positions(coords, "puncture")])
 
     def shorten(self, coords: Iterable[int]) -> "LinearCode":
         """Codewords vanishing outside `coords`, restricted to `coords`."""
-        coords = sorted(set(int(j) for j in coords))
-        if not coords:
-            raise EmptySupport("shorten onto empty coordinate set")
+        coords = self._positions(coords, "shorten")
         outside = [j for j in range(self.n) if j not in coords]
-        if outside:
-            msgs = null_space(self.G.restrict_cols(outside).transpose())
-        else:
-            msgs = Matrix.identity(self.field, self.k)
-        return _spanned_code(mat_mul(msgs, self.G.restrict_cols(coords)))
+        msgs = self.field.null_space_array(self._g[:, outside].T)  # I_k if none
+        return _spanned_code(self.field, self.field.matmul_array(msgs, self._g[:, coords]))
 
     def is_automorphism(self, perm: Sequence[int]) -> bool:
         """True iff permuting coordinates by `perm` preserves the codeword set.
@@ -605,20 +606,18 @@ class LinearCode:
                 "generator": [list(r) for r in self.G.data]}
 
 
-def _array(M: Matrix) -> np.ndarray:
-    return np.array(M.data, dtype=np.int64).reshape(M.rows, M.cols)
+def _spanned_code(field: FiniteField, a: np.ndarray) -> LinearCode:
+    """The code spanned by the rows of the array a: the nonzero rows of
+    rref(a) as G, and H from G's null space."""
+    red, pivots = field.rref_array(a)
+    g = red[:len(pivots)]
+    return LinearCode(Matrix.from_array(field, g),
+                      Matrix.from_array(field, field.null_space_array(g)), check=False)
 
 
-def _spanned_code(M: Matrix) -> LinearCode:
-    """The code spanned by the rows of M: the nonzero rows of rref(M) as G."""
-    red, pivots = mat_rref(M)
-    G = Matrix(M.field, red.data[:len(pivots)], len(pivots), M.cols)
-    return LinearCode(G, null_space(G), check=False)
-
-
-def _column_eliminator(H: Matrix):
-    """(h, eliminate): the column elimination over H, for `_independent` and
-    the column walk.
+def _column_eliminator(f: FiniteField, h: np.ndarray):
+    """(h, eliminate): the column elimination over the int64 array h (H or G),
+    for `_independent` and the column walk.
 
     h is H as a residual, its columns on the last axis: over GF(2) a W x n
     uint64 array, H's rows packed 64 to a word; over other fields H itself,
@@ -633,7 +632,6 @@ def _column_eliminator(H: Matrix):
     column leaves R unchanged). Over GF(2), i is the lowest set bit of u,
     and the columns with that bit set are XORed with u (none when u is zero).
     """
-    f, h = H.field, _array(H)
     if f.order == 2:
         def eliminate(R: np.ndarray, cols: np.ndarray) -> np.ndarray:
             at = np.arange(len(cols))
@@ -704,13 +702,15 @@ def standard_form_parity(code: LinearCode,
 
     Returns (P, info) where P is H restricted to the information coordinates
     after the reduction; the code with parity-check P is the C' of the
-    high-rate shortcut (systematic codes of rate > 1/2).
+    high-rate shortcut (systematic codes of rate > 1/2). DimensionMismatch
+    unless `info` is k distinct positions in 0..n-1; RankDeficient unless
+    it is an information set.
     """
-    if info is None:
-        info = list(code.information_set())
-    info = sorted(info)
+    info = sorted(int(j) for j in (code.information_set() if info is None else info))
+    if len(info) != code.k or len(set(info).intersection(range(code.n))) != code.k:
+        raise DimensionMismatch(f"systematic coordinates {info} are not {code.k} "
+                                f"distinct positions in 0..{code.n - 1}")
+    f, h = code.field, code._ht.T
     comp = [j for j in range(code.n) if j not in info]
-    h_comp = code.H.restrict_cols(comp)
-    transform = mat_inverse(h_comp)
-    h_std = mat_mul(transform, code.H)
-    return h_std.restrict_cols(info), list(info)
+    h_std = f.matmul_array(f.inverse_array(h[:, comp]), h)
+    return Matrix.from_array(f, h_std[:, info]), info

@@ -9,18 +9,25 @@ carrying a cached embedding of the subfield, which is what lets a query matrix
 over GF(q) act on message symbols in GF(q^ell).
 
 Every matrix product (`mat_mul`, encoding, node responses, syndromes and
-erasure decoding) is one exact product on int64 arrays of canonical elements,
-`FiniteField.matmul_array`, with subfield operands lifted by one gather
-(`embed_array`): over GF(p), `a @ b` mod p, on Python integers
-once k (p-1)^2 reaches 2^63; over GF(p^a) with log/exp tables (order up to
-2^16), one table gather per term over row blocks of at most MATMUL_CHUNK
-terms, summed by XOR in characteristic 2 and digit-wise mod p otherwise;
-over larger fields, a scalar loop over `add` and `mul`. Its operands may be
-stacked, (..., r, k) and (..., k, c) with leading dimensions broadcast as by
-`@`, for one product per slice in one call (every node's response): the
-stacks' rows are then blocked one after another, each row gathering its own
-slice of b. `sum_array` and `sub_array` add and subtract such arrays in the
-same two ways.
+erasure decoding) is one exact product on int64 arrays of canonical elements
+of one field, `FiniteField.matmul_array`; an operand over a subfield is first
+embedded by one gather (`embed_array`), and `mat_mul`/`mat_solve` refuse two
+different fields with FieldMismatch. Over GF(p) the product is `a @ b` mod p,
+on Python integers once k (p-1)^2 reaches 2^63; over GF(p^a) with log/exp
+tables (order up to 2^16), one table gather per term over row blocks of at
+most MATMUL_CHUNK terms, summed by XOR in characteristic 2 and digit-wise mod
+p otherwise; over larger fields, a scalar loop over `add` and `mul`. Its
+operands may be stacked, (..., r, k) and (..., k, c) with leading dimensions
+broadcast as by `@`, for one product per slice in one call (every node's
+response): the stacks' rows are then blocked one after another, each row
+gathering its own slice of b. `sum_array` and `sub_array` add and subtract
+such arrays in the same two ways.
+
+Gauss-Jordan elimination is one array kernel on `matmul_array` and
+`sub_array`, `FiniteField.rref_array` (a row swap, a row scaled by the pivot's
+inverse and a rank-1 update of every row per pivot), and the null space, the
+inverse, rank, `mat_rref` and `mat_solve` are read off its reduced form. `Matrix` is the
+list-of-rows form that codes are built from and the `mat_*` functions take.
 
 Everything here is immutable after construction and safe to share.
 """
@@ -28,11 +35,13 @@ Everything here is immutable after construction and safe to share.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
+    BadParams,
     DegreeOutOfRange,
     DimensionMismatch,
     FieldMismatch,
@@ -364,11 +373,62 @@ class FiniteField:
         """Elementwise a - b of two int64 arrays of canonical elements."""
         if self.p == 2:
             return a ^ b
+        if self.alpha == 1:
+            return (a - b) % self.p
         out = 0
         for i in range(self.alpha):
             power = self.p ** i
             out = out + (a // power - b // power) % self.p * power
         return out
+
+    def rref_array(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """The reduced row echelon form of an r x c int64 array of canonical
+        elements, with its pivot columns in order. Per pivot: one row swap,
+        the pivot row scaled by the pivot's inverse and one rank-1 update of
+        every row (each skipped when it would change nothing), all through
+        `matmul_array` and `sub_array`, so each field regime is handled
+        there."""
+        red = np.array(a, dtype=np.int64)
+        pivots: list[int] = []
+        for c in range(red.shape[1]):
+            r = len(pivots)
+            if r == len(red):
+                break
+            below = red[r:, c].nonzero()[0]
+            if not below.size:
+                continue
+            if below[0]:
+                red[[r, r + below[0]]] = red[[r + below[0], r]]
+            if red[r, c] != 1:
+                inverse = np.array([[self.inv(int(red[r, c]))]], dtype=np.int64)
+                red[r] = self.matmul_array(inverse, red[r:r + 1])
+            factors = red[:, c:c + 1].copy()
+            factors[r] = 0
+            if factors.any():
+                red = self.sub_array(red, self.matmul_array(factors, red[r:r + 1]))
+            pivots.append(c)
+        return red, pivots
+
+    def null_space_array(self, a: np.ndarray) -> np.ndarray:
+        """Rows spanning {x : a x^T = 0}, one per free column of rref(a): that
+        column's unit vector minus its entries at the pivot columns."""
+        red, pivots = self.rref_array(a)
+        free = [c for c in range(red.shape[1]) if c not in pivots]
+        basis = np.zeros((len(free), red.shape[1]), dtype=np.int64)
+        basis[np.arange(len(free)), free] = 1
+        basis[:, pivots] = self.sub_array(0, red[:len(pivots), free]).T
+        return basis
+
+    def inverse_array(self, a: np.ndarray) -> np.ndarray:
+        """The inverse of a square int64 array, read off rref([a I]);
+        RankDeficient if a is singular."""
+        n = len(a)
+        if a.shape != (n, n):
+            raise DimensionMismatch(f"inverse of a non-square {a.shape} matrix")
+        red, pivots = self.rref_array(np.hstack([a, np.eye(n, dtype=np.int64)]))
+        if pivots != list(range(n)):
+            raise RankDeficient("matrix is singular")
+        return red[:, n:]
 
     def _gather_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """int64 (exp, log) for `matmul_array`, built on first use: log[0]
@@ -433,9 +493,6 @@ class FiniteField:
             return a
         return np.asarray(self.embedding_from(sub), dtype=np.int64)[a]
 
-    def has_subfield(self, sub: "FiniteField") -> bool:
-        return sub is self or (sub.p == self.p and self.alpha % sub.alpha == 0)
-
     def __repr__(self) -> str:
         if self.alpha == 1:
             return f"GF({self.p})"
@@ -466,23 +523,25 @@ class Matrix:
     def __init__(self, field: FiniteField, data: Sequence[Sequence[int]],
                  rows: int | None = None, cols: int | None = None):
         self.field = field
-        self.data = [[int(x) % field.order for x in row] for row in data]
-        self.rows = len(self.data) if rows is None else rows
+        try:
+            self.data = [[operator.index(x) % field.order for x in row] for row in data]
+        except TypeError:
+            raise BadParams("matrix entries must be integers") from None
+        self.rows = len(self.data)
         self.cols = (len(self.data[0]) if self.data else 0) if cols is None else cols
-        for row in self.data:
-            if len(row) != self.cols:
-                raise DimensionMismatch("ragged rows")
+        if rows not in (None, self.rows) or any(len(row) != self.cols for row in self.data):
+            raise DimensionMismatch(
+                f"{self.rows} rows of lengths {sorted({len(row) for row in self.data})} "
+                f"do not make a {self.rows if rows is None else rows} x {self.cols} matrix")
 
     # --- constructors -------------------------------------------------------
 
     @staticmethod
-    def wrap(field: FiniteField, data: list[list[int]], rows: int,
-             cols: int) -> "Matrix":
-        """A matrix over rows of canonical integers that the caller built and
-        hands over: no copy and no checks (for kernels whose output is
-        canonical by construction)."""
+    def from_array(field: FiniteField, a: np.ndarray) -> "Matrix":
+        """The matrix of a 2-d int64 array of canonical elements that a
+        kernel built: no checks (its output is canonical by construction)."""
         m = Matrix.__new__(Matrix)
-        m.field, m.data, m.rows, m.cols = field, data, rows, cols
+        m.field, m.data, (m.rows, m.cols) = field, a.tolist(), a.shape
         return m
 
     @staticmethod
@@ -491,9 +550,13 @@ class Matrix:
 
     @staticmethod
     def column(field: FiniteField, entries: Sequence[int]) -> "Matrix":
-        return Matrix(field, [[int(e)] for e in entries])
+        return Matrix(field, [[e] for e in entries])
 
     # --- accessors ------------------------------------------------------------
+
+    def array(self) -> np.ndarray:
+        """The entries as a rows x cols int64 array."""
+        return np.array(self.data, dtype=np.int64).reshape(self.rows, self.cols)
 
     def restrict_cols(self, cols: Sequence[int]) -> "Matrix":
         cols = list(cols)
@@ -501,16 +564,8 @@ class Matrix:
                       self.rows, len(cols))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [list(col) for col in zip(*self.data)] if self.data else [],
+        return Matrix(self.field, [[row[j] for row in self.data] for j in range(self.cols)],
                       self.cols, self.rows)
-
-    def lift(self, ext: FiniteField) -> "Matrix":
-        """This matrix with entries embedded into the extension field `ext`."""
-        if ext is self.field:
-            return self
-        table = ext.embedding_from(self.field)
-        return Matrix(ext, [[table[x] for x in row] for row in self.data],
-                      self.rows, self.cols)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and other.field is self.field
@@ -535,116 +590,41 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     raise NonPrime(f"{q} is not a prime power")
 
 
-# --- elimination -------------------------------------------------------------
+# --- matrices through the array kernels -------------------------------------
 
 def mat_rref(M: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the ordered pivot column indices (0-based)."""
-    f = M.field
-    a = [list(row) for row in M.data]
-    rows, cols = M.rows, M.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if a[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = f.inv(a[r][c])
-        if inv != 1:
-            a[r] = [f.mul(inv, x) for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                coef = a[i][c]
-                arow = a[r]
-                irow = a[i]
-                for j in range(c, cols):
-                    if arow[j]:
-                        irow[j] = f.sub(irow[j], f.mul(coef, arow[j]))
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return Matrix.wrap(f, a, rows, cols), pivots
+    red, pivots = M.field.rref_array(M.array())
+    return Matrix.from_array(M.field, red), pivots
 
 
 def mat_rank(M: Matrix) -> int:
     """Rank over the matrix's field; 0 for an all-zero or empty matrix."""
-    return len(mat_rref(M)[1])
+    return len(M.field.rref_array(M.array())[1])
 
 
-def _common_field(a: FiniteField, b: FiniteField) -> FiniteField:
-    if a is b:
-        return a
-    if a.has_subfield(b):
-        return a
-    if b.has_subfield(a):
-        return b
-    raise FieldMismatch(f"{a} and {b} are not nested")
+def _one_field(A: Matrix, B: Matrix) -> FiniteField:
+    if A.field is not B.field:
+        raise FieldMismatch(f"{A.field} and {B.field} differ; embed one into "
+                            f"the other with `embed_array` first")
+    return A.field
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    """Product in the larger of the two fields (one must embed in the other)."""
-    if A.cols != B.rows:
-        raise DimensionMismatch(f"{A.rows}x{A.cols} times {B.rows}x{B.cols}")
-    field = _common_field(A.field, B.field)
-    A = A.lift(field)
-    B = B.lift(field)
-    out = field.matmul_array(np.array(A.data, dtype=np.int64).reshape(A.rows, A.cols),
-                             np.array(B.data, dtype=np.int64).reshape(B.rows, B.cols))
-    return Matrix.wrap(field, out.tolist(), A.rows, B.cols)
+    """The product A B of two matrices over one field (`matmul_array`)."""
+    field = _one_field(A, B)
+    return Matrix.from_array(field, field.matmul_array(A.array(), B.array()))
 
 
 def mat_solve(A: Matrix, b: Matrix) -> Matrix:
-    """The unique x with A x = b; RankDeficient if none or not unique.
-
-    `b` may live in an extension of A's field (subfield scalar action); the
-    solution is returned over b's field.
-    """
+    """The unique x with A x = b over their one field; RankDeficient if none
+    or not unique."""
     if b.cols != 1 or b.rows != A.rows:
         raise DimensionMismatch("b must be a column matching A's row count")
-    field = _common_field(A.field, b.field)
-    A = A.lift(field)
-    b = b.lift(field)
-    f = field
-    aug = Matrix(f, [arow + brow for arow, brow in zip(A.data, b.data)],
-                 A.rows, A.cols + 1)
-    red, pivots = mat_rref(aug)
+    field = _one_field(A, b)
+    red, pivots = field.rref_array(np.hstack([A.array(), b.array()]))
     if A.cols in pivots:
         raise RankDeficient("inconsistent system")
     if len(pivots) < A.cols:
         raise RankDeficient("rank-deficient system: no unique solution")
-    x = [0] * A.cols
-    for r, c in enumerate(pivots):
-        x[c] = red.data[r][A.cols]
-    return Matrix.column(f, x)
-
-
-def null_space(M: Matrix) -> Matrix:
-    """Matrix whose rows span {x : M x^T = 0}; may have zero rows."""
-    f = M.field
-    red, pivots = mat_rref(M)
-    free = [c for c in range(M.cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * M.cols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = f.neg(red.data[r][fc])
-        basis.append(vec)
-    return Matrix(f, basis, len(basis), M.cols)
-
-
-def mat_inverse(M: Matrix) -> Matrix:
-    if M.rows != M.cols:
-        raise DimensionMismatch("inverse of non-square matrix")
-    f = M.field
-    aug = Matrix(f, [row + [1 if i == j else 0 for j in range(M.rows)]
-                     for i, row in enumerate(M.data)], M.rows, 2 * M.rows)
-    red, pivots = mat_rref(aug)
-    if pivots != list(range(M.rows)):
-        raise RankDeficient("matrix is singular")
-    return Matrix(f, [row[M.rows:] for row in red.data], M.rows, M.rows)
+    return Matrix.from_array(field, red[:A.cols, A.cols:])

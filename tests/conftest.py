@@ -10,7 +10,7 @@ from codedpir.audit import chi2_sf
 from codedpir.codes import LinearCode, code_from_generator
 from codedpir.errors import DecodeFailure, DimensionMismatch, NotCorrectable, RankDeficient
 from codedpir.families import grs_code
-from codedpir.fields import Matrix, field_make, mat_mul, mat_rank, mat_rref, mat_solve
+from codedpir.fields import Matrix, field_make
 from codedpir.protocol1 import p1_plan, p1_symmetry_audit
 from codedpir.ratematrix import ErasureMatrix, interference_matrices
 from codedpir.rng import derive_seed, rng_for
@@ -88,11 +88,17 @@ def all_codewords(code) -> list[tuple[int, ...]]:
     return [tuple(w) for w in words.tolist()]
 
 
+def lifted(M, ext) -> Matrix:
+    """M with its entries embedded into the extension field `ext` by
+    `embed_array`."""
+    return Matrix.from_array(ext, ext.embed_array(M.array(), M.field))
+
+
 def mat_mul_reference(A, B):
     """Reference for `mat_mul`: the scalar triple loop over the field's `add`
-    and `mul`, in the larger of the two (nested) fields."""
-    f = A.field if A.field.order >= B.field.order else B.field
-    A, B = A.lift(f), B.lift(f)
+    and `mul` (both operands over that one field)."""
+    f = A.field
+    assert B.field is f, (A.field, B.field)
     out = [[0] * B.cols for _ in range(A.rows)]
     for i, arow in enumerate(A.data):
         for j in range(B.cols):
@@ -104,30 +110,94 @@ def mat_mul_reference(A, B):
     return Matrix(f, out, A.rows, B.cols)
 
 
+def rref_reference(M) -> tuple[list[list[int]], list[int]]:
+    """Reference for `FiniteField.rref_array`: Gauss-Jordan over the rows of
+    a `Matrix` as lists, one entry at a time with the field's `inv`, `mul` and
+    `sub`. Returns the reduced rows and the pivot columns in order."""
+    f = M.field
+    a = [list(row) for row in M.data]
+    rows, cols = M.rows, M.cols
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if a[i][c]), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        inv = f.inv(a[r][c])
+        if inv != 1:
+            a[r] = [f.mul(inv, x) for x in a[r]]
+        arow = a[r]
+        for i in range(rows):
+            if i != r and a[i][c]:
+                coef, irow = a[i][c], a[i]
+                for j in range(c, cols):
+                    if arow[j]:
+                        irow[j] = f.sub(irow[j], f.mul(coef, arow[j]))
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots
+
+
+def rank_reference(M) -> int:
+    """The rank of a `Matrix` by `rref_reference`."""
+    return len(rref_reference(M)[1])
+
+
+def null_space_reference(M) -> list[list[int]]:
+    """Rows spanning {x : M x^T = 0} by `rref_reference`: per free column c,
+    the unit vector at c minus column c of the reduced rows at the pivots."""
+    f = M.field
+    red, pivots = rref_reference(M)
+    basis = []
+    for c in (c for c in range(M.cols) if c not in pivots):
+        vec = [0] * M.cols
+        vec[c] = 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = f.neg(red[r][c])
+        basis.append(vec)
+    return basis
+
+
+def solve_reference(A, b) -> list[int]:
+    """The unique x with A x = b (a list) by `rref_reference` on [A b];
+    RankDeficient if there is none or more than one."""
+    red, pivots = rref_reference(Matrix(A.field, [row + [x] for row, x in zip(A.data, b)],
+                                        A.rows, A.cols + 1))
+    if A.cols in pivots or len(pivots) < A.cols:
+        raise RankDeficient("no unique solution")
+    return [red[c][A.cols] for c in range(A.cols)]
+
+
 def decode_erasures_reference(code, word, erased, value_field=None) -> list[int]:
     """Reference for `decode_erasures` on one word: the syndrome of the word
-    with E zeroed, then one solve of H_E x = -H_K y_K. NotCorrectable when H's
-    columns at E are dependent, DecodeFailure when the solve is inconsistent."""
+    with E zeroed, then one solve of H_E x = -H_K y_K over the words' field
+    (H embedded into it). NotCorrectable when H's columns at E are dependent,
+    DecodeFailure when the solve is inconsistent."""
+    field = value_field or code.field
     erased = sorted(set(int(j) for j in erased))
-    if mat_rank(code.H.restrict_cols(erased)) < len(erased):
+    if rank_reference(code.H.restrict_cols(erased)) < len(erased):
         raise NotCorrectable(f"pattern {erased} not correctable")
     out = [0 if j in erased else x for j, x in enumerate(word)]
-    syndrome = mat_mul(code.H, Matrix.column(value_field or code.field, out))
+    H = lifted(code.H, field)
+    syndrome = [row[0] for row in mat_mul_reference(H, Matrix.column(field, out)).data]
     try:  # H_E (-x) = H_K y_K
-        sol = mat_solve(code.H.restrict_cols(erased), syndrome)
+        sol = solve_reference(H.restrict_cols(erased), syndrome)
     except RankDeficient as exc:
         raise DecodeFailure("no codeword agrees with the word off E") from exc
-    for j, (x,) in zip(erased, sol.data):
-        out[j] = syndrome.field.neg(x)
+    for j, x in zip(erased, sol):
+        out[j] = field.neg(x)
     return out
 
 
 def message_from_information_set_reference(code, coords, values, value_field) -> list[int]:
     """Reference for `message_from_information_set` on one word: the solve of
-    m G|_I = values (RankDeficient unless the solution exists and is unique)."""
-    sub = code.G.restrict_cols(list(coords)).transpose()
-    sol = mat_solve(sub, Matrix.column(value_field, list(values)))
-    return [row[0] for row in sol.data]
+    m G|_I = values over `value_field` (G embedded into it; RankDeficient
+    unless the solution exists and is unique)."""
+    sub = lifted(code.G.restrict_cols(list(coords)), value_field).transpose()
+    return solve_reference(sub, list(values))
 
 
 class P1Atom(NamedTuple):
@@ -290,7 +360,7 @@ def p1_decode_reference(plan, responses, msg_field) -> Matrix:
     for known, rows, at, values in checks:
         if (words[np.ix_(at, known)] != values).any():
             raise DecodeFailure("a stripe disagrees with its known coordinates")
-    return Matrix.wrap(msg_field, decoded.tolist(), plan.beta, k)
+    return Matrix.from_array(msg_field, decoded)
 
 
 def p1_decode_batched_reference(plan, responses, msg_field) -> Matrix:
@@ -324,7 +394,7 @@ def p1_decode_batched_reference(plan, responses, msg_field) -> Matrix:
     decoded = np.empty((plan.beta, code.k), dtype=np.int64)
     decoded[plan.perms[plan.m - 1]] = code.message_from_information_set(
         dmap.info, words[:plan.beta, dmap.info], msg_field)
-    return Matrix.wrap(msg_field, decoded.tolist(), plan.beta, code.k)
+    return Matrix.from_array(msg_field, decoded)
 
 
 def rank_pattern_list(code, w: int) -> tuple[int, ...]:
@@ -333,7 +403,7 @@ def rank_pattern_list(code, w: int) -> tuple[int, ...]:
     support bitmasks."""
     return tuple(sum(1 << j for j in support)
                  for support in itertools.combinations(range(code.n), w)
-                 if mat_rank(code.H.restrict_cols(support)) == w)
+                 if rank_reference(code.H.restrict_cols(support)) == w)
 
 
 def sampled_pattern_list_reference(code, w: int, sample_budget: int,
@@ -352,7 +422,7 @@ def sampled_pattern_list_reference(code, w: int, sample_budget: int,
         order_keys = _uint64s(rng.randbytes(8 * n))
         pick_keys = _uint64s(rng.randbytes(8 * (n - code.k)))
         perm = sorted(range(n), key=order_keys.__getitem__)
-        pivot_cols = [perm[c] for c in mat_rref(code.H.restrict_cols(perm))[1]]
+        pivot_cols = [perm[c] for c in rref_reference(code.H.restrict_cols(perm))[1]]
         if len(pivot_cols) < w:
             continue
         support = [pivot_cols[i]
@@ -363,7 +433,7 @@ def sampled_pattern_list_reference(code, w: int, sample_budget: int,
             for shift in range(1, n):
                 rotated = (mask << shift | mask >> (n - shift)) & ((1 << n) - 1)
                 shifted = [(j + shift) % n for j in support]
-                if rotated not in found and mat_rank(code.H.restrict_cols(shifted)) == w:
+                if rotated not in found and rank_reference(code.H.restrict_cols(shifted)) == w:
                     found[rotated] = None
     return tuple(found)
 
@@ -498,7 +568,7 @@ def p3_decode_reference(setup, responses, f: int, m: int, msg_field) -> Matrix:
         except KeyError as exc:
             raise DecodeFailure(f"missing symbol for stripe {exc.args[0][0]}") from exc
         out[batch] = code.message_from_information_set(iset, values, msg_field)
-    return Matrix.wrap(msg_field, out.tolist(), setup.beta, code.k)
+    return Matrix.from_array(msg_field, out)
 
 
 def _homogeneity_p(counts: np.ndarray) -> float:

@@ -17,7 +17,7 @@ from codedpir.dss import Dss, run
 from codedpir.families import (LrcParams, cyclic_code, lrc_optimal,
                                pyramid_code, rm_code, rm_information_set,
                                uuv_code)
-from codedpir.fields import Matrix, field_make, mat_rank
+from codedpir.fields import Matrix, field_make
 from codedpir.optimizer import compute_erasure_pattern_list, compute_matrix
 from codedpir.protocol1 import p1_answer, p1_decode, p1_plan
 from codedpir.protocol2 import p2_build_structure
@@ -28,7 +28,8 @@ from codedpir.ratematrix import (beta_d_minimal, capacity_asymptotic,
                                  rate_matrix)
 from codedpir.reports import report_tables
 from conftest import (EHAT_EX5, EHAT_EX6, EHAT_P3, ISETS_EX5, ISETS_EX6,
-                      ISETS_P3, LAM35, all_codewords, compute_matrix_bruteforce)
+                      ISETS_P3, LAM35, all_codewords, compute_matrix_bruteforce,
+                      rank_reference)
 
 TOL = 1e-4
 
@@ -195,7 +196,7 @@ def test_criterion_8_uuv_dimension_bound(f2):
                     rows = [[rng.randrange(2) for _ in range(n1)]
                             for _ in range(k1)]
                     g = Matrix(f2, rows)
-                    if mat_rank(g) == k1:
+                    if rank_reference(g) == k1:
                         gens.append(g)
                         made += 1
             for g in gens:
@@ -280,7 +281,7 @@ def test_criterion_10_property_suites(good532, bad532, code73, rs53, f2):
             cws = [cw for cw in all_codewords(code) if any(cw)]
             for s in (1, 2):
                 for subset in itertools.combinations(cws, s):
-                    if mat_rank(Matrix(code.field,
+                    if rank_reference(Matrix(code.field,
                                        [list(c) for c in subset])) != s:
                         continue
                     support = set()

@@ -9,11 +9,11 @@ from codedpir.codes import (COLUMN_SEARCH_BUDGET, ENUM_BUDGET, ENUM_CHUNK,
                             ErasurePattern, LinearCode, code_from_generator,
                             gaussian_binomial, standard_form_parity)
 from codedpir.errors import (DecodeFailure, DimensionMismatch, EmptySupport,
-                             NotCorrectable, RankDeficientGenerator)
+                             NotCorrectable, RankDeficient, RankDeficientGenerator)
 from codedpir.families import code_from_spec, cyclic_code, grs_code
-from codedpir.fields import Matrix, field_make, mat_mul, mat_rank
+from codedpir.fields import Matrix, field_make, mat_mul
 from codedpir.reports import fixture_code, load_fixture
-from conftest import all_codewords, codes
+from conftest import all_codewords, codes, lifted, rank_reference
 
 
 def ghw_oracle(code, s):
@@ -24,7 +24,7 @@ def ghw_oracle(code, s):
     best = code.n
     for subset in itertools.combinations(cws, s):
         g = Matrix(code.field, [list(c) for c in subset])
-        if mat_rank(g) != s:
+        if rank_reference(g) != s:
             continue
         support = set()
         for c in subset:
@@ -49,7 +49,7 @@ def test_dual_relations(code73, f2):
     # compare via stacked rank against their own duals instead
     assert dual.min_distance() == 4
     dd = dual.dual()
-    assert mat_rank(Matrix(f2, dd.G.data + ham.G.data)) == ham.k
+    assert rank_reference(Matrix(f2, dd.G.data + ham.G.data)) == ham.k
     whole = code_from_generator(Matrix.identity(f2, 5))
     zero = whole.dual()
     assert zero.k == 0
@@ -60,7 +60,7 @@ def test_information_sets(good532, bad532):
     assert bad532.is_information_set([0, 1, 2])
     # 3x3 determinant oracle over GF(2) for columns {1,2,4} of the bad code
     sub = bad532.G.restrict_cols([0, 1, 3])
-    det_nonzero = mat_rank(sub) == 3
+    det_nonzero = rank_reference(sub) == 3
     assert bad532.is_information_set([0, 1, 3]) == det_nonzero
     assert not good532.is_information_set([0, 1])
 
@@ -103,7 +103,8 @@ def test_erasure_correctable_takes_patterns_only(f2):
 def test_decode_erasures_roundtrip(code73):
     f4 = code73.field.extension(2)
     rng = random.Random(11)
-    word = mat_mul(Matrix(f4, [[rng.randrange(4) for _ in range(3)]]), code73.G).data[0]
+    word = mat_mul(Matrix(f4, [[rng.randrange(4) for _ in range(3)]]),
+                   lifted(code73.G, f4)).data[0]
     assert code73.decode_erasures([list(word)], []).tolist() == [list(word)]
     got = code73.decode_erasures(
         [[0 if j in (2, 3, 4, 5) else word[j] for j in range(7)]],
@@ -281,7 +282,7 @@ def test_hadamard_product(good532, code124, f2):
     ones = code_from_generator(Matrix(f2, [[1] * 5]))
     had = good532.hadamard_product(ones)
     assert had.k == good532.k
-    assert mat_rank(Matrix(f2, had.G.data + good532.G.data)) == good532.k
+    assert rank_reference(Matrix(f2, had.G.data + good532.G.data)) == good532.k
     prod = code124.hadamard_product(code124)
     assert (prod.n, prod.k) == (12, 10)
     # the worked example's 2-row parity check annihilates the product
@@ -311,12 +312,37 @@ def test_puncture_and_shorten():
     assert (punct.n, punct.k) == (5, 4)
     assert punct.min_distance() == 2  # punctured MDS stays MDS
     full = mds.puncture(range(6))
-    assert mat_rank(Matrix(f8, full.G.data + mds.G.data)) == mds.k
+    assert rank_reference(Matrix(f8, full.G.data + mds.G.data)) == mds.k
     short = mds.shorten(range(5))
     assert (short.n, short.k) == (5, 3)
     assert short.min_distance() == 3  # shortened MDS stays MDS
     with pytest.raises(EmptySupport):
         mds.puncture([])
+
+
+@pytest.mark.parametrize("coords", [[0, 7], [-1, 0], [6], [2, 6, 3]])
+def test_puncture_and_shorten_refuse_positions_off_the_code(coords):
+    """A position outside 0..n-1 raises DimensionMismatch naming the
+    coordinates; -1 used to wrap to the last column and 7 to raise a bare
+    IndexError."""
+    mds = grs_code(field_make(2, 3), 6, 4)
+    for derive in (mds.puncture, mds.shorten):
+        with pytest.raises(DimensionMismatch, match=r"coordinates \["):
+            derive(coords)
+
+
+@pytest.mark.parametrize("info", [[0, 0, 1], [0, 1, 5], [-1, 0, 1], [0, 1], [0, 1, 2, 3]])
+def test_standard_form_parity_refuses_bad_information_sets(good532, info):
+    """`info` (a fixture's `systematic` field) must be k distinct positions
+    in 0..n-1: duplicates, positions off the code and a wrong size raise
+    DimensionMismatch naming them, not "inverse of non-square matrix"; k
+    positions that are no information set raise RankDeficient."""
+    with pytest.raises(DimensionMismatch, match="systematic coordinates"):
+        standard_form_parity(good532, info)
+    dependent = next(c for c in itertools.combinations(range(5), 3)
+                     if not good532.is_information_set(c))
+    with pytest.raises(RankDeficient):
+        standard_form_parity(good532, dependent)
 
 
 def test_local_code_of_pyramid_example():
@@ -340,7 +366,7 @@ def test_automorphisms(bad532, f2):
     for i in range(3):
         for j in range(5):
             permuted[i][swap[j]] = bad532.G.data[i][j]
-    same = mat_rank(Matrix(f2, bad532.G.data + permuted)) == 3
+    same = rank_reference(Matrix(f2, bad532.G.data + permuted)) == 3
     assert bad532.is_automorphism(swap) == same
 
 
@@ -371,7 +397,7 @@ def test_information_set_meets_subcode_support(good532, code73):
         cws = [cw for cw in all_codewords(code) if any(cw)]
         for s in (1, 2):
             for subset in itertools.combinations(cws, s):
-                if mat_rank(Matrix(code.field, [list(c) for c in subset])) != s:
+                if rank_reference(Matrix(code.field, [list(c) for c in subset])) != s:
                     continue
                 support = set()
                 for c in subset:

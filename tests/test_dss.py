@@ -25,7 +25,7 @@ from codedpir.rng import generator
 from conftest import (EHAT_EX5, EHAT_EX6, EHAT_P3, ISETS_EX5, ISETS_EX6,
                       ISETS_P3, LAM35, _homogeneity_p, codes,
                       p1_audit_samples_reference, p1_symmetry_audit_with_repeat,
-                      p23_audit_outcomes_reference, p23_exact_reference,
+                      lifted, p23_audit_outcomes_reference, p23_exact_reference,
                       query_reference)
 
 
@@ -43,7 +43,7 @@ def test_dss_init_invariants(good532):
 
 def test_dss_lifts_subfield_files_and_rejects_other_fields(good532, f2):
     """Files over a subfield of GF(q^ell), embedded into it with
-    `embed_array` (as `Matrix.lift` embeds them), are stored and come back
+    `embed_array`, are stored and come back
     from every protocol; symbols outside GF(q^ell), and files given as
     matrices, are refused."""
     s5 = p2_build_structure(good532, ISETS_EX5, EHAT_EX5)
@@ -55,7 +55,7 @@ def test_dss_lifts_subfield_files_and_rejects_other_fields(good532, f2):
     for m in (1, 2):
         tx = run(2, dss, {"structure": s5, "m": m, "seed": 5})
         assert tx.decoded_hash == dss.file_hash(m)
-    assert [Matrix(f4, x).lift(dss.msg_field).data for x in sub] == dss.files.tolist()
+    assert [lifted(Matrix(f4, x), dss.msg_field).data for x in sub] == dss.files.tolist()
     with pytest.raises(BadParams):
         Dss(good532, f=1, beta=2, ell=1, files=np.array([sub[0]]))
     with pytest.raises(BadParams):
@@ -218,7 +218,7 @@ def test_store_draws_every_symbol_of_the_extension():
     assert symbols.shape == (3, 20, 3)
     assert 0 <= symbols.min() and symbols.max() <= 168
     assert not set(symbols.ravel().tolist()) <= set(dss.msg_field.embedding_from(f13))
-    G = code.G.lift(dss.msg_field)
+    G = lifted(code.G, dss.msg_field)
     assert dss.stored.tolist() == [row for x in dss.files
                                    for row in mat_mul(Matrix(dss.msg_field, x.tolist()), G).data]
 

@@ -1,13 +1,14 @@
 import pickle
 import random
 
+import numpy as np
 import pytest
 
-from codedpir.errors import (DegreeOutOfRange, DimensionMismatch, FieldMismatch,
-                             NonPrime, RankDeficient)
-from codedpir.fields import (Matrix, canonical_modulus, field_make, mat_inverse,
-                             mat_mul, mat_rank, mat_rref, mat_solve, null_space)
-from conftest import FIELDS
+from codedpir.errors import (BadParams, CodedPirError, DegreeOutOfRange, DimensionMismatch,
+                             FieldMismatch, NonPrime, RankDeficient)
+from codedpir.fields import (Matrix, canonical_modulus, field_make, mat_mul, mat_rank,
+                             mat_rref, mat_solve)
+from conftest import FIELDS, lifted
 
 
 def _irreducible_by_roots(coeffs, p):
@@ -142,6 +143,9 @@ def test_solve_identity_and_inconsistent():
 
 
 def test_solve_mixed_field_roundtrip():
+    """A GF(2) system with a GF(4) right side is solved once A is embedded
+    into GF(4) by `embed_array`; given over the two fields, `mat_mul` and
+    `mat_solve` refuse it."""
     f2 = field_make(2)
     f4 = f2.extension(2)
     rng = random.Random(5)
@@ -150,7 +154,12 @@ def test_solve_mixed_field_roundtrip():
         if mat_rank(a) < 3:
             continue
         x = Matrix.column(f4, [rng.randrange(4) for _ in range(3)])
-        assert mat_solve(a, mat_mul(a, x)).data == x.data
+        b = mat_mul(lifted(a, f4), x)
+        assert mat_solve(lifted(a, f4), b).data == x.data
+        with pytest.raises(FieldMismatch):
+            mat_mul(a, x)
+        with pytest.raises(FieldMismatch):
+            mat_solve(a, b)
 
 
 def test_mat_mul_contracts():
@@ -181,8 +190,40 @@ def test_rank_product_bound_random():
 def test_null_space_and_inverse():
     f2 = field_make(2)
     g = Matrix(f2, [[1, 0, 0, 1, 0], [0, 1, 0, 1, 1], [0, 0, 1, 0, 1]])
-    h = null_space(g)
+    h = Matrix.from_array(f2, f2.null_space_array(g.array()))
     assert h.rows == 2
     assert all(all(x == 0 for x in row) for row in mat_mul(g, h.transpose()).data)
     m = Matrix(f2, [[1, 1], [0, 1]])
-    assert mat_mul(m, mat_inverse(m)) == Matrix.identity(f2, 2)
+    assert mat_mul(m, Matrix.from_array(f2, f2.inverse_array(m.array()))) == \
+        Matrix.identity(f2, 2)
+    with pytest.raises(RankDeficient):
+        f2.inverse_array(np.array([[1, 1], [1, 1]]))
+    with pytest.raises(DimensionMismatch):
+        f2.inverse_array(g.array())
+
+
+def test_matrix_refuses_a_shape_its_rows_do_not_have():
+    """A stated row or column count that the data contradicts, and ragged
+    rows, raise DimensionMismatch instead of making a matrix whose rows
+    disagree with its data."""
+    f2 = field_make(2)
+    for data, rows, cols in [([[1, 0]], 5, 2), ([[1, 0]], 1, 3), ([], 3, 2),
+                             ([[1, 0], [1]], None, None)]:
+        with pytest.raises(DimensionMismatch):
+            Matrix(f2, data, rows, cols)
+    assert (Matrix(f2, [], 0, 4).rows, Matrix(f2, [], 0, 4).cols) == (0, 4)
+    assert Matrix(f2, [[1, 0]], 1, 2).transpose().data == [[1], [0]]
+    empty = Matrix(f2, [], 0, 3).transpose()
+    assert (empty.rows, empty.cols, empty.data) == (3, 0, [[], [], []])
+
+
+def test_matrix_entries_must_be_integers():
+    """Entries are taken through `operator.index`: Python and numpy integers
+    pass (reduced mod q), a float is refused where it was truncated before."""
+    f3 = field_make(3)
+    assert Matrix(f3, [[np.int64(4), 2, True]]).data == [[1, 2, 1]]
+    assert Matrix(f3, np.array([[5, 7]])).data == [[2, 1]]
+    for bad in ([[1.7, 2]], [[1, np.float64(2.0)]], [["1", 2]]):
+        with pytest.raises(BadParams) as raised:
+            Matrix(f3, bad)
+        assert isinstance(raised.value, CodedPirError)

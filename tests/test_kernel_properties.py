@@ -3,8 +3,10 @@
 Random small codes over GF(2, 3, 4, 5, 7, 8, 9, 13, 16, 17); GF(5^7) has no
 log/exp tables and exercises the kernel's table-less branch. The array
 product behind `mat_mul` is checked against the scalar triple loop
-(`mat_mul_reference`). The scalar oracles themselves (`mat_rank`,
-`mat_rref`, and `mul` on the tabled fields) are checked against sympy.
+(`mat_mul_reference`), and the array elimination behind `mat_rank`,
+`mat_rref`, `mat_solve`, null spaces and inverses against the scalar list
+elimination (`rref_reference`). The scalar oracles themselves
+(`rref_reference`, and `mul` on the tabled fields) are checked against sympy.
 """
 
 import itertools
@@ -18,15 +20,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from codedpir.codes import (COLUMN_SEARCH_BUDGET, ErasurePattern, LinearCode,
                             code_from_generator)
-from codedpir.errors import (DecodeFailure, DimensionMismatch, NotCorrectable,
-                             RankDeficient)
+from codedpir.errors import (DecodeFailure, DimensionMismatch, FieldMismatch,
+                             NotCorrectable, RankDeficient)
 from codedpir.families import _is_mds_parity_check
 from codedpir.fields import (MATMUL_CHUNK, Matrix, _is_prime, field_make, mat_mul,
-                             mat_rank, mat_rref)
+                             mat_rank, mat_rref, mat_solve)
 from codedpir.optimizer import compute_erasure_pattern_list
-from conftest import (FIELDS, all_codewords, codes, decode_erasures_reference,
+from conftest import (FIELDS, all_codewords, codes, decode_erasures_reference, lifted,
                       mat_mul_reference, message_from_information_set_reference,
-                      rank_pattern_list, sampled_pattern_list_reference)
+                      null_space_reference, rank_pattern_list, rank_reference,
+                      rref_reference, sampled_pattern_list_reference, solve_reference)
 
 BRUTE_LIMIT = 512  # q^k ceiling for the brute-force distance oracle
 
@@ -40,7 +43,7 @@ def field_id(field: tuple[int, int]) -> str:
 def check_erasures(code):
     for w in range(code.n + 1):
         for support in itertools.combinations(range(code.n), w):
-            want = mat_rank(code.H.restrict_cols(support)) == w
+            want = rank_reference(code.H.restrict_cols(support)) == w
             pattern = ErasurePattern.from_support(code.n, support)
             assert code.erasure_correctable(pattern) == want, support
 
@@ -87,7 +90,7 @@ def test_pattern_lists_match_reference(code, seed):
         for mask in sampled.masks():
             support = [j for j in range(code.n) if mask >> j & 1]
             assert len(support) == w
-            assert mat_rank(code.H.restrict_cols(support)) == w, support
+            assert rank_reference(code.H.restrict_cols(support)) == w, support
 
 
 def rank_min_distance(code) -> int:
@@ -190,13 +193,13 @@ def test_correctable_shifts_match_rank(field, data):
     for row, support in zip(got.tolist(), supports):
         for shift in range(code.n):
             shifted = [(j + shift) % code.n for j in support]
-            want = mat_rank(code.H.restrict_cols(shifted)) == w
+            want = rank_reference(code.H.restrict_cols(shifted)) == w
             assert row[shift] == want, (support, shift)
 
 
 def rref_pivots(M, order) -> list[int]:
     """The pivot columns of rref(M[:, order]) mapped back through `order`."""
-    return [order[c] for c in mat_rref(M.restrict_cols(order))[1]]
+    return [order[c] for c in rref_reference(M.restrict_cols(order))[1]]
 
 
 @PROPERTY
@@ -212,14 +215,14 @@ def test_pivot_columns_match_rref(code, data):
 
 def check_one_subset_paths(code, rng):
     """`correctable_support`, `information_columns`, `pivot_columns` (three
-    orders in one call) and `correctable_shifts` against `mat_rank` and
-    `mat_rref`, on random supports and orders of every weight up to n - k + 1
+    orders in one call) and `correctable_shifts` against `rank_reference`
+    and `rref_reference`, on random supports and orders of every weight up to n - k + 1
     (so dependent supports occur) and on the first and last n - k columns."""
     n, nk = code.n, code.n - code.k
     supports = [list(range(nk)), list(range(n - nk, n))]
     supports += [rng.sample(range(n), w) for w in range(min(n, nk + 1) + 1)]
     for support in supports:
-        want = mat_rank(code.H.restrict_cols(support)) == len(support)
+        want = rank_reference(code.H.restrict_cols(support)) == len(support)
         assert code.correctable_support(support) == want, support
     orders = [rng.sample(range(n), n) for _ in range(3)]
     for order in orders + supports:
@@ -232,7 +235,7 @@ def check_one_subset_paths(code, rng):
         for row, support in zip(got.tolist(), drawn):
             for shift in rng.sample(range(n), min(n, 8)):
                 shifted = [(j + shift) % n for j in support]
-                assert row[shift] == (mat_rank(code.H.restrict_cols(shifted)) == w)
+                assert row[shift] == (rank_reference(code.H.restrict_cols(shifted)) == w)
 
 
 def random_matrix(data, field, rows, cols):
@@ -246,16 +249,23 @@ def random_matrix(data, field, rows, cols):
 @given(st.sampled_from(FIELDS + [(5, 7)]), st.data())
 def test_mat_mul_matches_reference(field, data):
     """mat_mul against the scalar loop, shapes with 0 rows, 0 inner and 0
-    columns included, one operand over GF(q) and the other over GF(q^ell)
-    (ell <= 3, alpha ell <= 8) in either order."""
+    columns included, one operand drawn over GF(q) and the other over
+    GF(q^ell) (ell <= 3, alpha ell <= 8) in either order: over two different
+    fields it raises FieldMismatch, and with the GF(q) operand embedded by
+    `embed_array` it equals the reference."""
     base = field_make(*field)
     ell = data.draw(st.integers(1, min(3, 8 // base.alpha)))
-    fields = [base, base.extension(ell)]
+    ext = base.extension(ell)
+    fields = [base, ext]
     if data.draw(st.booleans()):
         fields.reverse()
     r, k, c = (data.draw(st.integers(0, 5)) for _ in range(3))
     A = random_matrix(data, fields[0], r, k)
     B = random_matrix(data, fields[1], k, c)
+    if ext is not base:
+        with pytest.raises(FieldMismatch):
+            mat_mul(A, B)
+    A, B = lifted(A, ext), lifted(B, ext)
     assert mat_mul(A, B) == mat_mul_reference(A, B)
 
 
@@ -333,7 +343,7 @@ def test_stacked_matmul_over_blocks_across_slices(field):
     b = rng.integers(0, f.order, size=(size, k, c))
     got = f.matmul_array(a, b)
     for s in range(size):
-        want = mat_mul(Matrix(f, a[s].tolist()), Matrix(f, b[s].tolist()))
+        want = mat_mul_reference(Matrix(f, a[s].tolist()), Matrix(f, b[s].tolist()))
         assert got[s].tolist() == want.data, s
 
 
@@ -410,7 +420,7 @@ def test_decode_erasures_matches_brute_force(code, data):
             known = [j for j in range(code.n) if j not in erased]
             agree = [list(cw) for cw in words
                      if all(cw[j] == word[j] for j in known)]
-            if mat_rank(code.H.restrict_cols(erased)) < w:
+            if rank_reference(code.H.restrict_cols(erased)) < w:
                 with pytest.raises(NotCorrectable):
                     code.decode_erasures([word], erased)
             elif agree:
@@ -473,20 +483,21 @@ def test_compiled_decoders_match_reference(code, ell, data):
 @PROPERTY
 @given(codes(FIELDS + [(5, 7)]), st.integers(0, 2**32 - 1), st.data())
 def test_information_sets_match_rref(code, seed, data):
-    """The G-kernel predicates against rank and RREF pivots of G's columns."""
+    """The G-kernel predicates against rank and RREF pivots of G's columns
+    (`rank_reference`, `rref_reference`)."""
     for w in range(code.n + 1):
         for coords in itertools.combinations(range(code.n), w):
-            full = mat_rank(code.G.restrict_cols(coords)) == code.k
+            full = rank_reference(code.G.restrict_cols(coords)) == code.k
             assert code.contains_information_set(coords) == full, coords
             assert code.is_information_set(coords) == (full and w == code.k), coords
-    assert code.information_set() == tuple(mat_rref(code.G)[1])
+    assert code.information_set() == tuple(rref_reference(code.G)[1])
     perm = list(range(code.n))
     random.Random(seed).shuffle(perm)
-    _, pivots = mat_rref(code.G.restrict_cols(perm))
+    _, pivots = rref_reference(code.G.restrict_cols(perm))
     want = tuple(sorted(perm[c] for c in pivots))
     assert code.random_information_set(random.Random(seed)) == want
     order = data.draw(st.permutations(range(code.n)))[:data.draw(st.integers(0, code.n))]
-    _, pivots = mat_rref(code.G.restrict_cols(order))
+    _, pivots = rref_reference(code.G.restrict_cols(order))
     assert code.information_columns(order) == [order[c] for c in pivots]
 
 
@@ -501,18 +512,18 @@ def test_contains_codewords_matches_stacked_rank(code, data):
     for _ in range(data.draw(st.integers(0, 3))):
         if data.draw(st.booleans()):
             message = Matrix(f, [[data.draw(symbol) for _ in range(code.k)]])
-            words.append(mat_mul(message, code.G).data[0])
+            words.append(mat_mul_reference(message, code.G).data[0])
         else:
             words.append([data.draw(symbol) for _ in range(code.n)])
     stacked = Matrix(f, code.G.data + words, code.k + len(words), code.n)
-    assert code.contains_codewords(words) == (mat_rank(stacked) == code.k)
+    assert code.contains_codewords(words) == (rank_reference(stacked) == code.k)
     perm = data.draw(st.permutations(range(code.n)))
     permuted = [[0] * code.n for _ in range(code.k)]
     for i, row in enumerate(code.G.data):
         for j, x in enumerate(row):
             permuted[i][perm[j]] = x
     stacked = Matrix(f, code.G.data + permuted, 2 * code.k, code.n)
-    assert code.is_automorphism(perm) == (mat_rank(stacked) == code.k)
+    assert code.is_automorphism(perm) == (rank_reference(stacked) == code.k)
 
 
 @PROPERTY
@@ -524,7 +535,7 @@ def test_mds_parity_check_matches_subset_ranks(field, m, width, data):
             for _ in range(m)]
     h = Matrix(f, [row + [int(t == i) for t in range(m)] for i, row in enumerate(left)],
                m, width + m)
-    want = all(mat_rank(h.restrict_cols(cols)) == m
+    want = all(rank_reference(h.restrict_cols(cols)) == m
                for cols in itertools.combinations(range(width + m), m))
     assert _is_mds_parity_check(f, left, width) == want
 
@@ -576,7 +587,8 @@ def test_tableless_mul_matches_sympy(p, alpha):
 @given(st.sampled_from([2, 3, 5, 7, 13, 17]), st.integers(0, 6),
        st.integers(0, 7), st.data())
 def test_rank_and_rref_match_sympy(p, rows, cols, data):
-    """mat_rank and mat_rref over GF(p) against sympy's DomainMatrix."""
+    """The list reference `rref_reference`, and mat_rank and mat_rref, over
+    GF(p) against sympy's DomainMatrix."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
     entry = st.one_of(st.integers(0, 1), st.integers(0, p - 1))
@@ -585,7 +597,48 @@ def test_rank_and_rref_match_sympy(p, rows, cols, data):
     dm = DomainMatrix([[K(x) for x in row] for row in entries], (rows, cols), K)
     red_want, pivots_want = dm.rref()
     M = Matrix(field_make(p), entries, rows, cols)
+    want = [[int(x) % p for x in row] for row in red_want.to_list()]
+    assert rref_reference(M) == (want, list(pivots_want))
     red, pivots = mat_rref(M)
     assert mat_rank(M) == dm.rank() == len(pivots_want)
     assert pivots == list(pivots_want)
-    assert red.data == [[int(x) % p for x in row] for row in red_want.to_list()]
+    assert red.data == want
+
+
+@PROPERTY
+@given(st.sampled_from(FIELDS + [(5, 7), (2**31 - 1, 1)]), st.integers(0, 6),
+       st.integers(0, 7), st.data())
+def test_elimination_matches_reference(field, rows, cols, data):
+    """The array elimination (`rref_array`) and what is read off it
+    (`null_space_array`, `inverse_array`, `mat_rank`, `mat_rref`,
+    `mat_solve`) against the list reference, on every field the suite uses,
+    GF(2^31 - 1) and the table-less GF(5^7) included, 0-row and 0-column
+    inputs included."""
+    f = field_make(*field)
+    M = random_matrix(data, f, rows, cols)
+    want_red, want_pivots = rref_reference(M)
+    red, pivots = f.rref_array(M.array())
+    assert red.dtype == np.int64 and red.shape == (rows, cols)
+    assert (red.tolist(), pivots) == (want_red, want_pivots)
+    assert mat_rref(M) == (Matrix(f, want_red, rows, cols), want_pivots)
+    assert mat_rank(M) == len(want_pivots)
+    null = f.null_space_array(M.array())
+    assert null.shape == (cols - len(want_pivots), cols)
+    assert null.tolist() == null_space_reference(M)
+    b = random_matrix(data, f, rows, 1)
+    try:
+        want = solve_reference(M, [row[0] for row in b.data])
+    except RankDeficient:
+        with pytest.raises(RankDeficient):
+            mat_solve(M, b)
+    else:
+        assert mat_solve(M, b).data == [[x] for x in want]
+    if rows == cols:
+        identity = Matrix.identity(f, rows)
+        try:
+            want = [solve_reference(M, col) for col in identity.data]  # columns of M^-1
+        except RankDeficient:
+            with pytest.raises(RankDeficient):
+                f.inverse_array(M.array())
+        else:
+            assert f.inverse_array(M.array()).T.tolist() == want

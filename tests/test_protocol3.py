@@ -11,7 +11,7 @@ from codedpir.dss import Dss, run
 from codedpir.errors import (CodedPirError, DecodeFailure, DimensionMismatch,
                              OrderOverflow, RateOneProduct, StructureViolation)
 from codedpir.families import grs_code, pyramid_code, rm_code, rm_translate
-from codedpir.fields import Matrix, field_make, mat_rank
+from codedpir.fields import Matrix, field_make, mat_mul
 from codedpir.optimizer import optimize_rate
 from codedpir.protocol2 import p2_build_structure
 from codedpir.ratematrix import lrc_E_matrix
@@ -21,7 +21,8 @@ from codedpir.protocol3 import (P3Setup, collusion_threshold,
 from codedpir.rng import generator
 from conftest import (EHAT_EX5, EHAT_EX6, EHAT_P3, EHAT_T0, ISETS_EX5,
                       ISETS_EX6, ISETS_P3, ISETS_T0, QUERY_T0, STORAGE_T0, codes,
-                      file_rows, p3_decode_reference, p3_respond_reference, query_reference)
+                      file_rows, lifted, p3_decode_reference, p3_respond_reference,
+                      query_reference, rank_reference)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +66,7 @@ def test_repetition_query_code_degenerates(code124, f2):
     from codedpir.codes import code_from_generator
     rep = code_from_generator(Matrix(f2, [[1] * 12]))
     prod = code124.hadamard_product(rep)
-    assert mat_rank(Matrix(f2, prod.G.data + code124.G.data)) == code124.k
+    assert rank_reference(Matrix(f2, prod.G.data + code124.G.data)) == code124.k
     assert collusion_threshold(rep) == 1  # noncolluding-like setup
 
 
@@ -146,8 +147,7 @@ def test_response_decomposition(setup_vb, code124):
     offsets = [int(dss.stored[0, l]) if l in (8, 11) else 0 for l in range(12)]
     diff = Matrix.column(dss.msg_field,
                          [dss.msg_field.sub(a, b) for a, b in zip(rho1, offsets)])
-    from codedpir.fields import mat_mul
-    h_lift = setup_vb.product.H.lift(dss.msg_field)
+    h_lift = lifted(setup_vb.product.H, dss.msg_field)
     assert all(row == [0] for row in mat_mul(h_lift, diff).data)
 
 
@@ -307,7 +307,7 @@ def check_setup_path(setup, ell: int, seed: int) -> None:
     msg_field = dss.msg_field
     for m in range(1, f + 1):
         queries = p3_queries(setup, f, m, seed)
-        matrices = [Matrix.wrap(code.field, node, setup.d, setup.beta * f)
+        matrices = [Matrix(code.field, node, setup.d, setup.beta * f)
                     for node in queries.tolist()]
         responses = p3_respond(dss, queries)
         want = p3_respond_reference(dss, matrices)

@@ -15,9 +15,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from codedpir.codes import LinearCode, code_from_generator  # noqa: E402
+from codedpir.codes import LinearCode, code_from_generator, standard_form_parity  # noqa: E402
 from codedpir.families import grs_code, pyramid_code, uuv_code  # noqa: E402
-from codedpir.fields import Matrix, field_make, mat_inverse, mat_mul  # noqa: E402
+from codedpir.fields import Matrix, field_make  # noqa: E402
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "codedpir" / "fixtures"
 
@@ -110,10 +110,7 @@ def c5():
     pts = rng.sample(range(16), 14)
     mults = [rng.randrange(1, 16) for _ in range(14)]
     rs = grs_code(f16, 14, 10, eval_points=pts, multipliers=mults)
-    h = rs.H
-    tr = mat_inverse(h.restrict_cols(list(range(10, 14))))
-    h_sys = mat_mul(tr, h)
-    pt = [row[:10] for row in h_sys.data]
+    pt = standard_form_parity(rs, list(range(10)))[0].data
     grows = []
     for i in range(10):
         row = [1 if i == j else 0 for j in range(10)]
