@@ -6,29 +6,33 @@ render 1-based coordinates to match the usual coding-theory convention.
 
 Two exact kernels carry the code predicates and the decoding:
 
-- Column independence. One array Gauss-Jordan step over the columns of H or
-  of G (`_column_eliminator`, built on first use for each) answers every
-  question of the form "which of these columns are independent". A residual
-  is the matrix with the span of some of its columns eliminated (packed
-  uint64 words per column over GF(2), an int64 array otherwise), and a
-  column is independent of those eliminated iff its residual column is
-  nonzero. Two loops drive the step:
+- Column independence. One in-place array Gauss-Jordan step over the
+  columns of H or of G (`_column_eliminator`, built on first use for each)
+  answers every question of the form "which of these columns are
+  independent". A residual is the matrix with the span of some of its
+  columns eliminated, in the narrowest exact type: over GF(2) the rows of
+  each column packed into one uint8, uint16 or uint32 word, or into uint64
+  words; over GF(p) int16, int32 or int64 while 2(p-1)^2 fits, Python
+  integers past that; over GF(p^a) int64. A column is independent of those
+  eliminated iff its residual column is nonzero. Two loops call the step:
   - `_independent` takes a B x s array of column indices and says, for each
     entry, whether that column is independent of the ones before it in its
-    row: it gathers each row's own columns, then eliminates and drops them
-    one at a time. On H, `correctable_support` asks one row and
+    row: it gathers each row's own columns as an s x rows x B stack, the
+    batch axis last, and eliminates column t from the columns after it in
+    place, for each t in turn. On H, `correctable_support` asks one row and
     `pivot_columns` a row per order; on G, `information_columns` asks one
     row and `correctable_shifts` a row per cyclic shift of each support (a
     pattern is correctable iff the columns of G off it have rank k).
   - The column walk (`_column_levels`) extends every independent subset of
-    H's columns by each later column whose residual is nonzero, one array
-    step per block of children, listed in (subset, column) order so each
-    level stays in the lexicographic order of its supports. One walk to
-    depth w lists the correctable patterns of every weight up to w
-    (`correctable_masks`, kept on the code); the column search of
-    `min_distance` counts each level.
-  Both work in blocks of about BLOCK array entries, and neither allocates a
-  `Matrix`.
+    H's columns by each later column whose residual is nonzero, one step
+    per block of children (each child's residual a copy of its parent's,
+    the batch axis first, and its new column gathered as the pivot),
+    listed in (subset, column) order so each level stays in the
+    lexicographic order of its supports. One walk to depth w lists the
+    correctable patterns of every weight up to w (`correctable_masks`, kept
+    on the code); the column search of `min_distance` counts each level.
+  Both work in blocks of about BLOCK bytes of residual, and neither
+  allocates a `Matrix`.
 - Erasure decoding, shared by the three protocols, compiled once per erased
   set E and kept for the code's lifetime (`_erasure_decoder`): one
   `FiniteField.rref_array` of H's columns ordered E then K (the rest), the
@@ -64,6 +68,7 @@ span, listed block by block (about ENUM_CHUNK rows) as the offsets of one
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
@@ -71,6 +76,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    BadParams,
     DecodeFailure,
     DimensionMismatch,
     EmptySupport,
@@ -84,7 +90,7 @@ from .fields import FiniteField, Matrix
 ENUM_BUDGET = 1 << 21          # subcode-enumeration ceiling (q^k for d_1)
 COLUMN_SEARCH_BUDGET = 5_000_000  # cumulative column-subset ceiling
 ENUM_CHUNK = 4096              # rows of n symbols per subcode-enumeration block
-BLOCK = 1 << 14                # array entries per block of the column eliminations
+BLOCK = 1 << 17                # residual bytes per block of the column eliminations
 
 
 _BITS = frozenset((0, 1))
@@ -128,6 +134,40 @@ def gaussian_binomial(k: int, s: int, q: int) -> int:
         num *= q ** (k - i) - 1
         den *= q ** (i + 1) - 1
     return num // den
+
+
+def pattern_weight(w) -> int:
+    """The weight of an erasure pattern as an int: BadParams unless `w` is an
+    integer (`operator.index`) >= 0."""
+    try:
+        w = operator.index(w)
+    except TypeError:
+        raise BadParams(f"a pattern weight must be an integer, not {w!r}") from None
+    if w < 0:
+        raise BadParams(f"a pattern weight must be >= 0, not {w}")
+    return w
+
+
+def mask_bits(n: int) -> np.ndarray:
+    """1 << j for the n positions j, as int64 below 63 positions and as
+    Python integers otherwise: OR-ed together, the support bitmasks of
+    erasure patterns."""
+    return np.array([1 << j for j in range(n)], dtype=np.int64 if n < 63 else object)
+
+
+def _index_rows(rows, what: str, width: int = 0) -> np.ndarray:
+    """`rows` (a B x s array or nested rows of integers) as a B x s intp
+    array, an empty list as B = 0 rows of `width`; DimensionMismatch naming
+    `what` for ragged rows or another shape."""
+    try:
+        a = np.asarray(rows)
+    except ValueError:
+        a = None
+    if a is not None and a.ndim == 1 and not a.size:
+        a = a.reshape(0, width)
+    if a is None or a.ndim != 2 or (a.size and a.dtype.kind not in "iu"):
+        raise DimensionMismatch(f"{what} must be rows of integers of one length")
+    return a.astype(np.intp, copy=False)
 
 
 class LinearCode:
@@ -246,25 +286,35 @@ class LinearCode:
         order) are linearly independent."""
         return bool(self._independent("H", [list(support)]).all())
 
-    def correctable_shifts(self, supports: Sequence[Sequence[int]]) -> np.ndarray:
+    def correctable_shifts(self, supports) -> np.ndarray:
         """Which cyclic shifts of each support are correctable: entry (i, t) of
         the D x n bool array is True iff the pattern {j + t mod n : j in S_i}
-        is, for D supports S_i of one weight w. A pattern is correctable iff
-        the n - w columns of G off it have rank k; one `_independent` call
-        over G decides every shift of a block of supports, each block's
-        index array kept under BLOCK entries."""
+        is, for D supports S_i of one weight w (a D x w array or nested rows
+        of distinct positions). A pattern is correctable iff the n - w
+        columns of G off it have rank k; one `_independent` call over G
+        decides every shift of a block of supports, each block as many as
+        fill one block of its eliminations. DimensionMismatch for supports of
+        mixed weights, a repeated position or one outside 0..n-1."""
         n = self.n
+        supports = _index_rows(supports, "supports")
+        if supports.size and not 0 <= supports.min() <= supports.max() < n:
+            raise DimensionMismatch(f"support positions {supports.min()}..{supports.max()} "
+                                    f"outside 0..{n - 1}")
+        erased = np.zeros((len(supports), n), dtype=bool)
+        erased[np.arange(len(supports))[:, None], supports] = True
+        w = supports.shape[1]
+        if (erased.sum(axis=1) != w).any():
+            raise DimensionMismatch("a support repeats a position")
         out = np.zeros((len(supports), n), dtype=bool)
-        if len(supports) == 0 or len(supports[0]) > n - self.k:
+        if w > n - self.k:
             return out
-        kept = n - len(supports[0])
+        kept = n - w
         shifts = np.arange(n)[None, :, None]
-        block = max(1, BLOCK // (n * max(1, kept)))
+        residual = self._eliminator("G")[0]
+        block = max(1, BLOCK // max(1, n * kept * residual.itemsize * len(residual)))
         for start in range(0, len(supports), block):
-            chunk = supports[start:start + block]
-            erased = np.zeros((len(chunk), n), dtype=bool)
-            erased[np.arange(len(chunk))[:, None], chunk] = True
-            idx = np.nonzero(~erased)[1].reshape(len(chunk), 1, kept) + shifts
+            chunk = erased[start:start + block]
+            idx = np.nonzero(~chunk)[1].reshape(len(chunk), 1, kept) + shifts
             idx %= n
             ranks = self._independent("G", idx.reshape(len(chunk) * n, kept)).sum(axis=1)
             out[start:start + len(chunk)] = (ranks == self.k).reshape(-1, n)
@@ -272,11 +322,15 @@ class LinearCode:
 
     def pivot_columns(self, orders) -> np.ndarray:
         """The pivot columns of rref(H[:, order]) mapped back through each
-        order of a B x n array of column orders, in that order: the columns
-        taken greedily, each independent of those taken before it. H has
-        full rank, so each order has n - k of them, and the result is a
-        B x (n - k) array from one `_independent` call over H."""
-        orders = np.asarray(orders, dtype=np.intp).reshape(-1, self.n)
+        order of a B x n array of column orders (each a permutation of
+        0..n-1), in that order: the columns taken greedily, each independent
+        of those taken before it. H has full rank, so each order has n - k of
+        them, and the result is a B x (n - k) array from one `_independent`
+        call over H. DimensionMismatch for orders that are not B
+        permutations of 0..n-1."""
+        orders = _index_rows(orders, "orders", self.n)
+        if orders.shape[1] != self.n or (np.sort(orders, axis=1) != np.arange(self.n)).any():
+            raise DimensionMismatch(f"orders must be permutations of 0..{self.n - 1}")
         return orders[self._independent("H", orders)].reshape(len(orders), self.n - self.k)
 
     def _eliminator(self, of: str) -> tuple:
@@ -291,30 +345,30 @@ class LinearCode:
         """Entry (b, t) of the B x s bool result is True iff column idx[b, t]
         of `of` ("H" or "G") is independent of the columns idx[b, :t].
 
-        Each block of rows gathers its own columns of the residual, as a
-        B x rows x s array, and eliminates the first column of what is left
-        (`_column_eliminator`) s times, dropping it after each step: column t
-        is independent iff it is nonzero when its turn comes. DimensionMismatch
-        for an index outside 0..n-1.
+        Each block of rows gathers its own columns of the residual, as an
+        s x rows x B stack with the batch axis last, and eliminates column t
+        from the columns after it in place (`_column_eliminator`), for t in
+        0..s-1: column t is independent iff it is nonzero when its turn
+        comes. DimensionMismatch for rows that are not integers of one
+        length, or an index outside 0..n-1.
         """
-        idx = np.asarray(idx, dtype=np.intp)
+        idx = _index_rows(idx, "column indices")
         if idx.size and not 0 <= idx.min() <= idx.max() < self.n:
             raise DimensionMismatch(f"column indices {idx.min()}..{idx.max()} "
                                     f"outside 0..{self.n - 1}")
         residual, eliminate = self._eliminator(of)
-        out = np.zeros(idx.shape, dtype=bool)
+        out = np.zeros(idx.shape[::-1], dtype=bool)
         if not len(residual):  # no rows: nothing is independent
-            return out
+            return out.T
         s = idx.shape[1]
-        block = max(1, BLOCK // max(1, len(residual) * s))
+        block = max(1, BLOCK // max(1, residual.itemsize * len(residual) * s))
         for start in range(0, len(idx), block):
-            R = residual[:, idx[start:start + block]].transpose(1, 0, 2)
-            first = np.zeros(len(R), dtype=np.intp)
+            R = residual[:, idx[start:start + block].T].swapaxes(0, 1)
             for t in range(s):
-                out[start:start + len(R), t] = R[:, :, 0].any(axis=1)
+                out[t, start:start + R.shape[2]] = R[t].any(axis=0)
                 if t + 1 < s:
-                    R = eliminate(R, first)[:, :, 1:]
-        return out
+                    eliminate(R[t + 1:], R[t])
+        return out.T
 
     # --- encoding / decoding ------------------------------------------------------
 
@@ -426,7 +480,9 @@ class LinearCode:
         """Bitmasks (bit j set iff position j is erased) of every correctable
         weight-w erasure pattern, in the lexicographic order of their supports;
         one column walk to depth w lists every weight up to w, and each list
-        is kept for the code's lifetime."""
+        is kept for the code's lifetime. BadParams unless w is an integer
+        >= 0."""
+        w = pattern_weight(w)
         masks = self._masks.get(w)
         if masks is None:
             if w == 0:
@@ -452,14 +508,14 @@ class LinearCode:
         extends the prefix iff its residual column is nonzero. Children are
         listed in (prefix, column) order, which keeps every level
         lexicographic, and one array step builds the residuals of a block of
-        children. Prefixes go down in blocks of about BLOCK residual
-        entries, block by block, so the arrays held stay within depth blocks.
+        children. Prefixes go down in blocks of about BLOCK bytes of
+        residual, block by block, so the arrays held stay within depth blocks.
         """
         h, eliminate = self._eliminator("H")
         n = self.n
-        bits = np.array([1 << j for j in range(n)], dtype=np.int64 if n < 63 else object)
+        bits = mask_bits(n)
         after = np.arange(n)
-        block = max(1, BLOCK // max(1, h.size))
+        block = max(1, BLOCK // max(1, h.nbytes))
         found: list[list] = [[] for _ in range(depth + 1)]
 
         def walk(residuals, last, masks, t):
@@ -469,7 +525,9 @@ class LinearCode:
             if t + 1 < depth:
                 for s in range(0, len(col), block):
                     p, c = prefix[s:s + block], col[s:s + block]
-                    walk(eliminate(residuals[p], c), c, masks[s:s + block], t + 1)
+                    R = residuals[p]
+                    eliminate(R, R[np.arange(len(c)), :, c][:, :, None])
+                    walk(R, c, masks[s:s + block], t + 1)
 
         walk(h[None], np.array([-1]), np.zeros(1, dtype=bits.dtype), 0)
         if not keep:
@@ -619,38 +677,43 @@ def _column_eliminator(f: FiniteField, h: np.ndarray):
     """(h, eliminate): the column elimination over the int64 array h (H or G),
     for `_independent` and the column walk.
 
-    h is H as a residual, its columns on the last axis: over GF(2) a W x n
-    uint64 array, H's rows packed 64 to a word; over other fields H itself,
-    an r x n int64 array (Python integers when (p-1)^2 passes int64).
-    eliminate(R, cols) takes a stack of residuals and one column index per
-    residual, and returns each residual with that column eliminated by one
-    Gauss-Jordan step: with u the column and i its first nonzero row, every
-    column c loses u times R[i, c] / u_i. Column c then ends at zero iff it
-    lay in the span of the prefix's columns and u, and row i ends at zero.
+    h is H as a residual, its columns on the last axis, in the narrowest
+    exact type: over GF(2) H's rows packed into words (`_packed_rows`); over
+    GF(p) H in int16, int32 or int64, the first that holds 2(p-1)^2, and as
+    Python integers past that; over GF(p^a) H itself, int64.
+    eliminate(R, u) eliminates one column u from residual columns R in place
+    by one Gauss-Jordan step, in either layout of `_pivot_rows`: a stack R
+    of s x rows x B columns against u (rows, B), the batch axis last, for
+    `_independent`; or B residuals R (B, rows, n) against their gathered
+    pivot columns u (B, rows, 1), for the walk. With i the first nonzero row
+    of u, every column c of R loses u times R[i, c] / u_i, so it ends at
+    zero iff it lay in the span of u and the columns eliminated before.
     Over GF(p) and GF(p^a) the step scales R by u_i instead of dividing row
     i by it, which changes no zero entry (by 1 when u is zero, so a zero
-    column leaves R unchanged). Over GF(2), i is the lowest set bit of u,
-    and the columns with that bit set are XORed with u (none when u is zero).
+    column leaves R unchanged). Over GF(2), i is the lowest set bit of u's
+    first nonzero word, and the columns with that bit set are XORed with u
+    (none when u is zero).
     """
     if f.order == 2:
-        def eliminate(R: np.ndarray, cols: np.ndarray) -> np.ndarray:
-            at = np.arange(len(cols))
-            u = R[at, :, cols]
-            word = (u != 0).argmax(axis=1)
-            low = u[at, word]
-            low &= ~low + np.uint64(1)
-            has = (R[at, word] & low[:, None]) != 0
-            return R ^ u[:, :, None] * has[:, None, :]
+        def eliminate(R: np.ndarray, u: np.ndarray) -> None:
+            if u.shape[-2] == 1:
+                low, row = u & (~u + 1), R  # the lowest set bit of the one word
+            else:  # of u's first nonzero word, against R's words there
+                low, row = _pivot_rows(R, u)
+                low &= ~low + 1
+            R ^= u * ((row & low) != 0)
 
         return _packed_rows(h), eliminate
 
     if f.alpha == 1:
         p = f.p
-        if (p - 1) ** 2 >= 1 << 63:  # int64 products could wrap
-            h = h.astype(object)
+        h = h.astype(next((t for t in (np.int16, np.int32, np.int64)
+                           if 2 * (p - 1) ** 2 <= np.iinfo(t).max), object))
 
         def step(R, pivot, u, row):
-            return (R * pivot - u * row) % p
+            R *= pivot
+            R -= u * row
+            R %= p
     else:
         if f._exp is not None:
             exp, log = f._gather_tables()
@@ -662,25 +725,43 @@ def _column_eliminator(f: FiniteField, h: np.ndarray):
                 return np.frompyfunc(f.mul, 2, 1)(a, b).astype(np.int64)
 
         def step(R, pivot, u, row):
-            return f.sub_array(mul(R, pivot), mul(u, row))
+            R[...] = f.sub_array(mul(R, pivot), mul(u, row))
 
-    def eliminate(R: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        at = np.arange(len(cols))
-        u = R[at, :, cols]
-        i = (u != 0).argmax(axis=1)
-        pivot = u[at, i]
+    def eliminate(R: np.ndarray, u: np.ndarray) -> None:
+        pivot, row = _pivot_rows(R, u)
         pivot[pivot == 0] = 1
-        return step(R, pivot[:, None, None], u[:, :, None], R[at, i][:, None, :])
+        step(R, pivot, u, row)
 
     return h, eliminate
 
 
+def _pivot_rows(R: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u_i, R_i) for i the first nonzero row of each column u (some row of a
+    zero column), each shaped to broadcast against R, in the two layouts of
+    `_column_eliminator`: u (rows, B) against a stack R (s, rows, B), the
+    batch axis last; or u (B, rows, 1) against R (B, rows, n). With the batch
+    axis last, i comes from one max along the rows of u weighted rows-1..0,
+    as an argmax over that short axis costs a call per column."""
+    rows = u.shape[-2]
+    if u.ndim == 2:
+        weights = np.arange(rows - 1, -1, -1, dtype=np.min_scalar_type(rows))[:, None]
+        i, at = rows - 1 - ((u != 0) * weights).max(axis=0), np.arange(u.shape[1])
+        return u[i, at], R[:, i, at][:, None, :]
+    at = np.arange(len(u))
+    i = (u[:, :, 0] != 0).argmax(axis=1)
+    return u[at, i][:, :, None], R[at, i][:, None, :]
+
+
 def _packed_rows(a: np.ndarray) -> np.ndarray:
-    """The rows of a 0/1 int64 array packed 64 to a uint64 word: row i is bit
-    i % 64 of word i // 64, one W x n array (W >= 1) for the n columns."""
-    words = np.zeros((max(1, -(-len(a) // 64)), a.shape[1]), dtype=np.uint64)
+    """The rows of a 0/1 int64 array packed into the narrowest unsigned word
+    that holds them all (8, 16 or 32 rows), or 64 to a uint64 word: row i is
+    bit i % bits of word i // bits, one W x n array (W >= 1) for the n
+    columns."""
+    bits = next(b for b in (8, 16, 32, 64) if len(a) <= b or b == 64)
+    word = np.dtype(f"uint{bits}")
+    words = np.zeros((max(1, -(-len(a) // bits)), a.shape[1]), dtype=word)
     for i, row in enumerate(a):
-        words[i // 64] |= row.astype(np.uint64) << np.uint64(i % 64)
+        words[i // bits] |= row.astype(word) << word.type(i % bits)
     return words
 
 

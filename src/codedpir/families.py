@@ -10,6 +10,7 @@ code-spec form so fixtures and CLI inputs are plain data files.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
@@ -282,9 +283,10 @@ def uuv_code(U: LinearCode) -> LinearCode:
 # --- JSON code specs -------------------------------------------------------------
 
 def _ints(value, depth: int):
-    """value as nested lists of integers, `depth` list levels deep."""
+    """value as nested lists of integers, `depth` list levels deep; each
+    integer through `operator.index`, so 2.5 or "2" raises TypeError."""
     if depth == 0:
-        return int(value)
+        return operator.index(value)
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {type(value).__name__}")
     return [_ints(x, depth - 1) for x in value]

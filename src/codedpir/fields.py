@@ -16,7 +16,7 @@ different fields with FieldMismatch. Over GF(p) the product is `a @ b` mod p,
 on Python integers once k (p-1)^2 reaches 2^63; over GF(p^a) with log/exp
 tables (order up to 2^16), one table gather per term over row blocks of at
 most MATMUL_CHUNK terms, summed by XOR in characteristic 2 and digit-wise mod
-p otherwise; over larger fields, a scalar loop over `add` and `mul`. Its
+p otherwise (an inner size of 1 has one term, taken as it is); over larger fields, a scalar loop over `add` and `mul`. Its
 operands may be stacked, (..., r, k) and (..., k, c) with leading dimensions
 broadcast as by `@`, for one product per slice in one call (every node's
 response): the stacks' rows are then blocked one after another, each row
@@ -356,7 +356,7 @@ class FiniteField:
             stop = min(start + step, size * r)
             block = log_b if size == 1 else log_b[np.arange(start, stop) // r]
             terms = exp[log[a[start:stop]][:, :, None] + block]
-            out[start:stop] = self.sum_array(terms, axis=1)
+            out[start:stop] = terms[:, 0] if k == 1 else self.sum_array(terms, axis=1)
         return out.reshape(lead + (r, c)) if lead else out
 
     def sum_array(self, terms: np.ndarray, axis: int) -> np.ndarray:
@@ -506,8 +506,13 @@ _FIELD_CACHE: dict[tuple[int, int], FiniteField] = {}
 
 
 def field_make(p: int, alpha: int = 1) -> FiniteField:
-    """The field GF(p^alpha) with its canonical modulus (cached singleton)."""
-    key = (int(p), int(alpha))
+    """The field GF(p^alpha) with its canonical modulus (cached singleton).
+    BadParams, naming the field asked for, unless p and alpha are integers
+    (`operator.index`: 2.9 and "7" are refused, numpy integers pass)."""
+    try:
+        key = (operator.index(p), operator.index(alpha))
+    except TypeError:
+        raise BadParams(f"GF({p!r}^{alpha!r}): p and alpha must be integers") from None
     field = _FIELD_CACHE.get(key)
     if field is None:
         field = FiniteField(*key)

@@ -19,7 +19,11 @@ keys from one `randbytes` call give each draw a column order and w of its
 n - k pivot positions), takes every order's pivots in one batched call
 (`LinearCode.pivot_columns`), decides every bit rotation of every distinct
 find in one more (`LinearCode.correctable_shifts`), and lists each find
-followed by its correctable rotations in draw order. The selection (d
+followed by its correctable rotations in draw order, all as arrays of masks:
+the finds are the first occurrences among the drawn supports' masks, and one
+more `np.unique` over the correctable rotations gives both the list and its
+sorted masks, which the list carries for the selection search (an exhaustive
+list is sorted once when built). The selection (d
 weight-Gamma rows and beta information-set complements, every stacked column
 sum beta, rows may repeat) is solved exactly by a depth-first search on the
 most constrained deficient column, memoizing infeasible states.
@@ -28,12 +32,11 @@ most constrained deficient column, memoizing infeasible states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 
 import numpy as np
 
-from .codes import ErasurePattern, LinearCode
+from .codes import ErasurePattern, LinearCode, mask_bits, pattern_weight
 from .errors import BadParams, RateOneProduct, TooLarge
 from .protocol3 import check_query_code
 from .ratematrix import ErasureMatrix, beta_d_minimal
@@ -49,20 +52,17 @@ WINDOW_SHUFFLES = 60         # seeded window orders per complement
 @dataclass(frozen=True)
 class PatternList:
     """Deduplicated correctable erasure patterns of one weight on n positions,
-    kept as support bitmasks (bit j set iff position j is erased)."""
+    kept as support bitmasks (bit j set iff position j is erased), in list
+    order and, for the selection search, in increasing order (an
+    information-set list serves every Gamma of its optimization)."""
 
     weight: int
     n: int
     _masks: tuple[int, ...]
+    sorted_masks: tuple[int, ...]
 
     def masks(self) -> tuple[int, ...]:
         return self._masks
-
-    @cached_property
-    def sorted_masks(self) -> tuple[int, ...]:
-        """The distinct masks in increasing order, sorted once per list (an
-        information-set list serves every Gamma of its optimization)."""
-        return tuple(sorted(set(self._masks)))
 
     @property
     def patterns(self) -> tuple[ErasurePattern, ...]:
@@ -86,42 +86,50 @@ def compute_erasure_pattern_list(code: LinearCode, w: int,
     the w drawn pivots are a find (independent by construction). Every cyclic
     shift (bit rotation) of every distinct find is then decided at once
     (`LinearCode.correctable_shifts`), and the list is each new find followed
-    by its correctable shifts, in draw order. BadParams for a seed that is
-    not an integer.
+    by its correctable shifts, in draw order: all as arrays of masks (int64
+    below 63 positions, Python integers otherwise), whose first occurrences
+    one `np.unique` gives with the sorted masks. BadParams for a weight or
+    seed that is not an integer, or a negative weight.
     """
     _check_budgets(budget, sample_budget)
     seed = seed_index(seed)
+    w = pattern_weight(w)
     n = code.n
     if w == 0 or comb(n, w) <= budget:
-        return PatternList(w, n, code.correctable_masks(w))
+        masks = code.correctable_masks(w)
+        return PatternList(w, n, masks, tuple(sorted(masks)))
     if w > n - code.k:
-        return PatternList(w, n, ())
-    finds: dict[int, list[int]] = {}
-    for support in _drawn_supports(code, w, sample_budget, rng_for(seed, "patterns", w)):
-        finds.setdefault(sum(1 << j for j in support), support)
-    # shift 0 is the find itself; a find already listed is a shift of an
-    # earlier find, whose correctable shifts are then listed already
-    shifts = code.correctable_shifts(list(finds.values()))
-    found: dict[int, None] = {}
-    for mask, correctable in zip(finds, shifts.tolist()):
-        for shift in range(n):
-            if correctable[shift]:
-                found[(mask << shift | mask >> (n - shift)) & ((1 << n) - 1)] = None
-    return PatternList(w, n, tuple(found))
+        return PatternList(w, n, (), ())
+    supports = _drawn_supports(code, w, sample_budget, rng_for(seed, "patterns", w))
+    bits = mask_bits(n)
+    masks = np.bitwise_or.reduce(bits[supports], axis=1)
+    first = np.sort(np.unique(masks, return_index=True)[1])
+    # column t holds each find rotated by t bits (shift 0: the find itself),
+    # its low n - t bits moved up and its high t bits down
+    t = np.arange(n)
+    rotations = masks[first, None] & (bits[n - t - 1] * 2 - 1)
+    rotations <<= t
+    rotations |= masks[first, None] >> (n - t)
+    listed = rotations[code.correctable_shifts(supports[first])]
+    del rotations
+    sorted_masks, first = np.unique(listed, return_index=True)
+    sorted_masks = sorted_masks.astype(object)  # one Python int per mask, shared
+    return PatternList(w, n, tuple(sorted_masks[np.argsort(first)].tolist()),
+                       tuple(sorted_masks.tolist()))
 
 
-def _drawn_supports(code: LinearCode, w: int, draws: int, rng) -> list[list[int]]:
+def _drawn_supports(code: LinearCode, w: int, draws: int, rng) -> np.ndarray:
     """The supports of `draws` draws from one `randbytes` call of n + (n - k)
-    uint64 sort keys per draw: the stable sort of the first n is a column
-    order, and the support is the order's pivot columns of H (one
-    `LinearCode.pivot_columns` call for all orders) at the positions of the
-    w smallest of the rest. Only the supports outlive the call."""
+    uint64 sort keys per draw, as a draws x w array: the stable sort of the
+    first n is a column order, and the support is the order's pivot columns
+    of H (one `LinearCode.pivot_columns` call for all orders) at the
+    positions of the w smallest of the rest."""
     n, r = code.n, code.n - code.k
     keys = np.frombuffer(rng.randbytes(8 * draws * (n + r)), "<u8").reshape(draws, n + r)
     orders = np.argsort(keys[:, :n], axis=1, kind="stable")
     picks = np.argsort(keys[:, n:], axis=1, kind="stable")[:, :w]
     del keys
-    return np.take_along_axis(code.pivot_columns(orders), picks, axis=1).tolist()
+    return np.take_along_axis(code.pivot_columns(orders), picks, axis=1)
 
 
 def _check_budgets(budget: int, sample_budget: int) -> None:

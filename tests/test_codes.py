@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from codedpir.codes import (COLUMN_SEARCH_BUDGET, ENUM_BUDGET, ENUM_CHUNK,
                             ErasurePattern, LinearCode, code_from_generator,
                             gaussian_binomial, standard_form_parity)
-from codedpir.errors import (DecodeFailure, DimensionMismatch, EmptySupport,
+from codedpir.errors import (BadParams, DecodeFailure, DimensionMismatch, EmptySupport,
                              NotCorrectable, RankDeficient, RankDeficientGenerator)
 from codedpir.families import code_from_spec, cyclic_code, grs_code
 from codedpir.fields import Matrix, field_make, mat_mul
@@ -81,6 +81,31 @@ def test_out_of_range_coordinates_fail_loudly(good532):
     for support in ([-1], [5]):
         with pytest.raises(DimensionMismatch):
             ErasurePattern.from_support(5, support)
+
+
+def test_pattern_helpers_refuse_bad_input(good532):
+    """Supports of mixed weights, a repeated position, one off the code or
+    one that is not an integer, orders that are not B permutations of
+    0..n-1, and pattern weights that are negative or not integers raise
+    package errors, not bare numpy or Python ones (or, for a float
+    position, an answer for the truncated one)."""
+    for supports in ([[0, 1], [2]], [[0, 0]], [[0, 5]], [[-1, 0]], [[0.5, 1]], [0, 1]):
+        with pytest.raises(DimensionMismatch):
+            good532.correctable_shifts(supports)
+    with pytest.raises(DimensionMismatch):
+        good532.correctable_support([0.7, 1.2])
+    with pytest.raises(DimensionMismatch):
+        good532.information_columns([0.5, 1.5, 2.2])
+    for orders in ([[0, 1, 2]], [[0, 1, 2, 3, 4], [0, 1]], [0, 1, 2, 3, 4],
+                   [[0, 0, 1, 2, 3]], [[0, 1, 2, 3, 4.0]]):
+        with pytest.raises(DimensionMismatch):
+            good532.pivot_columns(orders)
+    for w in (-1, 1.5, "2"):
+        with pytest.raises(BadParams):
+            good532.correctable_masks(w)
+    assert good532.correctable_shifts([]).shape == (0, 5)
+    assert good532.pivot_columns([]).shape == (0, 2)
+    assert good532.correctable_masks(np.int64(1)) == good532.correctable_masks(1)
 
 
 def test_erasure_correctability(code73):

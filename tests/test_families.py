@@ -1,9 +1,10 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from codedpir.codes import code_from_generator
-from codedpir.errors import (BadOrder, DuplicatePoint, NonBinary, NotDivisor,
+from codedpir.errors import (BadOrder, BadParams, DuplicatePoint, NonBinary, NotDivisor,
                              NotMdsCompliant)
 from codedpir.families import (LrcParams, code_from_spec, cyclic_code,
                                grs_code, lrc_optimal, pyramid_code, rm_code,
@@ -174,3 +175,23 @@ def test_code_spec_roundtrip():
     uuv = code_from_spec({"family": "uuv",
                           "U": {"family": "reed-muller", "v": 1, "m": 4}})
     assert (uuv.n, uuv.k) == (32, 6)
+
+
+@pytest.mark.parametrize("spec,field", [
+    ({"family": "raw", "q": 2.5, "generator": [[1, 1]]}, "'q'"),
+    ({"family": "raw", "q": "2", "generator": [[1, 1]]}, "'q'"),
+    ({"family": "raw", "q": 2, "generator": [[1, 1.7]]}, "'generator'"),
+    ({"family": "grs", "q": 7, "n": 5.0, "k": 2}, "'n'"),
+    ({"family": "reed-muller", "v": 1, "m": "3"}, "'m'"),
+])
+def test_code_specs_refuse_numbers_that_are_not_integers(spec, field):
+    """Spec values are taken through `operator.index`: a float or a string
+    raises BadParams naming the field instead of being truncated."""
+    with pytest.raises(BadParams, match=field):
+        code_from_spec(spec)
+
+
+def test_code_specs_take_numpy_integers():
+    spec = {"family": "raw", "q": np.int64(2), "generator": [[1, np.int64(1)]]}
+    code = code_from_spec(spec)
+    assert (code.field, code.G.data) == (f2, [[1, 1]])

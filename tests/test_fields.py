@@ -67,6 +67,16 @@ def test_field_make_rejects_bad_parameters():
     assert field_make(2, 1).order == 2
 
 
+@pytest.mark.parametrize("args", [(2.9,), ("7",), (2, 1.0), (None,)])
+def test_field_make_refuses_parameters_that_are_not_integers(args):
+    """p and alpha are taken through `operator.index`: GF(2.9) is not
+    GF(2), and "7" is not 7."""
+    with pytest.raises(BadParams, match=r"GF\("):
+        field_make(*args)
+    assert field_make(np.int64(7)) is field_make(7)
+    assert field_make(np.int64(2), np.int64(3)) is field_make(2, 3)
+
+
 @pytest.mark.parametrize("p,alpha", [(2, 1), (2, 3), (2, 4), (3, 2), (13, 1), (17, 1)])
 def test_field_axioms_on_random_triples(p, alpha):
     f = field_make(p, alpha)

@@ -132,6 +132,25 @@ def test_pattern_lists_past_63_positions():
     check_one_subset_paths(code, rng)
 
 
+@pytest.mark.parametrize("q,n", [(2, 62), (2, 63), (2, 64), (2, 70), (3, 63)])
+def test_sampled_pattern_lists_past_62_positions(q, n):
+    """Masks are int64 below 63 positions and Python integers from 63 on:
+    sampled lists of [n, n - 2] codes on each side, whose H repeats, scales
+    and zeroes some columns, against the one-draw-at-a-time reference, with
+    their sorted masks."""
+    f, rng = field_make(q), random.Random(n * q)
+    cols = [[rng.randrange(q) for _ in range(2)] for _ in range(n)]
+    cols[5], cols[n - 1], cols[n // 2] = list(cols[1]), [f.mul(q - 1, x) for x in cols[0]], [0, 0]
+    cols[0] = [1, 0]
+    cols[1] = [0, 1]
+    code = LinearCode.from_parity_check(Matrix(f, [list(row) for row in zip(*cols)]))
+    for w, seed in ((1, 3), (2, n)):
+        got = compute_erasure_pattern_list(code, w, budget=0, sample_budget=8, seed=seed)
+        assert got.masks() == sampled_pattern_list_reference(code, w, 8, seed), w
+        assert got.sorted_masks == tuple(sorted(set(got.masks())))
+        assert all(type(m) is int for m in got.masks() + got.sorted_masks)
+
+
 def test_column_walk_over_a_large_prime():
     """Over the first prime p above 2^40 most products of two symbols pass
     int64, so the walk's residuals are Python integers. H has large
@@ -236,6 +255,81 @@ def check_one_subset_paths(code, rng):
             for shift in rng.sample(range(n), min(n, 8)):
                 shifted = [(j + shift) % n for j in support]
                 assert row[shift] == (rank_reference(code.H.restrict_cols(shifted)) == w)
+
+
+def check_column_eliminations(code, rng, w: int):
+    """`_independent` over H and G (three random orders each, against the
+    RREF pivots of those columns), `correctable_masks(w)` (the column walk)
+    against `rank_pattern_list`, and `check_one_subset_paths`."""
+    n = code.n
+    for of, M in (("H", code.H), ("G", code.G)):
+        orders = [rng.sample(range(n), n) for _ in range(3)]
+        got = code._independent(of, orders)
+        assert got.shape == (3, n) and got.dtype == bool
+        for row, order in zip(got.tolist(), orders):
+            pivots = set(rref_pivots(M, order))
+            assert row == [j in pivots for j in order], (of, order)
+    assert code.correctable_masks(w) == rank_pattern_list(code, w)
+    check_one_subset_paths(code, rng)
+
+
+def binary_code_with_check_rows(r: int, rng) -> LinearCode:
+    """A binary [r + 5, 5] code whose H has r rows: the r unit columns, a
+    copy of the unit column of the last row (set only in its last word),
+    the sum of the first and last, a zero column and two random columns,
+    in a shuffled order."""
+    unit = [[int(i == j) for i in range(r)] for j in range(r)]
+    extra = [list(unit[-1]), [int(i in (0, r - 1)) for i in range(r)], [0] * r,
+             [rng.randrange(2) for _ in range(r)], [rng.randrange(2) for _ in range(r)]]
+    cols = unit + extra
+    rng.shuffle(cols)
+    return LinearCode.from_parity_check(Matrix(field_make(2), [list(row) for row in zip(*cols)]))
+
+
+@pytest.mark.parametrize("r", [8, 9, 16, 17, 32, 33, 64, 65])
+def test_column_eliminations_at_every_binary_word_size(r):
+    """Over GF(2) a residual packs H's r rows into one uint8, uint16,
+    uint32 or uint64 word per column, or into two uint64 words past 64
+    rows: the eliminations on each side of every size against the
+    reference ranks, on H (r rows) and, through the dual, on a G of r
+    rows."""
+    rng = random.Random(r)
+    code = binary_code_with_check_rows(r, rng)
+    words = code._eliminator("H")[0]
+    bits = min(b for b in (8, 16, 32, 64) if r <= b or b == 64)
+    assert (words.dtype, len(words)) == (np.dtype(f"uint{bits}"), -(-r // bits))
+    dual = code.dual()
+    assert dual._eliminator("G")[0].dtype == words.dtype
+    check_column_eliminations(code, rng, 2)
+    check_column_eliminations(dual, rng, 2)
+
+
+def next_prime(p: int) -> int:
+    return next(q for q in itertools.count(p) if _is_prime(q))
+
+
+@pytest.mark.parametrize("p,alpha,dtype", [
+    (127, 1, np.int16), (131, 1, np.int32),              # 2 (p-1)^2 against 2^15
+    (32749, 1, np.int32), (32771, 1, np.int64),          # against 2^31
+    (2**31 - 1, 1, np.int64), (next_prime(2**31), 1, object),  # against 2^63
+    (2, 4, np.int64), (5, 7, np.int64)])                 # tabled, and table-less
+def test_column_eliminations_at_every_residual_type(p, alpha, dtype):
+    """Over GF(p) a residual is int16, int32 or int64 while 2(p-1)^2 fits,
+    and Python integers past that; over GF(p^a) it is int64. A [9, 4] code
+    on each side of every switch, its H with large entries, a column in the
+    span of two others and one a multiple of another, against the
+    reference ranks."""
+    f, rng = field_make(p, alpha), random.Random(p * alpha)
+    cols = [[rng.randrange(f.order) for _ in range(5)] for _ in range(7)]
+    a, b, c = (rng.randrange(1, f.order) for _ in range(3))
+    cols.append([f.add(f.mul(a, x), f.mul(b, y)) for x, y in zip(cols[0], cols[1])])
+    cols.append([f.mul(c, x) for x in cols[2]])
+    rng.shuffle(cols)
+    code = LinearCode.from_parity_check(Matrix(f, [list(row) for row in zip(*cols)]))
+    assert code._eliminator("H")[0].dtype == dtype
+    for w in (2, 3):
+        check_column_eliminations(code, rng, w)
+    check_column_eliminations(code.dual(), rng, 2)
 
 
 def random_matrix(data, field, rows, cols):

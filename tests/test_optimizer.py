@@ -52,6 +52,36 @@ def test_pattern_list_sampled_mode(code124):
     assert 0 < len(sampled) and {p.support for p in sampled.patterns} <= full_set
 
 
+def test_pattern_list_weights_must_be_integers(good532):
+    """A weight is taken through `operator.index`: a negative or non-integer
+    weight raises BadParams, and True is weight 1, an int."""
+    for w in (-1, 1.5, "1", None):
+        with pytest.raises(BadParams, match="pattern weight"):
+            compute_erasure_pattern_list(good532, w)
+        with pytest.raises(BadParams, match="pattern weight"):
+            compute_erasure_pattern_list(good532, w, budget=0)
+    lst = compute_erasure_pattern_list(good532, True)
+    assert type(lst.weight) is int and lst.weight == 1
+    assert lst.masks() == compute_erasure_pattern_list(good532, 1).masks()
+
+
+def test_sorted_masks_are_the_distinct_masks_in_order(good532, code124):
+    """Every list carries its distinct masks in increasing order, exhaustive
+    (listed in lexicographic support order) or sampled (listed in draw
+    order)."""
+    fixture = load_fixture("c13")
+    c13 = fixture_code(fixture)
+    lists = [compute_erasure_pattern_list(good532, w) for w in range(4)]
+    lists += [compute_erasure_pattern_list(code124, w) for w in (4, 8)]
+    lists += [compute_erasure_pattern_list(code124, 8, budget=10, sample_budget=80, seed=5),
+              compute_erasure_pattern_list(c13, 17, sample_budget=200, seed=1),
+              compute_erasure_pattern_list(c13, 18, budget=0, sample_budget=50)]
+    assert any(lst.masks() != lst.sorted_masks for lst in lists)
+    for lst in lists:
+        assert lst.sorted_masks == tuple(sorted(set(lst.masks())))
+        assert len(lst.sorted_masks) == len(lst)
+
+
 @pytest.mark.parametrize("gamma", [1, 2])
 def test_solver_vs_bruteforce_small(good532, bad532, gamma):
     for code in (good532, bad532):
