@@ -1,8 +1,10 @@
 """[n,k] linear codes over GF(q) and the code-level predicates the protocols use.
 
 A `LinearCode` is an immutable pair (G, H) with rank(G) = k, rank(H) = n-k and
-G H^T = 0. Coordinates are 0-based everywhere in code; the wire formats and CLI
-render 1-based coordinates to match the usual coding-theory convention.
+G H^T = 0, each held once as its `Matrix`'s read-only int64 array (`_g`, and
+`_ht` a view of H^T). Coordinates are 0-based integers everywhere in code; the
+wire formats and CLI render 1-based coordinates to match the usual
+coding-theory convention.
 
 Two exact kernels carry the code predicates and the decoding:
 
@@ -31,8 +33,7 @@ Two exact kernels carry the code predicates and the decoding:
     lexicographic order of its supports. One walk to depth w lists the
     correctable patterns of every weight up to w (`correctable_masks`, kept
     on the code); the column search of `min_distance` counts each level.
-  Both work in blocks of about BLOCK bytes of residual, and neither
-  allocates a `Matrix`.
+  Both work in blocks of about BLOCK bytes, and neither allocates a `Matrix`.
 - Erasure decoding, shared by the three protocols, compiled once per erased
   set E and kept for the code's lifetime (`_erasure_decoder`): one
   `FiniteField.rref_array` of H's columns ordered E then K (the rest), the
@@ -50,14 +51,15 @@ Two exact kernels carry the code predicates and the decoding:
   keeps the inverse of G|_I per information set I and solves a batch in one
   product.
 
-Every other elimination runs on the cached arrays of G and H through that
-same row elimination: ranks when a code is checked, null spaces for H and
-shortened messages, the inverse of G|_I, the spanned codes of `puncture`,
-`shorten` and `hadamard_product`, and the standard form of
-`standard_form_parity`. Coordinates outside 0..n-1 raise DimensionMismatch.
+Every other elimination runs on the arrays of G and H through that same row
+elimination: ranks when a code is checked, null spaces for H and shortened
+messages, the inverse of G|_I, the spanned codes of `puncture`, `shorten` and
+`hadamard_product` (its row products one inner-size-1 `matmul_array` product),
+and the standard form of `standard_form_parity`. Coordinates that are not
+integers in 0..n-1 raise DimensionMismatch.
 
-`encode` is the array encoder (G converted to an array once per code, lifted
-into GF(q^ell) by one gather for stored files) that the protocol queries call.
+`encode` is the array encoder (G's array, lifted into GF(q^ell) by one gather
+for stored files) that the protocol queries call.
 The one subcode enumeration behind `min_distance` and
 `generalized_hamming_weight` (`_min_support`) encodes no message: for each
 pivot set of its reduced-echelon message matrices the words form an affine
@@ -155,6 +157,15 @@ def mask_bits(n: int) -> np.ndarray:
     return np.array([1 << j for j in range(n)], dtype=np.int64 if n < 63 else object)
 
 
+def _integer_positions(coords: Iterable[int]) -> list[int]:
+    """The positions of `coords` as ints, in order: DimensionMismatch unless
+    each is an integer (`operator.index`: 2.9 is refused, not cut to 2)."""
+    try:
+        return [operator.index(j) for j in coords]
+    except TypeError:
+        raise DimensionMismatch("positions must be integers") from None
+
+
 def _index_rows(rows, what: str, width: int = 0) -> np.ndarray:
     """`rows` (a B x s array or nested rows of integers) as a B x s intp
     array, an empty list as B = 0 rows of `width`; DimensionMismatch naming
@@ -244,11 +255,11 @@ class LinearCode:
         return LinearCode(self.H, self.G, meta=meta, known_dmin=dmin, check=False)
 
     def is_information_set(self, coords: Iterable[int]) -> bool:
-        coords = sorted(set(int(j) for j in coords))
+        coords = sorted(set(_integer_positions(coords)))
         return self.contains_information_set(coords) and len(coords) == self.k
 
     def contains_information_set(self, coords: Iterable[int]) -> bool:
-        coords = sorted(set(int(j) for j in coords))
+        coords = sorted(set(_integer_positions(coords)))
         return len(self.information_columns(coords)) == self.k
 
     def information_set(self) -> tuple[int, ...]:
@@ -384,7 +395,7 @@ class LinearCode:
         """The messages m with m G|_I = v for each row v of `values` (r x |I|,
         over GF(q^ell)), as an r x k int64 array: one product with the inverse
         of G|_I, built once per I. RankDeficient unless I is an information set."""
-        coords = tuple(int(j) for j in coords)
+        coords = tuple(_integer_positions(coords))
         inverse = self._inverses.get(coords)
         if inverse is None:
             if any(not 0 <= j < self.n for j in coords):
@@ -405,7 +416,7 @@ class LinearCode:
         C_E y_K = 0 (`_erasure_decoder`). NotCorrectable when H's columns at E
         are dependent; DecodeFailure, with `word` the index of the first
         failing word, when some word matches no codeword off E."""
-        erased = tuple(sorted(set(int(j) for j in erased)))
+        erased = tuple(sorted(set(_integer_positions(erased))))
         if erased and not 0 <= erased[0] <= erased[-1] < self.n:
             raise DimensionMismatch(f"erased positions {list(erased)} outside "
                                     f"0..{self.n - 1}")
@@ -508,14 +519,16 @@ class LinearCode:
         extends the prefix iff its residual column is nonzero. Children are
         listed in (prefix, column) order, which keeps every level
         lexicographic, and one array step builds the residuals of a block of
-        children. Prefixes go down in blocks of about BLOCK bytes of
-        residual, block by block, so the arrays held stay within depth blocks.
+        children. Prefixes go down in blocks of about BLOCK bytes, block by
+        block, so the arrays held stay within depth blocks; a prefix counts
+        its residual or its n-entry int64 indices, whichever is larger (the
+        indices, for H packed into one-byte GF(2) words).
         """
         h, eliminate = self._eliminator("H")
         n = self.n
         bits = mask_bits(n)
         after = np.arange(n)
-        block = max(1, BLOCK // max(1, h.nbytes))
+        block = max(1, BLOCK // max(h.nbytes, 8 * n))
         found: list[list] = [[] for _ in range(depth + 1)]
 
         def walk(residuals, last, masks, t):
@@ -614,17 +627,17 @@ class LinearCode:
             raise DimensionMismatch("lengths differ")
         if other.field is not self.field:
             raise DimensionMismatch("fields differ")
-        f = self.field
-        products = [[f.mul(x, y) for x, y in zip(a, b)]
-                    for a in self.G.data for b in other.G.data]
-        product = _spanned_code(f, np.array(products, dtype=np.int64).reshape(-1, self.n))
+        # per position j, column j of G times column j of other.G: k1 x 1 by 1 x k2
+        products = self.field.matmul_array(self._g.T[:, :, None], other._g.T[:, None, :])
+        product = _spanned_code(self.field, products.reshape(self.n, -1).T)
         self._products[other] = product
         return product
 
     def _positions(self, coords: Iterable[int], what: str) -> list[int]:
         """The distinct positions of `coords`, sorted: EmptySupport if there
-        are none, DimensionMismatch naming them if one is outside 0..n-1."""
-        coords = sorted(set(int(j) for j in coords))
+        are none, DimensionMismatch if one is not an integer, or naming them
+        if one is outside 0..n-1."""
+        coords = sorted(set(_integer_positions(coords)))
         if not coords:
             raise EmptySupport(f"{what} onto empty coordinate set")
         if not 0 <= coords[0] <= coords[-1] < self.n:
@@ -650,18 +663,15 @@ class LinearCode:
         perm = list(perm)
         if sorted(perm) != list(range(self.n)):
             raise DimensionMismatch("not a permutation of 0..n-1")
-        permuted = [[0] * self.n for _ in range(self.k)]
-        for i in range(self.k):
-            row = self.G.data[i]
-            for j in range(self.n):
-                permuted[i][perm[j]] = row[j]
+        permuted = np.empty_like(self._g)
+        permuted[:, perm] = self._g
         return self.contains_codewords(permuted)
 
     # --- wire format -------------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         return {"family": "raw", "q": self.field.order,
-                "generator": [list(r) for r in self.G.data]}
+                "generator": self._g.tolist()}
 
 
 def _spanned_code(field: FiniteField, a: np.ndarray) -> LinearCode:
@@ -787,7 +797,7 @@ def standard_form_parity(code: LinearCode,
     unless `info` is k distinct positions in 0..n-1; RankDeficient unless
     it is an information set.
     """
-    info = sorted(int(j) for j in (code.information_set() if info is None else info))
+    info = sorted(_integer_positions(code.information_set() if info is None else info))
     if len(info) != code.k or len(set(info).intersection(range(code.n))) != code.k:
         raise DimensionMismatch(f"systematic coordinates {info} are not {code.k} "
                                 f"distinct positions in 0..{code.n - 1}")

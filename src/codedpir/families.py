@@ -14,6 +14,8 @@ import operator
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
+import numpy as np
+
 from .codes import LinearCode, code_from_generator, standard_form_parity
 from .errors import (
     BadDimensions,
@@ -256,11 +258,9 @@ def pyramid_code(field: FiniteField, r: int, delta: int, Lc: int, a: int,
     nprime = k + (delta - 1) + a
     rs = grs_code(field, nprime, k, eval_points=eval_points)
     # systematic parity check (P' | I) on the parity coordinates
-    pprime, _ = standard_form_parity(rs, list(range(k)))
-    local_parity = [[pprime.data[i][j * r:(j + 1) * r] for i in range(delta - 1)]
-                    for j in range(Lc)]
-    global_mix = [[pprime.data[delta - 1 + i][j * r:(j + 1) * r] for i in range(a)]
-                  for j in range(Lc)]
+    pprime = standard_form_parity(rs, list(range(k)))[0].array()
+    local_parity = [pprime[:delta - 1, j * r:(j + 1) * r].tolist() for j in range(Lc)]
+    global_mix = [pprime[delta - 1:, j * r:(j + 1) * r].tolist() for j in range(Lc)]
     n = Lc * (r + delta - 1) + a
     params = LrcParams(q=field.order, r=r, delta=delta, Lc=Lc, n=n, k=k,
                        local_parity=local_parity, global_mix=global_mix)
@@ -274,9 +274,8 @@ def uuv_code(U: LinearCode) -> LinearCode:
     if U.field.order != 2:
         raise NonBinary("component code must be binary")
     n1, k1 = U.n, U.k
-    rows = [list(g) + list(g) for g in U.G.data]
-    rows.append([0] * n1 + [1] * n1)
-    G = Matrix(U.field, rows)
+    g = U.G.array()
+    G = Matrix.from_array(U.field, np.vstack([np.hstack([g, g]), [0] * n1 + [1] * n1]))
     return code_from_generator(G, meta={"family": "uuv", "n1": n1, "k1": k1})
 
 

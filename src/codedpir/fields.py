@@ -27,7 +27,8 @@ Gauss-Jordan elimination is one array kernel on `matmul_array` and
 `sub_array`, `FiniteField.rref_array` (a row swap, a row scaled by the pivot's
 inverse and a rank-1 update of every row per pivot), and the null space, the
 inverse, rank, `mat_rref` and `mat_solve` are read off its reduced form. `Matrix` is the
-list-of-rows form that codes are built from and the `mat_*` functions take.
+form that codes are built from and the `mat_*` functions take: one read-only
+int64 array of canonical elements, which `array()` returns without a copy.
 
 Everything here is immutable after construction and safe to share.
 """
@@ -521,63 +522,49 @@ def field_make(p: int, alpha: int = 1) -> FiniteField:
 
 
 class Matrix:
-    """Dense matrix over a finite field; entries stored as canonical int reps."""
+    """Dense rows x cols matrix over a finite field: its canonical entries,
+    validated once and held as one read-only int64 array (`array()`)."""
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "_array")
 
     def __init__(self, field: FiniteField, data: Sequence[Sequence[int]],
                  rows: int | None = None, cols: int | None = None):
         self.field = field
         try:
-            self.data = [[operator.index(x) % field.order for x in row] for row in data]
+            data = [[operator.index(x) % field.order for x in row] for row in data]
         except TypeError:
             raise BadParams("matrix entries must be integers") from None
-        self.rows = len(self.data)
-        self.cols = (len(self.data[0]) if self.data else 0) if cols is None else cols
-        if rows not in (None, self.rows) or any(len(row) != self.cols for row in self.data):
+        cols = (len(data[0]) if data else 0) if cols is None else cols
+        if rows not in (None, len(data)) or any(len(row) != cols for row in data):
             raise DimensionMismatch(
-                f"{self.rows} rows of lengths {sorted({len(row) for row in self.data})} "
-                f"do not make a {self.rows if rows is None else rows} x {self.cols} matrix")
-
-    # --- constructors -------------------------------------------------------
+                f"{len(data)} rows of lengths {sorted({len(row) for row in data})} "
+                f"do not make a {len(data) if rows is None else rows} x {cols} matrix")
+        self._array = np.array(data, dtype=np.int64).reshape(len(data), cols)
+        self._array.flags.writeable = False
 
     @staticmethod
     def from_array(field: FiniteField, a: np.ndarray) -> "Matrix":
         """The matrix of a 2-d int64 array of canonical elements that a
-        kernel built: no checks (its output is canonical by construction)."""
+        kernel built, copied once: no checks (its output is canonical by
+        construction)."""
         m = Matrix.__new__(Matrix)
-        m.field, m.data, (m.rows, m.cols) = field, a.tolist(), a.shape
+        m.field, m._array = field, np.array(a, dtype=np.int64)
+        m._array.flags.writeable = False
         return m
 
-    @staticmethod
-    def identity(field: FiniteField, n: int) -> "Matrix":
-        return Matrix(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def column(field: FiniteField, entries: Sequence[int]) -> "Matrix":
-        return Matrix(field, [[e] for e in entries])
-
-    # --- accessors ------------------------------------------------------------
+    rows = property(lambda self: self._array.shape[0])
+    cols = property(lambda self: self._array.shape[1])
 
     def array(self) -> np.ndarray:
-        """The entries as a rows x cols int64 array."""
-        return np.array(self.data, dtype=np.int64).reshape(self.rows, self.cols)
-
-    def restrict_cols(self, cols: Sequence[int]) -> "Matrix":
-        cols = list(cols)
-        return Matrix(self.field, [[row[j] for j in cols] for row in self.data],
-                      self.rows, len(cols))
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, [[row[j] for row in self.data] for j in range(self.cols)],
-                      self.cols, self.rows)
+        """The entries as a read-only rows x cols int64 array (not a copy)."""
+        return self._array
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and other.field is self.field
-                and other.data == self.data)
+                and np.array_equal(other._array, self._array))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
+        body = "; ".join(" ".join(str(x) for x in row) for row in self._array.tolist())
         return f"Matrix({self.field}, {self.rows}x{self.cols}: {body})"
 
 

@@ -137,11 +137,6 @@ class P3Setup:
     def rate_upper_bound(self) -> Fraction:
         return Fraction(self.code.n - self.product.k, self.code.n)
 
-    @property
-    def rate_nonopt(self) -> Fraction:
-        """Rate of the unimproved retrieval scheme: (d_min(product) - 1)/n."""
-        return Fraction(self.product.min_distance() - 1, self.code.n)
-
     @cached_property
     def stripes(self) -> tuple[tuple[int | None, ...], ...]:
         """Per node, the stripe each subquery downloads there (None = masked).
@@ -228,7 +223,7 @@ def collusion_threshold(query_code: LinearCode) -> int:
 def check_query_code(query_code: LinearCode) -> None:
     """StructureViolation when the query code is zero at some position: the
     node there sees its bare unit offsets, and T = d_min(dual) - 1 = 0."""
-    zero = [j for j, col in enumerate(zip(*query_code.G.data)) if not any(col)]
+    zero = np.flatnonzero(~query_code.G.array().any(axis=0)).tolist()
     if zero:
         raise StructureViolation(f"query code is zero at positions {zero} "
                                  "(0-based), so T = 0: a node there would see "
@@ -331,7 +326,7 @@ def p3_rm_max_rate(v: int, vbar: int, m: int) -> P3Setup:
     query_code = rm_code(vbar, m)
     product = code.hadamard_product(query_code)
     expected = rm_code(v + vbar, m)
-    if product.k != expected.k or not expected.contains_codewords(product.G.data):
+    if product.k != expected.k or not expected.contains_codewords(product.G.array()):
         raise StructureViolation("product is not the expected Reed-Muller code")
     n = code.n
     i_tilde = rm_information_set(v + vbar, m)

@@ -125,7 +125,7 @@ def colluding_row(fixture: dict, seed: int = 0) -> RowResult:
     computed["r_nonopt"] = Fraction(max(computed["product_d_min"] - 1, 0), n)
     if coll["method"] == "analytic":
         setup = p3_rm_max_rate(*coll["rm"])
-        if setup.code.k != code.k or not setup.code.contains_codewords(code.G.data):
+        if setup.code.k != code.k or not setup.code.contains_codewords(code.G.array()):
             raise BadParams(f"{fixture['name']}: fixture code is not the "
                             "expected Reed-Muller code")
         computed["r_opt"] = setup.rate

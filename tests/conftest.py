@@ -80,6 +80,15 @@ def codes(draw, fields, max_messages=None, max_n=8, n=None):
     return code_from_generator(Matrix(field, generator))
 
 
+def full_support(code) -> LinearCode:
+    """`code` with its first generator row set to 1 wherever every row is 0:
+    a code of the same dimension that is zero at no position (as a query
+    code, one zero at some position has T = 0 and is refused)."""
+    rows = code.G.array().copy()
+    rows[0, ~rows.any(axis=0)] = 1
+    return code_from_generator(Matrix(code.field, rows))
+
+
 def all_codewords(code) -> list[tuple[int, ...]]:
     """Every codeword m G, message digit m_0 varying fastest, encoded in one
     call (tiny codes only: q^k words)."""
@@ -94,16 +103,32 @@ def lifted(M, ext) -> Matrix:
     return Matrix.from_array(ext, ext.embed_array(M.array(), M.field))
 
 
+def columns(M, cols) -> Matrix:
+    """The columns `cols` of a `Matrix`, in that order, as a `Matrix`."""
+    return Matrix.from_array(M.field, M.array()[:, list(cols)])
+
+
+def transposed(M) -> Matrix:
+    """The transpose of a `Matrix`."""
+    return Matrix.from_array(M.field, M.array().T)
+
+
+def column(field, entries) -> Matrix:
+    """The column vector of `entries` over `field`, as a `Matrix`."""
+    return Matrix(field, [[e] for e in entries])
+
+
 def mat_mul_reference(A, B):
     """Reference for `mat_mul`: the scalar triple loop over the field's `add`
     and `mul` (both operands over that one field)."""
     f = A.field
     assert B.field is f, (A.field, B.field)
     out = [[0] * B.cols for _ in range(A.rows)]
-    for i, arow in enumerate(A.data):
+    b = B.array().tolist()
+    for i, arow in enumerate(A.array().tolist()):
         for j in range(B.cols):
             acc = 0
-            for x, brow in zip(arow, B.data):
+            for x, brow in zip(arow, b):
                 if x and brow[j]:
                     acc = f.add(acc, f.mul(x, brow[j]))
             out[i][j] = acc
@@ -115,7 +140,7 @@ def rref_reference(M) -> tuple[list[list[int]], list[int]]:
     a `Matrix` as lists, one entry at a time with the field's `inv`, `mul` and
     `sub`. Returns the reduced rows and the pivot columns in order."""
     f = M.field
-    a = [list(row) for row in M.data]
+    a = M.array().tolist()
     rows, cols = M.rows, M.cols
     pivots: list[int] = []
     r = 0
@@ -146,6 +171,17 @@ def rank_reference(M) -> int:
     return len(rref_reference(M)[1])
 
 
+def hadamard_product_reference(a, b) -> list[list[int]]:
+    """Reference for `hadamard_product`'s generator: every row of a's G times
+    every row of b's G, position by position by the field's `mul`, and the
+    nonzero rows of their `rref_reference` (the reduced form is unique)."""
+    f = a.field
+    rows = [[f.mul(x, y) for x, y in zip(ra, rb)]
+            for ra in a.G.array().tolist() for rb in b.G.array().tolist()]
+    red, pivots = rref_reference(Matrix(f, rows, len(rows), a.n))
+    return red[:len(pivots)]
+
+
 def null_space_reference(M) -> list[list[int]]:
     """Rows spanning {x : M x^T = 0} by `rref_reference`: per free column c,
     the unit vector at c minus column c of the reduced rows at the pivots."""
@@ -164,8 +200,8 @@ def null_space_reference(M) -> list[list[int]]:
 def solve_reference(A, b) -> list[int]:
     """The unique x with A x = b (a list) by `rref_reference` on [A b];
     RankDeficient if there is none or more than one."""
-    red, pivots = rref_reference(Matrix(A.field, [row + [x] for row, x in zip(A.data, b)],
-                                        A.rows, A.cols + 1))
+    rows = [row + [x] for row, x in zip(A.array().tolist(), b)]
+    red, pivots = rref_reference(Matrix(A.field, rows, A.rows, A.cols + 1))
     if A.cols in pivots or len(pivots) < A.cols:
         raise RankDeficient("no unique solution")
     return [red[c][A.cols] for c in range(A.cols)]
@@ -178,13 +214,13 @@ def decode_erasures_reference(code, word, erased, value_field=None) -> list[int]
     DecodeFailure when the solve is inconsistent."""
     field = value_field or code.field
     erased = sorted(set(int(j) for j in erased))
-    if rank_reference(code.H.restrict_cols(erased)) < len(erased):
+    if rank_reference(columns(code.H, erased)) < len(erased):
         raise NotCorrectable(f"pattern {erased} not correctable")
     out = [0 if j in erased else x for j, x in enumerate(word)]
     H = lifted(code.H, field)
-    syndrome = [row[0] for row in mat_mul_reference(H, Matrix.column(field, out)).data]
+    syndrome = mat_mul_reference(H, column(field, out)).array()[:, 0].tolist()
     try:  # H_E (-x) = H_K y_K
-        sol = solve_reference(H.restrict_cols(erased), syndrome)
+        sol = solve_reference(columns(H, erased), syndrome)
     except RankDeficient as exc:
         raise DecodeFailure("no codeword agrees with the word off E") from exc
     for j, x in zip(erased, sol):
@@ -196,7 +232,7 @@ def message_from_information_set_reference(code, coords, values, value_field) ->
     """Reference for `message_from_information_set` on one word: the solve of
     m G|_I = values over `value_field` (G embedded into it; RankDeficient
     unless the solution exists and is unique)."""
-    sub = lifted(code.G.restrict_cols(list(coords)), value_field).transpose()
+    sub = transposed(lifted(columns(code.G, coords), value_field))
     return solve_reference(sub, list(values))
 
 
@@ -288,8 +324,8 @@ def p1_symmetry_audit_with_repeat(plan):
 
 def file_rows(decoded) -> list[list[int]]:
     """A decoded file's rows as lists: a decoder's (beta, k) array's
-    `.tolist()`, a reference decode's `Matrix.data`."""
-    return decoded.data if isinstance(decoded, Matrix) else decoded.tolist()
+    `.tolist()`, a reference decode's `Matrix` as lists."""
+    return (decoded.array() if isinstance(decoded, Matrix) else decoded).tolist()
 
 
 def p1_decode_reference(plan, responses, msg_field) -> Matrix:
@@ -403,7 +439,7 @@ def rank_pattern_list(code, w: int) -> tuple[int, ...]:
     support bitmasks."""
     return tuple(sum(1 << j for j in support)
                  for support in itertools.combinations(range(code.n), w)
-                 if rank_reference(code.H.restrict_cols(support)) == w)
+                 if rank_reference(columns(code.H, support)) == w)
 
 
 def sampled_pattern_list_reference(code, w: int, sample_budget: int,
@@ -422,7 +458,7 @@ def sampled_pattern_list_reference(code, w: int, sample_budget: int,
         order_keys = _uint64s(rng.randbytes(8 * n))
         pick_keys = _uint64s(rng.randbytes(8 * (n - code.k)))
         perm = sorted(range(n), key=order_keys.__getitem__)
-        pivot_cols = [perm[c] for c in rref_reference(code.H.restrict_cols(perm))[1]]
+        pivot_cols = [perm[c] for c in rref_reference(columns(code.H, perm))[1]]
         if len(pivot_cols) < w:
             continue
         support = [pivot_cols[i]
@@ -433,7 +469,7 @@ def sampled_pattern_list_reference(code, w: int, sample_budget: int,
             for shift in range(1, n):
                 rotated = (mask << shift | mask >> (n - shift)) & ((1 << n) - 1)
                 shifted = [(j + shift) % n for j in support]
-                if rotated not in found and rank_reference(code.H.restrict_cols(shifted)) == w:
+                if rotated not in found and rank_reference(columns(code.H, shifted)) == w:
                     found[rotated] = None
     return tuple(found)
 
@@ -504,7 +540,7 @@ def query_reference(setup, f: int, m: int, msgs) -> list:
     rows = [[[0] * bf for _ in range(d)] for _ in range(qcode.n)]
     for i in range(d):
         batch = mat_mul_reference(Matrix(field, msgs[i], bf, qcode.k), qcode.G)
-        for j, word in enumerate(batch.data):
+        for j, word in enumerate(batch.array().tolist()):
             for l, x in enumerate(word):
                 rows[l][i][j] = x
     for l, stripes in enumerate(setup.stripes):
@@ -524,8 +560,7 @@ def p3_respond_reference(dss, queries) -> list[list[int]]:
         if Q.cols != len(stored):
             raise DimensionMismatch(f"query of {Q.cols} columns for "
                                     f"{len(stored)} stored stripes")
-        rows = np.array(Q.data, dtype=np.int64).reshape(Q.rows, Q.cols)
-        out.append(field.matmul_array(field.embed_array(rows, Q.field),
+        out.append(field.matmul_array(field.embed_array(Q.array(), Q.field),
                                       stored[:, l:l + 1]).ravel().tolist())
     return out
 

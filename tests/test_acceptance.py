@@ -97,7 +97,7 @@ def test_criterion_3_protocol3_worked_example(code124):
         setup = p3_setup(code124, code124, EHAT_P3, ISETS_P3)
         assert setup.collusion_threshold == 2
         assert setup.rate == Fraction(1, 6) == setup.rate_upper_bound
-        assert setup.rate_nonopt == Fraction(1, 12)
+        assert Fraction(setup.product.min_distance() - 1, code124.n) == Fraction(1, 12)
         t0 = time.time()
         dss = Dss(code124, f=2, beta=1, seed=0)
         tx = run(3, dss, {"setup": setup, "m": 1, "seed": 0})

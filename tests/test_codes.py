@@ -10,10 +10,11 @@ from codedpir.codes import (COLUMN_SEARCH_BUDGET, ENUM_BUDGET, ENUM_CHUNK,
                             gaussian_binomial, standard_form_parity)
 from codedpir.errors import (BadParams, DecodeFailure, DimensionMismatch, EmptySupport,
                              NotCorrectable, RankDeficient, RankDeficientGenerator)
-from codedpir.families import code_from_spec, cyclic_code, grs_code
+from codedpir.families import code_from_spec, cyclic_code, grs_code, rm_code
 from codedpir.fields import Matrix, field_make, mat_mul
 from codedpir.reports import fixture_code, load_fixture
-from conftest import all_codewords, codes, lifted, rank_reference
+from conftest import (all_codewords, codes, columns, hadamard_product_reference, lifted,
+                      rank_reference, rank_pattern_list, transposed)
 
 
 def ghw_oracle(code, s):
@@ -49,8 +50,8 @@ def test_dual_relations(code73, f2):
     # compare via stacked rank against their own duals instead
     assert dual.min_distance() == 4
     dd = dual.dual()
-    assert rank_reference(Matrix(f2, dd.G.data + ham.G.data)) == ham.k
-    whole = code_from_generator(Matrix.identity(f2, 5))
+    assert rank_reference(Matrix(f2, np.vstack([dd.G.array(), ham.G.array()]))) == ham.k
+    whole = code_from_generator(Matrix(f2, np.eye(5, dtype=np.int64)))
     zero = whole.dual()
     assert zero.k == 0
 
@@ -59,7 +60,7 @@ def test_information_sets(good532, bad532):
     assert good532.is_information_set([0, 1, 2])
     assert bad532.is_information_set([0, 1, 2])
     # 3x3 determinant oracle over GF(2) for columns {1,2,4} of the bad code
-    sub = bad532.G.restrict_cols([0, 1, 3])
+    sub = columns(bad532.G, [0, 1, 3])
     det_nonzero = rank_reference(sub) == 3
     assert bad532.is_information_set([0, 1, 3]) == det_nonzero
     assert not good532.is_information_set([0, 1])
@@ -129,7 +130,7 @@ def test_decode_erasures_roundtrip(code73):
     f4 = code73.field.extension(2)
     rng = random.Random(11)
     word = mat_mul(Matrix(f4, [[rng.randrange(4) for _ in range(3)]]),
-                   lifted(code73.G, f4)).data[0]
+                   lifted(code73.G, f4)).array()[0].tolist()
     assert code73.decode_erasures([list(word)], []).tolist() == [list(word)]
     got = code73.decode_erasures(
         [[0 if j in (2, 3, 4, 5) else word[j] for j in range(7)]],
@@ -307,14 +308,42 @@ def test_hadamard_product(good532, code124, f2):
     ones = code_from_generator(Matrix(f2, [[1] * 5]))
     had = good532.hadamard_product(ones)
     assert had.k == good532.k
-    assert rank_reference(Matrix(f2, had.G.data + good532.G.data)) == good532.k
+    assert rank_reference(Matrix(f2, np.vstack([had.G.array(), good532.G.array()]))) \
+        == good532.k
     prod = code124.hadamard_product(code124)
     assert (prod.n, prod.k) == (12, 10)
     # the worked example's 2-row parity check annihilates the product
     ht = Matrix(f2, [[1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 0, 0],
                      [1, 1, 0, 1, 1, 1, 0, 1, 0, 0, 1, 1]])
-    assert all(all(x == 0 for x in row)
-               for row in mat_mul(prod.G, ht.transpose()).data)
+    assert not mat_mul(prod.G, transposed(ht)).array().any()
+
+
+@pytest.mark.parametrize("field", [(2, 1), (13, 1), (2, 4), (3, 2), (5, 7)],
+                         ids=["gf2", "gf13", "gf16", "gf9", "gf5^7"])
+def test_hadamard_product_matches_scalar_reference(field):
+    """The product generator, built by one inner-size-1 `matmul_array`
+    product, against the scalar reference in each regime of that product:
+    GF(p), the tabled GF(2^4) and GF(3^2) and the untabled GF(5^7)."""
+    f = field_make(*field)
+    rng = random.Random(str(field))
+
+    def random_code(k, n=6):
+        return code_from_generator(Matrix(f, [[int(i == j) for j in range(k)]
+                                              + [rng.randrange(f.order) for _ in range(n - k)]
+                                              for i in range(k)]))
+
+    a, b = random_code(2), random_code(3)
+    for x, y in ((a, b), (b, a), (b, b)):
+        assert x.hadamard_product(y).G.array().tolist() == hadamard_product_reference(x, y)
+
+
+def test_hadamard_product_of_reed_muller_codes():
+    """RM(1,4) times itself is RM(2,4): 25 row products spanning 11 dimensions."""
+    rm14 = rm_code(1, 4)
+    product = rm14.hadamard_product(rm14)
+    assert product.G.array().tolist() == hadamard_product_reference(rm14, rm14)
+    assert product.k == rm_code(2, 4).k == 11
+    assert rm_code(2, 4).contains_codewords(product.G.array())
 
 
 def test_hadamard_product_memoized(code124, rs53):
@@ -337,7 +366,7 @@ def test_puncture_and_shorten():
     assert (punct.n, punct.k) == (5, 4)
     assert punct.min_distance() == 2  # punctured MDS stays MDS
     full = mds.puncture(range(6))
-    assert rank_reference(Matrix(f8, full.G.data + mds.G.data)) == mds.k
+    assert rank_reference(Matrix(f8, np.vstack([full.G.array(), mds.G.array()]))) == mds.k
     short = mds.shorten(range(5))
     assert (short.n, short.k) == (5, 3)
     assert short.min_distance() == 3  # shortened MDS stays MDS
@@ -381,18 +410,70 @@ def test_local_code_of_pyramid_example():
     assert local.min_distance() == 2  # [3,2] MDS local code, delta = 2
 
 
-def test_automorphisms(bad532, f2):
+def test_automorphisms(good532, bad532, f2):
     cyc = cyclic_code(f2, 7, [1, 1, 0, 1])
     shift = [(j + 1) % 7 for j in range(7)]
     assert cyc.is_automorphism(shift)
     assert bad532.is_automorphism(list(range(5)))
+    # swapping positions 0 and 4 moves the codeword 10010 to 00011, off the code
+    assert (0, 0, 0, 1, 1) not in all_codewords(good532)
+    assert not good532.is_automorphism([4, 1, 2, 3, 0])
     swap = [1, 0, 2, 3, 4]
+    rows = bad532.G.array().tolist()
     permuted = [[0] * 5 for _ in range(3)]
     for i in range(3):
         for j in range(5):
-            permuted[i][swap[j]] = bad532.G.data[i][j]
-    same = rank_reference(Matrix(f2, bad532.G.data + permuted)) == 3
+            permuted[i][swap[j]] = rows[i][j]
+    same = rank_reference(Matrix(f2, rows + permuted)) == 3
     assert bad532.is_automorphism(swap) == same
+
+
+@pytest.mark.parametrize("call", [
+    lambda code: code.is_information_set([0.5, 1.5, 2.9]),
+    lambda code: code.contains_information_set([0, 1, 2.9, 4]),
+    lambda code: code._positions([0.5, 3.7], "puncture"),
+    lambda code: code.puncture([0, 3.7]),
+    lambda code: code.shorten([0, 1, 2, 3.0]),
+    lambda code: code.decode_erasures([[0] * 5], [1.5]),
+    lambda code: code.message_from_information_set([0, 1, 2.9], [[0, 0, 0]], code.field),
+    lambda code: standard_form_parity(code, [0, 1, 2.0]),
+], ids=["is_information_set", "contains_information_set", "_positions", "puncture",
+        "shorten", "decode_erasures", "message_from_information_set",
+        "standard_form_parity"])
+def test_positions_must_be_integers(good532, call):
+    """A position that is not an integer raises DimensionMismatch; it was
+    cut to an integer before, so [0.5, 1.5, 2.9] was read as the
+    information set [0, 1, 2] and [0.5, 3.7] as [0, 3]."""
+    with pytest.raises(DimensionMismatch, match="must be integers"):
+        call(good532)
+
+
+@pytest.mark.parametrize("field,n,k,per_prefix", [
+    ((2, 1), 32, 26, 8 * 32),         # H in one uint8 word: the n int64 indices
+    ((17, 1), 10, 4, 6 * 10 * 2),     # H as int16: the residual itself
+])
+def test_column_walk_block_counts_a_prefix_at_its_larger_size(monkeypatch, field, n, k,
+                                                               per_prefix):
+    """The column walk steps at most BLOCK // max(residual bytes, 8 n)
+    prefixes a block: each prefix holds its residual and n-entry int64
+    index arrays, and with H packed into one-byte GF(2) words the indices
+    are the larger. The blocks do not change the patterns listed."""
+    f = field_make(*field)
+    code = rm_code(1, 5).dual() if f.order == 2 else grs_code(f, n, k)
+    assert (code.n, code.k) == (n, k)
+    want = rank_pattern_list(code, 3)
+    monkeypatch.setattr("codedpir.codes.BLOCK", 1 << 10)
+    h, eliminate = code._eliminator("H")
+    assert h.nbytes <= per_prefix
+    sizes = []
+
+    def recording(R, u):
+        sizes.append(len(R))
+        eliminate(R, u)
+
+    code._eliminators["H"] = (h, recording)
+    assert code.correctable_masks(3) == want
+    assert max(sizes) == (1 << 10) // per_prefix
 
 
 def test_proposition_every_large_set_contains_information_set(good532, bad532, code73):

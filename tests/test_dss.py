@@ -23,7 +23,7 @@ from codedpir.protocol3 import p3_rm_max_rate, p3_setup
 from codedpir.ratematrix import rate_matrix
 from codedpir.rng import generator
 from conftest import (EHAT_EX5, EHAT_EX6, EHAT_P3, ISETS_EX5, ISETS_EX6,
-                      ISETS_P3, LAM35, _homogeneity_p, codes,
+                      ISETS_P3, LAM35, _homogeneity_p, codes, full_support,
                       p1_audit_samples_reference, p1_symmetry_audit_with_repeat,
                       lifted, p23_audit_outcomes_reference, p23_exact_reference,
                       query_reference)
@@ -33,7 +33,7 @@ def test_dss_init_invariants(good532):
     dss = Dss(good532, f=2, beta=2, seed=1)
     # stored rows are the files' codewords, file-major and stripe-minor
     words = [row for x in dss.files
-             for row in mat_mul(Matrix(dss.msg_field, x.tolist()), good532.G).data]
+             for row in mat_mul(Matrix(dss.msg_field, x), good532.G).array().tolist()]
     assert dss.stored.tolist() == words
     # a node stores coordinate l of each of them
     assert dss.node_content(0) == [word[0] for word in words]
@@ -55,7 +55,8 @@ def test_dss_lifts_subfield_files_and_rejects_other_fields(good532, f2):
     for m in (1, 2):
         tx = run(2, dss, {"structure": s5, "m": m, "seed": 5})
         assert tx.decoded_hash == dss.file_hash(m)
-    assert [lifted(Matrix(f4, x), dss.msg_field).data for x in sub] == dss.files.tolist()
+    assert [lifted(Matrix(f4, x), dss.msg_field).array().tolist() for x in sub] \
+        == dss.files.tolist()
     with pytest.raises(BadParams):
         Dss(good532, f=1, beta=2, ell=1, files=np.array([sub[0]]))
     with pytest.raises(BadParams):
@@ -171,8 +172,8 @@ def test_run_rejects_setup_of_another_storage_code(good532, bad532, store, m, se
     from codedpir.codes import code_from_generator
     s5 = p2_build_structure(good532, ISETS_EX5, EHAT_EX5)
     code = {"bad532": bad532,
-            "gf3": code_from_generator(Matrix(field_make(3), good532.G.data)),
-            "good532-again": code_from_generator(Matrix(field_make(2), good532.G.data))
+            "gf3": code_from_generator(Matrix(field_make(3), good532.G.array())),
+            "good532-again": code_from_generator(Matrix(field_make(2), good532.G.array()))
             }[store]
     dss = Dss(code, f=2, beta=2, seed=seed)
     if store == "good532-again":
@@ -220,7 +221,7 @@ def test_store_draws_every_symbol_of_the_extension():
     assert not set(symbols.ravel().tolist()) <= set(dss.msg_field.embedding_from(f13))
     G = lifted(code.G, dss.msg_field)
     assert dss.stored.tolist() == [row for x in dss.files
-                                   for row in mat_mul(Matrix(dss.msg_field, x.tolist()), G).data]
+                                   for row in mat_mul(Matrix(dss.msg_field, x), G).array().tolist()]
 
 
 @pytest.mark.parametrize("seed", [1.5, "1", None])
@@ -437,7 +438,7 @@ def optimized_setups(draw):
     fields = [draw(st.sampled_from([(2, 1), (3, 1)]))]
     query = draw(codes(fields, max_messages=9, max_n=6))
     storage = draw(codes(fields, n=query.n))
-    zero = [j for j, col in enumerate(zip(*query.G.data)) if not any(col)]
+    zero = np.flatnonzero(~query.G.array().any(axis=0)).tolist()
     if zero:
         # a query code zero at some position (T = 0) is refused; the draw goes
         # on with those positions set in its first row, since skipping it
@@ -445,10 +446,7 @@ def optimized_setups(draw):
         # nonzero product with the storage code.
         with pytest.raises(StructureViolation):
             optimize_rate(storage, query)
-        rows = [list(row) for row in query.G.data]
-        for j in zero:
-            rows[0][j] = 1
-        query = LinearCode.from_generator(Matrix(query.field, rows))
+        query = full_support(query)
     try:
         e_opt, _ = optimize_rate(storage, query)
     except RateOneProduct:

@@ -8,7 +8,7 @@ from codedpir.errors import (BadParams, CodedPirError, DegreeOutOfRange, Dimensi
                              FieldMismatch, NonPrime, RankDeficient)
 from codedpir.fields import (Matrix, canonical_modulus, field_make, mat_mul, mat_rank,
                              mat_rref, mat_solve)
-from conftest import FIELDS, lifted
+from conftest import FIELDS, column, lifted, transposed
 
 
 def _irreducible_by_roots(coeffs, p):
@@ -132,7 +132,7 @@ def test_rank_reference_values(good532):
 
 def test_rref_pivots():
     f2 = field_make(2)
-    ident = Matrix.identity(f2, 4)
+    ident = Matrix(f2, np.eye(4, dtype=np.int64))
     red, piv = mat_rref(ident)
     assert red == ident and piv == [0, 1, 2, 3]
     # hand Gauss-Jordan oracle on the worked 3x5 generator: already reduced
@@ -145,11 +145,11 @@ def test_rref_pivots():
 
 def test_solve_identity_and_inconsistent():
     f2 = field_make(2)
-    ident = Matrix.identity(f2, 3)
-    b = Matrix.column(f2, [1, 0, 1])
-    assert mat_solve(ident, b).data == b.data
+    ident = Matrix(f2, np.eye(3, dtype=np.int64))
+    b = column(f2, [1, 0, 1])
+    assert mat_solve(ident, b) == b
     with pytest.raises(RankDeficient):
-        mat_solve(Matrix(f2, [[1], [1]]), Matrix.column(f2, [1, 0]))
+        mat_solve(Matrix(f2, [[1], [1]]), column(f2, [1, 0]))
 
 
 def test_solve_mixed_field_roundtrip():
@@ -163,9 +163,9 @@ def test_solve_mixed_field_roundtrip():
         a = Matrix(f2, [[rng.randrange(2) for _ in range(3)] for _ in range(5)])
         if mat_rank(a) < 3:
             continue
-        x = Matrix.column(f4, [rng.randrange(4) for _ in range(3)])
+        x = column(f4, [rng.randrange(4) for _ in range(3)])
         b = mat_mul(lifted(a, f4), x)
-        assert mat_solve(lifted(a, f4), b).data == x.data
+        assert mat_solve(lifted(a, f4), b) == x
         with pytest.raises(FieldMismatch):
             mat_mul(a, x)
         with pytest.raises(FieldMismatch):
@@ -174,12 +174,12 @@ def test_solve_mixed_field_roundtrip():
 
 def test_mat_mul_contracts():
     f2 = field_make(2)
-    ident = Matrix.identity(f2, 3)
+    ident = Matrix(f2, np.eye(3, dtype=np.int64))
     b = Matrix(f2, [[1, 0], [1, 1], [0, 1]])
     assert mat_mul(ident, b) == b
     ones_row = Matrix(f2, [[1, 1, 1]])
-    ones_col = Matrix.column(f2, [1, 1, 1])
-    assert mat_mul(ones_row, ones_col).data == [[3 % 2]]
+    ones_col = column(f2, [1, 1, 1])
+    assert mat_mul(ones_row, ones_col).array().tolist() == [[3 % 2]]
     with pytest.raises(DimensionMismatch):
         mat_mul(b, b)
     with pytest.raises(FieldMismatch):
@@ -202,10 +202,10 @@ def test_null_space_and_inverse():
     g = Matrix(f2, [[1, 0, 0, 1, 0], [0, 1, 0, 1, 1], [0, 0, 1, 0, 1]])
     h = Matrix.from_array(f2, f2.null_space_array(g.array()))
     assert h.rows == 2
-    assert all(all(x == 0 for x in row) for row in mat_mul(g, h.transpose()).data)
+    assert not mat_mul(g, transposed(h)).array().any()
     m = Matrix(f2, [[1, 1], [0, 1]])
     assert mat_mul(m, Matrix.from_array(f2, f2.inverse_array(m.array()))) == \
-        Matrix.identity(f2, 2)
+        Matrix(f2, np.eye(2, dtype=np.int64))
     with pytest.raises(RankDeficient):
         f2.inverse_array(np.array([[1, 1], [1, 1]]))
     with pytest.raises(DimensionMismatch):
@@ -222,18 +222,40 @@ def test_matrix_refuses_a_shape_its_rows_do_not_have():
         with pytest.raises(DimensionMismatch):
             Matrix(f2, data, rows, cols)
     assert (Matrix(f2, [], 0, 4).rows, Matrix(f2, [], 0, 4).cols) == (0, 4)
-    assert Matrix(f2, [[1, 0]], 1, 2).transpose().data == [[1], [0]]
-    empty = Matrix(f2, [], 0, 3).transpose()
-    assert (empty.rows, empty.cols, empty.data) == (3, 0, [[], [], []])
+    assert Matrix(f2, [[1, 0]], 1, 2).array().tolist() == [[1, 0]]
+    assert Matrix(f2, [], 0, 3).array().shape == (0, 3)
+    assert Matrix(f2, [[]]).array().shape == (1, 0)
 
 
 def test_matrix_entries_must_be_integers():
     """Entries are taken through `operator.index`: Python and numpy integers
     pass (reduced mod q), a float is refused where it was truncated before."""
     f3 = field_make(3)
-    assert Matrix(f3, [[np.int64(4), 2, True]]).data == [[1, 2, 1]]
-    assert Matrix(f3, np.array([[5, 7]])).data == [[2, 1]]
+    assert Matrix(f3, [[np.int64(4), 2, True]]).array().tolist() == [[1, 2, 1]]
+    assert Matrix(f3, np.array([[5, 7]])).array().tolist() == [[2, 1]]
     for bad in ([[1.7, 2]], [[1, np.float64(2.0)]], [["1", 2]]):
         with pytest.raises(BadParams) as raised:
             Matrix(f3, bad)
         assert isinstance(raised.value, CodedPirError)
+
+
+def test_matrix_is_its_read_only_array():
+    """A `Matrix` holds its entries once: `array()` returns the stored int64
+    array, not a copy, and writing into it raises ValueError; `from_array`
+    copies its input once, so a later write to that input changes nothing."""
+    f5 = field_make(5)
+    m = Matrix(f5, [[1, 7], [3, 4]])
+    a = m.array()
+    assert a is m.array() and a.dtype == np.int64 and a.tolist() == [[1, 2], [3, 4]]
+    with pytest.raises(ValueError):
+        a[0, 0] = 0
+    src = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    built = Matrix.from_array(f5, src)
+    src[0, 0] = 0
+    assert built == m and not built.array().flags.writeable
+    with pytest.raises(ValueError):
+        built.array()[1, 1] = 0
+    # equal iff the same field object and equal entries
+    assert built != Matrix(field_make(7), [[1, 2], [3, 4]])
+    assert built != Matrix(f5, [[1, 2], [3, 3]])
+    assert repr(m) == "Matrix(GF(5), 2x2: 1 2; 3 4)"

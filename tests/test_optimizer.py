@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from codedpir.codes import ErasurePattern, code_from_generator
@@ -160,7 +161,7 @@ def test_optimize_rate_colluding_worked(code124):
     assert g == 2 and Fraction(g, 12) == Fraction(1, 6)
     setup = p3_setup(code124, code124, e.ehat, e.info_sets())
     assert setup.rate == Fraction(1, 6)
-    whole = code_from_generator(Matrix.identity(f2, 4))
+    whole = code_from_generator(Matrix(f2, np.eye(4, dtype=np.int64)))
     with pytest.raises(RateOneProduct):
         optimize_rate(whole, whole)
 

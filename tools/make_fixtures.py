@@ -32,11 +32,6 @@ def monomial_code(field, points, degrees):
     return code_from_generator(G)
 
 
-def raw(code):
-    return {"family": "raw", "q": code.field.order,
-            "generator": [list(r) for r in code.G.data]}
-
-
 def write(name, obj):
     path = OUT / f"{name}.json"
     path.write_text(json.dumps(obj, indent=1) + "\n")
@@ -71,7 +66,7 @@ def c2():
         "source": "seeded random search (seed 25) over systematic [11,6] "
                   "binary generators; 4 is the best minimum distance for "
                   "these parameters",
-        "code": raw(code),
+        "code": code.to_json_dict(),
         "systematic": list(range(6)),
         "table1": {"d_min": 4, "d_min_prime": 4, "r_nonopt": 0.2727,
                    "r_opt": 0.4545, "c_inf": 0.4545},
@@ -110,7 +105,7 @@ def c5():
     pts = rng.sample(range(16), 14)
     mults = [rng.randrange(1, 16) for _ in range(14)]
     rs = grs_code(f16, 14, 10, eval_points=pts, multipliers=mults)
-    pt = standard_form_parity(rs, list(range(10)))[0].data
+    pt = standard_form_parity(rs, list(range(10)))[0].array().tolist()
     grows = []
     for i in range(10):
         row = [1 if i == j else 0 for j in range(10)]
@@ -125,7 +120,7 @@ def c5():
                                "parities plus GRS global parities",
         "source": "data halves with XOR parities; global parities from a "
                   "seeded GRS[14,10] over GF(16) (seed 3)",
-        "code": raw(code),
+        "code": code.to_json_dict(),
         "systematic": list(range(10)),
         "table1": {"d_min": 5, "d_min_prime": 5, "r_nonopt": 0.25,
                    "r_opt": 0.375, "c_inf": 0.375},
@@ -139,7 +134,7 @@ def c8():
     write("c8", {
         "name": "c8", "label": "[7,3,4] dual of the [7,4,3] Hamming code",
         "source": "generator spans the null space of the printed parity check",
-        "code": raw(code),
+        "code": code.to_json_dict(),
         "table2": {"d_min": 4, "r_nonopt": 0.4286, "r_opt": 0.5714,
                    "c_inf": 0.5714},
     })
@@ -153,7 +148,7 @@ def tamo_barg():
         "name": "c9", "label": "[9,4,5] all-symbol locality-2 code over GF(13)",
         "source": "evaluations of x^e, e in {0,1,3,4}, on the three cosets "
                   "of the order-3 subgroup of GF(13)*",
-        "code": raw(c9),
+        "code": c9.to_json_dict(),
         "points": A9,
         "table2": {"d_min": 5, "r_nonopt": 0.4444, "r_opt": 0.5555,
                    "c_inf": 0.5555},
@@ -171,7 +166,7 @@ def tamo_barg():
     write("c10", {
         "name": "c10", "label": "[12,6,6] all-symbol locality-3 code over GF(13)",
         "source": "evaluations of x^e, e in {0,1,2,4,5,6}, on GF(13)*",
-        "code": raw(c10),
+        "code": c10.to_json_dict(),
         "points": A12,
         "table2": {"d_min": 6, "r_nonopt": 0.4167, "r_opt": 0.5,
                    "c_inf": 0.5},
@@ -190,7 +185,7 @@ def tamo_barg():
                                 "sets (sizes 2 and 3) per symbol, over GF(13)",
         "source": "evaluations of x^e, e in {0,1,4,6} (exponents avoiding 2 "
                   "mod 3 and 3 mod 4), on GF(13)*",
-        "code": raw(c12),
+        "code": c12.to_json_dict(),
         "points": A12,
         "colluding": {
             "query": {"family": "grs", "q": 13, "n": 12, "k": 2,
@@ -212,7 +207,7 @@ def c11():
          [1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 1, 0],
          [0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1]]
     code = LinearCode.from_parity_check(Matrix(f2, H))
-    spec = raw(code)
+    spec = code.to_json_dict()
     write("c11", {
         "name": "c11", "label": "[12,4,6] binary code of the colluding "
                                 "worked example",
@@ -234,7 +229,7 @@ def c13():
     assert (u.n, u.k, u.min_distance()) == (13, 8, 4)
     uuv = uuv_code(u)
     assert (uuv.n, uuv.k, uuv.min_distance()) == (26, 9, 8)
-    uspec = raw(u)
+    uspec = u.to_json_dict()
     spec = {"family": "uuv", "U": uspec}
     write("c13", {
         "name": "c13", "label": "[26,9,8] (U|U+V) code, U = [13,8,4]",
