@@ -27,12 +27,11 @@ Two exact kernels carry the code predicates and the decoding:
     pattern is correctable iff the columns of G off it have rank k).
   - The column walk (`_column_levels`) extends every independent subset of
     H's columns by each later column whose residual is nonzero, one step
-    per block of children (each child's residual a copy of its parent's,
-    the batch axis first, and its new column gathered as the pivot),
-    listed in (subset, column) order so each level stays in the
-    lexicographic order of its supports. One walk to depth w lists the
-    correctable patterns of every weight up to w (`correctable_masks`, kept
-    on the code); the column search of `min_distance` counts each level.
+    per block of children in the order of their new column, on the columns
+    after it only. The code keeps the levels of its deepest walk, one mask
+    array each: the column search of `min_distance` reads their counts
+    (`_count`), `correctable_masks` a level sorted once into the
+    lexicographic order of its supports (`_level`).
   Both work in blocks of about BLOCK bytes, and neither allocates a `Matrix`.
 - Erasure decoding, shared by the three protocols, compiled once per erased
   set E and kept for the code's lifetime (`_erasure_decoder`): one
@@ -96,6 +95,7 @@ BLOCK = 1 << 17                # residual bytes per block of the column eliminat
 
 
 _BITS = frozenset((0, 1))
+_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -157,6 +157,14 @@ def mask_bits(n: int) -> np.ndarray:
     return np.array([1 << j for j in range(n)], dtype=np.int64 if n < 63 else object)
 
 
+def non_bit_entry(rows) -> tuple[int, int] | None:
+    """(i, j) of the first entry of `rows` that is not an integer 0 or 1
+    (`operator.index`: 1.0 and 0.5 are not), or None."""
+    return next(((i, j) for i, row in enumerate(rows) for j, x in enumerate(row)
+                 if not hasattr(type(x), "__index__") or operator.index(x) not in (0, 1)),
+                None)
+
+
 def _integer_positions(coords: Iterable[int]) -> list[int]:
     """The positions of `coords` as ints, in order: DimensionMismatch unless
     each is an integer (`operator.index`: 2.9 is refused, not cut to 2)."""
@@ -205,7 +213,7 @@ class LinearCode:
             if not self.contains_codewords(self._g):
                 raise DimensionMismatch("G H^T != 0")
         self._eliminators: dict[str, tuple] = {}  # `_column_eliminator` of "H" and "G"
-        self._masks: dict[int, tuple[int, ...]] = {}  # correctable_masks per w
+        self._levels: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]  # `_count`
         self._products: dict[LinearCode, LinearCode] = {}  # hadamard_product memo
         self._decoders: dict[tuple[int, ...], tuple] = {}  # per erased E
         self._inverses: dict[tuple[int, ...], np.ndarray] = {}  # per information set I
@@ -475,78 +483,93 @@ class LinearCode:
 
     def _min_distance_column_search(self, budget: int) -> int:
         """Smallest w such that some w parity-check columns are dependent:
-        the first level of the column walk (`_column_levels`) that holds
-        fewer than C(n, w) subsets. The budget counts subsets, as
-        C(n, 1) + ... + C(n, w) after size w."""
+        the first level of the kept column walk (`_count`) that holds fewer
+        than C(n, w) subsets. As the walk keeps what it lists, TooLarge
+        before walking to w if C(n, 1) + ... + C(n, w) exceeds the budget."""
         spent = 0
         for w in range(1, self.n - self.k + 2):
-            if self._column_levels(w, keep=False)[w] < comb(self.n, w):
-                return w
             spent += comb(self.n, w)
-            if spent > budget:
+            if spent > budget and w <= self.n - self.k:  # level n - k + 1 is not walked
                 raise TooLarge("column-dependency search exceeded budget")
+            if self._count(w) < comb(self.n, w):
+                return w
         raise AssertionError("Singleton bound violated (unreachable)")
 
     def correctable_masks(self, w: int) -> tuple[int, ...]:
         """Bitmasks (bit j set iff position j is erased) of every correctable
-        weight-w erasure pattern, in the lexicographic order of their supports;
-        one column walk to depth w lists every weight up to w, and each list
-        is kept for the code's lifetime. BadParams unless w is an integer
-        >= 0."""
-        w = pattern_weight(w)
-        masks = self._masks.get(w)
-        if masks is None:
-            if w == 0:
-                masks = (0,)
-            elif w > self.n - self.k:
-                masks = ()
-            else:
-                levels = self._column_levels(w, keep=True)
-                for t in range(1, w):
-                    self._masks.setdefault(t, levels[t])
-                masks = levels[w]
-            self._masks[w] = masks
-        return masks
+        weight-w erasure pattern, in the lexicographic order of their supports:
+        level w of the kept column walk (`_level`). BadParams unless w is an
+        integer >= 0."""
+        return tuple(self._level(pattern_weight(w)).tolist())
 
-    def _column_levels(self, depth: int, keep: bool) -> list:
+    def _count(self, w: int) -> int:
+        """The size of level w of the code's deepest column walk, kept; a
+        deeper w walks from the root and replaces it. 0 past n - k."""
+        if w > self.n - self.k:
+            return 0
+        if w >= len(self._levels):
+            self._levels = self._column_levels(w)
+        return len(self._levels[w])
+
+    def _level(self, w: int) -> np.ndarray:
+        """Level w of the kept column walk (`_count`) as a read-only array,
+        sorted on first read into the lexicographic order of its supports: of
+        two, the first holds their lowest differing bit, so its mask reversed
+        bit for bit is the larger."""
+        if not self._count(w):
+            return np.zeros(0, dtype=np.int64)
+        level = self._levels[w]
+        if level.flags.writeable:  # as walked
+            if level.dtype == object:  # 63 positions or more
+                keys = np.array([int(f"{m:0{self.n}b}"[::-1], 2) for m in level.tolist()],
+                                dtype=object)
+            else:  # each byte reversed by the table, and the bytes in reverse order
+                keys = _REVERSED_BYTES[level.view(np.uint8)].reshape(-1, 8)[:, ::-1]
+                keys = keys.copy().view(np.uint64)[:, 0]
+            level = self._levels[w] = level[np.argsort(keys)[::-1]]
+            level.flags.writeable = False
+        return level
+
+    def _column_levels(self, depth: int) -> list[np.ndarray]:
         """Level-by-level walk over the subsets of independent columns of H,
-        to size `depth` (>= 1): entry t of the result lists the independent
-        t-subsets in the lexicographic order of their supports, as a tuple of
-        bitmasks (keep) or as their count.
+        to size `depth` (>= 1): entry t of the result holds the independent
+        t-subsets as a writable array of bitmasks, in the order walked.
 
         Each live prefix carries its residual: H with the span of the
         prefix's columns eliminated (`_column_eliminator`), so a later column
-        extends the prefix iff its residual column is nonzero. Children are
-        listed in (prefix, column) order, which keeps every level
-        lexicographic, and one array step builds the residuals of a block of
-        children. Prefixes go down in blocks of about BLOCK bytes, block by
-        block, so the arrays held stay within depth blocks; a prefix counts
-        its residual or its n-entry int64 indices, whichever is larger (the
-        indices, for H packed into one-byte GF(2) words).
+        extends the prefix iff its residual column is nonzero. A call lists
+        its children in the order of their new column, and one array step
+        builds a block's residuals on the columns after its smallest new
+        column only, each against its new column gathered as the pivot.
+        Prefixes go down in blocks of about BLOCK bytes, so the arrays held
+        stay within depth blocks; a prefix counts its residual on all n
+        columns or its n-entry int64 indices, whichever is larger.
         """
         h, eliminate = self._eliminator("H")
         n = self.n
         bits = mask_bits(n)
-        after = np.arange(n)
         block = max(1, BLOCK // max(h.nbytes, 8 * n))
-        found: list[list] = [[] for _ in range(depth + 1)]
+        zero = np.zeros(1, dtype=bits.dtype)
+        found = [[zero]] + [[zero[:0]] for _ in range(depth)]
 
-        def walk(residuals, last, masks, t):
-            prefix, col = np.nonzero(residuals.any(axis=1) & (after > last[:, None]))
+        def walk(residuals, start, last, masks, t):
+            # residuals hold columns start..n-1; children come in column order
+            col, prefix = np.nonzero((residuals.any(axis=1)
+                                      & (np.arange(start, n) > last[:, None])).T)
+            col += start
             masks = masks[prefix] | bits[col]
-            found[t + 1].append(masks if keep else len(col))
+            found[t + 1].append(masks)
             if t + 1 < depth:
                 for s in range(0, len(col), block):
                     p, c = prefix[s:s + block], col[s:s + block]
-                    R = residuals[p]
-                    eliminate(R, R[np.arange(len(c)), :, c][:, :, None])
-                    walk(R, c, masks[s:s + block], t + 1)
+                    R = residuals[p, :, c[0] + 1 - start:]
+                    eliminate(R, residuals[p, :, c - start][:, :, None])
+                    walk(R, c[0] + 1, c, masks[s:s + block], t + 1)
 
-        walk(h[None], np.array([-1]), np.zeros(1, dtype=bits.dtype), 0)
-        if not keep:
-            return [sum(level) for level in found]
-        return [tuple(itertools.chain.from_iterable(m.tolist() for m in level))
-                for level in found]
+        walk(h[None], 0, np.array([-1]), zero, 0)
+        for t, level in enumerate(found):  # level by level, freeing its pieces
+            found[t] = np.concatenate(level)
+        return found
 
     def generalized_hamming_weight(self, s: int) -> int:
         """d_s: smallest support of an s-dimensional subcode (exact). d_1 is

@@ -237,13 +237,13 @@ def mds_compliant(params: LrcParams) -> bool:
 def _is_mds_parity_check(f: FiniteField, left: list[list[int]], width: int) -> bool:
     """Is (left | I) the parity check of an MDS code: is every set of
     len(left) columns an independent, hence correctable, erasure pattern?
-    One column walk lists them all. A parity check with no rows is trivially
-    MDS."""
+    Level m of one column walk counts them. A parity check with no rows is
+    trivially MDS."""
     m = len(left)
     h = Matrix(f, [list(row) + [int(t == i) for t in range(m)]
                    for i, row in enumerate(left)], m, width + m)
     code = LinearCode.from_parity_check(h)
-    return len(code.correctable_masks(m)) == comb(h.cols, m)
+    return code._count(m) == comb(h.cols, m)
 
 
 def pyramid_code(field: FiniteField, r: int, delta: int, Lc: int, a: int,

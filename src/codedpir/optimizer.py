@@ -10,10 +10,10 @@ structure whenever that pattern list is exhaustive; it raises Gamma until the
 selection becomes infeasible. A `PatternList` holds support bitmasks only: an
 exhaustive list is one level of the code's column walk over H
 (`LinearCode.correctable_masks`), which extends every independent subset of
-H's columns by each later column, a block of subsets at a time in arrays,
-and lists each weight in lexicographic order. A walk to weight w lists
-every lower weight too and the code keeps them, so a noncolluding code's
-information-set list (weight n - k, asked first) and all its Gamma lists
+H's columns by each later column, a block of subsets at a time in arrays.
+The code keeps the levels of its deepest walk, so the column search of
+`min_distance`, a noncolluding code's information-set list (weight n - k,
+asked first) and all its Gamma lists, each level in lexicographic order,
 come from one walk. A sampled list makes all its seeded draws at once (sort
 keys from one `randbytes` call give each draw a column order and w of its
 n - k pivot positions), takes every order's pivots in one batched call
@@ -79,9 +79,9 @@ def compute_erasure_pattern_list(code: LinearCode, w: int,
                                  seed: int = 0) -> PatternList:
     """All weight-w patterns correctable by `code`, or a seeded random sample.
 
-    Exhaustive when C(n, w) fits the budget: `LinearCode.correctable_masks`
-    reads level w of the code's column walk over H, kept per code, in
-    lexicographic order. Otherwise `_drawn_supports` makes `sample_budget`
+    Exhaustive when C(n, w) fits the budget: level w of the code's kept
+    column walk over H (`LinearCode._level`), in lexicographic order, and
+    sorted by one argsort. Otherwise `_drawn_supports` makes `sample_budget`
     draws of a column order of H and w of the positions of its n - k pivots;
     the w drawn pivots are a find (independent by construction). Every cyclic
     shift (bit rotation) of every distinct find is then decided at once
@@ -96,8 +96,10 @@ def compute_erasure_pattern_list(code: LinearCode, w: int,
     w = pattern_weight(w)
     n = code.n
     if w == 0 or comb(n, w) <= budget:
-        masks = code.correctable_masks(w)
-        return PatternList(w, n, masks, tuple(sorted(masks)))
+        level = code._level(w)
+        masks = level.astype(object)  # one Python int per mask, shared
+        return PatternList(w, n, tuple(masks.tolist()),
+                           tuple(masks[np.argsort(level)].tolist()))
     if w > n - code.k:
         return PatternList(w, n, (), ())
     supports = _drawn_supports(code, w, sample_budget, rng_for(seed, "patterns", w))

@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codes import ErasurePattern, LinearCode
+from .codes import ErasurePattern, LinearCode, _integer_positions, non_bit_entry
 from .dss import response_array
 from .errors import (
     DecodeFailure,
@@ -64,9 +64,10 @@ class P3Setup:
     Construction refuses, with DimensionMismatch, StructureViolation or
     RateOneProduct, any triple the retrieval cannot run on: codes of another
     length or field, a query code zero at some position, a rate-one Hadamard
-    product, Ehat rows of unequal weight or not correctable by the product,
-    sets that are not information sets of the storage code, and a column of
-    Ehat whose weight is not the number of sets holding that node. Every
+    product, Ehat entries other than integers 0 and 1, Ehat rows of unequal
+    weight or not correctable by the product, a set position that is not an
+    integer, sets that are not information sets of the storage code, and a
+    column of Ehat whose weight is not the number of sets holding that node. Every
     later step (`stripes`, `decode_map`, `p3_decode`) relies on this and
     checks none of it again. Ehat and the sets are kept as int tuples, each
     set sorted.
@@ -85,8 +86,11 @@ class P3Setup:
         product = self.product
         if product.k >= n:
             raise RateOneProduct("Hadamard product has rate 1; no redundancy to exploit")
+        entry = non_bit_entry(self.ehat)
+        if entry is not None:
+            raise StructureViolation(f"Ehat entry {entry} is not 0 or 1")
         ehat = tuple(tuple(int(b) for b in row) for row in self.ehat)
-        info_sets = tuple(tuple(sorted(int(j) for j in s)) for s in self.info_sets)
+        info_sets = tuple(tuple(sorted(_integer_positions(s))) for s in self.info_sets)
         object.__setattr__(self, "ehat", ehat)
         object.__setattr__(self, "info_sets", info_sets)
         if not ehat or any(len(row) != n for row in ehat):

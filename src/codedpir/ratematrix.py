@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .codes import ErasurePattern, LinearCode
+from .codes import ErasurePattern, LinearCode, non_bit_entry
 from .errors import (
     DimensionMismatch,
     KappaEqualsNu,
@@ -98,11 +98,15 @@ class LambdaReport:
     kappa: int | None = None
     nu: int | None = None
     violation: str | None = None
-    witness: int | None = None
+    witness: int | tuple[int, int] | None = None
 
 
 def validate_rate_matrix(code: LinearCode, rows: Sequence[Sequence[int]]) -> LambdaReport:
-    """Check the two rate-matrix conditions; report the first violation."""
+    """Check the two rate-matrix conditions; report the first violation, or
+    "entry" with witness (row, column) for an entry other than integers 0, 1."""
+    entry = non_bit_entry(rows)
+    if entry is not None:
+        return LambdaReport(False, violation="entry", witness=entry)
     rows = [tuple(int(x) for x in r) for r in rows]
     nu = len(rows)
     n = code.n
@@ -127,7 +131,7 @@ def rate_matrix(code: LinearCode, rows: Sequence[Sequence[int]]) -> RateMatrix:
         raise InvalidLambda(f"{report.violation} at {report.witness}")
     # kappa/nu >= k/n always holds for a valid matrix; guard against regressions
     assert report.kappa * code.n >= report.nu * code.k
-    return RateMatrix(report.kappa, report.nu, tuple(tuple(r) for r in rows))
+    return RateMatrix(report.kappa, report.nu, tuple(tuple(map(int, r)) for r in rows))
 
 
 def interference_matrices(lam: RateMatrix) -> InterferencePair:

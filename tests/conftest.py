@@ -59,14 +59,15 @@ ISETS_T0 = [(1, 3, 4)]
 
 
 @st.composite
-def codes(draw, fields, max_messages=None, max_n=8, n=None):
+def codes(draw, fields, max_messages=None, max_n=8, n=None, redundant=False):
     """[n,k] code over one of `fields` ((p, alpha) pairs) from a generator
     [I_k | A] with its columns permuted, so every drawn generator has full
-    rank and every code can be drawn. n is drawn from 2..max_n unless given."""
+    rank and every code can be drawn. n is drawn from 2..max_n unless given;
+    `redundant` draws only k < n."""
     field = field_make(*draw(st.sampled_from(fields)))
     if n is None:
         n = draw(st.integers(2, max_n))
-    k_max = n
+    k_max = n - 1 if redundant else n
     if max_messages is not None:
         while field.order ** k_max > max_messages:
             k_max -= 1

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -474,6 +475,33 @@ def test_column_walk_block_counts_a_prefix_at_its_larger_size(monkeypatch, field
     code._eliminators["H"] = (h, recording)
     assert code.correctable_masks(3) == want
     assert max(sizes) == (1 << 10) // per_prefix
+
+
+def _c14_product():
+    c14 = load_fixture("c14")
+    return fixture_code(c14).hadamard_product(code_from_spec(c14["colluding"]["query"]))
+
+
+@pytest.mark.parametrize("build, call, limit_mb", [
+    # measured 0.84 MB: the kept levels, one block per depth, the returned tuple
+    (lambda: fixture_code(load_fixture("c4")), lambda c: c.correctable_masks(6), 1.05),
+    # measured 0.52 MB: the subcode enumeration of RM(2,5), no walk
+    (_c14_product, lambda c: c.min_distance(), 0.65),
+], ids=["c4-masks-6", "c14-product-dmin"])
+def test_walk_memory_peaks(build, call, limit_mb):
+    """The tracemalloc peaks of c4's weight-6 list (the deepest column walk
+    of the Table I/II rows, 13,919 patterns) and of the c14 product's d_min,
+    each on a fresh code, stay within 25% of their measured values, so a
+    larger block of the walk, or more kept per level, shows here before it
+    moves the benchmark's peak RSS."""
+    code = build()
+    tracemalloc.start()
+    try:
+        call(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 2**20, peak / 2**20
 
 
 def test_proposition_every_large_set_contains_information_set(good532, bad532, code73):

@@ -17,7 +17,7 @@ from codedpir.optimizer import (compute_erasure_pattern_list, compute_matrix,
 from codedpir.protocol2 import p2_build_structure
 from codedpir.protocol3 import p3_setup
 from codedpir.ratematrix import beta_d_minimal
-from codedpir.reports import colluding_row, fixture_code, load_fixture
+from codedpir.reports import colluding_row, fixture_code, load_fixture, noncolluding_row
 from conftest import QUERY_T0, STORAGE_T0, compute_matrix_bruteforce
 
 f2 = field_make(2)
@@ -298,28 +298,31 @@ def test_sampled_list_leaves_numpy_random_unloaded():
     assert int(size) > 0 and loaded == "False"
 
 
-@pytest.mark.parametrize("name", ["c1", "c5"])
+@pytest.mark.parametrize("name", ["c1", "c4", "c5", "c10"])
 def test_one_walk_per_code(name, monkeypatch):
-    """A noncolluding row walks the columns of H once for all its pattern
-    lists: the information-set list (weight n - k) comes first, its walk
-    lists every lower weight on the way, and the Gamma lists, the
-    Gamma = n - k list among them, are read from what it kept; a second
-    `correctable_masks(w)` returns the kept tuple itself. Walks that only
-    count subsets (the column search of `min_distance`) keep no list."""
+    """A noncolluding row never walks the columns of H of one code to a depth
+    it has already walked: the column search of `min_distance` reads each
+    level's count from the code's kept walk, deepening it only past what is
+    kept; the information-set list (weight n - k) and every Gamma list,
+    the Gamma = n - k list among them, read the levels kept or walk deeper
+    once. Afterwards every list up to n - k is read with no walk."""
     from codedpir.codes import LinearCode
-    walks = []
+    walks = {}
     original = LinearCode._column_levels
 
-    def spy(self, depth, keep):
-        walks.append((depth, keep))
-        return original(self, depth, keep)
+    def spy(self, depth):
+        walks.setdefault(self, []).append(depth)
+        return original(self, depth)
 
     monkeypatch.setattr(LinearCode, "_column_levels", spy)
-    code = fixture_code(load_fixture(name))
-    nk = code.n - code.k
-    e, gamma = optimize_rate(code)
-    assert e is not None and gamma == nk
-    assert [depth for depth, keep in walks if keep] == [nk], walks
-    for w in range(nk + 1):
-        assert code.correctable_masks(w) is code.correctable_masks(w)
-    assert [depth for depth, keep in walks if keep] == [nk]
+    fixture = load_fixture(name)
+    row = noncolluding_row(fixture)
+    assert row.ok and row.computed["r_opt"] == row.computed["c_inf"]
+    storage = fixture_code(fixture)
+    code = next(c for c in walks if (c.n, c.k) == (storage.n, storage.k))
+    for depths in walks.values():
+        assert depths == sorted(set(depths)), walks
+    seen = {c: list(depths) for c, depths in walks.items()}
+    for w in range(code.n - code.k + 1):
+        assert code.correctable_masks(w) == code.correctable_masks(w)
+    assert walks == seen

@@ -49,6 +49,29 @@ def test_setup_rejections(code124, good532, f2):
         p3_setup(code124, code124, EHAT_P3, [(0, 1, 2, 3)])
 
 
+def test_setup_refuses_entries_and_positions_that_are_not_integers(code124, good532):
+    """An Ehat entry other than an integer 0 or 1 and a set position that is
+    not an integer are refused, not cut by int() (1.5 read as 1, 11.9 as
+    11), through `p3_setup` and through protocol 2's `p2_build_structure`;
+    numpy integers are read as ints."""
+    with pytest.raises(DimensionMismatch):
+        p3_setup(code124, code124, EHAT_P3, [(1.2, 2.7, 8, 11.9)])
+    with pytest.raises(DimensionMismatch):
+        p2_build_structure(good532, [[0, 1, 2.5], [0, 1, 2]], EHAT_EX5)
+    for bad in (1.5, 1.0, 2, -1):
+        ehat = [list(row) for row in EHAT_P3]
+        ehat[0][8] = bad
+        with pytest.raises(StructureViolation, match=r"Ehat entry \(0, 8\)"):
+            p3_setup(code124, code124, ehat, ISETS_P3)
+        ehat = [list(row) for row in EHAT_EX5]
+        ehat[2][1] = bad
+        with pytest.raises(StructureViolation, match=r"Ehat entry \(2, 1\)"):
+            p2_build_structure(good532, ISETS_EX5, ehat)
+    setup = p3_setup(code124, code124, np.array(EHAT_P3), [np.array(ISETS_P3[0])])
+    assert setup.info_sets == ((1, 2, 8, 11),) and setup.ehat == tuple(EHAT_P3)
+    assert type(setup.ehat[0][0]) is int and type(setup.info_sets[0][0]) is int
+
+
 def test_setup_rejects_query_code_zero_at_a_position(f2):
     """A query code zero at position 4 has T = 0 and is refused; the same
     structure with the repetition query code is accepted."""
@@ -525,14 +548,14 @@ def _perturbed(data, e, n: int, k: int):
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
-@given(codes([(2, 1), (3, 1), (2, 2), (5, 1)], max_n=6), st.booleans(),
+@given(codes([(2, 1), (3, 1), (2, 2), (5, 1)], max_n=6, redundant=True), st.booleans(),
        st.integers(0, 2**16), st.data())
 def test_perturbed_structure_is_refused_or_decodes(code, colluding, seed, data):
-    """One change to the optimizer's structure for a random storage code, with
-    the repetition or a random query code: either building the setup raises a
-    CodedPirError other than DecodeFailure, or every file is retrieved exactly,
-    so the decoder needs no consistency check of its own."""
-    assume(code.k < code.n)
+    """One change to the optimizer's structure for a random storage code
+    (k < n), with the repetition or a random query code: either building the
+    setup raises a CodedPirError other than DecodeFailure, or every file is
+    retrieved exactly, so the decoder needs no consistency check of its
+    own."""
     if colluding:
         query = full_support(data.draw(codes([(code.field.p, code.field.alpha)],
                                              max_messages=81, n=code.n)))

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from codedpir.codes import ErasurePattern
-from codedpir.errors import (KappaEqualsNu, NotAutomorphism,
+from codedpir.dss import Dss, run
+from codedpir.errors import (InvalidLambda, KappaEqualsNu, NotAutomorphism,
                              NotCoveringOrbit)
 from codedpir.families import (LrcParams, cyclic_code, lrc_optimal,
                                pyramid_code, rm_code, rm_information_set)
 from codedpir.fields import Matrix, field_make
-from codedpir.ratematrix import (E_to_lambda, ErasureMatrix, beta_d_minimal,
+from codedpir.ratematrix import (E_to_lambda, ErasureMatrix, RateMatrix, beta_d_minimal,
                                  capacity_asymptotic, capacity_finite,
                                  interference_matrices,
                                  lambda_from_automorphisms, lambda_generic,
@@ -100,6 +101,27 @@ def test_necessary_condition(good532, bad532, rs53):
     from codedpir.codes import code_from_generator
     full = code_from_generator(Matrix(f2, np.eye(4, dtype=np.int64)))
     assert necessary_condition(full).ok
+
+
+@pytest.mark.parametrize("bad", [0.5, 2, -1, 1.0])
+def test_rate_matrix_entries_must_be_bits(good532, bad):
+    """An entry that is not an integer 0 or 1 is a violation naming it, not
+    read through int() (0.5 as 0, which left LAM35 valid); a RateMatrix
+    built around the check is refused when protocol 1 plans, with
+    InvalidLambda rather than an IndexError from the interference
+    matrices."""
+    rows = [list(r) for r in LAM35]
+    rows[0][4] = bad
+    report = validate_rate_matrix(good532, rows)
+    assert not report.ok and (report.violation, report.witness) == ("entry", (0, 4))
+    with pytest.raises(InvalidLambda, match=r"entry at \(0, 4\)"):
+        rate_matrix(good532, rows)
+    lam = RateMatrix(3, 5, tuple(map(tuple, rows)))
+    with pytest.raises(InvalidLambda, match=r"entry at \(0, 4\)"):
+        run(1, Dss(good532, f=1, beta=5, seed=0), {"lam": lam, "m": 1})
+    # integers of any type are read as ints
+    lam = rate_matrix(good532, np.array(LAM35, dtype=np.int8))
+    assert lam.rows == tuple(LAM35) and type(lam.rows[0][0]) is int
 
 
 def test_lambda_from_automorphisms():
