@@ -154,8 +154,9 @@ def _audit_p23_exact(protocol: int, setup: P3Setup, collusion_sets,
     S and u each leak indicator (nodes of S leaking stripe t in subquery i)."""
     f, g, beta = setup.query_code.field, setup.query_code.G.array(), setup.beta
     # leaks[l, i*beta + t] = 1 iff node l leaks stripe t in subquery i
-    leaks = np.array([[int(s == t) for s in stripes for t in range(beta)]
-                      for stripes in setup.stripes], dtype=np.int64)
+    nodes, subs, stripes = setup.leaks
+    leaks = np.zeros((setup.code.n, setup.d * beta), dtype=np.int64)
+    leaks[nodes, subs * beta + stripes] = 1
 
     def outcome(tset) -> AuditOutcome:
         null = f.null_space_array(g[:, list(tset)])

@@ -30,8 +30,8 @@ Two exact kernels carry the code predicates and the decoding:
     per block of children in the order of their new column, on the columns
     after it only. The code keeps the levels of its deepest walk, one mask
     array each: the column search of `min_distance` reads their counts
-    (`_count`), `correctable_masks` a level sorted once into the
-    lexicographic order of its supports (`_level`).
+    (`_count`), `correctable_masks` a level sorted ascending in place on
+    first read.
   Both work in blocks of about BLOCK bytes, and neither allocates a `Matrix`.
 - Erasure decoding, shared by the three protocols, compiled once per erased
   set E and kept for the code's lifetime (`_erasure_decoder`): one
@@ -94,20 +94,19 @@ ENUM_CHUNK = 4096              # rows of n symbols per subcode-enumeration block
 BLOCK = 1 << 17                # residual bytes per block of the column eliminations
 
 
-_BITS = frozenset((0, 1))
-_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
-
-
 @dataclass(frozen=True)
 class ErasurePattern:
-    """Binary erasure mask of length n; 1 marks an erased position."""
+    """Binary erasure mask of length n; 1 marks an erased position.
+    DimensionMismatch for a mask of another length or an entry that is not
+    an integer 0 or 1 (`non_bit_entry`), and for a support position that is
+    not an integer in 0..n-1."""
 
     n: int
     mask: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.mask) != self.n or not _BITS.issuperset(self.mask):
-            raise DimensionMismatch("mask must be 0/1 of length n")
+        if len(self.mask) != self.n or non_bit_entry([self.mask]) is not None:
+            raise DimensionMismatch("mask must be integers 0/1 of length n")
 
     @property
     def weight(self) -> int:
@@ -120,7 +119,7 @@ class ErasurePattern:
     @staticmethod
     def from_support(n: int, support: Iterable[int]) -> "ErasurePattern":
         mask = [0] * n
-        for j in support:
+        for j in _integer_positions(support):
             if not 0 <= j < n:
                 raise DimensionMismatch(f"position {j} outside 0..{n - 1}")
             mask[j] = 1
@@ -497,10 +496,17 @@ class LinearCode:
 
     def correctable_masks(self, w: int) -> tuple[int, ...]:
         """Bitmasks (bit j set iff position j is erased) of every correctable
-        weight-w erasure pattern, in the lexicographic order of their supports:
-        level w of the kept column walk (`_level`). BadParams unless w is an
-        integer >= 0."""
-        return tuple(self._level(pattern_weight(w)).tolist())
+        weight-w erasure pattern, in ascending order: level w of the kept
+        column walk (`_count`), sorted in place on first read and frozen.
+        BadParams unless w is an integer >= 0."""
+        w = pattern_weight(w)
+        if not self._count(w):
+            return ()
+        level = self._levels[w]
+        if level.flags.writeable:  # as walked
+            level.sort()
+            level.flags.writeable = False
+        return tuple(level.tolist())
 
     def _count(self, w: int) -> int:
         """The size of level w of the code's deepest column walk, kept; a
@@ -510,25 +516,6 @@ class LinearCode:
         if w >= len(self._levels):
             self._levels = self._column_levels(w)
         return len(self._levels[w])
-
-    def _level(self, w: int) -> np.ndarray:
-        """Level w of the kept column walk (`_count`) as a read-only array,
-        sorted on first read into the lexicographic order of its supports: of
-        two, the first holds their lowest differing bit, so its mask reversed
-        bit for bit is the larger."""
-        if not self._count(w):
-            return np.zeros(0, dtype=np.int64)
-        level = self._levels[w]
-        if level.flags.writeable:  # as walked
-            if level.dtype == object:  # 63 positions or more
-                keys = np.array([int(f"{m:0{self.n}b}"[::-1], 2) for m in level.tolist()],
-                                dtype=object)
-            else:  # each byte reversed by the table, and the bytes in reverse order
-                keys = _REVERSED_BYTES[level.view(np.uint8)].reshape(-1, 8)[:, ::-1]
-                keys = keys.copy().view(np.uint64)[:, 0]
-            level = self._levels[w] = level[np.argsort(keys)[::-1]]
-            level.flags.writeable = False
-        return level
 
     def _column_levels(self, depth: int) -> list[np.ndarray]:
         """Level-by-level walk over the subsets of independent columns of H,
@@ -682,8 +669,10 @@ class LinearCode:
 
         `perm[j]` is the new position of coordinate j. The permuted generator
         rows have rank k, so they span this code iff they are codewords.
+        DimensionMismatch unless `perm` is a permutation of 0..n-1 whose
+        entries are integers (0.0 is refused, not read as 0).
         """
-        perm = list(perm)
+        perm = _integer_positions(perm)
         if sorted(perm) != list(range(self.n)):
             raise DimensionMismatch("not a permutation of 0..n-1")
         permuted = np.empty_like(self._g)

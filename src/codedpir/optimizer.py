@@ -7,26 +7,24 @@ noncolluding case) that product is the storage code. The one search loop
 starts at the floor Gamma = min(k, d_min(product) - 1), where every
 weight-Gamma row is correctable, so the window construction below finds a
 structure whenever that pattern list is exhaustive; it raises Gamma until the
-selection becomes infeasible. A `PatternList` holds support bitmasks only: an
-exhaustive list is one level of the code's column walk over H
-(`LinearCode.correctable_masks`), which extends every independent subset of
-H's columns by each later column, a block of subsets at a time in arrays.
-The code keeps the levels of its deepest walk, so the column search of
-`min_distance`, a noncolluding code's information-set list (weight n - k,
-asked first) and all its Gamma lists, each level in lexicographic order,
-come from one walk. A sampled list makes all its seeded draws at once (sort
-keys from one `randbytes` call give each draw a column order and w of its
-n - k pivot positions), takes every order's pivots in one batched call
+selection becomes infeasible. A `PatternList` holds support bitmasks only,
+in ascending order, the one order every list is kept in: an exhaustive list
+is one level of the code's column walk over H (`LinearCode.correctable_masks`),
+which extends every independent subset of H's columns by each later column, a
+block of subsets at a time in arrays. The code keeps the levels of its
+deepest walk, so the column search of `min_distance`, a noncolluding code's
+information-set list (weight n - k, asked first) and all its Gamma lists come
+from one walk. A sampled list makes all its seeded draws at once (sort keys
+from one `randbytes` call give each draw a column order and w of its n - k
+pivot positions), takes every order's pivots in one batched call
 (`LinearCode.pivot_columns`), decides every bit rotation of every distinct
-find in one more (`LinearCode.correctable_shifts`), and lists each find
-followed by its correctable rotations in draw order, all as arrays of masks:
-the finds are the first occurrences among the drawn supports' masks, and one
-more `np.unique` over the correctable rotations gives both the list and its
-sorted masks, which the list carries for the selection search (an exhaustive
-list is sorted once when built). The selection (d
-weight-Gamma rows and beta information-set complements, every stacked column
-sum beta, rows may repeat) is solved exactly by a depth-first search on the
-most constrained deficient column, memoizing infeasible states.
+find in one more (`LinearCode.correctable_shifts`), and lists the distinct
+correctable rotations, sorted in place, all as arrays of masks. The
+selection (d weight-Gamma rows and beta information-set complements, every
+stacked column sum beta, rows may repeat) reads each list in that order, so
+its answer depends on a list's set of masks only; it is solved exactly by a
+depth-first search on the most constrained deficient column, memoizing
+infeasible states.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from math import comb
 
 import numpy as np
 
-from .codes import ErasurePattern, LinearCode, mask_bits, pattern_weight
+from .codes import LinearCode, mask_bits, pattern_weight
 from .errors import BadParams, RateOneProduct, TooLarge
 from .protocol3 import check_query_code
 from .ratematrix import ErasureMatrix, beta_d_minimal
@@ -51,61 +49,49 @@ WINDOW_SHUFFLES = 60         # seeded window orders per complement
 
 @dataclass(frozen=True)
 class PatternList:
-    """Deduplicated correctable erasure patterns of one weight on n positions,
-    kept as support bitmasks (bit j set iff position j is erased), in list
-    order and, for the selection search, in increasing order (an
-    information-set list serves every Gamma of its optimization)."""
+    """Distinct correctable erasure patterns of one weight on n positions,
+    kept as support bitmasks (bit j set iff position j is erased) in
+    ascending order (an information-set list serves every Gamma of its
+    optimization)."""
 
     weight: int
     n: int
-    _masks: tuple[int, ...]
-    sorted_masks: tuple[int, ...]
-
-    def masks(self) -> tuple[int, ...]:
-        return self._masks
-
-    @property
-    def patterns(self) -> tuple[ErasurePattern, ...]:
-        """The patterns as `ErasurePattern`s, built on each access."""
-        return tuple(ErasurePattern(self.n, _unmask(m, self.n)) for m in self._masks)
+    masks: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self._masks)
+        return len(self.masks)
 
 
 def compute_erasure_pattern_list(code: LinearCode, w: int,
                                  budget: int = EXHAUSTIVE_LIMIT,
                                  sample_budget: int = SAMPLE_BUDGET,
                                  seed: int = 0) -> PatternList:
-    """All weight-w patterns correctable by `code`, or a seeded random sample.
+    """All weight-w patterns correctable by `code`, or a seeded random sample,
+    as ascending masks.
 
-    Exhaustive when C(n, w) fits the budget: level w of the code's kept
-    column walk over H (`LinearCode._level`), in lexicographic order, and
-    sorted by one argsort. Otherwise `_drawn_supports` makes `sample_budget`
-    draws of a column order of H and w of the positions of its n - k pivots;
-    the w drawn pivots are a find (independent by construction). Every cyclic
-    shift (bit rotation) of every distinct find is then decided at once
-    (`LinearCode.correctable_shifts`), and the list is each new find followed
-    by its correctable shifts, in draw order: all as arrays of masks (int64
-    below 63 positions, Python integers otherwise), whose first occurrences
-    one `np.unique` gives with the sorted masks. BadParams for a weight or
-    seed that is not an integer, or a negative weight.
+    Exhaustive when C(n, w) fits the budget: `code.correctable_masks(w)`,
+    level w of the code's kept column walk over H. Otherwise
+    `_drawn_supports` makes `sample_budget` draws of a column order of H and
+    w of the positions of its n - k pivots; the w drawn pivots are a find
+    (independent by construction). Every cyclic shift (bit rotation) of every
+    distinct find is then decided at once (`LinearCode.correctable_shifts`),
+    and the list is the distinct correctable shifts, sorted in place: all
+    as arrays of masks (int64 below 63 positions, Python integers
+    otherwise). BadParams for a weight, budget or seed that is not an
+    integer, or one that is negative.
     """
-    _check_budgets(budget, sample_budget)
+    budget, sample_budget = _check_budgets(budget, sample_budget)
     seed = seed_index(seed)
     w = pattern_weight(w)
     n = code.n
     if w == 0 or comb(n, w) <= budget:
-        level = code._level(w)
-        masks = level.astype(object)  # one Python int per mask, shared
-        return PatternList(w, n, tuple(masks.tolist()),
-                           tuple(masks[np.argsort(level)].tolist()))
+        return PatternList(w, n, code.correctable_masks(w))
     if w > n - code.k:
-        return PatternList(w, n, (), ())
+        return PatternList(w, n, ())
     supports = _drawn_supports(code, w, sample_budget, rng_for(seed, "patterns", w))
     bits = mask_bits(n)
     masks = np.bitwise_or.reduce(bits[supports], axis=1)
-    first = np.sort(np.unique(masks, return_index=True)[1])
+    first = np.unique(masks, return_index=True)[1]  # one draw per distinct find
     # column t holds each find rotated by t bits (shift 0: the find itself),
     # its low n - t bits moved up and its high t bits down
     t = np.arange(n)
@@ -114,10 +100,8 @@ def compute_erasure_pattern_list(code: LinearCode, w: int,
     rotations |= masks[first, None] >> (n - t)
     listed = rotations[code.correctable_shifts(supports[first])]
     del rotations
-    sorted_masks, first = np.unique(listed, return_index=True)
-    sorted_masks = sorted_masks.astype(object)  # one Python int per mask, shared
-    return PatternList(w, n, tuple(sorted_masks[np.argsort(first)].tolist()),
-                       tuple(sorted_masks.tolist()))
+    listed.sort()  # in place: np.unique without indices would load numpy.ma (~1 MB)
+    return PatternList(w, n, tuple(listed[np.diff(listed, prepend=-1) != 0].tolist()))
 
 
 def _drawn_supports(code: LinearCode, w: int, draws: int, rng) -> np.ndarray:
@@ -134,10 +118,15 @@ def _drawn_supports(code: LinearCode, w: int, draws: int, rng) -> np.ndarray:
     return np.take_along_axis(code.pivot_columns(orders), picks, axis=1)
 
 
-def _check_budgets(budget: int, sample_budget: int) -> None:
+def _check_budgets(budget: int, sample_budget: int) -> tuple[int, int]:
+    """Both budgets as ints: BadParams naming a budget that is not an integer
+    (`seed_index`: 10.5 and "10" are refused), or for a negative one."""
+    budget = seed_index(budget, "the budget")
+    sample_budget = seed_index(sample_budget, "the sample budget")
     if budget < 0 or sample_budget < 0:
         raise BadParams(f"budgets must be >= 0; got budget {budget}, "
                         f"sample budget {sample_budget}")
+    return budget, sample_budget
 
 
 def compute_matrix(lgamma: PatternList, lnk: PatternList, d: int,
@@ -155,7 +144,7 @@ def compute_matrix(lgamma: PatternList, lnk: PatternList, d: int,
     gamma, nk = lgamma.weight, lnk.weight
     if d * gamma + beta * nk != beta * n:
         return None
-    masks_g, masks_k = lgamma.sorted_masks, lnk.sorted_masks
+    masks_g, masks_k = lgamma.masks, lnk.masks
     fast = _window_construction(masks_g, masks_k, n, gamma, d, beta)
     if fast is not None:
         return fast
@@ -280,7 +269,7 @@ def optimize_rate(code: LinearCode, query_code: LinearCode | None = None,
     raises StructureViolation (`protocol3.check_query_code`). Each Gamma
     is tried with the LCM-minimal (beta, d) of `beta_d_minimal`.
     """
-    _check_budgets(budget, sample_budget)
+    budget, sample_budget = _check_budgets(budget, sample_budget)
     if query_code is None:
         product = code
     else:

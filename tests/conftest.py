@@ -435,12 +435,12 @@ def p1_decode_batched_reference(plan, responses, msg_field) -> Matrix:
 
 
 def rank_pattern_list(code, w: int) -> tuple[int, ...]:
-    """Reference for the exhaustive pattern list: every weight-w support in
-    `itertools.combinations` order whose columns of H have rank w, as
-    support bitmasks."""
-    return tuple(sum(1 << j for j in support)
-                 for support in itertools.combinations(range(code.n), w)
-                 if rank_reference(columns(code.H, support)) == w)
+    """Reference for the exhaustive pattern list: the support bitmasks of
+    every weight-w support from `itertools.combinations` whose columns of H
+    have rank w, in ascending order."""
+    return tuple(sorted(sum(1 << j for j in support)
+                        for support in itertools.combinations(range(code.n), w)
+                        if rank_reference(columns(code.H, support)) == w))
 
 
 def sampled_pattern_list_reference(code, w: int, sample_budget: int,
@@ -451,7 +451,8 @@ def sampled_pattern_list_reference(code, w: int, sample_budget: int,
     the RREF pivots of H's columns in the keys' column order mapped back
     through it, the pivots at the positions of the w smallest pick keys; each
     new find followed at once by every cyclic shift of it that is not yet
-    listed and whose columns of H have rank w, one shift at a time."""
+    listed and whose columns of H have rank w, one shift at a time; the
+    masks found, in ascending order."""
     n = code.n
     rng = rng_for(seed, "patterns", w)
     found: dict[int, None] = {}
@@ -472,7 +473,7 @@ def sampled_pattern_list_reference(code, w: int, sample_budget: int,
                 shifted = [(j + shift) % n for j in support]
                 if rotated not in found and rank_reference(columns(code.H, shifted)) == w:
                     found[rotated] = None
-    return tuple(found)
+    return tuple(sorted(found))
 
 
 def _uint64s(data: bytes) -> list[int]:
@@ -486,8 +487,8 @@ def compute_matrix_bruteforce(lgamma, lnk, d: int, beta: int):
     if not lgamma or not lnk:
         return None
     n = lgamma.n
-    masks_g = sorted(set(lgamma.masks()))
-    masks_k = sorted(set(lnk.masks()))
+    masks_g = sorted(set(lgamma.masks))
+    masks_k = sorted(set(lnk.masks))
 
     def colsum(masks):
         return [sum((m >> j) & 1 for m in masks) for j in range(n)]

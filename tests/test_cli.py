@@ -41,6 +41,17 @@ def test_matrix_find_modes(good_spec, tmp_path, capsys):
                  "--automorphisms", str(perms_path)]) == 1
 
 
+def test_automorphism_entries_must_be_integers(good_spec, tmp_path, capsys):
+    """A permutation entry 0.0 passed the permutation check as 0 and ended
+    in a numpy IndexError traceback; it is an error now."""
+    perms = [[(j + i) % 5 for j in range(5)] for i in range(5)]
+    perms[0][0] = 0.0
+    perms_path = tmp_path / "perms.json"
+    perms_path.write_text(json.dumps(perms))
+    assert main(["matrix", "find", good_spec, "--automorphisms", str(perms_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_matrix_find_lrc(tmp_path, capsys):
     spec = {"family": "lrc", "q": 8, "r": 2, "delta": 2, "Lc": 2, "n": 7,
             "k": 4, "P": [[[3, 1]], [[3, 2]]], "M": [[[6, 1]], [[7, 7]]]}

@@ -110,6 +110,22 @@ def test_pattern_helpers_refuse_bad_input(good532):
     assert good532.correctable_masks(np.int64(1)) == good532.correctable_masks(1)
 
 
+def test_erasure_pattern_entries_must_be_integer_bits():
+    """A mask entry that is not an integer 0 or 1, and a support position
+    that is not an integer, raise DimensionMismatch: (1.0, 0, 0.0) was
+    accepted with weight 1.0, and from_support(3, [0.5, 2]) raised a bare
+    TypeError."""
+    for mask in ((1.0, 0, 0.0), (0.5, 0, 0), (2, 0, 0), (-1, 0, 0), ("1", 0, 0),
+                 (None, 0, 0)):
+        with pytest.raises(DimensionMismatch, match="mask must be integers 0/1"):
+            ErasurePattern(3, mask)
+    for support in ([0.5, 2], [1.0], ["1"]):
+        with pytest.raises(DimensionMismatch, match="must be integers"):
+            ErasurePattern.from_support(3, support)
+    assert ErasurePattern.from_support(3, [np.int64(2)]).mask == (0, 0, 1)
+    assert ErasurePattern(3, (np.int64(1), 0, 1)).weight == 2
+
+
 def test_erasure_correctability(code73):
     assert code73.erasure_correctable(ErasurePattern.from_support(7, [2, 3, 4, 5]))
     assert code73.erasure_correctable(ErasurePattern(7, (0,) * 7))
@@ -438,9 +454,10 @@ def test_automorphisms(good532, bad532, f2):
     lambda code: code.decode_erasures([[0] * 5], [1.5]),
     lambda code: code.message_from_information_set([0, 1, 2.9], [[0, 0, 0]], code.field),
     lambda code: standard_form_parity(code, [0, 1, 2.0]),
+    lambda code: code.is_automorphism([0.0, 1, 2, 3, 4]),
 ], ids=["is_information_set", "contains_information_set", "_positions", "puncture",
         "shorten", "decode_erasures", "message_from_information_set",
-        "standard_form_parity"])
+        "standard_form_parity", "is_automorphism"])
 def test_positions_must_be_integers(good532, call):
     """A position that is not an integer raises DimensionMismatch; it was
     cut to an integer before, so [0.5, 1.5, 2.9] was read as the

@@ -18,17 +18,24 @@ from codedpir.protocol2 import p2_build_structure
 from codedpir.protocol3 import p3_setup
 from codedpir.ratematrix import beta_d_minimal
 from codedpir.reports import colluding_row, fixture_code, load_fixture, noncolluding_row
-from conftest import QUERY_T0, STORAGE_T0, compute_matrix_bruteforce
+from conftest import (QUERY_T0, STORAGE_T0, compute_matrix_bruteforce, rank_pattern_list,
+                      sampled_pattern_list_reference)
 
 f2 = field_make(2)
 f13 = field_make(13)
+
+
+def _supports(lst):
+    """The supports of a pattern list's masks, in its order."""
+    return [tuple(j for j in range(lst.n) if mask >> j & 1) for mask in lst.masks]
 
 
 def test_pattern_lists(good532, bad532, rs53):
     assert len(compute_erasure_pattern_list(rs53, 2)) == 10
     bad_list = compute_erasure_pattern_list(bad532, 2)
     assert 0 < len(bad_list) < 10
-    assert all(bad532.erasure_correctable(p) for p in bad_list.patterns)
+    assert all(bad532.erasure_correctable(ErasurePattern.from_support(5, support))
+               for support in _supports(bad_list))
     assert len(compute_erasure_pattern_list(good532, 0)) == 1
     assert len(compute_erasure_pattern_list(good532, 3)) == 0  # above n - k
 
@@ -48,9 +55,8 @@ def test_pattern_list_sampled_mode(code124):
                                            sample_budget=80, seed=5)
     again = compute_erasure_pattern_list(code124, 8, budget=10,
                                          sample_budget=80, seed=5)
-    assert [p.support for p in sampled.patterns] == [p.support for p in again.patterns]
-    full_set = {p.support for p in full.patterns}
-    assert 0 < len(sampled) and {p.support for p in sampled.patterns} <= full_set
+    assert sampled == again
+    assert 0 < len(sampled) and set(_supports(sampled)) <= set(_supports(full))
 
 
 def test_pattern_list_weights_must_be_integers(good532):
@@ -63,24 +69,54 @@ def test_pattern_list_weights_must_be_integers(good532):
             compute_erasure_pattern_list(good532, w, budget=0)
     lst = compute_erasure_pattern_list(good532, True)
     assert type(lst.weight) is int and lst.weight == 1
-    assert lst.masks() == compute_erasure_pattern_list(good532, 1).masks()
+    assert lst.masks == compute_erasure_pattern_list(good532, 1).masks
 
 
-def test_sorted_masks_are_the_distinct_masks_in_order(good532, code124):
-    """Every list carries its distinct masks in increasing order, exhaustive
-    (listed in lexicographic support order) or sampled (listed in draw
-    order)."""
-    fixture = load_fixture("c13")
-    c13 = fixture_code(fixture)
-    lists = [compute_erasure_pattern_list(good532, w) for w in range(4)]
-    lists += [compute_erasure_pattern_list(code124, w) for w in (4, 8)]
-    lists += [compute_erasure_pattern_list(code124, 8, budget=10, sample_budget=80, seed=5),
-              compute_erasure_pattern_list(c13, 17, sample_budget=200, seed=1),
-              compute_erasure_pattern_list(c13, 18, budget=0, sample_budget=50)]
-    assert any(lst.masks() != lst.sorted_masks for lst in lists)
-    for lst in lists:
-        assert lst.sorted_masks == tuple(sorted(set(lst.masks())))
-        assert len(lst.sorted_masks) == len(lst)
+def test_budgets_must_be_integers(good532):
+    """Both budgets are taken through `operator.index`: a budget that is a
+    float or a string raises BadParams naming it (10.5 was compared as a
+    number before, and 2.5 or "10" ended in a bare TypeError), and a numpy
+    integer is an int."""
+    c4 = fixture_code(load_fixture("c4"))
+    for budgets, name in (({"budget": 10, "sample_budget": 2.5}, "sample budget"),
+                          ({"budget": 10, "sample_budget": 3.5}, "sample budget"),
+                          ({"budget": "10"}, "budget"), ({"budget": 10.5}, "budget")):
+        with pytest.raises(BadParams, match=f"the {name} must be an integer"):
+            compute_erasure_pattern_list(c4, 6, **budgets)
+        with pytest.raises(BadParams, match=f"the {name} must be an integer"):
+            optimize_rate(c4, **budgets)
+    assert compute_erasure_pattern_list(good532, 1, budget=np.int64(0),
+                                        sample_budget=np.int64(4)) == \
+        compute_erasure_pattern_list(good532, 1, budget=0, sample_budget=4)
+
+
+def test_pattern_lists_are_ascending(good532, code124):
+    """Every list holds its masks as Python ints in strictly ascending order,
+    the distinct masks of its reference sorted: exhaustive lists
+    (`rank_pattern_list`), sampled lists (`sampled_pattern_list_reference`),
+    c13's among them, and both kinds on a [64, 62] binary code, whose masks
+    pass int64."""
+    c13 = fixture_code(load_fixture("c13"))
+    rng = np.random.default_rng(64)
+    wide = code_from_generator(Matrix(f2, np.hstack([np.eye(62, dtype=np.int64),
+                                                     rng.integers(0, 2, (62, 2))]).tolist()))
+    cases = [(good532, w, {}) for w in range(4)]
+    cases += [(code124, w, {}) for w in (4, 8)] + [(wide, 1, {}), (wide, 2, {})]
+    cases += [(code124, 8, {"budget": 10, "sample_budget": 80, "seed": 5}),
+              (c13, 17, {"sample_budget": 20, "seed": 1}),
+              (c13, 18, {"budget": 0, "sample_budget": 10, "seed": 0}),
+              (wide, 2, {"budget": 0, "sample_budget": 8, "seed": 3})]
+    for code, w, kwargs in cases:
+        lst = compute_erasure_pattern_list(code, w, **kwargs)
+        if kwargs:
+            reference = sampled_pattern_list_reference(code, w, kwargs["sample_budget"],
+                                                       kwargs["seed"])
+        else:
+            reference = rank_pattern_list(code, w)
+        assert all(a < b for a, b in zip(lst.masks, lst.masks[1:])), (code, w)
+        assert lst.masks == tuple(sorted(set(reference))), (code, w)
+        assert all(type(m) is int for m in lst.masks)
+    assert max(compute_erasure_pattern_list(wide, 2).masks) >= 1 << 63
 
 
 @pytest.mark.parametrize("gamma", [1, 2])
@@ -205,36 +241,36 @@ def test_monotone_gamma_examination(good532, monkeypatch):
 
 
 def test_information_set_list_sorted_once(good532, monkeypatch):
-    """Every Gamma of one optimization reads the same sorted information-set
-    masks, sorted on first use."""
+    """Every Gamma of one optimization reads the same information-set list,
+    built once, whose masks are the ascending correctable weight-(n - k)
+    masks."""
     import codedpir.optimizer as opt
-    lists, sorted_masks = [], []
+    lists = []
     original = opt.compute_matrix
 
     def spy(lgamma, lnk, d, beta):
         lists.append(lnk)
-        sorted_masks.append(lnk.sorted_masks)
         return original(lgamma, lnk, d, beta)
 
     monkeypatch.setattr(opt, "compute_matrix", spy)
     opt.optimize_rate(good532)
     assert len(lists) == 2 and lists[0] is lists[1]
-    assert sorted_masks[1] is sorted_masks[0]
-    assert list(sorted_masks[0]) == sorted(set(lists[0].masks()))
+    assert lists[0].masks == rank_pattern_list(good532, good532.n - good532.k)
 
 
 # sha256 of the supports, in list order, of the pattern lists that the c13
-# Table III row builds at seed 0 (recorded before the elimination kernel
-# replaced the per-draw RREF): a change here is a change of the RNG stream.
-# The sampled weight-17 entry was restated once when its draws moved from one
-# `shuffle` and one `sample` per draw to sort keys from one `randbytes` call;
-# the exhaustive product lists did not move
+# Table III row builds at seed 0: a change here is a change of the RNG
+# stream. The sampled weight-17 entry was restated once when its draws moved
+# from one `shuffle` and one `sample` per draw to sort keys from one
+# `randbytes` call, and every entry once more when lists were kept in
+# ascending mask order only (the same mask sets, read from the old sorted
+# masks)
 C13_GOLDEN = {
-    ("code", 17): "5edb0a455c5426a18abd9f7f88869e65b89d154b6f595a39af4581b6eab96245",
+    ("code", 17): "8727e44b2ccd406328a1835b0d552506210086835453e7ea1ca4235895ffe96a",
     ("product", 1): "1d5ce60d0c390df4d74151e6e19e25fc5fd7e80015d124abc6022a969c8fa5ee",
-    ("product", 2): "1b2474db75d63569111a3e4249df5ecc17cafe0ed1a0b2b414e4dd82eaa7cda1",
-    ("product", 3): "2c1bedc14d46ffc62d2c9ae18a8235b28a101bc3531a08bd4d2467195e3aaa11",
-    ("product", 4): "a90aecd62c08a6620cd9a5592d969dc23d9b02ec6f3c97d2816aea6a9e2a69cd",
+    ("product", 2): "f2882ee4a894b8055fec0fed216d292a0a92a9930fdec0f1d27ddf33a783f2fa",
+    ("product", 3): "894d9811159c39b045300a93c44eaab735ce37b4cadcc17d56f44589218bb7bc",
+    ("product", 4): "6708da4755570a1c13294b7e7dd47662c08ebce44430a40197045423ff8fccfc",
 }
 
 
@@ -246,10 +282,8 @@ def test_c13_pattern_lists_golden():
     for (which, w), want in C13_GOLDEN.items():
         lst = compute_erasure_pattern_list(code if which == "code" else product, w,
                                            sample_budget=sample_budget, seed=0)
-        text = ";".join(",".join(map(str, p.support)) for p in lst.patterns)
+        text = ";".join(",".join(map(str, support)) for support in _supports(lst))
         assert hashlib.sha256(text.encode()).hexdigest() == want, (which, w)
-        assert lst.masks() == tuple(sum(1 << j for j in p.support)
-                                    for p in lst.patterns)
 
 
 def test_c13_sampled_list_asks_for_pivots_once(monkeypatch):
@@ -280,8 +314,9 @@ def test_c13_stays_certified(seed):
 
 def test_sampled_list_leaves_numpy_random_unloaded():
     """A fresh interpreter that builds c13's weight-17 sampled list never
-    loads `numpy.random`, whose import would add to the peak memory of every
-    optimizer run."""
+    loads `numpy.random` or `numpy.ma`, whose imports would add to the peak
+    memory of every optimizer run (numpy 2's `np.unique` without indices
+    loads `numpy.ma`)."""
     import codedpir
     script = (
         "import sys\n"
@@ -290,12 +325,12 @@ def test_sampled_list_leaves_numpy_random_unloaded():
         "fixture = load_fixture('c13')\n"
         "lst = compute_erasure_pattern_list(fixture_code(fixture), 17, sample_budget="
         "fixture['colluding']['sample_budget'], seed=0)\n"
-        "print(len(lst), 'numpy.random' in sys.modules)\n")
+        "print(len(lst), 'numpy.random' in sys.modules, 'numpy.ma' in sys.modules)\n")
     src = str(Path(codedpir.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
-    size, loaded = out.stdout.split()
-    assert int(size) > 0 and loaded == "False"
+    size, random_loaded, ma_loaded = out.stdout.split()
+    assert int(size) > 0 and random_loaded == ma_loaded == "False"
 
 
 @pytest.mark.parametrize("name", ["c1", "c4", "c5", "c10"])
