@@ -11,17 +11,28 @@ over GF(q) act on message symbols in GF(q^ell).
 Every matrix product (`mat_mul`, encoding, node responses, syndromes and
 erasure decoding) is one exact product on int64 arrays of canonical elements
 of one field, `FiniteField.matmul_array`; an operand over a subfield is first
-embedded by one gather (`embed_array`), and `mat_mul`/`mat_solve` refuse two
-different fields with FieldMismatch. Over GF(p) the product is `a @ b` mod p,
-on Python integers once k (p-1)^2 reaches 2^63; over GF(p^a) with log/exp
-tables (order up to 2^16), one table gather per term over row blocks of at
-most MATMUL_CHUNK terms, summed by XOR in characteristic 2 and digit-wise mod
-p otherwise (an inner size of 1 has one term, taken as it is); over larger fields, a scalar loop over `add` and `mul`. Its
-operands may be stacked, (..., r, k) and (..., k, c) with leading dimensions
+embedded by one gather (`embed_array`, which returns an operand over GF(p) as
+it is), and `mat_mul`/`mat_solve` refuse two different fields with
+FieldMismatch. The product has four regimes:
+- over GF(p), `a @ b` mod p, on Python integers once k (p-1)^2 reaches 2^63;
+- over GF(p^a) when one operand lies in GF(p) (every entry below p, the reps
+  of the prime subfield) and k (p-1)^2 < 2^W, W = 64 // a: one uint64 `@`
+  with the other operand's base-p digits spread into W-bit lanes, digit i at
+  bit W i. Lane i of an entry then holds the sum of k digit products, each
+  at most (p-1)^2, so no lane carries into the next, and lane i mod p is
+  digit i of the result. It needs no log/exp tables, so it covers every
+  order; with the tables, an inner size of 1 is left to the cheaper gather;
+- over GF(p^a) with log/exp tables (order up to 2^16), one table gather per
+  term over row blocks of at most MATMUL_CHUNK terms, summed by XOR in
+  characteristic 2 and digit-wise mod p otherwise (an inner size of 1 has one
+  term, taken as it is);
+- over larger fields, a scalar loop over `add` and `mul`.
+Its operands may be stacked, (..., r, k) and (..., k, c) with leading dimensions
 broadcast as by `@`, for one product per slice in one call (every node's
-response): the stacks' rows are then blocked one after another, each row
-gathering its own slice of b. `sum_array` and `sub_array` add and subtract
-such arrays in the same two ways.
+response): the lane-packed product is then one stacked `@`, and the gather
+blocks the stacks' rows one after another, each row gathering its own slice
+of b. `sum_array` and `sub_array` add and subtract arrays of canonical
+elements in the gather's two ways.
 
 Gauss-Jordan elimination is one array kernel on `matmul_array` and
 `sub_array`, `FiniteField.rref_array` (a row swap, a row scaled by the pivot's
@@ -201,6 +212,17 @@ class FiniteField:
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._gather: tuple[np.ndarray, np.ndarray] | None = None
+        self._spread_table: np.ndarray | None = None
+        w = self._lane_bits = 64 // alpha  # W of the lane-packed product
+        if alpha > 1 and p == 2:  # the lanes' low bits, their mover and its shift
+            top = 64 - alpha
+            self._unpacking = tuple(np.uint64(x) for x in (
+                sum(1 << w * i for i in range(alpha)),
+                sum(1 << top - (w - 1) * i for i in range(alpha)), top))
+        elif alpha > 1:  # the lanes' shifts, their mask and the digits' weights
+            self._unpacking = (np.arange(0, w * alpha, w, dtype=np.uint64),
+                               np.uint64((1 << w) - 1),
+                               np.uint64(p) ** np.arange(alpha, dtype=np.uint64))
         self._embeddings: dict[tuple[int, int], list[int]] = {}
         if 1 < self.order <= _TABLE_MAX and alpha > 1:
             self._build_tables()
@@ -320,7 +342,14 @@ class FiniteField:
         of canonical elements, as an r x c int64 array (see the module
         docstring). Stacked operands (..., r, k) and (..., k, c) multiply
         slice by slice, their leading dimensions broadcast as by `@`, into a
-        (..., r, c) array; DimensionMismatch if the inner sizes differ."""
+        (..., r, c) array; DimensionMismatch if the inner sizes differ.
+
+        Over GF(p^a) the lane-packed product is taken when one operand's
+        entries are all below p (the right one is tested first) and
+        k (p-1)^2 < 2^(64 // a), which makes it exact, unless the field has
+        log/exp tables and k <= 1; any other product is gathered through the
+        tables, or over a field without them multiplied one scalar at a
+        time."""
         (r, k), c = a.shape[-2:], b.shape[-1]
         if b.shape[-2] != k:
             raise DimensionMismatch(f"{a.shape} times {b.shape}")
@@ -331,6 +360,12 @@ class FiniteField:
             out = a @ b
             out %= self.p
             return out
+        # an inner size of 1 is one gathered term, cheaper than spread and unpack
+        if (k > 1 or self._exp is None) and k * (self.p - 1) ** 2 < 1 << self._lane_bits:
+            if not b.size or b.max() < self.p:
+                return self._unpack(self._spread(a) @ _as_words(b))
+            if not a.size or a.max() < self.p:
+                return self._unpack(_as_words(a) @ self._spread(b))
         lead = a.shape[:-2]
         if lead != b.shape[:-2]:
             lead = np.broadcast_shapes(lead, b.shape[:-2])
@@ -359,6 +394,40 @@ class FiniteField:
             terms = exp[log[a[start:stop]][:, :, None] + block]
             out[start:stop] = terms[:, 0] if k == 1 else self.sum_array(terms, axis=1)
         return out.reshape(lead + (r, c)) if lead else out
+
+    def _spread(self, x: np.ndarray) -> np.ndarray:
+        """The base-p digits of canonical elements in W-bit lanes of one uint64,
+        digit i at bit W i: one gather through a q-entry table built on first
+        use up to _TABLE_MAX, digit arithmetic above it."""
+        if self._spread_table is not None:
+            return self._spread_table[x]
+        tabled = self.order <= _TABLE_MAX
+        reps = _as_words(np.arange(self.order) if tabled else x)
+        out = np.zeros(reps.shape, dtype=np.uint64)
+        for i in range(self.alpha):
+            out |= reps // self.p ** i % self.p << i * self._lane_bits
+        if not tabled:
+            return out
+        self._spread_table = out
+        return out[x]
+
+    def _unpack(self, packed: np.ndarray) -> np.ndarray:
+        """Canonical elements from lane-packed sums of digit products: lane i
+        reduced mod p is digit i. For p = 2 the lanes' low bits are masked and
+        one multiplication modulo 2^64 moves bit W i to bit T + i, where
+        T = 64 - alpha, with no carry into those bits: the other partial
+        products land at distinct bits below T or past bit 63."""
+        if self.p == 2:
+            low, mover, top = self._unpacking
+            packed &= low
+            packed *= mover
+            packed >>= top
+            return packed.view(np.int64)
+        shifts, mask, weights = self._unpacking
+        lanes = packed[..., None] >> shifts
+        lanes &= mask
+        lanes %= self.p
+        return (lanes @ weights).view(np.int64)
 
     def sum_array(self, terms: np.ndarray, axis: int) -> np.ndarray:
         """Field sum of an int64 array of canonical elements along `axis`."""
@@ -489,8 +558,9 @@ class FiniteField:
 
     def embed_array(self, a: np.ndarray, sub: "FiniteField") -> np.ndarray:
         """An int64 array over the subfield `sub` embedded into this field by
-        one gather through the embedding table."""
-        if sub is self:
+        one gather through the embedding table. Every embedding fixes the
+        prime field rep for rep, so an array over GF(p) is returned as it is."""
+        if sub is self or sub.order == self.p:
             return a
         return np.asarray(self.embedding_from(sub), dtype=np.int64)[a]
 
@@ -504,6 +574,11 @@ class FiniteField:
 
 
 _FIELD_CACHE: dict[tuple[int, int], FiniteField] = {}
+
+
+def _as_words(x: np.ndarray) -> np.ndarray:
+    """Canonical elements as uint64, for the lane-packed product."""
+    return np.asarray(x, dtype=np.int64).view(np.uint64)
 
 
 def field_make(p: int, alpha: int = 1) -> FiniteField:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from collections.abc import Sequence
 
 from .codes import ErasurePattern, LinearCode, non_bit_entry
 from .errors import (
@@ -212,8 +212,11 @@ def necessary_condition(code: LinearCode) -> ConditionReport:
 
 def lambda_from_automorphisms(code: LinearCode, perms: Sequence[Sequence[int]],
                               info_set: Sequence[int] | None = None) -> RateMatrix:
-    """Capacity-achieving Lambda_{k,n} from n automorphisms covering every orbit."""
+    """Capacity-achieving Lambda_{k,n} from n automorphisms covering every
+    orbit; DimensionMismatch unless `perms` is a sequence."""
     n = code.n
+    if not isinstance(perms, Sequence):
+        raise DimensionMismatch(f"automorphisms must be a list of n={n} permutations")
     if len(perms) != n:
         raise NotCoveringOrbit(f"need exactly n={n} automorphisms")
     for p in perms:

@@ -52,6 +52,18 @@ def test_automorphism_entries_must_be_integers(good_spec, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("perms", [5, None, {"0": [0, 1, 2, 3, 4]}, "01234"])
+def test_automorphisms_must_be_a_list_of_permutations(perms, tmp_path, capsys):
+    """A JSON number ended in a TypeError traceback from len(); any JSON value
+    that is not a list of permutations is an error."""
+    from codedpir.reports import fixtures_dir
+    perms_path = tmp_path / "perms.json"
+    perms_path.write_text(json.dumps(perms))
+    assert main(["matrix", "find", str(fixtures_dir() / "c1.json"),
+                 "--automorphisms", str(perms_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_matrix_find_lrc(tmp_path, capsys):
     spec = {"family": "lrc", "q": 8, "r": 2, "delta": 2, "Lc": 2, "n": 7,
             "k": 4, "P": [[[3, 1]], [[3, 2]]], "M": [[[6, 1]], [[7, 7]]]}

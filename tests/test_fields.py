@@ -124,6 +124,24 @@ def test_subfield_embedding_is_a_homomorphism():
     assert base.extension(1) is base
 
 
+# every extension field the tests build: the extensions GF(q^ell) that
+# `test_mat_mul_matches_reference` draws over FIELDS, and the fields of the
+# lane-packed product checks and the protocol instances
+EXTENSIONS = sorted({(p, alpha * ell) for p, alpha in FIELDS
+                     for ell in range(1, min(3, 8 // alpha) + 1) if alpha * ell > 1}
+                    | {(2, 8), (3, 3), (3, 8), (5, 7), (13, 2), (257, 2)})
+
+
+@pytest.mark.parametrize("p,alpha", EXTENSIONS)
+def test_prime_field_embeds_as_the_identity(p, alpha):
+    """Every embedding fixes GF(p) rep for rep, so `embed_array` returns an
+    operand over the prime field as it is."""
+    ext, prime = field_make(p, alpha), field_make(p)
+    assert ext.embedding_from(prime) == list(range(p))
+    a = np.arange(p, dtype=np.int64).reshape(1, p)
+    assert ext.embed_array(a, prime) is a
+
+
 def test_rank_reference_values(good532):
     assert mat_rank(Matrix(field_make(2), [[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
     assert mat_rank(good532.G) == 3

@@ -409,7 +409,14 @@ def test_stacked_matmul_matches_slices(field, data):
         return np.array(flat, dtype=np.int64).reshape(shape)
 
     r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
-    a, b = operand(r, k), operand(k, c)
+    check_slices(f, operand(r, k), operand(k, c))
+
+
+def check_slices(f, a, b):
+    """`matmul_array(a, b)` is an int64 (..., r, c) array, the leading
+    dimensions broadcast as by `@`, and each slice is the scalar product of
+    its pair of slices (`mat_mul_reference`)."""
+    (r, k), c = a.shape[-2:], b.shape[-1]
     got = f.matmul_array(a, b)
     both = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     assert got.dtype == np.int64 and got.shape == both + (r, c)
@@ -418,6 +425,64 @@ def test_stacked_matmul_matches_slices(field, data):
         want = mat_mul_reference(Matrix(f, a[idx].tolist(), r, k),
                                  Matrix(f, b[idx].tolist(), k, c))
         assert got[idx].tolist() == want.array().tolist(), idx
+
+
+# GF(p^a) fields of the lane-packed product; GF(257^2) has no log/exp tables
+LANE_FIELDS = [(2, 2), (2, 4), (2, 8), (3, 3), (3, 8), (13, 2), (257, 2)]
+
+
+def lane_bound(f) -> int:
+    """The least inner size k with k (p - 1)^2 >= 2^W, W = 64 // alpha: a
+    lane of k digit products could carry into the next from here on."""
+    return -(-(1 << 64 // f.alpha) // (f.p - 1) ** 2)
+
+
+@pytest.mark.parametrize("field", LANE_FIELDS, ids=field_id)
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_prime_operand_products_match_reference(field, data):
+    """A product over GF(p^a) with one operand over the prime field GF(p)
+    (the lane-packed product) and the other over the whole field, the prime
+    operand on either side: stacked and broadcast as in
+    `test_stacked_matmul_matches_slices`, with r and c from 1 to 4 and k
+    from 0 to 6."""
+    f = field_make(*field)
+    prime_left = data.draw(st.booleans())
+    lead = data.draw(st.lists(st.integers(0, 3), max_size=2))
+
+    def operand(rows, cols, prime):
+        entry = (st.integers(0, f.p - 1) if prime else
+                 st.one_of(st.integers(0, f.order - 1), st.just(f.order - 1)))
+        dims = [data.draw(st.sampled_from([size, 1])) for size in lead]
+        shape = tuple(dims[data.draw(st.integers(0, len(dims))):]) + (rows, cols)
+        flat = data.draw(st.lists(entry, min_size=math.prod(shape),
+                                  max_size=math.prod(shape)))
+        return np.array(flat, dtype=np.int64).reshape(shape)
+
+    r, c = (data.draw(st.integers(1, 4)) for _ in range(2))
+    k = data.draw(st.integers(0, 6))
+    check_slices(f, operand(r, k, prime_left), operand(k, c, not prime_left))
+
+
+@pytest.mark.parametrize("field", [(2, 8), (3, 8)], ids=field_id)
+@pytest.mark.parametrize("prime_left", [True, False])
+def test_prime_operand_products_at_the_lane_bound(field, prime_left):
+    """Inner sizes 0 and bound - 1, bound, bound + 1 (255, 256, 257 over
+    GF(2^8); 63, 64, 65 over GF(3^8)). One row and one column are all
+    largest entries, p - 1 against q - 1 (every digit p - 1), so their lanes
+    reach (bound - 1)(p - 1)^2 < 2^W and would carry from the bound on; the
+    other row and column are random."""
+    f = field_make(*field)
+    bound = lane_bound(f)
+    rng = np.random.default_rng(bound)
+    for k in (0, bound - 1, bound, bound + 1):
+        prime = np.full((2, k), f.p - 1, dtype=np.int64)
+        prime[1] = rng.integers(0, f.p, k)
+        other = np.full((k, 2), f.order - 1, dtype=np.int64)
+        other[:, 1] = rng.integers(0, f.order, k)
+        a, b = (prime, other) if prime_left else (other.T, prime.T)
+        check_slices(f, a, b)
+        check_slices(f, np.stack([a, a[::-1]]), b)
 
 
 @pytest.mark.parametrize("field", [(2, 4), (3, 2)], ids=field_id)
