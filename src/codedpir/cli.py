@@ -15,30 +15,22 @@ from fractions import Fraction
 from pathlib import Path
 
 from .audit import privacy_audit
-from .codes import LinearCode
+from .codes import EXHAUSTIVE_LIMIT, LinearCode
 from .dss import Dss, run
 from .errors import BadParams, CodedPirError
 from .families import code_from_spec
-from .optimizer import EXHAUSTIVE_LIMIT, SAMPLE_BUDGET, optimize_rate
+from .optimizer import SAMPLE_BUDGET, optimize_rate
 from .protocol2 import p2_build_structure
 from .protocol3 import p3_setup
 from .ratematrix import (E_to_lambda, capacity_asymptotic, capacity_finite,
                          lambda_from_automorphisms, lambda_generic,
                          lrc_E_matrix, rate_matrix)
-from .reports import report_tables
+from .reports import load_json, report_tables
 from .rng import default_seed
 
 
-def _load_json(path: str):
-    """The JSON value in a file; BadParams when it cannot be read or parsed."""
-    try:
-        return json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise BadParams(f"cannot read JSON from {path}: {exc}") from exc
-
-
 def _load_spec(path: str) -> dict:
-    obj = _load_json(path)
+    obj = load_json(path)
     if "family" not in obj and "code" in obj:
         return obj["code"]  # accept packaged fixture files directly
     return obj
@@ -105,7 +97,7 @@ def cmd_matrix_find(args) -> int:
         em = lrc_E_matrix(code.meta["params"], code)
         lam = rate_matrix(code, E_to_lambda(em))
     elif args.automorphisms:
-        perms = _load_json(args.automorphisms)
+        perms = load_json(args.automorphisms)
         lam = lambda_from_automorphisms(code, perms)
     else:
         lam = lambda_generic(code, seed=args.seed)

@@ -28,10 +28,10 @@ Two exact kernels carry the code predicates and the decoding:
   - The column walk (`_column_levels`) extends every independent subset of
     H's columns by each later column whose residual is nonzero, one step
     per block of children in the order of their new column, on the columns
-    after it only. The code keeps the levels of its deepest walk, one mask
-    array each: the column search of `min_distance` reads their counts
-    (`_count`), `correctable_masks` a level sorted ascending in place on
-    first read.
+    after it only. A code walks once, to every level an exhaustive
+    pattern list may read (`_count`), and keeps the levels, one mask array
+    each: the column search of `min_distance` reads their counts,
+    `correctable_masks` a level sorted ascending in place on first read.
   Both work in blocks of about BLOCK bytes, and neither allocates a `Matrix`.
 - Erasure decoding, shared by the three protocols, compiled once per erased
   set E and kept for the code's lifetime (`_erasure_decoder`): one
@@ -90,6 +90,7 @@ from .fields import FiniteField, Matrix
 
 ENUM_BUDGET = 1 << 21          # subcode-enumeration ceiling (q^k for d_1)
 COLUMN_SEARCH_BUDGET = 5_000_000  # cumulative column-subset ceiling
+EXHAUSTIVE_LIMIT = 100_000     # list all weight-w patterns up to C(n, w) of them
 ENUM_CHUNK = 4096              # rows of n symbols per subcode-enumeration block
 BLOCK = 1 << 17                # residual bytes per block of the column eliminations
 
@@ -482,9 +483,10 @@ class LinearCode:
 
     def _min_distance_column_search(self, budget: int) -> int:
         """Smallest w such that some w parity-check columns are dependent:
-        the first level of the kept column walk (`_count`) that holds fewer
-        than C(n, w) subsets. As the walk keeps what it lists, TooLarge
-        before walking to w if C(n, 1) + ... + C(n, w) exceeds the budget."""
+        the first level of the code's one column walk (`_count`) that holds
+        fewer than C(n, w) subsets. TooLarge before reading level w if
+        C(n, 1) + ... + C(n, w) exceeds the budget (a level past the walk's
+        EXHAUSTIVE_LIMIT levels is walked to itself)."""
         spent = 0
         for w in range(1, self.n - self.k + 2):
             spent += comb(self.n, w)
@@ -509,12 +511,18 @@ class LinearCode:
         return tuple(level.tolist())
 
     def _count(self, w: int) -> int:
-        """The size of level w of the code's deepest column walk, kept; a
-        deeper w walks from the root and replaces it. 0 past n - k."""
-        if w > self.n - self.k:
+        """The size of level w of the code's one column walk, kept. The first
+        w past the kept levels walks once, to the deepest t <= n - k whose
+        levels all have C(n, i) <= EXHAUSTIVE_LIMIT, so every exhaustive
+        list reads it, and to w if that is deeper. 0 past n - k."""
+        n, r = self.n, self.n - self.k
+        if w > r:
             return 0
         if w >= len(self._levels):
-            self._levels = self._column_levels(w)
+            t = 0
+            while t < r and comb(n, t + 1) <= EXHAUSTIVE_LIMIT:
+                t += 1
+            self._levels = self._column_levels(max(w, t))
         return len(self._levels[w])
 
     def _column_levels(self, depth: int) -> list[np.ndarray]:

@@ -11,20 +11,20 @@ selection becomes infeasible. A `PatternList` holds support bitmasks only,
 in ascending order, the one order every list is kept in: an exhaustive list
 is one level of the code's column walk over H (`LinearCode.correctable_masks`),
 which extends every independent subset of H's columns by each later column, a
-block of subsets at a time in arrays. The code keeps the levels of its
-deepest walk, so the column search of `min_distance`, a noncolluding code's
-information-set list (weight n - k, asked first) and all its Gamma lists come
-from one walk. A sampled list makes all its seeded draws at once (sort keys
-from one `randbytes` call give each draw a column order and w of its n - k
-pivot positions), takes every order's pivots in one batched call
-(`LinearCode.pivot_columns`), decides every bit rotation of every distinct
-find in one more (`LinearCode.correctable_shifts`), and lists the distinct
-correctable rotations, sorted in place, all as arrays of masks. The
-selection (d weight-Gamma rows and beta information-set complements, every
-stacked column sum beta, rows may repeat) reads each list in that order, so
-its answer depends on a list's set of masks only; it is solved exactly by a
-depth-first search on the most constrained deficient column, memoizing
-infeasible states.
+block of subsets at a time in arrays. A code walks once, to every level
+whose C(n, w) is within EXHAUSTIVE_LIMIT, and keeps the levels, so the column
+search of `min_distance`, a noncolluding code's information-set list (weight
+n - k) and all its Gamma lists come from one walk. A sampled list makes all
+its seeded draws at once (sort keys from one `randbytes` call give each draw
+a column order and w of its n - k pivot positions), takes every order's
+pivots in one batched call (`LinearCode.pivot_columns`), decides every bit
+rotation of every distinct find in one more (`LinearCode.correctable_shifts`),
+and lists the distinct correctable rotations, sorted in place, all as arrays
+of masks. The selection (d weight-Gamma rows and beta information-set
+complements, every stacked column sum beta, rows may repeat) reads each list
+in that order, so its answer depends on a list's set of masks only; it is
+solved exactly by a depth-first search on the most constrained deficient
+column, memoizing infeasible states.
 """
 
 from __future__ import annotations
@@ -34,13 +34,12 @@ from math import comb
 
 import numpy as np
 
-from .codes import LinearCode, mask_bits, pattern_weight
+from .codes import EXHAUSTIVE_LIMIT, LinearCode, mask_bits, pattern_weight
 from .errors import BadParams, RateOneProduct, TooLarge
 from .protocol3 import check_query_code
 from .ratematrix import ErasureMatrix, beta_d_minimal
 from .rng import rng_for, seed_index
 
-EXHAUSTIVE_LIMIT = 100_000   # enumerate all weight-w patterns up to this count
 SAMPLE_BUDGET = 100_000      # randomized pivot draws otherwise
 STATE_BUDGET = 5_000_000     # DFS state guard
 WINDOW_LAYOUTS = 200         # information-set complements the fast path tries

@@ -27,9 +27,18 @@ def fixtures_dir() -> Path:
     return Path(resources.files("codedpir") / "fixtures")
 
 
+def load_json(path: Path | str):
+    """The JSON value in a file; BadParams naming the path when it cannot be
+    read or parsed."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise BadParams(f"cannot read JSON from {path}: {exc}") from exc
+
+
 def load_fixture(name: str, directory: Path | str | None = None) -> dict:
     directory = Path(directory) if directory else fixtures_dir()
-    return json.loads((directory / f"{name}.json").read_text())
+    return load_json(directory / f"{name}.json")
 
 
 def fixture_code(fixture: dict) -> LinearCode:
@@ -148,13 +157,15 @@ def colluding_row(fixture: dict, seed: int = 0) -> RowResult:
 
 def report_tables(directory: Path | str | None = None, seed: int = 0) -> TablesReport:
     directory = Path(directory) if directory else fixtures_dir()
-    index = json.loads((directory / "index.json").read_text())
+    path = directory / "index.json"
+    index = load_json(path)
+    tables = ("table1", "table2", "table3")
+    if not isinstance(index, dict) or not all(isinstance(index.get(t), list) for t in tables):
+        raise BadParams(f"{path} must map each of {', '.join(tables)} to a list "
+                        "of fixture names")
     report = TablesReport()
-    for table_key in ("table1", "table2"):
+    for table_key in tables:
+        row = colluding_row if table_key == "table3" else noncolluding_row
         for name in index[table_key]:
-            fixture = load_fixture(name, directory)
-            report.rows.append(noncolluding_row(fixture, seed=seed))
-    for name in index["table3"]:
-        fixture = load_fixture(name, directory)
-        report.rows.append(colluding_row(fixture, seed=seed))
+            report.rows.append(row(load_fixture(name, directory), seed=seed))
     return report

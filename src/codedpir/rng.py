@@ -63,8 +63,13 @@ def generator(seed: int, *labels) -> np.random.Generator:
 
 
 def default_seed() -> int:
-    """Package default seed, overridable through the CODEDPIR_SEED env var."""
+    """Package default seed, overridable through the CODEDPIR_SEED env var
+    (an integer literal such as 7 or 0x123); BadParams naming the variable
+    and its value for anything else."""
     raw = os.environ.get(ENV_SEED)
     if raw is None:
         return DEFAULT_SEED
-    return int(raw, 0)
+    try:
+        return int(raw, 0)
+    except ValueError:
+        raise BadParams(f"{ENV_SEED}={raw!r} is not an integer seed") from None

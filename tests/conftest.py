@@ -90,6 +90,15 @@ def full_support(code) -> LinearCode:
     return code_from_generator(Matrix(code.field, rows))
 
 
+def no_weight_one(code) -> LinearCode:
+    """`code` with the first row of H set to 1 wherever H's column is zero:
+    a code of the same dimension with no weight-1 codeword (d_min >= 2),
+    whose every position some correctable pattern can erase."""
+    rows = code.H.array().copy()
+    rows[0, ~rows.any(axis=0)] = 1
+    return LinearCode.from_parity_check(Matrix(code.field, rows))
+
+
 def all_codewords(code) -> list[tuple[int, ...]]:
     """Every codeword m G, message digit m_0 varying fastest, encoded in one
     call (tiny codes only: q^k words)."""

@@ -209,6 +209,32 @@ def test_report_tables_cli_subset(tmp_path, capsys):
     assert "all rows match" in out
 
 
+@pytest.mark.parametrize("index, files, named", [
+    (None, {}, "index.json"),  # no index at all
+    ({"table1": ["c1", "c99"], "table2": [], "table3": []}, {}, "c99.json"),
+    ({"table1": ["c1"], "table2": [], "table3": []}, {"c1.json": "{not json"},
+     "c1.json"),
+    ("[1, 2", {}, "index.json"),  # the index itself malformed
+    ({"table1": ["c1"], "table2": []}, {}, "index.json"),  # no table3 list
+], ids=["no-index", "missing-fixture", "malformed-fixture", "malformed-index",
+        "index-without-table3"])
+def test_report_tables_bad_fixture_directory(index, files, named, tmp_path, capsys):
+    """A missing, unreadable or malformed index or fixture ended in a
+    FileNotFoundError or JSONDecodeError traceback; it is an error naming
+    the file now."""
+    from codedpir.reports import fixtures_dir
+    import shutil
+    shutil.copy(fixtures_dir() / "c1.json", tmp_path / "c1.json")
+    if index is not None:
+        (tmp_path / "index.json").write_text(
+            index if isinstance(index, str) else json.dumps(index))
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(["report", "tables", "--fixtures", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / named) in err
+
+
 def test_simulate_extension_field(good_spec, capsys):
     assert main(["simulate", "p2", "--code", good_spec, "--files", "2",
                  "--request", "2", "--seed", "5", "--ell", "2"]) == 0
@@ -223,6 +249,19 @@ def test_env_seed_override(good_spec, capsys, monkeypatch):
     assert main(["simulate", "p2", "--code", good_spec, "--files", "2",
                  "--request", "1"]) == 0
     assert capsys.readouterr().out == out1  # same env seed, same transcript
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "p2", "--files", "2", "--request", "1"],
+    ["audit-privacy", "--protocol", "2", "--trials", "10"],
+])
+def test_env_seed_must_be_an_integer(argv, good_spec, capsys, monkeypatch):
+    """CODEDPIR_SEED=abc ended in a ValueError traceback from int(); it is an
+    error naming the variable and its value now."""
+    monkeypatch.setenv("CODEDPIR_SEED", "abc")
+    assert main(argv + ["--code", good_spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "CODEDPIR_SEED" in err and "'abc'" in err
 
 
 def test_matrix_find_generic_alias(good_spec, capsys):

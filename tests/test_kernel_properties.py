@@ -13,6 +13,7 @@ import itertools
 import math
 import random
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -166,6 +167,34 @@ def test_column_walk_over_a_large_prime():
     assert code._min_distance_column_search(budget=COLUMN_SEARCH_BUDGET) == \
         rank_min_distance(code)
     check_one_subset_paths(code, rng)
+
+
+@PROPERTY
+@given(codes(FIELDS + [(5, 7)]), st.data())
+def test_kept_walk_answers_do_not_depend_on_call_order(code, data):
+    """One code asked for its d_min (by `min_distance` and by the column
+    search), its lists (`correctable_masks`) and its level counts (`_count`)
+    in a drawn order, under a drawn ceiling on how far ahead its one walk
+    goes, answers as a fresh code's lists and the rank-based d_min do."""
+    r = code.n - code.k
+    fresh = LinearCode(code.G, code.H, check=False)
+    want = [fresh.correctable_masks(w) for w in range(r + 2)]
+    dmin = rank_min_distance(code)
+    calls = data.draw(st.lists(st.one_of(
+        st.sampled_from([("min_distance", 0), ("search", 0)]),
+        st.tuples(st.sampled_from(["masks", "count"]), st.integers(0, r + 1))),
+        min_size=1, max_size=6), label="calls")
+    kept = LinearCode(code.G, code.H, check=False)
+    with mock.patch("codedpir.codes.EXHAUSTIVE_LIMIT", data.draw(st.integers(0, 80))):
+        for call, w in calls:
+            if call == "min_distance":
+                assert kept.min_distance() == dmin
+            elif call == "search":
+                assert kept._min_distance_column_search(COLUMN_SEARCH_BUDGET) == dmin
+            elif call == "masks":
+                assert kept.correctable_masks(w) == want[w], w
+            else:
+                assert kept._count(w) == len(want[w]), w
 
 
 @PROPERTY

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,8 @@ from codedpir.optimizer import (compute_erasure_pattern_list, compute_matrix,
 from codedpir.protocol2 import p2_build_structure
 from codedpir.protocol3 import p3_setup
 from codedpir.ratematrix import beta_d_minimal
-from codedpir.reports import colluding_row, fixture_code, load_fixture, noncolluding_row
+from codedpir.reports import (colluding_row, fixture_code, load_fixture, noncolluding_row,
+                              report_tables)
 from conftest import (QUERY_T0, STORAGE_T0, compute_matrix_bruteforce, rank_pattern_list,
                       sampled_pattern_list_reference)
 
@@ -333,14 +335,8 @@ def test_sampled_list_leaves_numpy_random_unloaded():
     assert int(size) > 0 and random_loaded == ma_loaded == "False"
 
 
-@pytest.mark.parametrize("name", ["c1", "c4", "c5", "c10"])
-def test_one_walk_per_code(name, monkeypatch):
-    """A noncolluding row never walks the columns of H of one code to a depth
-    it has already walked: the column search of `min_distance` reads each
-    level's count from the code's kept walk, deepening it only past what is
-    kept; the information-set list (weight n - k) and every Gamma list,
-    the Gamma = n - k list among them, read the levels kept or walk deeper
-    once. Afterwards every list up to n - k is read with no walk."""
+def _spy_walks(monkeypatch) -> dict:
+    """The depths of every column walk, per code object walked."""
     from codedpir.codes import LinearCode
     walks = {}
     original = LinearCode._column_levels
@@ -350,14 +346,49 @@ def test_one_walk_per_code(name, monkeypatch):
         return original(self, depth)
 
     monkeypatch.setattr(LinearCode, "_column_levels", spy)
-    fixture = load_fixture(name)
-    row = noncolluding_row(fixture)
-    assert row.ok and row.computed["r_opt"] == row.computed["c_inf"]
-    storage = fixture_code(fixture)
-    code = next(c for c in walks if (c.n, c.k) == (storage.n, storage.k))
-    for depths in walks.values():
-        assert depths == sorted(set(depths)), walks
+    return walks
+
+
+TABLE_ROWS = ([(noncolluding_row, name)
+               for name in ("c1", "c2", "c3", "c4", "c5", "c8", "c9", "c10")]
+              + [(colluding_row, name) for name in ("c9", "c10", "c11", "c12", "c13")])
+
+
+@pytest.mark.parametrize("row, name", TABLE_ROWS,
+                         ids=[("III-" if row is colluding_row else "") + name
+                              for row, name in TABLE_ROWS])
+def test_one_walk_per_code(row, name, monkeypatch):
+    """Every table row that runs the optimizer walks the columns of H of
+    each code once: the column search of `min_distance`, the
+    information-set list (weight n - k) and every Gamma list read the one
+    walk, which goes to every level whose C(n, w) is within
+    EXHAUSTIVE_LIMIT. Afterwards each such level is read with no walk."""
+    from codedpir.codes import EXHAUSTIVE_LIMIT
+    walks = _spy_walks(monkeypatch)
+    result = row(load_fixture(name))
+    assert result.ok
+    assert walks and all(len(depths) == 1 for depths in walks.values()), walks
     seen = {c: list(depths) for c, depths in walks.items()}
-    for w in range(code.n - code.k + 1):
-        assert code.correctable_masks(w) == code.correctable_masks(w)
+    for code in seen:
+        for w in range(code.n - code.k + 1):
+            if comb(code.n, w) <= EXHAUSTIVE_LIMIT:
+                assert code.correctable_masks(w) == code.correctable_masks(w)
     assert walks == seen
+
+
+def test_report_tables_walks_each_code_once(monkeypatch):
+    """A whole `report_tables()` makes one column walk per code object it
+    walks, and so no more walks than it builds codes."""
+    from codedpir.codes import LinearCode
+    walks = _spy_walks(monkeypatch)
+    built = []
+    init = LinearCode.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearCode, "__init__", counting)
+    assert report_tables().passed
+    assert all(len(depths) == 1 for depths in walks.values()), walks
+    assert 0 < len(walks) <= len(built)

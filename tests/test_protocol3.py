@@ -21,8 +21,9 @@ from codedpir.protocol3 import (P3Setup, collusion_threshold,
 from codedpir.rng import generator
 from conftest import (EHAT_EX5, EHAT_EX6, EHAT_P3, EHAT_T0, ISETS_EX5,
                       ISETS_EX6, ISETS_P3, ISETS_T0, QUERY_T0, STORAGE_T0, codes,
-                      column, file_rows, full_support, lifted, p3_decode_reference,
-                      p3_respond_reference, query_reference, rank_reference)
+                      column, file_rows, full_support, lifted, no_weight_one,
+                      p3_decode_reference, p3_respond_reference, query_reference,
+                      rank_reference)
 
 
 @pytest.fixture(scope="module")
@@ -511,34 +512,42 @@ def test_construction_normalises_the_structure(good532):
     assert (s5.gamma, s5.collusion_threshold, s5.product.k) == (2, 1, 3)
 
 
+def _differing_pairs(lists: list) -> list[tuple[int, int]]:
+    """The ordered pairs of lists of `lists` (each of one size) that differ
+    as sets, so each holds an element the other lacks."""
+    return [(i, j) for i, j in itertools.permutations(range(len(lists)), 2)
+            if set(lists[i]) != set(lists[j])]
+
+
 def _exchange(data, lists: list) -> None:
-    """Two drawn lists of `lists` (distinct when there are two) exchange a
-    drawn element of each that the other lacks, in place; a no-op when either
-    lacks none."""
-    i = data.draw(st.integers(0, len(lists) - 1))
-    a, b = lists[i], lists[(i + data.draw(st.integers(1, max(len(lists) - 1, 1)))) % len(lists)]
-    only_a, only_b = sorted(set(a) - set(b)), sorted(set(b) - set(a))
-    if only_a and only_b:
-        x, y = data.draw(st.sampled_from(only_a)), data.draw(st.sampled_from(only_b))
-        a[a.index(x)], b[b.index(y)] = y, x
+    """A drawn pair of `lists` that differ exchange a drawn element of each
+    that the other lacks, in place."""
+    i, j = data.draw(st.sampled_from(_differing_pairs(lists)))
+    a, b = lists[i], lists[j]
+    x = data.draw(st.sampled_from(sorted(set(a) - set(b))))
+    y = data.draw(st.sampled_from(sorted(set(b) - set(a))))
+    a[a.index(x)], b[b.index(y)] = y, x
 
 
 def _perturbed(data, e, n: int, k: int):
     """The optimizer's (Ehat, sets) with one change drawn: a flipped Ehat bit,
-    one set swapped for a drawn k-subset, two Ehat rows exchanging a node of
+    one set swapped for another k-subset, two Ehat rows exchanging a node of
     their supports (row and column weights kept), or two sets exchanging a
-    node (how often each node is held kept)."""
+    node (how often each node is held kept). Each changes the structure;
+    an exchange is drawn only where two rows, or two sets, differ."""
     ehat = [list(r) for r in e.ehat]
     sets = [sorted(s) for s in e.info_sets()]
     supports = [[l for l in range(n) if r[l]] for r in ehat]
-    node = st.integers(0, n - 1)
-    kind = data.draw(st.sampled_from(["flip", "set", "rows", "sets"]))
+    kinds = ["flip", "set"] + (["rows"] if _differing_pairs(supports) else []) \
+        + (["sets"] if _differing_pairs(sets) else [])
+    kind = data.draw(st.sampled_from(kinds))
     event(kind)
     if kind == "flip":
-        ehat[data.draw(st.integers(0, len(ehat) - 1))][data.draw(node)] ^= 1
+        ehat[data.draw(st.integers(0, len(ehat) - 1))][data.draw(st.integers(0, n - 1))] ^= 1
     elif kind == "set":
-        sets[data.draw(st.integers(0, len(sets) - 1))] = sorted(
-            data.draw(st.sets(node, min_size=k, max_size=k)))
+        i = data.draw(st.integers(0, len(sets) - 1))
+        sets[i] = list(data.draw(st.sampled_from(
+            [c for c in itertools.combinations(range(n), k) if list(c) != sets[i]])))
     elif kind == "rows":
         _exchange(data, supports)
         ehat = [[int(l in s) for l in range(n)] for s in supports]
@@ -547,27 +556,35 @@ def _perturbed(data, e, n: int, k: int):
     return ehat, sets
 
 
+def _query_code(data, code):
+    """A drawn query code, zero at no position, whose Hadamard product with
+    `code` has rate below 1: a drawn code cut to its leading generator rows
+    until the product is (one full-support row scales `code`, so its
+    product has `code`'s dimension k < n)."""
+    query = full_support(data.draw(codes([(code.field.p, code.field.alpha)],
+                                         max_messages=81, n=code.n)))
+    rows = query.G.array()
+    while code.hadamard_product(query).k >= code.n:
+        rows = rows[:-1]
+        query = full_support(code_from_generator(Matrix.from_array(code.field, rows)))
+    return query
+
+
 @settings(derandomize=True, max_examples=120, deadline=None)
-@given(codes([(2, 1), (3, 1), (2, 2), (5, 1)], max_n=6, redundant=True), st.booleans(),
-       st.integers(0, 2**16), st.data())
+@given(codes([(2, 1), (3, 1), (2, 2), (5, 1)], max_n=6, redundant=True).map(no_weight_one),
+       st.booleans(), st.integers(0, 2**16), st.data())
 def test_perturbed_structure_is_refused_or_decodes(code, colluding, seed, data):
     """One change to the optimizer's structure for a random storage code
-    (k < n), with the repetition or a random query code: either building the
-    setup raises a CodedPirError other than DecodeFailure, or every file is
-    retrieved exactly, so the decoder needs no consistency check of its
-    own."""
-    if colluding:
-        query = full_support(data.draw(codes([(code.field.p, code.field.alpha)],
-                                             max_messages=81, n=code.n)))
-    else:
-        query = repetition_code(code.field, code.n)
-    try:
-        e, _ = optimize_rate(code, query, seed=seed)
-    except RateOneProduct:
-        e = None
+    (k < n, d_min >= 2: a weight-1 codeword leaves a position no structure
+    covers), with the repetition or a random query code whose product with
+    it has rate below 1: either building the setup raises a CodedPirError
+    other than DecodeFailure, or every file is retrieved exactly, so the
+    decoder needs no consistency check of its own."""
+    query = _query_code(data, code) if colluding else repetition_code(code.field, code.n)
+    e, _ = optimize_rate(code, query, seed=seed)
     assume(e is not None)
     ehat, sets = _perturbed(data, e, code.n, code.k)
-    assume(ehat != [list(r) for r in e.ehat] or sets != [sorted(t) for t in e.info_sets()])
+    assert ehat != [list(r) for r in e.ehat] or sets != [sorted(t) for t in e.info_sets()]
     try:
         setup = p3_setup(code, query, ehat, sets)
     except CodedPirError as exc:
